@@ -72,17 +72,7 @@ const (
 // function of (nonce, identity), so the root can evaluate any subtree's
 // expected sum without touching the network.
 func chi(nonce uint64, u topology.NodeID) uint64 {
-	return mix64(nonce+uint64(u)*0x9e3779b97f4a7c15) & 0xFFFF
-}
-
-// mix64 is the SplitMix64 finalizer (kept in sync with faults.mix64).
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+	return faults.Mix64(nonce+uint64(u)*0x9e3779b97f4a7c15) & 0xFFFF
 }
 
 // Report is the outcome of one localization run.
@@ -120,7 +110,10 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 		return rep, view, nil
 	}
 	before := nw.Meter.Snapshot()
-	seen := make(map[topology.NodeID]bool)
+	// The auditor's O(N) scratch lives for this call only: reused across
+	// rounds and audits, never parked on the (pooled) network.
+	n := nw.N()
+	a := &auditor{nw: nw, nodes: make([]auditNode, n), spine: make([]topology.NodeID, n), seen: make([]bool, n)}
 	// Each round convicts at least one node while any audit mismatches
 	// (the deepest mismatching subtree has no mismatching children), so
 	// 2(N+1) rounds is a safe ceiling, never reached in practice. The
@@ -129,10 +122,10 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 	// happened to cancel under one challenge must cancel again under
 	// independent challenge words to stay hidden.
 	clean := 0
-	for round := 0; clean < 2 && round < 2*(nw.N()+1); round++ {
+	for round := 0; clean < 2 && round < 2*(n+1); round++ {
 		rep.Rounds++
-		nonce := mix64((nw.Seed() ^ auditStream) + uint64(round))
-		convicted := auditRound(nw, view, nonce, rep, seen)
+		nonce := faults.Mix64((nw.Seed() ^ auditStream) + uint64(round))
+		convicted := a.round(view, nonce, rep)
 		if len(convicted) == 0 {
 			clean++
 			continue
@@ -153,104 +146,197 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 	return rep, view, nil
 }
 
-// auditRound descends from the root: audit every root-child subtree, and
-// inside every mismatching subtree re-audit the children. A subtree that
-// mismatches while all its children pass convicts its own root.
-func auditRound(nw *netsim.Network, view *spantree.TreeView, nonce uint64, rep *Report, seen map[topology.NodeID]bool) []topology.NodeID {
+// auditor is one Localize call's audit state. The simulator does not walk
+// an audited subtree node by node: the root knows the view, the meter is
+// purely additive per node, and a subtree without a Byzantine member
+// reports exactly its expectation — so each round evaluates every subtree
+// once, each audit re-evaluates only the dirty part of its subtree, and
+// the round's traffic is accumulated per node and charged in one pass.
+type auditor struct {
+	nw    *netsim.Network
+	nodes []auditNode // indexed by NodeID
+	// spine lists the round's dirty nodes (subtrees containing a Byzantine
+	// member) in DFS preorder: parents before children, every subtree's
+	// dirty members contiguous — reversed, a slice of it is the
+	// convergecast schedule of one audit.
+	spine []topology.NodeID
+	stack []descentFrame
+	seen  []bool // ever suspected, across rounds
+}
+
+// auditNode is one node's share of a round. A partial is (Σχ₁, Σχ₂, count)
+// over the node's subtree; liars corrupt the two sums and never the count.
+type auditNode struct {
+	exp1, exp2 uint64 // the expected sums: what an honest subtree reports
+	d1, d2     uint64 // Σ (reported − expected) over dirty children, pending inside one audit
+	up         int64  // dirty nodes: Σ bits of the partials it reported in this round's audits
+	relay      int64  // Σ bits of the verdict partials it relayed for audited strict descendants
+	cnt        int32  // subtree size
+	dirty      int32  // dirty nodes in the subtree; 0 = clean
+	pos        int32  // dirty nodes: index in auditor.spine
+	got        int32  // bits of the partial its own audit delivered; 0 = not audited this round
+	relayN     int32  // audited strict descendants
+	cover      int32  // audited ancestors, itself included
+}
+
+// descentFrame is one level of the audit descent: a subtree that failed
+// its audit (or the root), the next child to audit, and whether any child
+// failed so far.
+type descentFrame struct {
+	v    topology.NodeID
+	next int
+	bad  bool
+}
+
+func partialBits(x1, x2 uint64, cnt int32) int32 {
+	return int32(bitio.GammaWidth(x1) + bitio.GammaWidth(x2) + bitio.GammaWidth(uint64(cnt)))
+}
+
+// round descends from the root: audit every root-child subtree, and inside
+// every mismatching subtree re-audit the children. A subtree that
+// mismatches while all its children pass convicts its own root. The
+// descent keeps an explicit stack, so deep chain topologies cannot
+// overflow the Go stack.
+func (a *auditor) round(view *spantree.TreeView, nonce uint64, rep *Report) []topology.NodeID {
+	plan, nodes := a.nw.Faults, a.nodes
+	// Expectations, leaves first: every subtree's sums, size and dirt.
+	for i := len(view.Order) - 1; i >= 0; i-- {
+		u := view.Order[i]
+		e := auditNode{exp1: chi(nonce, u), exp2: chi(nonce^chiStream2, u), cnt: 1}
+		for _, c := range view.Children[u] {
+			nc := &nodes[c]
+			e.exp1 += nc.exp1
+			e.exp2 += nc.exp2
+			e.cnt += nc.cnt
+			e.dirty += nc.dirty
+		}
+		if e.dirty > 0 || plan.Byzantine(u) {
+			e.dirty++
+		}
+		nodes[u] = e
+	}
+	// Preorder positions, root first: a dirty node sits right before its
+	// dirty children's subtrees, each as long as its dirty count.
+	for _, u := range view.Order {
+		if nodes[u].dirty == 0 {
+			continue
+		}
+		a.spine[nodes[u].pos] = u
+		next := nodes[u].pos + 1
+		for _, c := range view.Children[u] {
+			nodes[c].pos = next
+			next += nodes[c].dirty
+		}
+	}
+
 	var convicted []topology.NodeID
-	var descend func(v topology.NodeID) bool
-	descend = func(v topology.NodeID) bool {
-		if auditSubtree(nw, view, v, nonce, rep) {
-			return false
-		}
-		if !seen[v] {
-			seen[v] = true
-			rep.Suspected = append(rep.Suspected, v)
-		}
-		childBad := false
-		for _, c := range view.Children[v] {
-			if descend(c) {
-				childBad = true
+	stack := append(a.stack[:0], descentFrame{v: view.Root})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if ch := view.Children[f.v]; f.next < len(ch) {
+			c := ch[f.next]
+			f.next++
+			if !a.audit(view, c, rep) {
+				f.bad = true
+				if !a.seen[c] {
+					a.seen[c] = true
+					rep.Suspected = append(rep.Suspected, c)
+				}
+				stack = append(stack, descentFrame{v: c})
 			}
+			continue
 		}
-		if !childBad {
-			convicted = append(convicted, v)
+		if !f.bad && f.v != view.Root {
+			convicted = append(convicted, f.v)
 		}
-		return true
+		stack = stack[:len(stack)-1]
 	}
-	for _, c := range view.Children[view.Root] {
-		descend(c)
-	}
+	a.stack = stack
+
+	a.flush(view, nonce)
 	return convicted
 }
 
-// auditSubtree runs the challenge-sum audit over v's subtree and reports
-// whether it matched the root's expectation. The audit is its own wire
-// protocol: the root relays a nonce frame down the tree path to v, v
-// floods it through the subtree, and the gamma-coded (Σχ, count) partial
+// audit runs the challenge-sum audit over v's subtree and reports whether
+// it matched the root's expectation. The audit is its own wire protocol:
+// the root relays a nonce frame down the tree path to v, v floods it
+// through the subtree, and the gamma-coded (Σχ₁, Σχ₂, count) partial
 // converges back up and is relayed to the root — every bit charged to the
-// meter. Control frames are delivered reliably (the same ARQ assumption
-// as the repair handshake), but Byzantine nodes corrupt their partial —
-// including v itself, which lies in the relay — so a lying subtree cannot
-// audit clean.
-func auditSubtree(nw *netsim.Network, view *spantree.TreeView, v topology.NodeID, nonce uint64, rep *Report) bool {
-	plan := nw.Faults
-	m := nw.Meter
+// meter (flush). Control frames are delivered reliably (the same ARQ
+// assumption as the repair handshake), but Byzantine nodes corrupt the
+// partial they report — interior nodes on the tree edge to their parent, v
+// itself in the relay to the root — so a lying subtree cannot audit clean.
+// Clean members report their expectation; only the dirty members are
+// re-evaluated, each Byzantine one drawing exactly one lie word per audit
+// (an equivocating liar lies differently in every audit that covers it).
+func (a *auditor) audit(view *spantree.TreeView, v topology.NodeID, rep *Report) bool {
 	rep.Audits++
-
-	// Announce: 4-bit audit opcode plus the gamma-coded round counter
-	// (nodes derive the nonce from the shared plan seed), relayed along
-	// the root→v tree path and flooded down the subtree.
-	frameBits := 4 + bitio.GammaWidth(nonce&0xFF)
-	for u := v; u != view.Root; u = view.Parent[u] {
-		m.Charge(view.Parent[u], u, frameBits)
+	plan, nodes := a.nw.Faults, a.nodes
+	nv := &nodes[v]
+	if nv.dirty == 0 {
+		nv.got = partialBits(nv.exp1, nv.exp2, nv.cnt)
+		return true
 	}
-
-	// Post-order convergecast over the subtree. The walk is iterative
-	// (explicit queue) so deep chain topologies cannot overflow the Go
-	// stack, and partials live in a map keyed by node — subtrees are
-	// usually a small fraction of the network. Each partial carries two
-	// challenge sums over independent streams plus the node count.
-	type partial struct{ x1, x2, y uint64 }
-	parts := make(map[topology.NodeID]partial)
-	var exp partial
-	order := []topology.NodeID{v}
-	for qi := 0; qi < len(order); qi++ {
-		u := order[qi]
-		order = append(order, view.Children[u]...)
-		if u != v {
-			m.Charge(view.Parent[u], u, frameBits) // subtree flood of the announce
-		}
-		exp.x1 += chi(nonce, u)
-		exp.x2 += chi(nonce^chiStream2, u)
-		exp.y++
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		p := partial{x1: chi(nonce, u), x2: chi(nonce^chiStream2, u), y: 1}
-		for _, c := range view.Children[u] {
-			cp := parts[c]
-			p.x1 += cp.x1
-			p.x2 += cp.x2
-			p.y += cp.y
-			delete(parts, c)
-		}
-		// Byzantine nodes corrupt the audit sums they report — interior
-		// nodes on the tree edge to their parent, v itself in the relay
-		// to the root below.
+	spine := a.spine[nv.pos : nv.pos+nv.dirty]
+	var x1, x2 uint64
+	for i := len(spine) - 1; i >= 0; i-- {
+		u := spine[i]
+		nu := &nodes[u]
+		x1, x2 = nu.exp1+nu.d1, nu.exp2+nu.d2
+		nu.d1, nu.d2 = 0, 0
 		if plan.Byzantine(u) {
 			lie := plan.LieWord(u)
-			p.x1 = faults.CorruptValue(p.x1, lie)
-			p.x2 = faults.CorruptValue(p.x2, lie)
+			x1 = faults.CorruptValue(x1, lie)
+			x2 = faults.CorruptValue(x2, lie)
 		}
-		if u != v {
-			m.Charge(u, view.Parent[u], bitio.GammaWidth(p.x1)+bitio.GammaWidth(p.x2)+bitio.GammaWidth(p.y))
+		bits := partialBits(x1, x2, nu.cnt)
+		nu.up += int64(bits)
+		if u == v {
+			nu.got = bits
+			break
 		}
-		parts[u] = p
+		np := &nodes[view.Parent[u]]
+		np.d1 += x1 - nu.exp1
+		np.d2 += x2 - nu.exp2
 	}
-	got := parts[v]
-	for u := v; u != view.Root; u = view.Parent[u] {
-		m.Charge(u, view.Parent[u], bitio.GammaWidth(got.x1)+bitio.GammaWidth(got.x2)+bitio.GammaWidth(got.y))
+	return x1 == nv.exp1 && x2 == nv.exp2
+}
+
+// flush charges the round's audits to the meter. Per audit of v, every
+// member of v's subtree and every ancestor of v below the root receives
+// the announce frame (4-bit opcode plus the gamma-coded round counter —
+// nodes derive the nonce from the shared plan seed) from its parent; every
+// member sends its partial to its parent; and every ancestor of v below
+// the root relays v's verdict partial one hop up. Summed over the round's
+// audits that is, per tree edge, a frame count (audited ancestors plus
+// audited descendants of the child) and an up-bit total, charged once.
+func (a *auditor) flush(view *spantree.TreeView, nonce uint64) {
+	nodes, m := a.nodes, a.nw.Meter
+	frameBits := int64(4 + bitio.GammaWidth(nonce&0xFF))
+	for _, u := range view.Order[1:] {
+		nu := &nodes[u]
+		nu.cover = nodes[view.Parent[u]].cover
+		if nu.got > 0 {
+			nu.cover++
+		}
 	}
-	return got == exp
+	for i := len(view.Order) - 1; i > 0; i-- {
+		u := view.Order[i]
+		nu, p := &nodes[u], view.Parent[u]
+		if frames := int64(nu.cover + nu.relayN); frames > 0 {
+			up := nu.up
+			if nu.dirty == 0 {
+				up = int64(nu.cover) * int64(partialBits(nu.exp1, nu.exp2, nu.cnt))
+			}
+			m.ChargeEdgeSeq(p, u, frames*frameBits, frames)
+			m.ChargeEdgeSeq(u, p, up+nu.relay, frames)
+		}
+		np := &nodes[p]
+		np.relayN += nu.relayN
+		np.relay += nu.relay
+		if nu.got > 0 {
+			np.relayN++
+			np.relay += int64(nu.got)
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 	"sensoragg/internal/wire"
 )
 
-func buildNet(t *testing.T, g *topology.Graph, spec faults.Spec, seed uint64) *netsim.Network {
+func buildNet(t testing.TB, g *topology.Graph, spec faults.Spec, seed uint64) *netsim.Network {
 	t.Helper()
 	values := make([]uint64, g.N())
 	for i := range values {
@@ -288,6 +288,16 @@ func TestCrossCheckFlagsCapacityDrift(t *testing.T) {
 	in := drifted.Integrity()
 	if len(in.Suspected) == 0 || in.BoundItems == 0 {
 		t.Fatalf("cross-check fired without suspects: %+v", in)
+	}
+	// Integrity lists suspects in ascending ID order without sorting:
+	// sectors are built in view.Children[root] order, which is ascending.
+	if len(in.Suspected) != drifted.Sectors() {
+		t.Fatalf("%d of %d sectors suspected, want the whole roster", len(in.Suspected), drifted.Sectors())
+	}
+	for i := 1; i < len(in.Suspected); i++ {
+		if in.Suspected[i-1] >= in.Suspected[i] {
+			t.Fatalf("Suspected not in ascending ID order: %v", in.Suspected)
+		}
 	}
 	nw.ResetItems()
 }

@@ -2,7 +2,6 @@ package byz
 
 import (
 	"math"
-	"sort"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/bitio"
@@ -42,6 +41,8 @@ type sector struct {
 	items uint64 // active items in the sector: the cap on every count claim
 	net   *agg.Net
 	view  *spantree.TreeView
+	// suspected marks a sector one of whose partials needed trimming.
+	suspected bool
 }
 
 // Integrity is the per-answer integrity accounting of a robust run.
@@ -84,7 +85,6 @@ type RobustNet struct {
 	full     *agg.Net
 	logWidth int
 
-	suspects map[topology.NodeID]bool
 	trims    int
 	crossRan bool
 	crossDev float64
@@ -119,7 +119,6 @@ func NewRobustNet(nw *netsim.Network, view *spantree.TreeView, opts ...Option) *
 		plan:     nw.Faults,
 		full:     agg.NewNet(spantree.NewFastView(nw, view), aggOpts...),
 		logWidth: bitio.WidthOf(core.Log2Floor(nw.MaxX) + 1),
-		suspects: make(map[topology.NodeID]bool),
 	}
 	for _, c := range view.Children[view.Root] {
 		sub := spantree.SubtreeView(view, c)
@@ -152,18 +151,17 @@ func (r *RobustNet) Integrity() Integrity {
 		CrossDeviation: r.crossDev,
 	}
 	for _, s := range r.sectors {
-		if r.suspects[s.root] {
+		if s.suspected { // sectors follow view.Children[root]: ascending ID order
 			in.Suspected = append(in.Suspected, s.root)
 			in.BoundItems += s.items
 		}
 	}
-	sort.Slice(in.Suspected, func(i, j int) bool { return in.Suspected[i] < in.Suspected[j] })
 	return in
 }
 
 func (r *RobustNet) flag(s *sector) {
 	r.trims++
-	r.suspects[s.root] = true
+	s.suspected = true
 }
 
 // valueWidth mirrors the agg framing width for domain d.
@@ -324,7 +322,7 @@ func (r *RobustNet) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 		up := 1
 		if sok {
 			if r.plan != nil && r.plan.Byzantine(s.root) {
-				slo, shi = corruptMinMax(slo, shi, maxD, r.plan.LieWord(s.root))
+				slo, shi = corruptMinMax(slo, shi, r.plan.LieWord(s.root))
 			}
 			up += 2 * r.valueWidth(d)
 		}
@@ -375,7 +373,7 @@ func (r *RobustNet) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 // corruptMinMax is the relay-hop lie on an extrema pair: the sector root
 // reports a wrong minimum, kept inside the domain (wire-legal framing is
 // the liar's own interest — an out-of-width value exposes it instantly).
-func corruptMinMax(lo, hi, maxD, lie uint64) (uint64, uint64) {
+func corruptMinMax(lo, hi, lie uint64) (uint64, uint64) {
 	span := hi + 1
 	if span == 0 { // hi == MaxUint64: degenerate, lie over the full word
 		span = math.MaxUint64
@@ -384,7 +382,6 @@ func corruptMinMax(lo, hi, maxD, lie uint64) (uint64, uint64) {
 	if l2 == lo {
 		l2 = (l2 + 1) % span
 	}
-	_ = maxD
 	return l2, hi
 }
 
@@ -588,7 +585,7 @@ func (r *RobustNet) CrossCheck() (dev float64, suspicious bool) {
 	dev = rel / se
 	r.crossDev = dev
 	if dev > crossCheckSigmas && rel > crossCheckRelFloor {
-		if len(r.suspects) == 0 {
+		if r.trims == 0 { // no sector was ever flagged
 			for _, s := range r.sectors {
 				r.flag(s)
 			}

@@ -116,7 +116,7 @@ func TestByzModes(t *testing.T) {
 func TestCorruptValueAlwaysLies(t *testing.T) {
 	for x := uint64(0); x < 2000; x++ {
 		for lie := uint64(0); lie < 50; lie++ {
-			y := CorruptValue(x, mix64(lie+x*1315423911))
+			y := CorruptValue(x, Mix64(lie+x*1315423911))
 			if y == x {
 				t.Fatalf("CorruptValue(%d) returned the honest value", x)
 			}

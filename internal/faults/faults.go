@@ -360,16 +360,16 @@ func (p *Plan) ByzantineCount() int { return p.nByz }
 // safe (each convergecast step owns its node), matching Deliveries'
 // per-sender counters.
 func (p *Plan) LieWord(u topology.NodeID) uint64 {
-	base := mix64(p.seed ^ streamLie)
+	base := Mix64(p.seed ^ streamLie)
 	switch p.spec.ByzMode {
 	case ByzEquivocate:
 		seq := p.lieSeq[u]
 		p.lieSeq[u] = seq + 1
-		return mix64(mix64(base+uint64(u)) + seq)
+		return Mix64(Mix64(base+uint64(u)) + seq)
 	case ByzCollude:
-		return mix64(base + 1)
+		return Mix64(base + 1)
 	default: // ByzCorrupt
-		return mix64(base + uint64(u))
+		return Mix64(base + uint64(u))
 	}
 }
 
@@ -482,12 +482,13 @@ func CorruptValue(x, lie uint64) uint64 {
 
 // uniform hashes (seed, stream, a, b) to a float64 in [0, 1).
 func (p *Plan) uniform(stream, a, b uint64) float64 {
-	h := mix64(mix64(mix64(p.seed^stream)+a) + b)
+	h := Mix64(Mix64(Mix64(p.seed^stream)+a) + b)
 	return float64(h>>11) / (1 << 53)
 }
 
-// mix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mixer.
-func mix64(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mixer. The
+// byz tier derives its audit nonces and challenge words from it.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

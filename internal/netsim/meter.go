@@ -182,6 +182,23 @@ func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeI
 	}
 }
 
+// ChargeEdgeSeq records `msgs` messages totalling `bits` bits on the
+// directed edge from → to in one update: the flush path of protocols that
+// accumulate an edge's traffic over a whole phase (the byz audit rounds)
+// and the per-frame path of the sequential repair handshake. Cell updates
+// follow the single-writer contract of ChargeSendOnlySeq; unlike the other
+// Seq variants it knows both endpoints, so it feeds the watched-edge
+// counter itself and stays exact while a watch is active.
+func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
+	c := &m.cells[from]
+	c.sent += bits
+	c.msgs += msgs
+	m.cells[to].recv += bits
+	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
+		m.watchedBits.Add(bits)
+	}
+}
+
 // ChargeRx records one node hearing a physical-layer transmission.
 func (m *Meter) ChargeRx(to topology.NodeID, bits int) {
 	atomic.AddInt64(&m.cells[to].recv, int64(bits))

@@ -2,7 +2,6 @@ package spantree
 
 import (
 	"fmt"
-	"sort"
 
 	"sensoragg/internal/bitio"
 	"sensoragg/internal/netsim"
@@ -112,9 +111,9 @@ func Heal(nw *netsim.Network) (*HealResult, error) {
 // arbitrary acting root is just "attach its fragment first").
 func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 	plan := nw.Faults
-	tree, g := nw.Tree, nw.Graph
+	tree, g, m := nw.Tree, nw.Graph, nw.Meter
 	n := nw.N()
-	before := nw.Meter.Snapshot()
+	before := m.Snapshot()
 	// Quarantined nodes (the byz tier's containment of convicted liars)
 	// are treated exactly like crashed ones: their heartbeats go silent
 	// and the HELP/AVAIL/JOIN wave re-routes their honest descendants
@@ -122,168 +121,179 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 	// is byte-identical to the honest-fault behavior.
 	alive := func(u topology.NodeID) bool { return !plan.Excluded(u) }
 
-	// Phase 1 — heartbeats parent → child over surviving tree links.
-	heard := make([]bool, n)
-	for _, u := range tree.Order {
-		if !alive(u) {
-			continue
-		}
-		for _, c := range tree.Children[u] {
-			if alive(c) && plan.LinkAlive(u, c) {
-				nw.Meter.Charge(u, c, 1)
-				heard[c] = true
-			}
-		}
+	// parent becomes the repaired view's parent array and outlives the
+	// call; a node is attached iff its parent is set. Everything else is
+	// scratch for this call only, never parked on the (pooled) network.
+	// The repair runs on the sequential protocol driver, so frames are
+	// charged through the meter's single-writer edge path.
+	type healNode struct {
+		depth int32 // hop distance from the acting root, once attached
+		frag  int32 // detached fragment index (ascending orphan-root ID), -1 = none
+		heard bool  // parent heartbeat arrived: the tree edge above survived
+		asked bool  // holds a HELP request from a detached neighbour
 	}
-
-	// keptAdj is the undirected adjacency of surviving tree edges: the
-	// forest whose components are the fragments.
-	keptAdj := make([][]topology.NodeID, n)
-	for c := 0; c < n; c++ {
-		if heard[c] {
-			p := tree.Parent[c]
-			keptAdj[p] = append(keptAdj[p], topology.NodeID(c))
-			keptAdj[c] = append(keptAdj[c], p)
-		}
-	}
-
 	parent := make([]topology.NodeID, n)
-	depth := make([]int, n)
-	attached := make([]bool, n)
-	fragment := make([]topology.NodeID, n) // fragment id = the fragment's orphan root
+	st := make([]healNode, n)
 	for i := range parent {
 		parent[i] = excludedParent
-		depth[i] = -1
-		fragment[i] = -1
+		st[i].frag = -1
+	}
+
+	// Phase 1 — heartbeats parent → child over surviving tree links. The
+	// surviving tree edges are the forest whose components are the
+	// fragments: node u keeps the edge to tree.Parent[u] iff st[u].heard.
+	for c := range st {
+		cid := topology.NodeID(c)
+		if p := tree.Parent[c]; p >= 0 && alive(cid) && alive(p) && plan.LinkAlive(p, cid) {
+			m.ChargeEdgeSeq(p, cid, 1, 1)
+			st[c].heard = true
+		}
 	}
 
 	// attachFragment re-roots the fragment containing graft at graft,
 	// hanging it under par at the given depth: a BFS over kept edges flips
 	// the parent pointers between the graft point and the fragment's old
-	// root. It returns the newly attached nodes in BFS order.
-	attachFragment := func(graft, par topology.NodeID, d int) []topology.NodeID {
-		parent[graft] = par
-		depth[graft] = d
-		attached[graft] = true
-		sub := []topology.NodeID{graft}
-		for qi := 0; qi < len(sub); qi++ {
-			u := sub[qi]
-			for _, v := range keptAdj[u] {
-				if !attached[v] {
-					parent[v] = u
-					depth[v] = depth[u] + 1
-					attached[v] = true
-					sub = append(sub, v)
+	// root. The newly attached nodes are appended to wave in BFS order.
+	attachFragment := func(wave []topology.NodeID, graft, par topology.NodeID, d int32) []topology.NodeID {
+		parent[graft], st[graft].depth = par, d
+		qi := len(wave)
+		wave = append(wave, graft)
+		for ; qi < len(wave); qi++ {
+			u := wave[qi]
+			d := st[u].depth + 1
+			if p := tree.Parent[u]; st[u].heard && parent[p] == excludedParent {
+				parent[p], st[p].depth = u, d
+				wave = append(wave, p)
+			}
+			for _, c := range tree.Children[u] {
+				if st[c].heard && parent[c] == excludedParent {
+					parent[c], st[c].depth = u, d
+					wave = append(wave, c)
 				}
 			}
 		}
-		return sub
+		return wave
 	}
 
 	// The initially attached region: the acting root's fragment. When the
 	// acting root is the tree root, no pointers flip (it is already the
 	// fragment's shallowest node); a re-rooted heal flips the fragment
 	// under the new querier like any other graft.
-	wave := attachFragment(root, -1, 0)
+	wave := attachFragment(make([]topology.NodeID, 0, n), root, -1, 0)
+	next := make([]topology.NodeID, 0, n-len(wave))
 
 	// Phase 2 — each orphan root floods a detached marker down its
 	// fragment (1 bit per kept edge), so members know to call for help.
-	var orphanRoots []topology.NodeID
-	var detached []topology.NodeID
-	for u := 0; u < n; u++ {
+	// An orphan root is its fragment's shallowest tree node, so the flood
+	// only ever follows kept edges downward. Skipping attached nodes skips
+	// members of the acting root's fragment: under a re-rooted heal its
+	// old orphan root is already attached and must not flood a second time.
+	orphanRoots := 0
+	for u := range st {
 		uid := topology.NodeID(u)
-		// attached[u] skips members of the acting root's fragment: under a
-		// re-rooted heal its old orphan root is already attached and must
-		// not flood a second time.
-		if uid == root || !alive(uid) || heard[u] || attached[u] {
+		if !alive(uid) || st[u].heard || parent[u] != excludedParent {
 			continue
 		}
-		orphanRoots = append(orphanRoots, uid)
-		frag := []topology.NodeID{uid}
-		fragment[uid] = uid
+		f := int32(orphanRoots)
+		orphanRoots++
+		st[u].frag = f
+		frag := append(next[:0], uid)
 		for qi := 0; qi < len(frag); qi++ {
 			v := frag[qi]
-			for _, w := range keptAdj[v] {
-				if fragment[w] == -1 && !attached[w] {
-					nw.Meter.Charge(v, w, 1)
-					fragment[w] = uid
+			for _, w := range tree.Children[v] {
+				if st[w].heard {
+					m.ChargeEdgeSeq(v, w, 1, 1)
+					st[w].frag = f
 					frag = append(frag, w)
 				}
 			}
 		}
-		detached = append(detached, frag...)
 	}
-	sort.Slice(detached, func(i, j int) bool { return detached[i] < detached[j] })
 
 	// Phase 3 — every detached node sends HELP to its live neighbours.
-	requests := make([][]topology.NodeID, n)
-	for _, uid := range detached {
-		for _, nbr := range g.Adj[uid] {
+	// Links are symmetric, so a request is not stored: the neighbour finds
+	// it again by scanning its own adjacency when it comes to answer.
+	for u := range st {
+		if st[u].frag < 0 {
+			continue
+		}
+		uid := topology.NodeID(u)
+		for _, nbr := range g.Adj[u] {
 			if alive(nbr) && plan.LinkAlive(uid, nbr) {
-				nw.Meter.Charge(uid, nbr, 1)
-				requests[nbr] = append(requests[nbr], uid)
+				m.ChargeEdgeSeq(uid, nbr, 1, 1)
+				st[nbr].asked = true
 			}
 		}
 	}
 
-	// Phase 4 — reattachment waves.
+	// Phase 4 — reattachment waves. pending lists the fragments still
+	// detached, in ascending order; a fragment's best offer is only ever
+	// set in the wave that grafts it, so the offers need no reset.
 	type offer struct{ graft, from topology.NodeID }
+	best := make([]offer, orphanRoots)
+	pending := make([]int32, orphanRoots)
+	for f := range pending {
+		pending[f] = int32(f)
+		best[f].from = -1
+	}
 	waves, reattached := 0, 0
-	if len(orphanRoots) > 0 {
-		for {
-			// AVAIL: nodes attached in the previous wave answer pending
-			// HELP requests from still-detached nodes.
-			best := make(map[topology.NodeID]offer) // fragment id → best graft pair
-			for _, u := range wave {
-				for _, x := range requests[u] {
-					if attached[x] {
-						continue
-					}
-					nw.Meter.Charge(u, x, 1+bitio.GammaWidth(uint64(depth[u])))
-					f := fragment[x]
-					b, ok := best[f]
-					if !ok || depth[u] < depth[b.from] ||
-						(depth[u] == depth[b.from] && (u < b.from || (u == b.from && x < b.graft))) {
-						best[f] = offer{graft: x, from: u}
-					}
+	for len(pending) > 0 {
+		// AVAIL: nodes attached in the previous wave answer pending
+		// HELP requests from still-detached nodes.
+		for _, u := range wave {
+			if !st[u].asked {
+				continue
+			}
+			du := st[u].depth
+			for _, x := range g.Adj[u] {
+				f := st[x].frag
+				if f < 0 || parent[x] != excludedParent || !plan.LinkAlive(u, x) {
+					continue
 				}
-				requests[u] = nil
-			}
-			if len(best) == 0 {
-				break
-			}
-			waves++
-			frags := make([]topology.NodeID, 0, len(best))
-			for f := range best {
-				frags = append(frags, f)
-			}
-			sort.Slice(frags, func(i, j int) bool { return frags[i] < frags[j] })
-			// JOIN: each offered fragment grafts once, at the member with
-			// the shallowest offerer, re-rooting the fragment there.
-			wave = wave[:0]
-			for _, f := range frags {
-				b := best[f]
-				nw.Meter.Charge(b.graft, b.from, 1)
-				reattached++
-				wave = append(wave, attachFragment(b.graft, b.from, depth[b.from]+1)...)
+				m.ChargeEdgeSeq(u, x, int64(1+bitio.GammaWidth(uint64(du))), 1)
+				b := &best[f]
+				if b.from < 0 || du < st[b.from].depth ||
+					(du == st[b.from].depth && (u < b.from || (u == b.from && x < b.graft))) {
+					*b = offer{graft: x, from: u}
+				}
 			}
 		}
+		// JOIN: each offered fragment grafts once, at the member with
+		// the shallowest offerer, re-rooting the fragment there.
+		next = next[:0]
+		unoffered := pending[:0]
+		for _, f := range pending {
+			b := best[f]
+			if b.from < 0 {
+				unoffered = append(unoffered, f)
+				continue
+			}
+			m.ChargeEdgeSeq(b.graft, b.from, 1, 1)
+			reattached++
+			next = attachFragment(next, b.graft, b.from, st[b.from].depth+1)
+		}
+		if len(next) == 0 {
+			break
+		}
+		waves++
+		pending = unoffered
+		wave, next = next, wave
 	}
 
 	unreachable := 0
-	for u := 0; u < n; u++ {
-		if alive(topology.NodeID(u)) && !attached[u] {
+	for u := range parent {
+		if parent[u] == excludedParent && alive(topology.NodeID(u)) {
 			unreachable++
 		}
 	}
 	return &HealResult{
 		View:        viewFromParents(parent, root),
 		Crashed:     plan.CrashedCount(),
-		OrphanRoots: len(orphanRoots),
+		OrphanRoots: orphanRoots,
 		Reattached:  reattached,
 		Unreachable: unreachable,
 		Waves:       waves,
-		Repair:      nw.Meter.Since(before),
+		Repair:      m.Since(before),
 	}, nil
 }
 
@@ -333,8 +343,9 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 }
 
 // viewFromParents assembles a TreeView from a parent array in which
-// excluded nodes carry excludedParent. Children are listed in ID order and
-// Order is BFS from the root.
+// excluded nodes carry excludedParent. Children are listed in ID order,
+// carved from one backing array owned by the view (each list's capacity
+// ends where the next begins), and Order is BFS from the root.
 func viewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
 	n := len(parent)
 	v := &TreeView{
@@ -342,14 +353,28 @@ func viewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
 		Parent:   parent,
 		Children: make([][]topology.NodeID, n),
 	}
+	fanout := make([]int32, n)
 	included := 0
-	for u := 0; u < n; u++ {
-		if parent[u] == excludedParent {
+	for _, p := range parent {
+		if p == excludedParent {
 			continue
 		}
 		included++
-		if topology.NodeID(u) != root {
-			v.Children[parent[u]] = append(v.Children[parent[u]], topology.NodeID(u))
+		if p >= 0 { // every included node but the root
+			fanout[p]++
+		}
+	}
+	backing := make([]topology.NodeID, included-1)
+	off := 0
+	for u, k := range fanout {
+		if k > 0 {
+			v.Children[u] = backing[off : off : off+int(k)]
+			off += int(k)
+		}
+	}
+	for u, p := range parent {
+		if p >= 0 {
+			v.Children[p] = append(v.Children[p], topology.NodeID(u))
 		}
 	}
 	v.Order = make([]topology.NodeID, 0, included)

@@ -64,14 +64,21 @@ func validateView(t *testing.T, nw *netsim.Network, res *HealResult) {
 	}
 }
 
-func healNetwork(t *testing.T, g *topology.Graph, spec faults.Spec, seed uint64) (*netsim.Network, *HealResult) {
-	t.Helper()
+// faultyNet builds a network over g (node i holds value i) with the
+// spec's fault plan installed.
+func faultyNet(g *topology.Graph, spec faults.Spec, seed uint64) *netsim.Network {
 	values := make([]uint64, g.N())
 	for i := range values {
 		values[i] = uint64(i)
 	}
 	nw := netsim.New(g, values, uint64(g.N()), netsim.WithSeed(seed))
 	nw.Faults = faults.New(spec, nw.N(), nw.Root(), seed)
+	return nw
+}
+
+func healNetwork(t *testing.T, g *topology.Graph, spec faults.Spec, seed uint64) (*netsim.Network, *HealResult) {
+	t.Helper()
+	nw := faultyNet(g, spec, seed)
 	res, err := Heal(nw)
 	if err != nil {
 		t.Fatal(err)
