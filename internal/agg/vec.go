@@ -233,15 +233,14 @@ func (c *countVecCombiner) appendCounts(w *bitio.Writer, p []uint64) {
 // chainDeltaWidth is the shared fixed width of a monotone vector's
 // adjacent deltas — the single definition AppendVec and VecBits both
 // derive from, so the arithmetic charge of the direct path can never
-// drift from the emitted encoding.
+// drift from the emitted encoding. The widest delta is as wide as the OR of
+// all of them, so the loop is a subtract and an OR per slot.
 func chainDeltaWidth(p []uint64) int {
-	wmax := 1
+	var or uint64
 	for i := 1; i < len(p); i++ {
-		if wd := bitio.WidthOf(p[i] - p[i-1]); wd > wmax {
-			wmax = wd
-		}
+		or |= p[i] - p[i-1]
 	}
-	return wmax
+	return bitio.WidthOf(or)
 }
 
 func (c *countVecCombiner) VecBits(p []uint64) int {

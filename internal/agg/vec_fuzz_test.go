@@ -46,6 +46,8 @@ func FuzzCountVecCodec(f *testing.F) {
 	f.Add(seed([]uint64{^uint64(0) - 1, ^uint64(0)}, []uint64{1, ^uint64(0) >> 1}, true, false)) // full-uint64 thresholds
 	f.Add(seed([]uint64{10, 20, 30, 40}, []uint64{5, 5, 9, 100}, true, true))                    // TRUE-topped, sum rider
 	f.Add(seed([]uint64{0, 1 << 32, 1 << 63}, []uint64{1, 2, ^uint64(0)}, false, true))          // 64-bit deltas + sum
+	f.Add(seed([]uint64{1, 2, 3}, []uint64{9, 9, 9}, false, false))                              // all-equal counts: every delta 0
+	f.Add(seed([]uint64{5, 6}, []uint64{0, ^uint64(0) - 1}, false, false))                       // one full-uint64 delta
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

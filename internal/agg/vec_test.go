@@ -253,6 +253,44 @@ func TestVecBitsMatchesAppendVec(t *testing.T) {
 // TestMultiAggregateMatchesSeparate: the fused vector sweep must report
 // exactly what the four separate Fact 2.1 protocols report, with and
 // without a predicate.
+// TestChainDeltaWidthMatchesPerSlot holds the OR-based width to the
+// definition it replaced — the maximum over slots of each delta's own width
+// — on the edge shapes (single slot, all-equal, one full-uint64 delta) and
+// on generated monotone vectors of every delta magnitude.
+func TestChainDeltaWidthMatchesPerSlot(t *testing.T) {
+	perSlot := func(p []uint64) int {
+		wmax := 1
+		for i := 1; i < len(p); i++ {
+			if wd := bitio.WidthOf(p[i] - p[i-1]); wd > wmax {
+				wmax = wd
+			}
+		}
+		return wmax
+	}
+	cases := [][]uint64{
+		{7}, {0, 0, 0}, {9, 9, 9, 9}, {0, ^uint64(0)}, {1, 1, ^uint64(0) - 1},
+		{0, 1, 2, 4, 8}, {5, 6, 1 << 40, 1<<40 + 1},
+	}
+	x := uint64(1)
+	for len(cases) < 2000 {
+		p := make([]uint64, 1+len(cases)%17)
+		for i := range p {
+			x = x*6364136223846793005 + 1442695040888963407
+			step := x >> (1 + x>>58) // deltas of every magnitude below 2⁶³
+			if i > 0 {
+				step = p[i-1] + min(step, ^uint64(0)-p[i-1])
+			}
+			p[i] = step
+		}
+		cases = append(cases, p)
+	}
+	for _, p := range cases {
+		if got, want := chainDeltaWidth(p), perSlot(p); got != want {
+			t.Fatalf("chainDeltaWidth(%v) = %d, per-slot maximum %d", p, got, want)
+		}
+	}
+}
+
 func TestMultiAggregateMatchesSeparate(t *testing.T) {
 	net := vecTestNet(256, 11)
 	for _, pred := range []wire.Pred{wire.True(), wire.InRange(100, 800), wire.Less(1)} {

@@ -146,6 +146,42 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 	return rep, view, nil
 }
 
+// Outcome is a finished Localize together with everything it changed on its
+// network: a fork of the same deployment, run seed and fault plan that has
+// not audited yet is fast-forwarded to the same state by Replay instead of
+// running the audit again. Report and View are shared, immutable.
+type Outcome struct {
+	Report *Report
+	View   *spantree.TreeView
+	// charged is what the audit and its re-heals charged each node; lieSeq
+	// is where every liar's lie sequence stood afterwards.
+	charged netsim.Ledger
+	lieSeq  []uint64
+}
+
+// Record runs Localize on nw, which must carry a fault plan, and records
+// its outcome.
+func Record(nw *netsim.Network, view *spantree.TreeView) (*Outcome, error) {
+	before := nw.Meter.Ledger()
+	rep, view, err := Localize(nw, view)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Report: rep, View: view, charged: nw.Meter.ChargedSince(before), lieSeq: nw.Faults.LieSeq()}, nil
+}
+
+// Replay fast-forwards nw, which must be in the state the recorded network
+// was in when Record was called and must not have a watched edge: every
+// per-node counter, the quarantine set and every liar's next LieWord end up
+// exactly where the audit left them there.
+func (o *Outcome) Replay(nw *netsim.Network) {
+	nw.Meter.Replay(o.charged)
+	for _, u := range o.Report.Quarantined {
+		nw.Faults.Quarantine(u)
+	}
+	nw.Faults.SetLieSeq(o.lieSeq)
+}
+
 // auditor is one Localize call's audit state. The simulator does not walk
 // an audited subtree node by node: the root knows the view, the meter is
 // purely additive per node, and a subtree without a Byzantine member

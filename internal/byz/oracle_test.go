@@ -206,34 +206,85 @@ func requireSameRun(t *testing.T, nw, ref *netsim.Network, rep, refRep *Report, 
 	}
 }
 
-// TestLocalizeMatchesOracle holds Localize to the reference audit over the
-// generated matrix topology × ByzMode × Byz rate × structural faults × seed.
-func TestLocalizeMatchesOracle(t *testing.T) {
-	liars := 0
+// identityMatrix calls f for every cell of the generated matrix topology ×
+// ByzMode × Byz rate × structural faults × seed with an active fault plan.
+func identityMatrix(f func(g *topology.Graph, spec faults.Spec, seed uint64)) {
 	for _, g := range identityTopologies() {
 		for _, mode := range []string{faults.ByzCorrupt, faults.ByzEquivocate, faults.ByzCollude} {
 			for _, byzRate := range []float64{0, 0.05, 0.2} {
 				for _, structural := range []float64{0, 0.03} {
 					for seed := uint64(1); seed <= 5; seed++ {
 						spec := faults.Spec{Byz: byzRate, ByzMode: mode, Crash: structural, LinkFail: structural}
-						if !spec.Active() {
-							continue
+						if spec.Active() {
+							f(g, spec, seed)
 						}
-						nw, ref := buildNet(t, g, spec, seed), buildNet(t, g, spec, seed)
-						liars += nw.Faults.ByzantineCount()
-						rep, view, err := Localize(nw, healedView(t, nw))
-						refRep, refView, refErr := oracleLocalize(ref, healedView(t, ref))
-						if err != nil || refErr != nil {
-							t.Fatalf("%s %v seed %d: err %v, oracle err %v", g.Name, spec, seed, err, refErr)
-						}
-						requireSameRun(t, nw, ref, rep, refRep, view, refView)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestLocalizeMatchesOracle holds Localize to the reference audit over the
+// generated matrix.
+func TestLocalizeMatchesOracle(t *testing.T) {
+	liars := 0
+	identityMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64) {
+		nw, ref := buildNet(t, g, spec, seed), buildNet(t, g, spec, seed)
+		liars += nw.Faults.ByzantineCount()
+		rep, view, err := Localize(nw, healedView(t, nw))
+		refRep, refView, refErr := oracleLocalize(ref, healedView(t, ref))
+		if err != nil || refErr != nil {
+			t.Fatalf("%s %v seed %d: err %v, oracle err %v", g.Name, spec, seed, err, refErr)
+		}
+		requireSameRun(t, nw, ref, rep, refRep, view, refView)
+	})
 	if liars == 0 {
 		t.Fatal("the matrix produced no Byzantine node")
+	}
+}
+
+// TestReplayMatchesLocalize is the contract the engine's shared audit rests
+// on: over the same matrix, a fork fast-forwarded from another fork's
+// recorded outcome is indistinguishable from one that ran Localize itself —
+// report, view, every per-node counter, every liar's next lie word (all via
+// requireSameRun) and the quarantine set — and recording changes nothing
+// about the run that is recorded.
+func TestReplayMatchesLocalize(t *testing.T) {
+	quarantined := 0
+	identityMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64) {
+		if spec.Byz == 0 {
+			return
+		}
+		rec, fwd, ref := buildNet(t, g, spec, seed), buildNet(t, g, spec, seed), buildNet(t, g, spec, seed)
+		out, err := Record(rec, healedView(t, rec))
+		refRep, refView, refErr := Localize(ref, healedView(t, ref))
+		if err != nil || refErr != nil {
+			t.Fatalf("%s %v seed %d: err %v, reference err %v", g.Name, spec, seed, err, refErr)
+		}
+		healedView(t, fwd) // the state a fork is in when it reaches the audit
+		out.Replay(fwd)
+		for u := 0; u < g.N(); u++ {
+			id := topology.NodeID(u)
+			if fwd.Faults.Quarantined(id) != ref.Faults.Quarantined(id) || rec.Faults.Quarantined(id) != ref.Faults.Quarantined(id) {
+				t.Fatalf("%s %v seed %d: node %d quarantined: replayed %v, recorded %v, reference %v", g.Name, spec, seed, u,
+					fwd.Faults.Quarantined(id), rec.Faults.Quarantined(id), ref.Faults.Quarantined(id))
+			}
+		}
+		if fwd.Faults.QuarantinedCount() != ref.Faults.QuarantinedCount() {
+			t.Fatalf("%s %v seed %d: %d quarantined after replay, reference %d", g.Name, spec, seed,
+				fwd.Faults.QuarantinedCount(), ref.Faults.QuarantinedCount())
+		}
+		quarantined += ref.Faults.QuarantinedCount()
+		// requireSameRun draws one lie word per liar from both sides, so the
+		// reference serves the first comparison from a copy of its counters.
+		seq := ref.Faults.LieSeq()
+		requireSameRun(t, rec, ref, out.Report, refRep, out.View, refView)
+		ref.Faults.SetLieSeq(seq)
+		requireSameRun(t, fwd, ref, out.Report, refRep, out.View, refView)
+	})
+	if quarantined == 0 {
+		t.Fatal("the matrix quarantined no node")
 	}
 }
 

@@ -256,6 +256,7 @@ func (e *Engine) RunOne(ctx context.Context, job Job) Result {
 func (e *Engine) runAll(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	units := e.planUnits(jobs)
+	audits := planAudits(jobs)
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, units)
 	}
@@ -270,7 +271,7 @@ func (e *Engine) runAll(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for u := range uidx {
-				e.runUnit(ctx, jobs, units[u], results)
+				e.runUnit(ctx, jobs, units[u], audits, results)
 			}
 		}()
 	}
@@ -301,13 +302,14 @@ func failedResult(job Job, err error) Result {
 }
 
 // runOne forks a per-run network off the session cache and executes the
-// query, enforcing the per-query deadline.
-func (e *Engine) runOne(ctx context.Context, job Job) Result {
+// query, enforcing the per-query deadline; aud is its shared byz audit, if any.
+func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
 	}
 	spec := job.Spec.Normalize()
 
+	start := time.Now()
 	done := make(chan Result, 1)
 	go func() {
 		defer func() {
@@ -315,7 +317,7 @@ func (e *Engine) runOne(ctx context.Context, job Job) Result {
 				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
 			}
 		}()
-		done <- e.executeJob(spec, job)
+		done <- e.executeJob(spec, job, aud)
 	}()
 
 	var deadline <-chan time.Time
@@ -326,12 +328,17 @@ func (e *Engine) runOne(ctx context.Context, job Job) Result {
 	}
 	select {
 	case r := <-done:
+		// A result and an expired timer can both be ready; the clock, not
+		// select's coin, decides which one the caller sees.
+		if e.timeout > 0 && time.Since(start) >= e.timeout {
+			break
+		}
 		return r
 	case <-ctx.Done():
 		return failedResult(job, ctx.Err())
 	case <-deadline:
-		return failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
 	}
+	return failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
 }
 
 // executeJob is the deadline-free body of a run: instantiate, execute,
@@ -341,7 +348,7 @@ func (e *Engine) runOne(ctx context.Context, job Job) Result {
 // finished with it (an abandoned run releases late, never early). A
 // panicking query skips the release — the pool never sees a network in an
 // unknown state.
-func (e *Engine) executeJob(spec Spec, job Job) Result {
+func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce) Result {
 	start := time.Now()
 	nw, err := e.session.Instantiate(spec, job.runSeed())
 	if err != nil {
@@ -354,7 +361,7 @@ func (e *Engine) executeJob(spec Spec, job Job) Result {
 		}
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := execute(nw, spec, job.Query)
+	ans, err := execute(nw, spec, job.Query, aud)
 	if err != nil {
 		nw.Release()
 		return failedResult(job, err)
@@ -433,7 +440,7 @@ func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
 	spec = spec.Normalize()
 	before := nw.Meter.Snapshot()
 	start := time.Now()
-	ans, err := execute(nw, spec, q)
+	ans, err := execute(nw, spec, q, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/baseline"
@@ -175,8 +177,9 @@ type robustInfo struct {
 // attached one), structural faults trigger a spantree.Heal repair whose
 // traffic is charged to the meter before the query runs, and the
 // simulator-side ground truth shrinks to the surviving, reconnected nodes
-// — the population the healed tree can actually aggregate.
-func execute(nw *netsim.Network, spec Spec, q Query) (answer, error) {
+// — the population the healed tree can actually aggregate. aud is the byz
+// audit a robust job shares with others of its Submit (nil: none).
+func execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, error) {
 	q = q.WithDefaults()
 
 	if spec.Faults.Active() && nw.Faults == nil {
@@ -257,7 +260,7 @@ func execute(nw *netsim.Network, spec Spec, q Query) (answer, error) {
 		values = survivingItems(nw, heal.View)
 	}
 	if q.Robust {
-		return executeRobust(nw, spec, q, ops, heal, values)
+		return executeRobust(nw, spec, q, ops, heal, values, aud)
 	}
 	net := agg.NewNet(ops, agg.WithSketchP(q.SketchP))
 	ans, err := executeKind(nw, spec, q, ops, net, values)
@@ -273,7 +276,7 @@ func execute(nw *netsim.Network, spec Spec, q Query) (answer, error) {
 // costs traffic, so honest runs skip it), re-derive the execution view and
 // ground truth, cross-check the trimmed plane against the
 // duplicate-insensitive sketch, and dispatch the kind over a RobustNet.
-func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, heal *spantree.HealResult, values []uint64) (answer, error) {
+func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, heal *spantree.HealResult, values []uint64, aud *auditOnce) (answer, error) {
 	if !robustKind(q.Kind) {
 		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", q.Kind)
 	}
@@ -287,7 +290,7 @@ func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, hea
 	var rep *byz.Report
 	if adversarial {
 		var err error
-		rep, view, err = byz.Localize(nw, view)
+		rep, view, err = aud.localize(nw, view)
 		if err != nil {
 			return answer{}, err
 		}
@@ -310,6 +313,72 @@ func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, hea
 		obsRobust(sk, ans.robust)
 	}
 	return ans, nil
+}
+
+// auditOnce is the byz audit the robust jobs of one Submit share when they
+// agree on fuseKey — same deployment, fault plan, run seed and overlay make
+// byz.Localize the same function on each fork. It lives for that call only.
+type auditOnce struct {
+	once sync.Once
+	out  *byz.Outcome
+	err  error
+}
+
+// planAudits gives every robust job that has a partner in jobs their
+// group's auditOnce, by job index; a job without one audits alone. Groups
+// are few (one per deployment and epoch), so they are found by scanning.
+func planAudits(jobs []Job) map[int]*auditOnce {
+	var audits map[int]*auditOnce
+	keys, first := make([]fuseKey, 0, 8), make([]int, 0, 8) // per group: its key, its first job
+	for i := range jobs {
+		if !jobs[i].Query.Robust || jobs[i].Spec.Faults.Byz <= 0 {
+			continue
+		}
+		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
+		g := slices.Index(keys, key)
+		if g < 0 {
+			keys, first = append(keys, key), append(first, i)
+			continue
+		}
+		if audits == nil {
+			audits = make(map[int]*auditOnce)
+		}
+		if audits[first[g]] == nil {
+			audits[first[g]] = new(auditOnce)
+		}
+		audits[i] = audits[first[g]]
+	}
+	return audits
+}
+
+// localize is byz.Localize for a job on its own fork nw. The group's first
+// caller runs the audit and records the outcome; every other caller waits
+// for the record and fast-forwards its fork to it — the state its own audit
+// would have left, its meter paying for the audit in full. A failed or
+// panicking first caller fails the rest with its error. Without a group, and
+// on a watched meter (a replay bypasses the watched edge), the job audits.
+func (a *auditOnce) localize(nw *netsim.Network, view *spantree.TreeView) (*byz.Report, *spantree.TreeView, error) {
+	if a == nil || nw.Meter.Watching() {
+		return byz.Localize(nw, view)
+	}
+	first := false
+	a.once.Do(func() {
+		first = true
+		defer func() {
+			if r := recover(); r != nil {
+				a.err = fmt.Errorf("engine: query panicked: %v", r)
+				panic(r)
+			}
+		}()
+		a.out, a.err = byz.Record(nw, view)
+	})
+	if a.err != nil {
+		return nil, nil, a.err
+	}
+	if !first {
+		a.out.Replay(nw)
+	}
+	return a.out.Report, a.out.View, nil
 }
 
 // robustKind reports whether a query kind can run on the trimmed
@@ -404,13 +473,8 @@ var (
 func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net aggregator, values []uint64) (answer, error) {
 	// Sorting is only needed by the order-statistic truths; don't pay
 	// O(N log N) on every count/sum/sketch run.
-	var sortedCache []uint64
-	sorted := func() []uint64 {
-		if sortedCache == nil {
-			sortedCache = core.SortedCopy(values)
-		}
-		return sortedCache
-	}
+	truth := groundTruth{values: values}
+	sorted := truth.sorted
 	exactUint := func(v uint64, detail string, truth uint64) answer {
 		return answer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
 	}
@@ -511,26 +575,10 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		if !ok {
 			return answer{}, fmt.Errorf("engine: empty network")
 		}
-		var tSum uint64
-		tLo, tHi := values[0], values[0]
-		for _, v := range values {
-			tSum += v
-			if v < tLo {
-				tLo = v
-			}
-			if v > tHi {
-				tHi = v
-			}
-		}
 		got := map[string]float64{
 			"count": float64(count), "sum": float64(sum),
 			"min": float64(lo), "max": float64(hi),
 			"avg": float64(sum) / float64(count),
-		}
-		want := map[string]float64{
-			"count": float64(len(values)), "sum": float64(tSum),
-			"min": float64(tLo), "max": float64(tHi),
-			"avg": float64(tSum) / float64(len(values)),
 		}
 		ans := answer{detail: "fused vector sweep (count+sum+min+max)", truthKnown: true, sweeps: 1}
 		for _, a := range q.Aggs {
@@ -539,7 +587,7 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 				return answer{}, fmt.Errorf("engine: unknown fused aggregate %q (count|sum|min|max|avg)", a)
 			}
 			ans.values = append(ans.values, v)
-			ans.truths = append(ans.truths, want[a])
+			ans.truths = append(ans.truths, truth.aggregate(a))
 		}
 		ans.value, ans.truth = ans.values[0], ans.truths[0]
 		return ans, nil
@@ -586,22 +634,14 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		return exactUint(net.Count(core.Linear, wire.True()), "exact", uint64(len(values))), nil
 
 	case KindSum:
-		var s uint64
-		for _, v := range values {
-			s += v
-		}
-		return exactUint(net.Sum(core.Linear, wire.True()), "exact", s), nil
+		return answer{value: float64(net.Sum(core.Linear, wire.True())), detail: "exact", truth: truth.aggregate("sum"), truthKnown: true}, nil
 
 	case KindAvg:
 		v, ok := net.Average(core.Linear, wire.True())
 		if !ok {
 			return answer{}, fmt.Errorf("engine: empty network")
 		}
-		var s uint64
-		for _, x := range values {
-			s += x
-		}
-		return answer{value: v, detail: "exact (SUM/COUNT)", truth: float64(s) / float64(len(values)), truthKnown: true}, nil
+		return answer{value: v, detail: "exact (SUM/COUNT)", truth: truth.aggregate("avg"), truthKnown: true}, nil
 
 	case KindDistinct:
 		res, err := distinct.Exact(ops)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sensoragg/internal/agg"
@@ -332,9 +333,9 @@ func (e *Engine) planUnits(jobs []Job) [][]int {
 }
 
 // runUnit executes one unit, writing results by original job index.
-func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, results []Result) {
+func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map[int]*auditOnce, results []Result) {
 	if len(idxs) == 1 {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]])
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], audits[idxs[0]])
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -352,8 +353,8 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, results []
 	for _, i := range solo {
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
-		// succeeded alone.
-		results[i] = e.runOne(ctx, jobs[i])
+		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
+		results[i] = e.runOne(ctx, jobs[i], nil)
 	}
 }
 
@@ -398,18 +399,20 @@ func fusedMemberFor(q Query, values []uint64) (FusedMember, bool) {
 			}
 		}
 		return FusedMember{Aggs: q.Aggs}, true
-	case KindCount:
-		return FusedMember{Aggs: []string{"count"}}, true
-	case KindSum:
-		return FusedMember{Aggs: []string{"sum"}}, true
-	case KindMin:
-		return FusedMember{Aggs: []string{"min"}}, true
-	case KindMax:
-		return FusedMember{Aggs: []string{"max"}}, true
-	case KindAvg:
-		return FusedMember{Aggs: []string{"avg"}}, true
+	case KindCount, KindSum, KindMin, KindMax, KindAvg: // named after their aggregate
+		return FusedMember{Aggs: []string{q.Kind}}, true
 	}
 	return FusedMember{}, false
+}
+
+// sameQuery reports whether two resolved queries are field-for-field equal:
+// the members of one batch for which it holds are one statement asked more
+// than once, and share a slot.
+func sameQuery(a, b *Query) bool {
+	return a.Kind == b.Kind && a.K == b.K && a.Phi == b.Phi && a.Eps == b.Eps && a.Beta == b.Beta &&
+		a.SketchP == b.SketchP && a.Statement == b.Statement && a.ProbeWidth == b.ProbeWidth &&
+		a.Robust == b.Robust && slices.Equal(a.Phis, b.Phis) && slices.Equal(a.Aggs, b.Aggs) &&
+		slices.Equal(a.SeedWindows, b.SeedWindows)
 }
 
 // runFusedGroup executes a fusion batch on one forked network and writes
@@ -471,16 +474,29 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		values = survivingItems(nw, hr.View)
 	}
 
-	members := make([]FusedMember, 0, len(idxs))
-	memberIdx := make([]int, 0, len(idxs))
+	// Members whose resolved queries are equal (seed windows included) share
+	// one slot — one FusedMember, one stepper, one assembled answer: the mux
+	// dedups their thresholds anyway, so every bit and sweep is what a slot
+	// each would cost. slot[k] is job memberIdx[k]'s (one allocation for both).
+	queries := make([]Query, 0, 4)
+	members := make([]FusedMember, 0, 4)
+	ints := make([]int, 2*len(idxs))
+	memberIdx, slot := ints[:0:len(idxs)], ints[len(idxs):][:0]
 	for _, ji := range idxs {
-		mb, ok := fusedMemberFor(jobs[ji].Query.WithDefaults(), values)
-		if !ok {
-			solo = append(solo, ji)
-			continue
+		q := jobs[ji].Query.WithDefaults()
+		s := 0
+		for s < len(queries) && !sameQuery(&queries[s], &q) {
+			s++
 		}
-		members = append(members, mb)
-		memberIdx = append(memberIdx, ji)
+		if s == len(queries) {
+			mb, ok := fusedMemberFor(q, values)
+			if !ok {
+				solo = append(solo, ji)
+				continue
+			}
+			queries, members = append(queries, q), append(members, mb)
+		}
+		memberIdx, slot = append(memberIdx, ji), append(slot, s)
 	}
 	if len(memberIdx) < 2 {
 		// A batch of one has nothing to share; its solo run is the same
@@ -497,10 +513,6 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		// through the detect → re-heal → resume loop instead of the plain
 		// schedule. Members are rebuilt per attempt inside, because the
 		// survivor population (and with it φ-resolved ranks) shrinks.
-		queries := make([]Query, len(memberIdx))
-		for mi, ji := range memberIdx {
-			queries[mi] = jobs[ji].Query.WithDefaults()
-		}
 		rout, ferr = resilientFused(ctx, nw, spec, fe, hr, values, queries, deadline)
 		if ferr == nil {
 			fres, hr, values = rout.res, rout.hr, rout.values
@@ -517,12 +529,26 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		return append(solo, memberIdx...)
 	}
 
-	var sortedCache []uint64
-	sorted := func() []uint64 {
-		if sortedCache == nil {
-			sortedCache = core.SortedCopy(values)
+	// One answer per slot, over one ground truth per batch.
+	truth := groundTruth{values: values}
+	detail := fusedDetail(len(memberIdx), fres.Sweeps)
+	answers := make([]answer, len(members))
+	for mi, mr := range fres.Members {
+		if mr.Detached || mr.Err != nil {
+			continue
 		}
-		return sortedCache
+		ans := &answers[mi]
+		if rout != nil && rout.degraded {
+			*ans = degradedAnswer(queries[mi], mr, rout.retries)
+		} else {
+			*ans = fusedAnswer(queries[mi], mr, fres.Sweeps, detail, &truth)
+		}
+		ans.heal = hr
+		if rout != nil {
+			ans.retries = rout.retries
+			ans.degraded = rout.degraded
+			ans.survivorFrac = rout.survivorFrac
+		}
 	}
 	sk := obs.Active()
 	var span uint64
@@ -530,7 +556,8 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		span = sk.Tracer.NextSpan()
 	}
 	detached := 0
-	for mi, ji := range memberIdx {
+	for k, ji := range memberIdx {
+		mi := slot[k]
 		mr := fres.Members[mi]
 		if mr.Detached {
 			detached++
@@ -548,20 +575,9 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 			written[ji] = true
 			continue
 		}
-		q := jobs[ji].Query.WithDefaults()
-		var ans answer
-		if rout != nil && rout.degraded {
-			ans = degradedAnswer(q, mr, rout.retries)
-		} else {
-			ans = fusedAnswer(q, mr, fres, len(members), values, sorted)
-		}
-		ans.heal = hr
-		if rout != nil {
-			ans.retries = rout.retries
-			ans.degraded = rout.degraded
-			ans.survivorFrac = rout.survivorFrac
-		}
-		r := resultFrom(spec, jobs[ji].Query, ans, d, wall)
+		// The slot's query stands in for the job's own, equal field for
+		// field: duplicates share its slices like they share the answer's.
+		r := resultFrom(spec, queries[mi], answers[mi], d, wall)
 		r.ID = jobs[ji].ID
 		r.Fused = true
 		r.SharedSweeps = fres.Sweeps
@@ -577,73 +593,92 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	return solo
 }
 
+// groundTruth is the simulator-side truth over a run's surviving items, each
+// part computed on first use: only the order-statistic truths need the sort
+// and only the aggregate truths the Σ/min/max pass, and a fused batch pays
+// for each at most once however many members read it.
+type groundTruth struct {
+	values      []uint64
+	sortedCache []uint64
+	totalled    bool
+	sum, lo, hi uint64
+}
+
+func (g *groundTruth) sorted() []uint64 {
+	if g.sortedCache == nil {
+		g.sortedCache = core.SortedCopy(g.values)
+	}
+	return g.sortedCache
+}
+
+// aggregate is the truth of one Fact 2.1 aggregate (count|sum|min|max|avg).
+func (g *groundTruth) aggregate(name string) float64 {
+	if !g.totalled && len(g.values) > 0 {
+		g.totalled = true
+		g.lo, g.hi = g.values[0], g.values[0]
+		for _, v := range g.values {
+			g.sum += v
+			g.lo, g.hi = min(g.lo, v), max(g.hi, v)
+		}
+	}
+	switch name {
+	case "count":
+		return float64(len(g.values))
+	case "sum":
+		return float64(g.sum)
+	case "min":
+		return float64(g.lo)
+	case "max":
+		return float64(g.hi)
+	}
+	return float64(g.sum) / float64(len(g.values)) // avg
+}
+
+// fusedDetail is the part of Result.Detail every member of a batch shares.
+func fusedDetail(batch, sweeps int) string {
+	return fmt.Sprintf("fused batch of %d: %d shared k-ary sweeps", batch, sweeps)
+}
+
 // fusedAnswer assembles a member's answer with exactly the value/truth
 // semantics of its solo execution in exec.go; only the detail string
-// differs (it names the shared schedule).
-func fusedAnswer(q Query, mr FusedMemberResult, fres FusedResult, batch int, values []uint64, sorted func() []uint64) answer {
-	detail := fmt.Sprintf("fused batch of %d: %d shared k-ary sweeps", batch, fres.Sweeps)
+// differs (it names the shared schedule, see fusedDetail).
+func fusedAnswer(q Query, mr FusedMemberResult, sweeps int, detail string, truth *groundTruth) answer {
+	n := uint64(len(truth.values))
+	ans := answer{detail: detail, truthKnown: true, sweeps: sweeps}
 	switch q.Kind {
 	case KindMedian:
-		return answer{value: float64(mr.Values[0]), detail: detail,
-			truth: float64(core.TrueMedian(sorted())), truthKnown: true, sweeps: fres.Sweeps}
-	case KindOrderStat:
+		ans.value, ans.truth = float64(mr.Values[0]), float64(core.TrueMedian(truth.sorted()))
+	case KindOrderStat, KindQuantile:
 		k := q.K
-		if k == 0 {
-			k = uint64((len(values) + 1) / 2)
+		if q.Kind == KindQuantile {
+			k = core.QuantileRank(q.Phi, n)
+		} else if k == 0 {
+			k = (n + 1) / 2
 		}
-		return answer{value: float64(mr.Values[0]), detail: fmt.Sprintf("rank %d, %s", k, detail),
-			truth: float64(core.TrueOrderStatistic(sorted(), int(k))), truthKnown: true, sweeps: fres.Sweeps}
-	case KindQuantile:
-		k := core.QuantileRank(q.Phi, uint64(len(values)))
-		return answer{value: float64(mr.Values[0]), detail: fmt.Sprintf("rank %d, %s", k, detail),
-			truth: float64(core.TrueOrderStatistic(sorted(), int(k))), truthKnown: true, sweeps: fres.Sweeps}
+		ans.detail = fmt.Sprintf("rank %d, %s", k, detail)
+		ans.value, ans.truth = float64(mr.Values[0]), float64(core.TrueOrderStatistic(truth.sorted(), int(k)))
 	case KindQuantiles:
-		ans := answer{detail: fmt.Sprintf("%d quantiles, %s", len(q.Phis), detail), truthKnown: true, sweeps: fres.Sweeps}
+		ans.detail = fmt.Sprintf("%d quantiles, %s", len(q.Phis), detail)
 		for i, v := range mr.Values {
-			k := core.QuantileRank(q.Phis[i], uint64(len(values)))
+			k := core.QuantileRank(q.Phis[i], n)
 			ans.values = append(ans.values, float64(v))
-			ans.truths = append(ans.truths, float64(core.TrueOrderStatistic(sorted(), int(k))))
+			ans.truths = append(ans.truths, float64(core.TrueOrderStatistic(truth.sorted(), int(k))))
 		}
 		ans.value, ans.truth = ans.values[0], ans.truths[0]
-		return ans
-	default:
-		// Aggregate member: truths mirror exec.go's KindFused/Fact 2.1
+	case KindFused:
+		// Aggregate members: truths mirror exec.go's KindFused/Fact 2.1
 		// arithmetic over the surviving items.
-		var tSum uint64
-		tLo, tHi := values[0], values[0]
-		for _, v := range values {
-			tSum += v
-			if v < tLo {
-				tLo = v
-			}
-			if v > tHi {
-				tHi = v
-			}
+		ans.detail = "aggregate rider, " + detail
+		for i, a := range q.Aggs {
+			ans.values = append(ans.values, mr.AggValues[i])
+			ans.truths = append(ans.truths, truth.aggregate(a))
 		}
-		want := map[string]float64{
-			"count": float64(len(values)), "sum": float64(tSum),
-			"min": float64(tLo), "max": float64(tHi),
-			"avg": float64(tSum) / float64(len(values)),
-		}
-		aggs := q.Aggs
-		if q.Kind != KindFused {
-			aggs = []string{map[string]string{
-				KindCount: "count", KindSum: "sum", KindMin: "min",
-				KindMax: "max", KindAvg: "avg",
-			}[q.Kind]}
-		}
-		ans := answer{detail: "aggregate rider, " + detail, truthKnown: true, sweeps: fres.Sweeps}
-		if q.Kind == KindFused {
-			for i, a := range aggs {
-				ans.values = append(ans.values, mr.AggValues[i])
-				ans.truths = append(ans.truths, want[a])
-			}
-			ans.value, ans.truth = ans.values[0], ans.truths[0]
-			return ans
-		}
-		ans.value, ans.truth = mr.AggValues[0], want[aggs[0]]
-		return ans
+		ans.value, ans.truth = ans.values[0], ans.truths[0]
+	default: // a single-aggregate kind, named after its aggregate
+		ans.detail = "aggregate rider, " + detail
+		ans.value, ans.truth = mr.AggValues[0], truth.aggregate(q.Kind)
 	}
+	return ans
 }
 
 // degradedAnswer assembles a member's best-effort answer after the retry

@@ -238,14 +238,7 @@ func executeResilientSolo(nw *netsim.Network, spec Spec, q Query) (answer, bool,
 	if rout.degraded {
 		ans = degradedAnswer(q, mr, rout.retries)
 	} else {
-		var sortedCache []uint64
-		sorted := func() []uint64 {
-			if sortedCache == nil {
-				sortedCache = core.SortedCopy(rout.values)
-			}
-			return sortedCache
-		}
-		ans = fusedAnswer(q, mr, rout.res, 1, rout.values, sorted)
+		ans = fusedAnswer(q, mr, rout.res.Sweeps, fusedDetail(1, rout.res.Sweeps), &groundTruth{values: rout.values})
 		if rout.retries > 0 {
 			ans.detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", rout.retries, ans.detail)
 		}

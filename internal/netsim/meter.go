@@ -199,6 +199,36 @@ func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 	}
 }
 
+// Ledger is a per-node copy of the three counters. Taken before a protocol
+// phase and handed to ChargedSince after it, it holds what the phase charged
+// each node; Replay charges that to another run's meter, so forks of one
+// deployment can share a phase's outcome and still each pay for it. All three
+// follow the single-writer contract of ChargeSendOnlySeq and bypass the
+// watched edge: never replay onto a meter that is Watching.
+type Ledger []meterCell
+
+// Ledger copies the current counters.
+func (m *Meter) Ledger() Ledger { return append(Ledger(nil), m.cells...) }
+
+// ChargedSince turns l, copied from m earlier, into the charges accrued
+// since then.
+func (m *Meter) ChargedSince(l Ledger) Ledger {
+	for i, c := range m.cells {
+		l[i] = meterCell{sent: c.sent - l[i].sent, recv: c.recv - l[i].recv, msgs: c.msgs - l[i].msgs}
+	}
+	return l
+}
+
+// Replay adds the recorded charges to m.
+func (m *Meter) Replay(l Ledger) {
+	for i, d := range l {
+		c := &m.cells[i]
+		c.sent += d.sent
+		c.recv += d.recv
+		c.msgs += d.msgs
+	}
+}
+
 // ChargeRx records one node hearing a physical-layer transmission.
 func (m *Meter) ChargeRx(to topology.NodeID, bits int) {
 	atomic.AddInt64(&m.cells[to].recv, int64(bits))
