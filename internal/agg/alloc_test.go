@@ -69,8 +69,8 @@ func TestWarmCountQueryAllocs(t *testing.T) {
 
 // TestWarmCountVecQueryAllocs bounds the batched probe plane's hot path: a
 // warm CountVec sweep with a reused probe set and destination buffer keeps
-// every partial in the engine's flat vector arena and every payload in the
-// stash writers. The single remaining allocation is the root partial's
+// every partial on the run network's two-level vector ring and
+// materializes no payload. The single remaining allocation is the root partial's
 // interface boxing at the Ops.Convergecast boundary — the same one the
 // scalar path pays.
 func TestWarmCountVecQueryAllocs(t *testing.T) {
@@ -93,7 +93,7 @@ func TestWarmCountVecQueryAllocs(t *testing.T) {
 }
 
 // TestWarmMultiAggregateAllocs: the fused COUNT+SUM+MIN+MAX sweep has the
-// same bound — vector arena partials, stash payloads, one root boxing.
+// same bound — vector ring partials, no payloads, one root boxing.
 func TestWarmMultiAggregateAllocs(t *testing.T) {
 	g := topology.Grid(7, 7)
 	maxX := uint64(4 * g.N())

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 
 	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
@@ -88,7 +89,7 @@ func nestedPreds(preds []wire.Pred) bool {
 // (reused across sweeps): Less(t) contributes t, the optional trailing TRUE
 // contributes 2⁶⁴−1, which every value compares below.
 func buildChain(preds []wire.Pred, buf []uint64) []uint64 {
-	buf = buf[:0]
+	buf = slices.Grow(buf[:0], len(preds))
 	for _, p := range preds {
 		if p.Kind == wire.PredTrue {
 			buf = append(buf, ^uint64(0))

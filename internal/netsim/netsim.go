@@ -105,10 +105,11 @@ type Network struct {
 	// scratch holds the round engines' per-run inbox/outbox storage,
 	// allocated on first use and reused across rounds and runs.
 	scratch *runScratch
-	// treeScratch is the tree engine's reusable execution scratch
-	// (spantree stores its level schedule, stash writers, and arenas
-	// here), opaque to netsim. It rides along through pooled reuse so
-	// repeated queries against one run network skip the rebuild.
+	// treeScratch is the tree engines' reusable execution scratch
+	// (spantree stores the full view's level schedule, the two-level
+	// partial rings, and the payload arenas here), opaque to netsim. It
+	// rides along through pooled reuse so repeated queries against one
+	// run network skip the rebuild.
 	treeScratch any
 }
 
@@ -117,8 +118,9 @@ type Network struct {
 func (nw *Network) TreeScratch() any { return nw.treeScratch }
 
 // SetTreeScratch attaches tree-engine scratch to this network. The
-// network owns one run at a time, so the single engine executing on it
-// has exclusive use of the scratch.
+// network owns one run at a time and the run's engines — over the full,
+// a healed or a sector view — take turns, so the engine executing an
+// operation has exclusive use of the scratch for that operation.
 func (nw *Network) SetTreeScratch(s any) { nw.treeScratch = s }
 
 // Option configures a Network.

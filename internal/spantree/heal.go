@@ -24,8 +24,14 @@ type TreeView struct {
 	Parent []topology.NodeID
 	// Children lists each node's children in ascending ID order.
 	Children [][]topology.NodeID
-	// Order lists the included nodes in BFS order from the root; reversed,
-	// it is a valid convergecast schedule.
+	// Order lists the included nodes in BFS order from the root, a node's
+	// children enqueued in Children order. So Order[0] is the root, every
+	// level is a contiguous range of positions, and the children of
+	// Order[i] are the contiguous positions after those of Order[0..i-1],
+	// in Children order — the invariant the convergecast sweep addresses
+	// partials by. Every constructor here and in topology emits it
+	// (TestOrderChildrenContiguous); the sweep rejects a hand-built view
+	// whose Children lists and Order disagree on the node count.
 	Order []topology.NodeID
 }
 
@@ -321,22 +327,29 @@ func NewFastHealed(nw *netsim.Network) (*FastEngine, *HealResult, error) {
 // subtree's BFS order. The byz tier runs per-sector aggregations and
 // audits over these views.
 func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
-	n := len(v.Parent)
 	sub := &TreeView{
 		Root:     r,
-		Parent:   make([]topology.NodeID, n),
+		Parent:   make([]topology.NodeID, len(v.Parent)),
 		Children: v.Children,
 	}
 	for i := range sub.Parent {
 		sub.Parent[i] = excludedParent
 	}
 	sub.Parent[r] = -1
-	sub.Order = append(sub.Order, r)
-	for qi := 0; qi < len(sub.Order); qi++ {
-		u := sub.Order[qi]
-		for _, c := range v.Children[u] {
-			sub.Parent[c] = u
-			sub.Order = append(sub.Order, c)
+	// v.Order lists every parent before its children, so one pass marks
+	// and counts the subtree, and the subtree's BFS order is v.Order
+	// restricted to it: Order is sized once instead of grown.
+	size := 1
+	for _, u := range v.Order {
+		if p := v.Parent[u]; p >= 0 && sub.Parent[p] != excludedParent {
+			sub.Parent[u] = p
+			size++
+		}
+	}
+	sub.Order = make([]topology.NodeID, 0, size)
+	for _, u := range v.Order {
+		if sub.Parent[u] != excludedParent {
+			sub.Order = append(sub.Order, u)
 		}
 	}
 	return sub

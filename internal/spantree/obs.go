@@ -19,7 +19,7 @@ func (e *FastEngine) obsBroadcast(sk *obs.Sink, p wire.Payload) {
 	sk.Tracer.Emit("sweep.broadcast", 0,
 		obs.KV{K: "bits", V: int64(p.Bits())},
 		obs.KV{K: "nodes", V: int64(len(e.view.Order))},
-		obs.KV{K: "levels", V: int64(len(e.levelSchedule()))})
+		obs.KV{K: "levels", V: e.levels()})
 }
 
 func (e *FastEngine) obsConvergecast(sk *obs.Sink, c Combiner) {
@@ -34,6 +34,16 @@ func (e *FastEngine) obsConvergecast(sk *obs.Sink, c Combiner) {
 	}
 	sk.Tracer.Emit(name, 0,
 		obs.KV{K: "nodes", V: int64(len(e.view.Order))},
-		obs.KV{K: "levels", V: int64(len(e.levelSchedule()))},
+		obs.KV{K: "levels", V: e.levels()},
 		obs.KV{K: "width", V: width})
+}
+
+// levels is the depth of the engine's view in levels, 0 for a view the
+// sweep rejects.
+func (e *FastEngine) levels() int64 {
+	s, err := e.schedule()
+	if err != nil {
+		return 0
+	}
+	return int64(len(s.bounds) - 1)
 }

@@ -113,9 +113,14 @@ type ScalarCombiner interface {
 	ScalarResult(x, y uint64) any
 }
 
-// scalarPair is one packed partial on the scalar convergecast path,
-// interleaved so a child's partial costs one cache line.
-type scalarPair struct{ x, y uint64 }
+// scalarSlot is one node's partial on the scalar ring. On the reliable path
+// it is the pair the parent will merge — already through the wire codec —
+// with the encoded length the parent's receive side is charged; the
+// per-edge path stores the raw pair and encodes it once per delivery.
+type scalarSlot struct {
+	x, y uint64
+	bits int32
+}
 
 // Applier reacts to a broadcast payload at a node. It runs once per node,
 // possibly concurrently across nodes.
@@ -160,46 +165,73 @@ type FastEngine struct {
 	// falls back to the copying Encode path (the unpooled reference mode).
 	pooled bool
 
-	// sc is the engine's reusable execution scratch. A full-view engine
-	// parks it on the network (netsim.Network.TreeScratch), so repeated
-	// queries against one (possibly pooled) run network reuse the level
-	// schedule, stash writers, and arenas instead of rebuilding them; a
-	// healed-view engine gets private scratch. An engine runs one
-	// operation at a time — it belongs to a single run — so a warm
-	// operation allocates nothing.
-	sc *fastScratch
+	// sh is the operation scratch every engine on the run network shares;
+	// vs is what this engine derives from its own view. An engine runs one
+	// operation at a time and engines on one network take turns — the
+	// network belongs to a single run — so a warm operation allocates
+	// nothing, whichever view it sweeps.
+	sh *netScratch
+	vs *viewSched
+	// op is the state of the convergecast in flight.
+	op sweepOp
 
-	// rootX, rootY hold the root partial of the scalar fast path for the
-	// current operation.
-	rootX, rootY uint64
 	// watching caches Meter.Watching for the current operation: with no
 	// watched edge the engine batches each node's receive charges into one
 	// atomic update; with one it falls back to exact per-edge Charge.
 	watching bool
 }
 
-// fastScratch is the reusable execution state of a fast engine: the level
-// schedule and fan-out counts derived from the (immutable) view, per-node
-// stash writers, boxed-partial storage, and the payload arenas.
-type fastScratch struct {
-	// tree is the full spanning tree this scratch was derived from, nil
-	// for scratch private to a healed-view engine.
-	tree     *topology.Tree
-	view     *TreeView
-	levels   [][]topology.NodeID
-	partials []any
-	pairs    []scalarPair
-	stash    []*bitio.Writer
-	fanout   []int32
-	arenas   []*wire.Arena
-	// vec is the flat partial arena of the vector convergecast path
-	// (node u owns [u·k, (u+1)·k)); vtmp holds one decode buffer per
-	// worker and vbits the per-node encoded lengths of the reliable
-	// direct path. All grow to the widest vector operation seen and are
-	// then reused, so warm vector sweeps allocate nothing.
-	vec   []uint64
-	vtmp  [][]uint64
-	vbits []int32
+// netScratch is the execution scratch of every fast engine on one run
+// network, parked on the network (netsim.Network.TreeScratch) so it rides
+// through pooled reuse. None of it holds state between operations, so the
+// full-view engine, a healed- or re-healed-view engine and every byz sector
+// engine on the network reuse the same buffers. A convergecast partial is
+// consumed exactly once, by the parent one level up, so only two adjacent
+// levels are ever live: each ring below is two level-wide halves, level l
+// in half l&1, a node's slot its position within its level. The rings grow
+// to the widest operation seen and are never N-sized.
+type netScratch struct {
+	// tree, view and full cache the one view every run on the network
+	// shares — its own spanning tree — and what is derived from it.
+	tree *topology.Tree
+	view *TreeView
+	full *viewSched
+
+	slots []scalarSlot // scalar ring
+	vec   []uint64     // vector ring, k words per slot
+	vbits []int32      // encoded length of each vector-ring slot
+	boxed []any        // ring of the generic (boxed-partial) path
+	// Per worker: an arena of payload buffers, and k words of vtmp to
+	// decode into on the per-edge vector path.
+	arenas []*wire.Arena
+	vtmp   []uint64
+}
+
+// viewSched is what a sweep derives from a view, built on first use. It
+// leans on the TreeView.Order invariant: a level is a contiguous range of
+// positions, and so are the children of one position.
+type viewSched struct {
+	// cs[i] is the position of Order[i]'s first child; its children are
+	// positions [cs[i], cs[i+1]).
+	cs []int32
+	// bounds[l] is the position level l starts at; bounds[levels] = N().
+	bounds []int32
+	// width is the widest level.
+	width int
+	// fanout, indexed by node ID, feeds the flat broadcast pass of a view
+	// that covers every node.
+	fanout []int32
+}
+
+// sweepOp is one convergecast's state, read by the level kernels.
+type sweepOp struct {
+	s    *viewSched
+	plan *faults.Plan
+	c    Combiner
+	ac   AppendCombiner
+	sc   ScalarCombiner
+	vc   VecCombiner
+	k    int
 }
 
 var _ Ops = (*FastEngine)(nil)
@@ -208,23 +240,33 @@ var _ Ops = (*FastEngine)(nil)
 // sequential: narrower levels don't amortize the goroutine fan-out.
 const minParallelLevel = 512
 
-// NewFast returns a fast engine over nw's full spanning tree, reusing the
-// execution scratch parked on the network by earlier engines of the same
-// tree (and parking fresh scratch there otherwise).
-func NewFast(nw *netsim.Network) *FastEngine {
-	if s, ok := nw.TreeScratch().(*fastScratch); ok && s.tree == nw.Tree {
-		return &FastEngine{nw: nw, view: s.view, sc: s, pooled: true}
+// scratchOf returns the scratch parked on nw, parking a fresh one first
+// when there is none.
+func scratchOf(nw *netsim.Network) *netScratch {
+	sh, ok := nw.TreeScratch().(*netScratch)
+	if !ok {
+		sh = &netScratch{}
+		nw.SetTreeScratch(sh)
 	}
-	s := &fastScratch{tree: nw.Tree, view: FullView(nw.Tree)}
-	nw.SetTreeScratch(s)
-	return &FastEngine{nw: nw, view: s.view, sc: s, pooled: true}
+	return sh
+}
+
+// NewFast returns a fast engine over nw's full spanning tree. The view and
+// its schedule are cached beside the network's scratch, so repeated
+// queries against one (possibly pooled) run network build them once.
+func NewFast(nw *netsim.Network) *FastEngine {
+	sh := scratchOf(nw)
+	if sh.tree != nw.Tree {
+		sh.tree, sh.view, sh.full = nw.Tree, FullView(nw.Tree), &viewSched{}
+	}
+	return &FastEngine{nw: nw, view: sh.view, sh: sh, vs: sh.full, pooled: true}
 }
 
 // NewFastView returns a fast engine executing over an explicit tree view —
-// typically the repaired tree a Heal run produced. View-specific scratch
-// is private to the engine.
+// typically the repaired tree a Heal run produced. What it derives from
+// the view is its own; its operation scratch is the network's.
 func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
-	return &FastEngine{nw: nw, view: view, sc: &fastScratch{view: view}, pooled: true}
+	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: &viewSched{}, pooled: true}
 }
 
 // SetWorkers pins the engine's schedule: 1 = strictly sequential, 0 = auto
@@ -256,25 +298,25 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	if sk := obs.Active(); sk != nil {
 		e.obsBroadcast(sk, p)
 	}
-	n := len(e.view.Order)
-	if e.sc.fanout == nil {
-		v := e.view
-		e.sc.fanout = make([]int32, len(v.Parent))
-		for u := range e.sc.fanout {
-			e.sc.fanout[u] = int32(len(v.Children[u]))
-		}
-	}
 	v := e.view
+	n := len(v.Order)
 	if full := n == len(v.Parent); full && !e.watching {
 		// Full-view fast path: the metering of a uniform broadcast is one
 		// flat pass over the cells; the appliers (if any) sweep
 		// separately. Charges commute, so the linear order is free.
+		if e.vs.fanout == nil {
+			e.vs.fanout = make([]int32, n)
+			for u := range e.vs.fanout {
+				e.vs.fanout[u] = int32(len(v.Children[u]))
+			}
+		}
+		fanout := e.vs.fanout
 		m := e.nw.Meter
 		bits := p.Bits()
 		if w := e.workersFor(n); w > 1 {
 			p, apply := p, apply
 			parallelChunks(n, w, func(_, lo, hi int) {
-				m.ChargeBroadcastSeq(bits, e.sc.fanout, v.Root, lo, hi)
+				m.ChargeBroadcastSeq(bits, fanout, v.Root, lo, hi)
 				if apply != nil {
 					for i := lo; i < hi; i++ {
 						apply(e.nw.Nodes[i], p)
@@ -283,7 +325,7 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 			})
 			return
 		}
-		m.ChargeBroadcastSeq(bits, e.sc.fanout, v.Root, 0, n)
+		m.ChargeBroadcastSeq(bits, fanout, v.Root, 0, n)
 		if apply != nil {
 			for i := 0; i < n; i++ {
 				apply(e.nw.Nodes[i], p)
@@ -324,8 +366,8 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 				m.Charge(v.Parent[u], u, bits)
 			}
 		} else {
-			if k := e.sc.fanout[u]; k > 0 {
-				m.ChargeSendOnlySeq(u, bits, int(k))
+			if k := len(v.Children[u]); k > 0 {
+				m.ChargeSendOnlySeq(u, bits, k)
 			}
 			if u != v.Root {
 				m.ChargeRxSeq(u, bits)
@@ -366,336 +408,284 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 	if sk := obs.Active(); sk != nil {
 		e.obsConvergecast(sk, c)
 	}
-	if vc, ok := c.(VecCombiner); ok && e.pooled {
-		return e.convergecastVec(vc)
-	}
-	if sc, ok := c.(ScalarCombiner); ok && e.pooled {
-		return e.convergecastScalar(sc)
-	}
-	v := e.view
-	n := len(v.Parent)
-	if cap(e.sc.partials) < n {
-		e.sc.partials = make([]any, n)
-	}
-	partials := e.sc.partials[:n]
-	ac, _ := c.(AppendCombiner)
-	if !e.pooled {
-		ac = nil
+	s, err := e.schedule()
+	if err != nil {
+		return nil, err
 	}
 	plan := e.nw.Faults
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
+	// Per-edge charging: watched-edge accounting, or drop/dup decisions
+	// that reshape what each endpoint pays.
+	perEdge := e.watching || (plan != nil && plan.Spec().MessageLevel())
+	sh := e.sh
+	workers := e.workersFor(s.width)
+	for len(sh.arenas) < workers {
+		sh.arenas = append(sh.arenas, wire.NewArena())
+	}
+	e.op = sweepOp{s: s, plan: plan, c: c}
+	if e.pooled {
+		if vc, ok := c.(VecCombiner); ok {
+			return e.convergecastVec(vc, perEdge, workers)
+		}
+		if sc, ok := c.(ScalarCombiner); ok {
+			e.op.sc = sc
+			sh.slots = grow(sh.slots, 2*s.width)
+			run := (*FastEngine).levelScalar
+			if perEdge {
+				run = (*FastEngine).levelScalarEdges
+			}
+			if err := e.sweep(run); err != nil {
+				return nil, err
+			}
+			return sc.ScalarResult(sh.slots[0].x, sh.slots[0].y), nil
+		}
+		e.op.ac, _ = c.(AppendCombiner)
+	}
+	sh.boxed = grow(sh.boxed, 2*s.width)
+	err = e.sweep((*FastEngine).levelBoxed)
+	out := sh.boxed[0]
+	sh.boxed[0] = nil
+	return out, err
+}
+
+// grow returns buf resized to n slots, reallocating only when its capacity
+// falls short. Contents are unspecified: every kernel writes a slot before
+// any parent reads it.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// schedule returns what the sweep derives from the engine's view, building
+// it on first use: the child-position prefix sums, and the level bounds
+// that fall out of them (level l+2 starts at the first child of level
+// l+1's first node). It fails — instead of mis-merging — on a view whose
+// Order is not the BFS of its Children.
+func (e *FastEngine) schedule() (*viewSched, error) {
+	s, v := e.vs, e.view
+	if s.bounds != nil {
+		return s, nil
+	}
+	n := len(v.Order)
+	cs := make([]int32, n+1)
+	next := 1
+	for i, u := range v.Order {
+		cs[i] = int32(next)
+		next += len(v.Children[u])
+	}
+	cs[n] = int32(next)
+	if n == 0 || v.Order[0] != v.Root {
+		return nil, fmt.Errorf("spantree: view Order does not start at its root %d", v.Root)
+	}
+	if next != n {
+		return nil, fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", n, next)
+	}
+	levels, width := 0, 0
+	for lo, hi := 0, 1; lo < n; lo, hi = hi, int(cs[hi]) {
+		if hi <= lo {
+			return nil, fmt.Errorf("spantree: view Order is not a BFS of its Children: positions from %d on are unreachable", lo)
+		}
+		levels++
+		width = max(width, hi-lo)
+	}
+	bounds := make([]int32, levels+1)
+	for l, b := 0, 1; l < levels; l, b = l+1, int(cs[b]) {
+		bounds[l+1] = int32(b)
+	}
+	s.cs, s.bounds, s.width = cs, bounds, width
+	return s, nil
+}
+
+// sweep runs one convergecast: levels from the deepest up, each level's
+// positions handed to run in one piece or — on a wide level — in disjoint
+// chunks across workers. Level l's partials land in ring half l&1 while
+// its children's are read out of the other half.
+func (e *FastEngine) sweep(run func(e *FastEngine, worker, l, lo, hi int) error) error {
+	b := e.op.s.bounds
+	for l := len(b) - 2; l >= 0; l-- {
+		lo, hi := int(b[l]), int(b[l+1])
+		w := e.workersFor(hi - lo)
 		if w <= 1 {
-			a := e.arena(0)
-			for _, u := range lv {
-				if err := e.gather(u, c, ac, a, plan, partials); err != nil {
-					return nil, err
-				}
+			if err := run(e, 0, l, lo, hi); err != nil {
+				return err
 			}
 			continue
-		}
-		for i := len(e.sc.arenas); i < w; i++ {
-			e.sc.arenas = append(e.sc.arenas, wire.NewArena())
 		}
 		errs := make([]error, w)
 		// Shadow the captured variables inside this branch: the escaping
 		// closure would otherwise move them to the heap at declaration and
-		// charge the sequential path one allocation per call.
-		c, ac := c, ac
-		parallelChunks(len(lv), w, func(worker, lo, hi int) {
-			a := e.sc.arenas[worker]
-			for i := lo; i < hi; i++ {
-				if err := e.gather(lv[i], c, ac, a, plan, partials); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
+		// charge the sequential path one allocation per level.
+		l, lo := l, lo
+		parallelChunks(hi-lo, w, func(worker, clo, chi int) {
+			errs[worker] = run(e, worker, l, lo+clo, lo+chi)
 		})
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	out := partials[v.Root]
-	partials[v.Root] = nil
-	return out, nil
-}
-
-// gather runs one node's convergecast step: local partial, then each
-// child's encoded partial charged, decoded, and merged in child order.
-func (e *FastEngine) gather(u topology.NodeID, c Combiner, ac AppendCombiner, a *wire.Arena, plan *faults.Plan, partials []any) error {
-	acc := c.Local(e.nw.Nodes[u])
-	m := e.nw.Meter
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		var pl wire.Payload
-		var w *bitio.Writer
-		if ac != nil {
-			w = a.Writer(64)
-			ac.AppendPartial(w, partials[child])
-			pl = wire.Borrowed(w)
-		} else {
-			pl = c.Encode(partials[child])
-		}
-		partials[child] = nil
-		deliveries := 1
-		if plan != nil {
-			deliveries = plan.Deliveries(child, u)
-		}
-		var err error
-		for d := 0; d < deliveries; d++ {
-			if e.watching {
-				m.Charge(child, u, pl.Bits())
-			} else {
-				m.ChargeSendOnlySeq(child, pl.Bits(), 1)
-				recvBits += pl.Bits()
-			}
-			var dec any
-			if dec, err = c.Decode(pl); err != nil {
-				err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-				break
-			}
-			acc = c.Merge(acc, dec)
-		}
-		if w != nil {
-			a.Release(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if recvBits > 0 {
-		m.ChargeRxSeq(u, recvBits)
-	}
-	partials[u] = acc
 	return nil
 }
 
-// convergecastScalar is Convergecast for ScalarCombiners: the same level
-// sweep, charges, and fault decisions, with partials in flat uint64 pairs
-// instead of boxed `any` slots.
-func (e *FastEngine) convergecastScalar(sc ScalarCombiner) (any, error) {
-	v := e.view
-	n := len(v.Parent)
-	plan := e.nw.Faults
-	if e.watching || (plan != nil && plan.Spec().MessageLevel()) {
-		// Per-edge charging (watched-edge accounting, or drop/dup
-		// decisions that reshape what each endpoint pays).
-		return e.convergecastScalarEdges(sc, plan)
+// chargeDelivery prices one delivery of bits from child to u on the
+// per-edge paths and returns what u's batched receive charge grows by: the
+// child's send is charged now, u's receive now (watched) or once per step.
+func (e *FastEngine) chargeDelivery(child, u topology.NodeID, bits int) int {
+	if e.watching {
+		e.nw.Meter.Charge(child, u, bits)
+		return 0
 	}
-	// Reliable fast path: every node encodes its own partial once into its
-	// dedicated stash writer (created lazily, reused for the engine's
-	// lifetime) and charges its whole step against its own meter cell
-	// while the cell is cache-hot; the parent reads the stashed payload
-	// without ever touching the child's cell. Identical counters, two cold
-	// cache lines less per edge.
-	if cap(e.sc.stash) < n {
-		e.sc.stash = make([]*bitio.Writer, n)
-	}
-	stash := e.sc.stash[:n]
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			for _, u := range lv {
-				if err := e.gatherScalarStash(u, sc, stash); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		errs := make([]error, w)
-		sc := sc
-		parallelChunks(len(lv), w, func(worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if err := e.gatherScalarStash(lv[i], sc, stash); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sc.ScalarResult(e.rootX, e.rootY), nil
+	e.nw.Meter.ChargeSendOnlySeq(child, bits, 1)
+	return bits
 }
 
-// gatherScalarStash runs one node's step on the reliable scalar path:
-// decode and merge the children's stashed payloads, then encode this
-// node's partial for its parent into the node's dedicated writer,
-// charging the node's send and receive sides in one meter-cell visit.
-func (e *FastEngine) gatherScalarStash(u topology.NodeID, sc ScalarCombiner, stash []*bitio.Writer) error {
-	ax, ay := sc.LocalScalar(e.nw.Nodes[u])
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		pl := wire.Borrowed(stash[child])
-		recvBits += pl.Bits()
-		bx, by, err := sc.DecodeScalar(pl)
-		if err != nil {
-			return fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
+// levelBoxed sweeps positions [lo, hi) of level l on the generic path: the
+// local partial, then each child's encoded partial charged, decoded, and
+// merged in child order.
+func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
+	op, v, a := &e.op, e.view, e.sh.arenas[worker]
+	s, c, ac, plan := op.s, op.c, op.ac, op.plan
+	mine, kids := e.sh.boxed[s.half(l):], e.sh.boxed[s.half(l+1):]
+	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
+	for i := lo; i < hi; i++ {
+		u := v.Order[i]
+		acc := c.Local(e.nw.Nodes[u])
+		recvBits := 0
+		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
+			child := v.Order[j]
+			var pl wire.Payload
+			var w *bitio.Writer
+			if ac != nil {
+				w = a.Writer(64)
+				ac.AppendPartial(w, kids[j-kbase])
+				pl = wire.Borrowed(w)
+			} else {
+				pl = c.Encode(kids[j-kbase])
+			}
+			kids[j-kbase] = nil
+			deliveries := 1
+			if plan != nil {
+				deliveries = plan.Deliveries(child, u)
+			}
+			var err error
+			for d := 0; d < deliveries; d++ {
+				recvBits += e.chargeDelivery(child, u, pl.Bits())
+				var dec any
+				if dec, err = c.Decode(pl); err != nil {
+					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
+					break
+				}
+				acc = c.Merge(acc, dec)
+			}
+			if w != nil {
+				a.Release(w)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		ax, ay = sc.MergeScalar(ax, ay, bx, by)
+		if recvBits > 0 {
+			e.nw.Meter.ChargeRxSeq(u, recvBits)
+		}
+		mine[i-base] = acc
 	}
-	sentBits := -1
-	if u != e.view.Root {
-		if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
+	return nil
+}
+
+// levelScalar sweeps positions [lo, hi) of level l on the reliable scalar
+// path: merge the children's slots, then encode this node's partial for
+// its parent into the worker's one writer, keep the pair the parent would
+// decode from it, and charge the node's send and receive sides in one
+// meter-cell visit — the parent never touches the child's cell.
+func (e *FastEngine) levelScalar(worker, l, lo, hi int) error {
+	op, v, a := &e.op, e.view, e.sh.arenas[worker]
+	s, sc, plan := op.s, op.sc, op.plan
+	mine, kids := e.sh.slots[s.half(l):], e.sh.slots[s.half(l+1):]
+	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
+	w := a.Writer(64)
+	defer a.Release(w)
+	for i := lo; i < hi; i++ {
+		u := v.Order[i]
+		ax, ay := sc.LocalScalar(e.nw.Nodes[u])
+		recvBits := 0
+		for _, ch := range kids[int(s.cs[i])-kbase : int(s.cs[i+1])-kbase] {
+			recvBits += int(ch.bits)
+			ax, ay = sc.MergeScalar(ax, ay, ch.x, ch.y)
+		}
+		sentBits := -1
+		if i > 0 { // position 0 is the root: it sends nothing
+			if plan != nil && plan.Byzantine(u) {
+				if bc, ok := sc.(ByzScalarCombiner); ok {
+					ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
+				}
+			}
+			w.Reset()
+			sc.AppendScalar(w, ax, ay)
+			sentBits = w.Len()
+			var err error
+			if ax, ay, err = sc.DecodeScalar(wire.Borrowed(w)); err != nil {
+				return fmt.Errorf("spantree: decoding partial from node %d: %w", u, err)
+			}
+		}
+		mine[i-base] = scalarSlot{x: ax, y: ay, bits: int32(sentBits)}
+		e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
+	}
+	return nil
+}
+
+// levelScalarEdges is levelScalar with per-edge charging: the path for
+// watched-edge runs and message-level fault plans, where each delivery's
+// fate (and its exact (from, to) pair) must be priced individually.
+func (e *FastEngine) levelScalarEdges(worker, l, lo, hi int) error {
+	op, v, a := &e.op, e.view, e.sh.arenas[worker]
+	s, sc, plan := op.s, op.sc, op.plan
+	mine, kids := e.sh.slots[s.half(l):], e.sh.slots[s.half(l+1):]
+	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
+	for i := lo; i < hi; i++ {
+		u := v.Order[i]
+		ax, ay := sc.LocalScalar(e.nw.Nodes[u])
+		recvBits := 0
+		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
+			child, cp := v.Order[j], kids[j-kbase]
+			w := a.Writer(64)
+			sc.AppendScalar(w, cp.x, cp.y)
+			pl := wire.Borrowed(w)
+			deliveries := 1
+			if plan != nil {
+				deliveries = plan.Deliveries(child, u)
+			}
+			var err error
+			for d := 0; d < deliveries; d++ {
+				recvBits += e.chargeDelivery(child, u, pl.Bits())
+				var bx, by uint64
+				if bx, by, err = sc.DecodeScalar(pl); err != nil {
+					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
+					break
+				}
+				ax, ay = sc.MergeScalar(ax, ay, bx, by)
+			}
+			a.Release(w)
+			if err != nil {
+				return err
+			}
+		}
+		if recvBits > 0 {
+			e.nw.Meter.ChargeRxSeq(u, recvBits)
+		}
+		if i > 0 && plan != nil && plan.Byzantine(u) {
 			if bc, ok := sc.(ByzScalarCombiner); ok {
 				ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
 			}
 		}
-		w := stash[u]
-		if w == nil {
-			w = bitio.NewWriter(64)
-			stash[u] = w
-		} else {
-			w.Reset()
-		}
-		sc.AppendScalar(w, ax, ay)
-		sentBits = w.Len()
-	} else {
-		e.rootX, e.rootY = ax, ay
+		mine[i-base] = scalarSlot{x: ax, y: ay}
 	}
-	e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
 	return nil
 }
 
-// convergecastScalarEdges is the scalar sweep with per-edge charging: the
-// path for watched-edge runs and message-level fault plans, where each
-// delivery's fate (and its exact (from, to) pair) must be priced
-// individually.
-func (e *FastEngine) convergecastScalarEdges(sc ScalarCombiner, plan *faults.Plan) (any, error) {
-	v := e.view
-	n := len(v.Parent)
-	if cap(e.sc.pairs) < n {
-		e.sc.pairs = make([]scalarPair, n)
-	}
-	pairs := e.sc.pairs[:n]
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			a := e.arena(0)
-			for _, u := range lv {
-				if err := e.gatherScalar(u, sc, a, plan, pairs); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		for i := len(e.sc.arenas); i < w; i++ {
-			e.sc.arenas = append(e.sc.arenas, wire.NewArena())
-		}
-		errs := make([]error, w)
-		sc := sc
-		parallelChunks(len(lv), w, func(worker, lo, hi int) {
-			a := e.sc.arenas[worker]
-			for i := lo; i < hi; i++ {
-				if err := e.gatherScalar(lv[i], sc, a, plan, pairs); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	root := pairs[v.Root]
-	return sc.ScalarResult(root.x, root.y), nil
-}
-
-// gatherScalar is gather on packed uint64 partials.
-func (e *FastEngine) gatherScalar(u topology.NodeID, sc ScalarCombiner, a *wire.Arena, plan *faults.Plan, pairs []scalarPair) error {
-	ax, ay := sc.LocalScalar(e.nw.Nodes[u])
-	m := e.nw.Meter
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		w := a.Writer(64)
-		cp := pairs[child]
-		sc.AppendScalar(w, cp.x, cp.y)
-		pl := wire.Borrowed(w)
-		deliveries := 1
-		if plan != nil {
-			deliveries = plan.Deliveries(child, u)
-		}
-		var err error
-		for d := 0; d < deliveries; d++ {
-			if e.watching {
-				m.Charge(child, u, pl.Bits())
-			} else {
-				m.ChargeSendOnlySeq(child, pl.Bits(), 1)
-				recvBits += pl.Bits()
-			}
-			var bx, by uint64
-			if bx, by, err = sc.DecodeScalar(pl); err != nil {
-				err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-				break
-			}
-			ax, ay = sc.MergeScalar(ax, ay, bx, by)
-		}
-		a.Release(w)
-		if err != nil {
-			return err
-		}
-	}
-	if recvBits > 0 {
-		m.ChargeRxSeq(u, recvBits)
-	}
-	if u != e.view.Root && plan != nil && plan.Byzantine(u) {
-		if bc, ok := sc.(ByzScalarCombiner); ok {
-			ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
-		}
-	}
-	pairs[u] = scalarPair{x: ax, y: ay}
-	return nil
-}
-
-// levelSchedule groups the view's nodes by depth, each level in BFS order.
-// The view is immutable for the engine's lifetime, so the grouping is
-// computed once.
-func (e *FastEngine) levelSchedule() [][]topology.NodeID {
-	if e.sc.levels != nil {
-		return e.sc.levels
-	}
-	v := e.view
-	depth := make([]int, len(v.Parent))
-	maxd := 0
-	for _, u := range v.Order {
-		if u == v.Root {
-			continue
-		}
-		depth[u] = depth[v.Parent[u]] + 1
-		if depth[u] > maxd {
-			maxd = depth[u]
-		}
-	}
-	levels := make([][]topology.NodeID, maxd+1)
-	for _, u := range v.Order {
-		levels[depth[u]] = append(levels[depth[u]], u)
-	}
-	e.sc.levels = levels
-	return levels
-}
-
-// arena returns the worker's payload arena, growing the pool on first use.
-// Callers on the parallel path must pre-extend the pool before fanning
-// out; this accessor itself is not safe for concurrent growth.
-func (e *FastEngine) arena(i int) *wire.Arena {
-	for len(e.sc.arenas) <= i {
-		e.sc.arenas = append(e.sc.arenas, wire.NewArena())
-	}
-	return e.sc.arenas[i]
-}
+// half returns the ring slot level l's first position owns.
+func (s *viewSched) half(l int) int { return (l & 1) * s.width }
 
 // workersFor resolves the schedule for one sweep of the given width under
 // the engine's workers setting.

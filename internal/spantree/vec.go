@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"sensoragg/internal/bitio"
-	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
-	"sensoragg/internal/topology"
 	"sensoragg/internal/wire"
 )
 
@@ -14,8 +12,8 @@ import (
 // partial state is a fixed-width vector of machine words — the batched
 // probe plane: one convergecast carries k counts (CountVec) or a fused
 // COUNT+SUM+MIN+MAX tuple instead of a single scalar. The fast engine then
-// keeps every node's partial in one flat per-run []uint64 arena
-// (node u owns the slice [u·k, (u+1)·k)), so a warm vector convergecast
+// keeps the partials of the two live levels in one flat []uint64 ring on
+// the run network (k words per slot), so a warm vector convergecast
 // allocates nothing and sweeps levels in parallel exactly like the scalar
 // path. The wire format is unchanged between paths — AppendVec must emit
 // exactly the bits Encode would — so the vector path is byte-identical to
@@ -36,7 +34,7 @@ type VecCombiner interface {
 	AppendVec(w *bitio.Writer, p []uint64)
 	// VecBits returns exactly the number of bits AppendVec(p) would emit.
 	// The reliable pooled path charges this length arithmetically and
-	// hands the partial to the parent in the shared arena instead of
+	// hands the partial to the parent in the shared ring instead of
 	// materializing the payload — same meters, same values, none of the
 	// per-edge codec cost. The faulty, watched, unpooled, and goroutine
 	// paths still round-trip every edge through AppendVec/DecodeVec, and
@@ -47,201 +45,120 @@ type VecCombiner interface {
 	DecodeVec(pl wire.Payload, dst []uint64) error
 	// VecResult converts the root partial to the value Convergecast
 	// returns — the same value the generic path would produce. The slice
-	// may alias engine scratch; callers that keep it must copy.
+	// aliases scratch shared by every engine on the run network: it is
+	// valid until the next operation of any engine on that network, and
+	// callers that keep it longer must copy.
 	VecResult(p []uint64) any
 }
 
-// vecScratch returns the flat partial arena (n·k words) and the per-worker
-// decode buffers for a vector operation, growing the reusable scratch when
-// an operation needs more than any predecessor did. Warm operations of the
-// same width reuse everything.
-func (e *FastEngine) vecScratch(n, k, workers int) (vec []uint64, tmps [][]uint64) {
-	if cap(e.sc.vec) < n*k {
-		e.sc.vec = make([]uint64, n*k)
-	}
-	for len(e.sc.vtmp) < workers {
-		e.sc.vtmp = append(e.sc.vtmp, nil)
-	}
-	for i := 0; i < workers; i++ {
-		if cap(e.sc.vtmp[i]) < k {
-			e.sc.vtmp[i] = make([]uint64, k)
-		} else {
-			e.sc.vtmp[i] = e.sc.vtmp[i][:k]
-		}
-	}
-	return e.sc.vec[:n*k], e.sc.vtmp
-}
-
-// maxLevelWorkers returns the widest schedule any level of the view can
-// trigger, so vector scratch can be sized once per operation.
-func (e *FastEngine) maxLevelWorkers() int {
-	w := 1
-	for _, lv := range e.levelSchedule() {
-		if lw := e.workersFor(len(lv)); lw > w {
-			w = lw
-		}
-	}
-	return w
-}
-
 // convergecastVec is Convergecast for VecCombiners: the same level sweep,
-// charges, and fault decisions as the scalar path, with partials in one
-// flat uint64 arena instead of boxed `any` slots.
-func (e *FastEngine) convergecastVec(vc VecCombiner) (any, error) {
+// charges, and fault decisions as the scalar path, with partials on the
+// vector ring — k words per slot — instead of boxed `any` slots.
+func (e *FastEngine) convergecastVec(vc VecCombiner, perEdge bool, workers int) (any, error) {
 	k := vc.VecWidth()
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
 	}
-	v := e.view
-	n := len(v.Parent)
-	plan := e.nw.Faults
-	workers := e.maxLevelWorkers()
-	vec, tmps := e.vecScratch(n, k, workers)
-	if e.watching || (plan != nil && plan.Spec().MessageLevel()) {
-		return e.convergecastVecEdges(vc, plan, vec, tmps)
+	sh, width := e.sh, e.op.s.width
+	e.op.vc, e.op.k = vc, k
+	sh.vec = grow(sh.vec, 2*width*k)
+	run := (*FastEngine).levelVec
+	if perEdge {
+		run = (*FastEngine).levelVecEdges
+		sh.vtmp = grow(sh.vtmp, workers*k)
+	} else {
+		sh.vbits = grow(sh.vbits, 2*width)
 	}
-	// Reliable fast path: every node's partial travels to its parent in
-	// the shared arena itself; the wire cost is charged from VecBits (the
-	// exact length AppendVec would emit, cached per node so the parent's
-	// receive side reads it instead of recomputing), and the whole step
-	// charges the node's meter cell in one visit.
-	if cap(e.sc.vbits) < n {
-		e.sc.vbits = make([]int32, n)
+	if err := e.sweep(run); err != nil {
+		return nil, err
 	}
-	vbits := e.sc.vbits[:n]
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			for _, u := range lv {
-				e.gatherVecDirect(u, vc, k, vec, vbits)
-			}
-			continue
-		}
-		vc := vc
-		parallelChunks(len(lv), w, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.gatherVecDirect(lv[i], vc, k, vec, vbits)
-			}
-		})
-	}
-	root := int(v.Root)
-	return vc.VecResult(vec[root*k : root*k+k]), nil
+	return vc.VecResult(sh.vec[:k]), nil
 }
 
-// gatherVecDirect runs one node's step on the reliable vector path: merge
-// the children's partials straight out of the arena, then price this
-// node's own send with VecBits, charging send and receive sides in one
-// meter-cell visit. Values and meters are byte-identical to the encoding
-// paths (VecBits == len(AppendVec), merge input == decoded payload),
-// which the engine-variant identity tests assert.
-func (e *FastEngine) gatherVecDirect(u topology.NodeID, vc VecCombiner, k int, vec []uint64, vbits []int32) {
-	acc := vec[int(u)*k : int(u)*k+k]
-	vc.LocalVec(e.nw.Nodes[u], acc)
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		recvBits += int(vbits[child])
-		vc.MergeVec(acc, vec[int(child)*k:int(child)*k+k])
+// levelVec sweeps positions [lo, hi) of level l on the reliable vector
+// path: every node's partial travels to its parent in the ring itself —
+// merged straight out of the children's half — and the wire cost is
+// charged from VecBits (the exact length AppendVec would emit, kept beside
+// the slot so the parent's receive side reads it instead of recomputing),
+// the whole step in one meter-cell visit. Values and meters are
+// byte-identical to the encoding paths (VecBits == len(AppendVec), merge
+// input == decoded payload), which the engine-variant identity tests
+// assert.
+func (e *FastEngine) levelVec(_, l, lo, hi int) error {
+	op, v, sh := &e.op, e.view, e.sh
+	s, vc, k, plan := op.s, op.vc, op.k, op.plan
+	mine, mbits := sh.vec[s.half(l)*k:], sh.vbits[s.half(l):]
+	kids, kbits := sh.vec[s.half(l+1)*k:], sh.vbits[s.half(l+1):]
+	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
+	for i := lo; i < hi; i++ {
+		u := v.Order[i]
+		acc := mine[(i-base)*k : (i-base+1)*k]
+		vc.LocalVec(e.nw.Nodes[u], acc)
+		recvBits := 0
+		for j := int(s.cs[i]) - kbase; j < int(s.cs[i+1])-kbase; j++ {
+			recvBits += int(kbits[j])
+			vc.MergeVec(acc, kids[j*k:(j+1)*k])
+		}
+		sentBits := -1
+		if i > 0 { // position 0 is the root: it sends nothing
+			if plan != nil && plan.Byzantine(u) {
+				if bc, ok := vc.(ByzVecCombiner); ok {
+					bc.CorruptVec(acc, plan.LieWord(u))
+				}
+			}
+			sentBits = vc.VecBits(acc)
+			mbits[i-base] = int32(sentBits)
+		}
+		e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
 	}
-	sentBits := -1
-	if u != e.view.Root {
-		if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
+	return nil
+}
+
+// levelVecEdges is levelVec with per-edge charging and per-delivery fault
+// decisions: the path for watched-edge runs and message-level fault plans,
+// where each delivery's fate (and its exact (from, to) pair) must be
+// priced individually.
+func (e *FastEngine) levelVecEdges(worker, l, lo, hi int) error {
+	op, v, a := &e.op, e.view, e.sh.arenas[worker]
+	s, vc, k, plan := op.s, op.vc, op.k, op.plan
+	mine, kids := e.sh.vec[s.half(l)*k:], e.sh.vec[s.half(l+1)*k:]
+	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
+	tmp := e.sh.vtmp[worker*k : (worker+1)*k]
+	for i := lo; i < hi; i++ {
+		u := v.Order[i]
+		acc := mine[(i-base)*k : (i-base+1)*k]
+		vc.LocalVec(e.nw.Nodes[u], acc)
+		recvBits := 0
+		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
+			child := v.Order[j]
+			w := a.Writer(64)
+			vc.AppendVec(w, kids[(j-kbase)*k:(j-kbase+1)*k])
+			pl := wire.Borrowed(w)
+			deliveries := 1
+			if plan != nil {
+				deliveries = plan.Deliveries(child, u)
+			}
+			var err error
+			for d := 0; d < deliveries; d++ {
+				recvBits += e.chargeDelivery(child, u, pl.Bits())
+				if err = vc.DecodeVec(pl, tmp); err != nil {
+					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
+					break
+				}
+				vc.MergeVec(acc, tmp)
+			}
+			a.Release(w)
+			if err != nil {
+				return err
+			}
+		}
+		if recvBits > 0 {
+			e.nw.Meter.ChargeRxSeq(u, recvBits)
+		}
+		if i > 0 && plan != nil && plan.Byzantine(u) {
 			if bc, ok := vc.(ByzVecCombiner); ok {
 				bc.CorruptVec(acc, plan.LieWord(u))
 			}
-		}
-		sentBits = vc.VecBits(acc)
-		vbits[u] = int32(sentBits)
-	}
-	e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
-}
-
-// convergecastVecEdges is the vector sweep with per-edge charging: the path
-// for watched-edge runs and message-level fault plans, where each
-// delivery's fate (and its exact (from, to) pair) must be priced
-// individually.
-func (e *FastEngine) convergecastVecEdges(vc VecCombiner, plan *faults.Plan, vec []uint64, tmps [][]uint64) (any, error) {
-	k := vc.VecWidth()
-	v := e.view
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			a := e.arena(0)
-			for _, u := range lv {
-				if err := e.gatherVec(u, vc, k, a, plan, vec, tmps[0]); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		for i := len(e.sc.arenas); i < w; i++ {
-			e.sc.arenas = append(e.sc.arenas, wire.NewArena())
-		}
-		errs := make([]error, w)
-		vc := vc
-		parallelChunks(len(lv), w, func(worker, lo, hi int) {
-			a := e.sc.arenas[worker]
-			tmp := tmps[worker]
-			for i := lo; i < hi; i++ {
-				if err := e.gatherVec(lv[i], vc, k, a, plan, vec, tmp); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	root := int(v.Root)
-	return vc.VecResult(vec[root*k : root*k+k]), nil
-}
-
-// gatherVec is gather on flat vector partials with per-edge charging and
-// per-delivery fault decisions.
-func (e *FastEngine) gatherVec(u topology.NodeID, vc VecCombiner, k int, a *wire.Arena, plan *faults.Plan, vec, tmp []uint64) error {
-	acc := vec[int(u)*k : int(u)*k+k]
-	vc.LocalVec(e.nw.Nodes[u], acc)
-	m := e.nw.Meter
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		w := a.Writer(64)
-		vc.AppendVec(w, vec[int(child)*k:int(child)*k+k])
-		pl := wire.Borrowed(w)
-		deliveries := 1
-		if plan != nil {
-			deliveries = plan.Deliveries(child, u)
-		}
-		var err error
-		for d := 0; d < deliveries; d++ {
-			if e.watching {
-				m.Charge(child, u, pl.Bits())
-			} else {
-				m.ChargeSendOnlySeq(child, pl.Bits(), 1)
-				recvBits += pl.Bits()
-			}
-			if err = vc.DecodeVec(pl, tmp); err != nil {
-				err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-				break
-			}
-			vc.MergeVec(acc, tmp)
-		}
-		a.Release(w)
-		if err != nil {
-			return err
-		}
-	}
-	if recvBits > 0 {
-		m.ChargeRxSeq(u, recvBits)
-	}
-	if u != e.view.Root && plan != nil && plan.Byzantine(u) {
-		if bc, ok := vc.(ByzVecCombiner); ok {
-			bc.CorruptVec(acc, plan.LieWord(u))
 		}
 	}
 	return nil
