@@ -40,8 +40,7 @@ type minMaxCombiner struct {
 }
 
 var _ spantree.AppendCombiner = minMaxCombiner{}
-var _ spantree.ScalarCombiner = minMaxCombiner{}
-var _ spantree.ByzScalarCombiner = minMaxCombiner{}
+var _ spantree.ByzVecCombiner = minMaxCombiner{}
 
 func (c minMaxCombiner) local(n *netsim.Node) minMaxPartial {
 	var p minMaxPartial
@@ -66,99 +65,99 @@ func (c minMaxCombiner) local(n *netsim.Node) minMaxPartial {
 
 func (c minMaxCombiner) Local(n *netsim.Node) any { return c.local(n) }
 
-// The scalar packing uses (lo, hi) with the empty partial as (1, 0): a
-// non-empty partial always has lo <= hi, so x > y is a safe sentinel.
+// The vector form is (lo, hi) with the empty partial as (1, 0): a
+// non-empty partial always has lo <= hi, so lo > hi is a safe sentinel.
 
-func (c minMaxCombiner) LocalScalar(n *netsim.Node) (uint64, uint64) {
-	p := c.local(n)
-	if !p.has {
-		return 1, 0
+func (c minMaxCombiner) VecWidth() int { return 2 }
+
+func (p minMaxPartial) vec(dst []uint64) {
+	dst[0], dst[1] = 1, 0
+	if p.has {
+		dst[0], dst[1] = p.lo, p.hi
 	}
-	return p.lo, p.hi
 }
 
-func (c minMaxCombiner) MergeScalar(ax, ay, bx, by uint64) (uint64, uint64) {
-	if bx > by {
-		return ax, ay
+func (c minMaxCombiner) LocalVec(n *netsim.Node, dst []uint64) { c.local(n).vec(dst) }
+
+func (c minMaxCombiner) MergeVec(acc, src []uint64) {
+	switch {
+	case src[0] > src[1]:
+	case acc[0] > acc[1]:
+		acc[0], acc[1] = src[0], src[1]
+	default:
+		acc[0], acc[1] = min(acc[0], src[0]), max(acc[1], src[1])
 	}
-	if ax > ay {
-		return bx, by
-	}
-	if bx < ax {
-		ax = bx
-	}
-	if by > ay {
-		ay = by
-	}
-	return ax, ay
 }
 
-func (c minMaxCombiner) AppendScalar(w *bitio.Writer, x, y uint64) {
-	has := x <= y
+func (c minMaxCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
+	c.LocalVec(n, dst)
+	for ; len(kids) > 0; kids = kids[2:] {
+		c.MergeVec(dst, kids[:2])
+	}
+	return c.VecBits(dst)
+}
+
+func (c minMaxCombiner) AppendVec(w *bitio.Writer, p []uint64) {
+	c.append(w, p[0] <= p[1], p[0], p[1])
+}
+
+// append writes the presence bit and, for a non-empty partial, the two
+// fixed-width extrema.
+func (c minMaxCombiner) append(w *bitio.Writer, has bool, lo, hi uint64) {
 	w.WriteBool(has)
 	if has {
-		w.WriteBits(x, c.width)
-		w.WriteBits(y, c.width)
+		w.WriteBits(lo, c.width)
+		w.WriteBits(hi, c.width)
 	}
 }
 
-func (c minMaxCombiner) DecodeScalar(pl wire.Payload) (uint64, uint64, error) {
-	r := pl.Reader()
-	has, err := r.ReadBool()
-	if err != nil {
-		return 0, 0, fmt.Errorf("agg: minmax presence: %w", err)
+func (c minMaxCombiner) VecBits(p []uint64) int {
+	if p[0] > p[1] {
+		return 1
 	}
-	if !has {
-		return 1, 0, nil
-	}
-	lo, err := r.ReadBits(c.width)
-	if err != nil {
-		return 0, 0, fmt.Errorf("agg: minmax lo: %w", err)
-	}
-	hi, err := r.ReadBits(c.width)
-	if err != nil {
-		return 0, 0, fmt.Errorf("agg: minmax hi: %w", err)
-	}
-	return lo, hi, nil
+	return 1 + 2*c.width
 }
 
-// CorruptScalar (spantree.ByzScalarCombiner) maps a lie word into the
-// minmax wire domain: an in-range fake minimum (any value ≤ the honest
-// max stays inside the fixed-width field and keeps lo ≤ hi, so the
-// message still decodes). A degenerate singleton partial at 0 lies on
-// the max instead. Empty partials have no value to corrupt — the wire
-// carries only the presence bit, so the lie would be detectable locally.
-func (c minMaxCombiner) CorruptScalar(x, y, lie uint64) (uint64, uint64) {
-	if x > y {
-		return x, y // empty partial: nothing in-domain to lie about
-	}
-	if y == ^uint64(0) {
-		lo := lie
-		if lo == x {
-			lo++
+func (c minMaxCombiner) DecodeVec(pl wire.Payload, dst []uint64) error {
+	p, err := c.decode(pl)
+	p.vec(dst)
+	return err
+}
+
+// CorruptVec (spantree.ByzVecCombiner) maps a lie word into the minmax
+// wire domain: an in-range fake minimum (any value ≤ the honest max stays
+// inside the fixed-width field and keeps lo ≤ hi, so the message still
+// decodes). A degenerate singleton partial at 0 lies on the max instead.
+// Empty partials have no value to corrupt — the wire carries only the
+// presence bit, so the lie would be detectable locally.
+func (c minMaxCombiner) CorruptVec(p []uint64, lie uint64) {
+	x, y := p[0], p[1]
+	switch {
+	case x > y: // empty partial: nothing in-domain to lie about
+	case y == ^uint64(0):
+		p[0] = lie
+		if lie == x {
+			p[0]++
 		}
-		return lo, y
-	}
-	if y > 0 {
-		lo := lie % (y + 1)
-		if lo == x {
-			lo = (lo + 1) % (y + 1)
+	case y > 0:
+		p[0] = lie % (y + 1)
+		if p[0] == x {
+			p[0] = (x + 1) % (y + 1)
 		}
-		return lo, y
+	default:
+		// x == y == 0: push the max up instead, clamped to the field width.
+		p[1] = 1 + lie%16
+		if mask := uint64(1)<<uint(c.width) - 1; c.width < 64 && p[1] > mask {
+			p[1] = mask
+		}
 	}
-	// x == y == 0: push the max up instead, clamped to the field width.
-	hi := 1 + lie%16
-	if mask := uint64(1)<<uint(c.width) - 1; c.width < 64 && hi > mask {
-		hi = mask
-	}
-	return x, hi
 }
 
-func (c minMaxCombiner) ScalarResult(x, y uint64) any {
-	if x > y {
+func (c minMaxCombiner) VecResult(p []uint64) any {
+	if p[0] > p[1] {
 		return minMaxPartial{}
 	}
-	return minMaxPartial{has: true, lo: x, hi: y}
+	return minMaxPartial{has: true, lo: p[0], hi: p[1]}
 }
 
 func (c minMaxCombiner) Merge(acc, child any) any {
@@ -180,11 +179,7 @@ func (c minMaxCombiner) Merge(acc, child any) any {
 
 func (c minMaxCombiner) AppendPartial(w *bitio.Writer, p any) {
 	mm := p.(minMaxPartial)
-	w.WriteBool(mm.has)
-	if mm.has {
-		w.WriteBits(mm.lo, c.width)
-		w.WriteBits(mm.hi, c.width)
-	}
+	c.append(w, mm.has, mm.lo, mm.hi)
 }
 
 func (c minMaxCombiner) Encode(p any) wire.Payload {
@@ -194,72 +189,99 @@ func (c minMaxCombiner) Encode(p any) wire.Payload {
 }
 
 func (c minMaxCombiner) Decode(pl wire.Payload) (any, error) {
+	p, err := c.decode(pl)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func (c minMaxCombiner) decode(pl wire.Payload) (minMaxPartial, error) {
 	r := pl.Reader()
 	has, err := r.ReadBool()
 	if err != nil {
-		return nil, fmt.Errorf("agg: minmax presence: %w", err)
+		return minMaxPartial{}, fmt.Errorf("agg: minmax presence: %w", err)
 	}
 	if !has {
 		return minMaxPartial{}, nil
 	}
 	lo, err := r.ReadBits(c.width)
 	if err != nil {
-		return nil, fmt.Errorf("agg: minmax lo: %w", err)
+		return minMaxPartial{}, fmt.Errorf("agg: minmax lo: %w", err)
 	}
 	hi, err := r.ReadBits(c.width)
 	if err != nil {
-		return nil, fmt.Errorf("agg: minmax hi: %w", err)
+		return minMaxPartial{}, fmt.Errorf("agg: minmax hi: %w", err)
 	}
 	return minMaxPartial{has: true, lo: lo, hi: hi}, nil
+}
+
+// gammaWord is what COUNT and SUM share: a partial of one additive machine
+// word, gamma-coded on the wire — a boxed uint64 on the generic path, a
+// width-1 vector on the fast engine's.
+type gammaWord struct{}
+
+func (gammaWord) VecWidth() int { return 1 }
+
+func (gammaWord) MergeVec(acc, src []uint64) { acc[0] += src[0] }
+
+func (gammaWord) AppendVec(w *bitio.Writer, p []uint64) { w.WriteGamma(p[0]) }
+
+func (gammaWord) VecBits(p []uint64) int { return bitio.GammaWidth(p[0]) }
+
+func (gammaWord) DecodeVec(pl wire.Payload, dst []uint64) (err error) {
+	if dst[0], err = pl.Reader().ReadGamma(); err != nil {
+		return fmt.Errorf("agg: gamma-coded partial: %w", err)
+	}
+	return nil
+}
+
+// CorruptVec (spantree.ByzVecCombiner): any corrupted value except the
+// gamma sentinel — which CorruptValue never returns — is wire-legal.
+func (gammaWord) CorruptVec(p []uint64, lie uint64) { p[0] = faults.CorruptValue(p[0], lie) }
+
+func (gammaWord) VecResult(p []uint64) any { return p[0] }
+
+func (gammaWord) Merge(acc, child any) any { return acc.(uint64) + child.(uint64) }
+
+func (gammaWord) AppendPartial(w *bitio.Writer, p any) { w.WriteGamma(p.(uint64)) }
+
+func (g gammaWord) Encode(p any) wire.Payload {
+	w := bitio.NewWriter(bitio.GammaWidth(p.(uint64)))
+	g.AppendPartial(w, p)
+	return wire.FromWriter(w)
+}
+
+func (g gammaWord) Decode(pl wire.Payload) (any, error) {
+	var p [1]uint64
+	if err := g.DecodeVec(pl, p[:]); err != nil {
+		return nil, err
+	}
+	return p[0], nil
+}
+
+// foldWord is the one-word FoldVec: own plus children's, and its gamma width.
+func foldWord(own uint64, dst, kids []uint64) int {
+	for _, v := range kids {
+		own += v
+	}
+	dst[0] = own
+	return bitio.GammaWidth(own)
 }
 
 // countCombiner implements COUNTP (§3.1): a gamma-coded count of active
 // items satisfying the predicate. Partial counts are at most N, so messages
 // are O(log N) bits.
 type countCombiner struct {
+	gammaWord
 	domain core.Domain
 	pred   wire.Pred
 }
 
 var _ spantree.AppendCombiner = countCombiner{}
-var _ spantree.ScalarCombiner = countCombiner{}
-var _ spantree.ByzScalarCombiner = countCombiner{}
+var _ spantree.ByzVecCombiner = countCombiner{}
 
-func (c countCombiner) LocalScalar(n *netsim.Node) (uint64, uint64) {
-	var count uint64
-	for _, it := range n.Items {
-		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
-			count++
-		}
-	}
-	return count, 0
-}
-
-func (c countCombiner) MergeScalar(ax, _, bx, _ uint64) (uint64, uint64) {
-	return ax + bx, 0
-}
-
-func (c countCombiner) AppendScalar(w *bitio.Writer, x, _ uint64) {
-	w.WriteGamma(x)
-}
-
-func (c countCombiner) DecodeScalar(pl wire.Payload) (uint64, uint64, error) {
-	v, err := pl.Reader().ReadGamma()
-	if err != nil {
-		return 0, 0, fmt.Errorf("agg: count: %w", err)
-	}
-	return v, 0, nil
-}
-
-// CorruptScalar (spantree.ByzScalarCombiner): counts are gamma-coded, so
-// any corrupted value except the gamma sentinel is wire-legal.
-func (c countCombiner) CorruptScalar(x, y, lie uint64) (uint64, uint64) {
-	return faults.CorruptValue(x, lie), y
-}
-
-func (c countCombiner) ScalarResult(x, _ uint64) any { return x }
-
-func (c countCombiner) Local(n *netsim.Node) any {
+func (c countCombiner) local(n *netsim.Node) uint64 {
 	var count uint64
 	for _, it := range n.Items {
 		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
@@ -269,104 +291,42 @@ func (c countCombiner) Local(n *netsim.Node) any {
 	return count
 }
 
-func (c countCombiner) Merge(acc, child any) any {
-	return acc.(uint64) + child.(uint64)
-}
+func (c countCombiner) Local(n *netsim.Node) any { return c.local(n) }
 
-func (c countCombiner) AppendPartial(w *bitio.Writer, p any) {
-	w.WriteGamma(p.(uint64))
-}
+func (c countCombiner) LocalVec(n *netsim.Node, dst []uint64) { dst[0] = c.local(n) }
 
-func (c countCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(bitio.GammaWidth(p.(uint64)))
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
-}
-
-func (c countCombiner) Decode(pl wire.Payload) (any, error) {
-	v, err := pl.Reader().ReadGamma()
-	if err != nil {
-		return nil, fmt.Errorf("agg: count: %w", err)
-	}
-	return v, nil
+func (c countCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
+	return foldWord(c.local(n), dst, kids)
 }
 
 // sumCombiner aggregates the SUM of active item values (TAG's SUM; also the
 // numerator of AVERAGE). Gamma-coded: partial sums are ≤ N·X, so messages
 // are O(log N + log X) bits.
 type sumCombiner struct {
+	gammaWord
 	domain core.Domain
 	pred   wire.Pred
 }
 
 var _ spantree.AppendCombiner = sumCombiner{}
-var _ spantree.ScalarCombiner = sumCombiner{}
-var _ spantree.ByzScalarCombiner = sumCombiner{}
+var _ spantree.ByzVecCombiner = sumCombiner{}
 
-func (c sumCombiner) LocalScalar(n *netsim.Node) (uint64, uint64) {
+func (c sumCombiner) local(n *netsim.Node) uint64 {
 	var sum uint64
 	for _, it := range n.Items {
-		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
-			sum += domainValue(it, c.domain)
-		}
-	}
-	return sum, 0
-}
-
-func (c sumCombiner) MergeScalar(ax, _, bx, _ uint64) (uint64, uint64) {
-	return ax + bx, 0
-}
-
-func (c sumCombiner) AppendScalar(w *bitio.Writer, x, _ uint64) {
-	w.WriteGamma(x)
-}
-
-func (c sumCombiner) DecodeScalar(pl wire.Payload) (uint64, uint64, error) {
-	v, err := pl.Reader().ReadGamma()
-	if err != nil {
-		return 0, 0, fmt.Errorf("agg: sum: %w", err)
-	}
-	return v, 0, nil
-}
-
-// CorruptScalar (spantree.ByzScalarCombiner): sums are gamma-coded like
-// counts; the same bounded corruption applies.
-func (c sumCombiner) CorruptScalar(x, y, lie uint64) (uint64, uint64) {
-	return faults.CorruptValue(x, lie), y
-}
-
-func (c sumCombiner) ScalarResult(x, _ uint64) any { return x }
-
-func (c sumCombiner) Local(n *netsim.Node) any {
-	var sum uint64
-	for _, it := range n.Items {
-		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
-			sum += domainValue(it, c.domain)
+		if v := domainValue(it, c.domain); it.Active && c.pred.Eval(v) {
+			sum += v
 		}
 	}
 	return sum
 }
 
-func (c sumCombiner) Merge(acc, child any) any {
-	return acc.(uint64) + child.(uint64)
-}
+func (c sumCombiner) Local(n *netsim.Node) any { return c.local(n) }
 
-func (c sumCombiner) AppendPartial(w *bitio.Writer, p any) {
-	w.WriteGamma(p.(uint64))
-}
+func (c sumCombiner) LocalVec(n *netsim.Node, dst []uint64) { dst[0] = c.local(n) }
 
-func (c sumCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(bitio.GammaWidth(p.(uint64)))
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
-}
-
-func (c sumCombiner) Decode(pl wire.Payload) (any, error) {
-	v, err := pl.Reader().ReadGamma()
-	if err != nil {
-		return nil, fmt.Errorf("agg: sum: %w", err)
-	}
-	return v, nil
+func (c sumCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
+	return foldWord(c.local(n), dst, kids)
 }
 
 // keyedSketch runs one APX COUNT instance (Fact 2.2): every node folds its

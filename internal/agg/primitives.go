@@ -124,8 +124,10 @@ func (n *Net) appendProbeSet(w *bitio.Writer, preds []wire.Pred, vw int) bool {
 }
 
 // runCountVec broadcasts the already-written probe payload and runs the
-// vector convergecast, returning the root's partial vector (k counts,
-// plus the trailing sum slot when withSum).
+// vector convergecast, returning the k counts (plus the trailing sum slot
+// when withSum). A nested probe set travels as a histogram
+// (countVecCombiner); the root's prefix sum here turns it into the counts,
+// whichever engine path carried it.
 func (n *Net) runCountVec(d core.Domain, preds []wire.Pred, nested, withSum bool) []uint64 {
 	if sk := obs.Active(); sk != nil {
 		n.obsCountVec(sk, preds, nested, withSum)
@@ -140,7 +142,13 @@ func (n *Net) runCountVec(d core.Domain, preds []wire.Pred, nested, withSum bool
 	if err != nil {
 		panic(fmt.Errorf("agg: countvec convergecast: %w", err))
 	}
-	return out.([]uint64)
+	p := out.([]uint64)
+	if nested {
+		for i := 1; i < len(preds); i++ {
+			p[i] += p[i-1]
+		}
+	}
+	return p
 }
 
 // CountVecSum is CountVec widened by the fused-aggregate rider: the same

@@ -29,6 +29,14 @@ import (
 // k−1 small deltas per edge, not k full counts — and the per-edge codec
 // work stays nearly flat in k, which is what makes the k-ary sweep cheaper
 // in wall-clock, not only in rounds.
+//
+// A nested partial is kept in the form the wire carries: the histogram —
+// slot i counts the items whose first matching probe is i, which is c₀ in
+// slot 0 and the count deltas after it. The form is additive under merge
+// like the counts themselves, a node's own reading is one increment, and
+// encoding, pricing and decoding move the slots as they are; the counts
+// the caller asked for are the histogram's prefix sums, taken once, at the
+// root (Net.runCountVec). A general probe set keeps plain per-probe counts.
 type countVecCombiner struct {
 	domain core.Domain
 	preds  []wire.Pred
@@ -41,7 +49,7 @@ type countVecCombiner struct {
 	// part, so it costs O(log ΣX) bits per edge, not another sweep.
 	withSum bool
 	// chain holds the thresholds of a nested Less-chain (TRUE as 2⁶⁴−1),
-	// so LocalVec buckets items with a closure-free binary search.
+	// so items are bucketed by a closure-free search (chainFirstMatch).
 	chain []uint64
 }
 
@@ -103,57 +111,33 @@ func buildChain(preds []wire.Pred, buf []uint64) []uint64 {
 func (c *countVecCombiner) VecWidth() int { return c.vecWidth() }
 
 func (c *countVecCombiner) LocalVec(n *netsim.Node, dst []uint64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	if c.withSum {
-		var sum uint64
-		for _, it := range n.Items {
-			if it.Active {
-				sum += domainValue(it, c.domain)
-			}
-		}
-		dst[len(c.preds)] = sum
-		dst = dst[:len(c.preds)]
-	}
-	if c.nested {
-		// Chain membership is monotone: item v matches probes
-		// [firstMatch, k). The dominant shape is one reading per node, so
-		// the single-item partial is written directly as a 0/1 step
-		// vector; multi-item nodes bucket by first match and prefix-sum.
-		if len(n.Items) == 1 {
-			it := n.Items[0]
-			if !it.Active {
-				return
-			}
-			lo := c.chainFirstMatch(domainValue(it, c.domain))
-			for i := lo; i < len(dst); i++ {
-				dst[i] = 1
-			}
-			return
-		}
-		for _, it := range n.Items {
-			if !it.Active {
-				continue
-			}
-			lo := c.chainFirstMatch(domainValue(it, c.domain))
-			if lo < len(dst) {
-				dst[lo]++
-			}
-		}
-		for i := 1; i < len(dst); i++ {
-			dst[i] += dst[i-1]
-		}
-		return
-	}
+	clear(dst)
+	c.addLocal(n, dst)
+}
+
+// addLocal adds node n's own items to the partial p. On a nested chain
+// item v matches probes [firstMatch, k), so the histogram form takes one
+// increment per item: the bucket of its first matching probe, none when it
+// matches no probe at all.
+func (c *countVecCombiner) addLocal(n *netsim.Node, p []uint64) {
+	k := len(c.preds)
 	for _, it := range n.Items {
 		if !it.Active {
 			continue
 		}
 		v := domainValue(it, c.domain)
-		for i, p := range c.preds {
-			if p.Eval(v) {
-				dst[i]++
+		if c.withSum {
+			p[k] += v
+		}
+		if c.nested {
+			if lo := c.chainFirstMatch(v); lo < k {
+				p[lo]++
+			}
+			continue
+		}
+		for i, pr := range c.preds {
+			if pr.Eval(v) {
+				p[i]++
 			}
 		}
 	}
@@ -165,16 +149,24 @@ func (c *countVecCombiner) LocalVec(n *netsim.Node, dst []uint64) {
 // everything, so a value of exactly 2⁶⁴−1 — which no strict-less
 // comparison admits — still lands on it. The predicate kind, not the
 // sentinel value, decides: a genuine Less(2⁶⁴−1) probe must not match it.
+//
+// The chain ascends, so the answer is the number of thresholds ≤ v: a
+// lower-bound bisection. Sensor readings fall anywhere in the chain, which
+// makes a bisection's branches coin flips, so each step takes its half by
+// masking it with the comparison instead of branching on it — the compiler
+// keeps a conditional move off a value that feeds a load address, but not
+// a SETcc — and the only branch left is the loop's own, which depends on
+// len(chain) alone.
 func (c *countVecCombiner) chainFirstMatch(v uint64) int {
 	chain := c.chain
-	lo, hi := 0, len(chain)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v < chain[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	lo := 0
+	for n := len(chain); n > 0; {
+		// Thresholds ≤ v number lo plus those among chain[lo:lo+n]: if the
+		// middle one is ≤ v so is everything before it, and the count moves
+		// to the upper half; n>>1 candidates remain either way.
+		half := n >> 1
+		lo += (n - half) & -int(b2i(chain[lo+half] <= v))
+		n = half
 	}
 	if lo == len(chain) && v == ^uint64(0) && len(c.preds) > 0 && c.preds[len(c.preds)-1].Kind == wire.PredTrue {
 		return len(c.preds) - 1
@@ -188,11 +180,24 @@ func (c *countVecCombiner) MergeVec(acc, src []uint64) {
 	}
 }
 
+// FoldVec copies the first child instead of zeroing and adding it.
+func (c *countVecCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
+	if len(kids) == 0 {
+		clear(dst)
+	} else {
+		k := copy(dst, kids)
+		for kids = kids[k:]; len(kids) > 0; kids = kids[k:] {
+			c.MergeVec(dst, kids[:k])
+		}
+	}
+	c.addLocal(n, dst)
+	return c.VecBits(dst)
+}
+
 func (c *countVecCombiner) AppendVec(w *bitio.Writer, p []uint64) {
 	if c.withSum {
-		// The monotone delta packing covers the count part only; the sum
-		// rider is gamma-coded after it (it is additive, not monotone in
-		// the chain).
+		// The packed histogram covers the count part only; the sum rider
+		// is gamma-coded after it.
 		c.appendCounts(w, p[:len(c.preds)])
 		w.WriteGamma(p[len(c.preds)])
 		return
@@ -212,34 +217,32 @@ func (c *countVecCombiner) appendCounts(w *bitio.Writer, p []uint64) {
 	if len(p) == 1 {
 		return
 	}
-	// Shared fixed width for the deltas (stored as width−1 in 6 bits, so
-	// widths 1..64 are representable), then the deltas word-packed
-	// MSB-first: one WriteBits call covers as many slots as fit 64 bits.
+	// Shared fixed width for the buckets after the first (stored as
+	// width−1 in 6 bits, so widths 1..64 are representable), then the
+	// buckets word-packed MSB-first: one WriteBits call covers as many
+	// slots as fit 64 bits.
 	wmax := chainDeltaWidth(p)
 	w.WriteBits(uint64(wmax-1), 6)
 	for i := 1; i < len(p); {
-		m := 64 / wmax
-		if m > len(p)-i {
-			m = len(p) - i
-		}
+		m := min(64/wmax, len(p)-i)
 		var word uint64
-		for j := 0; j < m; j++ {
-			word = word<<uint(wmax) | (p[i+j] - p[i+j-1])
+		for _, v := range p[i : i+m] {
+			word = word<<uint(wmax) | v
 		}
 		w.WriteBits(word, m*wmax)
 		i += m
 	}
 }
 
-// chainDeltaWidth is the shared fixed width of a monotone vector's
-// adjacent deltas — the single definition AppendVec and VecBits both
-// derive from, so the arithmetic charge of the direct path can never
-// drift from the emitted encoding. The widest delta is as wide as the OR of
-// all of them, so the loop is a subtract and an OR per slot.
+// chainDeltaWidth is the shared fixed width of a chain partial's buckets
+// after the first — the adjacent deltas of the cumulative counts — and the
+// single definition AppendVec and VecBits both derive from, so the
+// arithmetic charge of the direct path can never drift from the emitted
+// encoding. The widest bucket is as wide as the OR of all of them.
 func chainDeltaWidth(p []uint64) int {
 	var or uint64
-	for i := 1; i < len(p); i++ {
-		or |= p[i] - p[i-1]
+	for _, v := range p[1:] {
+		or |= v
 	}
 	return bitio.WidthOf(or)
 }
@@ -328,26 +331,19 @@ func (c *countVecCombiner) decodeCounts(r *bitio.Reader, dst []uint64) error {
 		}
 		i += m
 	}
-	for i := 1; i < len(dst); i++ {
-		dst[i] += dst[i-1]
-	}
 	return nil
 }
 
 // CorruptVec (spantree.ByzVecCombiner) maps a lie word into the probe
-// plane's wire domain. A nested ⊆-chain vector must stay monotone
-// nondecreasing or the delta packing breaks, so the lie is one uniform
-// additive shift of every count slot: deltas are untouched, and a
-// downward shift is bounded by the smallest count so no slot underflows.
+// plane's wire domain. A nested ⊆-chain's counts must stay monotone
+// nondecreasing, so the lie is one uniform shift of every cumulative
+// count — in histogram form, a lie about the first bucket alone.
 // Non-nested slots are gamma-coded independently and corrupted per slot.
 // The sum rider (additive, gamma-coded after the counts) lies separately.
 func (c *countVecCombiner) CorruptVec(p []uint64, lie uint64) {
 	k := len(c.preds)
 	if c.nested {
-		d := faults.CorruptValue(p[0], lie) - p[0]
-		for i := 0; i < k; i++ {
-			p[i] += d
-		}
+		p[0] = faults.CorruptValue(p[0], lie)
 	} else {
 		for i := 0; i < k; i++ {
 			p[i] = faults.CorruptValue(p[i], lie+uint64(i)*0x9e3779b97f4a7c15)
@@ -447,6 +443,14 @@ func (c *fusedCombiner) MergeVec(acc, src []uint64) {
 	if src[fusedHi] > acc[fusedHi] {
 		acc[fusedHi] = src[fusedHi]
 	}
+}
+
+func (c *fusedCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
+	c.LocalVec(n, dst)
+	for ; len(kids) > 0; kids = kids[fusedWidth:] {
+		c.MergeVec(dst, kids[:fusedWidth])
+	}
+	return c.VecBits(dst)
 }
 
 func (c *fusedCombiner) AppendVec(w *bitio.Writer, p []uint64) {

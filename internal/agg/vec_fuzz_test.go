@@ -11,15 +11,18 @@ import (
 )
 
 // FuzzCountVecCodec round-trips the CountVec delta/gamma vector codec: a
-// fuzzed byte string is decoded into a probe chain and a monotone partial
-// count vector, encoded with AppendVec, decoded with DecodeVec, and
-// compared slot for slot — with VecBits asserted against the bits actually
-// written, since the fast engine charges meters through VecBits without
-// materializing payloads. Seeds cover the PR 4 edge cases: the empty
+// fuzzed byte string is decoded into a probe chain and a histogram-form
+// partial vector (any vector is one), encoded with AppendVec, decoded with
+// DecodeVec, and compared slot for slot — with VecBits asserted against
+// the bits actually written, since the fast engine charges meters through
+// VecBits without materializing payloads. Seeds cover the PR 4 edge cases: the empty
 // chain, width 1, full-uint64 thresholds (delta width 64), and
 // TRUE-topped chains.
 func FuzzCountVecCodec(f *testing.F) {
-	// seed(thresholds, counts, trueTop, withSum): pack a corpus entry.
+	// seed(thresholds, counts, trueTop, withSum): pack a corpus entry. The
+	// counts are histogram buckets — the deltas of the cumulative vectors
+	// these seeds held while partials were cumulative, so each still
+	// encodes to the bytes it always did.
 	seed := func(thresholds []uint64, counts []uint64, trueTop, withSum bool) []byte {
 		var b bytes.Buffer
 		flags := byte(0)
@@ -39,15 +42,15 @@ func FuzzCountVecCodec(f *testing.F) {
 		}
 		return b.Bytes()
 	}
-	f.Add(seed(nil, nil, false, false))                                                          // empty chain
-	f.Add(seed(nil, []uint64{7}, true, false))                                                   // width 1: lone TRUE top
-	f.Add(seed([]uint64{42}, []uint64{13}, false, false))                                        // width 1: lone threshold
-	f.Add(seed([]uint64{1, 2, 3}, []uint64{0, 0, 0}, false, false))                              // all-zero counts
-	f.Add(seed([]uint64{^uint64(0) - 1, ^uint64(0)}, []uint64{1, ^uint64(0) >> 1}, true, false)) // full-uint64 thresholds
-	f.Add(seed([]uint64{10, 20, 30, 40}, []uint64{5, 5, 9, 100}, true, true))                    // TRUE-topped, sum rider
-	f.Add(seed([]uint64{0, 1 << 32, 1 << 63}, []uint64{1, 2, ^uint64(0)}, false, true))          // 64-bit deltas + sum
-	f.Add(seed([]uint64{1, 2, 3}, []uint64{9, 9, 9}, false, false))                              // all-equal counts: every delta 0
-	f.Add(seed([]uint64{5, 6}, []uint64{0, ^uint64(0) - 1}, false, false))                       // one full-uint64 delta
+	f.Add(seed(nil, nil, false, false))                                                            // empty chain
+	f.Add(seed(nil, []uint64{7}, true, false))                                                     // width 1: lone TRUE top
+	f.Add(seed([]uint64{42}, []uint64{13}, false, false))                                          // width 1: lone threshold
+	f.Add(seed([]uint64{1, 2, 3}, []uint64{0, 0, 0}, false, false))                                // all-zero counts
+	f.Add(seed([]uint64{^uint64(0) - 1, ^uint64(0)}, []uint64{1, ^uint64(0)>>1 - 1}, true, false)) // full-uint64 thresholds
+	f.Add(seed([]uint64{10, 20, 30, 40}, []uint64{5, 0, 4, 91}, true, true))                       // TRUE-topped, sum rider
+	f.Add(seed([]uint64{0, 1 << 32, 1 << 63}, []uint64{1, 1, ^uint64(0) - 3}, false, true))        // 64-bit deltas + sum
+	f.Add(seed([]uint64{1, 2, 3}, []uint64{9, 0, 0}, false, false))                                // all-equal counts: every delta 0
+	f.Add(seed([]uint64{5, 6}, []uint64{0, ^uint64(0) - 1}, false, false))                         // one full-uint64 delta
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -65,8 +68,8 @@ func FuzzCountVecCodec(f *testing.F) {
 			return
 		}
 		// Thresholds must be a strictly ascending Less-chain (optionally
-		// TRUE-topped): sort+dedupe whatever the fuzzer supplied. Counts
-		// must be nondecreasing along the chain: prefix-max them.
+		// TRUE-topped): sort+dedupe whatever the fuzzer supplied. The
+		// buckets are taken as they come.
 		thresholds := make([]uint64, 0, k)
 		for i := 0; i < k; i++ {
 			thresholds = append(thresholds, binary.LittleEndian.Uint64(data[i*8:]))
@@ -88,33 +91,22 @@ func FuzzCountVecCodec(f *testing.F) {
 		if len(preds) == 0 {
 			return
 		}
-		// Gamma-coded slots (the base count and the sum rider) encode
+		// Gamma-coded slots (the first bucket and the sum rider) encode
 		// v+1, so 2⁶⁴−1 is outside the codec's domain — counts and sums
 		// are bounded by N·X in every real sweep. Clamp fuzzed values to
 		// the domain instead of rediscovering the documented panic.
 		const gammaMax = ^uint64(0) - 1
 		partial := make([]uint64, 0, len(preds)+1)
-		var running uint64
 		for i := 0; i < kept; i++ {
-			c := binary.LittleEndian.Uint64(data[i*8:])
-			if c > gammaMax {
-				c = gammaMax
-			}
-			if c > running {
-				running = c
-			}
-			partial = append(partial, running)
+			partial = append(partial, binary.LittleEndian.Uint64(data[i*8:]))
 		}
 		data = data[k*8:]
 		if trueTop {
-			partial = append(partial, running) // TRUE count ≥ every chain count
+			partial = append(partial, 0) // nothing new under the TRUE top
 		}
+		partial[0] = min(partial[0], gammaMax)
 		if withSum {
-			sum := binary.LittleEndian.Uint64(data)
-			if sum > gammaMax {
-				sum = gammaMax
-			}
-			partial = append(partial, sum)
+			partial = append(partial, min(binary.LittleEndian.Uint64(data), gammaMax))
 		}
 
 		if !nestedPreds(preds) {

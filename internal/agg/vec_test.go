@@ -1,6 +1,11 @@
 package agg
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -164,8 +169,11 @@ func TestCountVecHugeDomain(t *testing.T) {
 }
 
 // TestChainFirstMatchTopValue: an item worth exactly 2⁶⁴−1 satisfies TRUE
-// but no strict-less probe; the chain fast path must count it under the
+// but no strict-less probe; the chain search must count it under the
 // trailing TRUE slot (and must NOT count it under a genuine Less(2⁶⁴−1)).
+// Beyond that pinned pair, the branch-free search is held to sort.Search
+// over the predicates themselves on generated (chain, v) pairs of every
+// chain length the probe plane builds.
 func TestChainFirstMatchTopValue(t *testing.T) {
 	node := &netsim.Node{Items: []netsim.Item{{Cur: ^uint64(0), Active: true}}}
 	withTrue := &countVecCombiner{
@@ -187,6 +195,40 @@ func TestChainFirstMatchTopValue(t *testing.T) {
 	lessTop.LocalVec(node, dst)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Errorf("Less(2^64-1) chain counted %v, want [0 0]", dst)
+	}
+
+	rng := rand.New(rand.NewPCG(24, 0xc4a1))
+	for pair := 0; pair < 10000; pair++ {
+		k := 1 + rng.IntN(64)
+		shift := rng.UintN(64) // chains crowded into every prefix of the domain
+		preds := make([]wire.Pred, k)
+		for i := range preds {
+			preds[i] = wire.Less(rng.Uint64() >> shift)
+		}
+		switch rng.IntN(4) {
+		case 0:
+			preds[rng.IntN(k)].A = ^uint64(0) // sorts last: a genuine Less(2⁶⁴−1)
+		case 1:
+			preds[k-1].A = ^uint64(0) // placeholder the TRUE top overwrites below
+		}
+		slices.SortFunc(preds, func(a, b wire.Pred) int { return cmp.Compare(a.A, b.A) })
+		trueTop := rng.IntN(2) == 0
+		if trueTop {
+			preds[k-1] = wire.True()
+		}
+		c := &countVecCombiner{domain: core.Linear, nested: true, preds: preds}
+		c.chain = buildChain(preds, nil)
+		v := rng.Uint64() >> shift
+		switch rng.IntN(4) {
+		case 0:
+			v = ^uint64(0)
+		case 1:
+			v = preds[rng.IntN(k)].A // on a threshold: strict-less must not match it
+		}
+		want := sort.Search(k, func(i int) bool { return preds[i].Eval(v) })
+		if got := c.chainFirstMatch(v); got != want {
+			t.Fatalf("chainFirstMatch(%d) over %v = %d, first matching probe is %d", v, preds, got, want)
+		}
 	}
 }
 
@@ -250,37 +292,61 @@ func TestVecBitsMatchesAppendVec(t *testing.T) {
 	}
 }
 
-// TestMultiAggregateMatchesSeparate: the fused vector sweep must report
-// exactly what the four separate Fact 2.1 protocols report, with and
-// without a predicate.
+// TestSumChargeRefusesGammaOverflow: SUM and COUNT are charged from VecBits
+// on the reliable path, so a partial sum of exactly 2⁶⁴−1 — which the
+// gamma code cannot carry — must fail the arithmetic charge the way it
+// fails the encoding, on the combiner and through a whole sweep on either
+// path.
+func TestSumChargeRefusesGammaOverflow(t *testing.T) {
+	overflows := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != "bitio: gamma overflow" {
+				t.Errorf("%s: recovered %v, want the gamma overflow panic", what, r)
+			}
+		}()
+		f()
+	}
+	top := []uint64{^uint64(0)}
+	overflows("sumCombiner.VecBits", func() { sumCombiner{}.VecBits(top) })
+	overflows("sumCombiner.AppendVec", func() { sumCombiner{}.AppendVec(bitio.NewWriter(8), top) })
+	overflows("sumCombiner.FoldVec", func() {
+		sumCombiner{pred: wire.True()}.FoldVec(&netsim.Node{}, make([]uint64, 1), []uint64{^uint64(0) - 5, 5})
+	})
+	for _, pooled := range []bool{true, false} {
+		// Two leaves under the root of a line: the middle node's partial sum
+		// is (2⁶⁴−3) + 2.
+		nw := netsim.New(topology.Line(3), []uint64{0, 2, ^uint64(0) - 2}, ^uint64(0), netsim.WithSeed(1))
+		fe := spantree.NewFast(nw)
+		fe.SetPooled(pooled)
+		overflows(fmt.Sprintf("Net.Sum pooled=%v", pooled), func() { NewNet(fe).Sum(core.Linear, wire.True()) })
+	}
+}
+
 // TestChainDeltaWidthMatchesPerSlot holds the OR-based width to the
-// definition it replaced — the maximum over slots of each delta's own width
-// — on the edge shapes (single slot, all-equal, one full-uint64 delta) and
-// on generated monotone vectors of every delta magnitude.
+// definition it replaced — the maximum over the delta slots of each one's
+// own width — on the edge shapes (single slot, all-zero deltas, one
+// full-uint64 delta) and on generated histograms of every bucket magnitude.
 func TestChainDeltaWidthMatchesPerSlot(t *testing.T) {
 	perSlot := func(p []uint64) int {
 		wmax := 1
-		for i := 1; i < len(p); i++ {
-			if wd := bitio.WidthOf(p[i] - p[i-1]); wd > wmax {
+		for _, v := range p[1:] {
+			if wd := bitio.WidthOf(v); wd > wmax {
 				wmax = wd
 			}
 		}
 		return wmax
 	}
 	cases := [][]uint64{
-		{7}, {0, 0, 0}, {9, 9, 9, 9}, {0, ^uint64(0)}, {1, 1, ^uint64(0) - 1},
-		{0, 1, 2, 4, 8}, {5, 6, 1 << 40, 1<<40 + 1},
+		{7}, {0, 0, 0}, {9, 0, 0, 0}, {0, ^uint64(0)}, {1, 0, ^uint64(0) - 2},
+		{0, 1, 1, 2, 4}, {5, 1, 1<<40 - 6, 1}, {^uint64(0) - 1, 3, 2, 1},
 	}
 	x := uint64(1)
 	for len(cases) < 2000 {
 		p := make([]uint64, 1+len(cases)%17)
 		for i := range p {
 			x = x*6364136223846793005 + 1442695040888963407
-			step := x >> (1 + x>>58) // deltas of every magnitude below 2⁶³
-			if i > 0 {
-				step = p[i-1] + min(step, ^uint64(0)-p[i-1])
-			}
-			p[i] = step
+			p[i] = x >> (x >> 58) // buckets of every magnitude
 		}
 		cases = append(cases, p)
 	}
@@ -291,6 +357,9 @@ func TestChainDeltaWidthMatchesPerSlot(t *testing.T) {
 	}
 }
 
+// TestMultiAggregateMatchesSeparate: the fused vector sweep must report
+// exactly what the four separate Fact 2.1 protocols report, with and
+// without a predicate.
 func TestMultiAggregateMatchesSeparate(t *testing.T) {
 	net := vecTestNet(256, 11)
 	for _, pred := range []wire.Pred{wire.True(), wire.InRange(100, 800), wire.Less(1)} {

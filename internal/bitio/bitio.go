@@ -137,8 +137,13 @@ func (w *Writer) WriteGamma(v uint64) {
 	w.WriteBits(n, k+1)
 }
 
-// GammaWidth returns the number of bits WriteGamma(v) would emit.
+// GammaWidth returns the number of bits WriteGamma(v) would emit, and
+// panics where WriteGamma panics: a charge computed from the width must
+// fail on exactly the values the encoding it stands for fails on.
 func GammaWidth(v uint64) int {
+	if v == 1<<64-1 {
+		panic("bitio: gamma overflow")
+	}
 	n := v + 1
 	k := bits.Len64(n) - 1
 	return 2*k + 1

@@ -89,6 +89,31 @@ func TestGammaWidth(t *testing.T) {
 	}
 }
 
+// TestGammaOverflowTwins: 2⁶⁴−1 is the one value gamma cannot code (v+1
+// wraps), and the width twin must refuse it as loudly as the writer — a
+// charge computed from GammaWidth stands for a WriteGamma that would panic.
+func TestGammaOverflowTwins(t *testing.T) {
+	for name, f := range map[string]func(){
+		"WriteGamma": func() { new(Writer).WriteGamma(^uint64(0)) },
+		"GammaWidth": func() { GammaWidth(^uint64(0)) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "bitio: gamma overflow" {
+					t.Errorf("%s(2^64-1): recovered %v, want the gamma overflow panic", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+	// The largest codable value still agrees, at the 127-bit extreme.
+	var w Writer
+	w.WriteGamma(^uint64(0) - 1)
+	if w.Len() != GammaWidth(^uint64(0)-1) || w.Len() != 127 {
+		t.Errorf("GammaWidth(2^64-2) = %d, wrote %d bits, want 127", GammaWidth(^uint64(0)-1), w.Len())
+	}
+}
+
 // TestRoundTripProperty: any (value, width) pair with value fitting in
 // width bits round-trips, interleaved with gamma codes.
 func TestRoundTripProperty(t *testing.T) {

@@ -428,7 +428,12 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	if e.timeout > 0 {
 		deadline = start.Add(e.timeout)
 	}
-	written := make(map[int]bool, len(idxs))
+	// written is indexed like results; a small Submit keeps it on the stack.
+	var few [32]bool
+	written := few[:]
+	if len(results) > len(few) {
+		written = make([]bool, len(results))
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			solo = solo[:0]

@@ -234,13 +234,13 @@ func (m *Meter) ChargeRx(to topology.NodeID, bits int) {
 	atomic.AddInt64(&m.cells[to].recv, int64(bits))
 }
 
-// Reset zeroes all counters.
+// Reset zeroes all counters. Like the *Seq charges it is a single-owner
+// operation — plain stores, one bulk clear instead of three full-barrier
+// atomic stores per cell: the caller must own the meter outright, with no
+// run charging or reading it, and must publish the reset to whoever uses
+// the meter next (ForkPool resets under its lock, between runs).
 func (m *Meter) Reset() {
-	for i := range m.cells {
-		atomic.StoreInt64(&m.cells[i].sent, 0)
-		atomic.StoreInt64(&m.cells[i].recv, 0)
-		atomic.StoreInt64(&m.cells[i].msgs, 0)
-	}
+	clear(m.cells)
 	m.watchedBits.Store(0)
 }
 

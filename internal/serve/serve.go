@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -514,11 +515,14 @@ func (s *Service) AdvanceEpoch(ctx context.Context) []Result {
 	}
 
 	jobs := make([]engine.Job, 0, len(subs))
+	id := make([]byte, 0, 32) // "sub-<id>@<epoch>", one string allocation per job
 	for _, sub := range subs {
 		q := sub.q
 		q.SeedWindows = sub.seedsLocked()
+		id = strconv.AppendInt(append(id[:0], "sub-"...), int64(sub.ID), 10)
+		id = strconv.AppendInt(append(id, '@'), int64(e), 10)
 		jobs = append(jobs, engine.Job{
-			ID:      fmt.Sprintf("sub-%d@%d", sub.ID, e),
+			ID:      string(id),
 			Spec:    s.spec,
 			Query:   q,
 			Overlay: ov,

@@ -1,13 +1,16 @@
 package spantree_test
 
-// Reference oracle for the reliable convergecast kernels: gatherScalarStash,
-// gatherVecDirect and levelSchedule exactly as they were before the
-// position-indexed rewrite (partials addressed by node ID — one stash
-// writer, one k-word arena slot and one vbits cell per node — and levels
-// as appended per-depth slices), kept verbatim apart from package
-// qualifiers so the identity tests below can hold the production kernels
-// to them bit for bit. The oracle lives outside the package: it needs
-// nothing unexported, and from here it can drive the real agg combiners.
+// Reference oracle for the reliable convergecast kernel: gatherVecDirect
+// and levelSchedule exactly as they were before the position-indexed
+// rewrite (partials addressed by node ID — one k-word arena slot and one
+// vbits cell per node — and levels as appended per-depth slices), kept
+// verbatim apart from package qualifiers so the identity tests below can
+// hold the production kernel to them bit for bit. It speaks LocalVec,
+// MergeVec and VecBits, never FoldVec, so it checks the production fold
+// from outside; the scalar combiners, which ride that kernel at width 1
+// and 2, are checked against the generic vocabulary (convergecastGeneric).
+// The oracle lives outside the package: it needs nothing unexported, and
+// from here it can drive the real agg combiners.
 
 import (
 	"fmt"
@@ -34,13 +37,10 @@ type oracleEngine struct {
 	view    *spantree.TreeView
 	workers int
 	sc      *oracleScratch
-
-	rootX, rootY uint64
 }
 
 type oracleScratch struct {
 	levels [][]topology.NodeID
-	stash  []*bitio.Writer
 	vec    []uint64
 	vbits  []int32
 }
@@ -65,93 +65,67 @@ func (e *oracleEngine) Broadcast(p wire.Payload, apply spantree.Applier) {
 	}
 }
 
-// Convergecast dispatches like the old engine's pooled, unwatched,
-// message-reliable paths — the only ones the two rewritten kernels served.
+// Convergecast dispatches on the combiner's generic partial: a combiner
+// whose partials are vectors on the generic path too takes the old engine's
+// vector kernel; COUNT, SUM and MIN/MAX — whose scalar kernel is gone, and
+// which now ride the production vector kernel at width 1 and 2 — are held
+// to the generic Local/Merge/Encode/Decode vocabulary instead.
 func (e *oracleEngine) Convergecast(c spantree.Combiner) (any, error) {
-	if vc, ok := c.(spantree.VecCombiner); ok {
+	vc, ok := c.(spantree.VecCombiner)
+	if !ok {
+		return nil, fmt.Errorf("oracle: %T is not a vector combiner", c)
+	}
+	if _, vec := c.Local(e.nw.Nodes[e.view.Root]).([]uint64); vec {
 		return e.convergecastVec(vc)
 	}
-	if sc, ok := c.(spantree.ScalarCombiner); ok {
-		return e.convergecastScalar(sc)
-	}
-	return nil, fmt.Errorf("oracle: %T is neither a scalar nor a vector combiner", c)
+	return e.convergecastGeneric(vc)
 }
 
-func (e *oracleEngine) convergecastScalar(sc spantree.ScalarCombiner) (any, error) {
+// convergecastGeneric is the reliable convergecast in the generic
+// vocabulary: every partial boxed, every edge through Encode and Decode,
+// each node's send and receive sides charged in one meter-cell visit.
+func (e *oracleEngine) convergecastGeneric(c spantree.VecCombiner) (any, error) {
 	v := e.view
-	n := len(v.Parent)
-	if cap(e.sc.stash) < n {
-		e.sc.stash = make([]*bitio.Writer, n)
-	}
-	stash := e.sc.stash[:n]
+	stash := make([]wire.Payload, len(v.Parent))
+	var root any
 	levels := e.levelSchedule()
 	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			for _, u := range lv {
-				if err := e.gatherScalarStash(u, sc, stash); err != nil {
-					return nil, err
+		for _, u := range levels[li] {
+			acc := c.Local(e.nw.Nodes[u])
+			recvBits := 0
+			for _, child := range v.Children[u] {
+				recvBits += stash[child].Bits()
+				dec, err := c.Decode(stash[child])
+				if err != nil {
+					return nil, fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
 				}
+				acc = c.Merge(acc, dec)
 			}
-			continue
-		}
-		errs := make([]error, w)
-		sc := sc
-		parallelChunks(len(lv), w, func(worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if err := e.gatherScalarStash(lv[i], sc, stash); err != nil {
-					errs[worker] = err
-					return
+			sentBits := -1
+			if u != v.Root {
+				pl := c.Encode(acc)
+				if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
+					// The lie is defined on the vector form: cross the codec
+					// into it and back.
+					if bc, ok := c.(spantree.ByzVecCombiner); ok {
+						tmp := make([]uint64, c.VecWidth())
+						if err := c.DecodeVec(pl, tmp); err != nil {
+							return nil, err
+						}
+						bc.CorruptVec(tmp, plan.LieWord(u))
+						w := bitio.NewWriter(64)
+						c.AppendVec(w, tmp)
+						pl = wire.FromWriter(w)
+					}
 				}
+				stash[u], sentBits = pl, pl.Bits()
+			} else {
+				root = acc
 			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+			e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
 		}
 	}
-	return sc.ScalarResult(e.rootX, e.rootY), nil
-}
-
-// gatherScalarStash runs one node's step on the reliable scalar path:
-// decode and merge the children's stashed payloads, then encode this
-// node's partial for its parent into the node's dedicated writer,
-// charging the node's send and receive sides in one meter-cell visit.
-func (e *oracleEngine) gatherScalarStash(u topology.NodeID, sc spantree.ScalarCombiner, stash []*bitio.Writer) error {
-	ax, ay := sc.LocalScalar(e.nw.Nodes[u])
-	recvBits := 0
-	for _, child := range e.view.Children[u] {
-		pl := wire.Borrowed(stash[child])
-		recvBits += pl.Bits()
-		bx, by, err := sc.DecodeScalar(pl)
-		if err != nil {
-			return fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-		}
-		ax, ay = sc.MergeScalar(ax, ay, bx, by)
-	}
-	sentBits := -1
-	if u != e.view.Root {
-		if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
-			if bc, ok := sc.(spantree.ByzScalarCombiner); ok {
-				ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
-			}
-		}
-		w := stash[u]
-		if w == nil {
-			w = bitio.NewWriter(64)
-			stash[u] = w
-		} else {
-			w.Reset()
-		}
-		sc.AppendScalar(w, ax, ay)
-		sentBits = w.Len()
-	} else {
-		e.rootX, e.rootY = ax, ay
-	}
-	e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
-	return nil
+	return root, nil
 }
 
 func (e *oracleEngine) convergecastVec(vc spantree.VecCombiner) (any, error) {

@@ -29,8 +29,6 @@ func (e *FastEngine) obsConvergecast(sk *obs.Sink, c Combiner) {
 	if vc, ok := c.(VecCombiner); ok && e.pooled {
 		name = "sweep.convergecast.vec"
 		width = int64(vc.VecWidth())
-	} else if _, ok := c.(ScalarCombiner); ok && e.pooled {
-		name = "sweep.convergecast.scalar"
 	}
 	sk.Tracer.Emit(name, 0,
 		obs.KV{K: "nodes", V: int64(len(e.view.Order))},

@@ -63,63 +63,21 @@ type AppendCombiner interface {
 	AppendPartial(w *bitio.Writer, p any)
 }
 
-// ByzScalarCombiner is an optional ScalarCombiner extension for the
-// adversarial fault tier: when the network's fault plan marks a node
-// Byzantine, the fast engine corrupts the node's outgoing partial at
-// store time — after the honest local+merge step, before the encoding its
-// parent reads — by calling CorruptScalar with the plan's next lie word
-// (faults.Plan.LieWord). The combiner owns the mapping from lie word to a
-// *legal* wire value (width masks, sentinels, monotonicity), so corrupted
-// partials always decode; combiners that do not implement the interface
-// are simply immune. The engine never corrupts the root: the base station
-// is the trusted querier.
-type ByzScalarCombiner interface {
-	ScalarCombiner
-	// CorruptScalar returns the lie reported instead of the honest
-	// partial (x, y). It must differ from (x, y) whenever the partial
-	// domain admits a second value, and must stay encodable.
-	CorruptScalar(x, y, lie uint64) (uint64, uint64)
-}
-
-// ByzVecCombiner is ByzScalarCombiner for vector partials: CorruptVec
-// rewrites p in place into the lie a Byzantine node reports. The combiner
-// must keep p inside its wire domain (e.g. a ⊆-chain count vector stays
-// monotone nondecreasing).
+// ByzVecCombiner is an optional VecCombiner extension for the adversarial
+// fault tier: when the network's fault plan marks a node Byzantine, the
+// fast engine corrupts the node's outgoing partial at store time — after
+// the honest local+merge step, before the encoding its parent reads — by
+// calling CorruptVec with the plan's next lie word (faults.Plan.LieWord),
+// which rewrites p in place into the lie the node reports. The combiner
+// owns the mapping from lie word to a *legal* wire value (width masks,
+// sentinels), so corrupted partials always decode, and the lie must differ
+// from the honest partial whenever the partial domain admits a second
+// value; combiners that do not implement the interface are simply immune.
+// The engine never corrupts the root: the base station is the trusted
+// querier.
 type ByzVecCombiner interface {
 	VecCombiner
 	CorruptVec(p []uint64, lie uint64)
-}
-
-// ScalarCombiner is an optional Combiner specialization for aggregates
-// whose partial state fits in two machine words (COUNT and SUM use one,
-// MIN/MAX uses two). The fast engine then keeps partials in flat uint64
-// slices instead of `any` slots, eliminating the per-node interface boxing
-// that otherwise dominates allocation on large convergecasts. The wire
-// format is unchanged — AppendScalar must emit exactly the bits Encode
-// would — so the scalar path is byte-identical to the generic one
-// (asserted by tests).
-type ScalarCombiner interface {
-	Combiner
-	// LocalScalar is Local with the partial packed into (x, y).
-	LocalScalar(n *netsim.Node) (x, y uint64)
-	// MergeScalar folds child partial (bx, by) into accumulator (ax, ay).
-	MergeScalar(ax, ay, bx, by uint64) (x, y uint64)
-	// AppendScalar encodes the partial, emitting the same bits as Encode.
-	AppendScalar(w *bitio.Writer, x, y uint64)
-	// DecodeScalar parses a partial encoded by AppendScalar.
-	DecodeScalar(pl wire.Payload) (x, y uint64, err error)
-	// ScalarResult converts the root partial to the value Convergecast
-	// returns — the same value the generic path would produce.
-	ScalarResult(x, y uint64) any
-}
-
-// scalarSlot is one node's partial on the scalar ring. On the reliable path
-// it is the pair the parent will merge — already through the wire codec —
-// with the encoded length the parent's receive side is charged; the
-// per-edge path stores the raw pair and encodes it once per delivery.
-type scalarSlot struct {
-	x, y uint64
-	bits int32
 }
 
 // Applier reacts to a broadcast payload at a node. It runs once per node,
@@ -197,10 +155,9 @@ type netScratch struct {
 	view *TreeView
 	full *viewSched
 
-	slots []scalarSlot // scalar ring
-	vec   []uint64     // vector ring, k words per slot
-	vbits []int32      // encoded length of each vector-ring slot
-	boxed []any        // ring of the generic (boxed-partial) path
+	vec   []uint64 // vector ring, k words per slot
+	vbits []int32  // encoded length of each vector-ring slot
+	boxed []any    // ring of the generic (boxed-partial) path
 	// Per worker: an arena of payload buffers, and k words of vtmp to
 	// decode into on the per-edge vector path.
 	arenas []*wire.Arena
@@ -229,7 +186,6 @@ type sweepOp struct {
 	plan *faults.Plan
 	c    Combiner
 	ac   AppendCombiner
-	sc   ScalarCombiner
 	vc   VecCombiner
 	k    int
 }
@@ -426,18 +382,6 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 		if vc, ok := c.(VecCombiner); ok {
 			return e.convergecastVec(vc, perEdge, workers)
 		}
-		if sc, ok := c.(ScalarCombiner); ok {
-			e.op.sc = sc
-			sh.slots = grow(sh.slots, 2*s.width)
-			run := (*FastEngine).levelScalar
-			if perEdge {
-				run = (*FastEngine).levelScalarEdges
-			}
-			if err := e.sweep(run); err != nil {
-				return nil, err
-			}
-			return sc.ScalarResult(sh.slots[0].x, sh.slots[0].y), nil
-		}
 		e.op.ac, _ = c.(AppendCombiner)
 	}
 	sh.boxed = grow(sh.boxed, 2*s.width)
@@ -590,96 +534,6 @@ func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
 			e.nw.Meter.ChargeRxSeq(u, recvBits)
 		}
 		mine[i-base] = acc
-	}
-	return nil
-}
-
-// levelScalar sweeps positions [lo, hi) of level l on the reliable scalar
-// path: merge the children's slots, then encode this node's partial for
-// its parent into the worker's one writer, keep the pair the parent would
-// decode from it, and charge the node's send and receive sides in one
-// meter-cell visit — the parent never touches the child's cell.
-func (e *FastEngine) levelScalar(worker, l, lo, hi int) error {
-	op, v, a := &e.op, e.view, e.sh.arenas[worker]
-	s, sc, plan := op.s, op.sc, op.plan
-	mine, kids := e.sh.slots[s.half(l):], e.sh.slots[s.half(l+1):]
-	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
-	w := a.Writer(64)
-	defer a.Release(w)
-	for i := lo; i < hi; i++ {
-		u := v.Order[i]
-		ax, ay := sc.LocalScalar(e.nw.Nodes[u])
-		recvBits := 0
-		for _, ch := range kids[int(s.cs[i])-kbase : int(s.cs[i+1])-kbase] {
-			recvBits += int(ch.bits)
-			ax, ay = sc.MergeScalar(ax, ay, ch.x, ch.y)
-		}
-		sentBits := -1
-		if i > 0 { // position 0 is the root: it sends nothing
-			if plan != nil && plan.Byzantine(u) {
-				if bc, ok := sc.(ByzScalarCombiner); ok {
-					ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
-				}
-			}
-			w.Reset()
-			sc.AppendScalar(w, ax, ay)
-			sentBits = w.Len()
-			var err error
-			if ax, ay, err = sc.DecodeScalar(wire.Borrowed(w)); err != nil {
-				return fmt.Errorf("spantree: decoding partial from node %d: %w", u, err)
-			}
-		}
-		mine[i-base] = scalarSlot{x: ax, y: ay, bits: int32(sentBits)}
-		e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
-	}
-	return nil
-}
-
-// levelScalarEdges is levelScalar with per-edge charging: the path for
-// watched-edge runs and message-level fault plans, where each delivery's
-// fate (and its exact (from, to) pair) must be priced individually.
-func (e *FastEngine) levelScalarEdges(worker, l, lo, hi int) error {
-	op, v, a := &e.op, e.view, e.sh.arenas[worker]
-	s, sc, plan := op.s, op.sc, op.plan
-	mine, kids := e.sh.slots[s.half(l):], e.sh.slots[s.half(l+1):]
-	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
-	for i := lo; i < hi; i++ {
-		u := v.Order[i]
-		ax, ay := sc.LocalScalar(e.nw.Nodes[u])
-		recvBits := 0
-		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
-			child, cp := v.Order[j], kids[j-kbase]
-			w := a.Writer(64)
-			sc.AppendScalar(w, cp.x, cp.y)
-			pl := wire.Borrowed(w)
-			deliveries := 1
-			if plan != nil {
-				deliveries = plan.Deliveries(child, u)
-			}
-			var err error
-			for d := 0; d < deliveries; d++ {
-				recvBits += e.chargeDelivery(child, u, pl.Bits())
-				var bx, by uint64
-				if bx, by, err = sc.DecodeScalar(pl); err != nil {
-					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-					break
-				}
-				ax, ay = sc.MergeScalar(ax, ay, bx, by)
-			}
-			a.Release(w)
-			if err != nil {
-				return err
-			}
-		}
-		if recvBits > 0 {
-			e.nw.Meter.ChargeRxSeq(u, recvBits)
-		}
-		if i > 0 && plan != nil && plan.Byzantine(u) {
-			if bc, ok := sc.(ByzScalarCombiner); ok {
-				ax, ay = bc.CorruptScalar(ax, ay, plan.LieWord(u))
-			}
-		}
-		mine[i-base] = scalarSlot{x: ax, y: ay}
 	}
 	return nil
 }

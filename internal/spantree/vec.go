@@ -9,15 +9,22 @@ import (
 )
 
 // VecCombiner is an optional Combiner specialization for aggregates whose
-// partial state is a fixed-width vector of machine words — the batched
-// probe plane: one convergecast carries k counts (CountVec) or a fused
-// COUNT+SUM+MIN+MAX tuple instead of a single scalar. The fast engine then
-// keeps the partials of the two live levels in one flat []uint64 ring on
-// the run network (k words per slot), so a warm vector convergecast
-// allocates nothing and sweeps levels in parallel exactly like the scalar
-// path. The wire format is unchanged between paths — AppendVec must emit
-// exactly the bits Encode would — so the vector path is byte-identical to
-// the generic one (asserted by tests).
+// partial state is a fixed-width vector of machine words: the batched
+// probe plane (k counts in one convergecast), the fused
+// COUNT+SUM+MIN+MAX tuple, and the Fact 2.1 scalars at width 1 (COUNT,
+// SUM) and 2 (MIN/MAX). The fast engine keeps the partials of the two live
+// levels in one flat []uint64 ring on the run network (k words per slot),
+// so a warm vector convergecast allocates nothing and boxes nothing.
+//
+// What the k words mean is the combiner's business: the engine only moves
+// them between LocalVec/MergeVec/FoldVec and the codec, so a combiner is
+// free to keep partials in whatever form makes those cheap — the wire's
+// own, typically — as long as every method agrees on it. The wire format
+// is unchanged between paths — AppendVec must emit exactly the bits Encode
+// would for the same partial — so the vector path is byte-identical to the
+// generic one (asserted by tests). Only the root's partial leaves the
+// engine, through VecResult; turning it into the value the protocol
+// promises is for VecResult or its caller to finish.
 type VecCombiner interface {
 	Combiner
 	// VecWidth returns the fixed vector width k of every partial in this
@@ -30,29 +37,40 @@ type VecCombiner interface {
 	// MergeVec folds the child partial src into the accumulator acc
 	// (both len VecWidth). It must be insensitive to child order.
 	MergeVec(acc, src []uint64)
+	// FoldVec is one node's whole step on the reliable path, in one call
+	// and one pass: it writes n's outgoing partial — n's own contribution
+	// merged with its children's partials, which lie back to back in kids
+	// (len(kids) a multiple of VecWidth, zero for a leaf) — into dst,
+	// overwriting every slot, and returns its encoded length. In dst's
+	// contents and in the returned length alike it must equal
+	// LocalVec(n, dst), then MergeVec(dst, child) for every child in kids,
+	// then VecBits(dst) — the vocabulary the per-edge paths keep using, and
+	// the oracle the fold is tested against.
+	FoldVec(n *netsim.Node, dst, kids []uint64) int
 	// AppendVec encodes the partial, emitting the same bits as Encode.
 	AppendVec(w *bitio.Writer, p []uint64)
-	// VecBits returns exactly the number of bits AppendVec(p) would emit.
-	// The reliable pooled path charges this length arithmetically and
-	// hands the partial to the parent in the shared ring instead of
-	// materializing the payload — same meters, same values, none of the
-	// per-edge codec cost. The faulty, watched, unpooled, and goroutine
-	// paths still round-trip every edge through AppendVec/DecodeVec, and
-	// the cross-engine identity tests assert the equivalence.
+	// VecBits returns exactly the number of bits AppendVec(p) would emit,
+	// and fails where AppendVec fails. The reliable pooled path charges
+	// this length arithmetically and hands the partial to the parent in
+	// the shared ring instead of materializing the payload — same meters,
+	// same values, none of the per-edge codec cost. The faulty, watched,
+	// unpooled, and goroutine paths still round-trip every edge through
+	// the codec, and the cross-engine identity tests assert the
+	// equivalence.
 	VecBits(p []uint64) int
 	// DecodeVec parses a partial encoded by AppendVec into dst
 	// (len VecWidth), overwriting every slot.
 	DecodeVec(pl wire.Payload, dst []uint64) error
 	// VecResult converts the root partial to the value Convergecast
-	// returns — the same value the generic path would produce. The slice
-	// aliases scratch shared by every engine on the run network: it is
-	// valid until the next operation of any engine on that network, and
-	// callers that keep it longer must copy.
+	// returns — the same value the generic path would produce. A slice
+	// result may alias scratch shared by every engine on the run network:
+	// it is valid until the next operation of any engine on that network,
+	// and callers that keep it longer must copy.
 	VecResult(p []uint64) any
 }
 
 // convergecastVec is Convergecast for VecCombiners: the same level sweep,
-// charges, and fault decisions as the scalar path, with partials on the
+// charges, and fault decisions as the generic path, with partials on the
 // vector ring — k words per slot — instead of boxed `any` slots.
 func (e *FastEngine) convergecastVec(vc VecCombiner, perEdge bool, workers int) (any, error) {
 	k := vc.VecWidth()
@@ -77,39 +95,42 @@ func (e *FastEngine) convergecastVec(vc VecCombiner, perEdge bool, workers int) 
 
 // levelVec sweeps positions [lo, hi) of level l on the reliable vector
 // path: every node's partial travels to its parent in the ring itself —
-// merged straight out of the children's half — and the wire cost is
-// charged from VecBits (the exact length AppendVec would emit, kept beside
-// the slot so the parent's receive side reads it instead of recomputing),
-// the whole step in one meter-cell visit. Values and meters are
-// byte-identical to the encoding paths (VecBits == len(AppendVec), merge
-// input == decoded payload), which the engine-variant identity tests
-// assert.
+// one FoldVec straight out of the children's half, where a node's children
+// are one contiguous run — and the wire cost is charged from the length
+// the fold returns (the exact length AppendVec would emit, kept beside the
+// slot so the parent's receive side reads it instead of recomputing), the
+// whole step in one meter-cell visit. A Byzantine sender is the rare path:
+// its partial is corrupted after the fold and priced again. Values and
+// meters are byte-identical to the encoding paths (VecBits ==
+// len(AppendVec), merge input == decoded payload), which the
+// engine-variant identity tests assert.
 func (e *FastEngine) levelVec(_, l, lo, hi int) error {
-	op, v, sh := &e.op, e.view, e.sh
+	op, sh := &e.op, e.sh
 	s, vc, k, plan := op.s, op.vc, op.k, op.plan
+	nodes, meter, order, cs := e.nw.Nodes, e.nw.Meter, e.view.Order, s.cs
+	bc, _ := vc.(ByzVecCombiner)
 	mine, mbits := sh.vec[s.half(l)*k:], sh.vbits[s.half(l):]
 	kids, kbits := sh.vec[s.half(l+1)*k:], sh.vbits[s.half(l+1):]
 	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
 	for i := lo; i < hi; i++ {
-		u := v.Order[i]
+		u := order[i]
+		j0, j1 := int(cs[i])-kbase, int(cs[i+1])-kbase
 		acc := mine[(i-base)*k : (i-base+1)*k]
-		vc.LocalVec(e.nw.Nodes[u], acc)
+		sentBits := vc.FoldVec(nodes[u], acc, kids[j0*k:j1*k])
 		recvBits := 0
-		for j := int(s.cs[i]) - kbase; j < int(s.cs[i+1])-kbase; j++ {
-			recvBits += int(kbits[j])
-			vc.MergeVec(acc, kids[j*k:(j+1)*k])
+		for _, b := range kbits[j0:j1] {
+			recvBits += int(b)
 		}
-		sentBits := -1
-		if i > 0 { // position 0 is the root: it sends nothing
-			if plan != nil && plan.Byzantine(u) {
-				if bc, ok := vc.(ByzVecCombiner); ok {
-					bc.CorruptVec(acc, plan.LieWord(u))
-				}
+		if i == 0 { // position 0 is the root: it sends nothing
+			sentBits = -1
+		} else {
+			if plan != nil && bc != nil && plan.Byzantine(u) {
+				bc.CorruptVec(acc, plan.LieWord(u))
+				sentBits = vc.VecBits(acc)
 			}
-			sentBits = vc.VecBits(acc)
 			mbits[i-base] = int32(sentBits)
 		}
-		e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
+		meter.ChargeNodeSeq(u, sentBits, recvBits)
 	}
 	return nil
 }
