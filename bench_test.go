@@ -561,7 +561,7 @@ func BenchmarkEngineMedian8(b *testing.B) {
 
 // BenchmarkEngineMedian8Fused — the fusion acceptance gate: 8 exact
 // medians against ONE 4096-node deployment, solo (8 independent batched
-// searches, each paying its own probe plane) vs fused (Options.Fuse merges
+// searches, each paying its own probe plane) vs fused (WithFusion merges
 // all 8 into one shared-sweep batch). The sweeps/op metric counts total
 // tree sweeps across the batch — fusion executes them once instead of 8
 // times — and bits/node prices the probe plane(s) in the paper's measure.
@@ -661,7 +661,11 @@ func benchFusedBatch(b *testing.B, jobs []engine.Job) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			eng := engine.New(engine.Options{Workers: 4, Fuse: bc.fuse})
+			eng := engine.New(engine.Options{Workers: 4})
+			var opts []engine.SubmitOption
+			if bc.fuse {
+				opts = append(opts, engine.WithFusion())
+			}
 			for _, j := range jobs {
 				if _, err := eng.Session().Template(j.Spec); err != nil {
 					b.Fatal(err)
@@ -670,7 +674,7 @@ func benchFusedBatch(b *testing.B, jobs []engine.Job) {
 			b.ResetTimer()
 			var sweeps, bits int64
 			for i := 0; i < b.N; i++ {
-				results := eng.Submit(context.Background(), jobs)
+				results := eng.Submit(context.Background(), jobs, opts...)
 				for _, r := range results {
 					if r.Failed() {
 						b.Fatal(r.Error)

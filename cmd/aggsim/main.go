@@ -61,7 +61,6 @@ type options struct {
 	aggs     string
 	eps      float64
 	beta     float64
-	engine   string
 	sketchP  int
 	children int
 	probeW   int
@@ -97,7 +96,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.aggs, "aggs", "", "comma-separated aggregates for -query fused (default count,sum,min,max)")
 	fs.Float64Var(&o.eps, "eps", 0.25, "failure probability ε for randomized queries")
 	fs.Float64Var(&o.beta, "beta", 1.0/64, "precision β for apxmedian2")
-	fs.StringVar(&o.engine, "engine", "fast", "fast|goroutine")
 	fs.IntVar(&o.sketchP, "sketchp", core.DefaultSketchP, "LogLog register exponent p (m=2^p)")
 	fs.IntVar(&o.children, "maxchildren", netsim.DefaultMaxChildren, "spanning-tree degree bound (0=unbounded)")
 	fs.IntVar(&o.probeW, "probewidth", 0,
@@ -142,7 +140,6 @@ func (o options) spec(seed uint64) engine.Spec {
 		MaxX:        o.maxX,
 		Seed:        seed,
 		MaxChildren: children,
-		TreeEngine:  o.engine,
 		Faults: faults.Spec{
 			Crash:    o.crash,
 			LinkFail: o.linkfail,
@@ -207,7 +204,11 @@ func run(o options) error {
 		}
 	}
 
-	eng := engine.New(engine.Options{Workers: o.workers, Timeout: o.timeout, Fuse: o.fuse})
+	eng := engine.New(engine.Options{Workers: o.workers, Timeout: o.timeout})
+	var opts []engine.SubmitOption
+	if o.fuse {
+		opts = append(opts, engine.WithFusion())
+	}
 
 	// Report the actual node count (grid/torus round down to a square),
 	// not the requested one; warming the template here also keeps topology
@@ -219,7 +220,7 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	results := eng.Submit(context.Background(), jobs)
+	results := eng.Submit(context.Background(), jobs, opts...)
 	wall := time.Since(start)
 	report := engine.Collect(eng, results, wall)
 

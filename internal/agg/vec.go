@@ -356,8 +356,8 @@ func (c *countVecCombiner) CorruptVec(p []uint64, lie uint64) {
 
 func (c *countVecCombiner) VecResult(p []uint64) any { return p }
 
-// Generic Combiner methods: the copying reference path (unpooled fast
-// engine, goroutine engine). Byte-identical to the vector path.
+// Generic Combiner methods: the copying codec path (the goroutine reference
+// engine). Byte-identical to the vector path.
 
 func (c *countVecCombiner) Local(n *netsim.Node) any {
 	dst := make([]uint64, c.vecWidth())

@@ -130,7 +130,7 @@ func FuzzCountVecCodec(f *testing.F) {
 				t.Fatalf("slot %d: decoded %d, encoded %d (chain %v, partial %v)", i, dst[i], partial[i], preds, partial)
 			}
 		}
-		// The generic Encode/Decode pair (unpooled and goroutine engines)
+		// The generic Encode/Decode pair (the goroutine engine's codec path)
 		// must be byte-identical to the vector path.
 		pl2 := comb.Encode(partial)
 		if pl2.Bits() != pl.Bits() {

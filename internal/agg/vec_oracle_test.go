@@ -533,8 +533,9 @@ func (o cumOps) Convergecast(c spantree.Combiner) (any, error) {
 }
 
 // TestCountVecMatchesCumulativeOracleEndToEnd: whole sweeps — honest, with
-// Byzantine senders, with dropped and duplicated messages; on the ring
-// path and on the per-edge, unpooled and goroutine paths — return what the
+// Byzantine senders, with dropped and duplicated messages; on the vector
+// kernel (reliable and per-edge), the generic codec path and the goroutine
+// engine — return what the
 // oracle returns on the same path and charge every node what the oracle's
 // encoding charged it.
 func TestCountVecMatchesCumulativeOracleEndToEnd(t *testing.T) {
@@ -549,11 +550,7 @@ func TestCountVecMatchesCumulativeOracleEndToEnd(t *testing.T) {
 			fe.SetWorkers(3)
 			return fe
 		}},
-		{"fast-unpooled", func(nw *netsim.Network) spantree.Ops {
-			fe := spantree.NewFast(nw)
-			fe.SetPooled(false)
-			return fe
-		}},
+		{"fast-generic", func(nw *netsim.Network) spantree.Ops { return genericOps{spantree.NewFast(nw)} }},
 		{"goroutine", func(nw *netsim.Network) spantree.Ops { return spantree.NewGoroutine(nw) }},
 	}
 	rng := rand.New(rand.NewPCG(24, 0xe2e))

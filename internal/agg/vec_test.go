@@ -91,10 +91,23 @@ func TestCountVecCheaperThanSeparateCounts(t *testing.T) {
 	}
 }
 
-// TestCountVecIdenticalAcrossEngines: the pooled vector fast path, the
-// unpooled generic fallback, the forced-parallel schedule, and the
-// goroutine reference engine must produce identical counts and identical
-// meters for the same probe chain.
+// combinerOnly exposes only the Combiner methods of what it wraps, hiding
+// VecCombiner from the engine.
+type combinerOnly struct{ spantree.Combiner }
+
+// genericOps runs every convergecast of the Ops it wraps on the generic
+// path — each edge through Encode and Decode — the reference the vector
+// kernel is held to.
+type genericOps struct{ spantree.Ops }
+
+func (o genericOps) Convergecast(c spantree.Combiner) (any, error) {
+	return o.Ops.Convergecast(combinerOnly{c})
+}
+
+// TestCountVecIdenticalAcrossEngines: the vector kernel, the generic
+// codec path, the forced-parallel schedule, and the goroutine reference
+// engine must produce identical counts and identical meters for the same
+// probe chain.
 func TestCountVecIdenticalAcrossEngines(t *testing.T) {
 	const n, seed = 144, 9
 	preds := []wire.Pred{wire.Less(37), wire.Less(222), wire.Less(404), wire.True()}
@@ -117,11 +130,10 @@ func TestCountVecIdenticalAcrossEngines(t *testing.T) {
 	ref := run(func(nw *netsim.Network) spantree.Ops {
 		fe := spantree.NewFast(nw)
 		fe.SetWorkers(1)
-		fe.SetPooled(false)
-		return fe
+		return genericOps{fe}
 	})
 	variants := map[string]func(nw *netsim.Network) spantree.Ops{
-		"fast-pooled": func(nw *netsim.Network) spantree.Ops { return spantree.NewFast(nw) },
+		"fast": func(nw *netsim.Network) spantree.Ops { return spantree.NewFast(nw) },
 		"fast-parallel": func(nw *netsim.Network) spantree.Ops {
 			fe := spantree.NewFast(nw)
 			fe.SetWorkers(8)
@@ -313,13 +325,15 @@ func TestSumChargeRefusesGammaOverflow(t *testing.T) {
 	overflows("sumCombiner.FoldVec", func() {
 		sumCombiner{pred: wire.True()}.FoldVec(&netsim.Node{}, make([]uint64, 1), []uint64{^uint64(0) - 5, 5})
 	})
-	for _, pooled := range []bool{true, false} {
+	for _, generic := range []bool{false, true} {
 		// Two leaves under the root of a line: the middle node's partial sum
 		// is (2⁶⁴−3) + 2.
 		nw := netsim.New(topology.Line(3), []uint64{0, 2, ^uint64(0) - 2}, ^uint64(0), netsim.WithSeed(1))
-		fe := spantree.NewFast(nw)
-		fe.SetPooled(pooled)
-		overflows(fmt.Sprintf("Net.Sum pooled=%v", pooled), func() { NewNet(fe).Sum(core.Linear, wire.True()) })
+		var ops spantree.Ops = spantree.NewFast(nw)
+		if generic {
+			ops = genericOps{ops}
+		}
+		overflows(fmt.Sprintf("Net.Sum generic=%v", generic), func() { NewNet(ops).Sum(core.Linear, wire.True()) })
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // on error.
 func runOK(t *testing.T, job Job) Result {
 	t.Helper()
-	r := New(Options{Workers: 1}).RunOne(context.Background(), job)
+	r := New(Options{Workers: 1}).Submit(context.Background(), []Job{job})[0]
 	if r.Failed() {
 		t.Fatalf("%s on %s: %s", job.Query, job.Spec.Normalize(), r.Error)
 	}
@@ -159,8 +159,8 @@ func TestFusedMatchesSeparateAggregates(t *testing.T) {
 	}
 
 	// Unknown aggregate names fail loudly.
-	bad := New(Options{Workers: 1}).RunOne(context.Background(),
-		Job{Spec: gridSpec(64, 1), Query: Query{Kind: KindFused, Aggs: []string{"median"}}})
+	bad := New(Options{Workers: 1}).Submit(context.Background(),
+		[]Job{{Spec: gridSpec(64, 1), Query: Query{Kind: KindFused, Aggs: []string{"median"}}}})[0]
 	if !bad.Failed() || !strings.Contains(bad.Error, "unknown fused aggregate") {
 		t.Errorf("bad fused agg: %+v", bad.Error)
 	}
@@ -178,7 +178,7 @@ func TestQuantilesValidation(t *testing.T) {
 		{[]float64{0}, "out of (0,1]"},
 		{[]float64{0.5, 1.2}, "out of (0,1]"},
 	} {
-		r := e.RunOne(context.Background(), Job{Spec: gridSpec(64, 1), Query: Query{Kind: KindQuantiles, Phis: tc.phis}})
+		r := e.Submit(context.Background(), []Job{{Spec: gridSpec(64, 1), Query: Query{Kind: KindQuantiles, Phis: tc.phis}}})[0]
 		if !r.Failed() || !strings.Contains(r.Error, tc.want) {
 			t.Errorf("phis %v: error %q, want containing %q", tc.phis, r.Error, tc.want)
 		}

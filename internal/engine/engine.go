@@ -147,7 +147,7 @@ type Result struct {
 	AuditBits      int64  `json:"audit_bits,omitempty"`
 
 	// Fused marks a result answered by a shared-sweep fusion batch
-	// (Options.Fuse): its communication fields price the whole shared
+	// (WithFusion): its communication fields price the whole shared
 	// probe plane, which served every member of the batch at once.
 	// SharedSweeps is the number of probe sweeps in the plane that
 	// answered this query — the batch's shared schedule for a fused
@@ -189,13 +189,6 @@ type Options struct {
 	Timeout time.Duration
 	// Session supplies the topology cache (nil → a fresh one).
 	Session *Session
-	// Fuse enables shared-sweep query fusion: concurrent fusable jobs
-	// against the same deployment and run seed execute as one batch on one
-	// forked network, their probe thresholds merged into shared CountVec
-	// sweeps (see fusion.go). Off by default — fused members report the
-	// batch's shared communication cost, which changes what Result meters
-	// mean, so callers opt in.
-	Fuse bool
 }
 
 // Engine executes query jobs on a bounded worker pool.
@@ -203,7 +196,11 @@ type Engine struct {
 	workers int
 	timeout time.Duration
 	session *Session
-	fuse    bool
+	// treeWorkers pins every run's tree-kernel schedule
+	// (spantree.FastEngine.SetWorkers): 1 sequential, k > 1 forced
+	// parallel. Zero — the auto schedule — in production; engine tests set
+	// it to hold the schedules to each other.
+	treeWorkers int
 }
 
 // New returns an engine with the given options.
@@ -216,7 +213,7 @@ func New(opts Options) *Engine {
 	if s == nil {
 		s = NewSession()
 	}
-	return &Engine{workers: w, timeout: opts.Timeout, session: s, fuse: opts.Fuse}
+	return &Engine{workers: w, timeout: opts.Timeout, session: s}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -224,20 +221,6 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Session returns the engine's topology cache.
 func (e *Engine) Session() *Session { return e.session }
-
-// Run executes jobs with the engine's configured options.
-//
-// Deprecated: Run is Submit with no options; call Submit.
-func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
-	return e.Submit(ctx, jobs)
-}
-
-// RunOne executes a single job synchronously.
-//
-// Deprecated: RunOne is Submit of a one-job slice; call Submit.
-func (e *Engine) RunOne(ctx context.Context, job Job) Result {
-	return e.Submit(ctx, []Job{job})[0]
-}
 
 // runAll executes jobs on the worker pool and returns results strictly in
 // job order — every result is written at its job's index, so neither
@@ -249,13 +232,12 @@ func (e *Engine) RunOne(ctx context.Context, job Job) Result {
 // early if ctx is cancelled, in which case jobs that never started are
 // marked with the context error at their own indices.
 //
-// With fusion enabled, jobs are first partitioned into execution units:
-// fusable jobs against one deployment become a fusion batch dispatched to
-// a single worker (see fusion.go); everything else runs solo exactly as
-// before.
-func (e *Engine) runAll(ctx context.Context, jobs []Job) []Result {
+// With fuse set, jobs are first partitioned into execution units: fusable
+// jobs against one deployment become a fusion batch dispatched to a single
+// worker (see fusion.go); everything else runs solo exactly as before.
+func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
-	units := e.planUnits(jobs)
+	units := planUnits(jobs, fuse)
 	audits := planAudits(jobs)
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, units)
@@ -361,7 +343,7 @@ func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce) Result {
 		}
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := execute(nw, spec, job.Query, aud)
+	ans, err := e.execute(nw, spec, job.Query, aud)
 	if err != nil {
 		nw.Release()
 		return failedResult(job, err)
@@ -431,18 +413,4 @@ func resultFrom(spec Spec, q Query, ans answer, d netsim.Delta, wall time.Durati
 		}
 	}
 	return r
-}
-
-// executeSerial runs one query serially against an existing per-run
-// network — the engine's execution path without the pool, used by tests
-// asserting parallel == serial. External callers go through Engine.Submit.
-func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
-	spec = spec.Normalize()
-	before := nw.Meter.Snapshot()
-	start := time.Now()
-	ans, err := execute(nw, spec, q, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultFrom(spec, q, ans, nw.Meter.Since(before), time.Since(start)), nil
 }

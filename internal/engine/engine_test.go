@@ -35,6 +35,19 @@ func serialReference(t *testing.T, job Job) Result {
 	return res
 }
 
+// executeSerial runs one query serially against an existing per-run
+// network: the engine's execution path without the pool or the fork.
+func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
+	spec = spec.Normalize()
+	before := nw.Meter.Snapshot()
+	start := time.Now()
+	ans, err := new(Engine).execute(nw, spec, q, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return resultFrom(spec, q, ans, nw.Meter.Since(before), time.Since(start)), nil
+}
+
 // TestParallelMatchesSerial is the engine's concurrent-correctness
 // contract: N parallel queries on distinct seeds each match their
 // serial-execution answer and bits/node cost exactly. Determinism must
@@ -59,7 +72,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 
 	e := New(Options{Workers: 8})
-	results := e.Run(context.Background(), jobs)
+	results := e.Submit(context.Background(), jobs)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
@@ -97,7 +110,7 @@ func TestConcurrentSameSpec(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job
 	}
-	results := e.Run(context.Background(), jobs)
+	results := e.Submit(context.Background(), jobs)
 	for i, r := range results {
 		if r.Failed() {
 			t.Fatalf("run %d failed: %s", i, r.Error)
@@ -178,14 +191,14 @@ func TestSessionCache(t *testing.T) {
 // reported failed, and other jobs in the batch still complete.
 func TestDeadline(t *testing.T) {
 	e := New(Options{Workers: 2, Timeout: time.Nanosecond})
-	r := e.RunOne(context.Background(), Job{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}})
+	r := e.Submit(context.Background(), []Job{{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}}})[0]
 	if !r.Failed() {
 		t.Fatal("expected deadline failure")
 	}
 
 	// Without a timeout the same job succeeds.
 	ok := New(Options{Workers: 2})
-	r = ok.RunOne(context.Background(), Job{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}})
+	r = ok.Submit(context.Background(), []Job{{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}}})[0]
 	if r.Failed() {
 		t.Fatalf("unexpected failure: %s", r.Error)
 	}
@@ -201,7 +214,7 @@ func TestRunCancel(t *testing.T) {
 		{Spec: gridSpec(64, 1), Query: Query{Kind: KindCount}},
 		{Spec: gridSpec(64, 2), Query: Query{Kind: KindCount}},
 	}
-	for i, r := range e.Run(ctx, jobs) {
+	for i, r := range e.Submit(ctx, jobs) {
 		if !r.Failed() {
 			t.Errorf("job %d: expected context-cancelled failure", i)
 		}
@@ -219,7 +232,7 @@ func TestBadJobsAreIsolated(t *testing.T) {
 		{Spec: gridSpec(64, 1), Query: Query{Kind: KindSingleHop}}, // needs complete topology
 		{Spec: gridSpec(64, 2), Query: Query{Kind: KindSum}},
 	}
-	results := e.Run(context.Background(), jobs)
+	results := e.Submit(context.Background(), jobs)
 	for _, i := range []int{0, 4} {
 		if results[i].Failed() {
 			t.Errorf("job %d should succeed, got: %s", i, results[i].Error)
@@ -239,7 +252,7 @@ func TestFailedTemplateIsNotPoisoned(t *testing.T) {
 	e := New(Options{Workers: 2})
 	bad := Spec{Topology: "grid", N: 64, Workload: "bogus", Seed: 1}
 	for i := 0; i < 2; i++ {
-		r := e.RunOne(context.Background(), Job{Spec: bad, Query: Query{Kind: KindCount}})
+		r := e.Submit(context.Background(), []Job{{Spec: bad, Query: Query{Kind: KindCount}}})[0]
 		if !r.Failed() {
 			t.Fatalf("attempt %d: expected failure", i)
 		}
@@ -252,10 +265,10 @@ func TestFailedTemplateIsNotPoisoned(t *testing.T) {
 // TestStatementKind routes sensorql statements through the engine.
 func TestStatementKind(t *testing.T) {
 	e := New(Options{Workers: 2})
-	r := e.RunOne(context.Background(), Job{
+	r := e.Submit(context.Background(), []Job{{
 		Spec:  gridSpec(100, 3),
 		Query: Query{Kind: KindStatement, Statement: "SELECT count(value)"},
-	})
+	}})[0]
 	if r.Failed() {
 		t.Fatalf("statement failed: %s", r.Error)
 	}

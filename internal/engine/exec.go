@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -179,7 +178,7 @@ type robustInfo struct {
 // simulator-side ground truth shrinks to the surviving, reconnected nodes
 // — the population the healed tree can actually aggregate. aud is the byz
 // audit a robust job shares with others of its Submit (nil: none).
-func execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, error) {
+func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, error) {
 	q = q.WithDefaults()
 
 	if spec.Faults.Active() && nw.Faults == nil {
@@ -197,73 +196,37 @@ func execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, er
 		}
 	}
 
-	// A fusable tree query under a phased fault plan runs as a resilient
-	// batch of one: the detect → re-heal → resume loop in retry.go, with
-	// the same degradation contract as a fused batch. The goroutine
-	// reference engine is rejected below (it has no sweep clock), and
-	// unfusable parameters fall through to report their standard errors.
-	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && fusableKind(q.Kind) {
-		switch spec.TreeEngine {
-		case "", "fast", "fast-serial", "fast-parallel":
-			if ans, ok, err := executeResilientSolo(nw, spec, q); ok {
-				return ans, err
-			}
-		}
-	}
-
-	var ops spantree.Ops
+	var fe *spantree.FastEngine
 	var heal *spantree.HealResult
-	switch spec.TreeEngine {
-	case "", "fast", "fast-serial", "fast-parallel":
-		var fe *spantree.FastEngine
-		if usesTree(q.Kind) {
-			var hr *spantree.HealResult
-			var err error
-			fe, hr, err = spantree.NewFastHealed(nw)
-			if err != nil {
-				return answer{}, err
-			}
-			heal = hr
-		} else {
-			// Gossip/radio kinds never touch the tree: no repair runs,
-			// so their cost is purely the protocol's own traffic.
-			fe = spantree.NewFast(nw)
+	if usesTree(q.Kind) {
+		var err error
+		if fe, heal, err = spantree.NewFastHealed(nw); err != nil {
+			return answer{}, err
 		}
-		// The -serial and -parallel variants pin the fast engine's
-		// schedule (and -serial additionally disables payload pooling):
-		// reference modes for the identity tests, bit-identical to the
-		// default auto schedule.
-		switch spec.TreeEngine {
-		case "fast-serial":
-			if p := nw.Faults; p != nil && p.Adversarial() {
-				// The unpooled reference path routes combiners through the
-				// generic gather, which has no lie-injection hook — an
-				// adversarial plan would silently not lie there.
-				return answer{}, fmt.Errorf("engine: adversarial fault plans (byz) require the pooled fast engine")
-			}
-			fe.SetWorkers(1)
-			fe.SetPooled(false)
-		case "fast-parallel":
-			fe.SetWorkers(2 * runtime.GOMAXPROCS(0))
-		}
-		ops = fe
-	case "goroutine":
-		if p := nw.Faults; p != nil && p.Active() {
-			return answer{}, fmt.Errorf("engine: fault plans require the fast tree engine")
-		}
-		ops = spantree.NewGoroutine(nw)
-	default:
-		return answer{}, fmt.Errorf("engine: unknown tree engine %q", spec.TreeEngine)
+	} else {
+		// Gossip/radio kinds never touch the tree: no repair runs, so their
+		// cost is purely the protocol's own traffic.
+		fe = spantree.NewFast(nw)
 	}
+	fe.SetWorkers(e.treeWorkers)
 	values := nw.AllItems()
 	if heal != nil {
 		values = survivingItems(nw, heal.View)
 	}
-	if q.Robust {
-		return executeRobust(nw, spec, q, ops, heal, values, aud)
+	// A fusable tree query under a phased fault plan runs as a resilient
+	// batch of one: the detect → re-heal → resume loop in retry.go, with
+	// the same degradation contract as a fused batch. Unfusable parameters
+	// fall through to report their standard errors.
+	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && fusableKind(q.Kind) {
+		if ans, ok, err := e.executeResilientSolo(nw, spec, q, fe, heal, values); ok {
+			return ans, err
+		}
 	}
-	net := agg.NewNet(ops, agg.WithSketchP(q.SketchP))
-	ans, err := executeKind(nw, spec, q, ops, net, values)
+	if q.Robust {
+		return executeRobust(nw, spec, q, fe, heal, values, aud)
+	}
+	net := agg.NewNet(fe, agg.WithSketchP(q.SketchP))
+	ans, err := executeKind(nw, spec, q, fe, net, values)
 	if err != nil {
 		return answer{}, err
 	}
@@ -276,13 +239,9 @@ func execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, er
 // costs traffic, so honest runs skip it), re-derive the execution view and
 // ground truth, cross-check the trimmed plane against the
 // duplicate-insensitive sketch, and dispatch the kind over a RobustNet.
-func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, heal *spantree.HealResult, values []uint64, aud *auditOnce) (answer, error) {
+func executeRobust(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, heal *spantree.HealResult, values []uint64, aud *auditOnce) (answer, error) {
 	if !robustKind(q.Kind) {
 		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", q.Kind)
-	}
-	fe, ok := ops.(*spantree.FastEngine)
-	if !ok {
-		return answer{}, fmt.Errorf("engine: robust mode requires the fast tree engine")
 	}
 	view := fe.View()
 	plan := nw.Faults
@@ -303,7 +262,7 @@ func executeRobust(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, hea
 	if adversarial {
 		rnet.CrossCheck()
 	}
-	ans, err := executeKind(nw, spec, q, ops, rnet, values)
+	ans, err := executeKind(nw, spec, q, fe, rnet, values)
 	if err != nil {
 		return answer{}, err
 	}

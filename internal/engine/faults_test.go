@@ -113,7 +113,7 @@ func TestParallelMatchesSerialFaulty(t *testing.T) {
 	}
 
 	e := New(Options{Workers: 8})
-	results := e.Run(context.Background(), jobs)
+	results := e.Submit(context.Background(), jobs)
 	for i, got := range results {
 		if got.Failed() {
 			t.Fatalf("job %d (%s seed %d) failed: %s", i, jobs[i].Query, jobs[i].Spec.Seed, got.Error)
@@ -154,7 +154,7 @@ func TestCrashHealingAcceptance(t *testing.T) {
 			spec := Spec{Topology: "grid", N: n, Workload: string(workload.Uniform),
 				Seed: seed, Faults: faults.Spec{Crash: rate}}
 
-			med := e.RunOne(context.Background(), Job{Spec: spec, Query: Query{Kind: KindMedian}})
+			med := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindMedian}}})[0]
 			if med.Failed() {
 				t.Fatalf("rate %.2f seed %d: median failed: %s", rate, seed, med.Error)
 			}
@@ -171,7 +171,7 @@ func TestCrashHealingAcceptance(t *testing.T) {
 				t.Errorf("rate %.2f seed %d: no repair cost reported", rate, seed)
 			}
 
-			cnt := e.RunOne(context.Background(), Job{Spec: spec, Query: Query{Kind: KindCount}})
+			cnt := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindCount}}})[0]
 			if cnt.Failed() {
 				t.Fatalf("rate %.2f seed %d: count failed: %s", rate, seed, cnt.Error)
 			}
@@ -196,7 +196,7 @@ func TestSketchesUnderDuplication(t *testing.T) {
 		t.Helper()
 		spec := base
 		spec.Faults = fs
-		r := e.RunOne(context.Background(), Job{Spec: spec, Query: Query{Kind: kind}})
+		r := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: kind}}})[0]
 		if r.Failed() {
 			t.Fatalf("%s under %v failed: %s", kind, fs, r.Error)
 		}
@@ -246,17 +246,5 @@ func TestFaultSweepSharesTemplate(t *testing.T) {
 	}
 	if b.Faults == nil || b.Faults.CrashedCount() == 0 {
 		t.Error("faulty instantiation did not attach an active plan")
-	}
-}
-
-// TestGoroutineEngineRejectsFaults: fault plans are a fast-engine feature;
-// the goroutine engine must refuse rather than silently ignore them.
-func TestGoroutineEngineRejectsFaults(t *testing.T) {
-	e := New(Options{Workers: 1})
-	spec := faultySpec(64, 1, faults.Spec{Crash: 0.05})
-	spec.TreeEngine = "goroutine"
-	r := e.RunOne(context.Background(), Job{Spec: spec, Query: Query{Kind: KindCount}})
-	if !r.Failed() {
-		t.Fatal("goroutine engine accepted a fault plan")
 	}
 }

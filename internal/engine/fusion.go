@@ -85,15 +85,6 @@ type FusedResult struct {
 	N, Sum, Lo, Hi uint64
 }
 
-// RunFused executes members as one fusion batch over net.
-//
-// Deprecated: the engine drives fusion itself — call Engine.Submit with
-// WithFusion. RunFused remains for callers that own their network and
-// meter directly.
-func RunFused(ctx context.Context, net *agg.Net, members []FusedMember, deadline time.Time) (FusedResult, error) {
-	return runFused(ctx, net, members, deadline)
-}
-
 // runFused executes members as one fusion batch over net: one MinMax
 // round, then shared CountVec sweeps until every member resolves. The
 // caller owns net (typically a private forked run network) and its meter.
@@ -154,7 +145,7 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 	resolved := false // the shared top probe (N) has run
 	// finish marks every unresolved member the batch is abandoning.
 	// Members that already resolved keep their answers: control falls
-	// through to the assembly loop below, never out of RunFused early —
+	// through to the assembly loop below, never out of runFused early —
 	// a member is always either answered, failed, or detached.
 	finish := func(mark func(r *FusedMemberResult)) {
 		for i := range members {
@@ -300,28 +291,19 @@ type fuseKey struct {
 // planUnits partitions jobs into execution units: a unit is either one
 // solo job or a fusion batch of ≥2 compatible jobs. Units are dispatched
 // to the worker pool as wholes; results are always written back by
-// original job index, so fusion never reorders a batch's results. The
-// goroutine reference engine is left unfused (its value is being an
-// independent implementation, not a fast one).
-func (e *Engine) planUnits(jobs []Job) [][]int {
+// original job index, so fusion never reorders a batch's results.
+func planUnits(jobs []Job, fuse bool) [][]int {
 	units := make([][]int, 0, len(jobs))
-	if !e.fuse {
-		for i := range jobs {
-			units = append(units, []int{i})
-		}
-		return units
-	}
 	groups := make(map[fuseKey]int)
 	for i := range jobs {
-		spec := jobs[i].Spec.Normalize()
 		// Robust jobs stay solo: the byz tier aggregates per sector with
 		// its own trimmed plane, which the shared probe schedule cannot
 		// represent.
-		if !fusableKind(jobs[i].Query.Kind) || spec.TreeEngine == "goroutine" || jobs[i].Query.Robust {
+		if !fuse || !fusableKind(jobs[i].Query.Kind) || jobs[i].Query.Robust {
 			units = append(units, []int{i})
 			continue
 		}
-		key := fuseKey{spec: spec, seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
+		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
 		if u, ok := groups[key]; ok {
 			units[u] = append(units[u], i)
 		} else {
@@ -473,7 +455,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		}
 		return solo
 	}
-	pinFastEngine(fe, spec.TreeEngine)
+	fe.SetWorkers(e.treeWorkers)
 	values := nw.AllItems()
 	if hr != nil {
 		values = survivingItems(nw, hr.View)
@@ -518,7 +500,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		// through the detect → re-heal → resume loop instead of the plain
 		// schedule. Members are rebuilt per attempt inside, because the
 		// survivor population (and with it φ-resolved ranks) shrinks.
-		rout, ferr = resilientFused(ctx, nw, spec, fe, hr, values, queries, deadline)
+		rout, ferr = e.resilientFused(ctx, nw, spec, fe, hr, values, queries, deadline)
 		if ferr == nil {
 			fres, hr, values = rout.res, rout.hr, rout.values
 		}

@@ -83,8 +83,8 @@ func TestFusedMatchesUnfusedIdentity(t *testing.T) {
 			spec.Faults = fs
 			jobs := fusionBatch(spec)
 			session := NewSession()
-			fused := New(Options{Workers: 2, Fuse: true, Session: session}).Run(context.Background(), jobs)
-			solo := New(Options{Workers: 2, Session: session}).Run(context.Background(), jobs)
+			fused := New(Options{Workers: 2, Session: session}).Submit(context.Background(), jobs, WithFusion())
+			solo := New(Options{Workers: 2, Session: session}).Submit(context.Background(), jobs)
 			fusedCount := 0
 			for i := range jobs {
 				label := planName + "/" + jobs[i].ID
@@ -119,8 +119,8 @@ func TestFusedDeterministic(t *testing.T) {
 	spec := gridSpec(256, 9)
 	spec.Faults = faults.Spec{Crash: 0.05}
 	jobs := fusionBatch(spec)
-	a := New(Options{Workers: 4, Fuse: true}).Run(context.Background(), jobs)
-	b := New(Options{Workers: 1, Fuse: true}).Run(context.Background(), jobs)
+	a := New(Options{Workers: 4}).Submit(context.Background(), jobs, WithFusion())
+	b := New(Options{Workers: 1}).Submit(context.Background(), jobs, WithFusion())
 	for i := range jobs {
 		x, y := a[i], b[i]
 		x.WallNS, y.WallNS = 0, 0
@@ -142,8 +142,8 @@ func TestFusedSharesSweeps(t *testing.T) {
 		jobs[i] = Job{Spec: spec, Query: Query{Kind: KindMedian}}
 	}
 	session := NewSession()
-	fused := New(Options{Workers: 4, Fuse: true, Session: session}).Run(context.Background(), jobs)
-	solo := New(Options{Workers: 4, Session: session}).Run(context.Background(), jobs)
+	fused := New(Options{Workers: 4, Session: session}).Submit(context.Background(), jobs, WithFusion())
+	solo := New(Options{Workers: 4, Session: session}).Submit(context.Background(), jobs)
 
 	soloSweeps, fusedSweeps := 0, fused[0].SharedSweeps
 	var soloMessages int64
@@ -180,9 +180,9 @@ func TestFusionCompatibilityGrouping(t *testing.T) {
 		{ID: "badphi", Spec: gridSpec(144, 1), Query: Query{Kind: KindQuantile, Phi: 1.5}},
 	}
 	session := NewSession()
-	fusedEng := New(Options{Workers: 2, Fuse: true, Session: session})
-	fused := fusedEng.Run(context.Background(), jobs)
-	solo := New(Options{Workers: 2, Session: session}).Run(context.Background(), jobs)
+	fusedEng := New(Options{Workers: 2, Session: session})
+	fused := fusedEng.Submit(context.Background(), jobs, WithFusion())
+	solo := New(Options{Workers: 2, Session: session}).Submit(context.Background(), jobs)
 	for i := range jobs {
 		if fused[i].Fused {
 			t.Errorf("%s: fused although incompatible with every other job", jobs[i].ID)
@@ -201,7 +201,7 @@ func TestFusionCompatibilityGrouping(t *testing.T) {
 		{ID: "good", Spec: gridSpec(144, 5), Query: Query{Kind: KindMedian}},
 		{ID: "bad", Spec: gridSpec(144, 5), Query: Query{Kind: KindQuantile, Phi: -1}},
 	}
-	res := fusedEng.Run(context.Background(), pair)
+	res := fusedEng.Submit(context.Background(), pair, WithFusion())
 	if res[0].Failed() || res[0].Fused {
 		t.Errorf("good member: failed=%v fused=%v, want solo success", res[0].Failed(), res[0].Fused)
 	}
@@ -223,9 +223,9 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 		{Ranks: []core.BatchRank{{Median: true}}, Width: 8},
 		{Aggs: []string{"count", "sum"}},
 	}
-	res, err := RunFused(context.Background(), net, members, time.Now().Add(-time.Second))
+	res, err := runFused(context.Background(), net, members, time.Now().Add(-time.Second))
 	if err != nil {
-		t.Fatalf("RunFused: %v", err)
+		t.Fatalf("runFused: %v", err)
 	}
 	for i, m := range res.Members {
 		if !m.Detached || m.Err != nil || m.Values != nil || m.AggValues != nil {
@@ -239,9 +239,9 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 	// Cancelled context fails unresolved members with the context error.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = RunFused(cctx, net, members, time.Time{})
+	res, err = runFused(cctx, net, members, time.Time{})
 	if err != nil {
-		t.Fatalf("RunFused: %v", err)
+		t.Fatalf("runFused: %v", err)
 	}
 	for i, m := range res.Members {
 		if m.Err != context.Canceled || m.Detached {
@@ -252,12 +252,12 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 	// Deactivate everything: the batch reports the empty multiset.
 	net.Filter(wire.Less(0))
 	defer net.Reset()
-	if _, err := RunFused(context.Background(), net, members, time.Time{}); err != core.ErrEmpty {
+	if _, err := runFused(context.Background(), net, members, time.Time{}); err != core.ErrEmpty {
 		t.Errorf("empty multiset: err %v, want core.ErrEmpty", err)
 	}
 }
 
-// TestRunFusedMidBatchDeadlineKeepsResolvedAnswers pins RunFused's member
+// TestRunFusedMidBatchDeadlineKeepsResolvedAnswers pins runFused's member
 // contract when the deadline fires *between* sweeps: every member is
 // answered, failed, or detached — never a "successful" empty result. An
 // aggregate member resolves on sweep 1, a width-1 median needs many more
@@ -275,7 +275,7 @@ func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 			{Aggs: []string{"count"}},
 			{Ranks: []core.BatchRank{{Median: true}}, Width: 1},
 		}
-		res, err := RunFused(context.Background(), net, members, time.Now().Add(budget))
+		res, err := runFused(context.Background(), net, members, time.Now().Add(budget))
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
@@ -317,16 +317,16 @@ func TestFusedTimeoutMatchesSolo(t *testing.T) {
 	if _, err := session.Template(spec); err != nil {
 		t.Fatal(err)
 	}
-	res := New(Options{Workers: 2, Fuse: true, Timeout: time.Nanosecond, Session: session}).
-		Run(context.Background(), jobs)
+	res := New(Options{Workers: 2, Timeout: time.Nanosecond, Session: session}).
+		Submit(context.Background(), jobs, WithFusion())
 	for i, r := range res {
 		if !r.Failed() || !strings.Contains(r.Error, "deadline") {
 			t.Errorf("job %d: error %q, want a deadline failure", i, r.Error)
 		}
 	}
 	// With a workable deadline the same fused batch succeeds.
-	ok := New(Options{Workers: 2, Fuse: true, Timeout: time.Minute, Session: session}).
-		Run(context.Background(), jobs)
+	ok := New(Options{Workers: 2, Timeout: time.Minute, Session: session}).
+		Submit(context.Background(), jobs, WithFusion())
 	for i, r := range ok {
 		if r.Failed() {
 			t.Errorf("job %d: %s", i, r.Error)
@@ -348,12 +348,15 @@ func TestRunKeepsInputOrderUnderCancellation(t *testing.T) {
 			jobs[i].ID = jobs[i].ID + "-" + string(rune('0'+i/26))
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		eng := New(Options{Workers: 2, Fuse: fuse})
+		var opts []SubmitOption
+		if fuse {
+			opts = append(opts, WithFusion())
+		}
 		go func() {
 			time.Sleep(5 * time.Millisecond)
 			cancel()
 		}()
-		results := eng.Run(ctx, jobs)
+		results := New(Options{Workers: 2}).Submit(ctx, jobs, opts...)
 		sawCancelled := false
 		for i, r := range results {
 			if r.Failed() && strings.Contains(r.Error, context.Canceled.Error()) {

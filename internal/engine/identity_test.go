@@ -59,32 +59,44 @@ func queryFor(kind string) Query {
 	return q
 }
 
-// TestFastEngineVariantsIdenticalAllKinds is the pooled/parallel identity
-// gate at the query-engine level: for every query kind, the default fast
-// engine (pooled, auto-parallel), the sequential unpooled reference, and
-// the forced-parallel schedule must report byte-identical values, details,
-// and meters.
+// pinned returns a one-worker engine whose every run sweeps the tree on
+// the given kernel schedule: 1 sequential, k > 1 forced across k workers,
+// 0 the production auto schedule.
+func pinned(treeWorkers int) *Engine {
+	e := New(Options{Workers: 1})
+	e.treeWorkers = treeWorkers
+	return e
+}
+
+// forcedWorkers forces every level with two or more nodes across workers,
+// whatever the host's core count.
+const forcedWorkers = 3
+
+// schedules are the kernel schedules the identity gates compare against
+// the sequential reference.
+var schedules = []struct {
+	name    string
+	workers int
+}{{"auto", 0}, {"forced-parallel", forcedWorkers}}
+
+// TestFastEngineVariantsIdenticalAllKinds is the schedule identity gate at
+// the query-engine level: for every query kind, the sequential kernel
+// schedule, the production auto schedule and the forced-parallel schedule
+// must report byte-identical values, details, and meters.
 func TestFastEngineVariantsIdenticalAllKinds(t *testing.T) {
-	eng := New(Options{Workers: 1})
 	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			spec := Spec{Topology: "grid", N: 64, Workload: "uniform", Seed: 5}
 			if kind == KindSingleHop {
 				spec.Topology = "complete"
 			}
-			ref := eng.RunOne(context.Background(), Job{
-				Spec:  withEngine(spec, "fast-serial"),
-				Query: queryFor(kind),
-			})
+			job := []Job{{Spec: spec, Query: queryFor(kind)}}
+			ref := pinned(1).Submit(context.Background(), job)[0]
 			if ref.Failed() {
 				t.Fatalf("reference run: %s", ref.Error)
 			}
-			for _, te := range []string{"fast", "fast-parallel"} {
-				got := eng.RunOne(context.Background(), Job{
-					Spec:  withEngine(spec, te),
-					Query: queryFor(kind),
-				})
-				identityFields(t, te, got, ref)
+			for _, sc := range schedules {
+				identityFields(t, sc.name, pinned(sc.workers).Submit(context.Background(), job)[0], ref)
 			}
 		})
 	}
@@ -95,27 +107,20 @@ func TestFastEngineVariantsIdenticalAllKinds(t *testing.T) {
 // drop/dup exercises the per-edge delivery decisions — for the tree kinds
 // that support structural faults.
 func TestFastEngineVariantsIdenticalUnderFaults(t *testing.T) {
-	eng := New(Options{Workers: 1})
 	fs := faults.Spec{Crash: 0.08, Drop: 0.03, Dup: 0.03}
 	for _, kind := range []string{KindMedian, KindCount, KindSum, KindMin, KindQDigest, KindSampling, KindCollectAll, KindApxDistinct} {
 		t.Run(kind, func(t *testing.T) {
 			spec := Spec{Topology: "grid", N: 144, Workload: "uniform", Seed: 9, Faults: fs}
-			ref := eng.RunOne(context.Background(), Job{
-				Spec:  withEngine(spec, "fast-serial"),
-				Query: queryFor(kind),
-			})
+			job := []Job{{Spec: spec, Query: queryFor(kind)}}
+			ref := pinned(1).Submit(context.Background(), job)[0]
 			if ref.Failed() {
 				t.Fatalf("reference run: %s", ref.Error)
 			}
 			if ref.Crashed == 0 {
 				t.Fatalf("fault plan crashed no nodes — test is vacuous")
 			}
-			for _, te := range []string{"fast", "fast-parallel"} {
-				got := eng.RunOne(context.Background(), Job{
-					Spec:  withEngine(spec, te),
-					Query: queryFor(kind),
-				})
-				identityFields(t, te, got, ref)
+			for _, sc := range schedules {
+				identityFields(t, sc.name, pinned(sc.workers).Submit(context.Background(), job)[0], ref)
 			}
 		})
 	}
@@ -142,19 +147,14 @@ func TestPooledInstantiateIdenticalAcrossReuse(t *testing.T) {
 		{"median-faulty", mk(KindMedian, faults.Spec{Crash: 0.05, Drop: 0.02})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			first := eng.RunOne(context.Background(), tc.job)
+			first := eng.Submit(context.Background(), []Job{tc.job})[0]
 			if first.Failed() {
 				t.Fatalf("first run: %s", first.Error)
 			}
 			for i := 0; i < 4; i++ {
-				again := eng.RunOne(context.Background(), tc.job)
+				again := eng.Submit(context.Background(), []Job{tc.job})[0]
 				identityFields(t, "recycled run", again, first)
 			}
 		})
 	}
-}
-
-func withEngine(s Spec, te string) Spec {
-	s.TreeEngine = te
-	return s
 }

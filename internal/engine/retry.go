@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"sensoragg/internal/agg"
@@ -54,7 +53,7 @@ type resilientOutcome struct {
 // result, and survivor values of the pre-query state; every retry rebuilds
 // them from the re-healed view. queries must already have defaults
 // resolved and be fusable (fusedMemberFor ok).
-func resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, hr *spantree.HealResult, values []uint64, queries []Query, deadline time.Time) (*resilientOutcome, error) {
+func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, hr *spantree.HealResult, values []uint64, queries []Query, deadline time.Time) (*resilientOutcome, error) {
 	plan := nw.Faults
 	out := &resilientOutcome{hr: hr}
 	var seeds [][]core.SeedWindow
@@ -136,7 +135,7 @@ func resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *span
 		}
 		out.hr = hr2
 		fe = spantree.NewFastView(nw, hr2.View)
-		pinFastEngine(fe, spec.TreeEngine)
+		fe.SetWorkers(e.treeWorkers)
 		values = survivingItems(nw, hr2.View)
 		if len(values) == 0 {
 			return nil, core.ErrEmpty
@@ -210,23 +209,15 @@ func degradeMembers(members []FusedMember, steppers []*core.SelectStepper, res *
 }
 
 // executeResilientSolo routes a solo fusable query under a phased fault
-// plan through the resilient loop as a batch of one. ok is false when the
+// plan through the resilient loop as a batch of one, from the engine, heal
+// result and survivor values of the pre-query state. ok is false when the
 // query's parameters are unfusable — the caller falls through to the plain
 // path, which reports the standard parameter error.
-func executeResilientSolo(nw *netsim.Network, spec Spec, q Query) (answer, bool, error) {
-	fe, hr, err := spantree.NewFastHealed(nw)
-	if err != nil {
-		return answer{}, true, err
-	}
-	pinFastEngine(fe, spec.TreeEngine)
-	values := nw.AllItems()
-	if hr != nil {
-		values = survivingItems(nw, hr.View)
-	}
+func (e *Engine) executeResilientSolo(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, hr *spantree.HealResult, values []uint64) (answer, bool, error) {
 	if _, ok := fusedMemberFor(q, values); !ok {
 		return answer{}, false, nil
 	}
-	rout, err := resilientFused(context.Background(), nw, spec, fe, hr, values, []Query{q}, time.Time{})
+	rout, err := e.resilientFused(context.Background(), nw, spec, fe, hr, values, []Query{q}, time.Time{})
 	if err != nil {
 		return answer{}, true, err
 	}
@@ -248,17 +239,4 @@ func executeResilientSolo(nw *netsim.Network, spec Spec, q Query) (answer, bool,
 	ans.degraded = rout.degraded
 	ans.survivorFrac = rout.survivorFrac
 	return ans, true, nil
-}
-
-// pinFastEngine applies the TreeEngine reference-variant pinning shared by
-// the fused and resilient paths (exec.go's solo path keeps its own switch:
-// it additionally rejects adversarial plans on the unpooled variant).
-func pinFastEngine(fe *spantree.FastEngine, treeEngine string) {
-	switch treeEngine {
-	case "fast-serial":
-		fe.SetWorkers(1)
-		fe.SetPooled(false)
-	case "fast-parallel":
-		fe.SetWorkers(2 * runtime.GOMAXPROCS(0))
-	}
 }

@@ -55,8 +55,7 @@ func TestResilientFusedBatchMidSweepCrash(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Spec: spec, Query: Query{Kind: KindMedian}}
 	}
-	e := New(Options{Workers: 4, Fuse: true})
-	results := e.Submit(context.Background(), jobs)
+	results := New(Options{Workers: 4}).Submit(context.Background(), jobs, WithFusion())
 
 	want := float64(core.TrueMedian(core.SortedCopy(survivorTruth(t, spec))))
 	for i, r := range results {
@@ -105,8 +104,7 @@ func TestResilientMixedBatchMidSweepCrash(t *testing.T) {
 	for i, q := range queries {
 		jobs[i] = Job{Spec: spec, Query: q}
 	}
-	e := New(Options{Workers: 2, Fuse: true})
-	results := e.Submit(context.Background(), jobs)
+	results := New(Options{Workers: 2}).Submit(context.Background(), jobs, WithFusion())
 
 	survivors := survivorTruth(t, spec)
 	for i, r := range results {
@@ -147,27 +145,25 @@ func TestResilientSoloMatchesFused(t *testing.T) {
 	}
 }
 
-// TestResilientSerialVsParallelIdentical pins the engine-variant identity
-// under mid-flight faults: the fast-serial and fast-parallel reference
-// schedules must resume to byte-identical results. Run with -race.
+// TestResilientSerialVsParallelIdentical pins the schedule identity under
+// mid-flight faults: the sequential and forced-parallel kernel schedules
+// must resume — on the re-healed engine too — to byte-identical results.
+// Run with -race.
 func TestResilientSerialVsParallelIdentical(t *testing.T) {
 	for _, kind := range []string{KindMedian, KindCount} {
-		base := midSpec(256, 5, faults.Spec{MidAt: 2, MidCrash: 0.1}, 2)
-		variant := func(te string) Result {
-			spec := base
-			spec.TreeEngine = te
-			e := New(Options{Workers: 2})
-			r := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: kind}}})[0]
+		spec := midSpec(256, 5, faults.Spec{MidAt: 2, MidCrash: 0.1}, 2)
+		variant := func(workers int) Result {
+			r := pinned(workers).Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: kind}}})[0]
 			if r.Failed() {
-				t.Fatalf("%s on %s failed: %s", kind, te, r.Error)
+				t.Fatalf("%s with %d tree workers failed: %s", kind, workers, r.Error)
 			}
 			return r
 		}
-		ser, par := variant("fast-serial"), variant("fast-parallel")
+		ser, par := variant(1), variant(forcedWorkers)
 		if ser.Value != par.Value || ser.Retries != par.Retries ||
 			ser.Degraded != par.Degraded || ser.SurvivorFrac != par.SurvivorFrac ||
 			ser.Truth != par.Truth {
-			t.Errorf("%s: fast-serial (%g, r%d, d%v, s%g) != fast-parallel (%g, r%d, d%v, s%g)",
+			t.Errorf("%s: sequential (%g, r%d, d%v, s%g) != forced-parallel (%g, r%d, d%v, s%g)",
 				kind, ser.Value, ser.Retries, ser.Degraded, ser.SurvivorFrac,
 				par.Value, par.Retries, par.Degraded, par.SurvivorFrac)
 		}
@@ -251,8 +247,7 @@ func TestRootKillRerootsAndConverges(t *testing.T) {
 }
 
 // TestPhasedFaultSupport: kinds outside the resilient and natively
-// degrading families must reject phased plans with an explanation, and the
-// goroutine reference engine (no sweep clock) must refuse them outright.
+// degrading families must reject phased plans with an explanation.
 func TestPhasedFaultSupport(t *testing.T) {
 	fs := faults.Spec{MidAt: 2, MidCrash: 0.05}
 	e := New(Options{Workers: 1})
@@ -266,13 +261,6 @@ func TestPhasedFaultSupport(t *testing.T) {
 		if !r.Failed() || !strings.Contains(r.Error, "phased") {
 			t.Errorf("%s accepted a phased plan (error %q)", kind, r.Error)
 		}
-	}
-
-	spec := midSpec(64, 1, fs, 1)
-	spec.TreeEngine = "goroutine"
-	r := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindCount}}})[0]
-	if !r.Failed() {
-		t.Error("goroutine engine accepted a phased plan")
 	}
 
 	// Gossip degrades natively past the fire: the run completes (the

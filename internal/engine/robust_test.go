@@ -172,23 +172,11 @@ func TestRobustRejections(t *testing.T) {
 		{"statement", gridSpec(64, 1), Query{Kind: KindStatement, Statement: "SELECT median(value)", Robust: true}, "robust"},
 		{"sketch-kind", gridSpec(64, 1), Query{Kind: KindApxDistinct, Robust: true}, "robust"},
 		{"gossip-kind", gridSpec(64, 1), Query{Kind: KindGossip, Robust: true}, "robust"},
-		{"fast-serial-byz", func() Spec {
-			s := gridSpec(64, 1)
-			s.TreeEngine = "fast-serial"
-			s.Faults = faults.Spec{Byz: 0.1}
-			return s
-		}(), Query{Kind: KindMedian}, "pooled"},
-		{"goroutine-byz", func() Spec {
-			s := gridSpec(64, 1)
-			s.TreeEngine = "goroutine"
-			s.Faults = faults.Spec{Byz: 0.1}
-			return s
-		}(), Query{Kind: KindMedian}, "fast tree engine"},
 	}
 	e := New(Options{Workers: 2})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := e.Run(context.Background(), []Job{{Spec: tc.spec, Query: tc.q}})[0]
+			res := e.Submit(context.Background(), []Job{{Spec: tc.spec, Query: tc.q}})[0]
 			if !res.Failed() {
 				t.Fatalf("expected failure, got value %g", res.Value)
 			}
@@ -215,7 +203,7 @@ func TestRobustParallelMatchesSerial(t *testing.T) {
 		)
 	}
 	e := New(Options{Workers: 6})
-	results := e.Run(context.Background(), jobs)
+	results := e.Submit(context.Background(), jobs)
 	for i, got := range results {
 		if got.Failed() {
 			t.Fatalf("job %d failed: %s", i, got.Error)
@@ -342,7 +330,7 @@ func TestRobustMessageFaultsParallelMatchesSerial(t *testing.T) {
 			Job{Spec: spec, Query: Query{Kind: KindFused, Robust: true}},
 		)
 	}
-	results := New(Options{Workers: 6}).Run(context.Background(), jobs)
+	results := New(Options{Workers: 6}).Submit(context.Background(), jobs)
 	serial := New(Options{Workers: 1})
 	for i, got := range results {
 		want := serial.Submit(context.Background(), []Job{jobs[i]})[0]

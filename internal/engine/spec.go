@@ -46,12 +46,6 @@ type Spec struct {
 	// MaxChildren bounds the spanning tree degree: 0 means the netsim
 	// default, negative disables bounding.
 	MaxChildren int `json:"max_children,omitempty"`
-	// TreeEngine selects the tree executor: "fast" (default, auto
-	// level-parallel with pooled payloads), "goroutine" (the per-node
-	// goroutine reference engine), or the test/reference variants
-	// "fast-serial" (sequential, unpooled) and "fast-parallel" (forced
-	// parallel sweeps). All produce identical results and meters.
-	TreeEngine string `json:"tree_engine,omitempty"`
 	// Faults configures deterministic fault injection for every run of
 	// this deployment (zero value = reliable network). Each run gets its
 	// own plan forked from its run seed, so batch sweeps stay
@@ -106,9 +100,6 @@ func (s Spec) Normalize() Spec {
 	}
 	if s.MaxChildren == 0 {
 		s.MaxChildren = netsim.DefaultMaxChildren
-	}
-	if s.TreeEngine == "" {
-		s.TreeEngine = "fast"
 	}
 	return s
 }

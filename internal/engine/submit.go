@@ -11,7 +11,6 @@ type SubmitOption func(*submitConfig)
 
 type submitConfig struct {
 	fuse       bool
-	fuseSet    bool
 	timeout    time.Duration
 	timeoutSet bool
 	probeWidth int
@@ -19,10 +18,12 @@ type submitConfig struct {
 
 // WithFusion enables shared-sweep query fusion for this submission:
 // concurrent fusable jobs against the same deployment, run seed, and
-// overlay execute as one batch on one forked network (see fusion.go).
-// Fused members report the batch's shared communication cost.
+// overlay execute as one batch on one forked network, their probe
+// thresholds merged into shared CountVec sweeps (see fusion.go). Off by
+// default — fused members report the batch's shared communication cost,
+// which changes what Result meters mean, so callers opt in.
 func WithFusion() SubmitOption {
-	return func(c *submitConfig) { c.fuse = true; c.fuseSet = true }
+	return func(c *submitConfig) { c.fuse = true }
 }
 
 // WithDeadline sets the per-query deadline for this submission (0 removes
@@ -50,22 +51,16 @@ func WithProbeWidth(w int) SubmitOption {
 //
 // Options apply to this call only: WithFusion turns the submission's
 // fusable jobs into shared-sweep batches, WithDeadline bounds each query,
-// WithProbeWidth defaults the jobs' probe widths. The deprecated Run,
-// RunOne, and RunFused surfaces are thin shims over this method.
+// WithProbeWidth defaults the jobs' probe widths.
 func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) []Result {
 	var cfg submitConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	run := e
-	if cfg.fuseSet || cfg.timeoutSet {
+	if cfg.timeoutSet {
 		derived := *e
-		if cfg.fuseSet {
-			derived.fuse = cfg.fuse
-		}
-		if cfg.timeoutSet {
-			derived.timeout = cfg.timeout
-		}
+		derived.timeout = cfg.timeout
 		run = &derived
 	}
 	if cfg.probeWidth != 0 {
@@ -78,5 +73,5 @@ func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) [
 		}
 		jobs = widened
 	}
-	return run.runAll(ctx, jobs)
+	return run.runAll(ctx, jobs, cfg.fuse)
 }

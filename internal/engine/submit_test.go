@@ -8,38 +8,6 @@ import (
 	"sensoragg/internal/core"
 )
 
-// TestSubmitMatchesDeprecatedSurfaces: the consolidated entrypoint answers
-// exactly like the Run/RunOne wrappers it replaces, with and without
-// fusion.
-func TestSubmitMatchesDeprecatedSurfaces(t *testing.T) {
-	jobs := []Job{
-		{Spec: gridSpec(144, 3), Query: Query{Kind: KindMedian}},
-		{Spec: gridSpec(144, 3), Query: Query{Kind: KindQuantile, Phi: 0.9}},
-		{Spec: gridSpec(144, 3), Query: Query{Kind: KindCount}},
-	}
-	eng := New(Options{Workers: 2})
-	plain := eng.Submit(context.Background(), jobs)
-	run := eng.Run(context.Background(), jobs)
-	for i := range jobs {
-		if plain[i].Value != run[i].Value || plain[i].BitsPerNode != run[i].BitsPerNode {
-			t.Errorf("job %d: Submit %+v != Run %+v", i, plain[i], run[i])
-		}
-	}
-	one := eng.RunOne(context.Background(), jobs[0])
-	if one.Value != plain[0].Value {
-		t.Errorf("RunOne %g != Submit %g", one.Value, plain[0].Value)
-	}
-
-	fusedEng := New(Options{Workers: 2, Fuse: true})
-	wantFused := fusedEng.Submit(context.Background(), jobs)
-	gotFused := eng.Submit(context.Background(), jobs, WithFusion())
-	for i := range jobs {
-		if wantFused[i].Value != gotFused[i].Value || wantFused[i].Fused != gotFused[i].Fused {
-			t.Errorf("job %d: WithFusion %+v != Options.Fuse %+v", i, gotFused[i], wantFused[i])
-		}
-	}
-}
-
 // TestSubmitProbeWidthOption: WithProbeWidth defaults unset query widths
 // and leaves explicit widths alone.
 func TestSubmitProbeWidthOption(t *testing.T) {
@@ -90,7 +58,7 @@ func TestSubmitOverlay(t *testing.T) {
 		{Spec: spec, Query: Query{Kind: KindQuantile, Phi: 0.25}, Overlay: ov},
 		{Spec: spec, Query: Query{Kind: KindMedian}}, // no overlay: must not fuse with the others
 	}
-	res := New(Options{Fuse: true}).Submit(context.Background(), jobs)
+	res := New(Options{}).Submit(context.Background(), jobs, WithFusion())
 	for i := 0; i < 2; i++ {
 		if res[i].Failed() {
 			t.Fatalf("job %d: %s", i, res[i].Error)

@@ -14,31 +14,33 @@ import (
 	"sensoragg/internal/workload"
 )
 
+// parseCases are well-formed statements and what they parse to.
+var parseCases = []struct {
+	in      string
+	agg     AggKind
+	phi     float64
+	where   *wire.Pred
+	options map[string]float64
+}{
+	{"SELECT median(value)", AggMedian, 0, nil, nil},
+	{"select MIN(value)", AggMin, 0, nil, nil},
+	{"SELECT quantile(value, 0.99)", AggQuantile, 0.99, nil, nil},
+	{"SELECT count(value) WHERE value < 100", AggCount, 0, predPtr(wire.Less(100)), nil},
+	{"SELECT sum(value) WHERE value >= 5", AggSum, 0, predPtr(wire.GreaterEq(5)), nil},
+	{"SELECT count(value) WHERE value > 5", AggCount, 0, predPtr(wire.GreaterEq(6)), nil},
+	{"SELECT count(value) WHERE value <= 7", AggCount, 0, predPtr(wire.Less(8)), nil},
+	{"SELECT count(value) WHERE value = 9", AggCount, 0, predPtr(wire.InRange(9, 10)), nil},
+	{"SELECT avg(value) WHERE value BETWEEN 10 AND 20", AggAvg, 0, predPtr(wire.InRange(10, 21)), nil},
+	{"SELECT count(value) WHERE value >= 3 AND value < 12", AggCount, 0, predPtr(wire.InRange(3, 12)), nil},
+	{"SELECT apxmedian(value) USING eps=0.1", AggApxMedian, 0, nil, map[string]float64{"eps": 0.1}},
+	{"SELECT apxmedian2(value) USING eps=0.25, beta=0.0625", AggApxMedian2, 0, nil,
+		map[string]float64{"eps": 0.25, "beta": 0.0625}},
+	{"SELECT distinct(value) USING sketch=1, m=256", AggDistinct, 0, nil,
+		map[string]float64{"sketch": 1, "m": 256}},
+}
+
 func TestParseStatements(t *testing.T) {
-	tests := []struct {
-		in      string
-		agg     AggKind
-		phi     float64
-		where   *wire.Pred
-		options map[string]float64
-	}{
-		{"SELECT median(value)", AggMedian, 0, nil, nil},
-		{"select MIN(value)", AggMin, 0, nil, nil},
-		{"SELECT quantile(value, 0.99)", AggQuantile, 0.99, nil, nil},
-		{"SELECT count(value) WHERE value < 100", AggCount, 0, predPtr(wire.Less(100)), nil},
-		{"SELECT sum(value) WHERE value >= 5", AggSum, 0, predPtr(wire.GreaterEq(5)), nil},
-		{"SELECT count(value) WHERE value > 5", AggCount, 0, predPtr(wire.GreaterEq(6)), nil},
-		{"SELECT count(value) WHERE value <= 7", AggCount, 0, predPtr(wire.Less(8)), nil},
-		{"SELECT count(value) WHERE value = 9", AggCount, 0, predPtr(wire.InRange(9, 10)), nil},
-		{"SELECT avg(value) WHERE value BETWEEN 10 AND 20", AggAvg, 0, predPtr(wire.InRange(10, 21)), nil},
-		{"SELECT count(value) WHERE value >= 3 AND value < 12", AggCount, 0, predPtr(wire.InRange(3, 12)), nil},
-		{"SELECT apxmedian(value) USING eps=0.1", AggApxMedian, 0, nil, map[string]float64{"eps": 0.1}},
-		{"SELECT apxmedian2(value) USING eps=0.25, beta=0.0625", AggApxMedian2, 0, nil,
-			map[string]float64{"eps": 0.25, "beta": 0.0625}},
-		{"SELECT distinct(value) USING sketch=1, m=256", AggDistinct, 0, nil,
-			map[string]float64{"sketch": 1, "m": 256}},
-	}
-	for _, tt := range tests {
+	for _, tt := range parseCases {
 		t.Run(tt.in, func(t *testing.T) {
 			q, err := Parse(tt.in)
 			if err != nil {
@@ -105,26 +107,47 @@ func TestParseQuantiles(t *testing.T) {
 	}
 }
 
+// badStatements are malformed statements Parse must refuse.
+var badStatements = []string{
+	"",
+	"median(value)",                        // missing SELECT
+	"SELECT frobnicate(value)",             // unknown aggregate
+	"SELECT median(x)",                     // only `value` is a column
+	"SELECT quantile(value)",               // missing fraction
+	"SELECT quantile(value, 1.5)",          // out of range
+	"SELECT median(value) WHERE value ! 3", // bad operator
+	"SELECT count(value) WHERE value BETWEEN 9 AND 2",      // inverted
+	"SELECT count(value) WHERE value < 3 AND value >= 7",   // empty interval
+	"SELECT median(value) USING eps",                       // missing =
+	"SELECT median(value) extra",                           // trailing garbage
+	"SELECT median(value) WHERE value < 5 WHERE value < 7", // duplicate WHERE
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"median(value)",                        // missing SELECT
-		"SELECT frobnicate(value)",             // unknown aggregate
-		"SELECT median(x)",                     // only `value` is a column
-		"SELECT quantile(value)",               // missing fraction
-		"SELECT quantile(value, 1.5)",          // out of range
-		"SELECT median(value) WHERE value ! 3", // bad operator
-		"SELECT count(value) WHERE value BETWEEN 9 AND 2",      // inverted
-		"SELECT count(value) WHERE value < 3 AND value >= 7",   // empty interval
-		"SELECT median(value) USING eps",                       // missing =
-		"SELECT median(value) extra",                           // trailing garbage
-		"SELECT median(value) WHERE value < 5 WHERE value < 7", // duplicate WHERE
-	}
-	for _, in := range bad {
+	for _, in := range badStatements {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): expected error", in)
 		}
 	}
+}
+
+// FuzzParse: whatever the input, Parse returns a statement or an error —
+// exactly one of them — and never panics. A long-lived service parses
+// whatever a subscriber sends. The corpus starts from the statements the
+// parse tests pin, well-formed and malformed.
+func FuzzParse(f *testing.F) {
+	for _, tc := range parseCases {
+		f.Add(tc.in)
+	}
+	for _, in := range badStatements {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		q, err := Parse(in)
+		if (q == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of a statement and an error", in, q, err)
+		}
+	})
 }
 
 func testNet(t *testing.T, values []uint64, maxX uint64) *agg.Net {

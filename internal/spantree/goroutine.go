@@ -15,12 +15,14 @@ import (
 // dataflow through the channels is the only synchronization, mirroring how
 // a convergecast wave propagates through a real network.
 //
-// It is the small-N reference implementation: the level-parallel fast
-// engine is the scalable concurrent path, and cross-engine tests assert
-// both produce identical results and meters. The per-node channel array is
-// allocated once and reused across operations, so repeated queries don't
-// rebuild it; an engine therefore runs one operation at a time (each run
-// owns its own engine, so this was already the usage pattern).
+// It is the codec round-trip reference of the tests: every partial
+// crosses its edge as an encoded payload — which the fast engine never
+// builds for a vector combiner — and the agg, baseline and spantree
+// cross-engine tests assert both engines produce identical results and
+// meters. Nothing in the query engine or a CLI selects it. The per-node
+// channel array is allocated once and reused across operations, so
+// repeated queries don't rebuild it; an engine therefore runs one
+// operation at a time.
 type GoroutineEngine struct {
 	nw    *netsim.Network
 	chans []chan wire.Payload

@@ -324,12 +324,13 @@ type viewCase struct {
 	or      *oracleEngine
 }
 
-// viewCases generates the view axis for one graph: the full view, the
-// healed view of a crash+linkfail plan, the view re-healed after a
-// mid-sweep strike (re-rooted when the strike kills the root), and the
-// SubtreeView of every root child of the healed view — those last on one
-// shared network pair, the way byz.RobustNet runs its sectors.
-func viewCases(t *testing.T, g *topology.Graph, byz float64, workers int, seed uint64) []viewCase {
+// viewCases generates the view axis for one graph under the run-long
+// faults of base (Byz, Drop, Dup): the full view, the healed view of a
+// crash+linkfail plan, the view re-healed after a mid-sweep strike
+// (re-rooted when the strike kills the root), and the SubtreeView of every
+// root child of the healed view — those last on one shared network pair,
+// the way byz.RobustNet runs its sectors.
+func viewCases(t *testing.T, g *topology.Graph, base faults.Spec, workers int, seed uint64) []viewCase {
 	t.Helper()
 	var cases []viewCase
 	add := func(name string, nw, ref *netsim.Network, view, refView *spantree.TreeView) {
@@ -353,10 +354,11 @@ func viewCases(t *testing.T, g *topology.Graph, byz float64, workers int, seed u
 		return hr.View
 	}
 
-	nw, ref := netPair(g, faults.Spec{Byz: byz}, seed)
+	nw, ref := netPair(g, base, seed)
 	add("full", nw, ref, nil, nil)
 
-	structural := faults.Spec{Crash: 0.05, LinkFail: 0.05, Byz: byz}
+	structural := base
+	structural.Crash, structural.LinkFail = 0.05, 0.05
 	nw, ref = netPair(g, structural, seed)
 	healed, refHealed := heal(nw), heal(ref)
 	add("healed", nw, ref, healed, refHealed)
@@ -443,7 +445,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 		for gi, g := range matrixGraphs(n) {
 			for _, byz := range []float64{0, 0.1} {
 				for _, workers := range []int{1, 3} {
-					for _, vc := range viewCases(t, g, byz, workers, uint64(7+gi)) {
+					for _, vc := range viewCases(t, g, faults.Spec{Byz: byz}, workers, uint64(7+gi)) {
 						where := fmt.Sprintf("%s/%s/byz=%g/workers=%d", g.Name, vc.name, byz, workers)
 						requireSameMeters(t, where+" (setup)", vc.nw, vc.ref)
 						got := runCombiners(agg.NewNet(vc.fe))
@@ -491,7 +493,7 @@ func TestOrderChildrenContiguous(t *testing.T) {
 	for _, n := range matrixSizes {
 		for gi, g := range matrixGraphs(n) {
 			check(g.Name+"/bfs", spantree.FullView(topology.BFSTree(g, 0)))
-			for _, vc := range viewCases(t, g, 0, 1, uint64(7+gi)) {
+			for _, vc := range viewCases(t, g, faults.Spec{}, 1, uint64(7+gi)) {
 				check(g.Name+"/"+vc.name, vc.fe.View())
 			}
 		}

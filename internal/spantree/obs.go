@@ -26,7 +26,7 @@ func (e *FastEngine) obsConvergecast(sk *obs.Sink, c Combiner) {
 	sk.Sweeps.Add(1)
 	name := "sweep.convergecast.generic"
 	width := int64(0)
-	if vc, ok := c.(VecCombiner); ok && e.pooled {
+	if vc, ok := c.(VecCombiner); ok {
 		name = "sweep.convergecast.vec"
 		width = int64(vc.VecWidth())
 	}

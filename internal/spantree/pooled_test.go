@@ -19,6 +19,12 @@ func (appendIDCombiner) AppendPartial(w *bitio.Writer, p any) {
 
 var _ AppendCombiner = appendIDCombiner{}
 
+// combinerOnly exposes only the Combiner methods of what it wraps, hiding
+// every optional extension (AppendCombiner, VecCombiner) from the engine:
+// the copying Encode/Decode path, the reference the pooled and vector paths
+// are held to.
+type combinerOnly struct{ Combiner }
+
 // meterOf flattens the per-node sent/recv counters for exact comparison.
 func meterOf(nw *netsim.Network) []int64 {
 	out := make([]int64, 0, 2*nw.N())
@@ -28,20 +34,29 @@ func meterOf(nw *netsim.Network) []int64 {
 	return out
 }
 
+// fastVariant is one fast engine and the face of the combiner it runs:
+// pooled (the AppendCombiner) or unpooled (combinerOnly).
+type fastVariant struct {
+	e *FastEngine
+	c Combiner
+}
+
 // fastVariants builds one fast engine per schedule/pooling mode, each over
 // its own fork of the template so the meters are independent.
-func fastVariants(tmpl *netsim.Network, faultSpec faults.Spec) map[string]*FastEngine {
-	mk := func(workers int, pooled bool) *FastEngine {
+func fastVariants(tmpl *netsim.Network, faultSpec faults.Spec) map[string]fastVariant {
+	mk := func(workers int, pooled bool) fastVariant {
 		nw := tmpl.Fork(7)
 		if faultSpec.Active() {
 			nw.Faults = faults.New(faultSpec, nw.N(), nw.Root(), 7)
 		}
 		e := NewFast(nw)
 		e.SetWorkers(workers)
-		e.SetPooled(pooled)
-		return e
+		if pooled {
+			return fastVariant{e, appendIDCombiner{}}
+		}
+		return fastVariant{e, combinerOnly{appendIDCombiner{}}}
 	}
-	return map[string]*FastEngine{
+	return map[string]fastVariant{
 		"sequential-unpooled": mk(1, false),
 		"sequential-pooled":   mk(1, true),
 		"parallel-unpooled":   mk(4, false),
@@ -64,8 +79,8 @@ func TestFastEngineModesIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tmpl := testNetwork(t, topology.Grid(16, 16))
 			variants := fastVariants(tmpl, tc.fs)
-			ref := variants["sequential-unpooled"]
-			refOut, err := ref.Convergecast(appendIDCombiner{})
+			ref := variants["sequential-unpooled"].e
+			refOut, err := ref.Convergecast(variants["sequential-unpooled"].c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,11 +89,12 @@ func TestFastEngineModesIdentical(t *testing.T) {
 			ref.Broadcast(wire.FromWriter(&bw), nil)
 			refMeter := meterOf(ref.Network())
 
-			for name, e := range variants {
+			for name, v := range variants {
 				if name == "sequential-unpooled" {
 					continue
 				}
-				out, err := e.Convergecast(appendIDCombiner{})
+				e := v.e
+				out, err := e.Convergecast(v.c)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -2,21 +2,20 @@
 // rooted spanning tree — the substrate the paper's primitive protocols
 // (Fact 2.1) run on, following TAG [9] and Peleg [13].
 //
-// Two interchangeable engines implement the same Ops interface:
+// One engine executes every tree operation: FastEngine, a level-ordered
+// schedule — sequential on narrow levels, level-parallel (a worker pool
+// sweeps each level's nodes) on wide ones. Vector combiners run on one
+// kernel whatever the fault plan: partials stay on a two-level ring and
+// every edge is priced from the encoded length the combiner computes, so a
+// warm convergecast allocates nothing. Other combiners take the generic
+// path, which encodes and decodes every edge through pooled per-worker
+// wire.Arenas.
 //
-//   - Fast engine: a level-ordered schedule — sequential by default, and
-//     level-parallel (a worker pool sweeps each level's nodes) on wide
-//     trees, which is the scalable concurrent path. Payload buffers are
-//     pooled in per-worker wire.Arenas, so a warm convergecast allocates
-//     nothing.
-//   - Goroutine engine: every node is a goroutine; partials flow through
-//     channels along tree edges, so the synchronization structure mirrors a
-//     real convergecast wave. Kept as the small-N reference implementation
-//     the fast engine is differentially tested against.
-//
-// Both produce identical results and identical bit meters (asserted by
-// cross-engine tests), because all accounting happens at the encode/decode
-// boundary shared by both.
+// GoroutineEngine — every node a goroutine, partials flowing through
+// channels along tree edges — is the codec round-trip reference the fast
+// engine is differentially tested against: both produce identical results
+// and identical bit meters, because every charge is the exact encoded
+// length of the partial that crosses the edge.
 package spantree
 
 import (
@@ -119,9 +118,6 @@ type FastEngine struct {
 	// workers, and any k > 1 forces every level with ≥2 nodes across k
 	// workers (the deterministic forced-parallel mode tests pin down).
 	workers int
-	// pooled selects arena-backed payloads for AppendCombiners; false
-	// falls back to the copying Encode path (the unpooled reference mode).
-	pooled bool
 
 	// sh is the operation scratch every engine on the run network shares;
 	// vs is what this engine derives from its own view. An engine runs one
@@ -158,10 +154,9 @@ type netScratch struct {
 	vec   []uint64 // vector ring, k words per slot
 	vbits []int32  // encoded length of each vector-ring slot
 	boxed []any    // ring of the generic (boxed-partial) path
-	// Per worker: an arena of payload buffers, and k words of vtmp to
-	// decode into on the per-edge vector path.
+	// arenas holds one arena of payload buffers per worker of the generic
+	// path.
 	arenas []*wire.Arena
-	vtmp   []uint64
 }
 
 // viewSched is what a sweep derives from a view, built on first use. It
@@ -188,6 +183,9 @@ type sweepOp struct {
 	ac   AppendCombiner
 	vc   VecCombiner
 	k    int
+	// perEdge prices every delivery on its own: a watched edge, or drop/dup
+	// decisions that reshape what each endpoint pays.
+	perEdge bool
 }
 
 var _ Ops = (*FastEngine)(nil)
@@ -215,14 +213,14 @@ func NewFast(nw *netsim.Network) *FastEngine {
 	if sh.tree != nw.Tree {
 		sh.tree, sh.view, sh.full = nw.Tree, FullView(nw.Tree), &viewSched{}
 	}
-	return &FastEngine{nw: nw, view: sh.view, sh: sh, vs: sh.full, pooled: true}
+	return &FastEngine{nw: nw, view: sh.view, sh: sh, vs: sh.full}
 }
 
 // NewFastView returns a fast engine executing over an explicit tree view —
 // typically the repaired tree a Heal run produced. What it derives from
 // the view is its own; its operation scratch is the network's.
 func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
-	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: &viewSched{}, pooled: true}
+	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: &viewSched{}}
 }
 
 // SetWorkers pins the engine's schedule: 1 = strictly sequential, 0 = auto
@@ -230,11 +228,6 @@ func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
 // k workers over every level. Results and meters are identical across all
 // settings; only wall-clock changes.
 func (e *FastEngine) SetWorkers(k int) { e.workers = k }
-
-// SetPooled toggles arena-backed payload buffers (default on). The
-// unpooled mode goes through each combiner's copying Encode and exists for
-// the pooled-vs-unpooled identity tests.
-func (e *FastEngine) SetPooled(on bool) { e.pooled = on }
 
 // Network returns the underlying network.
 func (e *FastEngine) Network() *netsim.Network { return e.nw }
@@ -342,10 +335,10 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 // sender (each child sends to its parent exactly once per convergecast),
 // so every schedule produces byte-identical results and meters.
 //
-// When the combiner implements AppendCombiner and pooling is on (the
-// default), each edge's payload borrows a pooled buffer from the sweeping
-// worker's arena and is released after decoding — the steady-state
-// convergecast allocates nothing.
+// A VecCombiner rides the vector ring (convergecastVec). On the generic
+// path an AppendCombiner's edge payload borrows a pooled buffer from the
+// sweeping worker's arena and is released after decoding; any other
+// combiner pays a copying Encode per edge.
 func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
@@ -369,20 +362,15 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 		return nil, err
 	}
 	plan := e.nw.Faults
-	// Per-edge charging: watched-edge accounting, or drop/dup decisions
-	// that reshape what each endpoint pays.
-	perEdge := e.watching || (plan != nil && plan.Spec().MessageLevel())
+	e.op = sweepOp{s: s, plan: plan, c: c, perEdge: e.watching || (plan != nil && plan.Spec().MessageLevel())}
+	if vc, ok := c.(VecCombiner); ok {
+		return e.convergecastVec(vc)
+	}
+	e.op.ac, _ = c.(AppendCombiner)
 	sh := e.sh
 	workers := e.workersFor(s.width)
 	for len(sh.arenas) < workers {
 		sh.arenas = append(sh.arenas, wire.NewArena())
-	}
-	e.op = sweepOp{s: s, plan: plan, c: c}
-	if e.pooled {
-		if vc, ok := c.(VecCombiner); ok {
-			return e.convergecastVec(vc, perEdge, workers)
-		}
-		e.op.ac, _ = c.(AppendCombiner)
 	}
 	sh.boxed = grow(sh.boxed, 2*s.width)
 	err = e.sweep((*FastEngine).levelBoxed)
@@ -473,8 +461,8 @@ func (e *FastEngine) sweep(run func(e *FastEngine, worker, l, lo, hi int) error)
 	return nil
 }
 
-// chargeDelivery prices one delivery of bits from child to u on the
-// per-edge paths and returns what u's batched receive charge grows by: the
+// chargeDelivery prices one delivery of bits from child to u under
+// per-edge charging and returns what u's batched receive charge grows by: the
 // child's send is charged now, u's receive now (watched) or once per step.
 func (e *FastEngine) chargeDelivery(child, u topology.NodeID, bits int) int {
 	if e.watching {

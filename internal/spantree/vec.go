@@ -44,18 +44,19 @@ type VecCombiner interface {
 	// overwriting every slot, and returns its encoded length. In dst's
 	// contents and in the returned length alike it must equal
 	// LocalVec(n, dst), then MergeVec(dst, child) for every child in kids,
-	// then VecBits(dst) — the vocabulary the per-edge paths keep using, and
-	// the oracle the fold is tested against.
+	// then VecBits(dst) — the vocabulary the per-edge branch uses, and the
+	// oracle the fold is tested against.
 	FoldVec(n *netsim.Node, dst, kids []uint64) int
 	// AppendVec encodes the partial, emitting the same bits as Encode.
 	AppendVec(w *bitio.Writer, p []uint64)
 	// VecBits returns exactly the number of bits AppendVec(p) would emit,
-	// and fails where AppendVec fails. The reliable pooled path charges
-	// this length arithmetically and hands the partial to the parent in
-	// the shared ring instead of materializing the payload — same meters,
-	// same values, none of the per-edge codec cost. The faulty, watched,
-	// unpooled, and goroutine paths still round-trip every edge through
-	// the codec, and the cross-engine identity tests assert the
+	// and fails where AppendVec fails. The fast engine charges this length
+	// arithmetically and hands the partial to the parent in the shared
+	// ring instead of materializing the payload — on the reliable path and
+	// under drop/dup plans and a watched edge alike, with each delivery
+	// priced from it — so no fast-engine edge round-trips through the
+	// codec. Only the goroutine reference engine still encodes and decodes
+	// every edge, and the cross-engine identity tests assert the
 	// equivalence.
 	VecBits(p []uint64) int
 	// DecodeVec parses a partial encoded by AppendVec into dst
@@ -72,7 +73,7 @@ type VecCombiner interface {
 // convergecastVec is Convergecast for VecCombiners: the same level sweep,
 // charges, and fault decisions as the generic path, with partials on the
 // vector ring — k words per slot — instead of boxed `any` slots.
-func (e *FastEngine) convergecastVec(vc VecCombiner, perEdge bool, workers int) (any, error) {
+func (e *FastEngine) convergecastVec(vc VecCombiner) (any, error) {
 	k := vc.VecWidth()
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
@@ -80,33 +81,29 @@ func (e *FastEngine) convergecastVec(vc VecCombiner, perEdge bool, workers int) 
 	sh, width := e.sh, e.op.s.width
 	e.op.vc, e.op.k = vc, k
 	sh.vec = grow(sh.vec, 2*width*k)
-	run := (*FastEngine).levelVec
-	if perEdge {
-		run = (*FastEngine).levelVecEdges
-		sh.vtmp = grow(sh.vtmp, workers*k)
-	} else {
-		sh.vbits = grow(sh.vbits, 2*width)
-	}
-	if err := e.sweep(run); err != nil {
+	sh.vbits = grow(sh.vbits, 2*width)
+	if err := e.sweep((*FastEngine).levelVec); err != nil {
 		return nil, err
 	}
 	return vc.VecResult(sh.vec[:k]), nil
 }
 
-// levelVec sweeps positions [lo, hi) of level l on the reliable vector
-// path: every node's partial travels to its parent in the ring itself —
-// one FoldVec straight out of the children's half, where a node's children
-// are one contiguous run — and the wire cost is charged from the length
-// the fold returns (the exact length AppendVec would emit, kept beside the
-// slot so the parent's receive side reads it instead of recomputing), the
-// whole step in one meter-cell visit. A Byzantine sender is the rare path:
-// its partial is corrupted after the fold and priced again. Values and
-// meters are byte-identical to the encoding paths (VecBits ==
-// len(AppendVec), merge input == decoded payload), which the
-// engine-variant identity tests assert.
+// levelVec sweeps positions [lo, hi) of level l. Every node's partial
+// travels to its parent in the ring itself — a node's children are one
+// contiguous run of the other half — with its exact encoded length (what
+// AppendVec would emit) kept beside the slot, so the parent's receive side
+// reads it instead of recomputing. On the reliable path a node's step is
+// one FoldVec and one meter-cell visit. Under per-edge charging (a watched
+// edge, or a plan whose drop/dup decisions reshape what each endpoint
+// pays) the parent prices and merges every delivery of each child's slot
+// on its own: a duplicated partial is merged and charged twice, a dropped
+// one neither. A Byzantine sender is the rare path on both: its partial is
+// corrupted after the honest step and priced again. Values and meters are
+// byte-identical to the codec paths (VecBits == len(AppendVec), merge
+// input == decoded payload), which the oracle tests assert.
 func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 	op, sh := &e.op, e.sh
-	s, vc, k, plan := op.s, op.vc, op.k, op.plan
+	s, vc, k, plan, perEdge := op.s, op.vc, op.k, op.plan, op.perEdge
 	nodes, meter, order, cs := e.nw.Nodes, e.nw.Meter, e.view.Order, s.cs
 	bc, _ := vc.(ByzVecCombiner)
 	mine, mbits := sh.vec[s.half(l)*k:], sh.vbits[s.half(l):]
@@ -116,10 +113,28 @@ func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 		u := order[i]
 		j0, j1 := int(cs[i])-kbase, int(cs[i+1])-kbase
 		acc := mine[(i-base)*k : (i-base+1)*k]
-		sentBits := vc.FoldVec(nodes[u], acc, kids[j0*k:j1*k])
-		recvBits := 0
-		for _, b := range kbits[j0:j1] {
-			recvBits += int(b)
+		sentBits, recvBits := 0, 0
+		if perEdge {
+			vc.LocalVec(nodes[u], acc)
+			for j := j0; j < j1; j++ {
+				child := order[kbase+j]
+				deliveries := 1
+				if plan != nil {
+					deliveries = plan.Deliveries(child, u)
+				}
+				for range deliveries {
+					recvBits += e.chargeDelivery(child, u, int(kbits[j]))
+					vc.MergeVec(acc, kids[j*k:(j+1)*k])
+				}
+			}
+			if i > 0 {
+				sentBits = vc.VecBits(acc)
+			}
+		} else {
+			sentBits = vc.FoldVec(nodes[u], acc, kids[j0*k:j1*k])
+			for _, b := range kbits[j0:j1] {
+				recvBits += int(b)
+			}
 		}
 		if i == 0 { // position 0 is the root: it sends nothing
 			sentBits = -1
@@ -130,57 +145,10 @@ func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 			}
 			mbits[i-base] = int32(sentBits)
 		}
+		if perEdge {
+			sentBits = -1 // each delivery charged the sender at its parent
+		}
 		meter.ChargeNodeSeq(u, sentBits, recvBits)
-	}
-	return nil
-}
-
-// levelVecEdges is levelVec with per-edge charging and per-delivery fault
-// decisions: the path for watched-edge runs and message-level fault plans,
-// where each delivery's fate (and its exact (from, to) pair) must be
-// priced individually.
-func (e *FastEngine) levelVecEdges(worker, l, lo, hi int) error {
-	op, v, a := &e.op, e.view, e.sh.arenas[worker]
-	s, vc, k, plan := op.s, op.vc, op.k, op.plan
-	mine, kids := e.sh.vec[s.half(l)*k:], e.sh.vec[s.half(l+1)*k:]
-	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
-	tmp := e.sh.vtmp[worker*k : (worker+1)*k]
-	for i := lo; i < hi; i++ {
-		u := v.Order[i]
-		acc := mine[(i-base)*k : (i-base+1)*k]
-		vc.LocalVec(e.nw.Nodes[u], acc)
-		recvBits := 0
-		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
-			child := v.Order[j]
-			w := a.Writer(64)
-			vc.AppendVec(w, kids[(j-kbase)*k:(j-kbase+1)*k])
-			pl := wire.Borrowed(w)
-			deliveries := 1
-			if plan != nil {
-				deliveries = plan.Deliveries(child, u)
-			}
-			var err error
-			for d := 0; d < deliveries; d++ {
-				recvBits += e.chargeDelivery(child, u, pl.Bits())
-				if err = vc.DecodeVec(pl, tmp); err != nil {
-					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-					break
-				}
-				vc.MergeVec(acc, tmp)
-			}
-			a.Release(w)
-			if err != nil {
-				return err
-			}
-		}
-		if recvBits > 0 {
-			e.nw.Meter.ChargeRxSeq(u, recvBits)
-		}
-		if i > 0 && plan != nil && plan.Byzantine(u) {
-			if bc, ok := vc.(ByzVecCombiner); ok {
-				bc.CorruptVec(acc, plan.LieWord(u))
-			}
-		}
 	}
 	return nil
 }
