@@ -46,18 +46,12 @@ func (o *Overlay) apply(nw *netsim.Network) error {
 	if len(o.Values) != nw.NumItems() {
 		return fmt.Errorf("engine: overlay carries %d values for %d items", len(o.Values), nw.NumItems())
 	}
-	k := 0
-	for _, nd := range nw.Nodes {
-		for i := range nd.Items {
-			v := o.Values[k]
-			k++
-			if v > nw.MaxX {
-				v = nw.MaxX
-			}
-			nd.Items[i].Orig = v
-			nd.Items[i].Cur = v
-			nd.Items[i].Active = true
-		}
+	// A deployment holds one reading per node (Session.Template), so node
+	// id's value is Values[id]; walking Tree.Order visits the nodes in the
+	// order netsim stores them.
+	for _, id := range nw.Tree.Order {
+		v := min(o.Values[id], nw.MaxX)
+		nw.Nodes[id].Items[0] = netsim.Item{Orig: v, Cur: v, Active: true}
 	}
 	return nil
 }

@@ -83,11 +83,11 @@ func (s *Session) Graph(spec Spec) (*topology.Graph, *topology.Tree, error) {
 }
 
 // Template returns the cached template network for spec: graph, tree, and
-// items in their original state. The template is never run directly — every
-// run forks it — so its meter stays empty and its items pristine. Fault
-// configuration is stripped from the cache key (faults are injected on the
-// forked run networks), so deployments differing only in fault rates share
-// one template.
+// items in their original state, one reading per node. The template is
+// never run directly — every run forks it — so its meter stays empty and
+// its items pristine. Fault configuration is stripped from the cache key
+// (faults are injected on the forked run networks), so deployments
+// differing only in fault rates share one template.
 func (s *Session) Template(spec Spec) (*netsim.Network, error) {
 	spec = spec.Normalize().templateKey()
 	s.mu.Lock()

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"sensoragg/internal/topology"
@@ -25,53 +27,66 @@ func dirty(nw *Network) {
 // TestForkPoolResetMatchesFreshFork is the pooled-fork identity gate: a
 // recycled, dirtied network reset for a new seed must be indistinguishable
 // from a fresh Fork with that seed — same items, same RNG streams, zeroed
-// meter, no fault plan.
+// meter, no fault plan — byte for byte in storage order (node array with
+// its PCG states, item array, meter cells), on a tree whose Order is far
+// from ID order, with one item per node and with uneven item counts; and
+// every fork shares the template's layout instead of building its own.
 func TestForkPoolResetMatchesFreshFork(t *testing.T) {
-	g := topology.Grid(6, 6)
-	values := make([]uint64, g.N())
-	for i := range values {
-		values[i] = uint64(3 * i)
-	}
-	tmpl := New(g, values, 4*uint64(g.N()), WithSeed(1))
-	pool := NewForkPool(tmpl)
+	for _, multi := range []bool{false, true} {
+		tmpl := centreNet(t, multi, 1)
+		pool := NewForkPool(tmpl)
 
-	run1 := pool.Get(42)
-	dirty(run1)
-	run1.Release()
+		run1 := pool.Get(42)
+		dirty(run1)
+		run1.Meter.ChargeNodeSeq(run1.Tree.Order[5], 17, 3)
+		run1.Release()
 
-	recycled := pool.Get(99)
-	fresh := tmpl.Fork(99)
+		recycled := pool.Get(99)
+		fresh := tmpl.Fork(99)
+		where := fmt.Sprintf("multi=%v", multi)
 
-	if recycled.Seed() != fresh.Seed() {
-		t.Fatalf("seed %d, want %d", recycled.Seed(), fresh.Seed())
-	}
-	if recycled.Faults != nil {
-		t.Fatal("recycled network kept a fault plan")
-	}
-	if recycled.Meter.Watching() || recycled.Meter.WatchedBits() != 0 {
-		t.Fatal("recycled network kept a watched edge")
-	}
-	for i := range fresh.Nodes {
-		a, b := recycled.Nodes[i], fresh.Nodes[i]
-		if a.Scratch != nil {
-			t.Fatalf("node %d scratch not cleared", i)
+		if recycled != run1 {
+			t.Fatalf("%s: the pool did not recycle the run network", where)
 		}
-		if len(a.Items) != len(b.Items) {
-			t.Fatalf("node %d has %d items, want %d", i, len(a.Items), len(b.Items))
+		if recycled.Seed() != fresh.Seed() {
+			t.Fatalf("%s: seed %d, want %d", where, recycled.Seed(), fresh.Seed())
 		}
-		for j := range b.Items {
-			if a.Items[j] != b.Items[j] {
-				t.Fatalf("node %d item %d = %+v, want %+v", i, j, a.Items[j], b.Items[j])
+		if recycled.Faults != nil {
+			t.Fatalf("%s: recycled network kept a fault plan", where)
+		}
+		if recycled.Meter.Watching() || recycled.Meter.WatchedBits() != 0 {
+			t.Fatalf("%s: recycled network kept a watched edge", where)
+		}
+		if recycled.lay != tmpl.lay || fresh.lay != tmpl.lay || &recycled.Meter.slot[0] != &tmpl.lay.slot[0] {
+			t.Fatalf("%s: a fork built its own layout", where)
+		}
+		if !reflect.DeepEqual(recycled.items, fresh.items) {
+			t.Fatalf("%s: item arrays differ", where)
+		}
+		if !reflect.DeepEqual(recycled.Meter.cells, fresh.Meter.cells) {
+			t.Fatalf("%s: meter cells differ", where)
+		}
+		for p := range fresh.store {
+			a, b := &recycled.store[p], &fresh.store[p]
+			if a.ID != b.ID || a.Scratch != nil || !reflect.DeepEqual(a.Items, b.Items) {
+				t.Fatalf("%s: slot %d holds node %d (scratch %v), fresh fork node %d", where, p, a.ID, a.Scratch, b.ID)
+			}
+			sa, _ := a.pcg.MarshalBinary()
+			sb, _ := b.pcg.MarshalBinary()
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("%s: node %d RNG state differs from a fresh fork's", where, a.ID)
 			}
 		}
-		for k := 0; k < 8; k++ {
-			x, y := a.RNG().Uint64(), b.RNG().Uint64()
-			if x != y {
-				t.Fatalf("node %d RNG draw %d: %d vs fresh %d", i, k, x, y)
+		for i := range fresh.Nodes {
+			a, b := recycled.Nodes[i], fresh.Nodes[i]
+			for k := 0; k < 8; k++ {
+				if x, y := a.RNG().Uint64(), b.RNG().Uint64(); x != y {
+					t.Fatalf("%s: node %d RNG draw %d: %d vs fresh %d", where, i, k, x, y)
+				}
 			}
-		}
-		if recycled.Meter.PerNode(topology.NodeID(i)) != 0 {
-			t.Fatalf("node %d meter not zeroed", i)
+			if recycled.Meter.PerNode(topology.NodeID(i)) != 0 {
+				t.Fatalf("%s: node %d meter not zeroed", where, i)
+			}
 		}
 	}
 }

@@ -19,8 +19,15 @@ type Meter struct {
 	// cells packs each node's three counters side by side: charging a
 	// message touches the sender's sent+msgs (one cache line) and the
 	// receiver's recv, instead of three separate arrays — the hot-path
-	// layout for the tree engines' per-edge charging.
+	// layout for the tree engines' per-edge charging. The cells follow the
+	// network's storage order: node u's counters are cells[slot[u]], so a
+	// sweep in tree order walks them linearly. Every method that takes a
+	// node ID maps it through slot; only ChargeBroadcastSeq, Ledger and
+	// Replay speak slots.
 	cells []meterCell
+	// slot is the network's ID → slot map, shared with it and every meter
+	// of its forks; a standalone meter (NewMeter) maps each ID to itself.
+	slot []int32
 
 	// watch is the packed watched edge for cut-communication measurements
 	// (Theorem 5.1 harness); watchDisabled when off. Packing both endpoints
@@ -52,12 +59,24 @@ func packEdge(u, v topology.NodeID) int64 {
 	return int64(uint32(u))<<32 | int64(uint32(v))
 }
 
-// NewMeter returns a meter for n nodes.
+// NewMeter returns a meter for n nodes, node u's counters in cell u.
 func NewMeter(n int) *Meter {
-	m := &Meter{cells: make([]meterCell, n)}
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = int32(i)
+	}
+	return newMeter(slot)
+}
+
+// newMeter returns a meter whose cell for node u is slot[u].
+func newMeter(slot []int32) *Meter {
+	m := &Meter{cells: make([]meterCell, len(slot)), slot: slot}
 	m.watch.Store(watchDisabled)
 	return m
 }
+
+// cell returns node u's counters.
+func (m *Meter) cell(u topology.NodeID) *meterCell { return &m.cells[m.slot[u]] }
 
 // N returns the number of nodes the meter covers.
 func (m *Meter) N() int { return len(m.cells) }
@@ -85,9 +104,10 @@ func (m *Meter) ClearWatch() {
 // for concurrent use: the goroutine tree engine charges from many node
 // goroutines at once.
 func (m *Meter) Charge(from, to topology.NodeID, bits int) {
-	atomic.AddInt64(&m.cells[from].sent, int64(bits))
-	atomic.AddInt64(&m.cells[to].recv, int64(bits))
-	atomic.AddInt64(&m.cells[from].msgs, 1)
+	c := m.cell(from)
+	atomic.AddInt64(&c.sent, int64(bits))
+	atomic.AddInt64(&m.cell(to).recv, int64(bits))
+	atomic.AddInt64(&c.msgs, 1)
 	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
 		m.watchedBits.Add(int64(bits))
 	}
@@ -99,9 +119,10 @@ func (m *Meter) Charge(from, to topology.NodeID, bits int) {
 // content-independent).
 func (m *Meter) ChargeN(from, to topology.NodeID, bits int, times int) {
 	total := int64(bits) * int64(times)
-	atomic.AddInt64(&m.cells[from].sent, total)
-	atomic.AddInt64(&m.cells[to].recv, total)
-	atomic.AddInt64(&m.cells[from].msgs, int64(times))
+	c := m.cell(from)
+	atomic.AddInt64(&c.sent, total)
+	atomic.AddInt64(&m.cell(to).recv, total)
+	atomic.AddInt64(&c.msgs, int64(times))
 	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
 		m.watchedBits.Add(total)
 	}
@@ -110,8 +131,9 @@ func (m *Meter) ChargeN(from, to topology.NodeID, bits int, times int) {
 // ChargeTx records a physical-layer transmission: the sender pays the
 // payload once regardless of how many neighbours hear it (radio model).
 func (m *Meter) ChargeTx(from topology.NodeID, bits int) {
-	atomic.AddInt64(&m.cells[from].sent, int64(bits))
-	atomic.AddInt64(&m.cells[from].msgs, 1)
+	c := m.cell(from)
+	atomic.AddInt64(&c.sent, int64(bits))
+	atomic.AddInt64(&c.msgs, 1)
 }
 
 // Watching reports whether a watched edge is active. Charge-batching fast
@@ -136,7 +158,7 @@ func (m *Meter) Watching() bool { return m.watch.Load() != watchDisabled }
 // watched-edge check needs the (from, to) pair, so watching paths fall
 // back to the atomic Charge.
 func (m *Meter) ChargeSendOnlySeq(from topology.NodeID, bits, copies int) {
-	c := &m.cells[from]
+	c := m.cell(from)
 	c.sent += int64(bits) * int64(copies)
 	c.msgs += int64(copies)
 }
@@ -144,7 +166,7 @@ func (m *Meter) ChargeSendOnlySeq(from topology.NodeID, bits, copies int) {
 // ChargeRxSeq is the single-writer variant of ChargeRx; see
 // ChargeSendOnlySeq for the safety contract.
 func (m *Meter) ChargeRxSeq(to topology.NodeID, bits int) {
-	m.cells[to].recv += int64(bits)
+	m.cell(to).recv += int64(bits)
 }
 
 // ChargeNodeSeq charges node u's full convergecast step in one cell
@@ -152,7 +174,7 @@ func (m *Meter) ChargeRxSeq(to topology.NodeID, bits int) {
 // the root passes -1) and recvBits received from its children. Same
 // single-writer contract as ChargeSendOnlySeq.
 func (m *Meter) ChargeNodeSeq(u topology.NodeID, sentBits, recvBits int) {
-	c := &m.cells[u]
+	c := m.cell(u)
 	if sentBits >= 0 {
 		c.sent += int64(sentBits)
 		c.msgs++
@@ -162,21 +184,25 @@ func (m *Meter) ChargeNodeSeq(u topology.NodeID, sentBits, recvBits int) {
 	}
 }
 
-// ChargeBroadcastSeq charges nodes [lo, hi) for one uniform broadcast
-// wave: node u sends `bits` to each of its fanout[u] children and (except
-// the root) receives `bits` from its parent. One flat loop over the cells
-// replaces three helper calls per node on the tree engine's hottest
-// broadcast path. Single-writer contract as ChargeSendOnlySeq; callers
-// covering a view that excludes nodes must use per-node charging instead.
+// ChargeBroadcastSeq charges storage slots [lo, hi) for one uniform
+// broadcast wave: the node in slot p sends `bits` to each of its fanout[p]
+// children and (except the root) receives `bits` from its parent. Both the
+// range and fanout are indexed by slot, not by node ID: on a network built
+// by NewFromTree slot p holds Tree.Order[p], so they are positions of the
+// network's own spanning tree. One flat loop over the cells replaces three
+// helper calls per node on the tree engine's hottest broadcast path.
+// Single-writer contract as ChargeSendOnlySeq; callers covering any other
+// view must use per-node charging instead.
 func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeID, lo, hi int) {
 	b := int64(bits)
+	rs := int(m.slot[root])
 	for i := lo; i < hi; i++ {
 		c := &m.cells[i]
 		if k := int64(fanout[i]); k > 0 {
 			c.sent += b * k
 			c.msgs += k
 		}
-		if topology.NodeID(i) != root {
+		if i != rs {
 			c.recv += b
 		}
 	}
@@ -190,10 +216,10 @@ func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeI
 // Seq variants it knows both endpoints, so it feeds the watched-edge
 // counter itself and stays exact while a watch is active.
 func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
-	c := &m.cells[from]
+	c := m.cell(from)
 	c.sent += bits
 	c.msgs += msgs
-	m.cells[to].recv += bits
+	m.cell(to).recv += bits
 	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
 		m.watchedBits.Add(bits)
 	}
@@ -204,7 +230,10 @@ func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 // each node; Replay charges that to another run's meter, so forks of one
 // deployment can share a phase's outcome and still each pay for it. All three
 // follow the single-writer contract of ChargeSendOnlySeq and bypass the
-// watched edge: never replay onto a meter that is Watching.
+// watched edge: never replay onto a meter that is Watching. A ledger is
+// indexed by storage slot, not node ID, so replay it only onto a meter of
+// the same layout: a fork of the same template, or any network over the
+// same tree.
 type Ledger []meterCell
 
 // Ledger copies the current counters.
@@ -231,7 +260,7 @@ func (m *Meter) Replay(l Ledger) {
 
 // ChargeRx records one node hearing a physical-layer transmission.
 func (m *Meter) ChargeRx(to topology.NodeID, bits int) {
-	atomic.AddInt64(&m.cells[to].recv, int64(bits))
+	atomic.AddInt64(&m.cell(to).recv, int64(bits))
 }
 
 // Reset zeroes all counters. Like the *Seq charges it is a single-owner
@@ -245,13 +274,13 @@ func (m *Meter) Reset() {
 }
 
 // SentBitsOf returns the bits node u has sent.
-func (m *Meter) SentBitsOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cells[u].sent) }
+func (m *Meter) SentBitsOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cell(u).sent) }
 
 // RecvBitsOf returns the bits node u has received.
-func (m *Meter) RecvBitsOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cells[u].recv) }
+func (m *Meter) RecvBitsOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cell(u).recv) }
 
 // MessagesOf returns the number of messages node u has sent.
-func (m *Meter) MessagesOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cells[u].msgs) }
+func (m *Meter) MessagesOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cell(u).msgs) }
 
 // MaxPerNode returns the paper's complexity measure: max over nodes of
 // bits sent plus bits received.
@@ -285,7 +314,8 @@ func (m *Meter) TotalMessages() int64 {
 
 // PerNode returns bits sent+received for node u.
 func (m *Meter) PerNode(u topology.NodeID) int64 {
-	return atomic.LoadInt64(&m.cells[u].sent) + atomic.LoadInt64(&m.cells[u].recv)
+	c := m.cell(u)
+	return atomic.LoadInt64(&c.sent) + atomic.LoadInt64(&c.recv)
 }
 
 // Snapshot captures the current counters so a caller can measure one

@@ -79,6 +79,8 @@ func (n *Node) ResetItems() {
 type Network struct {
 	Graph *topology.Graph
 	Tree  *topology.Tree
+	// Nodes[id] is node id. The nodes themselves live in storage order
+	// (see store), so Nodes is an index, not the layout.
 	Nodes []*Node
 	Meter *Meter
 
@@ -99,6 +101,15 @@ type Network struct {
 
 	seed uint64
 
+	// store holds the nodes in the tree's BFS order — node Tree.Order[p]
+	// at storage slot p — and items their readings, slot after slot, as
+	// does the meter's cell array. Every broadcast and convergecast visits
+	// the nodes in exactly that order, so a sweep walks all three linearly
+	// instead of striding across node IDs.
+	store []Node
+	items []Item
+	lay   *layout
+
 	// pool is the ForkPool a pooled fork returns to on Release; nil for
 	// networks built directly.
 	pool *ForkPool
@@ -111,6 +122,17 @@ type Network struct {
 	// rides along through pooled reuse so repeated queries against one
 	// run network skip the rebuild.
 	treeScratch any
+}
+
+// layout is the storage order of a template network, built once by
+// NewFromTree and shared, read-only, by every fork of it.
+type layout struct {
+	// slot[id] is node id's storage slot: its index in store and in the
+	// meter's cells.
+	slot []int32
+	// single reports that every node holds exactly one item, so node id's
+	// reading sits at index id of the ID-ordered item list.
+	single bool
 }
 
 // TreeScratch returns the opaque tree-engine scratch attached to this
@@ -201,69 +223,90 @@ func BuildTree(g *topology.Graph, root topology.NodeID, maxChildren int) *topolo
 // concurrently — may be built over the same pair. Everything mutable (the
 // nodes with their items, scratch state, and RNG streams, plus the meter)
 // is freshly allocated per network.
+//
+// Nodes, items and meter cells are stored in tree.Order (see
+// Network.store), which must therefore list every node exactly once.
 func NewFromTree(g *topology.Graph, tree *topology.Tree, items [][]uint64, maxX uint64, seed uint64) *Network {
-	if tree.N() != g.N() {
-		panic(fmt.Sprintf("netsim: tree has %d nodes, graph has %d", tree.N(), g.N()))
+	n := g.N()
+	if tree.N() != n {
+		panic(fmt.Sprintf("netsim: tree has %d nodes, graph has %d", tree.N(), n))
 	}
-	if len(items) != g.N() {
-		panic(fmt.Sprintf("netsim: %d item lists for %d nodes", len(items), g.N()))
+	if len(items) != n {
+		panic(fmt.Sprintf("netsim: %d item lists for %d nodes", len(items), n))
 	}
+	if len(tree.Order) != n {
+		panic(fmt.Sprintf("netsim: tree Order lists %d of %d nodes", len(tree.Order), n))
+	}
+	lay := &layout{slot: make([]int32, n), single: true}
+	for id := range lay.slot {
+		lay.slot[id] = -1
+	}
+	total := 0
+	for p, id := range tree.Order {
+		if id < 0 || int(id) >= n || lay.slot[id] >= 0 {
+			panic(fmt.Sprintf("netsim: tree Order is not a permutation of the nodes: %d at position %d", id, p))
+		}
+		lay.slot[id] = int32(p)
+		total += len(items[id])
+		lay.single = lay.single && len(items[id]) == 1
+	}
+	backing := make([]Item, 0, total)
+	for _, id := range tree.Order {
+		for _, v := range items[id] {
+			if v > maxX {
+				panic(fmt.Sprintf("netsim: item %d at node %d exceeds maxX %d", v, id, maxX))
+			}
+			backing = append(backing, Item{Orig: v, Cur: v, Active: true})
+		}
+	}
+	return lay.network(g, tree, backing, maxX, seed, func(p int) int { return len(items[tree.Order[p]]) })
+}
+
+// network assembles a network over l: slot p holds node tree.Order[p] with
+// the next count(p) items of backing, which is already in storage order.
+func (l *layout) network(g *topology.Graph, tree *topology.Tree, backing []Item, maxX, seed uint64, count func(p int) int) *Network {
+	n := len(l.slot)
 	nw := &Network{
 		Graph: g,
 		Tree:  tree,
-		Nodes: make([]*Node, g.N()),
-		Meter: NewMeter(g.N()),
+		Nodes: make([]*Node, n),
+		Meter: newMeter(l.slot),
 		MaxX:  maxX,
 		// Width covers maxX+1: predicate thresholds range over [0, X+1]
 		// ("< X+1" selects everything), one more value than the items.
 		ValueWidth: bitio.WidthOfRange(maxX + 1),
 		seed:       seed,
+		store:      make([]Node, n),
+		items:      backing,
+		lay:        l,
 	}
-	// One contiguous node array and one contiguous item backing array:
-	// every per-node sweep (protocol locals, resets, forks) then walks
-	// nearly linear memory instead of pointer-chasing N separate
-	// allocations.
-	total := 0
-	for i := range items {
-		total += len(items[i])
-	}
-	nodes := make([]Node, g.N())
-	backing := make([]Item, 0, total)
-	for i := range nodes {
-		nd := &nodes[i]
-		nd.ID = topology.NodeID(i)
-		nd.pcg = *rand.NewPCG(seed, nodeStream(i))
+	off := 0
+	for p, id := range tree.Order {
+		nd := &nw.store[p]
+		nd.ID = id
+		nd.pcg = *rand.NewPCG(seed, nodeStream(int(id)))
 		nd.rng = rand.New(&nd.pcg)
-		start := len(backing)
-		for _, v := range items[i] {
-			if v > maxX {
-				panic(fmt.Sprintf("netsim: item %d at node %d exceeds maxX %d", v, i, maxX))
-			}
-			backing = append(backing, Item{Orig: v, Cur: v, Active: true})
-		}
-		nd.Items = backing[start:len(backing):len(backing)]
-		nw.Nodes[i] = nd
+		end := off + count(p)
+		nd.Items = backing[off:end:end]
+		off = end
+		nw.Nodes[id] = nd
 	}
 	return nw
 }
 
 // Fork returns an independent network for one run: it shares the immutable
-// Graph and Tree with the receiver but gets its own nodes (items restored
-// to their original values, fresh scratch, fresh RNG streams seeded from
-// seed) and its own Meter. Runs forked off one template network therefore
-// share no mutable state, which is what makes concurrent query execution
-// race-free; a fork with the template's own seed reproduces the template
-// exactly.
+// Graph and Tree — and the storage layout — with the receiver but gets its
+// own nodes (items restored to their original values, fresh scratch, fresh
+// RNG streams seeded from seed) and its own Meter. Runs forked off one
+// template network therefore share no mutable state, which is what makes
+// concurrent query execution race-free; a fork with the template's own seed
+// reproduces the template exactly.
 func (nw *Network) Fork(seed uint64) *Network {
-	items := make([][]uint64, len(nw.Nodes))
-	for i, nd := range nw.Nodes {
-		vs := make([]uint64, len(nd.Items))
-		for j, it := range nd.Items {
-			vs[j] = it.Orig
-		}
-		items[i] = vs
+	backing := make([]Item, len(nw.items))
+	for i, it := range nw.items {
+		backing[i] = Item{Orig: it.Orig, Cur: it.Orig, Active: true}
 	}
-	return NewFromTree(nw.Graph, nw.Tree, items, nw.MaxX, seed)
+	return nw.lay.network(nw.Graph, nw.Tree, backing, nw.MaxX, seed, func(p int) int { return len(nw.store[p].Items) })
 }
 
 // resetForRun turns an already-forked network back into exactly what
@@ -276,11 +319,12 @@ func (nw *Network) resetForRun(seed uint64) {
 	nw.Faults = nil
 	nw.Meter.Reset()
 	nw.Meter.ClearWatch()
-	for i, nd := range nw.Nodes {
+	for p := range nw.store {
+		nd := &nw.store[p]
 		nd.Scratch = nil
-		nd.ResetItems()
-		nd.pcg.Seed(seed, nodeStream(i))
+		nd.pcg.Seed(seed, nodeStream(int(nd.ID)))
 	}
+	nw.ResetItems()
 }
 
 // Release returns a pooled network to its ForkPool for reuse by a later
@@ -303,25 +347,28 @@ func (nw *Network) Root() topology.NodeID { return nw.Tree.Root }
 func (nw *Network) Seed() uint64 { return nw.seed }
 
 // NumItems returns the total number of items N = |X| in the network.
-func (nw *Network) NumItems() int {
-	total := 0
-	for _, nd := range nw.Nodes {
-		total += len(nd.Items)
-	}
-	return total
-}
+func (nw *Network) NumItems() int { return len(nw.items) }
 
 // ResetItems restores every node's items to their original active state.
 func (nw *Network) ResetItems() {
-	for _, nd := range nw.Nodes {
-		nd.ResetItems()
+	for i := range nw.items {
+		it := &nw.items[i]
+		it.Cur, it.Active = it.Orig, true
 	}
 }
 
-// AllItems returns a copy of the full input multiset X in node order —
+// AllItems returns a copy of the full input multiset X in node ID order —
 // simulator-side ground truth for validators; protocols never call this.
 func (nw *Network) AllItems() []uint64 {
-	out := make([]uint64, 0, nw.NumItems())
+	out := make([]uint64, len(nw.items))
+	if nw.lay.single {
+		// Slot p's one item is node Tree.Order[p]'s: read storage linearly.
+		for p, id := range nw.Tree.Order {
+			out[id] = nw.items[p].Orig
+		}
+		return out
+	}
+	out = out[:0]
 	for _, nd := range nw.Nodes {
 		for _, it := range nd.Items {
 			out = append(out, it.Orig)

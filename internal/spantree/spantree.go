@@ -170,8 +170,8 @@ type viewSched struct {
 	bounds []int32
 	// width is the widest level.
 	width int
-	// fanout, indexed by node ID, feeds the flat broadcast pass of a view
-	// that covers every node.
+	// fanout[i] is Order[i]'s child count: the flat broadcast pass of the
+	// network's own tree, whose position i is storage slot i.
 	fanout []int32
 }
 
@@ -249,14 +249,15 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	}
 	v := e.view
 	n := len(v.Order)
-	if full := n == len(v.Parent); full && !e.watching {
-		// Full-view fast path: the metering of a uniform broadcast is one
-		// flat pass over the cells; the appliers (if any) sweep
-		// separately. Charges commute, so the linear order is free.
+	if e.vs == e.sh.full && !e.watching {
+		// Fast path over the network's own tree, whose position i is
+		// storage slot i (netsim stores node Tree.Order[i] there): the
+		// metering of a uniform broadcast is one flat pass over the cells,
+		// and the appliers (if any) walk the nodes in storage order.
 		if e.vs.fanout == nil {
 			e.vs.fanout = make([]int32, n)
-			for u := range e.vs.fanout {
-				e.vs.fanout[u] = int32(len(v.Children[u]))
+			for i, u := range v.Order {
+				e.vs.fanout[i] = int32(len(v.Children[u]))
 			}
 		}
 		fanout := e.vs.fanout
@@ -266,20 +267,12 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 			p, apply := p, apply
 			parallelChunks(n, w, func(_, lo, hi int) {
 				m.ChargeBroadcastSeq(bits, fanout, v.Root, lo, hi)
-				if apply != nil {
-					for i := lo; i < hi; i++ {
-						apply(e.nw.Nodes[i], p)
-					}
-				}
+				e.applyRange(p, apply, lo, hi)
 			})
 			return
 		}
 		m.ChargeBroadcastSeq(bits, fanout, v.Root, 0, n)
-		if apply != nil {
-			for i := 0; i < n; i++ {
-				apply(e.nw.Nodes[i], p)
-			}
-		}
+		e.applyRange(p, apply, 0, n)
 		return
 	}
 	if w := e.workersFor(n); w > 1 {
@@ -294,22 +287,25 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	e.broadcastRange(p, apply, 0, n)
 }
 
-// broadcastRange delivers p to the view's order slots [lo, hi). Each node
+// applyRange runs apply, if any, at the view's positions [lo, hi).
+func (e *FastEngine) applyRange(p wire.Payload, apply Applier, lo, hi int) {
+	if apply == nil {
+		return
+	}
+	for _, u := range e.view.Order[lo:hi] {
+		apply(e.nw.Nodes[u], p)
+	}
+}
+
+// broadcastRange delivers p to the view's positions [lo, hi). Each node
 // charges its own fan-out (send side) and its own receive, so chunked
-// parallel sweeps charge every edge exactly once. Per-node work is
-// independent and charges commute, so the sweep order is free: the full
-// sequential sweep walks nodes in ID order — linear through the meter
-// cells and node array — instead of BFS order.
+// parallel sweeps charge every edge exactly once.
 func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 	v := e.view
-	full := lo == 0 && hi == len(v.Order) && len(v.Order) == len(v.Parent)
 	m := e.nw.Meter
 	bits := p.Bits()
 	for i := lo; i < hi; i++ {
 		u := v.Order[i]
-		if full {
-			u = topology.NodeID(i)
-		}
 		if e.watching {
 			if u != v.Root {
 				m.Charge(v.Parent[u], u, bits)
