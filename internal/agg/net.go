@@ -50,7 +50,9 @@ type Net struct {
 	instance uint64
 	// keyBase[u] is the global index of node u's first item: stable item
 	// identities shared with core.LocalNet so differential tests can match
-	// estimates exactly.
+	// estimates exactly. Only the sketch protocol reads it, so ApxCountRep
+	// builds it on first use, before any convergecast starts — never
+	// keyedSketch.Local, which the goroutine engine runs concurrently.
 	keyBase  []uint64
 	logWidth int
 
@@ -131,12 +133,6 @@ func NewNet(ops spantree.Ops, opts ...Option) *Net {
 	}
 	n.sigma = loglog.SigmaOf(n.est, 1<<n.sketchP)
 	n.alphaC = 1e-6
-	n.keyBase = make([]uint64, nw.N())
-	var base uint64
-	for i, nd := range nw.Nodes {
-		n.keyBase[i] = base
-		base += uint64(len(nd.Items))
-	}
 	// +1 for the same reason as netsim.ValueWidth: log-domain predicate
 	// thresholds range over [0, log2(X)+1].
 	n.logWidth = bitio.WidthOf(core.Log2Floor(nw.MaxX) + 1)
@@ -231,6 +227,14 @@ func (n *Net) instanceHasher(i uint64) hashing.Hasher {
 // convergecasts. Instance seeds advance a persistent counter known to root
 // and nodes alike from the protocol transcript, so they cost no wire bits.
 func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
+	if n.keyBase == nil {
+		n.keyBase = make([]uint64, n.nw.N())
+		var base uint64
+		for i, nd := range n.nw.Nodes {
+			n.keyBase[i] = base
+			base += uint64(len(nd.Items))
+		}
+	}
 	vw := n.valueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()

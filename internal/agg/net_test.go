@@ -175,6 +175,32 @@ func TestHonestSketchesMatchFastPath(t *testing.T) {
 	}
 }
 
+// TestSketchKeysBuiltOnlyForSketches: NewNet leaves the per-node sketch
+// keys unbuilt — only REP COUNTP reads them — and ApxCountRep builds them
+// before its first convergecast, so the goroutine engine's concurrent
+// keyedSketch.Local calls only ever read them. Run with -race.
+func TestSketchKeysBuiltOnlyForSketches(t *testing.T) {
+	g := topology.Grid(6, 6)
+	values := workload.Generate(workload.Zipf, g.N(), testMaxX, 5)
+	ref := buildNet(t, g, values, "fast")
+	goro := buildNet(t, g, values, "goroutine", WithHonestSketches())
+	goro.MinMax(core.Linear)
+	goro.Count(core.Linear, wire.True())
+	if goro.keyBase != nil {
+		t.Fatal("non-sketch protocols built the sketch keys")
+	}
+	want := ref.ApxCountRep(core.Linear, wire.True(), 3)
+	got := goro.ApxCountRep(core.Linear, wire.True(), 3)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("instance %d: honest goroutine %g vs fast %g", i, got[i], want[i])
+		}
+	}
+	if len(goro.keyBase) != g.N() {
+		t.Errorf("sketch keys cover %d of %d nodes", len(goro.keyBase), g.N())
+	}
+}
+
 // TestDifferentialLocalNet runs the full APX MEDIAN on the simulated
 // network and on core.LocalNet with matching seeds and expects identical
 // outputs — the algorithms consume exactly the same estimate streams.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -11,14 +10,13 @@ import (
 // They operate on plain slices (simulator-side omniscience), never on the
 // network.
 
-// SortedCopy returns an ascending copy of values. slices.Sort (pdqsort on
-// native uint64 comparisons) rather than sort.Slice: ground-truth sorting
-// runs once per engine query and the reflect-based swapper was a visible
-// slice of short-query profiles.
+// SortedCopy returns an ascending copy of values, sorted by Sort — the same
+// linear radix sort the engine's ground truth sorts its population with in
+// place.
 func SortedCopy(values []uint64) []uint64 {
 	s := make([]uint64, len(values))
 	copy(s, values)
-	slices.Sort(s)
+	Sort(s)
 	return s
 }
 

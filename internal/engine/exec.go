@@ -209,24 +209,21 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		fe = spantree.NewFast(nw)
 	}
 	fe.SetWorkers(e.treeWorkers)
-	values := nw.AllItems()
-	if heal != nil {
-		values = survivingItems(nw, heal.View)
-	}
+	truth := &groundTruth{nw: nw, view: fe.View()}
 	// A fusable tree query under a phased fault plan runs as a resilient
 	// batch of one: the detect → re-heal → resume loop in retry.go, with
 	// the same degradation contract as a fused batch. Unfusable parameters
 	// fall through to report their standard errors.
 	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && fusableKind(q.Kind) {
-		if ans, ok, err := e.executeResilientSolo(nw, spec, q, fe, heal, values); ok {
+		if ans, ok, err := e.executeResilientSolo(nw, spec, q, fe, heal, truth); ok {
 			return ans, err
 		}
 	}
 	if q.Robust {
-		return executeRobust(nw, spec, q, fe, heal, values, aud)
+		return executeRobust(nw, spec, q, fe, heal, truth, aud)
 	}
 	net := agg.NewNet(fe, agg.WithSketchP(q.SketchP))
-	ans, err := executeKind(nw, spec, q, fe, net, values)
+	ans, err := executeKind(nw, spec, q, fe, net, truth)
 	if err != nil {
 		return answer{}, err
 	}
@@ -239,7 +236,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 // costs traffic, so honest runs skip it), re-derive the execution view and
 // ground truth, cross-check the trimmed plane against the
 // duplicate-insensitive sketch, and dispatch the kind over a RobustNet.
-func executeRobust(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, heal *spantree.HealResult, values []uint64, aud *auditOnce) (answer, error) {
+func executeRobust(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, heal *spantree.HealResult, truth *groundTruth, aud *auditOnce) (answer, error) {
 	if !robustKind(q.Kind) {
 		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", q.Kind)
 	}
@@ -255,14 +252,14 @@ func executeRobust(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngi
 		}
 		if rep.Healed != nil {
 			heal = rep.Healed
-			values = survivingItems(nw, view)
+			truth = &groundTruth{nw: nw, view: view}
 		}
 	}
 	rnet := byz.NewRobustNet(nw, view, byz.WithSketchP(q.SketchP))
 	if adversarial {
 		rnet.CrossCheck()
 	}
-	ans, err := executeKind(nw, spec, q, fe, rnet, values)
+	ans, err := executeKind(nw, spec, q, fe, rnet, truth)
 	if err != nil {
 		return answer{}, err
 	}
@@ -396,21 +393,6 @@ func faultSupport(kind string, fs faults.Spec) error {
 	return nil
 }
 
-// survivingItems collects the items of the nodes the healed view covers —
-// the ground-truth population for a post-repair query.
-func survivingItems(nw *netsim.Network, view *spantree.TreeView) []uint64 {
-	out := make([]uint64, 0, len(view.Order))
-	for _, nd := range nw.Nodes {
-		if !view.Includes(nd.ID) {
-			continue
-		}
-		for _, it := range nd.Items {
-			out = append(out, it.Orig)
-		}
-	}
-	return out
-}
-
 // aggregator is the primitive-protocol surface executeKind dispatches
 // over: *agg.Net provides it directly, and *byz.RobustNet provides the
 // trimmed sector-split variant for robust queries.
@@ -428,11 +410,9 @@ var (
 	_ aggregator = (*byz.RobustNet)(nil)
 )
 
-// executeKind dispatches the query kind over the prepared execution state.
-func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net aggregator, values []uint64) (answer, error) {
-	// Sorting is only needed by the order-statistic truths; don't pay
-	// O(N log N) on every count/sum/sketch run.
-	truth := groundTruth{values: values}
+// executeKind dispatches the query kind over the prepared execution state;
+// only the order-statistic and distinct truths sort the population.
+func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net aggregator, truth *groundTruth) (answer, error) {
 	sorted := truth.sorted
 	exactUint := func(v uint64, detail string, truth uint64) answer {
 		return answer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
@@ -472,10 +452,10 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 			if q.Phi <= 0 || q.Phi > 1 {
 				return answer{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
 			}
-			k = core.QuantileRank(q.Phi, uint64(len(values)))
+			k = core.QuantileRank(q.Phi, truth.count())
 		}
 		if k == 0 {
-			k = uint64((len(values) + 1) / 2)
+			k = (truth.count() + 1) / 2
 		}
 		if q.ProbeWidth > 1 {
 			res, err := core.SelectRanksSeeded(net, []core.BatchRank{{K: k}}, q.ProbeWidth, q.SeedWindows)
@@ -522,7 +502,7 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 			seedHit:      res.SeedHit,
 		}
 		for i, v := range res.Values {
-			k := core.QuantileRank(q.Phis[i], uint64(len(values)))
+			k := core.QuantileRank(q.Phis[i], truth.count())
 			ans.values = append(ans.values, float64(v))
 			ans.truths = append(ans.truths, float64(core.TrueOrderStatistic(sorted(), int(k))))
 		}
@@ -580,17 +560,17 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		if !ok {
 			return answer{}, fmt.Errorf("engine: empty network")
 		}
-		return exactUint(v, "exact", sorted()[0]), nil
+		return exactUint(v, "exact", truth.totals().lo), nil
 
 	case KindMax:
 		v, ok := net.Max(core.Linear)
 		if !ok {
 			return answer{}, fmt.Errorf("engine: empty network")
 		}
-		return exactUint(v, "exact", sorted()[len(values)-1]), nil
+		return exactUint(v, "exact", truth.totals().hi), nil
 
 	case KindCount:
-		return exactUint(net.Count(core.Linear, wire.True()), "exact", uint64(len(values))), nil
+		return exactUint(net.Count(core.Linear, wire.True()), "exact", truth.count()), nil
 
 	case KindSum:
 		return answer{value: float64(net.Sum(core.Linear, wire.True())), detail: "exact", truth: truth.aggregate("sum"), truthKnown: true}, nil
@@ -607,7 +587,7 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		if err != nil {
 			return answer{}, err
 		}
-		return exactUint(uint64(res.Distinct), "exact set union", uint64(core.TrueDistinct(values))), nil
+		return exactUint(uint64(res.Distinct), "exact set union", truth.distinct()), nil
 
 	case KindApxDistinct:
 		res, err := distinct.Approximate(ops, q.SketchP, loglog.EstHLL, nw.Seed())
@@ -617,7 +597,7 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		return answer{
 			value:      res.Estimate,
 			detail:     fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<q.SketchP, res.Sigma),
-			truth:      float64(core.TrueDistinct(values)),
+			truth:      float64(truth.distinct()),
 			truthKnown: true,
 		}, nil
 
@@ -654,7 +634,7 @@ func executeKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net a
 		return answer{
 			value:      res.Estimate,
 			detail:     fmt.Sprintf("%d gossip rounds", res.Rounds),
-			truth:      float64(core.TrueDistinct(values)),
+			truth:      float64(truth.distinct()),
 			truthKnown: true,
 		}, nil
 

@@ -8,6 +8,7 @@ import (
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/core"
+	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
 )
@@ -243,23 +244,32 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 			r.SeedHit = st.SeedHit()
 			continue
 		}
-		r.AggValues = make([]float64, 0, len(mb.Aggs))
-		for _, a := range mb.Aggs {
-			switch a {
-			case "count":
-				r.AggValues = append(r.AggValues, float64(res.N))
-			case "sum":
-				r.AggValues = append(r.AggValues, float64(res.Sum))
-			case "min":
-				r.AggValues = append(r.AggValues, float64(lo))
-			case "max":
-				r.AggValues = append(r.AggValues, float64(hi))
-			case "avg":
-				r.AggValues = append(r.AggValues, float64(res.Sum)/float64(res.N))
+		r.AggValues = aggValues(mb.Aggs, res)
+	}
+	return nil
+}
+
+// aggValues reads an aggregate member's answers, aligned with aggs, off the
+// batch's shared riders (avg over an empty count reads 0).
+func aggValues(aggs []string, res *FusedResult) []float64 {
+	out := make([]float64, len(aggs))
+	for i, a := range aggs {
+		switch a {
+		case "count":
+			out[i] = float64(res.N)
+		case "sum":
+			out[i] = float64(res.Sum)
+		case "min":
+			out[i] = float64(res.Lo)
+		case "max":
+			out[i] = float64(res.Hi)
+		case "avg":
+			if res.N > 0 {
+				out[i] = float64(res.Sum) / float64(res.N)
 			}
 		}
 	}
-	return nil
+	return out
 }
 
 // fusableKind reports whether a query kind can join a fusion batch: the
@@ -340,25 +350,25 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map
 	}
 }
 
-// fusedMemberFor translates a query into its batch slot. ok is false for
-// queries whose parameters the solo path would reject (bad phi, unknown
-// aggregate, ...): they fall back to solo execution, which reports exactly
-// the error it always has.
-func fusedMemberFor(q Query, values []uint64) (FusedMember, bool) {
+// fusedMemberFor translates a query into its batch slot, n being the size
+// of the population it ranks. ok is false for queries whose parameters the
+// solo path would reject (bad phi, unknown aggregate, ...): they fall back
+// to solo execution, which reports exactly the error it always has.
+func fusedMemberFor(q Query, n uint64) (FusedMember, bool) {
 	switch q.Kind {
 	case KindMedian:
 		return FusedMember{Ranks: []core.BatchRank{{Median: true}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
 	case KindOrderStat:
 		k := q.K
 		if k == 0 {
-			k = uint64((len(values) + 1) / 2)
+			k = (n + 1) / 2
 		}
 		return FusedMember{Ranks: []core.BatchRank{{K: k}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
 	case KindQuantile:
 		if q.Phi <= 0 || q.Phi > 1 {
 			return FusedMember{}, false
 		}
-		k := core.QuantileRank(q.Phi, uint64(len(values)))
+		k := core.QuantileRank(q.Phi, n)
 		return FusedMember{Ranks: []core.BatchRank{{K: k}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
 	case KindQuantiles:
 		if len(q.Phis) == 0 {
@@ -427,39 +437,32 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		}
 	}()
 
-	nw, err := e.session.Instantiate(spec, jobs[idxs[0]].runSeed())
-	if err != nil {
+	// failAll fails every member before any was answered.
+	failAll := func(err error) []int {
 		for _, i := range idxs {
 			results[i] = failedResult(jobs[i], err)
 			written[i] = true
 		}
-		return solo
+		return nil
+	}
+	nw, err := e.session.Instantiate(spec, jobs[idxs[0]].runSeed())
+	if err != nil {
+		return failAll(err)
 	}
 	if ov := jobs[idxs[0]].Overlay; ov != nil {
 		if err := ov.apply(nw); err != nil {
 			nw.Release()
-			for _, i := range idxs {
-				results[i] = failedResult(jobs[i], err)
-				written[i] = true
-			}
-			return solo
+			return failAll(err)
 		}
 	}
 	before := nw.Meter.Snapshot()
 	fe, hr, err := spantree.NewFastHealed(nw)
 	if err != nil {
 		nw.Release()
-		for _, i := range idxs {
-			results[i] = failedResult(jobs[i], err)
-			written[i] = true
-		}
-		return solo
+		return failAll(err)
 	}
 	fe.SetWorkers(e.treeWorkers)
-	values := nw.AllItems()
-	if hr != nil {
-		values = survivingItems(nw, hr.View)
-	}
+	truth := &groundTruth{nw: nw, view: fe.View()}
 
 	// Members whose resolved queries are equal (seed windows included) share
 	// one slot — one FusedMember, one stepper, one assembled answer: the mux
@@ -476,7 +479,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 			s++
 		}
 		if s == len(queries) {
-			mb, ok := fusedMemberFor(q, values)
+			mb, ok := fusedMemberFor(q, truth.count())
 			if !ok {
 				solo = append(solo, ji)
 				continue
@@ -500,9 +503,9 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		// through the detect → re-heal → resume loop instead of the plain
 		// schedule. Members are rebuilt per attempt inside, because the
 		// survivor population (and with it φ-resolved ranks) shrinks.
-		rout, ferr = e.resilientFused(ctx, nw, spec, fe, hr, values, queries, deadline)
+		rout, ferr = e.resilientFused(ctx, nw, spec, fe, hr, truth, queries, deadline)
 		if ferr == nil {
-			fres, hr, values = rout.res, rout.hr, rout.values
+			fres, hr, truth = rout.res, rout.hr, rout.truth
 		}
 	} else {
 		fres, ferr = runFused(ctx, agg.NewNet(fe), members, deadline)
@@ -517,7 +520,6 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	}
 
 	// One answer per slot, over one ground truth per batch.
-	truth := groundTruth{values: values}
 	detail := fusedDetail(len(memberIdx), fres.Sweeps)
 	answers := make([]answer, len(members))
 	for mi, mr := range fres.Members {
@@ -528,7 +530,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		if rout != nil && rout.degraded {
 			*ans = degradedAnswer(queries[mi], mr, rout.retries)
 		} else {
-			*ans = fusedAnswer(queries[mi], mr, fres.Sweeps, detail, &truth)
+			*ans = fusedAnswer(queries[mi], mr, fres.Sweeps, detail, truth)
 		}
 		ans.heal = hr
 		if rout != nil {
@@ -580,37 +582,69 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	return solo
 }
 
-// groundTruth is the simulator-side truth over a run's surviving items, each
-// part computed on first use: only the order-statistic truths need the sort
-// and only the aggregate truths the Σ/min/max pass, and a fused batch pays
-// for each at most once however many members read it.
+// groundTruth is the simulator-side truth over the original readings of the
+// nodes a run's view covers, derived from the run network on demand: size
+// and Fact 2.1 aggregates from one walk of view.Order (storage order on the
+// full view), order statistics and distinct count from one materialization
+// sorted in place. A fused batch pays for each at most once, a kind that
+// reads neither pays nothing, and since no protocol changes a view or Orig,
+// it may be read after the query ran.
 type groundTruth struct {
-	values      []uint64
-	sortedCache []uint64
-	totalled    bool
-	sum, lo, hi uint64
+	nw             *netsim.Network
+	view           *spantree.TreeView
+	walked         bool
+	n, sum, lo, hi uint64
+	pop            []uint64 // the population, ascending; nil until first use
 }
 
-func (g *groundTruth) sorted() []uint64 {
-	if g.sortedCache == nil {
-		g.sortedCache = core.SortedCopy(g.values)
+// totals returns g with the population's size, Σ, min and max computed.
+func (g *groundTruth) totals() *groundTruth {
+	if !g.walked {
+		g.walked, g.lo = true, ^uint64(0)
+		for _, u := range g.view.Order {
+			for _, it := range g.nw.Nodes[u].Items {
+				g.n++
+				g.sum += it.Orig
+				g.lo, g.hi = min(g.lo, it.Orig), max(g.hi, it.Orig)
+			}
+		}
 	}
-	return g.sortedCache
+	return g
+}
+
+// count is the population size.
+func (g *groundTruth) count() uint64 { return g.totals().n }
+
+// sorted returns the population in ascending order.
+func (g *groundTruth) sorted() []uint64 {
+	if g.pop == nil {
+		g.pop = make([]uint64, 0, g.nw.NumItems())
+		for _, u := range g.view.Order {
+			for _, it := range g.nw.Nodes[u].Items {
+				g.pop = append(g.pop, it.Orig)
+			}
+		}
+		core.Sort(g.pop)
+	}
+	return g.pop
+}
+
+// distinct is the number of distinct readings in the population.
+func (g *groundTruth) distinct() (d uint64) {
+	for i, v := range g.sorted() {
+		if i == 0 || v != g.pop[i-1] {
+			d++
+		}
+	}
+	return d
 }
 
 // aggregate is the truth of one Fact 2.1 aggregate (count|sum|min|max|avg).
 func (g *groundTruth) aggregate(name string) float64 {
-	if !g.totalled && len(g.values) > 0 {
-		g.totalled = true
-		g.lo, g.hi = g.values[0], g.values[0]
-		for _, v := range g.values {
-			g.sum += v
-			g.lo, g.hi = min(g.lo, v), max(g.hi, v)
-		}
-	}
+	g.totals()
 	switch name {
 	case "count":
-		return float64(len(g.values))
+		return float64(g.n)
 	case "sum":
 		return float64(g.sum)
 	case "min":
@@ -618,7 +652,7 @@ func (g *groundTruth) aggregate(name string) float64 {
 	case "max":
 		return float64(g.hi)
 	}
-	return float64(g.sum) / float64(len(g.values)) // avg
+	return float64(g.sum) / float64(g.n) // avg
 }
 
 // fusedDetail is the part of Result.Detail every member of a batch shares.
@@ -630,7 +664,7 @@ func fusedDetail(batch, sweeps int) string {
 // semantics of its solo execution in exec.go; only the detail string
 // differs (it names the shared schedule, see fusedDetail).
 func fusedAnswer(q Query, mr FusedMemberResult, sweeps int, detail string, truth *groundTruth) answer {
-	n := uint64(len(truth.values))
+	n := truth.count()
 	ans := answer{detail: detail, truthKnown: true, sweeps: sweeps}
 	switch q.Kind {
 	case KindMedian:

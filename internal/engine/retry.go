@@ -37,8 +37,8 @@ type resilientOutcome struct {
 	// — an unfired plan with no structural pre-faults, or a budget-0
 	// degrade).
 	hr *spantree.HealResult
-	// values is the final survivor ground-truth population.
-	values []uint64
+	// truth is the ground truth over the final view's survivors.
+	truth *groundTruth
 	// retries counts the re-heal/resume attempts consumed.
 	retries int
 	// degraded marks a budget-exhausted best-effort answer.
@@ -50,17 +50,17 @@ type resilientOutcome struct {
 
 // resilientFused drives one fusion batch (or a batch of one, the solo
 // path) under a phased fault plan. The caller hands in the engine, heal
-// result, and survivor values of the pre-query state; every retry rebuilds
+// result, and ground truth of the pre-query state; every retry re-derives
 // them from the re-healed view. queries must already have defaults
 // resolved and be fusable (fusedMemberFor ok).
-func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, hr *spantree.HealResult, values []uint64, queries []Query, deadline time.Time) (*resilientOutcome, error) {
+func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, hr *spantree.HealResult, truth *groundTruth, queries []Query, deadline time.Time) (*resilientOutcome, error) {
 	plan := nw.Faults
 	out := &resilientOutcome{hr: hr}
 	var seeds [][]core.SeedWindow
 	for attempt := 0; ; attempt++ {
 		members := make([]FusedMember, len(queries))
 		for i, q := range queries {
-			mb, ok := fusedMemberFor(q, values)
+			mb, ok := fusedMemberFor(q, truth.count())
 			if !ok {
 				return nil, fmt.Errorf("engine: %s is not fusable with these parameters", q.Kind)
 			}
@@ -74,7 +74,7 @@ func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Sp
 		ise, ferr := driveGuarded(ctx, agg.NewNet(fe), members, steppers, needSum, deadline, &res)
 		if ise == nil {
 			out.res = res
-			out.values = values
+			out.truth = truth
 			out.retries = attempt
 			if plan.PhaseFired() {
 				out.survivorFrac = float64(fe.View().N()) / float64(nw.N())
@@ -136,8 +136,8 @@ func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Sp
 		out.hr = hr2
 		fe = spantree.NewFastView(nw, hr2.View)
 		fe.SetWorkers(e.treeWorkers)
-		values = survivingItems(nw, hr2.View)
-		if len(values) == 0 {
+		truth = &groundTruth{nw: nw, view: hr2.View}
+		if truth.count() == 0 {
 			return nil, core.ErrEmpty
 		}
 	}
@@ -186,38 +186,20 @@ func degradeMembers(members []FusedMember, steppers []*core.SelectStepper, res *
 			}
 			continue
 		}
-		r.AggValues = make([]float64, 0, len(mb.Aggs))
-		for _, a := range mb.Aggs {
-			switch a {
-			case "count":
-				r.AggValues = append(r.AggValues, float64(res.N))
-			case "sum":
-				r.AggValues = append(r.AggValues, float64(res.Sum))
-			case "min":
-				r.AggValues = append(r.AggValues, float64(res.Lo))
-			case "max":
-				r.AggValues = append(r.AggValues, float64(res.Hi))
-			case "avg":
-				if res.N > 0 {
-					r.AggValues = append(r.AggValues, float64(res.Sum)/float64(res.N))
-				} else {
-					r.AggValues = append(r.AggValues, 0)
-				}
-			}
-		}
+		r.AggValues = aggValues(mb.Aggs, res)
 	}
 }
 
 // executeResilientSolo routes a solo fusable query under a phased fault
 // plan through the resilient loop as a batch of one, from the engine, heal
-// result and survivor values of the pre-query state. ok is false when the
+// result and ground truth of the pre-query state. ok is false when the
 // query's parameters are unfusable — the caller falls through to the plain
 // path, which reports the standard parameter error.
-func (e *Engine) executeResilientSolo(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, hr *spantree.HealResult, values []uint64) (answer, bool, error) {
-	if _, ok := fusedMemberFor(q, values); !ok {
+func (e *Engine) executeResilientSolo(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, hr *spantree.HealResult, truth *groundTruth) (answer, bool, error) {
+	if _, ok := fusedMemberFor(q, truth.count()); !ok {
 		return answer{}, false, nil
 	}
-	rout, err := e.resilientFused(context.Background(), nw, spec, fe, hr, values, []Query{q}, time.Time{})
+	rout, err := e.resilientFused(context.Background(), nw, spec, fe, hr, truth, []Query{q}, time.Time{})
 	if err != nil {
 		return answer{}, true, err
 	}
@@ -229,7 +211,7 @@ func (e *Engine) executeResilientSolo(nw *netsim.Network, spec Spec, q Query, fe
 	if rout.degraded {
 		ans = degradedAnswer(q, mr, rout.retries)
 	} else {
-		ans = fusedAnswer(q, mr, rout.res.Sweeps, fusedDetail(1, rout.res.Sweeps), &groundTruth{values: rout.values})
+		ans = fusedAnswer(q, mr, rout.res.Sweeps, fusedDetail(1, rout.res.Sweeps), rout.truth)
 		if rout.retries > 0 {
 			ans.detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", rout.retries, ans.detail)
 		}

@@ -210,8 +210,11 @@ func (s Spec) String() string {
 // engines' worker goroutines; Deliveries must be called from the
 // simulator's sequential delivery loop.
 type Plan struct {
-	spec     Spec
-	seed     uint64
+	spec Spec
+	seed uint64
+	// keys[s] is Mix64(seed ^ streamSalts[s]), the first round of every
+	// decision hash on stream s, computed once instead of per decision.
+	keys     [numStreams]uint64
 	root     topology.NodeID
 	crashed  []bool
 	nCrashed int
@@ -231,16 +234,28 @@ type Plan struct {
 }
 
 // Decision streams keep crash, link, message, membership, and lie hashes
-// independent.
+// independent. A stream names its salt in streamSalts; a plan keys every
+// stream once, at construction (Plan.keys).
 const (
-	streamCrash    = 0x9e3779b97f4a7c15
-	streamLink     = 0xbf58476d1ce4e5b9
-	streamMsg      = 0x94d049bb133111eb
-	streamByz      = 0xd6e8feb86659fd93
-	streamLie      = 0xa0761d6478bd642f
-	streamMidCrash = 0x8ebc6af09c88c6e3
-	streamMidLink  = 0x589965cc75374cc3
+	streamCrash = iota
+	streamLink
+	streamMsg
+	streamByz
+	streamLie
+	streamMidCrash
+	streamMidLink
+	numStreams
 )
+
+var streamSalts = [numStreams]uint64{
+	streamCrash:    0x9e3779b97f4a7c15,
+	streamLink:     0xbf58476d1ce4e5b9,
+	streamMsg:      0x94d049bb133111eb,
+	streamByz:      0xd6e8feb86659fd93,
+	streamLie:      0xa0761d6478bd642f,
+	streamMidCrash: 0x8ebc6af09c88c6e3,
+	streamMidLink:  0x589965cc75374cc3,
+}
 
 // New instantiates the plan for an n-node network rooted at root. The
 // fault stream is seeded by spec.Seed when nonzero, else by runSeed, so a
@@ -256,6 +271,9 @@ func New(spec Spec, n int, root topology.NodeID, runSeed uint64) *Plan {
 		root:    root,
 		crashed: make([]bool, n),
 		msgSeq:  make([]uint64, n),
+	}
+	for s, salt := range streamSalts {
+		p.keys[s] = Mix64(seed ^ salt)
 	}
 	if spec.Crash > 0 {
 		for u := 0; u < n; u++ {
@@ -360,7 +378,7 @@ func (p *Plan) ByzantineCount() int { return p.nByz }
 // safe (each convergecast step owns its node), matching Deliveries'
 // per-sender counters.
 func (p *Plan) LieWord(u topology.NodeID) uint64 {
-	base := Mix64(p.seed ^ streamLie)
+	base := p.keys[streamLie]
 	switch p.spec.ByzMode {
 	case ByzEquivocate:
 		seq := p.lieSeq[u]
@@ -490,8 +508,8 @@ func CorruptValue(x, lie uint64) uint64 {
 }
 
 // uniform hashes (seed, stream, a, b) to a float64 in [0, 1).
-func (p *Plan) uniform(stream, a, b uint64) float64 {
-	h := Mix64(Mix64(Mix64(p.seed^stream)+a) + b)
+func (p *Plan) uniform(stream int, a, b uint64) float64 {
+	h := Mix64(Mix64(p.keys[stream]+a) + b)
 	return float64(h>>11) / (1 << 53)
 }
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"sensoragg/internal/topology"
@@ -141,5 +142,55 @@ func TestSpecString(t *testing.T) {
 	got := Spec{Crash: 0.05, Dup: 0.1}.String()
 	if got != "crash=0.05 dup=0.1" {
 		t.Errorf("rendered %q", got)
+	}
+}
+
+// TestStreamKeysMatchPerDecisionHash: keying every stream once in New must
+// leave every decision what the per-decision formula
+// Mix64(Mix64(Mix64(seed^salt)+a)+b) made it, for every stream, over
+// random seeds (pinned and run-derived) and identities — the lie words
+// included.
+func TestStreamKeysMatchPerDecisionHash(t *testing.T) {
+	// The salts every recorded fault decision was drawn with, by stream.
+	salts := [numStreams]uint64{
+		streamCrash:    0x9e3779b97f4a7c15,
+		streamLink:     0xbf58476d1ce4e5b9,
+		streamMsg:      0x94d049bb133111eb,
+		streamByz:      0xd6e8feb86659fd93,
+		streamLie:      0xa0761d6478bd642f,
+		streamMidCrash: 0x8ebc6af09c88c6e3,
+		streamMidLink:  0x589965cc75374cc3,
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 200; i++ {
+		spec := Spec{Byz: 0.1, ByzMode: []string{ByzCorrupt, ByzEquivocate, ByzCollude}[i%3]}
+		if i%2 == 1 {
+			spec.Seed = rng.Uint64()
+		}
+		runSeed := rng.Uint64()
+		p := New(spec, 64, 0, runSeed)
+		seed := runSeed
+		if spec.Seed != 0 {
+			seed = spec.Seed
+		}
+		for s, salt := range salts {
+			a, b := rng.Uint64(), rng.Uint64()
+			h := Mix64(Mix64(Mix64(seed^salt)+a) + b)
+			if got, want := p.uniform(s, a, b), float64(h>>11)/(1<<53); got != want {
+				t.Fatalf("seed %#x stream %d (%d, %d): %v, want %v", seed, s, a, b, got, want)
+			}
+		}
+		u := topology.NodeID(rng.IntN(64))
+		base := Mix64(seed ^ salts[streamLie])
+		want := Mix64(base + uint64(u))
+		switch spec.ByzMode {
+		case ByzEquivocate:
+			want = Mix64(Mix64(base+uint64(u)) + 0)
+		case ByzCollude:
+			want = Mix64(base + 1)
+		}
+		if got := p.LieWord(u); got != want {
+			t.Fatalf("seed %#x mode %s node %d: lie word %#x, want %#x", seed, spec.ByzMode, u, got, want)
+		}
 	}
 }

@@ -321,21 +321,32 @@ func (m *Meter) PerNode(u topology.NodeID) int64 {
 // Snapshot captures the current counters so a caller can measure one
 // protocol invocation by diffing.
 type Snapshot struct {
+	// perNode is nil while every node's sent+recv is zero — the snapshot
+	// of a freshly reset run meter, which is what most snapshots are.
 	perNode   []int64
 	totalBits int64
 	totalMsgs int64
 }
 
-// Snapshot returns a copy of the per-node sent+recv totals.
+// Snapshot returns a copy of the per-node sent+recv totals, in one pass
+// over the cells. The per-node copy is allocated at the first node that
+// has traffic, so snapshotting an all-zero meter is free.
 func (m *Meter) Snapshot() Snapshot {
-	per := make([]int64, len(m.cells))
-	var bits int64
-	for i := range per {
-		s := atomic.LoadInt64(&m.cells[i].sent)
-		per[i] = s + atomic.LoadInt64(&m.cells[i].recv)
-		bits += s
+	var s Snapshot
+	for i := range m.cells {
+		c := &m.cells[i]
+		sent := atomic.LoadInt64(&c.sent)
+		v := sent + atomic.LoadInt64(&c.recv)
+		s.totalBits += sent
+		s.totalMsgs += atomic.LoadInt64(&c.msgs)
+		if v != 0 && s.perNode == nil {
+			s.perNode = make([]int64, len(m.cells))
+		}
+		if s.perNode != nil {
+			s.perNode[i] = v
+		}
 	}
-	return Snapshot{perNode: per, totalBits: bits, totalMsgs: m.TotalMessages()}
+	return s
 }
 
 // Delta summarizes communication since a snapshot.
@@ -348,15 +359,20 @@ type Delta struct {
 	Messages int64
 }
 
-// Since returns the communication accrued since snapshot s.
+// Since returns the communication accrued since snapshot s, in one pass
+// over the cells; a snapshot without a per-node copy reads as all zeros.
 func (m *Meter) Since(s Snapshot) Delta {
-	var d Delta
+	d := Delta{TotalBits: -s.totalBits, Messages: -s.totalMsgs}
 	for i := range m.cells {
-		if v := atomic.LoadInt64(&m.cells[i].sent) + atomic.LoadInt64(&m.cells[i].recv) - s.perNode[i]; v > d.MaxPerNode {
-			d.MaxPerNode = v
+		c := &m.cells[i]
+		sent := atomic.LoadInt64(&c.sent)
+		v := sent + atomic.LoadInt64(&c.recv)
+		if s.perNode != nil {
+			v -= s.perNode[i]
 		}
+		d.MaxPerNode = max(d.MaxPerNode, v)
+		d.TotalBits += sent
+		d.Messages += atomic.LoadInt64(&c.msgs)
 	}
-	d.TotalBits = m.TotalBits() - s.totalBits
-	d.Messages = m.TotalMessages() - s.totalMsgs
 	return d
 }

@@ -115,6 +115,27 @@ func TestMeterAccounting(t *testing.T) {
 	}
 }
 
+// TestZeroMeterSnapshotIsFree: every engine job snapshots its freshly reset
+// run meter, so that snapshot must cost no N-sized copy — and Since must
+// still read it as zeros.
+func TestZeroMeterSnapshotIsFree(t *testing.T) {
+	m := NewMeter(4096)
+	if allocs := testing.AllocsPerRun(20, func() { m.Snapshot() }); allocs != 0 {
+		t.Errorf("snapshot of a zero meter allocates %v times", allocs)
+	}
+	snap := m.Snapshot()
+	m.Charge(7, 9, 12)
+	m.ChargeN(9, 7, 0, 3) // messages without bits
+	if d := m.Since(snap); d != (Delta{MaxPerNode: 12, TotalBits: 12, Messages: 4}) {
+		t.Errorf("Since a zero snapshot = %+v", d)
+	}
+	snap = m.Snapshot()
+	m.Charge(7, 9, 5)
+	if d := m.Since(snap); d != (Delta{MaxPerNode: 5, TotalBits: 5, Messages: 1}) {
+		t.Errorf("Since a nonzero snapshot = %+v", d)
+	}
+}
+
 // flood is a test handler: root sends a token to all neighbours; every node
 // forwards the first time it hears it.
 type flood struct {

@@ -123,6 +123,44 @@ func TestCheckCompleteWholeTree(t *testing.T) {
 	}
 }
 
+// TestVerifiedViewRecheckedAfterQuarantine: an engine skips the completeness
+// walk while its fired plan is unchanged since the view last passed it, but
+// a quarantine is a change — quarantining a node of a verified view must
+// fail the very next sweep with ErrSweepIncomplete, and a view that stays
+// whole keeps sweeping exactly.
+func TestVerifiedViewRecheckedAfterQuarantine(t *testing.T) {
+	nw := midNetwork(t, 144, faults.Spec{MidAt: 1, MidCrash: 0.1}, 3)
+	plan := nw.Faults
+	hr, _, err := HealRerooted(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := NewFastView(nw, hr.View)
+	var want uint64
+	for _, u := range hr.View.Order {
+		want += uint64(u)
+	}
+	for sweep := 0; sweep < 3; sweep++ {
+		out, err := fe.Convergecast(idCombiner{})
+		if err != nil {
+			t.Fatalf("sweep %d over the whole re-healed view: %v", sweep, err)
+		}
+		if out.(uint64) != want {
+			t.Fatalf("sweep %d: sum %d, want %d", sweep, out, want)
+		}
+	}
+	victim := hr.View.Order[len(hr.View.Order)/2]
+	plan.Quarantine(victim)
+	_, err = fe.Convergecast(idCombiner{})
+	var ise *IncompleteSweepError
+	if !errors.Is(err, ErrSweepIncomplete) || !errors.As(err, &ise) {
+		t.Fatalf("sweep after quarantining view node %d: error %v, want ErrSweepIncomplete", victim, err)
+	}
+	if ise.Missing < 1 {
+		t.Errorf("quarantined node %d reported %d missing", victim, ise.Missing)
+	}
+}
+
 // TestHealRerootedAfterRootKill: with the root dead, the re-rooted heal
 // must pick the lowest-ID survivor as acting root and produce a valid view
 // over every reachable survivor.

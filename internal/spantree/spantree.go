@@ -133,6 +133,13 @@ type FastEngine struct {
 	// watched edge the engine batches each node's receive charges into one
 	// atomic update; with one it falls back to exact per-edge Charge.
 	watching bool
+
+	// verified is the fired plan the view last passed checkComplete under,
+	// and verifiedQuar that plan's QuarantinedCount then. Once fired, a plan
+	// changes only through Quarantine, so while both hold the view is still
+	// whole and the per-sweep walk is skipped.
+	verified     *faults.Plan
+	verifiedQuar int
 }
 
 // netScratch is the execution scratch of every fast engine on one run
@@ -344,10 +351,11 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 		// ErrSweepIncomplete instead of silently vanishing from the counts.
 		// Unphased plans skip all of this, and a nil plan costs one branch.
 		plan.Tick()
-		if plan.PhaseFired() {
+		if plan.PhaseFired() && (e.verified != plan || e.verifiedQuar != plan.QuarantinedCount()) {
 			if err := e.checkComplete(plan); err != nil {
 				return nil, err
 			}
+			e.verified, e.verifiedQuar = plan, plan.QuarantinedCount()
 		}
 	}
 	if sk := obs.Active(); sk != nil {
