@@ -354,14 +354,10 @@ func (c *console) setCommand(line string) error {
 // tier. Only the exact selection/aggregate statements the engine serves
 // robustly are accepted — the same set fusion takes.
 func (c *console) execRobustSolo(stmt string, model energy.Model) error {
-	q, err := query.Parse(stmt)
+	eq, ok, err := c.engineQuery(stmt)
 	if err != nil {
 		return err
 	}
-	if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
-		q.Options["probewidth"] = float64(c.probeWidth)
-	}
-	eq, ok := fusedQuery(q)
 	if !ok {
 		return fmt.Errorf("%q has no robust path (exact selection/aggregate without WHERE); SET ROBUST OFF to run it plain", stmt)
 	}
@@ -384,14 +380,10 @@ func (c *console) execRobustSolo(stmt string, model energy.Model) error {
 // resumes within the session's retry budget (SET RETRY), or degrades to
 // best-known bounds when it runs out.
 func (c *console) execResilientSolo(stmt string, model energy.Model) error {
-	q, err := query.Parse(stmt)
+	eq, ok, err := c.engineQuery(stmt)
 	if err != nil {
 		return err
 	}
-	if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
-		q.Options["probewidth"] = float64(c.probeWidth)
-	}
-	eq, ok := fusedQuery(q)
 	if !ok {
 		return fmt.Errorf("%q cannot run under a mid-sweep fault plan (exact selection/aggregate without WHERE only); `faults off` to run it plain", stmt)
 	}
@@ -487,63 +479,29 @@ func splitStatements(line string) []string {
 	return out
 }
 
-// fusedQuery maps a parsed statement onto the engine job a fusion batch
-// runs: exact selection statements become seeded-stepper members, the
-// Fact 2.1 aggregates become riders on the shared rounds. ok is false for
-// statements fusion cannot serve (WHERE clauses — each statement would
-// need its own filtered multiset — and the randomized/sketch families,
-// whose schedules are private).
-//
-// A console `quantile(value, φ)` maps to KindQuantiles, not KindQuantile:
-// the plural kind resolves φ against the protocol-counted N (BatchRank.Phi,
-// like query.Run's batched path), which keeps fused answers byte-identical
-// to the console's solo execution. KindQuantile resolves against the
-// simulator-side population — exec.go's semantics, not the console's.
-func fusedQuery(q *query.Query) (engine.Query, bool) {
-	if q.Where != nil {
-		return engine.Query{}, false
+// engineQuery maps a statement onto the engine query it runs as outside
+// the statement executor — serve.QueryFor's mapping, so a single quantile
+// is KindQuantiles and resolves φ against the protocol-counted N like the
+// console's solo execution — with the statement's USING probewidth, or
+// else the session's width. ok is false for the statements QueryFor hands
+// to the statement executor (WHERE clauses, the randomized and sketch
+// aggregates) and for a malformed probewidth, which that executor reports.
+func (c *console) engineQuery(stmt string) (eq engine.Query, ok bool, err error) {
+	q, err := query.Parse(stmt)
+	if err != nil {
+		return engine.Query{}, false, err
 	}
-	eq := engine.Query{}
-	if w, ok := q.Options["probewidth"]; ok {
+	if eq, _, err = serve.QueryFor(stmt); err != nil || eq.Kind == engine.KindStatement {
+		return engine.Query{}, false, err
+	}
+	eq.ProbeWidth = c.probeWidth
+	if w, set := q.Options["probewidth"]; set {
 		if w != float64(int(w)) || w < 1 || w > float64(core.MaxProbeWidth) {
-			return engine.Query{}, false
+			return engine.Query{}, false, nil
 		}
 		eq.ProbeWidth = int(w)
 	}
-	switch q.Agg {
-	case query.AggMedian:
-		eq.Kind = engine.KindMedian
-	case query.AggQuantile:
-		if q.Phi <= 0 || q.Phi > 1 {
-			return engine.Query{}, false
-		}
-		eq.Kind = engine.KindQuantiles
-		eq.Phis = []float64{q.Phi}
-	case query.AggQuantiles:
-		if len(q.Phis) == 0 {
-			return engine.Query{}, false
-		}
-		for _, phi := range q.Phis {
-			if phi <= 0 || phi > 1 {
-				return engine.Query{}, false
-			}
-		}
-		eq.Kind = engine.KindQuantiles
-		eq.Phis = q.Phis
-	case query.AggMin:
-		eq.Kind = engine.KindMin
-	case query.AggMax:
-		eq.Kind = engine.KindMax
-	case query.AggCount:
-		eq.Kind = engine.KindCount
-	case query.AggSum:
-		eq.Kind = engine.KindSum
-	case query.AggAvg:
-		eq.Kind = engine.KindAvg
-	default:
-		return engine.Query{}, false
-	}
-	return eq, true
+	return eq, true, nil
 }
 
 // execFused runs semicolon-batched statements as one fusion batch on the
@@ -554,14 +512,10 @@ func fusedQuery(q *query.Query) (engine.Query, bool) {
 func (c *console) execFused(stmts []string, model energy.Model) error {
 	jobs := make([]engine.Job, len(stmts))
 	for i, s := range stmts {
-		q, err := query.Parse(s)
+		eq, ok, err := c.engineQuery(s)
 		if err != nil {
 			return err
 		}
-		if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
-			q.Options["probewidth"] = float64(c.probeWidth)
-		}
-		eq, ok := fusedQuery(q)
 		if !ok {
 			return fmt.Errorf("%q is not fusable (exact selection/aggregate without WHERE); SET FUSE OFF to run the batch sequentially", s)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,52 +111,115 @@ func TestSetFuse(t *testing.T) {
 	}
 }
 
-// TestFusedQueryMapping: statements map onto fusion-batch jobs; WHERE
-// clauses and non-exact aggregates stay out, and a single quantile keeps
-// the console's protocol-counted φ resolution (KindQuantiles).
+// TestFusedQueryMapping: the console's statements map onto the same
+// engine queries the console's own mapping produced before it went through
+// serve.QueryFor (oracleFusedQuery below, verbatim): the fusable statements
+// as fusable kinds — a single quantile as KindQuantiles — with the USING or
+// session probe width, and WHERE clauses, non-exact aggregates and a
+// malformed probewidth left to the statement executor.
 func TestFusedQueryMapping(t *testing.T) {
-	fusable := []string{
+	statements := []string{
 		"SELECT median(value)",
 		"SELECT quantile(value, 0.9)",
 		"SELECT quantiles(value, 0.25, 0.5)",
+		"SELECT quantiles(value, 0.25, 0.5, 0.9)",
 		"SELECT count(value)",
 		"SELECT sum(value)",
 		"SELECT min(value)",
 		"SELECT max(value)",
 		"SELECT avg(value)",
 		"SELECT median(value) USING probewidth=4",
-	}
-	for _, s := range fusable {
-		q, err := query.Parse(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if _, ok := fusedQuery(q); !ok {
-			t.Errorf("%q should be fusable", s)
-		}
-	}
-	q, err := query.Parse("SELECT quantile(value, 0.9)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq, _ := fusedQuery(q); eq.Kind != engine.KindQuantiles || len(eq.Phis) != 1 {
-		t.Errorf("single quantile mapped to %s/%v, want KindQuantiles with one φ", eq.Kind, eq.Phis)
-	}
-	unfusable := []string{
+		"SELECT median(value) USING probewidth=2",
+		"SELECT quantile(value, 0.99) USING probewidth=1",
+		"SELECT median(value) USING probewidth=0.5",
+		"SELECT median(value) USING probewidth=0",
+		"SELECT median(value) USING probewidth=2000",
 		"SELECT median(value) WHERE value < 100",
+		"SELECT count(value) WHERE value < 10",
 		"SELECT apxmedian(value)",
 		"SELECT distinct(value)",
 		"SELECT apxcount(value)",
 	}
-	for _, s := range unfusable {
-		q, err := query.Parse(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if _, ok := fusedQuery(q); ok {
-			t.Errorf("%q should not be fusable", s)
+	c := testConsole(t)
+	for _, width := range []int{0, 4} {
+		c.probeWidth = width
+		for _, s := range statements {
+			q, err := query.Parse(s)
+			if err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+			if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
+				q.Options["probewidth"] = float64(c.probeWidth)
+			}
+			want, wantOK := oracleFusedQuery(q)
+			got, ok, err := c.engineQuery(s)
+			if err != nil || ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d %q: %+v ok=%v err=%v, want %+v ok=%v", width, s, got, ok, err, want, wantOK)
+			}
 		}
 	}
+	if _, _, err := c.engineQuery("SELECT nope(value)"); err == nil {
+		t.Error("unparsable statement mapped")
+	}
+}
+
+// oracleFusedQuery maps a parsed statement onto the engine job a fusion batch
+// runs: exact selection statements become seeded-stepper members, the
+// Fact 2.1 aggregates become riders on the shared rounds. ok is false for
+// statements fusion cannot serve (WHERE clauses — each statement would
+// need its own filtered multiset — and the randomized/sketch families,
+// whose schedules are private).
+//
+// A console `quantile(value, φ)` maps to KindQuantiles, not KindQuantile:
+// the plural kind resolves φ against the protocol-counted N (BatchRank.Phi,
+// like query.Run's batched path), which keeps fused answers byte-identical
+// to the console's solo execution. KindQuantile resolves against the
+// simulator-side population — exec.go's semantics, not the console's.
+func oracleFusedQuery(q *query.Query) (engine.Query, bool) {
+	if q.Where != nil {
+		return engine.Query{}, false
+	}
+	eq := engine.Query{}
+	if w, ok := q.Options["probewidth"]; ok {
+		if w != float64(int(w)) || w < 1 || w > float64(core.MaxProbeWidth) {
+			return engine.Query{}, false
+		}
+		eq.ProbeWidth = int(w)
+	}
+	switch q.Agg {
+	case query.AggMedian:
+		eq.Kind = engine.KindMedian
+	case query.AggQuantile:
+		if q.Phi <= 0 || q.Phi > 1 {
+			return engine.Query{}, false
+		}
+		eq.Kind = engine.KindQuantiles
+		eq.Phis = []float64{q.Phi}
+	case query.AggQuantiles:
+		if len(q.Phis) == 0 {
+			return engine.Query{}, false
+		}
+		for _, phi := range q.Phis {
+			if phi <= 0 || phi > 1 {
+				return engine.Query{}, false
+			}
+		}
+		eq.Kind = engine.KindQuantiles
+		eq.Phis = q.Phis
+	case query.AggMin:
+		eq.Kind = engine.KindMin
+	case query.AggMax:
+		eq.Kind = engine.KindMax
+	case query.AggCount:
+		eq.Kind = engine.KindCount
+	case query.AggSum:
+		eq.Kind = engine.KindSum
+	case query.AggAvg:
+		eq.Kind = engine.KindAvg
+	default:
+		return engine.Query{}, false
+	}
+	return eq, true
 }
 
 // TestExecFusedMatchesSolo: the fused batch's answers equal the statements
@@ -183,13 +247,9 @@ func TestExecFusedMatchesSolo(t *testing.T) {
 	c := testConsole(t)
 	jobs := make([]engine.Job, len(stmts))
 	for i, s := range stmts {
-		q, err := query.Parse(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, ok := fusedQuery(q)
-		if !ok {
-			t.Fatalf("%q not fusable", s)
+		eq, ok, err := c.engineQuery(s)
+		if err != nil || !ok {
+			t.Fatalf("%q not fusable (%v)", s, err)
 		}
 		jobs[i] = engine.Job{Spec: c.spec, Query: eq}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -216,23 +217,14 @@ func (e *Engine) Workers() int { return e.workers }
 // Session returns the engine's topology cache.
 func (e *Engine) Session() *Session { return e.session }
 
-// runAll executes jobs on the worker pool and returns results strictly in
-// job order — every result is written at its job's index, so neither
-// worker scheduling, fusion batching, nor a mid-batch cancellation can
-// reorder the output (results[i] always answers jobs[i], even when only a
-// prefix of the batch ran before ctx fired). Individual failures (bad
-// spec, protocol error, deadline) are reported in the corresponding
-// Result, never as a panic across the pool; runAll itself only returns
-// early if ctx is cancelled, in which case jobs that never started are
-// marked with the context error at their own indices.
-//
-// With fuse set, jobs are first partitioned into execution units: fusable
-// jobs against one deployment become a fusion batch dispatched to a single
-// worker (see fusion.go); everything else runs solo exactly as before.
+// runAll is Submit's body, with its ordering and failure contract: every
+// result is written at its job's index, and jobs that never started are
+// marked with the context error. With fuse set, fusable jobs against one
+// deployment become a fusion batch dispatched to a single worker (see
+// fusion.go); everything else runs solo.
 func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
-	units := planUnits(jobs, fuse)
-	audits := planAudits(jobs)
+	units, audits := planUnits(jobs, fuse)
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, units)
 	}
@@ -378,13 +370,7 @@ func resultFrom(spec Spec, q Query, ans answer, d netsim.Delta, wall time.Durati
 		WallNS:       wall.Nanoseconds(),
 	}
 	if ans.truthKnown && len(ans.truths) == len(ans.values) && len(ans.values) > 0 {
-		r.Exact = true
-		for i := range ans.values {
-			if ans.values[i] != ans.truths[i] {
-				r.Exact = false
-				break
-			}
-		}
+		r.Exact = slices.Equal(ans.values, ans.truths)
 	}
 	if ans.heal != nil {
 		r.Crashed = ans.heal.Crashed

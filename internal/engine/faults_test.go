@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"sensoragg/internal/faults"
@@ -63,6 +65,62 @@ func TestZeroFaultPlanIsByteIdentical(t *testing.T) {
 			}
 			compareResults(t, "attached inactive plan", attached, ref)
 		})
+	}
+}
+
+// TestFaultPlanRejections freezes every kind's fault-plan verdict: under
+// crashes, dead links and a phased plan (plain, and on the robust tier),
+// each kind answers or fails with today's literal explanation, and
+// buildtree refuses every plan, message and adversarial ones included.
+func TestFaultPlanRejections(t *testing.T) {
+	const (
+		structural   = "engine: %s does not support structural faults (crash/linkfail) — only tree queries self-heal; message faults (drop/dup) are fine"
+		phased       = "engine: %s does not support phased (mid-sweep) fault plans — only the exact selection/aggregate tree kinds retry, and the gossip kinds degrade natively"
+		noPlans      = "engine: buildtree does not support fault plans (the construction protocol assumes the full node set)"
+		robustPhased = "engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)"
+	)
+	graph := []string{KindGossip, KindGossipDistinct, KindSingleHop}
+	retries := robustKinds
+	native := []string{KindGossip, KindGossipDistinct}
+	mid := faults.Spec{MidAt: 2, MidCrash: 0.03}
+	plans := []struct {
+		name   string
+		fs     faults.Spec
+		robust bool
+	}{
+		{"crash", faults.Spec{Crash: 0.05}, false},
+		{"linkfail", faults.Spec{LinkFail: 0.05}, false},
+		{"phased", mid, false},
+		{"phased-robust", mid, true},
+		{"drop", faults.Spec{Drop: 0.02}, false},
+		{"dup", faults.Spec{Dup: 0.02}, false},
+		{"byz", faults.Spec{Byz: 0.05}, false},
+	}
+	e := New(Options{Workers: 2})
+	for _, job := range allKindQueries(64, 3) {
+		kind := job.Query.Kind
+		for _, pl := range plans {
+			var want string
+			switch {
+			case kind == KindBuildTree:
+				want = noPlans
+			case !pl.fs.Active() || pl.fs.MessageLevel() || pl.fs.Adversarial():
+				continue // only buildtree refuses these
+			case pl.fs.Structural() && slices.Contains(graph, kind):
+				want = fmt.Sprintf(structural, kind)
+			case pl.fs.Phased() && !slices.Contains(retries, kind) && !slices.Contains(native, kind):
+				want = fmt.Sprintf(phased, kind)
+			case pl.fs.Phased() && pl.robust:
+				want = robustPhased
+			}
+			t.Run(kind+"/"+pl.name, func(t *testing.T) {
+				job := job
+				job.Spec.Faults, job.Spec.Retry, job.Query.Robust = pl.fs, Retry{Budget: 1}, pl.robust
+				if res := e.Submit(context.Background(), []Job{job})[0]; res.Error != want {
+					t.Fatalf("error %q, want %q", res.Error, want)
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -22,9 +23,7 @@ import (
 // ships it as a single CountVec broadcast–convergecast (agg.SweepMux);
 // aggregate members ride the same round via the widened CountVecSum
 // vector and the batch's shared MinMax round. The engine therefore pays
-// the tree traffic once per round for the whole batch — the first
-// optimization that amortizes sweeps *across* queries rather than within
-// one (PR 4 batched the probes within a query).
+// the tree traffic once per round for the whole batch.
 //
 // Fusion preserves answers exactly: selection is an exact search whose
 // result does not depend on the probe schedule, and the aggregate riders
@@ -37,104 +36,92 @@ import (
 // under drop/dup are deterministic but may differ from solo ones, exactly
 // as the batched probe plane may differ from classic bisection.
 
-// FusedMember is one query's slot in a fusion batch. Exactly one of the
-// two forms is used: a selection member carries the ranks its
-// SelectStepper narrows (Width probes per sweep), an aggregate member
-// names the Fact 2.1 aggregates it reads off the shared rounds
-// (count|sum|min|max|avg).
-type FusedMember struct {
-	Ranks []core.BatchRank
-	Width int
-	Aggs  []string
-	// Seeds are the member's delta-narrowing windows, one per rank (nil or
-	// mismatched length → unseeded); see core.SeedWindow.
-	Seeds []core.SeedWindow
-}
-
-// FusedMemberResult is one member's outcome.
-type FusedMemberResult struct {
-	// Values are a selection member's order statistics, one per rank.
-	Values []uint64
-	// AggValues are an aggregate member's answers, aligned with Aggs.
-	AggValues []float64
-	// Err reports a per-member failure (unresolvable rank, unknown
-	// aggregate, context cancellation) — the same error the member's solo
-	// run would report.
-	Err error
-	// Detached marks a member the batch's deadline expired on before its
-	// search resolved: it holds no answer and should be re-run solo (the
-	// engine gives detached members their own full deadline, so fusing can
-	// never fail a query that would have succeeded alone).
-	Detached bool
-	// SeededSweeps/SeedHit report a seeded selection member's
+// memberResult is one member's outcome.
+type memberResult struct {
+	// values are a selection member's order statistics, one per rank.
+	values []uint64
+	// aggValues are an aggregate member's answers, aligned with its aggs.
+	aggValues []float64
+	// err reports a per-member failure (unresolvable rank, context
+	// cancellation) — the same error the member's solo run would report.
+	err error
+	// detached marks a member the batch's deadline expired on before its
+	// search resolved: it holds no answer and re-runs solo with its own full
+	// deadline, so fusing never fails a query that would succeed alone.
+	detached bool
+	// seededSweeps/seedHit report a seeded selection member's
 	// delta-narrowing outcome (see core.SelectStepper).
-	SeededSweeps int
-	SeedHit      bool
+	seededSweeps int
+	seedHit      bool
 }
 
-// FusedResult reports one executed fusion batch.
-type FusedResult struct {
-	Members []FusedMemberResult
-	// Sweeps is the number of shared probe sweeps the batch executed (the
-	// MinMax round is not counted); Probes is the total number of
+// batchResult reports one batch attempt.
+type batchResult struct {
+	members []memberResult
+	// sweeps is the number of shared probe sweeps the attempt executed (the
+	// MinMax round is not counted); probes is the total number of
 	// predicates shipped across them. Every member was answered by this
 	// one schedule — the numbers fusion compresses.
-	Sweeps int
-	Probes int
-	// N and Sum are the shared all-active count and sum riders (Sum only
-	// when some member asked for it); Lo and Hi the shared extrema.
-	N, Sum, Lo, Hi uint64
+	sweeps, probes int
+	// The shared all-active count and sum riders (sum only when some
+	// member asked for it) and the shared extrema.
+	fact21
 }
 
-// runFused executes members as one fusion batch over net: one MinMax
-// round, then shared CountVec sweeps until every member resolves. The
-// caller owns net (typically a private forked run network) and its meter.
-// A zero deadline disables the mid-batch detach check; ctx cancellation
-// fails unresolved members with the context error. The only top-level
-// error is an empty active multiset.
-func runFused(ctx context.Context, net *agg.Net, members []FusedMember, deadline time.Time) (FusedResult, error) {
-	res := FusedResult{Members: make([]FusedMemberResult, len(members))}
-	steppers, needSum := buildSteppers(members, &res)
-	err := driveFused(ctx, net, members, steppers, needSum, deadline, &res)
-	return res, err
+// fact21 are the Fact 2.1 totals of a multiset: its size, Σ, min and max.
+type fact21 struct{ n, sum, lo, hi uint64 }
+
+// aggregate is one Fact 2.1 aggregate (count|sum|min|max|avg) of the
+// totals; avg over an empty multiset reads 0.
+func (f *fact21) aggregate(name string) float64 {
+	switch name {
+	case "count":
+		return float64(f.n)
+	case "sum":
+		return float64(f.sum)
+	case "min":
+		return float64(f.lo)
+	case "max":
+		return float64(f.hi)
+	}
+	if f.n == 0 {
+		return 0
+	}
+	return float64(f.sum) / float64(f.n)
 }
 
-// buildSteppers constructs each selection member's stepper (seeded from the
-// member's windows) and validates aggregate members, reporting whether any
-// member needs the shared Sum rider. Per-member validation errors land in
-// res.Members. It is split from driveFused so the mid-flight retry loop can
-// keep the steppers across a failed drive: their last consistent intervals
-// are the checkpoints the resumed attempt seeds from.
-func buildSteppers(members []FusedMember, res *FusedResult) (steppers []*core.SelectStepper, needSum bool) {
-	steppers = make([]*core.SelectStepper, len(members))
-	for i, mb := range members {
-		if len(mb.Ranks) > 0 {
-			steppers[i] = core.NewSelectStepper(mb.Ranks, mb.Width)
-			steppers[i].SeedHints(mb.Seeds)
-			continue
-		}
-		for _, a := range mb.Aggs {
-			switch a {
-			case "sum", "avg":
-				needSum = true
-			case "count", "min", "max":
-			default:
-				res.Members[i].Err = fmt.Errorf("engine: unknown fused aggregate %q (count|sum|min|max|avg)", a)
+// driveFused runs one batch attempt's shared probe schedule to
+// completion: one MinMax round, then merged CountVec sweeps until every
+// member resolves, then per-member answer assembly into res. It returns
+// the selection members' steppers — after a failed attempt, their last
+// consistent intervals are the checkpoints the resumed attempt seeds from.
+// A sweep a mid-flight fault killed — the agg layer panics with it — comes
+// back as ise; any other panic propagates.
+func driveFused(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) (steppers []*core.SelectStepper, ise *spantree.IncompleteSweepError, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var killed *spantree.IncompleteSweepError
+			if e, ok := r.(error); !ok || !errors.As(e, &killed) {
+				panic(r)
 			}
+			ise, err = killed, nil
+		}
+	}()
+	steppers = make([]*core.SelectStepper, len(members))
+	needSum := false
+	for i := range members {
+		if mb := &members[i]; len(mb.ranks) > 0 {
+			steppers[i] = core.NewSelectStepper(mb.ranks, mb.width)
+			steppers[i].SeedHints(mb.seeds)
+		} else {
+			needSum = needSum || slices.Contains(mb.aggs, "sum") || slices.Contains(mb.aggs, "avg")
 		}
 	}
-	return steppers, needSum
-}
-
-// driveFused runs the batch's shared probe schedule to completion: one
-// MinMax round, then merged CountVec sweeps until every member resolves,
-// then per-member answer assembly into res.
-func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppers []*core.SelectStepper, needSum bool, deadline time.Time, res *FusedResult) error {
 	lo, hi, ok := net.MinMax(core.Linear)
 	if !ok {
-		return core.ErrEmpty
+		return steppers, nil, core.ErrEmpty
 	}
-	res.Lo, res.Hi = lo, hi
+	res.lo, res.hi = lo, hi
 	for _, st := range steppers {
 		if st != nil {
 			st.Bounds(lo, hi)
@@ -146,12 +133,12 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 	resolved := false // the shared top probe (N) has run
 	// finish marks every unresolved member the batch is abandoning.
 	// Members that already resolved keep their answers: control falls
-	// through to the assembly loop below, never out of runFused early —
+	// through to the assembly loop below, never out of the drive early —
 	// a member is always either answered, failed, or detached.
-	finish := func(mark func(r *FusedMemberResult)) {
+	finish := func(mark func(r *memberResult)) {
 		for i := range members {
-			r := &res.Members[i]
-			if r.Err != nil {
+			r := &res.members[i]
+			if r.err != nil {
 				continue
 			}
 			if st := steppers[i]; st != nil {
@@ -166,17 +153,17 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 
 	for {
 		if err := ctx.Err(); err != nil {
-			finish(func(r *FusedMemberResult) { r.Err = err })
+			finish(func(r *memberResult) { r.err = err })
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			finish(func(r *FusedMemberResult) { r.Detached = true })
+			finish(func(r *memberResult) { r.detached = true })
 			break
 		}
 		mux.Begin()
 		work := false
 		for i, st := range steppers {
-			if st == nil || res.Members[i].Err != nil {
+			if st == nil || res.members[i].err != nil {
 				continue
 			}
 			if st.Resolved() && st.Done() {
@@ -199,20 +186,20 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 		mux.Sweep(core.Linear)
 		if !resolved {
 			resolved = true
-			res.N, _ = mux.Top()
+			res.n, _ = mux.Top()
 			if needSum {
-				res.Sum, _ = mux.Sum()
+				res.sum, _ = mux.Sum()
 			}
-			if res.N == 0 {
-				res.Sweeps, res.Probes = mux.Sweeps, mux.ProbesShipped
-				return core.ErrEmpty
+			if res.n == 0 {
+				res.sweeps, res.probes = mux.Sweeps, mux.ProbesShipped
+				return steppers, nil, core.ErrEmpty
 			}
 			for i, st := range steppers {
-				if st == nil || res.Members[i].Err != nil {
+				if st == nil || res.members[i].err != nil {
 					continue
 				}
-				if err := st.ResolveN(res.N); err != nil {
-					res.Members[i].Err = err
+				if err := st.ResolveN(res.n); err != nil {
+					res.members[i].err = err
 					steppers[i] = nil
 				}
 			}
@@ -222,68 +209,41 @@ func driveFused(ctx context.Context, net *agg.Net, members []FusedMember, steppe
 		// one query narrow the others' intervals too.
 		ts, cs := mux.Thresholds(), mux.Counts()
 		for i, st := range steppers {
-			if st != nil && res.Members[i].Err == nil && !st.Done() {
+			if st != nil && res.members[i].err == nil && !st.Done() {
 				st.Observe(ts, cs)
 			}
 		}
 		if mux.Sweeps > core.MaxSelectSweeps {
-			finish(func(r *FusedMemberResult) { r.Err = core.ErrNoConverge })
+			finish(func(r *memberResult) { r.err = core.ErrNoConverge })
 			break
 		}
 	}
-	res.Sweeps, res.Probes = mux.Sweeps, mux.ProbesShipped
+	res.sweeps, res.probes = mux.Sweeps, mux.ProbesShipped
 
-	for i, mb := range members {
-		r := &res.Members[i]
-		if r.Err != nil || r.Detached {
+	for i := range members {
+		r := &res.members[i]
+		if r.err != nil || r.detached {
 			continue
 		}
 		if st := steppers[i]; st != nil {
-			r.Values = st.Values(make([]uint64, 0, st.NumRanks()))
-			r.SeededSweeps = st.SeededSweeps()
-			r.SeedHit = st.SeedHit()
+			r.values = st.Values(make([]uint64, 0, st.NumRanks()))
+			r.seededSweeps = st.SeededSweeps()
+			r.seedHit = st.SeedHit()
 			continue
 		}
-		r.AggValues = aggValues(mb.Aggs, res)
+		r.aggValues = aggValues(members[i].aggs, &res.fact21)
 	}
-	return nil
+	return steppers, nil, nil
 }
 
-// aggValues reads an aggregate member's answers, aligned with aggs, off the
-// batch's shared riders (avg over an empty count reads 0).
-func aggValues(aggs []string, res *FusedResult) []float64 {
+// aggValues reads an aggregate member's answers, aligned with aggs, off
+// the totals.
+func aggValues(aggs []string, f *fact21) []float64 {
 	out := make([]float64, len(aggs))
 	for i, a := range aggs {
-		switch a {
-		case "count":
-			out[i] = float64(res.N)
-		case "sum":
-			out[i] = float64(res.Sum)
-		case "min":
-			out[i] = float64(res.Lo)
-		case "max":
-			out[i] = float64(res.Hi)
-		case "avg":
-			if res.N > 0 {
-				out[i] = float64(res.Sum) / float64(res.N)
-			}
-		}
+		out[i] = f.aggregate(a)
 	}
 	return out
-}
-
-// fusableKind reports whether a query kind can join a fusion batch: the
-// exact selection family (driven by SelectStepper) and the Fact 2.1
-// aggregates (answered by the shared MinMax round, the chain's top probe,
-// and the CountVecSum rider). Randomized, sketch, gossip, radio, and
-// statement kinds keep their private schedules.
-func fusableKind(kind string) bool {
-	switch kind {
-	case KindMedian, KindOrderStat, KindQuantile, KindQuantiles,
-		KindFused, KindMin, KindMax, KindCount, KindSum, KindAvg:
-		return true
-	}
-	return false
 }
 
 // fuseKey groups fusable jobs: same normalized deployment, same run seed
@@ -301,19 +261,37 @@ type fuseKey struct {
 // planUnits partitions jobs into execution units: a unit is either one
 // solo job or a fusion batch of ≥2 compatible jobs. Units are dispatched
 // to the worker pool as wholes; results are always written back by
-// original job index, so fusion never reorders a batch's results.
-func planUnits(jobs []Job, fuse bool) [][]int {
-	units := make([][]int, 0, len(jobs))
+// original job index, so fusion never reorders a batch's results. Every
+// robust job under an adversary with a partner gets their group's shared
+// audit, by job index; a job without one audits alone.
+func planUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*auditOnce) {
+	units = make([][]int, 0, len(jobs))
 	groups := make(map[fuseKey]int)
+	// Audit groups are few (one per deployment and epoch), so they are
+	// found by scanning: per group, its key and its first job.
+	keys, first := make([]fuseKey, 0, 8), make([]int, 0, 8)
 	for i := range jobs {
+		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
+		if jobs[i].Query.Robust && jobs[i].Spec.Faults.Byz > 0 {
+			if g := slices.Index(keys, key); g < 0 {
+				keys, first = append(keys, key), append(first, i)
+			} else {
+				if audits == nil {
+					audits = make(map[int]*auditOnce)
+				}
+				if audits[first[g]] == nil {
+					audits[first[g]] = new(auditOnce)
+				}
+				audits[i] = audits[first[g]]
+			}
+		}
 		// Robust jobs stay solo: the byz tier aggregates per sector with
 		// its own trimmed plane, which the shared probe schedule cannot
 		// represent.
-		if !fuse || !fusableKind(jobs[i].Query.Kind) || jobs[i].Query.Robust {
+		if !fuse || kindOf(jobs[i].Query.Kind).member == nil || jobs[i].Query.Robust {
 			units = append(units, []int{i})
 			continue
 		}
-		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
 		if u, ok := groups[key]; ok {
 			units[u] = append(units[u], i)
 		} else {
@@ -321,7 +299,7 @@ func planUnits(jobs []Job, fuse bool) [][]int {
 			units = append(units, []int{i})
 		}
 	}
-	return units
+	return units, audits
 }
 
 // runUnit executes one unit, writing results by original job index.
@@ -337,10 +315,8 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map
 		return
 	}
 	solo := e.runFusedGroup(ctx, jobs, idxs, results)
-	if len(solo) > 0 {
-		if sk := obs.Active(); sk != nil {
-			sk.FusionSolo.Add(int64(len(solo)))
-		}
+	if sk := obs.Active(); sk != nil && len(solo) > 0 {
+		sk.FusionSolo.Add(int64(len(solo)))
 	}
 	for _, i := range solo {
 		// Detached or unfusable members finish solo with their own full
@@ -348,53 +324,6 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map
 		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
 		results[i] = e.runOne(ctx, jobs[i], nil)
 	}
-}
-
-// fusedMemberFor translates a query into its batch slot, n being the size
-// of the population it ranks. ok is false for queries whose parameters the
-// solo path would reject (bad phi, unknown aggregate, ...): they fall back
-// to solo execution, which reports exactly the error it always has.
-func fusedMemberFor(q Query, n uint64) (FusedMember, bool) {
-	switch q.Kind {
-	case KindMedian:
-		return FusedMember{Ranks: []core.BatchRank{{Median: true}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
-	case KindOrderStat:
-		k := q.K
-		if k == 0 {
-			k = (n + 1) / 2
-		}
-		return FusedMember{Ranks: []core.BatchRank{{K: k}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
-	case KindQuantile:
-		if q.Phi <= 0 || q.Phi > 1 {
-			return FusedMember{}, false
-		}
-		k := core.QuantileRank(q.Phi, n)
-		return FusedMember{Ranks: []core.BatchRank{{K: k}}, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
-	case KindQuantiles:
-		if len(q.Phis) == 0 {
-			return FusedMember{}, false
-		}
-		ranks := make([]core.BatchRank, len(q.Phis))
-		for i, phi := range q.Phis {
-			if phi <= 0 || phi > 1 {
-				return FusedMember{}, false
-			}
-			ranks[i] = core.BatchRank{Phi: phi}
-		}
-		return FusedMember{Ranks: ranks, Width: q.ProbeWidth, Seeds: q.SeedWindows}, true
-	case KindFused:
-		for _, a := range q.Aggs {
-			switch a {
-			case "count", "sum", "min", "max", "avg":
-			default:
-				return FusedMember{}, false
-			}
-		}
-		return FusedMember{Aggs: q.Aggs}, true
-	case KindCount, KindSum, KindMin, KindMax, KindAvg: // named after their aggregate
-		return FusedMember{Aggs: []string{q.Kind}}, true
-	}
-	return FusedMember{}, false
 }
 
 // sameQuery reports whether two resolved queries are field-for-field equal:
@@ -465,11 +394,11 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	truth := &groundTruth{nw: nw, view: fe.View()}
 
 	// Members whose resolved queries are equal (seed windows included) share
-	// one slot — one FusedMember, one stepper, one assembled answer: the mux
+	// one slot — one member, one stepper, one assembled answer: the mux
 	// dedups their thresholds anyway, so every bit and sweep is what a slot
 	// each would cost. slot[k] is job memberIdx[k]'s (one allocation for both).
 	queries := make([]Query, 0, 4)
-	members := make([]FusedMember, 0, 4)
+	members := make([]member, 0, 4)
 	ints := make([]int, 2*len(idxs))
 	memberIdx, slot := ints[:0:len(idxs)], ints[len(idxs):][:0]
 	for _, ji := range idxs {
@@ -479,8 +408,8 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 			s++
 		}
 		if s == len(queries) {
-			mb, ok := fusedMemberFor(q, truth.count())
-			if !ok {
+			mb, err := kindOf(q.Kind).slot(q, truth.count())
+			if err != nil {
 				solo = append(solo, ji)
 				continue
 			}
@@ -495,24 +424,10 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		return append(solo, memberIdx...)
 	}
 
-	var fres FusedResult
-	var ferr error
-	var rout *resilientOutcome
-	if plan := nw.Faults; plan != nil && plan.PhaseArmed() {
-		// A phased fault plan can kill the batch mid-sweep: drive it
-		// through the detect → re-heal → resume loop instead of the plain
-		// schedule. Members are rebuilt per attempt inside, because the
-		// survivor population (and with it φ-resolved ranks) shrinks.
-		rout, ferr = e.resilientFused(ctx, nw, spec, fe, hr, truth, queries, deadline)
-		if ferr == nil {
-			fres, hr, truth = rout.res, rout.hr, rout.truth
-		}
-	} else {
-		fres, ferr = runFused(ctx, agg.NewNet(fe), members, deadline)
-	}
+	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth}, deadline)
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
-	if ferr != nil {
+	if err != nil {
 		// Batch-impossible (empty active multiset): every member reports
 		// it through its own solo path.
 		nw.Release()
@@ -520,23 +435,11 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	}
 
 	// One answer per slot, over one ground truth per batch.
-	detail := fusedDetail(len(memberIdx), fres.Sweeps)
+	shared := fusedDetail(len(memberIdx), o.res.sweeps)
 	answers := make([]answer, len(members))
-	for mi, mr := range fres.Members {
-		if mr.Detached || mr.Err != nil {
-			continue
-		}
-		ans := &answers[mi]
-		if rout != nil && rout.degraded {
-			*ans = degradedAnswer(queries[mi], mr, rout.retries)
-		} else {
-			*ans = fusedAnswer(queries[mi], mr, fres.Sweeps, detail, truth)
-		}
-		ans.heal = hr
-		if rout != nil {
-			ans.retries = rout.retries
-			ans.degraded = rout.degraded
-			ans.survivorFrac = rout.survivorFrac
+	for mi := range o.res.members {
+		if mr := &o.res.members[mi]; !mr.detached && mr.err == nil {
+			answers[mi] = o.answer(&members[mi], mr, shared)
 		}
 	}
 	sk := obs.Active()
@@ -547,20 +450,20 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	detached := 0
 	for k, ji := range memberIdx {
 		mi := slot[k]
-		mr := fres.Members[mi]
-		if mr.Detached {
+		mr := &o.res.members[mi]
+		if mr.detached {
 			detached++
 			if sk != nil {
 				sk.FusionDetach.Add(1)
 				sk.Tracer.Emit("fusion.detach", span,
 					obs.KV{K: "job", V: int64(ji)},
-					obs.KV{K: "seeded_sweeps", V: int64(mr.SeededSweeps)})
+					obs.KV{K: "seeded_sweeps", V: int64(mr.seededSweeps)})
 			}
 			solo = append(solo, ji)
 			continue
 		}
-		if mr.Err != nil {
-			results[ji] = failedResult(jobs[ji], mr.Err)
+		if mr.err != nil {
+			results[ji] = failedResult(jobs[ji], mr.err)
 			written[ji] = true
 			continue
 		}
@@ -569,14 +472,14 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		r := resultFrom(spec, queries[mi], answers[mi], d, wall)
 		r.ID = jobs[ji].ID
 		r.Fused = true
-		r.SharedSweeps = fres.Sweeps
-		r.SeededSweeps = mr.SeededSweeps
-		r.SeedHit = mr.SeedHit
+		r.SharedSweeps = o.res.sweeps
+		r.SeededSweeps = mr.seededSweeps
+		r.SeedHit = mr.seedHit
 		results[ji] = r
 		written[ji] = true
 	}
 	if sk != nil {
-		e.obsFusedBatch(sk, span, jobs[idxs[0]], len(memberIdx), detached, fres.Sweeps, fres.Probes, d, wall)
+		e.obsFusedBatch(sk, span, jobs[idxs[0]], len(memberIdx), detached, o.res.sweeps, o.res.probes, d, wall)
 	}
 	nw.Release()
 	return solo
@@ -590,11 +493,11 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 // reads neither pays nothing, and since no protocol changes a view or Orig,
 // it may be read after the query ran.
 type groundTruth struct {
-	nw             *netsim.Network
-	view           *spantree.TreeView
-	walked         bool
-	n, sum, lo, hi uint64
-	pop            []uint64 // the population, ascending; nil until first use
+	nw     *netsim.Network
+	view   *spantree.TreeView
+	walked bool
+	fact21
+	pop []uint64 // the population, ascending; nil until first use
 }
 
 // totals returns g with the population's size, Σ, min and max computed.
@@ -640,90 +543,9 @@ func (g *groundTruth) distinct() (d uint64) {
 }
 
 // aggregate is the truth of one Fact 2.1 aggregate (count|sum|min|max|avg).
-func (g *groundTruth) aggregate(name string) float64 {
-	g.totals()
-	switch name {
-	case "count":
-		return float64(g.n)
-	case "sum":
-		return float64(g.sum)
-	case "min":
-		return float64(g.lo)
-	case "max":
-		return float64(g.hi)
-	}
-	return float64(g.sum) / float64(g.n) // avg
-}
+func (g *groundTruth) aggregate(name string) float64 { return g.totals().fact21.aggregate(name) }
 
 // fusedDetail is the part of Result.Detail every member of a batch shares.
 func fusedDetail(batch, sweeps int) string {
 	return fmt.Sprintf("fused batch of %d: %d shared k-ary sweeps", batch, sweeps)
-}
-
-// fusedAnswer assembles a member's answer with exactly the value/truth
-// semantics of its solo execution in exec.go; only the detail string
-// differs (it names the shared schedule, see fusedDetail).
-func fusedAnswer(q Query, mr FusedMemberResult, sweeps int, detail string, truth *groundTruth) answer {
-	n := truth.count()
-	ans := answer{detail: detail, truthKnown: true, sweeps: sweeps}
-	switch q.Kind {
-	case KindMedian:
-		ans.value, ans.truth = float64(mr.Values[0]), float64(core.TrueMedian(truth.sorted()))
-	case KindOrderStat, KindQuantile:
-		k := q.K
-		if q.Kind == KindQuantile {
-			k = core.QuantileRank(q.Phi, n)
-		} else if k == 0 {
-			k = (n + 1) / 2
-		}
-		ans.detail = fmt.Sprintf("rank %d, %s", k, detail)
-		ans.value, ans.truth = float64(mr.Values[0]), float64(core.TrueOrderStatistic(truth.sorted(), int(k)))
-	case KindQuantiles:
-		ans.detail = fmt.Sprintf("%d quantiles, %s", len(q.Phis), detail)
-		for i, v := range mr.Values {
-			k := core.QuantileRank(q.Phis[i], n)
-			ans.values = append(ans.values, float64(v))
-			ans.truths = append(ans.truths, float64(core.TrueOrderStatistic(truth.sorted(), int(k))))
-		}
-		ans.value, ans.truth = ans.values[0], ans.truths[0]
-	case KindFused:
-		// Aggregate members: truths mirror exec.go's KindFused/Fact 2.1
-		// arithmetic over the surviving items.
-		ans.detail = "aggregate rider, " + detail
-		for i, a := range q.Aggs {
-			ans.values = append(ans.values, mr.AggValues[i])
-			ans.truths = append(ans.truths, truth.aggregate(a))
-		}
-		ans.value, ans.truth = ans.values[0], ans.truths[0]
-	default: // a single-aggregate kind, named after its aggregate
-		ans.detail = "aggregate rider, " + detail
-		ans.value, ans.truth = mr.AggValues[0], truth.aggregate(q.Kind)
-	}
-	return ans
-}
-
-// degradedAnswer assembles a member's best-effort answer after the retry
-// budget ran out: the checkpointed bounds stand in for the exact values and
-// no truth claim is made (TruthKnown stays false — the population the
-// partial sweeps counted over no longer exists).
-func degradedAnswer(q Query, mr FusedMemberResult, retries int) answer {
-	detail := fmt.Sprintf("degraded: retry budget exhausted after %d attempt(s); best-known bounds", retries+1)
-	switch q.Kind {
-	case KindMedian, KindOrderStat, KindQuantile:
-		return answer{value: float64(mr.Values[0]), detail: detail}
-	case KindQuantiles:
-		ans := answer{detail: detail}
-		for _, v := range mr.Values {
-			ans.values = append(ans.values, float64(v))
-		}
-		ans.value = ans.values[0]
-		return ans
-	case KindFused:
-		ans := answer{detail: detail}
-		ans.values = append(ans.values, mr.AggValues...)
-		ans.value = ans.values[0]
-		return ans
-	default:
-		return answer{value: mr.AggValues[0], detail: detail}
-	}
 }

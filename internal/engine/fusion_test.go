@@ -210,7 +210,24 @@ func TestFusionCompatibilityGrouping(t *testing.T) {
 	}
 }
 
-// TestRunFusedDetachAndEmpty drives the scheduler directly: an expired
+// batchOn resolves queries into batch slots over the population fe's view
+// covers and runs them through the batch driver on fe's plane.
+func batchOn(t *testing.T, ctx context.Context, nw *netsim.Network, fe *spantree.FastEngine, queries []Query, deadline time.Time) (outcome, error) {
+	t.Helper()
+	truth := &groundTruth{nw: nw, view: fe.View()}
+	members := make([]member, len(queries))
+	for i := range queries {
+		queries[i] = queries[i].WithDefaults()
+		mb, err := kindOf(queries[i].Kind).slot(queries[i], truth.count())
+		if err != nil {
+			t.Fatalf("slot %s: %v", queries[i], err)
+		}
+		members[i] = mb
+	}
+	return new(Engine).runBatch(ctx, nw, Spec{}, fe, queries, members, outcome{truth: truth}, deadline)
+}
+
+// TestRunFusedDetachAndEmpty drives the batch driver directly: an expired
 // deadline detaches every unresolved member before the first sweep, and an
 // empty active multiset is the batch-level error.
 func TestRunFusedDetachAndEmpty(t *testing.T) {
@@ -218,47 +235,50 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 	maxX := uint64(256)
 	values := workload.Generate(workload.Uniform, g.N(), maxX, 1)
 	nw := netsim.New(g, values, maxX)
-	net := agg.NewNet(spantree.NewFast(nw))
-	members := []FusedMember{
-		{Ranks: []core.BatchRank{{Median: true}}, Width: 8},
-		{Aggs: []string{"count", "sum"}},
+	fe := spantree.NewFast(nw)
+	queries := func() []Query {
+		return []Query{
+			{Kind: KindMedian, ProbeWidth: 8},
+			{Kind: KindFused, Aggs: []string{"count", "sum"}},
+		}
 	}
-	res, err := runFused(context.Background(), net, members, time.Now().Add(-time.Second))
+	o, err := batchOn(t, context.Background(), nw, fe, queries(), time.Now().Add(-time.Second))
 	if err != nil {
-		t.Fatalf("runFused: %v", err)
+		t.Fatalf("runBatch: %v", err)
 	}
-	for i, m := range res.Members {
-		if !m.Detached || m.Err != nil || m.Values != nil || m.AggValues != nil {
+	for i, m := range o.res.members {
+		if !m.detached || m.err != nil || m.values != nil || m.aggValues != nil {
 			t.Errorf("member %d: want detached with no answer, got %+v", i, m)
 		}
 	}
-	if res.Sweeps != 0 {
-		t.Errorf("detached batch ran %d sweeps, want 0", res.Sweeps)
+	if o.res.sweeps != 0 {
+		t.Errorf("detached batch ran %d sweeps, want 0", o.res.sweeps)
 	}
 
 	// Cancelled context fails unresolved members with the context error.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = runFused(cctx, net, members, time.Time{})
+	o, err = batchOn(t, cctx, nw, fe, queries(), time.Time{})
 	if err != nil {
-		t.Fatalf("runFused: %v", err)
+		t.Fatalf("runBatch: %v", err)
 	}
-	for i, m := range res.Members {
-		if m.Err != context.Canceled || m.Detached {
+	for i, m := range o.res.members {
+		if m.err != context.Canceled || m.detached {
 			t.Errorf("member %d: want context.Canceled, got %+v", i, m)
 		}
 	}
 
 	// Deactivate everything: the batch reports the empty multiset.
+	net := agg.NewNet(fe)
 	net.Filter(wire.Less(0))
 	defer net.Reset()
-	if _, err := runFused(context.Background(), net, members, time.Time{}); err != core.ErrEmpty {
+	if _, err := batchOn(t, context.Background(), nw, fe, queries(), time.Time{}); err != core.ErrEmpty {
 		t.Errorf("empty multiset: err %v, want core.ErrEmpty", err)
 	}
 }
 
-// TestRunFusedMidBatchDeadlineKeepsResolvedAnswers pins runFused's member
-// contract when the deadline fires *between* sweeps: every member is
+// TestRunFusedMidBatchDeadlineKeepsResolvedAnswers pins the batch driver's
+// member contract when the deadline fires *between* sweeps: every member is
 // answered, failed, or detached — never a "successful" empty result. An
 // aggregate member resolves on sweep 1, a width-1 median needs many more
 // sweeps; deadlines from instant to generous sweep the abandon point
@@ -270,32 +290,28 @@ func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 	wantCount := float64(g.N())
 	for _, budget := range []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, time.Minute} {
 		nw := netsim.New(g, values, maxX)
-		net := agg.NewNet(spantree.NewFast(nw))
-		members := []FusedMember{
-			{Aggs: []string{"count"}},
-			{Ranks: []core.BatchRank{{Median: true}}, Width: 1},
-		}
-		res, err := runFused(context.Background(), net, members, time.Now().Add(budget))
+		queries := []Query{{Kind: KindCount}, {Kind: KindMedian, ProbeWidth: 1}}
+		o, err := batchOn(t, context.Background(), nw, spantree.NewFast(nw), queries, time.Now().Add(budget))
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
-		for i, m := range res.Members {
-			answered := len(m.Values) > 0 || len(m.AggValues) > 0
-			if m.Err == nil && !m.Detached && !answered {
+		for i, m := range o.res.members {
+			answered := len(m.values) > 0 || len(m.aggValues) > 0
+			if m.err == nil && !m.detached && !answered {
 				t.Fatalf("budget %v: member %d returned successful-but-empty: %+v", budget, i, m)
 			}
-			if answered && (m.Err != nil || m.Detached) {
+			if answered && (m.err != nil || m.detached) {
 				t.Fatalf("budget %v: member %d both answered and abandoned: %+v", budget, i, m)
 			}
 		}
 		// Whenever the aggregate member did resolve, its answer must be
 		// the real count — a kept answer is never a partial one.
-		if m := res.Members[0]; len(m.AggValues) == 1 && m.AggValues[0] != wantCount {
-			t.Fatalf("budget %v: resolved count %g, want %g", budget, m.AggValues[0], wantCount)
+		if m := o.res.members[0]; len(m.aggValues) == 1 && m.aggValues[0] != wantCount {
+			t.Fatalf("budget %v: resolved count %g, want %g", budget, m.aggValues[0], wantCount)
 		}
 		if budget == time.Minute {
-			for i, m := range res.Members {
-				if m.Detached || m.Err != nil {
+			for i, m := range o.res.members {
+				if m.detached || m.err != nil {
 					t.Fatalf("generous budget: member %d abandoned: %+v", i, m)
 				}
 			}

@@ -1,0 +1,546 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"sensoragg/internal/agg"
+	"sensoragg/internal/baseline"
+	"sensoragg/internal/core"
+	"sensoragg/internal/distinct"
+	"sensoragg/internal/faults"
+	"sensoragg/internal/gk"
+	"sensoragg/internal/gossip"
+	"sensoragg/internal/loglog"
+	"sensoragg/internal/netsim"
+	"sensoragg/internal/qdigest"
+	"sensoragg/internal/query"
+	"sensoragg/internal/sampling"
+	"sensoragg/internal/singlehop"
+	"sensoragg/internal/spantree"
+	"sensoragg/internal/topology"
+	"sensoragg/internal/wire"
+)
+
+// Query kinds the engine executes. They mirror cmd/aggsim's -query values.
+const (
+	KindMedian         = "median"
+	KindOrderStat      = "os"
+	KindQuantile       = "quantile"
+	KindApxMedian      = "apxmedian"
+	KindApxMedian2     = "apxmedian2"
+	KindMin            = "min"
+	KindMax            = "max"
+	KindCount          = "count"
+	KindSum            = "sum"
+	KindAvg            = "avg"
+	KindDistinct       = "distinct"
+	KindApxDistinct    = "apxdistinct"
+	KindQDigest        = "qdigest"
+	KindGK             = "gk"
+	KindSampling       = "sampling"
+	KindGossip         = "gossip"
+	KindGossipDistinct = "gossipdistinct"
+	KindCollectAll     = "collectall"
+	KindSingleHop      = "singlehop"
+	KindBuildTree      = "buildtree"
+	KindStatement      = "statement"
+	// KindQuantiles answers every quantile in Query.Phis with one shared
+	// k-ary probe schedule (core.SelectRanksBatched).
+	KindQuantiles = "quantiles"
+	// KindFused answers COUNT+SUM+MIN+MAX (Query.Aggs) with one fused
+	// vector sweep instead of one sweep per aggregate.
+	KindFused = "fused"
+)
+
+// WithDefaults returns the query with unset tunables resolved to the
+// engine defaults — the normalization every run applies, exported for CLIs
+// and tests that inspect the resolved configuration.
+func (q Query) WithDefaults() Query {
+	if q.Eps == 0 {
+		q.Eps = 0.25
+	}
+	if q.Beta == 0 {
+		q.Beta = 1.0 / 64
+	}
+	if q.SketchP == 0 {
+		q.SketchP = core.DefaultSketchP
+	}
+	if q.ProbeWidth == 0 {
+		q.ProbeWidth = core.DefaultProbeWidth
+	}
+	if q.Kind == KindFused && len(q.Aggs) == 0 {
+		q.Aggs = []string{"count", "sum", "min", "max"}
+	}
+	return q
+}
+
+// String labels the query for reports.
+func (q Query) String() string {
+	if q.Kind == KindStatement {
+		return fmt.Sprintf("statement(%s)", q.Statement)
+	}
+	return q.Kind
+}
+
+// kind describes one query kind, once: what it runs on, which fault plans
+// and tiers it takes, and how it is answered. The solo path, the fusion
+// batch, the mid-flight retry and the degraded answer all read its entry
+// in the kinds table.
+type kind struct {
+	name string
+	// tree: the kind runs on the spanning tree, healed around structural
+	// faults first; the gossip and radio kinds run on the graph, and
+	// buildtree constructs the tree.
+	tree bool
+	// robust: the kind runs on the byz tier's trimmed sector-split plane
+	// (Query.Robust). Only the exact aggregates have trimmed primitives: the
+	// sketches are that tier's cross-check, and statements may zoom or filter.
+	robust bool
+	plans  planSupport
+	// vector: the answer is a vector (Values, Truths), one entry per rank
+	// or aggregate, even when there is only one.
+	vector bool
+	// member resolves a fusable kind's batch slot against a population of
+	// n, failing with the error its solo run reports for the parameters.
+	// nil for the kinds that keep a private schedule.
+	member func(q Query, n uint64) (member, error)
+	// batchDetail names a fusable kind's answer in a batch whose shared
+	// schedule the string shared describes.
+	batchDetail func(m member, shared string) string
+	// solo answers the kind alone on r's plane (a fusable kind's slot
+	// resolved in r.m).
+	solo func(r *run) (answer, error)
+}
+
+// planSupport is which fault plans a kind executes honestly, besides the
+// rule that only tree kinds take structural faults (they self-heal).
+type planSupport uint8
+
+const (
+	plansUnphased planSupport = iota // every plan but a phased (mid-sweep) one
+	// plansRetry: phased plans too — the exact selection and aggregate
+	// kinds detect the incomplete sweep, re-heal and resume (retry.go).
+	plansRetry
+	// plansNative: phased plans too — the epidemic protocol keeps running
+	// over the survivors past the fire and degrades gracefully.
+	plansNative
+	plansNone // no plan at all: the construction assumes the full node set
+)
+
+// faultSupport rejects, with an explanation instead of a downstream
+// protocol error, a fault plan the kind cannot execute honestly.
+func (k *kind) faultSupport(fs faults.Spec) error {
+	switch {
+	case k.plans == plansNone:
+		return fmt.Errorf("engine: %s does not support fault plans (the construction protocol assumes the full node set)", k.name)
+	case !k.tree && fs.Structural():
+		return fmt.Errorf("engine: %s does not support structural faults (crash/linkfail) — only tree queries self-heal; message faults (drop/dup) are fine", k.name)
+	case fs.Phased() && k.plans == plansUnphased:
+		return fmt.Errorf("engine: %s does not support phased (mid-sweep) fault plans — only the exact selection/aggregate tree kinds retry, and the gossip kinds degrade natively", k.name)
+	}
+	return nil
+}
+
+// kinds is the engine's kind table, in Kinds() order.
+var kinds = [...]kind{
+	{name: KindMedian, tree: true, robust: true, plans: plansRetry,
+		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}), nil },
+		batchDetail: func(_ member, shared string) string { return shared },
+		solo: func(r *run) (answer, error) {
+			if r.m.width <= 1 {
+				res, err := core.Median(r.net)
+				if err != nil {
+					return answer{}, err
+				}
+				return r.classic(res, fmt.Sprintf("%d binary-search iterations", res.Iterations)), nil
+			}
+			ans, err := r.kary()
+			ans.detail = fmt.Sprintf("%d k-ary sweeps (width %d)", ans.sweeps, r.m.width)
+			return ans, err
+		}},
+	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry,
+		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n), nil },
+		batchDetail: rankDetail, solo: rankSolo},
+	{name: KindQuantile, tree: true, robust: true, plans: plansRetry,
+		member: func(q Query, n uint64) (member, error) {
+			if q.Phi <= 0 || q.Phi > 1 {
+				return member{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
+			}
+			return rankMember(q, core.QuantileRank(q.Phi, n), n), nil
+		},
+		batchDetail: rankDetail, solo: rankSolo},
+	// Ranks are φ-resolved against the protocol-counted N inside the search
+	// (folded into the first sweep), so the kind degrades under message
+	// faults exactly like median does: a corrupted count skews the answer
+	// instead of tripping a rank-vs-population mismatch.
+	{name: KindQuantiles, tree: true, robust: true, plans: plansRetry, vector: true,
+		member: func(q Query, _ uint64) (member, error) {
+			if len(q.Phis) == 0 {
+				return member{}, fmt.Errorf("engine: quantiles requires at least one phi")
+			}
+			ranks := make([]core.BatchRank, len(q.Phis))
+			for i, phi := range q.Phis {
+				if phi <= 0 || phi > 1 {
+					return member{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", phi)
+				}
+				ranks[i] = core.BatchRank{Phi: phi}
+			}
+			return selection(q, ranks...), nil
+		},
+		batchDetail: func(m member, shared string) string { return fmt.Sprintf("%d quantiles, %s", len(m.ranks), shared) },
+		solo: func(r *run) (answer, error) {
+			ans, err := r.kary()
+			ans.detail = fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(r.m.ranks), ans.sweeps, r.m.width)
+			return ans, err
+		}},
+	{name: KindFused, tree: true, robust: true, plans: plansRetry, vector: true,
+		member: func(q Query, _ uint64) (member, error) {
+			for _, a := range q.Aggs {
+				if !slices.Contains([]string{"count", "sum", "min", "max", "avg"}, a) {
+					return member{}, fmt.Errorf("engine: unknown fused aggregate %q (count|sum|min|max|avg)", a)
+				}
+			}
+			return member{aggs: q.Aggs}, nil
+		},
+		batchDetail: riderDetail,
+		solo: func(r *run) (answer, error) {
+			count, sum, lo, hi, ok := r.net.MultiAggregate(core.Linear, wire.True())
+			if !ok {
+				return answer{}, errEmptyNetwork
+			}
+			ans := r.m.answer(nil, aggValues(r.m.aggs, &fact21{count, sum, lo, hi}), &r.truth)
+			ans.detail, ans.sweeps = "fused vector sweep (count+sum+min+max)", 1
+			return ans, nil
+		}},
+	{name: KindApxMedian, tree: true, solo: func(r *run) (answer, error) {
+		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{
+			value:      float64(res.Value),
+			detail:     fmt.Sprintf("%d α-counting instances, halted early: %v", res.Instances, res.HaltedEarly),
+			truth:      float64(core.TrueMedian(r.truth.sorted())),
+			truthKnown: true,
+		}, nil
+	}},
+	{name: KindApxMedian2, tree: true, solo: func(r *run) (answer, error) {
+		res, err := core.ApxMedian2(r.net, core.Apx2Params{Beta: r.q.Beta, Epsilon: r.q.Eps})
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{
+			value:      float64(res.Value),
+			detail:     fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances),
+			truth:      float64(core.TrueMedian(r.truth.sorted())),
+			truthKnown: true,
+		}, nil
+	}},
+	aggregateKind(KindMin, "exact", func(net aggregator) (float64, bool) {
+		v, ok := net.Min(core.Linear)
+		return float64(v), ok
+	}),
+	aggregateKind(KindMax, "exact", func(net aggregator) (float64, bool) {
+		v, ok := net.Max(core.Linear)
+		return float64(v), ok
+	}),
+	aggregateKind(KindCount, "exact", func(net aggregator) (float64, bool) {
+		return float64(net.Count(core.Linear, wire.True())), true
+	}),
+	aggregateKind(KindSum, "exact", func(net aggregator) (float64, bool) {
+		return float64(net.Sum(core.Linear, wire.True())), true
+	}),
+	aggregateKind(KindAvg, "exact (SUM/COUNT)", func(net aggregator) (float64, bool) {
+		return net.Average(core.Linear, wire.True())
+	}),
+	{name: KindDistinct, tree: true, solo: func(r *run) (answer, error) {
+		res, err := distinct.Exact(r.fe)
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(uint64(res.Distinct), "exact set union", r.truth.distinct()), nil
+	}},
+	{name: KindApxDistinct, tree: true, solo: func(r *run) (answer, error) {
+		res, err := distinct.Approximate(r.fe, r.q.SketchP, loglog.EstHLL, r.nw.Seed())
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{
+			value:      res.Estimate,
+			detail:     fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<r.q.SketchP, res.Sigma),
+			truth:      float64(r.truth.distinct()),
+			truthKnown: true,
+		}, nil
+	}},
+	{name: KindQDigest, tree: true, solo: func(r *run) (answer, error) {
+		res, err := qdigest.MedianProtocol(r.fe, 16)
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value, fmt.Sprintf("rank error bound %d", res.RankErrorBound), core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindGK, tree: true, solo: func(r *run) (answer, error) {
+		res, err := gk.MedianProtocol(r.fe, 24)
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value, fmt.Sprintf("rank gap ≤ %d", res.MaxGap), core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindSampling, tree: true, solo: func(r *run) (answer, error) {
+		res, err := sampling.Median(r.fe, 128, r.nw.Seed())
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value, fmt.Sprintf("from %d samples", res.SampleSize), core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindGossip, plans: plansNative, solo: func(r *run) (answer, error) {
+		res, err := gossip.Median(r.nw, gossip.Params{})
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value, fmt.Sprintf("%d push-sum phases", res.Phases), core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindGossipDistinct, plans: plansNative, solo: func(r *run) (answer, error) {
+		res := gossip.Distinct(r.nw, r.q.SketchP, loglog.EstHLL, r.nw.Seed(), gossip.Params{})
+		return answer{
+			value:      res.Estimate,
+			detail:     fmt.Sprintf("%d gossip rounds", res.Rounds),
+			truth:      float64(r.truth.distinct()),
+			truthKnown: true,
+		}, nil
+	}},
+	{name: KindCollectAll, tree: true, solo: func(r *run) (answer, error) {
+		res, err := baseline.CollectAllMedian(r.fe)
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value, fmt.Sprintf("%d items shipped", res.Items), core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindSingleHop, solo: func(r *run) (answer, error) {
+		if r.spec.Topology != "complete" {
+			return answer{}, fmt.Errorf("engine: singlehop requires topology=complete, got %q", r.spec.Topology)
+		}
+		res, err := singlehop.Median(r.nw)
+		if err != nil {
+			return answer{}, err
+		}
+		return exactUint(res.Value,
+			fmt.Sprintf("max transmit %d bits/node, %d radio rounds", res.MaxTransmitBits, res.Rounds),
+			core.TrueMedian(r.truth.sorted())), nil
+	}},
+	{name: KindBuildTree, plans: plansNone, solo: func(r *run) (answer, error) {
+		res, err := spantree.BuildBFS(r.nw)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{
+			value:      float64(res.Tree.Height()),
+			detail:     fmt.Sprintf("distributed BFS in %d rounds", res.Rounds),
+			truth:      float64(topology.BFSTree(r.nw.Graph, 0).Height()),
+			truthKnown: true,
+		}, nil
+	}},
+	// A statement never runs robust, so its plane is always a plain agg.Net.
+	{name: KindStatement, tree: true, solo: func(r *run) (answer, error) {
+		res, err := query.Exec(r.net.(*agg.Net), r.q.Statement)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{value: res.Value, detail: res.Detail, values: res.Values}, nil
+	}},
+}
+
+// kindOf returns the entry of the named kind. An unknown name gets a tree
+// kind of its own that fails with the unknown-kind error once the run is
+// prepared, and rejects what any unfusable tree kind rejects before that.
+func kindOf(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return &kind{name: name, tree: true, solo: func(*run) (answer, error) {
+		return answer{}, fmt.Errorf("engine: unknown query kind %q", name)
+	}}
+}
+
+// Kinds returns every query kind the engine executes, for CLI help.
+func Kinds() (names []string) {
+	for i := range kinds {
+		names = append(names, kinds[i].name)
+	}
+	return names
+}
+
+// run is the prepared execution state a solo job dispatches over.
+type run struct {
+	nw    *netsim.Network
+	spec  Spec
+	q     Query
+	fe    *spantree.FastEngine
+	net   aggregator
+	truth groundTruth
+	m     member
+}
+
+// runSolo answers r's query alone on its prepared plane, a fusable kind's
+// slot resolved first against the population r's truth covers.
+func (k *kind) runSolo(r *run) (answer, error) {
+	if k.member != nil {
+		m, err := k.slot(r.q, r.truth.count())
+		if err != nil {
+			return answer{}, err
+		}
+		r.m = m
+	}
+	return k.solo(r)
+}
+
+// member is one query's slot in a fusion batch, as its kind resolved it:
+// either the ranks its SelectStepper narrows (width probes per sweep,
+// seeded from its windows — nil or mismatched length → unseeded), or the
+// Fact 2.1 aggregates it reads off the shared rounds.
+type member struct {
+	kind  *kind
+	ranks []core.BatchRank
+	width int
+	seeds []core.SeedWindow
+	aggs  []string
+}
+
+// slot resolves q's batch slot against a population of n.
+func (k *kind) slot(q Query, n uint64) (member, error) {
+	m, err := k.member(q, n)
+	m.kind = k
+	return m, err
+}
+
+// selection is a selection kind's slot: ranks narrowed at q's probe width,
+// seeded from q's windows.
+func selection(q Query, ranks ...core.BatchRank) member {
+	return member{ranks: ranks, width: q.ProbeWidth, seeds: q.SeedWindows}
+}
+
+// rankMember is an order-statistic kind's slot for rank k, its median rank
+// ⌈n/2⌉ when k is unset.
+func rankMember(q Query, k, n uint64) member {
+	if k == 0 {
+		k = (n + 1) / 2
+	}
+	return selection(q, core.BatchRank{K: k})
+}
+
+// rankSolo answers an order-statistic kind alone: one seeded k-ary search,
+// or at width 1 the classic one-probe-per-sweep bisection.
+func rankSolo(r *run) (answer, error) {
+	k := r.m.ranks[0].K
+	if r.m.width <= 1 {
+		res, err := core.OrderStatistic(r.net, k)
+		if err != nil {
+			return answer{}, err
+		}
+		return r.classic(res, fmt.Sprintf("rank %d", k)), nil
+	}
+	ans, err := r.kary()
+	ans.detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", k, ans.sweeps, r.m.width)
+	return ans, err
+}
+
+func rankDetail(m member, shared string) string {
+	return fmt.Sprintf("rank %d, %s", m.ranks[0].K, shared)
+}
+
+func riderDetail(_ member, shared string) string { return "aggregate rider, " + shared }
+
+// aggregateKind is the entry of a single-aggregate kind, named after the
+// one Fact 2.1 aggregate it reads; alone, it answers with protocol, whose
+// false is the network found empty.
+func aggregateKind(name, detail string, protocol func(aggregator) (float64, bool)) kind {
+	aggs := []string{name}
+	return kind{name: name, tree: true, robust: true, plans: plansRetry,
+		member:      func(Query, uint64) (member, error) { return member{aggs: aggs}, nil },
+		batchDetail: riderDetail,
+		solo: func(r *run) (answer, error) {
+			v, ok := protocol(r.net)
+			if !ok {
+				return answer{}, errEmptyNetwork
+			}
+			ans := r.m.answer(nil, []float64{v}, &r.truth)
+			ans.detail = detail
+			return ans, nil
+		}}
+}
+
+var errEmptyNetwork = errors.New("engine: empty network")
+
+// kary answers r's selection member with one seeded k-ary search over its
+// ranks, core.SelectRanksSeeded on the job's own plane.
+func (r *run) kary() (answer, error) {
+	res, err := core.SelectRanksSeeded(r.net, r.m.ranks, r.m.width, r.m.seeds)
+	if err != nil {
+		return answer{}, err
+	}
+	ans := r.m.answer(res.Values, nil, &r.truth)
+	ans.sweeps, ans.seededSweeps, ans.seedHit = res.Sweeps, res.SeededSweeps, res.SeedHit
+	return ans, nil
+}
+
+// classic assembles r's single-rank answer from a one-probe-per-sweep search.
+func (r *run) classic(res core.DetResult, detail string) answer {
+	ans := r.m.answer([]uint64{res.Value}, nil, &r.truth)
+	ans.detail, ans.sweeps = detail, res.CountCalls
+	return ans
+}
+
+func exactUint(v uint64, detail string, truth uint64) answer {
+	return answer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
+}
+
+// answer assembles the member's value, values and truths from sel (a
+// selection member's order statistics) or aggs (an aggregate member's
+// answers), in member order, with each value's truth over g's population.
+// A nil g claims no truth — a degraded answer's population no longer
+// exists. Detail and schedule are the caller's.
+func (m *member) answer(sel []uint64, aggs []float64, g *groundTruth) (ans answer) {
+	n := len(m.ranks) + len(m.aggs)
+	if m.kind.vector {
+		ans.values = make([]float64, n)
+		if g != nil {
+			ans.truths = make([]float64, n)
+		}
+	}
+	for i := n - 1; i >= 0; i-- { // entry 0 last: value and truth hold it
+		if len(m.ranks) > 0 {
+			ans.value = float64(sel[i])
+		} else {
+			ans.value = aggs[i]
+		}
+		if g != nil {
+			ans.truth, ans.truthKnown = m.truth(i, g), true
+		}
+		if ans.values != nil {
+			ans.values[i] = ans.value
+		}
+		if ans.truths != nil {
+			ans.truths[i] = ans.truth
+		}
+	}
+	return ans
+}
+
+// truth is the ground truth of the member's i-th value over g's population.
+func (m *member) truth(i int, g *groundTruth) float64 {
+	if len(m.ranks) == 0 {
+		return g.aggregate(m.aggs[i])
+	}
+	switch r := m.ranks[i]; {
+	case r.Median:
+		return float64(core.TrueMedian(g.sorted()))
+	case r.Phi > 0:
+		return float64(core.TrueOrderStatistic(g.sorted(), int(core.QuantileRank(r.Phi, g.count()))))
+	default:
+		return float64(core.TrueOrderStatistic(g.sorted(), int(r.K)))
+	}
+}

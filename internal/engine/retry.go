@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -30,12 +29,11 @@ import (
 // schedule toward where the answer already was, which costs at most the
 // sweeps the hint saves and can never change the answer.
 
-// resilientOutcome is what one resilient batch run produced.
-type resilientOutcome struct {
-	res FusedResult
+// outcome is what one batch run produced.
+type outcome struct {
+	res batchResult
 	// hr is the last heal that shaped the final view (nil when no heal ran
-	// — an unfired plan with no structural pre-faults, or a budget-0
-	// degrade).
+	// — no structural pre-faults and no fire, or a budget-0 degrade).
 	hr *spantree.HealResult
 	// truth is the ground truth over the final view's survivors.
 	truth *groundTruth
@@ -44,42 +42,30 @@ type resilientOutcome struct {
 	// degraded marks a budget-exhausted best-effort answer.
 	degraded bool
 	// survivorFrac is the covered fraction of the deployment's nodes, set
-	// only when the phased fault actually fired.
+	// only when a phased fault actually fired.
 	survivorFrac float64
 }
 
-// resilientFused drives one fusion batch (or a batch of one, the solo
-// path) under a phased fault plan. The caller hands in the engine, heal
-// result, and ground truth of the pre-query state; every retry re-derives
-// them from the re-healed view. queries must already have defaults
-// resolved and be fusable (fusedMemberFor ok).
-func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, hr *spantree.HealResult, truth *groundTruth, queries []Query, deadline time.Time) (*resilientOutcome, error) {
-	plan := nw.Faults
-	out := &resilientOutcome{hr: hr}
-	var seeds [][]core.SeedWindow
+// runBatch is the engine's one batch driver: it runs members — a fusion
+// batch, or a batch of one for a solo job under a phased plan — as one
+// shared probe schedule on fe's plane, starting from the pre-query state in
+// o (the heal that shaped fe's view and its ground truth). Attempt 0 runs
+// the members as built; with no fault striking mid-sweep it is the only
+// attempt, and the retry budget goes unused. queries are the members'
+// resolved queries: every retry rebuilds the members from them, because
+// the survivor population (and with it φ-resolved ranks) shrinks. members
+// holds the final attempt's slots on return.
+func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, queries []Query, members []member, o outcome, deadline time.Time) (outcome, error) {
 	for attempt := 0; ; attempt++ {
-		members := make([]FusedMember, len(queries))
-		for i, q := range queries {
-			mb, ok := fusedMemberFor(q, truth.count())
-			if !ok {
-				return nil, fmt.Errorf("engine: %s is not fusable with these parameters", q.Kind)
-			}
-			if seeds != nil && len(seeds[i]) > 0 {
-				mb.Seeds = seeds[i]
-			}
-			members[i] = mb
-		}
-		res := FusedResult{Members: make([]FusedMemberResult, len(members))}
-		steppers, needSum := buildSteppers(members, &res)
-		ise, ferr := driveGuarded(ctx, agg.NewNet(fe), members, steppers, needSum, deadline, &res)
+		o.res = batchResult{members: make([]memberResult, len(members))}
+		steppers, ise, err := driveFused(ctx, agg.NewNet(fe), members, deadline, &o.res)
+		plan := nw.Faults
 		if ise == nil {
-			out.res = res
-			out.truth = truth
-			out.retries = attempt
-			if plan.PhaseFired() {
-				out.survivorFrac = float64(fe.View().N()) / float64(nw.N())
+			o.retries = attempt
+			if plan != nil && plan.PhaseFired() {
+				o.survivorFrac = float64(fe.View().N()) / float64(nw.N())
 			}
-			return out, ferr
+			return o, err
 		}
 
 		// The sweep died mid-flight: a dead subtree frontier (or the root
@@ -88,19 +74,37 @@ func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Sp
 			sk.SweepsIncomplete.Add(1)
 		}
 		if attempt >= spec.Retry.Budget {
-			out.retries = attempt
-			out.degraded = true
-			out.survivorFrac = float64(nw.N()-plan.ExcludedCount()) / float64(nw.N())
-			degradeMembers(members, steppers, &res)
-			out.res = res
-			if sk := obs.Active(); sk != nil {
-				for i := range res.Members {
-					if res.Members[i].Err == nil {
-						sk.DegradedAnswers.Add(1)
+			// Out of budget: every still-unanswered member gets best-known
+			// bounds, with no truth claim — a selection member the low end of
+			// each rank's checkpointed interval (or the global minimum when
+			// the search never resolved), an aggregate member whatever shared
+			// riders the failed attempt completed.
+			o.retries, o.degraded = attempt, true
+			o.survivorFrac = float64(nw.N()-plan.ExcludedCount()) / float64(nw.N())
+			sk := obs.Active()
+			for i := range members {
+				r := &o.res.members[i]
+				if r.err != nil {
+					continue
+				}
+				if sk != nil {
+					sk.DegradedAnswers.Add(1)
+				}
+				r.detached = false
+				if st := steppers[i]; st != nil {
+					wins := st.Checkpoint(nil)
+					r.values = make([]uint64, len(members[i].ranks))
+					for j := range r.values {
+						r.values[j] = o.res.lo
+						if j < len(wins) {
+							r.values[j] = wins[j].Lo
+						}
 					}
+				} else {
+					r.aggValues = aggValues(members[i].aggs, &o.res.fact21)
 				}
 			}
-			return out, nil
+			return o, nil
 		}
 		if spec.Retry.Backoff > 0 {
 			t := time.NewTimer(spec.Retry.Backoff)
@@ -108,17 +112,7 @@ func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Sp
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return nil, ctx.Err()
-			}
-		}
-
-		// Checkpoint every selection member's last consistent intervals
-		// before the steppers are rebuilt — the resumed attempt seeds from
-		// them.
-		seeds = make([][]core.SeedWindow, len(members))
-		for i, st := range steppers {
-			if st != nil {
-				seeds[i] = st.Checkpoint(nil)
+				return o, ctx.Err()
 			}
 		}
 
@@ -126,99 +120,71 @@ func (e *Engine) resilientFused(ctx context.Context, nw *netsim.Network, spec Sp
 		// and recompute the survivor ground truth the resumed sweeps count
 		// over. Repair traffic is charged to the run meter like any other
 		// protocol traffic.
-		hr2, _, err := spantree.HealRerooted(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
-			return nil, err
+			return o, err
 		}
 		if sk := obs.Active(); sk != nil {
 			sk.Retries.Add(1)
 		}
-		out.hr = hr2
-		fe = spantree.NewFastView(nw, hr2.View)
+		o.hr = hr
+		fe = spantree.NewFastView(nw, hr.View)
 		fe.SetWorkers(e.treeWorkers)
-		truth = &groundTruth{nw: nw, view: hr2.View}
-		if truth.count() == 0 {
-			return nil, core.ErrEmpty
+		o.truth = &groundTruth{nw: nw, view: hr.View}
+		if o.truth.count() == 0 {
+			return o, core.ErrEmpty
 		}
-	}
-}
-
-// driveGuarded runs one batch attempt, converting the mid-sweep
-// incompleteness panic the agg layer throws back into its typed error.
-// Any other panic value propagates. It is a plain function invoked only on
-// the phased path, so the zero-fault hot path never pays for the
-// defer/recover.
-func driveGuarded(ctx context.Context, net *agg.Net, members []FusedMember, steppers []*core.SelectStepper, needSum bool, deadline time.Time, res *FusedResult) (ise *spantree.IncompleteSweepError, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e, ok := r.(error)
-			if !ok || !errors.As(e, &ise) {
-				panic(r)
-			}
-			err = nil
-		}
-	}()
-	err = driveFused(ctx, net, members, steppers, needSum, deadline, res)
-	return nil, err
-}
-
-// degradeMembers fills every still-unanswered member with best-known
-// bounds: a selection member gets the low end of each rank's checkpointed
-// interval (or the global minimum when the search never resolved), an
-// aggregate member gets whatever shared riders the failed attempt
-// completed. No truth claim accompanies these values.
-func degradeMembers(members []FusedMember, steppers []*core.SelectStepper, res *FusedResult) {
-	for i, mb := range members {
-		r := &res.Members[i]
-		if r.Err != nil {
-			continue
-		}
-		r.Detached = false
-		if st := steppers[i]; st != nil {
-			wins := st.Checkpoint(nil)
-			r.Values = make([]uint64, len(mb.Ranks))
-			for j := range r.Values {
-				if j < len(wins) {
-					r.Values[j] = wins[j].Lo
-				} else {
-					r.Values[j] = res.Lo
+		// Rebuild every member against the survivors, seeded from its last
+		// consistent intervals. The parameters passed attempt 0, so the
+		// slots resolve.
+		for i := range members {
+			mb, _ := members[i].kind.slot(queries[i], o.truth.count())
+			if st := steppers[i]; st != nil {
+				if wins := st.Checkpoint(nil); len(wins) > 0 {
+					mb.seeds = wins
 				}
 			}
-			continue
+			members[i] = mb
 		}
-		r.AggValues = aggValues(mb.Aggs, res)
 	}
 }
 
-// executeResilientSolo routes a solo fusable query under a phased fault
-// plan through the resilient loop as a batch of one, from the engine, heal
-// result and ground truth of the pre-query state. ok is false when the
-// query's parameters are unfusable — the caller falls through to the plain
-// path, which reports the standard parameter error.
-func (e *Engine) executeResilientSolo(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, hr *spantree.HealResult, truth *groundTruth) (answer, bool, error) {
-	if _, ok := fusedMemberFor(q, truth.count()); !ok {
-		return answer{}, false, nil
-	}
-	rout, err := e.resilientFused(context.Background(), nw, spec, fe, hr, truth, []Query{q}, time.Time{})
-	if err != nil {
-		return answer{}, true, err
-	}
-	mr := rout.res.Members[0]
-	if mr.Err != nil {
-		return answer{}, true, mr.Err
-	}
+// answer assembles slot m's answer from its result in the batch: exact
+// over the final survivors, its detail naming the shared schedule, or —
+// when the retry budget ran out — the best-known bounds with no truth
+// claim. shared is the batch's fusedDetail.
+func (o *outcome) answer(m *member, mr *memberResult, shared string) answer {
 	var ans answer
-	if rout.degraded {
-		ans = degradedAnswer(q, mr, rout.retries)
+	if o.degraded {
+		ans = m.answer(mr.values, mr.aggValues, nil)
+		ans.detail = fmt.Sprintf("degraded: retry budget exhausted after %d attempt(s); best-known bounds", o.retries+1)
 	} else {
-		ans = fusedAnswer(q, mr, rout.res.Sweeps, fusedDetail(1, rout.res.Sweeps), rout.truth)
-		if rout.retries > 0 {
-			ans.detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", rout.retries, ans.detail)
-		}
+		ans = m.answer(mr.values, mr.aggValues, o.truth)
+		ans.detail = m.kind.batchDetail(*m, shared)
+		ans.sweeps = o.res.sweeps
 	}
-	ans.heal = rout.hr
-	ans.retries = rout.retries
-	ans.degraded = rout.degraded
-	ans.survivorFrac = rout.survivorFrac
-	return ans, true, nil
+	ans.heal, ans.retries, ans.degraded, ans.survivorFrac = o.hr, o.retries, o.degraded, o.survivorFrac
+	return ans
+}
+
+// retrySolo runs a solo fusable query under a phased fault plan from r's
+// pre-query state as a batch of one: the batch driver and its assembly.
+func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult) (answer, error) {
+	mb, err := k.slot(r.q, r.truth.count())
+	if err != nil {
+		return answer{}, err
+	}
+	members := []member{mb}
+	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth}, time.Time{})
+	if err == nil {
+		err = o.res.members[0].err
+	}
+	if err != nil {
+		return answer{}, err
+	}
+	ans := o.answer(&members[0], &o.res.members[0], fusedDetail(1, o.res.sweeps))
+	if o.retries > 0 && !o.degraded {
+		ans.detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, ans.detail)
+	}
+	return ans, nil
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -160,8 +162,13 @@ func rankWindowContains(t *testing.T, spec Spec, v float64, bound uint64) bool {
 	return float64(vals[lo]) <= v && v <= float64(vals[hi])
 }
 
+// robustKinds are the kinds the byz tier answers.
+var robustKinds = []string{KindMedian, KindOrderStat, KindQuantile, KindQuantiles,
+	KindCount, KindSum, KindMin, KindMax, KindAvg, KindFused}
+
 // TestRobustRejections: unsupported combinations fail with an
-// explanation, not a protocol panic.
+// explanation, not a protocol panic — every kind off the robust tier with
+// the same literal text — and every robust kind answers.
 func TestRobustRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,6 +189,18 @@ func TestRobustRejections(t *testing.T) {
 			}
 			if !strings.Contains(res.Error, tc.want) {
 				t.Fatalf("error %q does not mention %q", res.Error, tc.want)
+			}
+		})
+	}
+	for _, job := range allKindQueries(64, 1) {
+		job.Query.Robust = true
+		t.Run("all/"+job.Query.Kind, func(t *testing.T) {
+			want := fmt.Sprintf("engine: %s does not support robust mode (exact aggregate kinds only)", job.Query.Kind)
+			if slices.Contains(robustKinds, job.Query.Kind) {
+				want = ""
+			}
+			if res := e.Submit(context.Background(), []Job{job})[0]; res.Error != want {
+				t.Fatalf("error %q, want %q", res.Error, want)
 			}
 		})
 	}

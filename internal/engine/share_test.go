@@ -42,7 +42,7 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 				jobs = append(jobs, Job{ID: fmt.Sprintf("%s-%d-%d", q.Kind, i, seed), Spec: spec, Query: q})
 			}
 		}
-		audits := planAudits(jobs)
+		_, audits := planUnits(jobs, false)
 		if len(audits) != len(jobs) || audits[0] != audits[2] || audits[0] == audits[1] {
 			t.Fatalf("%s: %d of %d jobs share an audit; want all of them, grouped by deployment", mode, len(audits), len(jobs))
 		}
@@ -83,7 +83,7 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 		{Spec: spec, Query: robust, RunSeed: 9},                   // 5: alone on its run seed
 		{Spec: spec, Query: robust, Overlay: ov},                  // 6: alone on its overlay
 	}
-	audits := planAudits(jobs)
+	_, audits := planUnits(jobs, true)
 	if audits[0] == nil || audits[0] != audits[1] {
 		t.Fatal("the two robust jobs of one deployment do not share an audit")
 	}
@@ -92,7 +92,7 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 			t.Errorf("job %d shares an audit; it has nobody to share with", i)
 		}
 	}
-	if planAudits(jobs[2:3]) != nil {
+	if _, none := planUnits(jobs[2:3], true); none != nil {
 		t.Error("a Submit without robust jobs allocated audit state")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // truth as it was computed before it was derived from the run network on
 // demand, kept verbatim: a copied population (AllItems on the full view,
 // survivingItems on a healed one), a pdqsorted copy of it, and the truth
-// expressions of exec.go and fusion.go. The on-demand groundTruth — and
+// expressions of the engine's answer paths. The on-demand groundTruth — and
 // every exact kind's Truth, Truths and Exact through Submit — is held to it
 // over generated deployments, values and views.
 
@@ -338,11 +338,13 @@ func checkTruth(t *testing.T, nw *netsim.Network, view *spantree.TreeView, pop [
 		t.Errorf("distinct %d, reference %d", got, want)
 	}
 	for _, q := range queries {
-		mr := FusedMemberResult{AggValues: make([]float64, len(q.Aggs)+1)}
-		if mb, ok := fusedMemberFor(q, truth.count()); ok {
-			mr.Values = make([]uint64, len(mb.Ranks))
+		mb, err := kindOf(q.Kind).slot(q, truth.count())
+		if err != nil {
+			t.Fatalf("slot %s: %v", q, err)
 		}
-		r := resultFrom(Spec{}, q, fusedAnswer(q, mr, 1, "", truth), netsim.Delta{}, 0)
+		mr := memberResult{values: make([]uint64, len(mb.ranks)), aggValues: make([]float64, len(mb.aggs))}
+		o := outcome{truth: truth}
+		r := resultFrom(Spec{}, q, o.answer(&mb, &mr, ""), netsim.Delta{}, 0)
 		requireTruths(t, "fused "+q.String(), q, r.Value, r.Values, r.Truth, r.Truths, r.Exact, pop)
 	}
 
@@ -350,8 +352,7 @@ func checkTruth(t *testing.T, nw *netsim.Network, view *spantree.TreeView, pop [
 	nw.ResetItems()
 	fe := spantree.NewFastView(nw, view)
 	for _, q := range append(queries, Query{Kind: KindDistinct}.WithDefaults()) {
-		truth := &groundTruth{nw: nw, view: view}
-		ans, err := executeKind(nw, Spec{}, q, fe, agg.NewNet(fe), truth)
+		ans, err := soloOn(nw, Spec{}, q, fe, agg.NewNet(fe))
 		if err != nil {
 			t.Fatalf("solo %s: %v", q, err)
 		}
