@@ -13,101 +13,74 @@ import (
 	"sensoragg/internal/workload"
 )
 
-// TestPooledCountConvergecastZeroAllocs is the zero-allocation claim from
-// the arena/pool work, asserted directly: on a warm network, a pooled
-// COUNT convergecast through the sequential fast engine performs zero
-// steady-state heap allocations. (N stays below 256 so boxed partial
-// counts hit the runtime's small-integer cache — larger networks still
-// allocate only for the boxed `any` partials, never for payloads.)
+// The zero-allocation claim, asserted directly: on a warm network every
+// Fact 2.1 query — broadcast plus vector convergecast — performs zero
+// steady-state heap allocations through the sequential fast engine. The
+// grid has 400 nodes, so counts and sums lie above the runtime's
+// small-integer cache: nothing is boxed anywhere, root partial included.
 //
 // The file is excluded under -race: the race runtime instruments
 // allocations and the count stops being meaningful.
-func TestPooledCountConvergecastZeroAllocs(t *testing.T) {
-	g := topology.Grid(7, 7)
+
+// warmEngine builds the sequential fast engine over a 400-node grid.
+func warmEngine() *spantree.FastEngine {
+	g := topology.Grid(20, 20)
 	maxX := uint64(4 * g.N())
 	values := workload.Generate(workload.Uniform, g.N(), maxX, 1)
 	nw := netsim.New(g, values, maxX, netsim.WithSeed(1))
 	ops := spantree.NewFast(nw)
 	ops.SetWorkers(1)
-	var comb spantree.Combiner = countCombiner{domain: core.Linear, pred: wire.True()}
+	return ops
+}
 
-	// Warm the engine scratch and arena.
-	if _, err := ops.Convergecast(comb); err != nil {
-		t.Fatal(err)
-	}
-
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ops.Convergecast(comb); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm pooled COUNT convergecast: %.1f allocs/op, want 0", allocs)
+// requireZeroAllocs runs op once to warm the scratch, then fails the test
+// if a warm op allocates.
+func requireZeroAllocs(t *testing.T, what string, op func()) {
+	t.Helper()
+	op()
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Errorf("warm %s: %.1f allocs/op, want 0", what, allocs)
 	}
 }
 
-// TestWarmCountQueryAllocs bounds the full COUNT query (broadcast +
-// convergecast) on a warm net: the broadcast borrows the Net's reusable
-// writer, so the whole query should stay allocation-free too.
-func TestWarmCountQueryAllocs(t *testing.T) {
-	g := topology.Grid(7, 7)
-	maxX := uint64(4 * g.N())
-	values := workload.Generate(workload.Uniform, g.N(), maxX, 1)
-	nw := netsim.New(g, values, maxX, netsim.WithSeed(1))
-	ops := spantree.NewFast(nw)
-	ops.SetWorkers(1)
-	net := NewNet(ops)
-	net.Count(core.Linear, wire.True())
-
-	allocs := testing.AllocsPerRun(200, func() {
-		net.Count(core.Linear, wire.True())
+// TestPooledCountConvergecastZeroAllocs: a bare COUNT convergecast on the
+// vector ring, the root vector returned unboxed.
+func TestPooledCountConvergecastZeroAllocs(t *testing.T) {
+	ops := warmEngine()
+	comb := &countCombiner{domain: core.Linear, pred: wire.True()}
+	requireZeroAllocs(t, "COUNT convergecast", func() {
+		p, err := ops.ConvergecastVec(comb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p[0] != uint64(ops.Network().N()) {
+			t.Fatalf("count %d, want %d", p[0], ops.Network().N())
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("warm COUNT query: %.1f allocs/op, want 0", allocs)
-	}
+}
+
+// TestWarmCountQueryAllocs: the full COUNT and SUM queries — the broadcast
+// borrows the Net's reusable writer.
+func TestWarmCountQueryAllocs(t *testing.T) {
+	net := NewNet(warmEngine())
+	requireZeroAllocs(t, "COUNT query", func() { net.Count(core.Linear, wire.True()) })
+	requireZeroAllocs(t, "SUM query", func() { net.Sum(core.Linear, wire.True()) })
+	requireZeroAllocs(t, "MIN/MAX query", func() { net.MinMax(core.Linear) })
 }
 
 // TestWarmCountVecQueryAllocs bounds the batched probe plane's hot path: a
 // warm CountVec sweep with a reused probe set and destination buffer keeps
 // every partial on the run network's two-level vector ring and
-// materializes no payload. The single remaining allocation is the root partial's
-// interface boxing at the Ops.Convergecast boundary — the same one the
-// scalar path pays.
+// materializes no payload.
 func TestWarmCountVecQueryAllocs(t *testing.T) {
-	g := topology.Grid(7, 7)
-	maxX := uint64(4 * g.N())
-	values := workload.Generate(workload.Uniform, g.N(), maxX, 1)
-	nw := netsim.New(g, values, maxX, netsim.WithSeed(1))
-	ops := spantree.NewFast(nw)
-	ops.SetWorkers(1)
-	net := NewNet(ops)
-	preds := []wire.Pred{wire.Less(13), wire.Less(60), wire.Less(150), wire.True()}
+	net := NewNet(warmEngine())
+	preds := []wire.Pred{wire.Less(13), wire.Less(600), wire.Less(1500), wire.True()}
 	dst := net.CountVec(core.Linear, preds, nil)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		dst = net.CountVec(core.Linear, preds, dst)
-	})
-	if allocs > 1 {
-		t.Errorf("warm CountVec query: %.1f allocs/op, want <= 1 (root boxing only)", allocs)
-	}
+	requireZeroAllocs(t, "CountVec query", func() { dst = net.CountVec(core.Linear, preds, dst) })
 }
 
-// TestWarmMultiAggregateAllocs: the fused COUNT+SUM+MIN+MAX sweep has the
-// same bound — vector ring partials, no payloads, one root boxing.
+// TestWarmMultiAggregateAllocs: the fused COUNT+SUM+MIN+MAX sweep.
 func TestWarmMultiAggregateAllocs(t *testing.T) {
-	g := topology.Grid(7, 7)
-	maxX := uint64(4 * g.N())
-	values := workload.Generate(workload.Uniform, g.N(), maxX, 1)
-	nw := netsim.New(g, values, maxX, netsim.WithSeed(1))
-	ops := spantree.NewFast(nw)
-	ops.SetWorkers(1)
-	net := NewNet(ops)
-	net.MultiAggregate(core.Linear, wire.True())
-
-	allocs := testing.AllocsPerRun(200, func() {
-		net.MultiAggregate(core.Linear, wire.True())
-	})
-	if allocs > 1 {
-		t.Errorf("warm fused sweep: %.1f allocs/op, want <= 1 (root boxing only)", allocs)
-	}
+	net := NewNet(warmEngine())
+	requireZeroAllocs(t, "fused sweep", func() { net.MultiAggregate(core.Linear, wire.True()) })
 }

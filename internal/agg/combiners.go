@@ -2,6 +2,12 @@
 // spanning tree, and adapts it to the paper's primitive-protocol interface
 // (core.Net): MIN, MAX, COUNT/COUNTP (Fact 2.1, §3.1) and the α-counting
 // protocol APX COUNT (Fact 2.2) as sketch convergecasts.
+//
+// COUNT, SUM, MIN/MAX, the batched probe plane (CountVec, CountVecSum) and
+// the fused tuple (MultiAggregate) are spantree.VecCombiners: each has one
+// codec, its vector one, and every protocol reads the root's slots
+// straight off ConvergecastVec. Only the APX COUNT sketch is a boxed
+// spantree.Combiner.
 package agg
 
 import (
@@ -24,60 +30,35 @@ func domainValue(it netsim.Item, d core.Domain) uint64 {
 	return it.Cur
 }
 
-// minMaxPartial is the convergecast state for the combined MIN/MAX
-// protocol.
-type minMaxPartial struct {
-	has    bool
-	lo, hi uint64
-}
-
 // minMaxCombiner computes MIN and MAX over active items in one
 // convergecast; each message carries a presence bit plus two fixed-width
 // values — O(log X) bits, matching Fact 2.1.
+//
+// A partial is (lo, hi) with the empty partial as (1, 0): a non-empty
+// partial always has lo <= hi, so lo > hi is a safe sentinel.
 type minMaxCombiner struct {
 	domain core.Domain
 	width  int
 }
 
-var _ spantree.AppendCombiner = minMaxCombiner{}
-var _ spantree.ByzVecCombiner = minMaxCombiner{}
+var _ spantree.VecCombiner = minMaxCombiner{}
 
-func (c minMaxCombiner) local(n *netsim.Node) minMaxPartial {
-	var p minMaxPartial
+func (c minMaxCombiner) VecWidth() int { return 2 }
+
+func (c minMaxCombiner) LocalVec(n *netsim.Node, dst []uint64) {
+	dst[0], dst[1] = 1, 0
 	for _, it := range n.Items {
 		if !it.Active {
 			continue
 		}
 		v := domainValue(it, c.domain)
-		if !p.has {
-			p = minMaxPartial{has: true, lo: v, hi: v}
+		if dst[0] > dst[1] {
+			dst[0], dst[1] = v, v
 			continue
 		}
-		if v < p.lo {
-			p.lo = v
-		}
-		if v > p.hi {
-			p.hi = v
-		}
-	}
-	return p
-}
-
-func (c minMaxCombiner) Local(n *netsim.Node) any { return c.local(n) }
-
-// The vector form is (lo, hi) with the empty partial as (1, 0): a
-// non-empty partial always has lo <= hi, so lo > hi is a safe sentinel.
-
-func (c minMaxCombiner) VecWidth() int { return 2 }
-
-func (p minMaxPartial) vec(dst []uint64) {
-	dst[0], dst[1] = 1, 0
-	if p.has {
-		dst[0], dst[1] = p.lo, p.hi
+		dst[0], dst[1] = min(dst[0], v), max(dst[1], v)
 	}
 }
-
-func (c minMaxCombiner) LocalVec(n *netsim.Node, dst []uint64) { c.local(n).vec(dst) }
 
 func (c minMaxCombiner) MergeVec(acc, src []uint64) {
 	switch {
@@ -97,17 +78,14 @@ func (c minMaxCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
 	return c.VecBits(dst)
 }
 
-func (c minMaxCombiner) AppendVec(w *bitio.Writer, p []uint64) {
-	c.append(w, p[0] <= p[1], p[0], p[1])
-}
-
-// append writes the presence bit and, for a non-empty partial, the two
+// AppendVec writes the presence bit and, for a non-empty partial, the two
 // fixed-width extrema.
-func (c minMaxCombiner) append(w *bitio.Writer, has bool, lo, hi uint64) {
+func (c minMaxCombiner) AppendVec(w *bitio.Writer, p []uint64) {
+	has := p[0] <= p[1]
 	w.WriteBool(has)
 	if has {
-		w.WriteBits(lo, c.width)
-		w.WriteBits(hi, c.width)
+		w.WriteBits(p[0], c.width)
+		w.WriteBits(p[1], c.width)
 	}
 }
 
@@ -119,17 +97,33 @@ func (c minMaxCombiner) VecBits(p []uint64) int {
 }
 
 func (c minMaxCombiner) DecodeVec(pl wire.Payload, dst []uint64) error {
-	p, err := c.decode(pl)
-	p.vec(dst)
-	return err
+	dst[0], dst[1] = 1, 0
+	r := pl.Reader()
+	has, err := r.ReadBool()
+	if err != nil {
+		return fmt.Errorf("agg: minmax presence: %w", err)
+	}
+	if !has {
+		return nil
+	}
+	lo, err := r.ReadBits(c.width)
+	if err != nil {
+		return fmt.Errorf("agg: minmax lo: %w", err)
+	}
+	hi, err := r.ReadBits(c.width)
+	if err != nil {
+		return fmt.Errorf("agg: minmax hi: %w", err)
+	}
+	dst[0], dst[1] = lo, hi
+	return nil
 }
 
-// CorruptVec (spantree.ByzVecCombiner) maps a lie word into the minmax
-// wire domain: an in-range fake minimum (any value ≤ the honest max stays
-// inside the fixed-width field and keeps lo ≤ hi, so the message still
-// decodes). A degenerate singleton partial at 0 lies on the max instead.
-// Empty partials have no value to corrupt — the wire carries only the
-// presence bit, so the lie would be detectable locally.
+// CorruptVec maps a lie word into the minmax wire domain: an in-range fake
+// minimum (any value ≤ the honest max stays inside the fixed-width field
+// and keeps lo ≤ hi, so the message still decodes). A degenerate singleton
+// partial at 0 lies on the max instead. Empty partials have no value to
+// corrupt — the wire carries only the presence bit, so the lie would be
+// detectable locally.
 func (c minMaxCombiner) CorruptVec(p []uint64, lie uint64) {
 	x, y := p[0], p[1]
 	switch {
@@ -153,72 +147,8 @@ func (c minMaxCombiner) CorruptVec(p []uint64, lie uint64) {
 	}
 }
 
-func (c minMaxCombiner) VecResult(p []uint64) any {
-	if p[0] > p[1] {
-		return minMaxPartial{}
-	}
-	return minMaxPartial{has: true, lo: p[0], hi: p[1]}
-}
-
-func (c minMaxCombiner) Merge(acc, child any) any {
-	a, b := acc.(minMaxPartial), child.(minMaxPartial)
-	if !b.has {
-		return a
-	}
-	if !a.has {
-		return b
-	}
-	if b.lo < a.lo {
-		a.lo = b.lo
-	}
-	if b.hi > a.hi {
-		a.hi = b.hi
-	}
-	return a
-}
-
-func (c minMaxCombiner) AppendPartial(w *bitio.Writer, p any) {
-	mm := p.(minMaxPartial)
-	c.append(w, mm.has, mm.lo, mm.hi)
-}
-
-func (c minMaxCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(1 + 2*c.width)
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
-}
-
-func (c minMaxCombiner) Decode(pl wire.Payload) (any, error) {
-	p, err := c.decode(pl)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (c minMaxCombiner) decode(pl wire.Payload) (minMaxPartial, error) {
-	r := pl.Reader()
-	has, err := r.ReadBool()
-	if err != nil {
-		return minMaxPartial{}, fmt.Errorf("agg: minmax presence: %w", err)
-	}
-	if !has {
-		return minMaxPartial{}, nil
-	}
-	lo, err := r.ReadBits(c.width)
-	if err != nil {
-		return minMaxPartial{}, fmt.Errorf("agg: minmax lo: %w", err)
-	}
-	hi, err := r.ReadBits(c.width)
-	if err != nil {
-		return minMaxPartial{}, fmt.Errorf("agg: minmax hi: %w", err)
-	}
-	return minMaxPartial{has: true, lo: lo, hi: hi}, nil
-}
-
 // gammaWord is what COUNT and SUM share: a partial of one additive machine
-// word, gamma-coded on the wire — a boxed uint64 on the generic path, a
-// width-1 vector on the fast engine's.
+// word, gamma-coded on the wire — a width-1 vector.
 type gammaWord struct{}
 
 func (gammaWord) VecWidth() int { return 1 }
@@ -236,29 +166,9 @@ func (gammaWord) DecodeVec(pl wire.Payload, dst []uint64) (err error) {
 	return nil
 }
 
-// CorruptVec (spantree.ByzVecCombiner): any corrupted value except the
-// gamma sentinel — which CorruptValue never returns — is wire-legal.
+// CorruptVec: any corrupted value except the gamma sentinel — which
+// CorruptValue never returns — is wire-legal.
 func (gammaWord) CorruptVec(p []uint64, lie uint64) { p[0] = faults.CorruptValue(p[0], lie) }
-
-func (gammaWord) VecResult(p []uint64) any { return p[0] }
-
-func (gammaWord) Merge(acc, child any) any { return acc.(uint64) + child.(uint64) }
-
-func (gammaWord) AppendPartial(w *bitio.Writer, p any) { w.WriteGamma(p.(uint64)) }
-
-func (g gammaWord) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(bitio.GammaWidth(p.(uint64)))
-	g.AppendPartial(w, p)
-	return wire.FromWriter(w)
-}
-
-func (g gammaWord) Decode(pl wire.Payload) (any, error) {
-	var p [1]uint64
-	if err := g.DecodeVec(pl, p[:]); err != nil {
-		return nil, err
-	}
-	return p[0], nil
-}
 
 // foldWord is the one-word FoldVec: own plus children's, and its gamma width.
 func foldWord(own uint64, dst, kids []uint64) int {
@@ -278,8 +188,7 @@ type countCombiner struct {
 	pred   wire.Pred
 }
 
-var _ spantree.AppendCombiner = countCombiner{}
-var _ spantree.ByzVecCombiner = countCombiner{}
+var _ spantree.VecCombiner = countCombiner{}
 
 func (c countCombiner) local(n *netsim.Node) uint64 {
 	var count uint64
@@ -290,8 +199,6 @@ func (c countCombiner) local(n *netsim.Node) uint64 {
 	}
 	return count
 }
-
-func (c countCombiner) Local(n *netsim.Node) any { return c.local(n) }
 
 func (c countCombiner) LocalVec(n *netsim.Node, dst []uint64) { dst[0] = c.local(n) }
 
@@ -308,8 +215,7 @@ type sumCombiner struct {
 	pred   wire.Pred
 }
 
-var _ spantree.AppendCombiner = sumCombiner{}
-var _ spantree.ByzVecCombiner = sumCombiner{}
+var _ spantree.VecCombiner = sumCombiner{}
 
 func (c sumCombiner) local(n *netsim.Node) uint64 {
 	var sum uint64
@@ -320,8 +226,6 @@ func (c sumCombiner) local(n *netsim.Node) uint64 {
 	}
 	return sum
 }
-
-func (c sumCombiner) Local(n *netsim.Node) any { return c.local(n) }
 
 func (c sumCombiner) LocalVec(n *netsim.Node, dst []uint64) { dst[0] = c.local(n) }
 
@@ -339,7 +243,7 @@ type keyedSketch struct {
 	instance uint64
 }
 
-var _ spantree.AppendCombiner = keyedSketch{}
+var _ spantree.Combiner = keyedSketch{}
 
 func (c keyedSketch) Local(n *netsim.Node) any {
 	sk := loglog.New(c.net.sketchP)
@@ -361,13 +265,6 @@ func (c keyedSketch) Merge(acc, child any) any {
 
 func (c keyedSketch) AppendPartial(w *bitio.Writer, p any) {
 	p.(*loglog.Sketch).AppendTo(w)
-}
-
-func (c keyedSketch) Encode(p any) wire.Payload {
-	sk := p.(*loglog.Sketch)
-	w := bitio.NewWriter(sk.EncodedBits())
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (c keyedSketch) Decode(pl wire.Payload) (any, error) {

@@ -63,7 +63,7 @@ type Net struct {
 	bw   bitio.Writer
 	busy bool
 	// Reusable combiner boxes for the Fact 2.1 primitives: passing a
-	// pointer into the Convergecast interface avoids re-boxing the
+	// pointer into the ConvergecastVec interface avoids re-boxing the
 	// combiner struct on every query. The combiners are read-only during
 	// the convergecast, so sharing one instance across the engine's
 	// workers is safe.
@@ -186,7 +186,7 @@ func (n *Net) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 	header(w, opMinMax, d)
 	n.ops.Broadcast(wire.Borrowed(w), nil)
 	n.mmcomb = minMaxCombiner{domain: d, width: n.valueWidth(d)}
-	out, err := n.ops.Convergecast(&n.mmcomb)
+	p, err := n.ops.ConvergecastVec(&n.mmcomb)
 	if err != nil {
 		// Panic with a wrapped error value, not a string: a mid-flight
 		// fault surfaces here as spantree.ErrSweepIncomplete, and the
@@ -194,8 +194,10 @@ func (n *Net) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 		// policy.
 		panic(fmt.Errorf("agg: minmax convergecast: %w", err))
 	}
-	p := out.(minMaxPartial)
-	return p.lo, p.hi, p.has
+	if p[0] > p[1] {
+		return 0, 0, false
+	}
+	return p[0], p[1], true
 }
 
 // Count implements core.Net: COUNTP of §3.1 — broadcast the predicate
@@ -208,11 +210,11 @@ func (n *Net) Count(d core.Domain, pred wire.Pred) uint64 {
 	pred.AppendTo(w, vw)
 	n.ops.Broadcast(wire.Borrowed(w), nil)
 	n.ccomb = countCombiner{domain: d, pred: pred}
-	out, err := n.ops.Convergecast(&n.ccomb)
+	p, err := n.ops.ConvergecastVec(&n.ccomb)
 	if err != nil {
 		panic(fmt.Errorf("agg: count convergecast: %w", err))
 	}
-	return out.(uint64)
+	return p[0]
 }
 
 // instanceHasher derives the hash function for α-counting instance i,

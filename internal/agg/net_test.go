@@ -103,8 +103,10 @@ func TestLogDomainCount(t *testing.T) {
 	}
 }
 
-// TestEnginesAgree runs the same query sequence on both engines and demands
-// identical results and identical per-node meters.
+// TestEnginesAgree runs the same query sequence — every vector combiner,
+// and the sketch plane — on both engines and demands identical results and
+// identical per-node meters: the goroutine engine sends every partial
+// through the combiner's codec, the fast engine never does.
 func TestEnginesAgree(t *testing.T) {
 	graphs := []*topology.Graph{
 		topology.Line(50),
@@ -127,7 +129,15 @@ func TestEnginesAgree(t *testing.T) {
 				for _, e := range ests {
 					results = append(results, uint64(e*1000))
 				}
-				return results
+				c, s, flo, fhi, _ := n.MultiAggregate(core.Linear, wire.Less(testMaxX/3))
+				results = append(results, c, s, flo, fhi)
+				chain := []wire.Pred{wire.Less(testMaxX / 8), wire.Less(testMaxX / 2), wire.True()}
+				counts, sum := n.CountVecSum(core.Linear, chain, nil)
+				results = append(append(results, counts...), sum)
+				general := []wire.Pred{wire.GreaterEq(testMaxX / 2), wire.InRange(100, 900), wire.Less(testMaxX / 4)}
+				results = append(results, n.CountVec(core.Linear, general, nil)...)
+				lo, hi, _ = n.MinMax(core.LogDomain)
+				return append(results, lo, hi)
 			}
 			rf, rg := run(fast), run(goro)
 			if len(rf) != len(rg) {
@@ -141,9 +151,11 @@ func TestEnginesAgree(t *testing.T) {
 			mf, mg := fast.Network().Meter, goro.Network().Meter
 			for u := 0; u < mf.N(); u++ {
 				uid := topology.NodeID(u)
-				if mf.SentBitsOf(uid) != mg.SentBitsOf(uid) || mf.RecvBitsOf(uid) != mg.RecvBitsOf(uid) {
-					t.Fatalf("node %d meters differ: fast sent/recv %d/%d, goroutine %d/%d",
-						u, mf.SentBitsOf(uid), mf.RecvBitsOf(uid), mg.SentBitsOf(uid), mg.RecvBitsOf(uid))
+				if mf.SentBitsOf(uid) != mg.SentBitsOf(uid) || mf.RecvBitsOf(uid) != mg.RecvBitsOf(uid) ||
+					mf.MessagesOf(uid) != mg.MessagesOf(uid) {
+					t.Fatalf("node %d meters differ: fast sent/recv/msgs %d/%d/%d, goroutine %d/%d/%d", u,
+						mf.SentBitsOf(uid), mf.RecvBitsOf(uid), mf.MessagesOf(uid),
+						mg.SentBitsOf(uid), mg.RecvBitsOf(uid), mg.MessagesOf(uid))
 				}
 			}
 		})

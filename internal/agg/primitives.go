@@ -23,13 +23,13 @@ func (n *Net) Sum(d core.Domain, pred wire.Pred) uint64 {
 	pred.AppendTo(w, vw)
 	n.ops.Broadcast(wire.Borrowed(w), nil)
 	n.scomb = sumCombiner{domain: d, pred: pred}
-	out, err := n.ops.Convergecast(&n.scomb)
+	p, err := n.ops.ConvergecastVec(&n.scomb)
 	if err != nil {
 		// Wrapped error value, not a string — the engine's recover
 		// errors.As through it for the mid-flight retry policy.
 		panic(fmt.Errorf("agg: sum convergecast: %w", err))
 	}
-	return out.(uint64)
+	return p[0]
 }
 
 // Min runs the MIN aggregate (Fact 2.1) over active items in domain d.
@@ -138,11 +138,10 @@ func (n *Net) runCountVec(d core.Domain, preds []wire.Pred, nested, withSum bool
 		n.chainBuf = buildChain(preds, n.chainBuf)
 		n.cvcomb.chain = n.chainBuf
 	}
-	out, err := n.ops.Convergecast(&n.cvcomb)
+	p, err := n.ops.ConvergecastVec(&n.cvcomb)
 	if err != nil {
 		panic(fmt.Errorf("agg: countvec convergecast: %w", err))
 	}
-	p := out.([]uint64)
 	if nested {
 		for i := 1; i < len(preds); i++ {
 			p[i] += p[i-1]
@@ -187,11 +186,10 @@ func (n *Net) MultiAggregate(d core.Domain, pred wire.Pred) (count, sum, lo, hi 
 	pred.AppendTo(w, vw)
 	n.ops.Broadcast(wire.Borrowed(w), nil)
 	n.facomb = fusedCombiner{domain: d, pred: pred, width: vw}
-	out, err := n.ops.Convergecast(&n.facomb)
+	p, err := n.ops.ConvergecastVec(&n.facomb)
 	if err != nil {
 		panic(fmt.Errorf("agg: fused convergecast: %w", err))
 	}
-	p := out.([]uint64)
 	if p[fusedCount] == 0 {
 		return 0, 0, 0, 0, false
 	}

@@ -63,7 +63,6 @@ func (c *countVecCombiner) vecWidth() int {
 }
 
 var _ spantree.VecCombiner = (*countVecCombiner)(nil)
-var _ spantree.ByzVecCombiner = (*countVecCombiner)(nil)
 
 // nestedPreds reports whether the probe set forms a ⊆-chain — ascending
 // strict-less thresholds, optionally topped by TRUE — which guarantees
@@ -334,7 +333,7 @@ func (c *countVecCombiner) decodeCounts(r *bitio.Reader, dst []uint64) error {
 	return nil
 }
 
-// CorruptVec (spantree.ByzVecCombiner) maps a lie word into the probe
+// CorruptVec maps a lie word into the probe
 // plane's wire domain. A nested ⊆-chain's counts must stay monotone
 // nondecreasing, so the lie is one uniform shift of every cumulative
 // count — in histogram form, a lie about the first bucket alone.
@@ -352,37 +351,6 @@ func (c *countVecCombiner) CorruptVec(p []uint64, lie uint64) {
 	if c.withSum {
 		p[k] = faults.CorruptValue(p[k], lie^0x5851f42d4c957f2d)
 	}
-}
-
-func (c *countVecCombiner) VecResult(p []uint64) any { return p }
-
-// Generic Combiner methods: the copying codec path (the goroutine reference
-// engine). Byte-identical to the vector path.
-
-func (c *countVecCombiner) Local(n *netsim.Node) any {
-	dst := make([]uint64, c.vecWidth())
-	c.LocalVec(n, dst)
-	return dst
-}
-
-func (c *countVecCombiner) Merge(acc, child any) any {
-	a := acc.([]uint64)
-	c.MergeVec(a, child.([]uint64))
-	return a
-}
-
-func (c *countVecCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(64)
-	c.AppendVec(w, p.([]uint64))
-	return wire.FromWriter(w)
-}
-
-func (c *countVecCombiner) Decode(pl wire.Payload) (any, error) {
-	dst := make([]uint64, c.vecWidth())
-	if err := c.DecodeVec(pl, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // fusedCombiner computes COUNT, SUM, MIN and MAX of the items matching one
@@ -408,7 +376,6 @@ const (
 )
 
 var _ spantree.VecCombiner = (*fusedCombiner)(nil)
-var _ spantree.ByzVecCombiner = (*fusedCombiner)(nil)
 
 func (c *fusedCombiner) VecWidth() int { return fusedWidth }
 
@@ -493,7 +460,7 @@ func (c *fusedCombiner) DecodeVec(pl wire.Payload, dst []uint64) error {
 	return nil
 }
 
-// CorruptVec (spantree.ByzVecCombiner): the fused wire format gates the
+// CorruptVec: the fused wire format gates the
 // fixed-width extrema on count > 0, so the lie corrupts count and sum but
 // keeps the partial's emptiness — an empty partial stays empty (its only
 // wire content is two zero gammas) and a non-empty one keeps count ≥ 1 so
@@ -508,32 +475,4 @@ func (c *fusedCombiner) CorruptVec(p []uint64, lie uint64) {
 	}
 	p[fusedCount] = count
 	p[fusedSum] = faults.CorruptValue(p[fusedSum], lie^0x5851f42d4c957f2d)
-}
-
-func (c *fusedCombiner) VecResult(p []uint64) any { return p }
-
-func (c *fusedCombiner) Local(n *netsim.Node) any {
-	dst := make([]uint64, fusedWidth)
-	c.LocalVec(n, dst)
-	return dst
-}
-
-func (c *fusedCombiner) Merge(acc, child any) any {
-	a := acc.([]uint64)
-	c.MergeVec(a, child.([]uint64))
-	return a
-}
-
-func (c *fusedCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(64)
-	c.AppendVec(w, p.([]uint64))
-	return wire.FromWriter(w)
-}
-
-func (c *fusedCombiner) Decode(pl wire.Payload) (any, error) {
-	dst := make([]uint64, fusedWidth)
-	if err := c.DecodeVec(pl, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }

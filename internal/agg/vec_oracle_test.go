@@ -263,7 +263,7 @@ func (c *cumCountVec) decodeCounts(r *bitio.Reader, dst []uint64) error {
 	return nil
 }
 
-// CorruptVec (spantree.ByzVecCombiner) maps a lie word into the probe
+// CorruptVec maps a lie word into the probe
 // plane's wire domain. A nested ⊆-chain vector must stay monotone
 // nondecreasing or the delta packing breaks, so the lie is one uniform
 // additive shift of every count slot: deltas are untouched, and a
@@ -301,8 +301,6 @@ func (c *cumCountVec) FoldVec(n *netsim.Node, dst, kids []uint64) int {
 	return c.VecBits(dst)
 }
 
-func (c *cumCountVec) VecResult(p []uint64) any { return p }
-
 func (c *cumCountVec) Local(n *netsim.Node) any {
 	dst := make([]uint64, c.VecWidth())
 	c.LocalVec(n, dst)
@@ -314,10 +312,8 @@ func (c *cumCountVec) Merge(acc, child any) any {
 	return acc
 }
 
-func (c *cumCountVec) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(64)
+func (c *cumCountVec) AppendPartial(w *bitio.Writer, p any) {
 	c.AppendVec(w, p.([]uint64))
-	return wire.FromWriter(w)
 }
 
 func (c *cumCountVec) Decode(pl wire.Payload) (any, error) {
@@ -325,7 +321,7 @@ func (c *cumCountVec) Decode(pl wire.Payload) (any, error) {
 	return dst, c.DecodeVec(pl, dst)
 }
 
-var _ spantree.ByzVecCombiner = (*cumCountVec)(nil)
+var _ spantree.VecCombiner = (*cumCountVec)(nil)
 
 // --- the generated identity suite ---
 
@@ -515,15 +511,14 @@ func TestHistogramFormMatchesCumulativeOracle(t *testing.T) {
 // oracle in place of the production combiner, on the production kernel.
 type cumOps struct{ spantree.Ops }
 
-func (o cumOps) Convergecast(c spantree.Combiner) (any, error) {
-	cv := c.(*countVecCombiner)
-	out, err := o.Ops.Convergecast(&cumCountVec{domain: cv.domain, preds: cv.preds, nested: cv.nested, withSum: cv.withSum, chain: cv.chain})
+func (o cumOps) ConvergecastVec(vc spantree.VecCombiner) ([]uint64, error) {
+	cv := vc.(*countVecCombiner)
+	p, err := o.Ops.ConvergecastVec(&cumCountVec{domain: cv.domain, preds: cv.preds, nested: cv.nested, withSum: cv.withSum, chain: cv.chain})
 	if err != nil {
 		return nil, err
 	}
 	// The Net prefix-sums a nested root vector; hand it the deltas of the
 	// oracle's, so what its caller sees is the oracle's root vector.
-	p := out.([]uint64)
 	if cv.nested {
 		for i := len(cv.preds) - 1; i > 0; i-- {
 			p[i] -= p[i-1]
@@ -534,8 +529,8 @@ func (o cumOps) Convergecast(c spantree.Combiner) (any, error) {
 
 // TestCountVecMatchesCumulativeOracleEndToEnd: whole sweeps — honest, with
 // Byzantine senders, with dropped and duplicated messages; on the vector
-// kernel (reliable and per-edge), the generic codec path and the goroutine
-// engine — return what the
+// kernel (reliable and per-edge), the boxed twin on the generic codec path
+// and the goroutine engine — return what the
 // oracle returns on the same path and charge every node what the oracle's
 // encoding charged it.
 func TestCountVecMatchesCumulativeOracleEndToEnd(t *testing.T) {

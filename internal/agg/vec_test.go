@@ -91,23 +91,10 @@ func TestCountVecCheaperThanSeparateCounts(t *testing.T) {
 	}
 }
 
-// combinerOnly exposes only the Combiner methods of what it wraps, hiding
-// VecCombiner from the engine.
-type combinerOnly struct{ spantree.Combiner }
-
-// genericOps runs every convergecast of the Ops it wraps on the generic
-// path — each edge through Encode and Decode — the reference the vector
-// kernel is held to.
-type genericOps struct{ spantree.Ops }
-
-func (o genericOps) Convergecast(c spantree.Combiner) (any, error) {
-	return o.Ops.Convergecast(combinerOnly{c})
-}
-
-// TestCountVecIdenticalAcrossEngines: the vector kernel, the generic
-// codec path, the forced-parallel schedule, and the goroutine reference
-// engine must produce identical counts and identical meters for the same
-// probe chain.
+// TestCountVecIdenticalAcrossEngines: the vector kernel, the boxed twin on
+// the generic codec path, the forced-parallel schedule, and the goroutine
+// reference engine must produce identical counts and identical meters for
+// the same probe chain.
 func TestCountVecIdenticalAcrossEngines(t *testing.T) {
 	const n, seed = 144, 9
 	preds := []wire.Pred{wire.Less(37), wire.Less(222), wire.Less(404), wire.True()}

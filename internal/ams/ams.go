@@ -174,12 +174,7 @@ func (c combiner) Merge(acc, child any) any {
 	return a
 }
 
-func (c combiner) Encode(p any) wire.Payload {
-	s := p.(*Sketch)
-	w := bitio.NewWriter(s.EncodedBits())
-	s.AppendTo(w)
-	return wire.FromWriter(w)
-}
+func (c combiner) AppendPartial(w *bitio.Writer, p any) { p.(*Sketch).AppendTo(w) }
 
 func (c combiner) Decode(pl wire.Payload) (any, error) {
 	return DecodeInto(pl.Reader(), c.rows, c.cols, c.seed)

@@ -5,9 +5,11 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"sensoragg/internal/bitio"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
+	"sensoragg/internal/wire"
 	"sensoragg/internal/workload"
 )
 
@@ -109,7 +111,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		s.Add(i % 17)
 	}
 	c := combiner{rows: 2, cols: 8, seed: 3}
-	got, err := c.Decode(c.Encode(s))
+	w := bitio.NewWriter(64)
+	c.AppendPartial(w, s)
+	got, err := c.Decode(wire.FromWriter(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type Result struct {
 // multiset (still Θ(count·log X) near the root).
 type multisetCombiner struct{}
 
-var _ spantree.AppendCombiner = multisetCombiner{}
+var _ spantree.Combiner = multisetCombiner{}
 
 func (multisetCombiner) Local(n *netsim.Node) any {
 	values := make([]uint64, 0, len(n.Items))
@@ -71,12 +71,6 @@ func (multisetCombiner) AppendPartial(w *bitio.Writer, p any) {
 		w.WriteGamma(v - prev)
 		prev = v
 	}
-}
-
-func (c multisetCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(8 + len(p.([]uint64))*8)
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (multisetCombiner) Decode(pl wire.Payload) (any, error) {

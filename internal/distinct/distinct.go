@@ -30,7 +30,7 @@ type ExactResult struct {
 // state proportional to the number of distinct items.
 type setCombiner struct{}
 
-var _ spantree.AppendCombiner = setCombiner{}
+var _ spantree.Combiner = setCombiner{}
 
 func (setCombiner) Local(n *netsim.Node) any {
 	set := make([]uint64, 0, len(n.Items))
@@ -94,12 +94,6 @@ func (setCombiner) AppendPartial(w *bitio.Writer, p any) {
 	}
 }
 
-func (c setCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(8 + len(p.([]uint64))*8)
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
-}
-
 func (setCombiner) Decode(pl wire.Payload) (any, error) {
 	r := pl.Reader()
 	count, err := r.ReadGamma()
@@ -153,7 +147,7 @@ type valueSketch struct {
 	est    loglog.Estimator
 }
 
-var _ spantree.AppendCombiner = valueSketch{}
+var _ spantree.Combiner = valueSketch{}
 
 func (c valueSketch) Local(n *netsim.Node) any {
 	sk := loglog.New(c.p)
@@ -173,12 +167,6 @@ func (c valueSketch) Merge(acc, child any) any {
 
 func (c valueSketch) AppendPartial(w *bitio.Writer, p any) {
 	p.(*loglog.Sketch).AppendTo(w)
-}
-
-func (c valueSketch) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(p.(*loglog.Sketch).EncodedBits())
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (c valueSketch) Decode(pl wire.Payload) (any, error) {

@@ -6,10 +6,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
+	"sensoragg/internal/wire"
 	"sensoragg/internal/workload"
 )
 
@@ -196,8 +198,9 @@ func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
 	s := FromValues(values)
 	s.Prune(20)
 	c := summaryCombiner{size: 20, valueWidth: 12}
-	pl := c.Encode(s)
-	got, err := c.Decode(pl)
+	w := bitio.NewWriter(64)
+	c.AppendPartial(w, s)
+	got, err := c.Decode(wire.FromWriter(w))
 	if err != nil {
 		t.Fatal(err)
 	}

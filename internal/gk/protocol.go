@@ -30,7 +30,7 @@ type summaryCombiner struct {
 	valueWidth int
 }
 
-var _ spantree.AppendCombiner = summaryCombiner{}
+var _ spantree.Combiner = summaryCombiner{}
 
 func (c summaryCombiner) Local(n *netsim.Node) any {
 	values := make([]uint64, 0, len(n.Items))
@@ -61,13 +61,6 @@ func (c summaryCombiner) AppendPartial(w *bitio.Writer, p any) {
 		w.WriteGamma(e.RMax - e.RMin)
 		prevV, prevRMin = e.V, e.RMin
 	}
-}
-
-func (c summaryCombiner) Encode(p any) wire.Payload {
-	s := p.(*Summary)
-	w := bitio.NewWriter(64 + len(s.Entries)*(c.valueWidth+8))
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (c summaryCombiner) Decode(pl wire.Payload) (any, error) {

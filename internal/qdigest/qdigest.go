@@ -260,7 +260,7 @@ type combiner struct {
 	maxX uint64
 }
 
-var _ spantree.AppendCombiner = combiner{}
+var _ spantree.Combiner = combiner{}
 
 func (c combiner) Local(n *netsim.Node) any {
 	d := New(c.k, c.maxX)
@@ -281,12 +281,6 @@ func (c combiner) Merge(acc, child any) any {
 
 func (c combiner) AppendPartial(w *bitio.Writer, p any) {
 	p.(*Digest).AppendTo(w)
-}
-
-func (c combiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(p.(*Digest).EncodedBits())
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (c combiner) Decode(pl wire.Payload) (any, error) {

@@ -6,10 +6,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
+	"sensoragg/internal/wire"
 	"sensoragg/internal/workload"
 )
 
@@ -130,7 +132,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	d.Compress()
 	c := combiner{k: 16, maxX: maxX}
-	got, err := c.Decode(c.Encode(d))
+	w := bitio.NewWriter(64)
+	c.AppendPartial(w, d)
+	got, err := c.Decode(wire.FromWriter(w))
 	if err != nil {
 		t.Fatal(err)
 	}

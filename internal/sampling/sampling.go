@@ -76,7 +76,7 @@ type combiner struct {
 	keyBase    []uint64
 }
 
-var _ spantree.AppendCombiner = combiner{}
+var _ spantree.Combiner = combiner{}
 
 func (c combiner) Local(n *netsim.Node) any {
 	syn := &synopsis{k: c.k}
@@ -104,13 +104,6 @@ func (c combiner) AppendPartial(w *bitio.Writer, p any) {
 		w.WriteBits(uint64(sm.prio), hashBits)
 		w.WriteBits(sm.value, c.valueWidth)
 	}
-}
-
-func (c combiner) Encode(p any) wire.Payload {
-	syn := p.(*synopsis)
-	w := bitio.NewWriter(8 + len(syn.samples)*(hashBits+c.valueWidth))
-	c.AppendPartial(w, p)
-	return wire.FromWriter(w)
 }
 
 func (c combiner) Decode(pl wire.Payload) (any, error) {

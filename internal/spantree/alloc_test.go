@@ -15,8 +15,8 @@ import (
 
 // TestHealedViewEngineAllocs is the exact gate on what a healed-view
 // engine costs once its run network is warm: the engine, what it derives
-// from its view (child prefix sums, level bounds), the agg.Net around it
-// and the two root-partial boxings — nothing per node. The rings, arenas
+// from its view (child prefix sums, level bounds) and the agg.Net around
+// it — nothing per node, and no root partial boxed. The rings, arenas
 // and writers are the network's and are reused. Before the shared scratch
 // this sequence allocated ≈ 8,600 times (a stash writer per node, an
 // N·k-word arena, per-level slices). The warm full-view sweep's zero is
@@ -47,7 +47,7 @@ func TestHealedViewEngineAllocs(t *testing.T) {
 	run() // warm the network's scratch
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("%.0f allocs", allocs)
-	if allocs > 12 {
-		t.Errorf("healed-view engine + MinMax + CountVec(16) on a warm fork: %.0f allocs, want <= 12", allocs)
+	if allocs > 10 {
+		t.Errorf("healed-view engine + MinMax + CountVec(16) on a warm fork: %.0f allocs, want <= 10", allocs)
 	}
 }

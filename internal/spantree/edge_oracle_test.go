@@ -16,8 +16,8 @@ import (
 // kernel (vec_edges_oracle_test.go); broadcasts are the engine's own.
 type edgeOps struct{ *spantree.FastEngine }
 
-func (o edgeOps) Convergecast(c spantree.Combiner) (any, error) {
-	return spantree.ConvergecastEdges(o.FastEngine, c)
+func (o edgeOps) ConvergecastVec(vc spantree.VecCombiner) ([]uint64, error) {
+	return spantree.ConvergecastEdges(o.FastEngine, vc)
 }
 
 // scatterPreds is k probes that form no ⊆-chain — alternating lower and

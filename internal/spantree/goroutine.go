@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"sensoragg/internal/bitio"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/topology"
 	"sensoragg/internal/wire"
@@ -38,12 +39,9 @@ func NewGoroutine(nw *netsim.Network) *GoroutineEngine {
 // Network returns the underlying network.
 func (e *GoroutineEngine) Network() *netsim.Network { return e.nw }
 
-// Name implements Ops.
-func (e *GoroutineEngine) Name() string { return "goroutine" }
-
 // channels returns the reusable per-node channel array, draining any value
-// a failed previous operation left behind (on a decode error a parent can
-// return without consuming every child's send).
+// a failed previous operation left behind (after a decode error the root's
+// payload is never consumed).
 func (e *GoroutineEngine) channels() []chan wire.Payload {
 	n := e.nw.N()
 	for len(e.chans) < n {
@@ -88,10 +86,69 @@ func (e *GoroutineEngine) Broadcast(p wire.Payload, apply Applier) {
 	wg.Wait()
 }
 
-// Convergecast implements Ops. Each node goroutine waits for one payload
-// from every child channel, merges, and sends the encoded accumulator to
-// its parent.
+// Convergecast implements Ops: every partial crosses its edge through
+// AppendPartial and Decode.
 func (e *GoroutineEngine) Convergecast(c Combiner) (any, error) {
+	root, err := e.wave(func(n *netsim.Node, kids []wire.Payload) (wire.Payload, error) {
+		acc := c.Local(n)
+		for j, pl := range kids {
+			dec, err := c.Decode(pl)
+			if err != nil {
+				return wire.Empty, e.decodeErr(n, j, err)
+			}
+			acc = c.Merge(acc, dec)
+		}
+		w := bitio.NewWriter(64)
+		c.AppendPartial(w, acc)
+		return wire.Borrowed(w), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.Decode(root)
+	if err != nil {
+		return nil, fmt.Errorf("spantree: decoding root partial: %w", err)
+	}
+	return out, nil
+}
+
+// ConvergecastVec implements Ops: every partial crosses its edge through
+// AppendVec and DecodeVec — the codec round trip the fast engine's ring
+// never makes.
+func (e *GoroutineEngine) ConvergecastVec(vc VecCombiner) ([]uint64, error) {
+	k := vc.VecWidth()
+	if k <= 0 {
+		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
+	}
+	root, err := e.wave(func(n *netsim.Node, kids []wire.Payload) (wire.Payload, error) {
+		acc, dec := make([]uint64, k), make([]uint64, k)
+		vc.LocalVec(n, acc)
+		for j, pl := range kids {
+			if err := vc.DecodeVec(pl, dec); err != nil {
+				return wire.Empty, e.decodeErr(n, j, err)
+			}
+			vc.MergeVec(acc, dec)
+		}
+		w := bitio.NewWriter(64)
+		vc.AppendVec(w, acc)
+		return wire.Borrowed(w), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, k)
+	if err := vc.DecodeVec(root, out); err != nil {
+		return nil, fmt.Errorf("spantree: decoding root partial: %w", err)
+	}
+	return out, nil
+}
+
+// wave runs one convergecast wave. Each node goroutine receives one payload
+// from every child channel, charging the edge, then step merges them in
+// child order into the node's encoded partial, which goes to the parent.
+// The root's payload is returned: its "send" goes to the user entity, not
+// across a link, so it is not charged.
+func (e *GoroutineEngine) wave(step func(n *netsim.Node, kids []wire.Payload) (wire.Payload, error)) (wire.Payload, error) {
 	tree := e.nw.Tree
 	n := e.nw.N()
 	up := e.channels()
@@ -101,33 +158,28 @@ func (e *GoroutineEngine) Convergecast(c Combiner) (any, error) {
 	for i := 0; i < n; i++ {
 		go func(u topology.NodeID) {
 			defer wg.Done()
-			acc := c.Local(e.nw.Nodes[u])
-			for _, child := range tree.Children[u] {
-				pl := <-up[child]
-				e.nw.Meter.Charge(child, u, pl.Bits())
-				dec, err := c.Decode(pl)
-				if err != nil {
-					errs <- fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-					up[u] <- wire.Empty // unblock parent
-					return
-				}
-				acc = c.Merge(acc, dec)
+			kids := make([]wire.Payload, len(tree.Children[u]))
+			for j, child := range tree.Children[u] {
+				kids[j] = <-up[child]
+				e.nw.Meter.Charge(child, u, kids[j].Bits())
 			}
-			up[u] <- c.Encode(acc)
+			pl, err := step(e.nw.Nodes[u], kids)
+			if err != nil {
+				errs <- err
+			}
+			up[u] <- pl
 		}(topology.NodeID(i))
 	}
 	wg.Wait()
 	select {
 	case err := <-errs:
-		return nil, err
+		return wire.Empty, err
 	default:
 	}
-	// The root's "send" goes to the user entity, not across a link: decode
-	// it back without charging.
-	rootPayload := <-up[tree.Root]
-	out, err := c.Decode(rootPayload)
-	if err != nil {
-		return nil, fmt.Errorf("spantree: decoding root partial: %w", err)
-	}
-	return out, nil
+	return <-up[tree.Root], nil
+}
+
+// decodeErr reports a child partial of node n that failed to decode.
+func (e *GoroutineEngine) decodeErr(n *netsim.Node, child int, err error) error {
+	return fmt.Errorf("spantree: decoding partial from node %d: %w", e.nw.Tree.Children[n.ID][child], err)
 }

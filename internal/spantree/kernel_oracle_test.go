@@ -7,8 +7,9 @@ package spantree_test
 // verbatim apart from package qualifiers so the identity tests below can
 // hold the production kernel to them bit for bit. It speaks LocalVec,
 // MergeVec and VecBits, never FoldVec, so it checks the production fold
-// from outside; the scalar combiners, which ride that kernel at width 1
-// and 2, are checked against the generic vocabulary (convergecastGeneric).
+// from outside — for the scalar combiners, which ride the kernel at width
+// 1 and 2, too. Their boxed twins are the oracle of internal/agg's
+// boxed_oracle_test.go.
 // The oracle lives outside the package: it needs nothing unexported, and
 // from here it can drive the real agg combiners.
 
@@ -21,7 +22,6 @@ import (
 	"testing"
 
 	"sensoragg/internal/agg"
-	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
@@ -50,7 +50,6 @@ func newOracle(nw *netsim.Network, view *spantree.TreeView, workers int) *oracle
 }
 
 func (e *oracleEngine) Network() *netsim.Network { return e.nw }
-func (e *oracleEngine) Name() string             { return "oracle" }
 
 // Broadcast charges every tree edge of the view on its own: the per-edge
 // definition the flat broadcast passes must add up to.
@@ -65,70 +64,18 @@ func (e *oracleEngine) Broadcast(p wire.Payload, apply spantree.Applier) {
 	}
 }
 
-// Convergecast dispatches on the combiner's generic partial: a combiner
-// whose partials are vectors on the generic path too takes the old engine's
-// vector kernel; COUNT, SUM and MIN/MAX — whose scalar kernel is gone, and
-// which now ride the production vector kernel at width 1 and 2 — are held
-// to the generic Local/Merge/Encode/Decode vocabulary instead.
+// Convergecast is not the oracle's: agg runs every Fact 2.1 protocol and
+// the probe plane as vector convergecasts.
 func (e *oracleEngine) Convergecast(c spantree.Combiner) (any, error) {
-	vc, ok := c.(spantree.VecCombiner)
-	if !ok {
-		return nil, fmt.Errorf("oracle: %T is not a vector combiner", c)
-	}
-	if _, vec := c.Local(e.nw.Nodes[e.view.Root]).([]uint64); vec {
-		return e.convergecastVec(vc)
-	}
-	return e.convergecastGeneric(vc)
+	return nil, fmt.Errorf("oracle: %T is not a vector combiner", c)
 }
 
-// convergecastGeneric is the reliable convergecast in the generic
-// vocabulary: every partial boxed, every edge through Encode and Decode,
-// each node's send and receive sides charged in one meter-cell visit.
-func (e *oracleEngine) convergecastGeneric(c spantree.VecCombiner) (any, error) {
-	v := e.view
-	stash := make([]wire.Payload, len(v.Parent))
-	var root any
-	levels := e.levelSchedule()
-	for li := len(levels) - 1; li >= 0; li-- {
-		for _, u := range levels[li] {
-			acc := c.Local(e.nw.Nodes[u])
-			recvBits := 0
-			for _, child := range v.Children[u] {
-				recvBits += stash[child].Bits()
-				dec, err := c.Decode(stash[child])
-				if err != nil {
-					return nil, fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
-				}
-				acc = c.Merge(acc, dec)
-			}
-			sentBits := -1
-			if u != v.Root {
-				pl := c.Encode(acc)
-				if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
-					// The lie is defined on the vector form: cross the codec
-					// into it and back.
-					if bc, ok := c.(spantree.ByzVecCombiner); ok {
-						tmp := make([]uint64, c.VecWidth())
-						if err := c.DecodeVec(pl, tmp); err != nil {
-							return nil, err
-						}
-						bc.CorruptVec(tmp, plan.LieWord(u))
-						w := bitio.NewWriter(64)
-						c.AppendVec(w, tmp)
-						pl = wire.FromWriter(w)
-					}
-				}
-				stash[u], sentBits = pl, pl.Bits()
-			} else {
-				root = acc
-			}
-			e.nw.Meter.ChargeNodeSeq(u, sentBits, recvBits)
-		}
-	}
-	return root, nil
+// ConvergecastVec runs the old engine's vector kernel.
+func (e *oracleEngine) ConvergecastVec(vc spantree.VecCombiner) ([]uint64, error) {
+	return e.convergecastVec(vc)
 }
 
-func (e *oracleEngine) convergecastVec(vc spantree.VecCombiner) (any, error) {
+func (e *oracleEngine) convergecastVec(vc spantree.VecCombiner) ([]uint64, error) {
 	k := vc.VecWidth()
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
@@ -161,7 +108,7 @@ func (e *oracleEngine) convergecastVec(vc spantree.VecCombiner) (any, error) {
 		})
 	}
 	root := int(v.Root)
-	return vc.VecResult(vec[root*k : root*k+k]), nil
+	return vec[root*k : root*k+k], nil
 }
 
 // gatherVecDirect runs one node's step on the reliable vector path: merge
@@ -181,9 +128,7 @@ func (e *oracleEngine) gatherVecDirect(u topology.NodeID, vc spantree.VecCombine
 	sentBits := -1
 	if u != e.view.Root {
 		if plan := e.nw.Faults; plan != nil && plan.Byzantine(u) {
-			if bc, ok := vc.(spantree.ByzVecCombiner); ok {
-				bc.CorruptVec(acc, plan.LieWord(u))
-			}
+			vc.CorruptVec(acc, plan.LieWord(u))
 		}
 		sentBits = vc.VecBits(acc)
 		vbits[u] = int32(sentBits)

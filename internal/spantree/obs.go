@@ -22,11 +22,13 @@ func (e *FastEngine) obsBroadcast(sk *obs.Sink, p wire.Payload) {
 		obs.KV{K: "levels", V: e.levels()})
 }
 
-func (e *FastEngine) obsConvergecast(sk *obs.Sink, c Combiner) {
+// obsConvergecast records one convergecast: vc is nil for a boxed
+// combiner.
+func (e *FastEngine) obsConvergecast(sk *obs.Sink, vc VecCombiner) {
 	sk.Sweeps.Add(1)
 	name := "sweep.convergecast.generic"
 	width := int64(0)
-	if vc, ok := c.(VecCombiner); ok {
+	if vc != nil {
 		name = "sweep.convergecast.vec"
 		width = int64(vc.VecWidth())
 	}

@@ -10,21 +10,6 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// appendIDCombiner is idCombiner with the pooled-encoding extension.
-type appendIDCombiner struct{ idCombiner }
-
-func (appendIDCombiner) AppendPartial(w *bitio.Writer, p any) {
-	w.WriteGamma(p.(uint64))
-}
-
-var _ AppendCombiner = appendIDCombiner{}
-
-// combinerOnly exposes only the Combiner methods of what it wraps, hiding
-// every optional extension (AppendCombiner, VecCombiner) from the engine:
-// the copying Encode/Decode path, the reference the pooled and vector paths
-// are held to.
-type combinerOnly struct{ Combiner }
-
 // meterOf flattens the per-node sent/recv counters for exact comparison.
 func meterOf(nw *netsim.Network) []int64 {
 	out := make([]int64, 0, 2*nw.N())
@@ -34,40 +19,29 @@ func meterOf(nw *netsim.Network) []int64 {
 	return out
 }
 
-// fastVariant is one fast engine and the face of the combiner it runs:
-// pooled (the AppendCombiner) or unpooled (combinerOnly).
-type fastVariant struct {
-	e *FastEngine
-	c Combiner
-}
-
-// fastVariants builds one fast engine per schedule/pooling mode, each over
-// its own fork of the template so the meters are independent.
-func fastVariants(tmpl *netsim.Network, faultSpec faults.Spec) map[string]fastVariant {
-	mk := func(workers int, pooled bool) fastVariant {
+// fastVariants builds one fast engine per schedule, each over its own fork
+// of the template so the meters are independent.
+func fastVariants(tmpl *netsim.Network, faultSpec faults.Spec) map[string]*FastEngine {
+	mk := func(workers int) *FastEngine {
 		nw := tmpl.Fork(7)
 		if faultSpec.Active() {
 			nw.Faults = faults.New(faultSpec, nw.N(), nw.Root(), 7)
 		}
 		e := NewFast(nw)
 		e.SetWorkers(workers)
-		if pooled {
-			return fastVariant{e, appendIDCombiner{}}
-		}
-		return fastVariant{e, combinerOnly{appendIDCombiner{}}}
+		return e
 	}
-	return map[string]fastVariant{
-		"sequential-unpooled": mk(1, false),
-		"sequential-pooled":   mk(1, true),
-		"parallel-unpooled":   mk(4, false),
-		"parallel-pooled":     mk(4, true),
+	return map[string]*FastEngine{
+		"sequential": mk(1),
+		"parallel-2": mk(2),
+		"parallel-4": mk(4),
 	}
 }
 
 // TestFastEngineModesIdentical runs the same convergecast+broadcast
-// workload through every schedule/pooling combination — including under an
-// active message-fault plan — and demands byte-identical results and
-// per-node meters.
+// workload through every schedule — including under an active
+// message-fault plan — and demands byte-identical results and per-node
+// meters.
 func TestFastEngineModesIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -79,8 +53,8 @@ func TestFastEngineModesIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tmpl := testNetwork(t, topology.Grid(16, 16))
 			variants := fastVariants(tmpl, tc.fs)
-			ref := variants["sequential-unpooled"].e
-			refOut, err := ref.Convergecast(variants["sequential-unpooled"].c)
+			ref := variants["sequential"]
+			refOut, err := ref.Convergecast(idCombiner{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,12 +63,11 @@ func TestFastEngineModesIdentical(t *testing.T) {
 			ref.Broadcast(wire.FromWriter(&bw), nil)
 			refMeter := meterOf(ref.Network())
 
-			for name, v := range variants {
-				if name == "sequential-unpooled" {
+			for name, e := range variants {
+				if name == "sequential" {
 					continue
 				}
-				e := v.e
-				out, err := e.Convergecast(v.c)
+				out, err := e.Convergecast(idCombiner{})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -125,7 +98,7 @@ func TestFastEngineRepeatedOpsReuseScratch(t *testing.T) {
 	var lastDelta int64
 	for i := 0; i < 10; i++ {
 		before := nw.Meter.Snapshot()
-		out, err := e.Convergecast(appendIDCombiner{})
+		out, err := e.Convergecast(idCombiner{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +122,7 @@ func TestGoroutineEngineChannelReuse(t *testing.T) {
 	e := NewGoroutine(nw)
 	want := uint64(nw.N() * (nw.N() - 1) / 2)
 	for i := 0; i < 5; i++ {
-		out, err := e.Convergecast(appendIDCombiner{})
+		out, err := e.Convergecast(idCombiner{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +134,7 @@ func TestGoroutineEngineChannelReuse(t *testing.T) {
 	if _, err := e.Convergecast(brokenCombiner{}); err == nil {
 		t.Fatal("broken combiner did not error")
 	}
-	out, err := e.Convergecast(appendIDCombiner{})
+	out, err := e.Convergecast(idCombiner{})
 	if err != nil {
 		t.Fatalf("op after failed op: %v", err)
 	}
@@ -173,4 +146,4 @@ func TestGoroutineEngineChannelReuse(t *testing.T) {
 // brokenCombiner encodes nothing, so every non-leaf decode fails.
 type brokenCombiner struct{ idCombiner }
 
-func (brokenCombiner) Encode(p any) wire.Payload { return wire.Empty }
+func (brokenCombiner) AppendPartial(*bitio.Writer, any) {}

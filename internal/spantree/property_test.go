@@ -27,10 +27,8 @@ func (orderedDigest) Merge(acc, child any) any {
 	return a*1000003 + c
 }
 
-func (orderedDigest) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(64)
+func (orderedDigest) AppendPartial(w *bitio.Writer, p any) {
 	w.WriteBits(p.(uint64), 64)
-	return wire.FromWriter(w)
 }
 
 func (orderedDigest) Decode(pl wire.Payload) (any, error) {

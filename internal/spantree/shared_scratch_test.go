@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sensoragg/internal/agg"
+	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
@@ -19,9 +20,9 @@ import (
 // scratch every engine on one run network shares: a full-view, a
 // healed-view and two sector engines take turns on one network — probe
 // widths differing, so the ring is restrided between operations — and
-// every answer, captured before the next operation as the VecResult
-// contract requires, equals what the same engine answers alone on a
-// network of its own.
+// every answer, captured before the next operation as the ConvergecastVec
+// aliasing contract requires, equals what the same engine answers alone on
+// a network of its own.
 func TestInterleavedEnginesDoNotClobber(t *testing.T) {
 	g := topology.Grid(16, 16)
 	spec := faults.Spec{Crash: 0.04, LinkFail: 0.04, Byz: 0.05}
@@ -82,9 +83,9 @@ func TestInterleavedEnginesDoNotClobber(t *testing.T) {
 // nodeCount is a minimal generic combiner: it counts the view's nodes.
 type nodeCount struct{}
 
-func (nodeCount) Local(*netsim.Node) any    { return uint64(1) }
-func (nodeCount) Merge(acc, child any) any  { return acc.(uint64) + child.(uint64) }
-func (nodeCount) Encode(p any) wire.Payload { return wire.Empty }
+func (nodeCount) Local(*netsim.Node) any           { return uint64(1) }
+func (nodeCount) Merge(acc, child any) any         { return acc.(uint64) + child.(uint64) }
+func (nodeCount) AppendPartial(*bitio.Writer, any) {}
 func (nodeCount) Decode(wire.Payload) (any, error) {
 	return nil, fmt.Errorf("nodeCount: partials are not decodable")
 }

@@ -2,20 +2,23 @@
 // rooted spanning tree — the substrate the paper's primitive protocols
 // (Fact 2.1) run on, following TAG [9] and Peleg [13].
 //
+// A convergecast runs one of two disjoint contracts, each with one codec.
+// A VecCombiner's partial is a fixed number of machine words
+// (ConvergecastVec): the partials stay on a two-level ring whatever the
+// fault plan, every edge is priced from the encoded length the combiner
+// computes, and the root's vector comes back unboxed, so a warm
+// convergecast allocates nothing. A Combiner's partial is boxed
+// (Convergecast): every edge is encoded with AppendPartial into a pooled
+// per-worker wire.Arena buffer and decoded.
+//
 // One engine executes every tree operation: FastEngine, a level-ordered
 // schedule — sequential on narrow levels, level-parallel (a worker pool
-// sweeps each level's nodes) on wide ones. Vector combiners run on one
-// kernel whatever the fault plan: partials stay on a two-level ring and
-// every edge is priced from the encoded length the combiner computes, so a
-// warm convergecast allocates nothing. Other combiners take the generic
-// path, which encodes and decodes every edge through pooled per-worker
-// wire.Arenas.
-//
-// GoroutineEngine — every node a goroutine, partials flowing through
-// channels along tree edges — is the codec round-trip reference the fast
-// engine is differentially tested against: both produce identical results
-// and identical bit meters, because every charge is the exact encoded
-// length of the partial that crosses the edge.
+// sweeps each level's nodes) on wide ones. GoroutineEngine — every node a
+// goroutine, every partial crossing its edge through the combiner's codec
+// — is the round-trip reference the fast engine is differentially tested
+// against: both produce identical results and identical bit meters,
+// because every charge is the exact encoded length of the partial that
+// crosses the edge.
 package spantree
 
 import (
@@ -31,10 +34,12 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// Combiner is an aggregation program for convergecast. The engine calls
-// Local at every node, merges children into the accumulator bottom-up, and
-// passes every partial through Encode/Decode at each tree edge so message
-// sizes are the exact encoded bit lengths.
+// Combiner is a generic aggregation program for convergecast, for
+// partials that are not a fixed number of machine words (sketches,
+// digests, multisets): the engine calls Local at every node, merges
+// children into the accumulator bottom-up, and passes every partial through
+// AppendPartial/Decode at each tree edge, so message sizes are the exact
+// encoded bit lengths. Fixed-width partials implement VecCombiner instead.
 //
 // Local and Merge for different nodes may run concurrently (goroutine
 // engine); implementations must not share mutable state across nodes.
@@ -44,39 +49,11 @@ type Combiner interface {
 	// Merge folds a child's decoded partial into the accumulator and
 	// returns the new accumulator. It must be insensitive to child order.
 	Merge(acc, child any) any
-	// Encode serializes a partial for transmission to the parent.
-	Encode(p any) wire.Payload
+	// AppendPartial appends p's encoding to w — a pooled buffer the engine
+	// borrows per edge and releases once the parent has decoded it.
+	AppendPartial(w *bitio.Writer, p any)
 	// Decode parses a received partial.
 	Decode(pl wire.Payload) (any, error)
-}
-
-// AppendCombiner is an optional Combiner extension for pooled payloads:
-// AppendPartial writes exactly the bits Encode would produce into a
-// caller-supplied writer, letting the engine borrow a pooled buffer
-// instead of allocating a payload per tree edge. Implementations keep
-// Encode as the copying fallback (typically delegating to AppendPartial)
-// for payloads that escape the engine's checkout window.
-type AppendCombiner interface {
-	Combiner
-	// AppendPartial appends p's encoding to w.
-	AppendPartial(w *bitio.Writer, p any)
-}
-
-// ByzVecCombiner is an optional VecCombiner extension for the adversarial
-// fault tier: when the network's fault plan marks a node Byzantine, the
-// fast engine corrupts the node's outgoing partial at store time — after
-// the honest local+merge step, before the encoding its parent reads — by
-// calling CorruptVec with the plan's next lie word (faults.Plan.LieWord),
-// which rewrites p in place into the lie the node reports. The combiner
-// owns the mapping from lie word to a *legal* wire value (width masks,
-// sentinels), so corrupted partials always decode, and the lie must differ
-// from the honest partial whenever the partial domain admits a second
-// value; combiners that do not implement the interface are simply immune.
-// The engine never corrupts the root: the base station is the trusted
-// querier.
-type ByzVecCombiner interface {
-	VecCombiner
-	CorruptVec(p []uint64, lie uint64)
 }
 
 // Applier reacts to a broadcast payload at a node. It runs once per node,
@@ -94,8 +71,12 @@ type Ops interface {
 	// Convergecast aggregates c's partials up the tree and returns the
 	// root's accumulated partial.
 	Convergecast(c Combiner) (any, error)
-	// Name identifies the engine for test/bench labels.
-	Name() string
+	// ConvergecastVec aggregates vc's partials up the tree and returns the
+	// root's partial vector (len VecWidth), unboxed. The slice may alias
+	// scratch shared by every engine on the run network: it is valid until
+	// the next operation of any engine on that network, and callers that
+	// keep it longer must copy.
+	ConvergecastVec(vc VecCombiner) ([]uint64, error)
 }
 
 // FastEngine executes tree operations on a level-ordered schedule over a
@@ -187,7 +168,6 @@ type sweepOp struct {
 	s    *viewSched
 	plan *faults.Plan
 	c    Combiner
-	ac   AppendCombiner
 	vc   VecCombiner
 	k    int
 	// perEdge prices every delivery on its own: a watched edge, or drop/dup
@@ -241,9 +221,6 @@ func (e *FastEngine) Network() *netsim.Network { return e.nw }
 
 // View returns the tree view the engine executes over.
 func (e *FastEngine) View() *TreeView { return e.view }
-
-// Name implements Ops.
-func (e *FastEngine) Name() string { return "fast" }
 
 // Broadcast implements Ops. Per-node work is independent (each node only
 // touches its own state and the shared immutable payload), so wide
@@ -338,11 +315,30 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 // sender (each child sends to its parent exactly once per convergecast),
 // so every schedule produces byte-identical results and meters.
 //
-// A VecCombiner rides the vector ring (convergecastVec). On the generic
-// path an AppendCombiner's edge payload borrows a pooled buffer from the
-// sweeping worker's arena and is released after decoding; any other
-// combiner pays a copying Encode per edge.
+// Each edge's payload borrows a pooled buffer from the sweeping worker's
+// arena and is released after decoding.
 func (e *FastEngine) Convergecast(c Combiner) (any, error) {
+	if err := e.begin(nil); err != nil {
+		return nil, err
+	}
+	e.op.c = c
+	sh := e.sh
+	width := e.op.s.width
+	workers := e.workersFor(width)
+	for len(sh.arenas) < workers {
+		sh.arenas = append(sh.arenas, wire.NewArena())
+	}
+	sh.boxed = grow(sh.boxed, 2*width)
+	err := e.sweep((*FastEngine).levelBoxed)
+	out := sh.boxed[0]
+	sh.boxed[0] = nil
+	return out, err
+}
+
+// begin is the prologue every convergecast shares: the phased fault
+// clock, the completeness check, the obs event (vc is nil for a boxed
+// combiner) and the schedule, which it leaves in e.op.
+func (e *FastEngine) begin(vc VecCombiner) error {
 	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		// Each convergecast is one boundary of the phased fault clock. Once
@@ -353,34 +349,21 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 		plan.Tick()
 		if plan.PhaseFired() && (e.verified != plan || e.verifiedQuar != plan.QuarantinedCount()) {
 			if err := e.checkComplete(plan); err != nil {
-				return nil, err
+				return err
 			}
 			e.verified, e.verifiedQuar = plan, plan.QuarantinedCount()
 		}
 	}
 	if sk := obs.Active(); sk != nil {
-		e.obsConvergecast(sk, c)
+		e.obsConvergecast(sk, vc)
 	}
 	s, err := e.schedule()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	plan := e.nw.Faults
-	e.op = sweepOp{s: s, plan: plan, c: c, perEdge: e.watching || (plan != nil && plan.Spec().MessageLevel())}
-	if vc, ok := c.(VecCombiner); ok {
-		return e.convergecastVec(vc)
-	}
-	e.op.ac, _ = c.(AppendCombiner)
-	sh := e.sh
-	workers := e.workersFor(s.width)
-	for len(sh.arenas) < workers {
-		sh.arenas = append(sh.arenas, wire.NewArena())
-	}
-	sh.boxed = grow(sh.boxed, 2*s.width)
-	err = e.sweep((*FastEngine).levelBoxed)
-	out := sh.boxed[0]
-	sh.boxed[0] = nil
-	return out, err
+	e.op = sweepOp{s: s, plan: plan, perEdge: e.watching || (plan != nil && plan.Spec().MessageLevel())}
+	return nil
 }
 
 // grow returns buf resized to n slots, reallocating only when its capacity
@@ -482,7 +465,7 @@ func (e *FastEngine) chargeDelivery(child, u topology.NodeID, bits int) int {
 // merged in child order.
 func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
 	op, v, a := &e.op, e.view, e.sh.arenas[worker]
-	s, c, ac, plan := op.s, op.c, op.ac, op.plan
+	s, c, plan := op.s, op.c, op.plan
 	mine, kids := e.sh.boxed[s.half(l):], e.sh.boxed[s.half(l+1):]
 	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
 	for i := lo; i < hi; i++ {
@@ -491,15 +474,9 @@ func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
 		recvBits := 0
 		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
 			child := v.Order[j]
-			var pl wire.Payload
-			var w *bitio.Writer
-			if ac != nil {
-				w = a.Writer(64)
-				ac.AppendPartial(w, kids[j-kbase])
-				pl = wire.Borrowed(w)
-			} else {
-				pl = c.Encode(kids[j-kbase])
-			}
+			w := a.Writer(64)
+			c.AppendPartial(w, kids[j-kbase])
+			pl := wire.Borrowed(w)
 			kids[j-kbase] = nil
 			deliveries := 1
 			if plan != nil {
@@ -515,9 +492,7 @@ func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
 				}
 				acc = c.Merge(acc, dec)
 			}
-			if w != nil {
-				a.Release(w)
-			}
+			a.Release(w)
 			if err != nil {
 				return err
 			}

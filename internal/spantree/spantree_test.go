@@ -26,10 +26,8 @@ type idCombiner struct{}
 
 func (idCombiner) Local(n *netsim.Node) any { return uint64(n.ID) }
 func (idCombiner) Merge(acc, child any) any { return acc.(uint64) + child.(uint64) }
-func (idCombiner) Encode(p any) wire.Payload {
-	w := bitio.NewWriter(bitio.GammaWidth(p.(uint64)))
+func (idCombiner) AppendPartial(w *bitio.Writer, p any) {
 	w.WriteGamma(p.(uint64))
-	return wire.FromWriter(w)
 }
 func (idCombiner) Decode(pl wire.Payload) (any, error) {
 	return pl.Reader().ReadGamma()
@@ -39,13 +37,13 @@ func TestConvergecastSumsAllNodes(t *testing.T) {
 	for _, g := range []*topology.Graph{topology.Line(10), topology.Grid(4, 5), topology.Star(12)} {
 		nw := testNetwork(t, g)
 		want := uint64(g.N() * (g.N() - 1) / 2)
-		for _, ops := range []Ops{NewFast(nw), NewGoroutine(nw)} {
+		for name, ops := range map[string]Ops{"fast": NewFast(nw), "goroutine": NewGoroutine(nw)} {
 			out, err := ops.Convergecast(idCombiner{})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", g.Name, ops.Name(), err)
+				t.Fatalf("%s/%s: %v", g.Name, name, err)
 			}
 			if out.(uint64) != want {
-				t.Errorf("%s/%s: sum = %d, want %d", g.Name, ops.Name(), out, want)
+				t.Errorf("%s/%s: sum = %d, want %d", g.Name, name, out, want)
 			}
 		}
 	}
@@ -54,7 +52,7 @@ func TestConvergecastSumsAllNodes(t *testing.T) {
 func TestBroadcastReachesAllNodes(t *testing.T) {
 	g := topology.RandomGeometric(100, 0, 8)
 	nw := testNetwork(t, g)
-	for _, ops := range []Ops{NewFast(nw), NewGoroutine(nw)} {
+	for name, ops := range map[string]Ops{"fast": NewFast(nw), "goroutine": NewGoroutine(nw)} {
 		var count int64
 		var w bitio.Writer
 		w.WriteBits(0b1011, 4)
@@ -65,7 +63,7 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 			atomic.AddInt64(&count, 1)
 		})
 		if count != int64(g.N()) {
-			t.Errorf("%s: broadcast reached %d of %d nodes", ops.Name(), count, g.N())
+			t.Errorf("%s: broadcast reached %d of %d nodes", name, count, g.N())
 		}
 	}
 }

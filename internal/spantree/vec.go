@@ -8,25 +8,21 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// VecCombiner is an optional Combiner specialization for aggregates whose
-// partial state is a fixed-width vector of machine words: the batched
-// probe plane (k counts in one convergecast), the fused
-// COUNT+SUM+MIN+MAX tuple, and the Fact 2.1 scalars at width 1 (COUNT,
-// SUM) and 2 (MIN/MAX). The fast engine keeps the partials of the two live
-// levels in one flat []uint64 ring on the run network (k words per slot),
-// so a warm vector convergecast allocates nothing and boxes nothing.
+// VecCombiner is an aggregation program whose partial state is a
+// fixed-width vector of machine words: the batched probe plane (k counts in
+// one convergecast), the fused COUNT+SUM+MIN+MAX tuple, and the Fact 2.1
+// scalars at width 1 (COUNT, SUM) and 2 (MIN/MAX). The fast engine keeps
+// the partials of the two live levels in one flat []uint64 ring on the run
+// network (k words per slot), so a warm vector convergecast allocates
+// nothing and boxes nothing, and ConvergecastVec hands the root's slot back
+// as it is.
 //
 // What the k words mean is the combiner's business: the engine only moves
 // them between LocalVec/MergeVec/FoldVec and the codec, so a combiner is
 // free to keep partials in whatever form makes those cheap — the wire's
-// own, typically — as long as every method agrees on it. The wire format
-// is unchanged between paths — AppendVec must emit exactly the bits Encode
-// would for the same partial — so the vector path is byte-identical to the
-// generic one (asserted by tests). Only the root's partial leaves the
-// engine, through VecResult; turning it into the value the protocol
-// promises is for VecResult or its caller to finish.
+// own, typically — as long as every method agrees on it. Turning the
+// root's partial into the value the protocol promises is for the caller.
 type VecCombiner interface {
-	Combiner
 	// VecWidth returns the fixed vector width k of every partial in this
 	// operation. It must not change for the combiner's lifetime.
 	VecWidth() int
@@ -47,7 +43,7 @@ type VecCombiner interface {
 	// then VecBits(dst) — the vocabulary the per-edge branch uses, and the
 	// oracle the fold is tested against.
 	FoldVec(n *netsim.Node, dst, kids []uint64) int
-	// AppendVec encodes the partial, emitting the same bits as Encode.
+	// AppendVec encodes the partial: the message a node sends its parent.
 	AppendVec(w *bitio.Writer, p []uint64)
 	// VecBits returns exactly the number of bits AppendVec(p) would emit,
 	// and fails where AppendVec fails. The fast engine charges this length
@@ -55,25 +51,33 @@ type VecCombiner interface {
 	// ring instead of materializing the payload — on the reliable path and
 	// under drop/dup plans and a watched edge alike, with each delivery
 	// priced from it — so no fast-engine edge round-trips through the
-	// codec. Only the goroutine reference engine still encodes and decodes
-	// every edge, and the cross-engine identity tests assert the
-	// equivalence.
+	// codec. Only the goroutine reference engine encodes and decodes every
+	// edge, and the cross-engine identity tests assert the equivalence.
 	VecBits(p []uint64) int
 	// DecodeVec parses a partial encoded by AppendVec into dst
 	// (len VecWidth), overwriting every slot.
 	DecodeVec(pl wire.Payload, dst []uint64) error
-	// VecResult converts the root partial to the value Convergecast
-	// returns — the same value the generic path would produce. A slice
-	// result may alias scratch shared by every engine on the run network:
-	// it is valid until the next operation of any engine on that network,
-	// and callers that keep it longer must copy.
-	VecResult(p []uint64) any
+	// CorruptVec rewrites p in place into the lie a Byzantine node reports
+	// (the adversarial fault tier): when the network's fault plan marks a
+	// node Byzantine, the engine calls it on the node's outgoing partial
+	// after the honest step, before its parent reads it, with the plan's
+	// next lie word (faults.Plan.LieWord). The combiner owns the mapping
+	// from lie word to a *legal* wire value (width masks, sentinels), so
+	// corrupted partials always decode, and the lie must differ from the
+	// honest partial whenever the partial domain admits a second value. The
+	// engine never corrupts the root: the base station is the trusted
+	// querier.
+	CorruptVec(p []uint64, lie uint64)
 }
 
-// convergecastVec is Convergecast for VecCombiners: the same level sweep,
-// charges, and fault decisions as the generic path, with partials on the
-// vector ring — k words per slot — instead of boxed `any` slots.
-func (e *FastEngine) convergecastVec(vc VecCombiner) (any, error) {
+// ConvergecastVec implements Ops: the same prologue, level sweep, charges
+// and fault decisions as Convergecast, with partials on the vector ring —
+// k words per slot — instead of boxed `any` slots. The root's slot is
+// returned as it is, under the aliasing contract Ops documents.
+func (e *FastEngine) ConvergecastVec(vc VecCombiner) ([]uint64, error) {
+	if err := e.begin(vc); err != nil {
+		return nil, err
+	}
 	k := vc.VecWidth()
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
@@ -85,7 +89,7 @@ func (e *FastEngine) convergecastVec(vc VecCombiner) (any, error) {
 	if err := e.sweep((*FastEngine).levelVec); err != nil {
 		return nil, err
 	}
-	return vc.VecResult(sh.vec[:k]), nil
+	return sh.vec[:k], nil
 }
 
 // levelVec sweeps positions [lo, hi) of level l. Every node's partial
@@ -105,7 +109,6 @@ func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 	op, sh := &e.op, e.sh
 	s, vc, k, plan, perEdge := op.s, op.vc, op.k, op.plan, op.perEdge
 	nodes, meter, order, cs := e.nw.Nodes, e.nw.Meter, e.view.Order, s.cs
-	bc, _ := vc.(ByzVecCombiner)
 	mine, mbits := sh.vec[s.half(l)*k:], sh.vbits[s.half(l):]
 	kids, kbits := sh.vec[s.half(l+1)*k:], sh.vbits[s.half(l+1):]
 	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
@@ -139,8 +142,8 @@ func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 		if i == 0 { // position 0 is the root: it sends nothing
 			sentBits = -1
 		} else {
-			if plan != nil && bc != nil && plan.Byzantine(u) {
-				bc.CorruptVec(acc, plan.LieWord(u))
+			if plan != nil && plan.Byzantine(u) {
+				vc.CorruptVec(acc, plan.LieWord(u))
 				sentBits = vc.VecBits(acc)
 			}
 			mbits[i-base] = int32(sentBits)

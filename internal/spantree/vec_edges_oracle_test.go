@@ -15,14 +15,10 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// ConvergecastEdges is e.Convergecast with every VecCombiner forced onto
-// the oracle kernel: the same phase clock, schedule and sweep, with the
-// parent's encode → price → decode → merge round trip on every delivery.
-func ConvergecastEdges(e *FastEngine, c Combiner) (any, error) {
-	vc, ok := c.(VecCombiner)
-	if !ok {
-		return nil, fmt.Errorf("spantree: %T is not a vector combiner", c)
-	}
+// ConvergecastEdges is e.ConvergecastVec forced onto the oracle kernel:
+// the same phase clock, schedule and sweep, with the parent's encode →
+// price → decode → merge round trip on every delivery.
+func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		plan.Tick()
@@ -42,7 +38,7 @@ func ConvergecastEdges(e *FastEngine, c Combiner) (any, error) {
 		sh.arenas = append(sh.arenas, wire.NewArena())
 	}
 	k := vc.VecWidth()
-	e.op = sweepOp{s: s, plan: e.nw.Faults, c: c, vc: vc, k: k}
+	e.op = sweepOp{s: s, plan: e.nw.Faults, vc: vc, k: k}
 	sh.vec = grow(sh.vec, 2*s.width*k)
 	vtmp := make([]uint64, workers*k)
 	err = e.sweep(func(e *FastEngine, worker, l, lo, hi int) error {
@@ -51,7 +47,7 @@ func ConvergecastEdges(e *FastEngine, c Combiner) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vc.VecResult(sh.vec[:k]), nil
+	return sh.vec[:k], nil
 }
 
 // levelVecEdges is levelVec with per-edge charging and per-delivery fault
@@ -96,9 +92,7 @@ func levelVecEdges(e *FastEngine, vtmp []uint64, worker, l, lo, hi int) error {
 			e.nw.Meter.ChargeRxSeq(u, recvBits)
 		}
 		if i > 0 && plan != nil && plan.Byzantine(u) {
-			if bc, ok := vc.(ByzVecCombiner); ok {
-				bc.CorruptVec(acc, plan.LieWord(u))
-			}
+			vc.CorruptVec(acc, plan.LieWord(u))
 		}
 	}
 	return nil
