@@ -42,7 +42,7 @@ func (c boxedMinMax) local(n *netsim.Node) minMaxPartial {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, c.domain)
+		v := DomainValue(it, c.domain)
 		if !p.has {
 			p = minMaxPartial{has: true, lo: v, hi: v}
 			continue

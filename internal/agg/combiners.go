@@ -7,7 +7,9 @@
 // the fused tuple (MultiAggregate) are spantree.VecCombiners: each has one
 // codec, its vector one, and every protocol reads the root's slots
 // straight off ConvergecastVec. Only the APX COUNT sketch is a boxed
-// spantree.Combiner.
+// spantree.Combiner. The package also owns the broadcast framing —
+// DomainValue, Net.ValueWidth, NestedPreds and ProbeSetBits — which the
+// robust tier prices its relay hop with.
 package agg
 
 import (
@@ -22,8 +24,9 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// domainValue returns the item's value in domain d.
-func domainValue(it netsim.Item, d core.Domain) uint64 {
+// DomainValue returns the item's value in domain d: what every predicate
+// and aggregate of the framing reads.
+func DomainValue(it netsim.Item, d core.Domain) uint64 {
 	if d == core.LogDomain {
 		return core.Log2Floor(it.Cur)
 	}
@@ -51,7 +54,7 @@ func (c minMaxCombiner) LocalVec(n *netsim.Node, dst []uint64) {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, c.domain)
+		v := DomainValue(it, c.domain)
 		if dst[0] > dst[1] {
 			dst[0], dst[1] = v, v
 			continue
@@ -193,7 +196,7 @@ var _ spantree.VecCombiner = countCombiner{}
 func (c countCombiner) local(n *netsim.Node) uint64 {
 	var count uint64
 	for _, it := range n.Items {
-		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
+		if it.Active && c.pred.Eval(DomainValue(it, c.domain)) {
 			count++
 		}
 	}
@@ -220,7 +223,7 @@ var _ spantree.VecCombiner = sumCombiner{}
 func (c sumCombiner) local(n *netsim.Node) uint64 {
 	var sum uint64
 	for _, it := range n.Items {
-		if v := domainValue(it, c.domain); it.Active && c.pred.Eval(v) {
+		if v := DomainValue(it, c.domain); it.Active && c.pred.Eval(v) {
 			sum += v
 		}
 	}
@@ -250,7 +253,7 @@ func (c keyedSketch) Local(n *netsim.Node) any {
 	h := c.net.instanceHasher(c.instance)
 	base := c.net.keyBase[n.ID]
 	for idx, it := range n.Items {
-		if it.Active && c.pred.Eval(domainValue(it, c.domain)) {
+		if it.Active && c.pred.Eval(DomainValue(it, c.domain)) {
 			sk.AddKey(h, base+uint64(idx))
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"sensoragg/internal/loglog"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
-	"sensoragg/internal/topology"
 	"sensoragg/internal/wire"
 )
 
@@ -157,8 +156,9 @@ func (n *Net) ApxSigma() float64 { return n.sigma }
 // ApxAlpha implements core.Net.
 func (n *Net) ApxAlpha() float64 { return n.alphaC }
 
-// valueWidth returns the fixed encoding width for values in domain d.
-func (n *Net) valueWidth(d core.Domain) int {
+// ValueWidth returns the fixed encoding width for values in domain d — the
+// width every broadcast predicate and MIN/MAX extremum is framed at.
+func (n *Net) ValueWidth(d core.Domain) int {
 	if d == core.LogDomain {
 		return n.logWidth
 	}
@@ -185,7 +185,7 @@ func (n *Net) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 	defer n.endProtocol()
 	header(w, opMinMax, d)
 	n.ops.Broadcast(wire.Borrowed(w), nil)
-	n.mmcomb = minMaxCombiner{domain: d, width: n.valueWidth(d)}
+	n.mmcomb = minMaxCombiner{domain: d, width: n.ValueWidth(d)}
 	p, err := n.ops.ConvergecastVec(&n.mmcomb)
 	if err != nil {
 		// Panic with a wrapped error value, not a string: a mid-flight
@@ -203,7 +203,7 @@ func (n *Net) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 // Count implements core.Net: COUNTP of §3.1 — broadcast the predicate
 // (O(log X) bits), convergecast gamma-coded counts (O(log N) bits).
 func (n *Net) Count(d core.Domain, pred wire.Pred) uint64 {
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opCount, d)
@@ -237,7 +237,7 @@ func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
 			base += uint64(len(nd.Items))
 		}
 	}
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opApxCount, d)
@@ -258,32 +258,42 @@ func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
 		}
 		return out
 	}
-	// Charge all r convergecasts in one tree pass: sketch payloads are
-	// content-independent (m·RegisterBits bits on every tree edge).
+	// Charge all r convergecasts in one pass over the edges of the view the
+	// engine sweeps: sketch payloads are content-independent
+	// (m·RegisterBits bits on every tree edge).
+	view := n.view()
 	bits := loglog.New(n.sketchP).EncodedBits()
-	tree := n.nw.Tree
-	for i := range n.nw.Nodes {
-		if topology.NodeID(i) != tree.Root {
-			n.nw.Meter.ChargeN(topology.NodeID(i), tree.Parent[i], bits, r)
+	for _, u := range view.Order {
+		if u != view.Root {
+			n.nw.Meter.ChargeN(u, view.Parent[u], bits, r)
 		}
 	}
 	for i := 0; i < r; i++ {
 		n.instance++
-		out[i] = n.fastSketchInstance(d, pred, n.instance)
+		out[i] = n.fastSketchInstance(view, d, pred, n.instance)
 	}
 	return out
 }
 
-// fastSketchInstance computes one APX COUNT estimate by folding all
-// matching items directly — valid because max-merge over a tree equals the
-// flat fold. Communication is charged by the caller.
-func (n *Net) fastSketchInstance(d core.Domain, pred wire.Pred, instance uint64) float64 {
+// view returns the tree view the Net's engine sweeps: a fast engine's own —
+// the full tree, a healed one or a sector — or else the network's tree.
+func (n *Net) view() *spantree.TreeView {
+	if e, ok := n.ops.(interface{ View() *spantree.TreeView }); ok {
+		return e.View()
+	}
+	return spantree.FullView(n.nw.Tree)
+}
+
+// fastSketchInstance computes one APX COUNT estimate by folding the
+// matching items of every node in view directly — valid because max-merge
+// over a tree equals the flat fold. Communication is charged by the caller.
+func (n *Net) fastSketchInstance(view *spantree.TreeView, d core.Domain, pred wire.Pred, instance uint64) float64 {
 	sk := loglog.New(n.sketchP)
 	h := n.instanceHasher(instance)
-	for i, nd := range n.nw.Nodes {
-		base := n.keyBase[i]
+	for _, u := range view.Order {
+		nd, base := n.nw.Nodes[u], n.keyBase[u]
 		for idx, it := range nd.Items {
-			if it.Active && pred.Eval(domainValue(it, d)) {
+			if it.Active && pred.Eval(DomainValue(it, d)) {
 				sk.AddKey(h, base+uint64(idx))
 			}
 		}
@@ -337,7 +347,7 @@ func (n *Net) Reset() { n.nw.ResetItems() }
 // every subsequent protocol in the session run over the selected
 // sub-multiset. Undo with Reset.
 func (n *Net) Filter(pred wire.Pred) {
-	vw := n.valueWidth(core.Linear)
+	vw := n.ValueWidth(core.Linear)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opFilter, core.Linear)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sensoragg/internal/core"
+	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
@@ -163,27 +164,64 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestHonestSketchesMatchFastPath verifies the arithmetic-charging fast path
-// against real per-edge sketch convergecasts: same estimates, same meters.
+// against real per-edge sketch convergecasts: same estimates, same meters —
+// on the full tree, on a healed view of a crash plan, and on a view
+// re-healed around quarantined nodes, where only the view's nodes may be
+// counted and only its edges charged.
 func TestHonestSketchesMatchFastPath(t *testing.T) {
-	g := topology.Grid(6, 6)
+	g := topology.Grid(16, 16)
 	values := workload.Generate(workload.Zipf, g.N(), testMaxX, 5)
-	fast := buildNet(t, g, values, "fast")
-	honest := buildNet(t, g, values, "fast", WithHonestSketches())
-
-	ef := fast.ApxCountRep(core.Linear, wire.True(), 5)
-	eh := honest.ApxCountRep(core.Linear, wire.True(), 5)
-	for i := range ef {
-		if ef[i] != eh[i] {
-			t.Errorf("instance %d: fast %g vs honest %g", i, ef[i], eh[i])
-		}
-	}
-	mf, mh := fast.Network().Meter, honest.Network().Meter
-	for u := 0; u < mf.N(); u++ {
-		uid := topology.NodeID(u)
-		if mf.SentBitsOf(uid) != mh.SentBitsOf(uid) || mf.RecvBitsOf(uid) != mh.RecvBitsOf(uid) {
-			t.Fatalf("node %d meters differ: fast %d/%d honest %d/%d",
-				u, mf.SentBitsOf(uid), mf.RecvBitsOf(uid), mh.SentBitsOf(uid), mh.RecvBitsOf(uid))
-		}
+	for _, tc := range []struct {
+		name       string
+		spec       faults.Spec
+		quarantine []topology.NodeID
+	}{
+		{"full", faults.Spec{}, nil},
+		{"healed", faults.Spec{Crash: 0.2}, nil},
+		{"quarantined", faults.Spec{Crash: 0.05}, []topology.NodeID{17, 40, 130, 201}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(opts ...Option) (*Net, *netsim.Network) {
+				nw := netsim.New(g, values, testMaxX, netsim.WithSeed(99))
+				if !tc.spec.Active() {
+					return NewNet(spantree.NewFast(nw), opts...), nw
+				}
+				nw.Faults = faults.New(tc.spec, nw.N(), nw.Root(), 3)
+				for _, u := range tc.quarantine {
+					nw.Faults.Quarantine(u)
+				}
+				fe, _, err := spantree.NewFastHealed(nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fe.View().N() == nw.N() {
+					t.Fatal("the view excludes no node")
+				}
+				return NewNet(fe, opts...), nw
+			}
+			fast, nf := mk()
+			honest, nh := mk(WithHonestSketches())
+			before, beforeH := nf.Meter.Snapshot(), nh.Meter.Snapshot()
+			ef := fast.ApxCountRep(core.Linear, wire.True(), 5)
+			eh := honest.ApxCountRep(core.Linear, wire.True(), 5)
+			for i := range ef {
+				if ef[i] != eh[i] {
+					t.Errorf("instance %d: fast %g vs honest %g", i, ef[i], eh[i])
+				}
+			}
+			if df, dh := nf.Meter.Since(before), nh.Meter.Since(beforeH); df != dh {
+				t.Errorf("fast charged %+v, honest %+v", df, dh)
+			}
+			for u := 0; u < nf.N(); u++ {
+				uid := topology.NodeID(u)
+				if nf.Meter.SentBitsOf(uid) != nh.Meter.SentBitsOf(uid) || nf.Meter.RecvBitsOf(uid) != nh.Meter.RecvBitsOf(uid) ||
+					nf.Meter.MessagesOf(uid) != nh.Meter.MessagesOf(uid) {
+					t.Fatalf("node %d meters differ: fast %d/%d/%d honest %d/%d/%d", u,
+						nf.Meter.SentBitsOf(uid), nf.Meter.RecvBitsOf(uid), nf.Meter.MessagesOf(uid),
+						nh.Meter.SentBitsOf(uid), nh.Meter.RecvBitsOf(uid), nh.Meter.MessagesOf(uid))
+				}
+			}
+		})
 	}
 }
 

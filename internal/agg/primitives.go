@@ -16,7 +16,7 @@ import (
 
 // Sum runs the SUM aggregate over active items matching pred in domain d.
 func (n *Net) Sum(d core.Domain, pred wire.Pred) uint64 {
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opSum, d)
@@ -80,7 +80,7 @@ func (n *Net) CountVec(d core.Domain, preds []wire.Pred, dst []uint64) []uint64 
 	if len(preds) == 0 {
 		return dst[:0]
 	}
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opCountVec, d)
@@ -94,19 +94,13 @@ func (n *Net) CountVec(d core.Domain, preds []wire.Pred, dst []uint64) []uint64 
 // delta-coded threshold chain or the individually-encoded predicates. It
 // reports whether the probe set is nested (the ⊆-chain shape).
 func (n *Net) appendProbeSet(w *bitio.Writer, preds []wire.Pred, vw int) bool {
-	nested := nestedPreds(preds)
-	chain := nested && preds[len(preds)-1].Kind == wire.PredLess
+	nested := NestedPreds(preds)
+	chain, deltaW := chainDeltas(preds, nested)
 	w.WriteBool(chain)
 	w.WriteGamma(uint64(len(preds)))
 	if chain {
 		w.WriteBits(preds[0].A, vw)
 		if len(preds) > 1 {
-			deltaW := 1
-			for i := 1; i < len(preds); i++ {
-				if wd := bitio.WidthOf(preds[i].A - preds[i-1].A); wd > deltaW {
-					deltaW = wd
-				}
-			}
 			// Stored as width−1 so widths 1..64 fit the 6-bit field —
 			// width 64 happens on full-uint64 domains (the convergecast
 			// side encodes its delta width the same way).
@@ -121,6 +115,39 @@ func (n *Net) appendProbeSet(w *bitio.Writer, preds []wire.Pred, vw int) bool {
 		}
 	}
 	return nested
+}
+
+// ProbeSetBits is the length of the probe-set body appendProbeSet writes
+// for preds at value width vw — the announce the robust tier relays to
+// each sector root, priced from the one framing definition.
+func ProbeSetBits(preds []wire.Pred, vw int) int {
+	chain, deltaW := chainDeltas(preds, NestedPreds(preds))
+	bits := 1 + bitio.GammaWidth(uint64(len(preds)))
+	if !chain {
+		for _, p := range preds {
+			bits += p.EncodedBits(vw)
+		}
+		return bits
+	}
+	bits += vw
+	if len(preds) > 1 {
+		bits += 6 + (len(preds)-1)*deltaW
+	}
+	return bits
+}
+
+// chainDeltas reports whether a non-empty probe set travels as a
+// delta-coded threshold chain — nested, and not topped by TRUE — and if so
+// the shared width of its threshold deltas.
+func chainDeltas(preds []wire.Pred, nested bool) (chain bool, deltaW int) {
+	if !nested || preds[len(preds)-1].Kind != wire.PredLess {
+		return false, 0
+	}
+	deltaW = 1
+	for i := 1; i < len(preds); i++ {
+		deltaW = max(deltaW, bitio.WidthOf(preds[i].A-preds[i-1].A))
+	}
+	return true, deltaW
 }
 
 // runCountVec broadcasts the already-written probe payload and runs the
@@ -163,7 +190,7 @@ func (n *Net) CountVecSum(d core.Domain, preds []wire.Pred, dst []uint64) (count
 	if len(preds) == 0 {
 		return dst[:0], 0
 	}
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opMultiAgg, d)
@@ -178,7 +205,7 @@ func (n *Net) CountVecSum(d core.Domain, preds []wire.Pred, dst []uint64) (count
 // broadcast and one vector convergecast instead of four separate Fact 2.1
 // protocols. ok is false when no items match.
 func (n *Net) MultiAggregate(d core.Domain, pred wire.Pred) (count, sum, lo, hi uint64, ok bool) {
-	vw := n.valueWidth(d)
+	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
 	header(w, opMultiAgg, d)

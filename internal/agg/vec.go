@@ -64,11 +64,11 @@ func (c *countVecCombiner) vecWidth() int {
 
 var _ spantree.VecCombiner = (*countVecCombiner)(nil)
 
-// nestedPreds reports whether the probe set forms a ⊆-chain — ascending
+// NestedPreds reports whether the probe set forms a ⊆-chain — ascending
 // strict-less thresholds, optionally topped by TRUE — which guarantees
 // monotone partial counts in every subtree and enables the delta-gamma
 // vector encoding. The selection search always probes such chains.
-func nestedPreds(preds []wire.Pred) bool {
+func NestedPreds(preds []wire.Pred) bool {
 	for i, p := range preds {
 		switch p.Kind {
 		case wire.PredLess:
@@ -124,7 +124,7 @@ func (c *countVecCombiner) addLocal(n *netsim.Node, p []uint64) {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, c.domain)
+		v := DomainValue(it, c.domain)
 		if c.withSum {
 			p[k] += v
 		}
@@ -386,7 +386,7 @@ func (c *fusedCombiner) LocalVec(n *netsim.Node, dst []uint64) {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, c.domain)
+		v := DomainValue(it, c.domain)
 		if !c.pred.Eval(v) {
 			continue
 		}

@@ -109,7 +109,7 @@ func FuzzCountVecCodec(f *testing.F) {
 			partial = append(partial, min(binary.LittleEndian.Uint64(data), gammaMax))
 		}
 
-		if !nestedPreds(preds) {
+		if !NestedPreds(preds) {
 			t.Fatalf("constructed chain not nested: %v", preds)
 		}
 		comb := countVecCombiner{domain: core.Linear, preds: preds, nested: true, withSum: withSum}

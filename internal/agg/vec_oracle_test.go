@@ -39,7 +39,7 @@ func (c *cumCountVec) LocalVec(n *netsim.Node, dst []uint64) {
 		var sum uint64
 		for _, it := range n.Items {
 			if it.Active {
-				sum += domainValue(it, c.domain)
+				sum += DomainValue(it, c.domain)
 			}
 		}
 		dst[len(c.preds)] = sum
@@ -55,7 +55,7 @@ func (c *cumCountVec) LocalVec(n *netsim.Node, dst []uint64) {
 			if !it.Active {
 				return
 			}
-			lo := c.chainFirstMatch(domainValue(it, c.domain))
+			lo := c.chainFirstMatch(DomainValue(it, c.domain))
 			for i := lo; i < len(dst); i++ {
 				dst[i] = 1
 			}
@@ -65,7 +65,7 @@ func (c *cumCountVec) LocalVec(n *netsim.Node, dst []uint64) {
 			if !it.Active {
 				continue
 			}
-			lo := c.chainFirstMatch(domainValue(it, c.domain))
+			lo := c.chainFirstMatch(DomainValue(it, c.domain))
 			if lo < len(dst) {
 				dst[lo]++
 			}
@@ -79,7 +79,7 @@ func (c *cumCountVec) LocalVec(n *netsim.Node, dst []uint64) {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, c.domain)
+		v := DomainValue(it, c.domain)
 		for i, p := range c.preds {
 			if p.Eval(v) {
 				dst[i]++
@@ -420,7 +420,7 @@ func TestHistogramFormMatchesCumulativeOracle(t *testing.T) {
 			}
 			for round := 0; round < 40; round++ {
 				preds := oracleChain(rng, k, trueTop, full)
-				if !nestedPreds(preds) {
+				if !NestedPreds(preds) {
 					t.Fatalf("generated chain not nested: %v", preds)
 				}
 				hist := &countVecCombiner{domain: domain, preds: preds, nested: true, withSum: withSum}

@@ -430,3 +430,35 @@ func (o *nestingOps) Broadcast(p wire.Payload, apply spantree.Applier) {
 		net.Count(core.Linear, wire.True())
 	}
 }
+
+// TestProbeSetBitsMatchesBroadcast: ProbeSetBits — the price the robust
+// tier's relay hop puts on a probe-set announce — is the length
+// appendProbeSet writes, for generated chains (TRUE-topped or not, over
+// small and full-word domains) and unnested probe sets alike.
+func TestProbeSetBitsMatchesBroadcast(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 0xf4a))
+	for round := 0; round < 2000; round++ {
+		k := 1 + rng.IntN(64)
+		full := round%2 == 0
+		var preds []wire.Pred
+		switch round % 3 {
+		case 0, 1:
+			preds = oracleChain(rng, k, round%3 == 1, full)
+		default:
+			preds = make([]wire.Pred, k)
+			for i := range preds {
+				a := rng.Uint64N(1 << 11)
+				preds[i] = []wire.Pred{wire.Less(a), wire.GreaterEq(a), wire.InRange(a/2, a), wire.True()}[rng.IntN(4)]
+			}
+		}
+		vw := []int{11, 21, 64}[rng.IntN(3)]
+		if full {
+			vw = 64
+		}
+		w := bitio.NewWriter(64)
+		(&Net{}).appendProbeSet(w, preds, vw)
+		if got := ProbeSetBits(preds, vw); got != w.Len() {
+			t.Fatalf("ProbeSetBits(%v, %d) = %d, appendProbeSet wrote %d", preds, vw, got, w.Len())
+		}
+	}
+}

@@ -329,3 +329,65 @@ func TestLocalizeForkDeterminism(t *testing.T) {
 		t.Fatalf("forked localizations charged different traffic: %d vs %d", abits, bbits)
 	}
 }
+
+// TestRelayAnnounceMatchesSectorBroadcast: the relay hop announces each
+// query to a sector root in agg's framing, so at MaxX = 2^k−1 — where agg
+// widens its value field to carry the threshold MaxX+1 — every announce
+// costs the sector root exactly what the in-sector broadcast costs a node.
+// On a star every sector is one leaf: its receive side is the announce
+// alone under RobustNet, and the broadcast alone under agg.Net.
+func TestRelayAnnounceMatchesSectorBroadcast(t *testing.T) {
+	const maxX = 1<<10 - 1
+	g := topology.Star(6)
+	mk := func() *netsim.Network {
+		values := make([]uint64, g.N())
+		for i := range values {
+			values[i] = uint64(i*171) % (maxX + 1)
+		}
+		return netsim.New(g, values, maxX, netsim.WithSeed(1))
+	}
+	relayNw, bcastNw := mk(), mk()
+	robust := NewRobustNet(relayNw, spantree.FullView(relayNw.Tree))
+	plain := agg.NewNet(spantree.NewFast(bcastNw))
+	top := wire.Less(maxX + 1)
+	chain := []wire.Pred{wire.Less(1), wire.Less(maxX / 2), top}
+	general := []wire.Pred{wire.GreaterEq(3), wire.InRange(5, maxX+1)}
+	type primitives interface {
+		Count(core.Domain, wire.Pred) uint64
+		Sum(core.Domain, wire.Pred) uint64
+		MinMax(core.Domain) (uint64, uint64, bool)
+		CountVec(core.Domain, []wire.Pred, []uint64) []uint64
+		MultiAggregate(core.Domain, wire.Pred) (uint64, uint64, uint64, uint64, bool)
+	}
+	queries := []struct {
+		name string
+		run  func(n primitives)
+	}{
+		{"count", func(n primitives) { n.Count(core.Linear, top) }},
+		{"count/log", func(n primitives) { n.Count(core.LogDomain, wire.Less(10)) }},
+		{"sum", func(n primitives) { n.Sum(core.Linear, top) }},
+		{"minmax", func(n primitives) { n.MinMax(core.Linear) }},
+		{"countvec/chain", func(n primitives) { n.CountVec(core.Linear, chain, nil) }},
+		{"countvec/general", func(n primitives) { n.CountVec(core.Linear, general, nil) }},
+		{"multiagg", func(n primitives) { n.MultiAggregate(core.Linear, top) }},
+	}
+	recv := func(nw *netsim.Network) []int64 {
+		out := make([]int64, nw.N())
+		for u := range out {
+			out[u] = nw.Meter.RecvBitsOf(topology.NodeID(u))
+		}
+		return out
+	}
+	for _, q := range queries {
+		relayBefore, bcastBefore := recv(relayNw), recv(bcastNw)
+		q.run(robust)
+		q.run(plain)
+		relayAfter, bcastAfter := recv(relayNw), recv(bcastNw)
+		for _, s := range relayNw.Tree.Children[relayNw.Root()] {
+			announce, bcast := relayAfter[s]-relayBefore[s], bcastAfter[s]-bcastBefore[s]
+			if announce == 0 || announce != bcast {
+				t.Errorf("%s: sector %d relay announce %d bits, in-sector broadcast %d", q.name, s, announce, bcast)
+			}
+		}
+	}
+}

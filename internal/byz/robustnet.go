@@ -15,7 +15,8 @@ import (
 
 // relayHeaderBits is the byz relay framing's per-frame header: the tier
 // speaks its own tiny protocol between the root and the sector roots
-// (opcode + domain), separate from the in-sector agg framing.
+// (opcode + domain). What follows the header — predicates, probe sets,
+// values — is framed the way agg frames it in-sector, at agg's widths.
 const relayHeaderBits = 4
 
 // crossCheckSigmas is the deviation, in estimator standard errors, beyond
@@ -82,8 +83,7 @@ type RobustNet struct {
 	// full is a whole-view net used only for the duplicate-insensitive
 	// sketch cross-check and the approximate-protocol delegates; the
 	// robust exact kinds never touch it.
-	full     *agg.Net
-	logWidth int
+	full *agg.Net
 
 	trims    int
 	crossRan bool
@@ -114,11 +114,10 @@ func NewRobustNet(nw *netsim.Network, view *spantree.TreeView, opts ...Option) *
 		aggOpts = append(aggOpts, agg.WithSketchP(cfg.sketchP))
 	}
 	r := &RobustNet{
-		nw:       nw,
-		view:     view,
-		plan:     nw.Faults,
-		full:     agg.NewNet(spantree.NewFastView(nw, view), aggOpts...),
-		logWidth: bitio.WidthOf(core.Log2Floor(nw.MaxX) + 1),
+		nw:   nw,
+		view: view,
+		plan: nw.Faults,
+		full: agg.NewNet(spantree.NewFastView(nw, view), aggOpts...),
 	}
 	for _, c := range view.Children[view.Root] {
 		sub := spantree.SubtreeView(view, c)
@@ -164,14 +163,6 @@ func (r *RobustNet) flag(s *sector) {
 	s.suspected = true
 }
 
-// valueWidth mirrors the agg framing width for domain d.
-func (r *RobustNet) valueWidth(d core.Domain) int {
-	if d == core.LogDomain {
-		return r.logWidth
-	}
-	return bitio.WidthOf(r.nw.MaxX)
-}
-
 // maxDomain is the largest value any honest item can take in domain d —
 // the trim bound on extrema and the per-item sum contribution.
 func (r *RobustNet) maxDomain(d core.Domain) uint64 {
@@ -187,14 +178,6 @@ func (r *RobustNet) maxDomain(d core.Domain) uint64 {
 func (r *RobustNet) chargeRelay(s *sector, down, up int) {
 	r.nw.Meter.Charge(r.view.Root, s.root, down)
 	r.nw.Meter.Charge(s.root, r.view.Root, up)
-}
-
-// domainValue mirrors agg's item addressing.
-func domainValue(it netsim.Item, d core.Domain) uint64 {
-	if d == core.LogDomain {
-		return core.Log2Floor(it.Cur)
-	}
-	return it.Cur
 }
 
 // relayLie returns the sector root's relay corruption of a scalar count or
@@ -245,7 +228,7 @@ func (r *RobustNet) Zoom(muHat uint64) { r.full.Zoom(muHat) }
 // so any deviation — high or low — flags the sector and the capacity is
 // used instead.
 func (r *RobustNet) Count(d core.Domain, pred wire.Pred) uint64 {
-	down := relayHeaderBits + pred.EncodedBits(r.valueWidth(d))
+	down := relayHeaderBits + pred.EncodedBits(r.full.ValueWidth(d))
 	var total uint64
 	for _, s := range r.sectors {
 		c := r.relayLie(s, s.net.Count(d, pred))
@@ -273,7 +256,7 @@ func (r *RobustNet) trimCount(s *sector, c uint64, pred wire.Pred) uint64 {
 func (r *RobustNet) localCount(d core.Domain, pred wire.Pred) uint64 {
 	var c uint64
 	for _, it := range r.nw.Nodes[r.view.Root].Items {
-		if it.Active && pred.Eval(domainValue(it, d)) {
+		if it.Active && pred.Eval(agg.DomainValue(it, d)) {
 			c++
 		}
 	}
@@ -283,7 +266,7 @@ func (r *RobustNet) localCount(d core.Domain, pred wire.Pred) uint64 {
 // Sum runs SUM per sector, clamping each relayed sum to
 // capacity·maxvalue, and adds the root's local items.
 func (r *RobustNet) Sum(d core.Domain, pred wire.Pred) uint64 {
-	down := relayHeaderBits + pred.EncodedBits(r.valueWidth(d))
+	down := relayHeaderBits + pred.EncodedBits(r.full.ValueWidth(d))
 	maxD := r.maxDomain(d)
 	var total uint64
 	for _, s := range r.sectors {
@@ -293,8 +276,8 @@ func (r *RobustNet) Sum(d core.Domain, pred wire.Pred) uint64 {
 	}
 	root := r.view.Root
 	for _, it := range r.nw.Nodes[root].Items {
-		if it.Active && pred.Eval(domainValue(it, d)) {
-			total += domainValue(it, d)
+		if it.Active && pred.Eval(agg.DomainValue(it, d)) {
+			total += agg.DomainValue(it, d)
 		}
 	}
 	return total
@@ -324,7 +307,7 @@ func (r *RobustNet) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 			if r.plan != nil && r.plan.Byzantine(s.root) {
 				slo, shi = corruptMinMax(slo, shi, r.plan.LieWord(s.root))
 			}
-			up += 2 * r.valueWidth(d)
+			up += 2 * r.full.ValueWidth(d)
 		}
 		r.chargeRelay(s, relayHeaderBits, up)
 		if !sok {
@@ -355,7 +338,7 @@ func (r *RobustNet) MinMax(d core.Domain) (lo, hi uint64, ok bool) {
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, d)
+		v := agg.DomainValue(it, d)
 		if !ok {
 			lo, hi, ok = v, v, true
 		} else {
@@ -417,9 +400,8 @@ func (r *RobustNet) CountVec(d core.Domain, preds []wire.Pred, dst []uint64) []u
 	if k == 0 {
 		return dst[:0]
 	}
-	vw := r.valueWidth(d)
-	nested := nestedPreds(preds)
-	down := relayHeaderBits + probeSetBits(preds, vw, nested)
+	nested := agg.NestedPreds(preds)
+	down := relayHeaderBits + agg.ProbeSetBits(preds, r.full.ValueWidth(d))
 	if cap(r.cbuf) < k {
 		r.cbuf = make([]uint64, k)
 	}
@@ -436,7 +418,7 @@ func (r *RobustNet) CountVec(d core.Domain, preds []wire.Pred, dst []uint64) []u
 		up := 0
 		for i, c := range p {
 			if nested && i > 0 {
-				up += bitio.GammaWidth(c - min64(c, p[i-1]))
+				up += bitio.GammaWidth(c - min(c, p[i-1]))
 			} else {
 				up += bitio.GammaWidth(c)
 			}
@@ -452,7 +434,7 @@ func (r *RobustNet) CountVec(d core.Domain, preds []wire.Pred, dst []uint64) []u
 		if !it.Active {
 			continue
 		}
-		v := domainValue(it, d)
+		v := agg.DomainValue(it, d)
 		for i, pd := range preds {
 			if pd.Eval(v) {
 				acc[i]++
@@ -488,7 +470,7 @@ func (r *RobustNet) trimVec(s *sector, p []uint64, preds []wire.Pred, nested boo
 // count against capacity (exactly, for a TRUE predicate), sum against
 // capacity·maxvalue, extrema against the domain.
 func (r *RobustNet) MultiAggregate(d core.Domain, pred wire.Pred) (count, sum, lo, hi uint64, ok bool) {
-	vw := r.valueWidth(d)
+	vw := r.full.ValueWidth(d)
 	down := relayHeaderBits + 1 + pred.EncodedBits(vw)
 	maxD := r.maxDomain(d)
 	for _, s := range r.sectors {
@@ -537,10 +519,10 @@ func (r *RobustNet) MultiAggregate(d core.Domain, pred wire.Pred) (count, sum, l
 		}
 	}
 	for _, it := range r.nw.Nodes[r.view.Root].Items {
-		if !it.Active || !pred.Eval(domainValue(it, d)) {
+		if !it.Active || !pred.Eval(agg.DomainValue(it, d)) {
 			continue
 		}
-		v := domainValue(it, d)
+		v := agg.DomainValue(it, d)
 		count++
 		sum += v
 		if !ok {
@@ -595,54 +577,6 @@ func (r *RobustNet) CrossCheck() (dev float64, suspicious bool) {
 	return dev, false
 }
 
-// nestedPreds mirrors agg's ⊆-chain test: ascending strict-less
-// thresholds, optionally topped by TRUE.
-func nestedPreds(preds []wire.Pred) bool {
-	for i, p := range preds {
-		switch p.Kind {
-		case wire.PredLess:
-			if i > 0 {
-				prev := preds[i-1]
-				if prev.Kind != wire.PredLess || prev.A > p.A {
-					return false
-				}
-			}
-		case wire.PredTrue:
-			if i != len(preds)-1 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return len(preds) > 0
-}
-
-// probeSetBits mirrors the agg probe-set framing width: the relay-hop
-// announce carries the same delta-coded chain (or per-predicate list) the
-// in-sector broadcast does.
-func probeSetBits(preds []wire.Pred, vw int, nested bool) int {
-	chain := nested && preds[len(preds)-1].Kind == wire.PredLess
-	bits := 1 + bitio.GammaWidth(uint64(len(preds)))
-	if chain {
-		bits += vw
-		if len(preds) > 1 {
-			deltaW := 1
-			for i := 1; i < len(preds); i++ {
-				if wd := bitio.WidthOf(preds[i].A - preds[i-1].A); wd > deltaW {
-					deltaW = wd
-				}
-			}
-			bits += 6 + (len(preds)-1)*deltaW
-		}
-		return bits
-	}
-	for _, p := range preds {
-		bits += p.EncodedBits(vw)
-	}
-	return bits
-}
-
 // corruptVec is the relay-hop lie on a probe vector: a uniform shift for
 // nested chains (keeping the claim monotone, the hardest lie to trim),
 // per-slot corruption otherwise.
@@ -660,11 +594,4 @@ func corruptVec(p []uint64, nested bool, lie uint64) {
 	for i := range p {
 		p[i] = faults.CorruptValue(p[i], lie+uint64(i)*0x9e3779b97f4a7c15)
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
