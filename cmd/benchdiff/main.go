@@ -1,38 +1,35 @@
 // Command benchdiff compares a bench2json artifact against a committed
-// baseline and fails (exit 1) on performance regressions, so CI can gate
-// merges on the benchmark trajectory instead of only collecting it.
+// baseline and fails (exit 1) on regressions of the columns that are exact
+// on any runner, so CI can gate merges on the benchmark trajectory instead
+// of only collecting it.
 //
 //	go test -bench=. -benchtime=20x -benchmem -run='^$' . | bench2json -o bench.json
 //	benchdiff -baseline BENCH_BASELINE.json -current bench.json
 //
-// Wall-clock numbers on shared runners are noisy, so -current may be
-// repeated (one bench2json artifact per bench run): the gate then compares
-// the per-benchmark minimum ns/op (and minimum allocs/op) across the
-// samples — the least-interfered-with run — instead of a single roll of
-// the dice. -samples N asserts exactly N artifacts were supplied, so a CI
-// wiring slip fails loudly instead of silently gating on fewer runs.
+// Wall-clock time is not gated: on shared runners it is noise. -current
+// may be repeated (one bench2json artifact per bench run); the gate then
+// compares the per-benchmark minimum allocs/op across the samples, which
+// absorbs a run that paid a one-time lazy initialization. -samples N
+// asserts exactly N artifacts were supplied, so a CI wiring slip fails
+// loudly instead of silently gating on fewer runs.
 //
-// Three metrics gate:
+// Two metrics gate, both hardware-independent:
 //
-//   - ns/op: fails when current > baseline * (1 + -ns-tol), default 15%.
-//     Wall-clock comparisons across different machines are noise, so the
-//     ns/op gate automatically skips when the two artifacts record
-//     different "cpu:" metadata (override with -force-ns).
 //   - allocs/op: fails on any increase beyond -alloc-tol (default 0, with
 //     a small absolute slack of -alloc-slack to absorb one-time lazy
-//     initialization amortized over short runs). Allocation counts are
-//     hardware-independent, so this gate always applies.
+//     initialization amortized over short runs).
 //   - bits/node: the paper's own complexity measure, reported by the cost
 //     benchmarks as a custom metric. Fails on regressions beyond -bits-tol
-//     (default 5%). Communication cost is fully deterministic and
-//     hardware-independent, so this gate always applies — a faster CPU
-//     cannot hide a protocol that started talking more. A baseline entry
-//     that carries bits/node but whose current run lost it fails under
-//     -require-all (a silently vanished metric must not disarm the gate).
+//     (default 5%). Communication cost is fully deterministic, so a faster
+//     CPU cannot hide a protocol that started talking more. A baseline
+//     entry that carries bits/node but whose current run lost it fails
+//     under -require-all (a silently vanished metric must not disarm the
+//     gate).
 //
 // Benchmarks present only in the current artifact are reported as new;
 // benchmarks missing from the current artifact fail with -require-all.
-// Use -update to rewrite the baseline file from the current artifact.
+// Use -update to rewrite the baseline file from the current artifacts; it
+// writes no ns/op, so the baseline holds only exact columns.
 //
 // benchdiff is also the gate evaluator for the scenario lab: -scenario
 // takes a summary.json written by cmd/scenlab and re-evaluates every
@@ -51,6 +48,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"strings"
 
@@ -67,11 +65,9 @@ type (
 
 // Options configures a comparison.
 type Options struct {
-	NsTol      float64
 	AllocTol   float64
 	AllocSlack float64
 	BitsTol    float64
-	ForceNs    bool
 	RequireAll bool
 }
 
@@ -92,12 +88,10 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline artifact (bench2json output)")
 	var currentPaths pathList
 	flag.Var(&currentPaths, "current", "current artifact to compare (bench2json output); repeat for multiple samples")
-	samples := flag.Int("samples", 0, "require exactly this many -current artifacts (0 = any); gate on the min ns/op across them")
-	nsTol := flag.Float64("ns-tol", 0.15, "allowed fractional ns/op regression")
+	samples := flag.Int("samples", 0, "require exactly this many -current artifacts (0 = any); gate on the min allocs/op across them")
 	allocTol := flag.Float64("alloc-tol", 0, "allowed fractional allocs/op regression")
 	allocSlack := flag.Float64("alloc-slack", 2, "allowed absolute allocs/op slack")
 	bitsTol := flag.Float64("bits-tol", 0.05, "allowed fractional bits/node regression (deterministic, always gated)")
-	forceNs := flag.Bool("force-ns", false, "compare ns/op even across different CPUs")
 	requireAll := flag.Bool("require-all", false, "fail when a baseline benchmark is missing from current")
 	update := flag.Bool("update", false, "rewrite the baseline from the current artifact and exit")
 	mdPath := flag.String("md", "", "also write the comparison as a markdown table to this file (e.g. a CI step summary)")
@@ -114,7 +108,6 @@ func main() {
 	}
 
 	var findings []Finding
-	nsSkipped := false
 	if len(currentPaths) > 0 {
 		arts := make([]*Artifact, 0, len(currentPaths))
 		for _, path := range currentPaths {
@@ -125,13 +118,9 @@ func main() {
 			}
 			arts = append(arts, a)
 		}
-		cur, err := MergeSamples(arts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
+		cur := MergeSamples(arts)
 		if *update {
-			if err := writeArtifact(*baselinePath, cur); err != nil {
+			if err := writeArtifact(*baselinePath, ExactColumns(cur)); err != nil {
 				fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 				os.Exit(2)
 			}
@@ -143,18 +132,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(2)
 		}
-		findings, nsSkipped = Compare(base, cur, Options{
-			NsTol:      *nsTol,
+		findings = Compare(base, cur, Options{
 			AllocTol:   *allocTol,
 			AllocSlack: *allocSlack,
 			BitsTol:    *bitsTol,
-			ForceNs:    *forceNs,
 			RequireAll: *requireAll,
 		})
-		if nsSkipped {
-			fmt.Printf("benchdiff: cpu differs (%q vs %q) — ns/op gate skipped, allocs/op gate active\n",
-				base.Meta["cpu"], cur.Meta["cpu"])
-		}
 	}
 
 	if *scenarioPath != "" {
@@ -176,7 +159,7 @@ func main() {
 		fmt.Printf("%-12s %s: %s\n", tag, f.Name, f.Detail)
 	}
 	if *mdPath != "" {
-		if err := os.WriteFile(*mdPath, []byte(Markdown(findings, len(currentPaths), nsSkipped)), 0o644); err != nil {
+		if err := os.WriteFile(*mdPath, []byte(Markdown(findings, len(currentPaths))), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: writing %s: %v\n", *mdPath, err)
 			os.Exit(2)
 		}
@@ -216,13 +199,11 @@ func CompareScenarios(sr *scenario.SuiteResult, requireAll bool) []Finding {
 	return findings
 }
 
-// MergeSamples folds repeated bench runs into one artifact holding each
-// benchmark's minimum ns/op and minimum allocs/op — the run least disturbed
-// by runner noise. Samples must come from one machine: mixing CPUs inside
-// one -samples set would splice incomparable wall-clocks.
-func MergeSamples(arts []*Artifact) (*Artifact, error) {
+// MergeSamples folds repeated bench runs into one artifact: the first
+// sample's entries, each holding the minimum allocs/op any sample measured.
+func MergeSamples(arts []*Artifact) *Artifact {
 	if len(arts) == 1 {
-		return arts[0], nil
+		return arts[0]
 	}
 	merged := &Artifact{Meta: arts[0].Meta}
 	idx := make(map[string]int)
@@ -232,10 +213,6 @@ func MergeSamples(arts []*Artifact) (*Artifact, error) {
 	allocSeen := make(map[string]bool)
 	hasAllocs := func(e Entry) bool { _, ok := e.Metrics["allocs/op"]; return ok }
 	for _, a := range arts {
-		if a.Meta["cpu"] != merged.Meta["cpu"] {
-			return nil, fmt.Errorf("samples from different CPUs (%q vs %q) cannot be merged",
-				merged.Meta["cpu"], a.Meta["cpu"])
-		}
 		for _, e := range a.Entries {
 			i, ok := idx[e.Name]
 			if !ok {
@@ -245,40 +222,43 @@ func MergeSamples(arts []*Artifact) (*Artifact, error) {
 				continue
 			}
 			m := &merged.Entries[i]
-			if e.NsPerOp < m.NsPerOp {
-				m.NsPerOp = e.NsPerOp
-				m.Iterations = e.Iterations
-				m.Metrics = e.Metrics
-			}
 			if hasAllocs(e) && (!allocSeen[e.Name] || e.AllocsPerOp < m.AllocsPerOp) {
 				m.AllocsPerOp = e.AllocsPerOp
 				allocSeen[e.Name] = true
-			}
-			// Keep the metrics map consistent with the gated fields, so a
-			// baseline written by -update never carries an allocs/op that
-			// disagrees with the top-level value (clone before mutating —
-			// the map is shared with the source sample).
-			if allocSeen[e.Name] && m.Metrics != nil && m.Metrics["allocs/op"] != m.AllocsPerOp {
-				clone := make(map[string]float64, len(m.Metrics))
-				for k, v := range m.Metrics {
-					clone[k] = v
+				// Keep the metrics map consistent with the gated field, so a
+				// baseline written by -update never carries an allocs/op that
+				// disagrees with the top-level value (clone before mutating —
+				// the map is shared with the source sample).
+				metrics := maps.Clone(m.Metrics)
+				if metrics == nil {
+					metrics = make(map[string]float64)
 				}
-				clone["allocs/op"] = m.AllocsPerOp
-				m.Metrics = clone
+				metrics["allocs/op"] = e.AllocsPerOp
+				m.Metrics = metrics
 			}
 		}
 	}
-	return merged, nil
+	return merged
+}
+
+// ExactColumns returns a copy of a without the wall-clock columns — each
+// entry's ns/op and its "ns/op" metric — which is what -update commits.
+func ExactColumns(a *Artifact) *Artifact {
+	out := &Artifact{Meta: a.Meta, Entries: make([]Entry, len(a.Entries))}
+	for i, e := range a.Entries {
+		e.NsPerOp = 0
+		e.Metrics = maps.Clone(e.Metrics)
+		delete(e.Metrics, "ns/op")
+		out.Entries[i] = e
+	}
+	return out
 }
 
 // Markdown renders the findings as a GitHub-flavored table for step
 // summaries.
-func Markdown(findings []Finding, samples int, nsSkipped bool) string {
+func Markdown(findings []Finding, samples int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### Bench gate (%d sample(s), min ns/op)\n\n", samples)
-	if nsSkipped {
-		b.WriteString("_ns/op gate skipped: runner CPU differs from the baseline's; allocs/op gate active._\n\n")
-	}
+	fmt.Fprintf(&b, "### Bench gate (%d sample(s), min allocs/op)\n\n", samples)
 	b.WriteString("| Benchmark | Status | Detail |\n|---|---|---|\n")
 	for _, f := range findings {
 		status := "✅ ok"
@@ -290,13 +270,8 @@ func Markdown(findings []Finding, samples int, nsSkipped bool) string {
 	return b.String()
 }
 
-// Compare evaluates current against baseline under opts. nsSkipped reports
-// that the wall-clock gate was disabled because the artifacts were
-// produced on different CPUs.
-func Compare(base, cur *Artifact, opts Options) (findings []Finding, nsSkipped bool) {
-	nsGate := opts.ForceNs || base.Meta["cpu"] == cur.Meta["cpu"]
-	nsSkipped = !nsGate
-
+// Compare evaluates current against baseline under opts.
+func Compare(base, cur *Artifact, opts Options) (findings []Finding) {
 	curByName := make(map[string]Entry, len(cur.Entries))
 	for _, e := range cur.Entries {
 		curByName[e.Name] = e
@@ -312,10 +287,6 @@ func Compare(base, cur *Artifact, opts Options) (findings []Finding, nsSkipped b
 			continue
 		}
 		var problems []string
-		if nsGate && b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+opts.NsTol) {
-			problems = append(problems, fmt.Sprintf("ns/op %.0f -> %.0f (%+.1f%%, tol %.0f%%)",
-				b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), 100*opts.NsTol))
-		}
 		if limit := b.AllocsPerOp*(1+opts.AllocTol) + opts.AllocSlack; c.AllocsPerOp > limit {
 			problems = append(problems, fmt.Sprintf("allocs/op %.1f -> %.1f (limit %.1f)",
 				b.AllocsPerOp, c.AllocsPerOp, limit))
@@ -348,14 +319,14 @@ func Compare(base, cur *Artifact, opts Options) (findings []Finding, nsSkipped b
 			continue
 		}
 		findings = append(findings, Finding{Name: b.Name,
-			Detail: fmt.Sprintf("ns/op %.0f -> %.0f, allocs/op %.1f -> %.1f%s", b.NsPerOp, c.NsPerOp, b.AllocsPerOp, c.AllocsPerOp, okBits)})
+			Detail: fmt.Sprintf("allocs/op %.1f -> %.1f%s", b.AllocsPerOp, c.AllocsPerOp, okBits)})
 	}
 	for _, c := range cur.Entries {
 		if !seen[c.Name] {
 			findings = append(findings, Finding{Name: c.Name, Detail: "new benchmark (no baseline)"})
 		}
 	}
-	return findings, nsSkipped
+	return findings
 }
 
 func readArtifact(path string) (*Artifact, error) {

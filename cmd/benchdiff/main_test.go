@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -27,22 +28,10 @@ func count(findings []Finding) (regressions int) {
 	return
 }
 
-func TestCompareDetectsNsRegression(t *testing.T) {
-	base := artifact("x", entry("BenchmarkA-1", 1000, 10))
-	cur := artifact("x", entry("BenchmarkA-1", 1200, 10))
-	findings, skipped := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2})
-	if skipped {
-		t.Fatal("ns gate skipped on identical cpu")
-	}
-	if count(findings) != 1 {
-		t.Fatalf("want 1 regression, got %+v", findings)
-	}
-}
-
 func TestCompareWithinToleranceOK(t *testing.T) {
 	base := artifact("x", entry("BenchmarkA-1", 1000, 10))
 	cur := artifact("x", entry("BenchmarkA-1", 1100, 11))
-	findings, _ := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2})
+	findings := Compare(base, cur, Options{AllocSlack: 2})
 	if count(findings) != 0 {
 		t.Fatalf("want no regressions, got %+v", findings)
 	}
@@ -51,71 +40,44 @@ func TestCompareWithinToleranceOK(t *testing.T) {
 func TestCompareDetectsAllocRegression(t *testing.T) {
 	base := artifact("x", entry("BenchmarkA-1", 1000, 10))
 	cur := artifact("x", entry("BenchmarkA-1", 1000, 13))
-	findings, _ := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2})
+	findings := Compare(base, cur, Options{AllocSlack: 2})
 	if count(findings) != 1 {
 		t.Fatalf("want 1 regression, got %+v", findings)
 	}
 }
 
-func TestCompareSkipsNsAcrossCPUs(t *testing.T) {
+// TestCompareIgnoresWallClock: ns/op never gates, on one CPU or across
+// two; allocation regressions gate either way.
+func TestCompareIgnoresWallClock(t *testing.T) {
 	base := artifact("cpu-a", entry("BenchmarkA-1", 1000, 10))
-	cur := artifact("cpu-b", entry("BenchmarkA-1", 5000, 10))
-	findings, skipped := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2})
-	if !skipped {
-		t.Fatal("ns gate not skipped across different cpus")
-	}
-	if count(findings) != 0 {
-		t.Fatalf("want no regressions (alloc unchanged), got %+v", findings)
-	}
-	// Allocation regressions still gate across CPUs.
-	cur2 := artifact("cpu-b", entry("BenchmarkA-1", 5000, 20))
-	findings, _ = Compare(base, cur2, Options{NsTol: 0.15, AllocSlack: 2})
-	if count(findings) != 1 {
-		t.Fatalf("want alloc regression across cpus, got %+v", findings)
-	}
-	// -force-ns restores the wall-clock gate.
-	findings, skipped = Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, ForceNs: true})
-	if skipped || count(findings) != 1 {
-		t.Fatalf("forced ns gate: skipped=%v findings=%+v", skipped, findings)
+	for _, cpu := range []string{"cpu-a", "cpu-b"} {
+		if findings := Compare(base, artifact(cpu, entry("BenchmarkA-1", 5000, 10)), Options{AllocSlack: 2}); count(findings) != 0 {
+			t.Fatalf("%s: a 5x wall-clock slowdown failed the gate: %+v", cpu, findings)
+		}
+		if findings := Compare(base, artifact(cpu, entry("BenchmarkA-1", 1000, 20)), Options{AllocSlack: 2}); count(findings) != 1 {
+			t.Fatalf("%s: want the alloc regression, got %+v", cpu, findings)
+		}
 	}
 }
 
-// TestMergeSamples: repeated runs gate on the per-benchmark minimum ns/op
-// and allocs/op, and refuse to splice runs from different machines.
+// TestMergeSamples: repeated runs gate on the per-benchmark minimum
+// allocs/op, from samples of any machine.
 func TestMergeSamples(t *testing.T) {
 	a := artifact("x", entry("BenchmarkA-1", 1200, 10), entry("BenchmarkB-1", 900, 3))
-	b := artifact("x", entry("BenchmarkA-1", 1000, 11), entry("BenchmarkB-1", 950, 2))
-	merged, err := MergeSamples([]*Artifact{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := artifact("y", entry("BenchmarkA-1", 1000, 11), entry("BenchmarkB-1", 950, 2))
+	merged := MergeSamples([]*Artifact{a, b})
 	byName := map[string]Entry{}
 	for _, e := range merged.Entries {
 		byName[e.Name] = e
 	}
-	if e := byName["BenchmarkA-1"]; e.NsPerOp != 1000 || e.AllocsPerOp != 10 {
-		t.Errorf("BenchmarkA merged to ns=%g allocs=%g, want min 1000/10", e.NsPerOp, e.AllocsPerOp)
+	if e := byName["BenchmarkA-1"]; e.AllocsPerOp != 10 {
+		t.Errorf("BenchmarkA merged to allocs=%g, want min 10", e.AllocsPerOp)
 	}
-	if e := byName["BenchmarkB-1"]; e.NsPerOp != 900 || e.AllocsPerOp != 2 {
-		t.Errorf("BenchmarkB merged to ns=%g allocs=%g, want min 900/2", e.NsPerOp, e.AllocsPerOp)
+	if e := byName["BenchmarkB-1"]; e.AllocsPerOp != 2 || e.Metrics["allocs/op"] != 2 {
+		t.Errorf("BenchmarkB merged to allocs=%g (metric %g), want min 2", e.AllocsPerOp, e.Metrics["allocs/op"])
 	}
-
-	// A noisy outlier run no longer fails the ns gate when a clean sample
-	// exists.
-	base := artifact("x", entry("BenchmarkA-1", 1000, 10))
-	noisy := artifact("x", entry("BenchmarkA-1", 1900, 10))
-	clean := artifact("x", entry("BenchmarkA-1", 1050, 10))
-	merged, err = MergeSamples([]*Artifact{noisy, clean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, _ := Compare(base, merged, Options{NsTol: 0.15, AllocSlack: 2})
-	if count(findings) != 0 {
-		t.Errorf("min-of-samples should absorb the noisy run: %+v", findings)
-	}
-
-	if _, err := MergeSamples([]*Artifact{artifact("cpu-a"), artifact("cpu-b")}); err == nil {
-		t.Error("merging samples from different CPUs must error")
+	if b.Entries[1].Metrics["allocs/op"] != 2 || a.Entries[1].Metrics["allocs/op"] != 3 {
+		t.Error("merging mutated a source sample's metrics")
 	}
 
 	// A sample run without -benchmem (no allocs/op metric) reports
@@ -124,35 +86,46 @@ func TestMergeSamples(t *testing.T) {
 	withAllocs := artifact("x", entry("BenchmarkA-1", 1000, 12))
 	noBenchmem := artifact("x", Entry{Name: "BenchmarkA-1", NsPerOp: 900,
 		Metrics: map[string]float64{"ns/op": 900}})
-	merged, err = MergeSamples([]*Artifact{withAllocs, noBenchmem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := merged.Entries[0]; e.AllocsPerOp != 12 || e.NsPerOp != 900 {
-		t.Errorf("benchmem-less sample disarmed the alloc gate: ns=%g allocs=%g, want 900/12",
-			e.NsPerOp, e.AllocsPerOp)
-	}
-	if got := merged.Entries[0].Metrics["allocs/op"]; got != 12 {
-		t.Errorf("merged metrics allocs/op = %g, want 12 (synced to the gated value)", got)
+	for _, order := range [][]*Artifact{{withAllocs, noBenchmem}, {noBenchmem, withAllocs}} {
+		merged = MergeSamples(order)
+		if e := merged.Entries[0]; e.AllocsPerOp != 12 || e.Metrics["allocs/op"] != 12 {
+			t.Errorf("benchmem-less sample disarmed the alloc gate: allocs=%g (metric %g), want 12",
+				e.AllocsPerOp, e.Metrics["allocs/op"])
+		}
 	}
 
 	// A single sample passes through untouched.
 	only := artifact("x", entry("BenchmarkA-1", 1, 1))
-	merged, err = MergeSamples([]*Artifact{only})
-	if err != nil || merged != only {
-		t.Errorf("single sample should pass through: %v %v", merged, err)
+	if merged := MergeSamples([]*Artifact{only}); merged != only {
+		t.Errorf("single sample should pass through: %v", merged)
+	}
+}
+
+// TestExactColumns: what -update commits carries no wall-clock column, and
+// the artifact it came from is left as it was.
+func TestExactColumns(t *testing.T) {
+	cur := artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 800))
+	data, err := json.Marshal(ExactColumns(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := string(data); strings.Contains(js, "ns_per_op") || strings.Contains(js, "ns/op") ||
+		!strings.Contains(js, `"allocs_per_op":10`) || !strings.Contains(js, `"bits/node":800`) {
+		t.Errorf("baseline entry %s: want allocs/op and bits/node, no ns/op", js)
+	}
+	if e := cur.Entries[0]; e.NsPerOp != 1000 || e.Metrics["ns/op"] != 1000 {
+		t.Errorf("ExactColumns mutated its input: %+v", e)
 	}
 }
 
 // TestMarkdown renders a stable table for the CI step summary.
 func TestMarkdown(t *testing.T) {
 	md := Markdown([]Finding{
-		{Name: "BenchmarkA-1", Detail: "ns/op 1 -> 2"},
+		{Name: "BenchmarkA-1", Detail: "allocs/op 1.0 -> 1.0"},
 		{Name: "BenchmarkB-1", Regression: true, Detail: "allocs/op 1 -> 9 (limit 3)"},
-	}, 2, true)
+	}, 2)
 	for _, want := range []string{
-		"2 sample(s)",
-		"ns/op gate skipped",
+		"2 sample(s), min allocs/op",
 		"| `BenchmarkA-1` | ✅ ok |",
 		"| `BenchmarkB-1` | ❌ regression |",
 	} {
@@ -165,11 +138,11 @@ func TestMarkdown(t *testing.T) {
 func TestCompareMissingAndNew(t *testing.T) {
 	base := artifact("x", entry("BenchmarkGone-1", 1000, 10))
 	cur := artifact("x", entry("BenchmarkNew-1", 1000, 10))
-	findings, _ := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2})
+	findings := Compare(base, cur, Options{AllocSlack: 2})
 	if count(findings) != 0 {
 		t.Fatalf("missing benchmark must not fail by default: %+v", findings)
 	}
-	findings, _ = Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, RequireAll: true})
+	findings = Compare(base, cur, Options{AllocSlack: 2, RequireAll: true})
 	if count(findings) != 1 {
 		t.Fatalf("-require-all must fail on missing benchmark: %+v", findings)
 	}
@@ -186,32 +159,29 @@ func bitsEntry(name string, ns, allocs, bits float64) Entry {
 func TestCompareDetectsBitsRegression(t *testing.T) {
 	base := artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 800))
 	cur := artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 850))
-	findings, _ := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05})
+	findings := Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05})
 	if count(findings) != 1 || !strings.Contains(findings[0].Detail, "bits/node") {
 		t.Fatalf("want 1 bits/node regression, got %+v", findings)
 	}
 	// Within tolerance passes, and the detail surfaces the metric.
 	cur = artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 820))
-	findings, _ = Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05})
+	findings = Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05})
 	if count(findings) != 0 || !strings.Contains(findings[0].Detail, "bits/node 800 -> 820") {
 		t.Fatalf("want clean bits/node comparison, got %+v", findings)
 	}
 	// Improvements are never regressions.
 	cur = artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 400))
-	if findings, _ = Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05}); count(findings) != 0 {
+	if findings = Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05}); count(findings) != 0 {
 		t.Fatalf("bits/node improvement flagged: %+v", findings)
 	}
 }
 
 func TestCompareBitsGateSurvivesCPUChange(t *testing.T) {
-	// bits/node is deterministic: the gate stays armed when the ns gate
-	// auto-skips across different hardware.
+	// bits/node is deterministic: the gate holds across different
+	// hardware.
 	base := artifact("cpu-a", bitsEntry("BenchmarkA-1", 1000, 10, 800))
 	cur := artifact("cpu-b", bitsEntry("BenchmarkA-1", 5000, 10, 900))
-	findings, skipped := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05})
-	if !skipped {
-		t.Fatal("ns gate not skipped across CPUs")
-	}
+	findings := Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05})
 	if count(findings) != 1 || !strings.Contains(findings[0].Detail, "bits/node") {
 		t.Fatalf("want the bits/node regression to survive the cpu change, got %+v", findings)
 	}
@@ -221,12 +191,12 @@ func TestCompareMissingBitsMetric(t *testing.T) {
 	base := artifact("x", bitsEntry("BenchmarkA-1", 1000, 10, 800))
 	cur := artifact("x", entry("BenchmarkA-1", 1000, 10)) // metric vanished
 	// Without -require-all: reported, not fatal.
-	findings, _ := Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05})
+	findings := Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05})
 	if count(findings) != 0 || !strings.Contains(findings[0].Detail, "missing") {
 		t.Fatalf("want non-fatal missing-metric note, got %+v", findings)
 	}
 	// With -require-all: a vanished communication metric fails the gate.
-	findings, _ = Compare(base, cur, Options{NsTol: 0.15, AllocSlack: 2, BitsTol: 0.05, RequireAll: true})
+	findings = Compare(base, cur, Options{AllocSlack: 2, BitsTol: 0.05, RequireAll: true})
 	if count(findings) != 1 || !strings.Contains(findings[0].Detail, "bits/node metric missing") {
 		t.Fatalf("want missing-metric regression under -require-all, got %+v", findings)
 	}

@@ -42,8 +42,10 @@ type Net struct {
 	// convergecasts. The default fast path computes the root sketch
 	// directly and charges the meter arithmetically — valid because sketch
 	// payloads are fixed-size (m·RegisterBits) regardless of content, and
-	// max-merge over a tree equals the flat fold; the equivalence is
-	// asserted by tests. Fault injection requires honest mode.
+	// max-merge over a tree equals the flat fold over the engine's view
+	// (full, healed or sector); the equivalence is asserted by tests.
+	// Message-level faults (drop/dup) and a watched edge require honest
+	// mode.
 	honestSketches bool
 
 	instance uint64
@@ -113,7 +115,8 @@ func WithEstimator(e loglog.Estimator) Option {
 }
 
 // WithHonestSketches forces per-edge sketch convergecasts (slower,
-// identical results and meters; required for fault injection).
+// identical results and meters over reliable links; required under
+// drop/dup faults or a watched edge).
 func WithHonestSketches() Option {
 	return func(n *Net) { n.honestSketches = true }
 }

@@ -9,9 +9,11 @@ type Entry struct {
 	// Name is the full benchmark name including sub-benchmark path and
 	// the -cpu suffix Go's testing package appends when GOMAXPROCS != 1
 	// (e.g. "BenchmarkEngineMedian8/parallel/workers=8-8").
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
+	Name       string `json:"name"`
+	Iterations int64  `json:"iterations"`
+	// NsPerOp is the wall-clock ns/op: reported, never gated, and absent
+	// from a baseline benchdiff -update writes.
+	NsPerOp float64 `json:"ns_per_op,omitempty"`
 	// AllocsPerOp is the -benchmem allocation count, flattened next to
 	// ns/op so the benchdiff gate can compare it without digging through
 	// the metrics map.
