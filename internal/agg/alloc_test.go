@@ -84,3 +84,15 @@ func TestWarmMultiAggregateAllocs(t *testing.T) {
 	net := NewNet(warmEngine())
 	requireZeroAllocs(t, "fused sweep", func() { net.MultiAggregate(core.Linear, wire.True()) })
 }
+
+// TestWarmApxCountAllocs pins the fast APX COUNT path: the three instances
+// share one sketch, so a warm call allocates the returned estimates slice
+// and that sketch's header and registers — nothing per instance.
+func TestWarmApxCountAllocs(t *testing.T) {
+	net := NewNet(warmEngine())
+	op := func() { net.ApxCountRep(core.Linear, wire.True(), 3) }
+	op()
+	if allocs := testing.AllocsPerRun(200, op); allocs != 3 {
+		t.Errorf("warm ApxCountRep(Linear, TRUE, 3): %.1f allocs/op, want 3 (estimates, sketch, registers)", allocs)
+	}
+}

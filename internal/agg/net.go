@@ -265,15 +265,16 @@ func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
 	// engine sweeps: sketch payloads are content-independent
 	// (m·RegisterBits bits on every tree edge).
 	view := n.view()
-	bits := loglog.New(n.sketchP).EncodedBits()
+	bits := (1 << n.sketchP) * loglog.RegisterBits
 	for _, u := range view.Order {
 		if u != view.Root {
 			n.nw.Meter.ChargeN(u, view.Parent[u], bits, r)
 		}
 	}
+	sk := loglog.New(n.sketchP) // one register array, reset per instance
 	for i := 0; i < r; i++ {
 		n.instance++
-		out[i] = n.fastSketchInstance(view, d, pred, n.instance)
+		out[i] = n.fastSketchInstance(sk, view, d, pred, n.instance)
 	}
 	return out
 }
@@ -287,11 +288,11 @@ func (n *Net) view() *spantree.TreeView {
 	return spantree.FullView(n.nw.Tree)
 }
 
-// fastSketchInstance computes one APX COUNT estimate by folding the
+// fastSketchInstance computes one APX COUNT estimate in sk by folding the
 // matching items of every node in view directly — valid because max-merge
 // over a tree equals the flat fold. Communication is charged by the caller.
-func (n *Net) fastSketchInstance(view *spantree.TreeView, d core.Domain, pred wire.Pred, instance uint64) float64 {
-	sk := loglog.New(n.sketchP)
+func (n *Net) fastSketchInstance(sk *loglog.Sketch, view *spantree.TreeView, d core.Domain, pred wire.Pred, instance uint64) float64 {
+	sk.Reset()
 	h := n.instanceHasher(instance)
 	for _, u := range view.Order {
 		nd, base := n.nw.Nodes[u], n.keyBase[u]

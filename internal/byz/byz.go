@@ -146,40 +146,62 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 	return rep, view, nil
 }
 
-// Outcome is a finished Localize together with everything it changed on its
-// network: a fork of the same deployment, run seed and fault plan that has
-// not audited yet is fast-forwarded to the same state by Replay instead of
-// running the audit again. Report and View are shared, immutable.
+// Outcome is a finished Localize and RobustNet.CrossCheck — functions of
+// the view and the sketch precision, never of the query — together with
+// everything they changed on their network: a fork of the same deployment,
+// run seed and fault plan that has not audited yet is fast-forwarded to the
+// same state by Replay instead of running both again. Report and View are
+// shared, immutable.
 type Outcome struct {
 	Report *Report
 	View   *spantree.TreeView
-	// charged is what the audit and its re-heals charged each node; lieSeq
-	// is where every liar's lie sequence stood afterwards.
-	charged netsim.Ledger
-	lieSeq  []uint64
+	// charged is what the audit, its re-heals and the cross-check charged
+	// each node; lieSeq is where every liar's lie sequence stood afterwards;
+	// suspected (per sector), trims and crossDev are the plane's verdict.
+	charged   netsim.Ledger
+	lieSeq    []uint64
+	suspected []bool
+	trims     int
+	crossDev  float64
 }
 
-// Record runs Localize on nw, which must carry a fault plan, and records
-// its outcome.
-func Record(nw *netsim.Network, view *spantree.TreeView) (*Outcome, error) {
+// Record runs Localize on nw, which must carry an adversarial fault plan,
+// builds the RobustNet over the audited view and cross-checks it, and
+// records the outcome. It returns the cross-checked plane for nw itself.
+func Record(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Outcome, *RobustNet, error) {
 	before := nw.Meter.Ledger()
 	rep, view, err := Localize(nw, view)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Outcome{Report: rep, View: view, charged: nw.Meter.ChargedSince(before), lieSeq: nw.Faults.LieSeq()}, nil
+	r := NewRobustNet(nw, view, opts...)
+	r.CrossCheck()
+	o := &Outcome{Report: rep, View: view, charged: nw.Meter.ChargedSince(before), lieSeq: nw.Faults.LieSeq(),
+		suspected: make([]bool, len(r.sectors)), trims: r.trims, crossDev: r.crossDev}
+	for i, s := range r.sectors {
+		o.suspected[i] = s.suspected
+	}
+	return o, r, nil
 }
 
 // Replay fast-forwards nw, which must be in the state the recorded network
 // was in when Record was called and must not have a watched edge: every
 // per-node counter, the quarantine set and every liar's next LieWord end up
-// exactly where the audit left them there.
-func (o *Outcome) Replay(nw *netsim.Network) {
+// exactly where the audit and the cross-check left them there. Given
+// Record's opts, it returns nw's plane cross-checked; its whole-view sketch
+// instances restart from the first (no robust kind draws one).
+func (o *Outcome) Replay(nw *netsim.Network, opts ...Option) *RobustNet {
 	nw.Meter.Replay(o.charged)
 	for _, u := range o.Report.Quarantined {
 		nw.Faults.Quarantine(u)
 	}
 	nw.Faults.SetLieSeq(o.lieSeq)
+	r := NewRobustNet(nw, o.View, opts...)
+	for i, s := range r.sectors {
+		s.suspected = o.suspected[i]
+	}
+	r.trims, r.crossRan, r.crossDev = o.trims, true, o.crossDev
+	return r
 }
 
 // auditor is one Localize call's audit state. The simulator does not walk

@@ -391,3 +391,30 @@ func TestRelayAnnounceMatchesSectorBroadcast(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossCheckNoFalseAlarms is the cross-check's false-alarm sweep: after
+// the audit has quarantined every liar, the trimmed count is exact, so a
+// suspicious verdict is a false alarm. Over 400 audited grids at each size —
+// including N = 64 and 256, near the register count, where the estimator
+// runs in its small-range regime — there must be none.
+func TestCrossCheckNoFalseAlarms(t *testing.T) {
+	for _, side := range []int{8, 16, 32} {
+		g := topology.Grid(side, side)
+		maxDev := 0.0
+		for seed := uint64(1); seed <= 200; seed++ {
+			for _, rate := range []float64{0.02, 0.05} {
+				nw := buildNet(t, g, faults.Spec{Byz: rate}, seed)
+				_, view, err := Localize(nw, healedView(t, nw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dev, sus := NewRobustNet(nw, view).CrossCheck()
+				if sus {
+					t.Errorf("N=%d byz=%g seed %d: honest cross-check fired at %.2fσ", g.N(), rate, seed, dev)
+				}
+				maxDev = max(maxDev, dev)
+			}
+		}
+		t.Logf("N=%d: 400 audited runs, max deviation %.2fσ", g.N(), maxDev)
+	}
+}

@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"sensoragg/internal/bitio"
+	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
+	"sensoragg/internal/wire"
 )
 
 // oracleLocalize is Localize's round loop over the oracle audit round.
@@ -244,38 +246,74 @@ func TestLocalizeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesLocalize is the contract the engine's shared audit rests
-// on: over the same matrix, a fork fast-forwarded from another fork's
-// recorded outcome is indistinguishable from one that ran Localize itself —
-// report, view, every per-node counter, every liar's next lie word (all via
-// requireSameRun) and the quarantine set — and recording changes nothing
-// about the run that is recorded.
+// TestReplayMatchesLocalize is the contract the engine's shared audit and
+// cross-check rest on: over the same matrix, a fork fast-forwarded from
+// another fork's recorded outcome is indistinguishable from one that ran
+// Localize → NewRobustNet → CrossCheck itself — report, view, integrity,
+// every per-node counter, every liar's next lie word (all via
+// requireSameRun) and the quarantine set, also after one more trimmed query
+// on each plane — and recording changes nothing about the run that is
+// recorded.
 func TestReplayMatchesLocalize(t *testing.T) {
-	quarantined := 0
-	identityMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64) {
-		if spec.Byz == 0 {
-			return
-		}
+	quarantined, flagged := 0, 0
+	// p = 2 is a coarse sketch whose honest false alarms flag whole rosters
+	// (no audited plane is left a liar to trim), so the replayed sector
+	// flags are exercised; p = 8 is a realistic one.
+	replayMatrix := func(f func(g *topology.Graph, spec faults.Spec, seed uint64, p int)) {
+		identityMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64) {
+			if spec.Byz > 0 {
+				f(g, spec, seed, 2)
+				f(g, spec, seed, 8)
+			}
+		})
+	}
+	replayMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64, p int) {
 		rec, fwd, ref := buildNet(t, g, spec, seed), buildNet(t, g, spec, seed), buildNet(t, g, spec, seed)
-		out, err := Record(rec, healedView(t, rec))
+		out, recNet, err := Record(rec, healedView(t, rec), WithSketchP(p))
 		refRep, refView, refErr := Localize(ref, healedView(t, ref))
 		if err != nil || refErr != nil {
-			t.Fatalf("%s %v seed %d: err %v, reference err %v", g.Name, spec, seed, err, refErr)
+			t.Fatalf("%s %v seed %d p=%d: err %v, reference err %v", g.Name, spec, seed, p, err, refErr)
 		}
+		refNet := NewRobustNet(ref, refView, WithSketchP(p))
+		refNet.CrossCheck()
 		healedView(t, fwd) // the state a fork is in when it reaches the audit
-		out.Replay(fwd)
+		fwdNet := out.Replay(fwd, WithSketchP(p))
 		for u := 0; u < g.N(); u++ {
 			id := topology.NodeID(u)
 			if fwd.Faults.Quarantined(id) != ref.Faults.Quarantined(id) || rec.Faults.Quarantined(id) != ref.Faults.Quarantined(id) {
-				t.Fatalf("%s %v seed %d: node %d quarantined: replayed %v, recorded %v, reference %v", g.Name, spec, seed, u,
+				t.Fatalf("%s %v seed %d p=%d: node %d quarantined: replayed %v, recorded %v, reference %v", g.Name, spec, seed, p, u,
 					fwd.Faults.Quarantined(id), rec.Faults.Quarantined(id), ref.Faults.Quarantined(id))
 			}
 		}
 		if fwd.Faults.QuarantinedCount() != ref.Faults.QuarantinedCount() {
-			t.Fatalf("%s %v seed %d: %d quarantined after replay, reference %d", g.Name, spec, seed,
+			t.Fatalf("%s %v seed %d p=%d: %d quarantined after replay, reference %d", g.Name, spec, seed, p,
 				fwd.Faults.QuarantinedCount(), ref.Faults.QuarantinedCount())
 		}
 		quarantined += ref.Faults.QuarantinedCount()
+		want := refNet.Integrity()
+		if want.Trims > 0 {
+			flagged++
+		}
+		for _, side := range []struct {
+			name string
+			r    *RobustNet
+		}{{"recorded", recNet}, {"replayed", fwdNet}} {
+			if got := side.r.Integrity(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v seed %d p=%d: %s integrity %+v, reference %+v", g.Name, spec, seed, p, side.name, got, want)
+			}
+		}
+		// One more trimmed query on each plane: it reads the restored sector
+		// flags, charges the meters and draws the liars' next lie words.
+		preds := []wire.Pred{wire.Less(rec.MaxX / 3), wire.Less(rec.MaxX / 2), wire.True()}
+		wantVec := refNet.CountVec(core.Linear, preds, nil)
+		for _, r := range []*RobustNet{recNet, fwdNet} {
+			if got := r.CountVec(core.Linear, preds, nil); !reflect.DeepEqual(got, wantVec) {
+				t.Fatalf("%s %v seed %d p=%d: CountVec %v after the cross-check, reference %v", g.Name, spec, seed, p, got, wantVec)
+			}
+			if got, want := r.Integrity(), refNet.Integrity(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v seed %d p=%d: integrity %+v after the follow-up query, reference %+v", g.Name, spec, seed, p, got, want)
+			}
+		}
 		// requireSameRun draws one lie word per liar from both sides, so the
 		// reference serves the first comparison from a copy of its counters.
 		seq := ref.Faults.LieSeq()
@@ -283,8 +321,8 @@ func TestReplayMatchesLocalize(t *testing.T) {
 		ref.Faults.SetLieSeq(seq)
 		requireSameRun(t, fwd, ref, out.Report, refRep, out.View, refView)
 	})
-	if quarantined == 0 {
-		t.Fatal("the matrix quarantined no node")
+	if quarantined == 0 || flagged == 0 {
+		t.Fatalf("the matrix quarantined %d nodes and left %d cross-checked planes with a trim: the replay would prove little", quarantined, flagged)
 	}
 }
 

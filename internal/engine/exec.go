@@ -158,31 +158,20 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 }
 
 // executeRobust runs a Query.Robust job on the byz tier: localize and
-// quarantine lying subtrees (adversarial plans only — the audit protocol
-// costs traffic, so honest runs skip it), re-derive the execution view and
-// ground truth, cross-check the trimmed plane against the
-// duplicate-insensitive sketch, and answer the kind over a RobustNet.
+// quarantine lying subtrees and cross-check the trimmed plane against the
+// duplicate-insensitive sketch, re-derive the execution view and ground
+// truth, and answer the kind over the RobustNet.
 func executeRobust(r *run, k *kind, heal *spantree.HealResult, aud *auditOnce) (answer, error) {
 	if !k.robust {
 		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
 	}
-	view := r.fe.View()
-	adversarial := r.nw.Faults != nil && r.nw.Faults.Adversarial()
-	var rep *byz.Report
-	if adversarial {
-		var err error
-		rep, view, err = aud.localize(r.nw, view)
-		if err != nil {
-			return answer{}, err
-		}
-		if rep.Healed != nil {
-			heal = rep.Healed
-			r.truth = groundTruth{nw: r.nw, view: view}
-		}
+	rep, rnet, err := aud.localize(r.nw, r.fe.View(), r.q.SketchP)
+	if err != nil {
+		return answer{}, err
 	}
-	rnet := byz.NewRobustNet(r.nw, view, byz.WithSketchP(r.q.SketchP))
-	if adversarial {
-		rnet.CrossCheck()
+	if rep != nil && rep.Healed != nil {
+		heal = rep.Healed
+		r.truth = groundTruth{nw: r.nw, view: rep.Healed.View}
 	}
 	r.net = rnet
 	ans, err := k.runSolo(r)
@@ -197,43 +186,54 @@ func executeRobust(r *run, k *kind, heal *spantree.HealResult, aud *auditOnce) (
 	return ans, nil
 }
 
-// auditOnce is the byz audit the robust jobs of one Submit share when they
-// agree on fuseKey — same deployment, fault plan, run seed and overlay make
-// byz.Localize the same function on each fork. It lives for that call only.
+// auditOnce is the byz audit and cross-check the robust jobs of one Submit
+// share when they agree on auditKey: the same deployment, fault plan, run
+// seed and overlay make byz.Localize the same on each fork, and the sketch
+// precision fixes the cross-check. It lives for that call only.
 type auditOnce struct {
 	once sync.Once
 	out  *byz.Outcome
 	err  error
 }
 
-// localize is byz.Localize for a job on its own fork nw. The group's first
-// caller runs the audit and records the outcome; every other caller waits
-// for the record and fast-forwards its fork to it — the state its own audit
-// would have left, its meter paying for the audit in full. A failed or
-// panicking first caller fails the rest with its error. Without a group, and
-// on a watched meter (a replay bypasses the watched edge), the job audits.
-func (a *auditOnce) localize(nw *netsim.Network, view *spantree.TreeView) (*byz.Report, *spantree.TreeView, error) {
-	if a == nil || nw.Meter.Watching() {
-		return byz.Localize(nw, view)
+// localize returns the RobustNet at sketch precision p over a job's own fork
+// nw, audited and cross-checked under an adversarial plan (both cost traffic:
+// honest runs skip them, and the report is nil). The group's first caller
+// records the audit and the cross-check; every other caller waits for the
+// record and fast-forwards its fork to it, its meter paying for both in full.
+// A failed or panicking first caller fails the rest with its error. A job
+// without a group, or on a watched meter (a replay bypasses the watched
+// edge), runs both itself: a record would copy every node's counters.
+func (a *auditOnce) localize(nw *netsim.Network, view *spantree.TreeView, p int) (*byz.Report, *byz.RobustNet, error) {
+	if nw.Faults == nil || !nw.Faults.Adversarial() {
+		return nil, byz.NewRobustNet(nw, view, byz.WithSketchP(p)), nil
 	}
-	first := false
+	if a == nil || nw.Meter.Watching() {
+		rep, view, err := byz.Localize(nw, view)
+		if err != nil {
+			return nil, nil, err
+		}
+		rnet := byz.NewRobustNet(nw, view, byz.WithSketchP(p))
+		rnet.CrossCheck()
+		return rep, rnet, nil
+	}
+	var rnet *byz.RobustNet
 	a.once.Do(func() {
-		first = true
 		defer func() {
 			if r := recover(); r != nil {
 				a.err = fmt.Errorf("engine: query panicked: %v", r)
 				panic(r)
 			}
 		}()
-		a.out, a.err = byz.Record(nw, view)
+		a.out, rnet, a.err = byz.Record(nw, view, byz.WithSketchP(p))
 	})
 	if a.err != nil {
 		return nil, nil, a.err
 	}
-	if !first {
-		a.out.Replay(nw)
+	if rnet == nil {
+		rnet = a.out.Replay(nw, byz.WithSketchP(p))
 	}
-	return a.out.Report, a.out.View, nil
+	return a.out.Report, rnet, nil
 }
 
 // aggregator is the primitive-protocol surface a solo run's kind answers

@@ -258,23 +258,31 @@ type fuseKey struct {
 	overlay *Overlay
 }
 
+// auditKey groups robust jobs that share a byz audit (a function of fuseKey)
+// and cross-check (also of the resolved sketch precision).
+type auditKey struct {
+	fuseKey
+	sketchP int
+}
+
 // planUnits partitions jobs into execution units: a unit is either one
 // solo job or a fusion batch of ≥2 compatible jobs. Units are dispatched
 // to the worker pool as wholes; results are always written back by
 // original job index, so fusion never reorders a batch's results. Every
-// robust job under an adversary with a partner gets their group's shared
-// audit, by job index; a job without one audits alone.
+// robust job under an adversary with a partner on its auditKey gets their
+// group's shared audit and cross-check, by job index; others audit alone.
 func planUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*auditOnce) {
 	units = make([][]int, 0, len(jobs))
 	groups := make(map[fuseKey]int)
 	// Audit groups are few (one per deployment and epoch), so they are
 	// found by scanning: per group, its key and its first job.
-	keys, first := make([]fuseKey, 0, 8), make([]int, 0, 8)
+	keys, first := make([]auditKey, 0, 8), make([]int, 0, 8)
 	for i := range jobs {
 		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
 		if jobs[i].Query.Robust && jobs[i].Spec.Faults.Byz > 0 {
-			if g := slices.Index(keys, key); g < 0 {
-				keys, first = append(keys, key), append(first, i)
+			ak := auditKey{key, jobs[i].Query.WithDefaults().SketchP}
+			if g := slices.Index(keys, ak); g < 0 {
+				keys, first = append(keys, ak), append(first, i)
 			} else {
 				if audits == nil {
 					audits = make(map[int]*auditOnce)

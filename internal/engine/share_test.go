@@ -30,8 +30,10 @@ func sameResult(t *testing.T, label string, got, want Result) {
 }
 
 // TestSharedAuditMatchesSoloSubmits: R robust jobs of mixed kinds submitted
-// together — two groups, interleaved, so two audits are shared — report
-// exactly what each reports submitted alone, where it audits for itself.
+// together — three groups, interleaved, so three audits and cross-checks
+// are shared — report exactly what each reports submitted alone, where it
+// audits for itself. The jobs on seed 3 mix two sketch precisions (the
+// default both implicit and explicit), which must not share a cross-check.
 func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 	for _, mode := range []string{faults.ByzCorrupt, faults.ByzEquivocate, faults.ByzCollude} {
 		var jobs []Job
@@ -39,12 +41,19 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 			for _, seed := range []uint64{3, 4} {
 				spec := gridSpec(256, seed)
 				spec.Faults = faults.Spec{Byz: 0.05, ByzMode: mode, Crash: 0.02}
-				jobs = append(jobs, Job{ID: fmt.Sprintf("%s-%d-%d", q.Kind, i, seed), Spec: spec, Query: q})
+				job := Job{ID: fmt.Sprintf("%s-%d-%d", q.Kind, i, seed), Spec: spec, Query: q}
+				if seed == 3 && i%2 == 1 {
+					job.Query.SketchP = 8
+				} else if seed == 3 && i == 2 {
+					job.Query.SketchP = core.DefaultSketchP
+				}
+				jobs = append(jobs, job)
 			}
 		}
 		_, audits := planUnits(jobs, false)
-		if len(audits) != len(jobs) || audits[0] != audits[2] || audits[0] == audits[1] {
-			t.Fatalf("%s: %d of %d jobs share an audit; want all of them, grouped by deployment", mode, len(audits), len(jobs))
+		if len(audits) != len(jobs) || audits[0] != audits[4] || audits[2] != audits[6] ||
+			audits[0] == audits[1] || audits[0] == audits[2] || audits[1] == audits[2] {
+			t.Fatalf("%s: %d of %d jobs share an audit; want all of them, grouped by deployment and sketch precision", mode, len(audits), len(jobs))
 		}
 		for _, workers := range []int{1, 4} {
 			e := New(Options{Workers: workers})
@@ -67,7 +76,7 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 
 // TestAuditSharingIsForPartneredRobustJobs pins who gets a shared audit:
 // robust jobs under an adversarial plan with a partner on the same
-// deployment, run seed and overlay — nobody else.
+// deployment, run seed, overlay and sketch precision — nobody else.
 func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 	spec := gridSpec(256, 3)
 	spec.Faults = faults.Spec{Byz: 0.05}
@@ -75,19 +84,20 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 	ov := &Overlay{}
 	robust := Query{Kind: KindMedian, Robust: true}
 	jobs := []Job{
-		{Spec: spec, Query: robust},                               // 0: partner of 1
-		{Spec: spec, Query: Query{Kind: KindCount, Robust: true}}, // 1
-		{Spec: spec, Query: Query{Kind: KindMedian}},              // 2: not robust
-		{Spec: honest, Query: robust},                             // 3: no adversary
-		{Spec: honest, Query: robust},                             // 4
-		{Spec: spec, Query: robust, RunSeed: 9},                   // 5: alone on its run seed
-		{Spec: spec, Query: robust, Overlay: ov},                  // 6: alone on its overlay
+		{Spec: spec, Query: robust},                                            // 0: partner of 1
+		{Spec: spec, Query: Query{Kind: KindCount, Robust: true}},              // 1
+		{Spec: spec, Query: Query{Kind: KindMedian}},                           // 2: not robust
+		{Spec: honest, Query: robust},                                          // 3: no adversary
+		{Spec: honest, Query: robust},                                          // 4
+		{Spec: spec, Query: robust, RunSeed: 9},                                // 5: alone on its run seed
+		{Spec: spec, Query: robust, Overlay: ov},                               // 6: alone on its overlay
+		{Spec: spec, Query: Query{Kind: KindMedian, Robust: true, SketchP: 8}}, // 7: alone on its precision
 	}
 	_, audits := planUnits(jobs, true)
 	if audits[0] == nil || audits[0] != audits[1] {
 		t.Fatal("the two robust jobs of one deployment do not share an audit")
 	}
-	for _, i := range []int{2, 3, 4, 5, 6} {
+	for _, i := range []int{2, 3, 4, 5, 6, 7} {
 		if audits[i] != nil {
 			t.Errorf("job %d shares an audit; it has nobody to share with", i)
 		}
@@ -140,11 +150,11 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 						mu.Unlock()
 					}
 				}()
-				rep, view, err := aud.localize(nws[i], views[i])
+				rep, rnet, err := aud.localize(nws[i], views[i], core.DefaultSketchP)
 				mu.Lock()
 				defer mu.Unlock()
-				if err == nil || rep != nil || view != nil {
-					t.Errorf("caller %d got (%v, %v, %v) from a failed audit", i, rep, view, err)
+				if err == nil || rep != nil || rnet != nil {
+					t.Errorf("caller %d got (%v, %v, %v) from a failed audit", i, rep, rnet, err)
 				}
 				errs = append(errs, err)
 			}()
@@ -203,7 +213,7 @@ func TestWatchedMeterAuditsForItself(t *testing.T) {
 	nws[1].Meter.WatchEdge(views[1].Parent[deep], deep)
 	aud := new(auditOnce)
 	for i := range nws {
-		if _, _, err := aud.localize(nws[i], views[i]); err != nil {
+		if _, _, err := aud.localize(nws[i], views[i], core.DefaultSketchP); err != nil {
 			t.Fatal(err)
 		}
 	}

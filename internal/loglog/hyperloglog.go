@@ -21,6 +21,15 @@ type HLL struct {
 // NewHLL returns an empty HyperLogLog sketch with 2^p registers.
 func NewHLL(p int) HLL { return HLL{Sketch: New(p)} }
 
+// pow2neg[r] is 2^-r, exact for every register value: Estimate sums these
+// table entries instead of calling math.Exp2 per register.
+var pow2neg = func() (t [256]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
 // Estimate returns the HyperLogLog estimate with the standard small-range
 // (linear counting) correction.
 func (h HLL) Estimate() float64 {
@@ -28,7 +37,7 @@ func (h HLL) Estimate() float64 {
 	var sum float64
 	zeros := 0
 	for _, r := range h.regs {
-		sum += math.Exp2(-float64(r))
+		sum += pow2neg[r]
 		if r == 0 {
 			zeros++
 		}

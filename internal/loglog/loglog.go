@@ -81,6 +81,9 @@ func (s *Sketch) Merge(other *Sketch) {
 	}
 }
 
+// Reset empties every register, so one sketch can serve many instances.
+func (s *Sketch) Reset() { clear(s.regs) }
+
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
 	c := New(int(s.p))

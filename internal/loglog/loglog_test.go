@@ -228,3 +228,55 @@ func TestEstimatorString(t *testing.T) {
 		t.Error("estimator names changed")
 	}
 }
+
+// exp2HLLEstimate is HLL.Estimate as it was before the 2^-r table: one
+// math.Exp2 call per register, summed in register order.
+func exp2HLLEstimate(s *Sketch) float64 {
+	m := s.M()
+	var sum float64
+	zeros := 0
+	for _, r := range s.regs {
+		sum += math.Exp2(-float64(r))
+		if r == 0 {
+			zeros++
+		}
+	}
+	est := hllAlpha(m) * float64(m) * float64(m) / sum
+	if est <= 2.5*float64(m) && zeros > 0 {
+		est = float64(m) * math.Log(float64(m)/float64(zeros))
+	}
+	return est
+}
+
+// TestHLLTableMatchesExp2: every table entry is the exact power, so the
+// table sum — same terms, same order — reproduces the math.Exp2 estimate
+// bit for bit, over sketches built from hashes and over sketches decoded
+// from arbitrary bytes (registers up to 127).
+func TestHLLTableMatchesExp2(t *testing.T) {
+	for r := range pow2neg {
+		if pow2neg[r] != math.Exp2(-float64(r)) {
+			t.Fatalf("pow2neg[%d] = %g, math.Exp2 gives %g", r, pow2neg[r], math.Exp2(-float64(r)))
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 300; trial++ {
+		p := trial % 13
+		built := New(p)
+		for i, n := 0, rng.IntN(1<<(p+3)); i < n; i++ {
+			built.Add(rng.Uint64())
+		}
+		w := bitio.NewWriter(built.EncodedBits())
+		for i := 0; i < built.M(); i++ {
+			w.WriteBits(rng.Uint64N(128), RegisterBits)
+		}
+		decoded, err := DecodeSketch(wireReader(w), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Sketch{built, decoded} {
+			if got, want := (HLL{Sketch: s}).Estimate(), exp2HLLEstimate(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%d: estimate %v, math.Exp2 reference %v", p, got, want)
+			}
+		}
+	}
+}

@@ -350,16 +350,18 @@ func TestByzOutcomeReplaysAcrossForks(t *testing.T) {
 		return nw
 	}
 	rec, ref, fwd := fork(), fork(), fork()
-	out, err := byz.Record(rec, spantree.FullView(tree))
+	out, _, err := byz.Record(rec, spantree.FullView(tree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Report.Quarantined) == 0 {
 		t.Fatal("the audit convicted nobody: the replay would prove nothing")
 	}
-	if _, _, err := byz.Localize(ref, spantree.FullView(tree)); err != nil {
+	_, view, err := byz.Localize(ref, spantree.FullView(tree))
+	if err != nil {
 		t.Fatal(err)
 	}
+	byz.NewRobustNet(ref, view).CrossCheck()
 	out.Replay(fwd)
 	requireSameLayoutMeters(t, "replayed", fwd, ref)
 	for u := 0; u < g.N(); u++ {
