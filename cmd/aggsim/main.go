@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -90,8 +89,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.wl, "workload", "uniform", "uniform|zipf|gaussian|exponential|bimodal|constant|fewdistinct|drift")
 	fs.Uint64Var(&o.maxX, "maxx", 0, "value domain bound X (default 4·n)")
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
-	kinds := slices.DeleteFunc(engine.Kinds(), func(k string) bool { return k == engine.KindStatement })
-	fs.StringVar(&o.query, "query", "median", strings.Join(kinds, "|"))
+	fs.StringVar(&o.query, "query", "median", strings.Join(engine.Kinds(), "|"))
 	fs.Uint64Var(&o.k, "k", 0, "rank for -query os (default N/2)")
 	fs.Float64Var(&o.phi, "phi", 0.5, "quantile for -query quantile")
 	fs.StringVar(&o.phis, "phis", "0.25,0.5,0.9", "comma-separated quantile fractions for -query quantiles")

@@ -267,9 +267,7 @@ func run(spec engine.Spec, subscribers, epochs int, window time.Duration, drift 
 	if err != nil {
 		return nil, err
 	}
-	if robust && soloQuery.Kind != engine.KindStatement {
-		soloQuery.Robust = true
-	}
+	soloQuery.Robust = robust && soloQuery.RobustCapable()
 	solo := eng.Submit(context.Background(), []engine.Job{{Spec: spec, Query: soloQuery}})[0]
 	if solo.Failed() {
 		return nil, fmt.Errorf("solo %q: %s", statement, solo.Error)

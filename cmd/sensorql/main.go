@@ -11,11 +11,13 @@
 //	> SET FUSE ON
 //	> SELECT median(value); SELECT quantile(value, 0.99); SELECT sum(value)
 //
-// With `SET FUSE ON`, a semicolon-separated line executes as one
-// shared-sweep fusion batch: the statements' probe thresholds merge into a
-// single broadcast–convergecast schedule (engine.Submit with WithFusion),
-// so the line costs roughly one statement's tree traffic instead of one
-// per statement.
+// Every statement is one engine.Submit job, mapped by serve.QueryFor —
+// the same executor and the same mapping `serve` uses, so a console answer
+// and its cost line are what a subscription would report. With `SET FUSE
+// ON`, a semicolon-separated line executes as one shared-sweep fusion
+// batch: the statements' probe thresholds merge into a single
+// broadcast–convergecast schedule (engine.WithFusion), so the line costs
+// roughly one statement's tree traffic instead of one per statement.
 //
 // The console also fronts the continuous-query serving layer: `subscribe
 // SELECT median(value)` registers a standing statement, `epoch [k]`
@@ -24,9 +26,9 @@
 // seeding each epoch's k-ary search from the last answer.
 //
 // The `faults` command attaches an internal/faults plan to the deployment:
-// crashes and dead links trigger the spantree self-healing repair (cost
-// reported once), and subsequent statements run over the healed tree with
-// message-level faults applied per delivery.
+// crashes and dead links trigger the spantree self-healing repair, which
+// every statement pays for in its cost line, and statements run over the
+// healed tree with message-level faults applied per delivery.
 //
 // Deployments come from the engine's session cache: the `net` command
 // switches networks, and switching back to a deployment you already used
@@ -48,13 +50,11 @@ import (
 	"strconv"
 	"strings"
 
-	"sensoragg/internal/agg"
 	"sensoragg/internal/core"
 	"sensoragg/internal/energy"
 	"sensoragg/internal/engine"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/obs"
-	"sensoragg/internal/query"
 	"sensoragg/internal/serve"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
@@ -79,10 +79,9 @@ func main() {
 // currently selected deployment, and the session-level protocol knobs.
 type console struct {
 	session *Session
-	// eng runs fused statement batches and backs the serving layer — one
-	// Submit entrypoint, sharing the console's topology cache.
+	// eng runs every statement and backs the serving layer — one Submit
+	// entrypoint, sharing the console's topology cache.
 	eng  *engine.Engine
-	net  *agg.Net
 	spec engine.Spec
 	// probeWidth is the session's k-ary probe batch width for selection
 	// statements (SET PROBEWIDTH k); 0 means the engine default. A
@@ -96,7 +95,8 @@ type console struct {
 	// robust routes statements through the engine's Byzantine-robust
 	// tier (SET ROBUST ON|OFF): answers carry integrity accounting, and
 	// adversarial fault plans (`faults byz=...`) are localized and
-	// quarantined before the answer. Robust jobs never fuse.
+	// quarantined before the answer. Robust jobs never fuse, and a
+	// statement the tier cannot answer is refused.
 	robust bool
 
 	// Serving state: a lazily-built serve.Service over the current
@@ -112,7 +112,7 @@ type console struct {
 type Session = engine.Session
 
 // newConsole builds a console around one engine, whose session cache every
-// layer (solo statements, fused batches, the serving layer) shares.
+// layer (statements, fused batches, the serving layer) shares.
 func newConsole() *console {
 	eng := engine.New(engine.Options{})
 	return &console{session: eng.Session(), eng: eng}
@@ -170,41 +170,8 @@ func run(spec engine.Spec) error {
 				fmt.Printf("error: %v\n", err)
 			}
 		default:
-			stmts := splitStatements(line)
-			if len(stmts) > 1 && c.fuse && !c.robust {
-				if err := c.execFused(stmts, model); err != nil {
-					fmt.Printf("error: %v\n", err)
-				}
-				break
-			}
-			for _, stmt := range stmts {
-				if c.robust {
-					if err := c.execRobustSolo(stmt, model); err != nil {
-						fmt.Printf("error: %v\n", err)
-						break
-					}
-					continue
-				}
-				if c.spec.Faults.Phased() {
-					// Mid-sweep fault plans need the engine's detect →
-					// re-heal → resume machinery; the console's direct
-					// net path has none.
-					if err := c.execResilientSolo(stmt, model); err != nil {
-						fmt.Printf("error: %v\n", err)
-						break
-					}
-					continue
-				}
-				res, err := c.exec(stmt)
-				if err != nil {
-					fmt.Printf("error: %v\n", err)
-					break
-				}
-				fmt.Printf("%s   (%s)\n", engine.FormatValues(res.Value, res.Values), res.Detail)
-				perQuery := float64(res.Comm.MaxPerNode)
-				fmt.Printf("cost: %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
-					res.Comm.MaxPerNode, res.Comm.TotalBits,
-					energy.FormatJoules(perQuery*(model.TxPerBit+model.RxPerBit)/2))
+			if err := c.statements(splitStatements(line), model); err != nil {
+				fmt.Printf("error: %v\n", err)
 			}
 		}
 		fmt.Print("> ")
@@ -212,17 +179,74 @@ func run(spec engine.Spec) error {
 	return scanner.Err()
 }
 
-// exec parses and runs one statement, injecting the session's probe-width
-// default when the statement didn't pin one with USING probewidth=k.
-func (c *console) exec(line string) (query.Result, error) {
-	q, err := query.Parse(line)
+// statements answers one console line: every statement is a job of one,
+// or with SET FUSE ON (and robust off) the whole line is one fused batch.
+// A failing statement ends the line.
+func (c *console) statements(stmts []string, model energy.Model) error {
+	if len(stmts) > 1 && c.fuse && !c.robust {
+		return c.execFused(stmts, model)
+	}
+	for _, stmt := range stmts {
+		r, err := c.exec(stmt)
+		if err != nil {
+			return err
+		}
+		detail := r.Detail
+		if r.Robust {
+			detail = "robust" + robustDetail(r)
+		}
+		fmt.Printf("%s   (%s)\n", engine.FormatValues(r.Value, r.Values), detail)
+		if r.SurvivorFrac > 0 && r.SurvivorFrac < 1 {
+			note := ""
+			if r.Degraded {
+				note = " — DEGRADED (best-known bounds, no exactness claim)"
+			}
+			fmt.Printf("resilience: %d retry(ies), answer covers %.1f%% of the deployment%s\n",
+				r.Retries, r.SurvivorFrac*100, note)
+		}
+		fmt.Printf("cost: %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
+			r.BitsPerNode, r.TotalBits, hottestJoules(r.BitsPerNode, model))
+	}
+	return nil
+}
+
+// exec answers one statement as a job of one on the console's deployment.
+func (c *console) exec(stmt string) (engine.Result, error) {
+	jobs, err := c.jobs([]string{stmt})
 	if err != nil {
-		return query.Result{}, err
+		return engine.Result{}, err
 	}
-	if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
-		q.Options["probewidth"] = float64(c.probeWidth)
+	r := c.eng.Submit(context.Background(), jobs, engine.WithProbeWidth(c.probeWidth))[0]
+	if r.Failed() {
+		return r, fmt.Errorf("%s", r.Error)
 	}
-	return query.Run(c.net, q)
+	return r, nil
+}
+
+// jobs maps statements onto engine jobs against the console's deployment
+// (serve.QueryFor), on the robust tier under SET ROBUST ON.
+func (c *console) jobs(stmts []string) ([]engine.Job, error) {
+	jobs := make([]engine.Job, len(stmts))
+	for i, stmt := range stmts {
+		q, _, err := serve.QueryFor(stmt)
+		if err != nil {
+			return nil, err
+		}
+		if c.robust {
+			if !q.RobustCapable() {
+				return nil, fmt.Errorf("%q has no robust path (exact selection/aggregate without WHERE); SET ROBUST OFF to run it plain", stmt)
+			}
+			q.Robust = true
+		}
+		jobs[i] = engine.Job{ID: fmt.Sprintf("stmt-%d", i+1), Spec: c.spec, Query: q}
+	}
+	return jobs, nil
+}
+
+// hottestJoules prices bits on the hottest node, half sent and half
+// received.
+func hottestJoules(bits int64, model energy.Model) string {
+	return energy.FormatJoules(float64(bits) * (model.TxPerBit + model.RxPerBit) / 2)
 }
 
 // setCommand parses the session knobs — `set probewidth <k|default>`,
@@ -350,63 +374,6 @@ func (c *console) setCommand(line string) error {
 	return fmt.Errorf("usage: set probewidth <k|default> | set fuse <on|off> | set robust <on|off> | set drift <step|off> | set retry <n|off> | set obs <on|off>")
 }
 
-// execRobustSolo runs one statement on the engine's Byzantine-robust
-// tier. Only the exact selection/aggregate statements the engine serves
-// robustly are accepted — the same set fusion takes.
-func (c *console) execRobustSolo(stmt string, model energy.Model) error {
-	eq, ok, err := c.engineQuery(stmt)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%q has no robust path (exact selection/aggregate without WHERE); SET ROBUST OFF to run it plain", stmt)
-	}
-	eq.Robust = true
-	r := c.eng.Submit(context.Background(), []engine.Job{{ID: "robust", Spec: c.spec, Query: eq}})[0]
-	if r.Failed() {
-		return fmt.Errorf("%s", r.Error)
-	}
-	fmt.Printf("%s   (robust%s)\n", engine.FormatValues(r.Value, r.Values), robustDetail(r))
-	perQuery := float64(r.BitsPerNode)
-	fmt.Printf("cost: %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
-		r.BitsPerNode, r.TotalBits,
-		energy.FormatJoules(perQuery*(model.TxPerBit+model.RxPerBit)/2))
-	return nil
-}
-
-// execResilientSolo routes one statement through the engine when a
-// phased (mid-sweep) fault plan is armed: the plan fires while the
-// query runs, the engine detects the incomplete sweep, re-heals and
-// resumes within the session's retry budget (SET RETRY), or degrades to
-// best-known bounds when it runs out.
-func (c *console) execResilientSolo(stmt string, model energy.Model) error {
-	eq, ok, err := c.engineQuery(stmt)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%q cannot run under a mid-sweep fault plan (exact selection/aggregate without WHERE only); `faults off` to run it plain", stmt)
-	}
-	r := c.eng.Submit(context.Background(), []engine.Job{{ID: "resilient", Spec: c.spec, Query: eq}})[0]
-	if r.Failed() {
-		return fmt.Errorf("%s", r.Error)
-	}
-	fmt.Printf("%s   (%s)\n", engine.FormatValues(r.Value, r.Values), r.Detail)
-	if r.SurvivorFrac > 0 && r.SurvivorFrac < 1 {
-		note := ""
-		if r.Degraded {
-			note = " — DEGRADED (best-known bounds, no exactness claim)"
-		}
-		fmt.Printf("resilience: %d retry(ies), answer covers %.1f%% of the deployment%s\n",
-			r.Retries, r.SurvivorFrac*100, note)
-	}
-	perQuery := float64(r.BitsPerNode)
-	fmt.Printf("cost: %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
-		r.BitsPerNode, r.TotalBits,
-		energy.FormatJoules(perQuery*(model.TxPerBit+model.RxPerBit)/2))
-	return nil
-}
-
 // robustDetail renders a robust result's integrity accounting for the
 // console: exact when nothing was suspected, otherwise who was caught
 // and how far the answer could be off.
@@ -479,63 +446,41 @@ func splitStatements(line string) []string {
 	return out
 }
 
-// engineQuery maps a statement onto the engine query it runs as outside
-// the statement executor — serve.QueryFor's mapping, so a single quantile
-// is KindQuantiles and resolves φ against the protocol-counted N like the
-// console's solo execution — with the statement's USING probewidth, or
-// else the session's width. ok is false for the statements QueryFor hands
-// to the statement executor (WHERE clauses, the randomized and sketch
-// aggregates) and for a malformed probewidth, which that executor reports.
-func (c *console) engineQuery(stmt string) (eq engine.Query, ok bool, err error) {
-	q, err := query.Parse(stmt)
-	if err != nil {
-		return engine.Query{}, false, err
-	}
-	if eq, _, err = serve.QueryFor(stmt); err != nil || eq.Kind == engine.KindStatement {
-		return engine.Query{}, false, err
-	}
-	eq.ProbeWidth = c.probeWidth
-	if w, set := q.Options["probewidth"]; set {
-		if w != float64(int(w)) || w < 1 || w > float64(core.MaxProbeWidth) {
-			return engine.Query{}, false, nil
-		}
-		eq.ProbeWidth = int(w)
-	}
-	return eq, true, nil
-}
-
 // execFused runs semicolon-batched statements as one fusion batch on the
-// console's deployment: every statement's probes merge into one shared
-// sweep schedule (engine.Submit with WithFusion), and the cost line prices
-// the whole plane once — the same bits would have been paid per statement
-// without fusion.
+// console's deployment: every fusable statement's probes merge into one
+// shared sweep schedule (engine.WithFusion), and the cost line prices the
+// whole plane once — the same bits would have been paid per statement
+// without fusion. A statement that cannot fuse (a WHERE clause, a kind
+// with a private schedule) runs solo in the same Submit and prints its
+// own cost.
 func (c *console) execFused(stmts []string, model energy.Model) error {
-	jobs := make([]engine.Job, len(stmts))
-	for i, s := range stmts {
-		eq, ok, err := c.engineQuery(s)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%q is not fusable (exact selection/aggregate without WHERE); SET FUSE OFF to run the batch sequentially", s)
-		}
-		jobs[i] = engine.Job{ID: fmt.Sprintf("stmt-%d", i+1), Spec: c.spec, Query: eq}
+	jobs, err := c.jobs(stmts)
+	if err != nil {
+		return err
 	}
-	res := c.eng.Submit(context.Background(), jobs, engine.WithFusion())
+	res := c.eng.Submit(context.Background(), jobs, engine.WithFusion(), engine.WithProbeWidth(c.probeWidth))
+	var plane *engine.Result
+	fused := 0
 	for i, r := range res {
-		if r.Failed() {
+		switch {
+		case r.Failed():
 			fmt.Printf("%-2d %s: error: %s\n", i+1, stmts[i], r.Error)
-			continue
+		case r.Fused:
+			fmt.Printf("%-2d %s: %s\n", i+1, stmts[i], engine.FormatValues(r.Value, r.Values))
+			fused++
+			if plane == nil {
+				// Every fused member's communication fields price the one
+				// shared plane, so the first speaks for the batch.
+				plane = &res[i]
+			}
+		default:
+			fmt.Printf("%-2d %s: %s   (solo: %d bits/node)\n", i+1, stmts[i], engine.FormatValues(r.Value, r.Values), r.BitsPerNode)
 		}
-		fmt.Printf("%-2d %s: %s\n", i+1, stmts[i], engine.FormatValues(r.Value, r.Values))
 	}
-	// Every fused member's communication fields price the one shared
-	// plane, so the first result speaks for the batch.
-	plane := res[0]
-	perPlane := float64(plane.BitsPerNode)
-	fmt.Printf("fused: %d statements, %d shared sweeps — cost %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
-		len(stmts), plane.SharedSweeps, plane.BitsPerNode, plane.TotalBits,
-		energy.FormatJoules(perPlane*(model.TxPerBit+model.RxPerBit)/2))
+	if plane != nil {
+		fmt.Printf("fused: %d statements, %d shared sweeps — cost %d bits/node (max), %d total bits — ≈ %s on the hottest node\n",
+			fused, plane.SharedSweeps, plane.BitsPerNode, plane.TotalBits, hottestJoules(plane.BitsPerNode, model))
+	}
 	return nil
 }
 
@@ -669,11 +614,9 @@ func (c *console) epochCommand(line string, model energy.Model) error {
 			if r.Robust {
 				seeded += robustDetail(r.Result)
 			}
-			perEpoch := float64(r.BitsPerNode)
 			fmt.Printf("epoch %d [%d]%s: %s — %d bits/node (max)%s — ≈ %s on the hottest node\n",
 				r.Epoch, r.SubID, stmt, engine.FormatValues(r.Value, r.Values),
-				r.BitsPerNode, seeded,
-				energy.FormatJoules(perEpoch*(model.TxPerBit+model.RxPerBit)/2))
+				r.BitsPerNode, seeded, hottestJoules(r.BitsPerNode, model))
 		}
 	}
 	// The console prints from AdvanceEpoch's return value; drain the
@@ -695,10 +638,10 @@ func drainResults(ch <-chan serve.Result) {
 	}
 }
 
-// use instantiates a per-console network for spec off the session cache.
-// An active fault plan with structural faults first runs the self-healing
-// tree repair; subsequent statements execute over the healed tree, with
-// the repair cost reported once here.
+// use switches the console to spec, instantiating it off the session
+// cache. An active fault plan with structural faults is previewed with one
+// self-healing tree repair; every statement then heals its own run the
+// same way and pays for the repair in its cost line.
 func (c *console) use(spec engine.Spec) error {
 	spec = spec.Normalize()
 	c.closeService()
@@ -706,16 +649,16 @@ func (c *console) use(spec engine.Spec) error {
 	if err != nil {
 		return err
 	}
-	ops, hr, err := spantree.NewFastHealed(nw)
+	defer nw.Release()
+	_, hr, err := spantree.NewFastHealed(nw)
 	if err != nil {
 		return err
 	}
 	if hr != nil {
-		fmt.Printf("faults: %d crashed, %d fragments reattached, %d unreachable — repair cost %d bits\n",
+		fmt.Printf("faults: %d crashed, %d fragments reattached, %d unreachable — repair cost %d bits per statement\n",
 			hr.Crashed, hr.Reattached, hr.Unreachable, hr.Repair.TotalBits)
 	}
 	c.spec = spec
-	c.net = agg.NewNet(ops)
 	fmt.Printf("sensorql — %s, N=%d, X=%d, workload %s, tree height %d, faults %s\n",
 		spec.Topology, nw.N(), spec.MaxX, spec.Workload, nw.Tree.Height(), spec.Faults)
 	return nil
@@ -864,17 +807,24 @@ func (c *console) netCommand(line string) error {
 func printHelp() {
 	fmt.Println(`aggregates:
   min(value) max(value) count(value) sum(value) avg(value)      Fact 2.1
-  median(value)                                  exact, Thm 3.2 (k-ary batched probes)
-  quantile(value, PHI)                           exact k-order statistic, §3.4
-  quantiles(value, PHI, PHI, ...)                multi-quantile, one shared probe schedule
+  median(value)     [USING probewidth=K]         exact, Thm 3.2 (k-ary batched probes)
+  quantile(value, PHI)  [USING probewidth=K]     exact k-order statistic, §3.4
+  quantiles(value, PHI, ...) [USING probewidth=K]
+                                                 multi-quantile, one shared probe schedule
   apxmedian(value)  [USING eps=E]                randomized, Thm 4.5
   apxmedian2(value) [USING eps=E, beta=B]        polyloglog, Cor 4.8
   apxcount(value)                                one α-counting instance, Fact 2.2
   distinct(value) [USING sketch=1, m=M]          §5: exact or sketch
-  f2(value) [USING rows=R, cols=C]               AMS [1] second frequency moment
+  f2(value)                                      AMS [1] second frequency moment (5×64 sketch)
 clauses:
   WHERE value < C | value >= C | value BETWEEN A AND B | ... AND ...
-  USING key=value, ...                   (probewidth=K overrides the session width)
+                                         count/sum/avg/apxcount filter in-network;
+                                         min/max/selection/distinct/f2 filter first;
+                                         not with SET ROBUST ON or a phased plan
+  USING key=value, ...                   only the aggregate's own keys (above);
+                                         probewidth=K overrides the session width
+every statement runs through the engine (one job, or one fused batch under
+SET FUSE ON); its cost line includes the tree repair a fault plan needs
 console:
   net [topology [n [workload [seed]]]]   switch deployment (cached trees)
   faults [off | crash=P drop=P dup=P linkfail=P byz=P byzmode=M seed=S]

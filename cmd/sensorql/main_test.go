@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,12 +112,14 @@ func TestSetFuse(t *testing.T) {
 	}
 }
 
-// TestFusedQueryMapping: the console's statements map onto the same
-// engine queries the console's own mapping produced before it went through
-// serve.QueryFor (oracleFusedQuery below, verbatim): the fusable statements
-// as fusable kinds — a single quantile as KindQuantiles — with the USING or
-// session probe width, and WHERE clauses, non-exact aggregates and a
-// malformed probewidth left to the statement executor.
+// TestFusedQueryMapping: the console maps every statement with
+// serve.QueryFor, and the fusable statements land on the engine queries the
+// console's own mapping produced before it went through serve.QueryFor
+// (oracleFusedQuery below, verbatim): fusable kinds — a single quantile as
+// KindQuantiles — at the USING or session probe width (the session width
+// reaches a job through engine.WithProbeWidth). Every other statement maps
+// to a query that never fuses (a WHERE clause or a private-schedule kind),
+// and a malformed probewidth is refused.
 func TestFusedQueryMapping(t *testing.T) {
 	statements := []string{
 		"SELECT median(value)",
@@ -140,6 +143,7 @@ func TestFusedQueryMapping(t *testing.T) {
 		"SELECT distinct(value)",
 		"SELECT apxcount(value)",
 	}
+	fusable := []string{engine.KindMedian, engine.KindQuantiles, engine.KindCount, engine.KindSum, engine.KindMin, engine.KindMax, engine.KindAvg}
 	c := testConsole(t)
 	for _, width := range []int{0, 4} {
 		c.probeWidth = width
@@ -148,17 +152,38 @@ func TestFusedQueryMapping(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
-			if _, set := q.Options["probewidth"]; !set && c.probeWidth > 0 {
+			w, set := q.Options["probewidth"]
+			if !set && c.probeWidth > 0 {
 				q.Options["probewidth"] = float64(c.probeWidth)
 			}
 			want, wantOK := oracleFusedQuery(q)
-			got, ok, err := c.engineQuery(s)
-			if err != nil || ok != wantOK || !reflect.DeepEqual(got, want) {
-				t.Errorf("width %d %q: %+v ok=%v err=%v, want %+v ok=%v", width, s, got, ok, err, want, wantOK)
+			jobs, err := c.jobs([]string{s})
+			switch {
+			case set && (w != float64(int(w)) || w < 1 || w > float64(core.MaxProbeWidth)):
+				if err == nil {
+					t.Errorf("%q: malformed probewidth accepted", s)
+				}
+				continue
+			case err != nil:
+				t.Errorf("%q: %v", s, err)
+				continue
+			}
+			got := jobs[0].Query
+			if got.ProbeWidth == 0 {
+				got.ProbeWidth = c.probeWidth
+			}
+			if !wantOK {
+				if got.Where == nil && slices.Contains(fusable, got.Kind) {
+					t.Errorf("width %d %q: %+v would fuse", width, s, got)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d %q: %+v, want %+v", width, s, got, want)
 			}
 		}
 	}
-	if _, _, err := c.engineQuery("SELECT nope(value)"); err == nil {
+	if _, err := c.jobs([]string{"SELECT nope(value)"}); err == nil {
 		t.Error("unparsable statement mapped")
 	}
 }
@@ -172,7 +197,7 @@ func TestFusedQueryMapping(t *testing.T) {
 //
 // A console `quantile(value, φ)` maps to KindQuantiles, not KindQuantile:
 // the plural kind resolves φ against the protocol-counted N (BatchRank.Phi,
-// like query.Run's batched path), which keeps fused answers byte-identical
+// like the statement executor's batched path), which keeps fused answers byte-identical
 // to the console's solo execution. KindQuantile resolves against the
 // simulator-side population — exec.go's semantics, not the console's.
 func oracleFusedQuery(q *query.Query) (engine.Query, bool) {
@@ -240,18 +265,17 @@ func TestExecFusedMatchesSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 		soloVals = append(soloVals, res.Value)
-		soloBits += res.Comm.TotalBits
-		soloMessages += res.Comm.Messages
+		soloBits += res.TotalBits
+		soloMessages += res.Messages
 	}
 
 	c := testConsole(t)
-	jobs := make([]engine.Job, len(stmts))
-	for i, s := range stmts {
-		eq, ok, err := c.engineQuery(s)
-		if err != nil || !ok {
-			t.Fatalf("%q not fusable (%v)", s, err)
-		}
-		jobs[i] = engine.Job{Spec: c.spec, Query: eq}
+	jobs, err := c.jobs(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.statements(stmts, energy.MoteDefaults()); err != nil {
+		t.Fatal(err)
 	}
 	res := c.eng.Submit(context.Background(), jobs, engine.WithFusion())
 	for i, r := range res {
@@ -462,9 +486,9 @@ func TestFaultsByzParsing(t *testing.T) {
 }
 
 // TestSetRobustAndExec: `set robust on` answers statements on the
-// Byzantine-robust tier — under an adversarial plan the robust answer
-// matches the honest truth while the plain answer need not — and
-// statements without a robust path are refused with guidance.
+// Byzantine-robust tier — under an adversarial plan the robust answer is
+// exact after localization — and statements without a robust path (a
+// WHERE clause, a randomized kind) are refused with guidance.
 func TestSetRobustAndExec(t *testing.T) {
 	c := testConsole(t)
 	if err := c.setCommand("set robust on"); err != nil || !c.robust {
@@ -473,21 +497,19 @@ func TestSetRobustAndExec(t *testing.T) {
 	if err := c.faultsCommand("faults byz=0.08"); err != nil {
 		t.Fatal(err)
 	}
-	model := energy.MoteDefaults()
-	if err := c.execRobustSolo("SELECT median(value)", model); err != nil {
+	if err := c.statements([]string{"SELECT median(value)"}, energy.MoteDefaults()); err != nil {
 		t.Fatalf("robust median: %v", err)
 	}
-	// Same job straight through the engine: the answer must be exact
-	// after localization (everything byz-flagged is quarantined).
-	r := c.eng.Submit(context.Background(), []engine.Job{{
-		Spec: c.spec, Query: engine.Query{Kind: engine.KindMedian, Robust: true},
-	}})[0]
-	if r.Failed() || !r.Robust || !r.Exact || r.IntegrityBound != 0 {
-		t.Fatalf("robust result %+v", r)
+	// The answer must be exact after localization (everything
+	// byz-flagged is quarantined).
+	r, err := c.exec("SELECT median(value)")
+	if err != nil || !r.Robust || !r.Exact || r.IntegrityBound != 0 {
+		t.Fatalf("robust result %+v (%v)", r, err)
 	}
-	if err := c.execRobustSolo("SELECT count(value) WHERE value < 10", model); err == nil ||
-		!strings.Contains(err.Error(), "robust") {
-		t.Fatalf("WHERE clause should be refused on the robust tier, got %v", err)
+	for _, stmt := range []string{"SELECT count(value) WHERE value < 10", "SELECT apxmedian(value)"} {
+		if _, err := c.exec(stmt); err == nil || !strings.Contains(err.Error(), "robust") {
+			t.Fatalf("%s should be refused on the robust tier, got %v", stmt, err)
+		}
 	}
 	if err := c.setCommand("set robust off"); err != nil || c.robust {
 		t.Fatalf("set robust off: robust=%v err=%v", c.robust, err)
@@ -591,10 +613,10 @@ func TestFaultsMidSweepParsing(t *testing.T) {
 }
 
 // TestExecResilientSolo: with a phased root-kill plan armed and a retry
-// budget, a console statement routes through the engine, survives the
-// mid-sweep fault, and answers exactly over the survivors; with the
-// budget off the same statement degrades but still answers. WHERE
-// clauses are refused under a phased plan with guidance.
+// budget, a console statement survives the mid-sweep fault and answers
+// exactly over the survivors; with the budget off the same statement
+// degrades but still answers. WHERE clauses are refused under a phased
+// plan with guidance.
 func TestExecResilientSolo(t *testing.T) {
 	c := testConsole(t)
 	model := energy.MoteDefaults()
@@ -604,14 +626,12 @@ func TestExecResilientSolo(t *testing.T) {
 	if err := c.faultsCommand("faults rootkill@sweep=2 crash@sweep=2=0.05"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.execResilientSolo("SELECT median(value)", model); err != nil {
+	if err := c.statements([]string{"SELECT median(value)"}, model); err != nil {
 		t.Fatalf("resilient median: %v", err)
 	}
-	r := c.eng.Submit(context.Background(), []engine.Job{{
-		Spec: c.spec, Query: engine.Query{Kind: engine.KindMedian},
-	}})[0]
-	if r.Failed() || !r.Exact || r.Retries < 1 || r.Degraded {
-		t.Fatalf("resilient result %+v", r)
+	r, err := c.exec("SELECT median(value)")
+	if err != nil || !r.Exact || r.Retries < 1 || r.Degraded {
+		t.Fatalf("resilient result %+v (%v)", r, err)
 	}
 	if r.SurvivorFrac <= 0 || r.SurvivorFrac >= 1 {
 		t.Fatalf("survivor fraction %g not in (0,1)", r.SurvivorFrac)
@@ -620,17 +640,15 @@ func TestExecResilientSolo(t *testing.T) {
 	if err := c.setCommand("set retry off"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.execResilientSolo("SELECT median(value)", model); err != nil {
+	if err := c.statements([]string{"SELECT median(value)"}, model); err != nil {
 		t.Fatalf("degraded statement should still answer: %v", err)
 	}
-	r = c.eng.Submit(context.Background(), []engine.Job{{
-		Spec: c.spec, Query: engine.Query{Kind: engine.KindMedian},
-	}})[0]
-	if r.Failed() || !r.Degraded || r.TruthKnown {
-		t.Fatalf("budget-0 result %+v", r)
+	r, err = c.exec("SELECT median(value)")
+	if err != nil || !r.Degraded || r.TruthKnown {
+		t.Fatalf("budget-0 result %+v (%v)", r, err)
 	}
 
-	if err := c.execResilientSolo("SELECT count(value) WHERE value < 10", model); err == nil ||
+	if _, err := c.exec("SELECT count(value) WHERE value < 10"); err == nil ||
 		!strings.Contains(err.Error(), "mid-sweep") {
 		t.Fatalf("WHERE clause should be refused under a phased plan, got %v", err)
 	}

@@ -66,10 +66,13 @@ func (p Apx2Params) withDefaults() Apx2Params {
 // itself never touches original values after stage 1 — that is what makes
 // every inner search run over a domain of size O(log N) and costs
 // O((log log N)^3) bits per node in total (Corollary 4.8).
+//
+// The search runs over the active items, so a WHERE filter applied before
+// the call selects the multiset; on return every item is reset, the
+// filtered ones included.
 func ApxMedian2(net Net, params Apx2Params) (Apx2Result, error) {
 	params = params.withDefaults()
 	var res Apx2Result
-	net.Reset()
 	defer net.Reset()
 
 	stages := int(math.Ceil(math.Log2(1 / params.Beta)))

@@ -42,7 +42,7 @@ type Overlay struct {
 }
 
 // apply writes the overlay's values over the forked network's items,
-// clamping to the domain exactly like epoch.Runner's update step.
+// clamped to the domain like every drift update serve applies.
 func (o *Overlay) apply(nw *netsim.Network) error {
 	if len(o.Values) != nw.NumItems() {
 		return fmt.Errorf("engine: overlay carries %d values for %d items", len(o.Values), nw.NumItems())
@@ -70,7 +70,8 @@ func (j Job) runSeed() uint64 {
 // and the serve layer all emit it, and downstream tooling may rely on it:
 //
 //   - Identification: "id" (caller's job ID), "spec", "query" (normalized,
-//     defaults resolved).
+//     defaults resolved; "where" is a WHERE predicate, absent when the
+//     query covers every item).
 //   - Answer: "value" (+"values" for multi-valued kinds), "detail";
 //     "truth"/"truths"/"truth_known"/"exact" carry the simulator-side
 //     ground truth comparison.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sensoragg/internal/netsim"
+	"sensoragg/internal/wire"
 	"sensoragg/internal/workload"
 )
 
@@ -262,18 +263,30 @@ func TestFailedTemplateIsNotPoisoned(t *testing.T) {
 	}
 }
 
-// TestStatementKind routes sensorql statements through the engine.
+// TestStatementKind routes sensorql WHERE statements through the engine:
+// an in-network count and a filtered median both answer exactly over the
+// matching items, against ground truth that skips the rest.
 func TestStatementKind(t *testing.T) {
 	e := New(Options{Workers: 2})
-	r := e.Submit(context.Background(), []Job{{
-		Spec:  gridSpec(100, 3),
-		Query: Query{Kind: KindStatement, Statement: "SELECT count(value)"},
-	}})[0]
-	if r.Failed() {
-		t.Fatalf("statement failed: %s", r.Error)
+	spec := gridSpec(100, 3)
+	all := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindCount}}})[0]
+	rs := e.Submit(context.Background(), []Job{
+		{Spec: spec, Query: Query{Kind: KindCount, Where: lessThan(200)}},
+		{Spec: spec, Query: Query{Kind: KindMedian, Where: lessThan(200)}},
+	})
+	for _, r := range rs {
+		if r.Failed() {
+			t.Fatalf("%s failed: %s", r.Query, r.Error)
+		}
+		if !r.TruthKnown || !r.Exact {
+			t.Errorf("%s = %g, truth %g (known %v)", r.Query, r.Value, r.Truth, r.TruthKnown)
+		}
 	}
-	if r.Value != 100 {
-		t.Errorf("count = %g, want 100", r.Value)
+	if n := rs[0].Value; n == 0 || n >= all.Value {
+		t.Errorf("count where value < 200 = %g of %g: the predicate selected nothing or everything", n, all.Value)
+	}
+	if rs[1].Value >= 200 {
+		t.Errorf("filtered median %g is not below 200", rs[1].Value)
 	}
 }
 
@@ -311,5 +324,44 @@ func TestReportJSON(t *testing.T) {
 	}
 	if back.Jobs != rep.Jobs || len(back.Results) != len(rep.Results) {
 		t.Error("report did not survive JSON round trip")
+	}
+}
+
+// TestWhereFitsTheDomain: a WHERE bound past the domain is no bound at all,
+// so the thresholds the network is sent always fit its value width; an
+// empty interval matches nothing; a malformed predicate, or one on a kind
+// without a WHERE mode, is an error.
+func TestWhereFitsTheDomain(t *testing.T) {
+	const maxX = 255
+	k := kindOf(KindCount)
+	for _, tc := range []struct{ in, want wire.Pred }{
+		{wire.Less(100), wire.Less(100)},
+		{wire.Less(256), wire.True()},
+		{wire.GreaterEq(255), wire.GreaterEq(255)},
+		{wire.GreaterEq(1 << 40), wire.Less(0)},
+		{wire.InRange(3, 12), wire.InRange(3, 12)},
+		{wire.InRange(3, 1<<40), wire.GreaterEq(3)},
+		{wire.InRange(0, 1<<40), wire.GreaterEq(0)},
+		{wire.InRange(300, 1<<40), wire.Less(0)},
+		{wire.InRange(12, 3), wire.Less(0)},
+		{wire.True(), wire.True()},
+	} {
+		got, err := k.whereFor(Query{Kind: KindCount, Where: &tc.in}, maxX)
+		if err != nil || got != tc.want {
+			t.Errorf("%v over [0, %d]: %v (%v), want %v", tc.in, maxX, got, err, tc.want)
+		}
+	}
+	if _, err := k.whereFor(Query{Kind: KindCount, Where: &wire.Pred{}}, maxX); err == nil {
+		t.Error("a predicate of kind 0 was accepted")
+	}
+	for _, kind := range []string{KindFused, KindGossip, KindQDigest} {
+		r := New(Options{}).Submit(context.Background(), []Job{{Spec: gridSpec(64, 1), Query: Query{Kind: kind, Where: lessThan(100)}}})[0]
+		if want := "engine: " + kind + " does not support WHERE"; r.Error != want {
+			t.Errorf("%s with WHERE: error %q, want %q", kind, r.Error, want)
+		}
+	}
+	r := New(Options{}).Submit(context.Background(), []Job{{Spec: gridSpec(64, 1), Query: Query{Kind: KindCount, Where: lessThan(1 << 40)}}})[0]
+	if r.Failed() || r.Value != 64 || !r.Exact {
+		t.Errorf("count where value < 2^40 = %g (%s), want all 64", r.Value, r.Error)
 	}
 }

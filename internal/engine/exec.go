@@ -28,8 +28,13 @@ type Query struct {
 	Beta float64 `json:"beta,omitempty"`
 	// SketchP is the LogLog register exponent (0 → core.DefaultSketchP).
 	SketchP int `json:"sketch_p,omitempty"`
-	// Statement is a sensorql statement, used when Kind == "statement".
-	Statement string `json:"statement,omitempty"`
+	// Where restricts the query to the items the predicate matches (a
+	// sensorql WHERE clause); nil means every item. count, sum, avg and
+	// apxcount evaluate it in-network; min, max, the selection kinds,
+	// distinct, apxdistinct and f2 broadcast it as a filter first. Every
+	// other kind, robust mode and a phased fault plan reject it, and a
+	// query with a predicate never fuses.
+	Where *wire.Pred `json:"where,omitempty"`
 	// ProbeWidth is the number of COUNT probes batched per CountVec sweep
 	// in the selection queries (median/os/quantile/quantiles): 0 means the
 	// engine default (core.DefaultProbeWidth), 1 runs the classic
@@ -56,6 +61,11 @@ type Query struct {
 	// (median/os/quantile/quantiles/count/sum/min/max/avg/fused).
 	Robust bool `json:"robust,omitempty"`
 }
+
+// RobustCapable reports whether q can run on the robust tier: an exact
+// selection or aggregate kind without a WHERE clause. A service that runs
+// queries robust by default stamps Robust only where this holds.
+func (q Query) RobustCapable() bool { return kindOf(q.Kind).robust && q.Where == nil }
 
 // answer is what one protocol run produced, before metering is attached.
 type answer struct {
@@ -109,6 +119,13 @@ type robustInfo struct {
 func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, error) {
 	q = q.WithDefaults()
 	k := kindOf(q.Kind)
+	if q.Where != nil {
+		where, err := k.whereFor(q, nw.MaxX)
+		if err != nil {
+			return answer{}, err
+		}
+		q.Where = &where
+	}
 
 	if spec.Faults.Active() && nw.Faults == nil {
 		if err := spec.Faults.Validate(); err != nil {
@@ -122,6 +139,9 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		}
 		if p.Spec().Phased() && q.Robust {
 			return answer{}, fmt.Errorf("engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)")
+		}
+		if p.Spec().Phased() && q.Where != nil {
+			return answer{}, fmt.Errorf("engine: WHERE does not support phased (mid-sweep) fault plans — the mid-sweep retry loop does not carry a predicate")
 		}
 	}
 
@@ -138,7 +158,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		r.fe = spantree.NewFast(nw)
 	}
 	r.fe.SetWorkers(e.treeWorkers)
-	r.truth = groundTruth{nw: nw, view: r.fe.View()}
+	r.truth = groundTruth{nw: nw, view: r.fe.View(), where: q.Where}
 	// A fusable query under a phased fault plan runs as a batch of one: the
 	// batch driver's detect → re-heal → resume loop (retry.go), with the
 	// same degradation contract as a fused batch.
@@ -148,7 +168,12 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 	if q.Robust {
 		return executeRobust(r, k, heal, aud)
 	}
-	r.net = agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
+	net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
+	if q.Where != nil && k.where == whereFilter {
+		net.Filter(*q.Where)
+		defer net.Reset()
+	}
+	r.net = net
 	ans, err := k.runSolo(r)
 	if err != nil {
 		return answer{}, err

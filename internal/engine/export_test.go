@@ -1,0 +1,20 @@
+package engine
+
+import "sensoragg/internal/netsim"
+
+// RunOnFork answers q alone on a fresh fork of spec, as a solo Submit job
+// does, and hands back the fork so an external test can read its per-node
+// meter and items. The caller releases the fork.
+func (e *Engine) RunOnFork(spec Spec, q Query) (*netsim.Network, Result, error) {
+	spec = spec.Normalize()
+	nw, err := e.session.Instantiate(spec, spec.Seed)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	before := nw.Meter.Snapshot()
+	ans, err := e.execute(nw, spec, q, nil)
+	if err != nil {
+		return nw, Result{}, err
+	}
+	return nw, resultFrom(spec, q, ans, nw.Meter.Since(before), 0), nil
+}

@@ -12,10 +12,12 @@ import (
 )
 
 // allKindQueries enumerates one runnable query per engine kind, with the
-// spec each needs (singlehop requires the complete topology).
+// spec each needs (singlehop requires the complete topology), and the
+// statementCase `SELECT median(value) WHERE value < 200`. Each job's ID
+// labels it.
 func allKindQueries(n int, seed uint64) []Job {
 	var jobs []Job
-	for _, kind := range Kinds() {
+	for _, kind := range append(Kinds(), statementCase) {
 		spec := gridSpec(n, seed)
 		q := Query{Kind: kind}
 		switch kind {
@@ -25,10 +27,10 @@ func allKindQueries(n int, seed uint64) []Job {
 			q.Phi = 0.9
 		case KindQuantiles:
 			q.Phis = []float64{0.1, 0.5, 0.99}
-		case KindStatement:
-			q.Statement = "SELECT median(value)"
+		case statementCase:
+			q = Query{Kind: KindMedian, Where: lessThan(200)}
 		}
-		jobs = append(jobs, Job{Spec: spec, Query: q})
+		jobs = append(jobs, Job{ID: kind, Spec: spec, Query: q})
 	}
 	return jobs
 }
@@ -40,7 +42,7 @@ func allKindQueries(n int, seed uint64) []Job {
 func TestZeroFaultPlanIsByteIdentical(t *testing.T) {
 	for _, job := range allKindQueries(144, 5) {
 		job := job
-		t.Run(job.Query.Kind, func(t *testing.T) {
+		t.Run(job.ID, func(t *testing.T) {
 			ref := serialReference(t, job)
 
 			// Spec-level zero plan (only the fault seed set — still inactive).
@@ -71,13 +73,16 @@ func TestZeroFaultPlanIsByteIdentical(t *testing.T) {
 // TestFaultPlanRejections freezes every kind's fault-plan verdict: under
 // crashes, dead links and a phased plan (plain, and on the robust tier),
 // each kind answers or fails with today's literal explanation, and
-// buildtree refuses every plan, message and adversarial ones included.
+// buildtree refuses every plan, message and adversarial ones included. A
+// WHERE statement heals like its kind but refuses a phased plan.
 func TestFaultPlanRejections(t *testing.T) {
 	const (
 		structural   = "engine: %s does not support structural faults (crash/linkfail) — only tree queries self-heal; message faults (drop/dup) are fine"
 		phased       = "engine: %s does not support phased (mid-sweep) fault plans — only the exact selection/aggregate tree kinds retry, and the gossip kinds degrade natively"
 		noPlans      = "engine: buildtree does not support fault plans (the construction protocol assumes the full node set)"
 		robustPhased = "engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)"
+		wherePhased  = "engine: WHERE does not support phased (mid-sweep) fault plans — the mid-sweep retry loop does not carry a predicate"
+		whereRobust  = "engine: WHERE does not support robust mode (the byz tier's trimmed plane has no filter)"
 	)
 	graph := []string{KindGossip, KindGossipDistinct, KindSingleHop}
 	retries := robustKinds
@@ -106,6 +111,10 @@ func TestFaultPlanRejections(t *testing.T) {
 				want = noPlans
 			case !pl.fs.Active() || pl.fs.MessageLevel() || pl.fs.Adversarial():
 				continue // only buildtree refuses these
+			case job.ID == statementCase && pl.robust:
+				want = whereRobust
+			case job.ID == statementCase && pl.fs.Phased():
+				want = wherePhased
 			case pl.fs.Structural() && slices.Contains(graph, kind):
 				want = fmt.Sprintf(structural, kind)
 			case pl.fs.Phased() && !slices.Contains(retries, kind) && !slices.Contains(native, kind):
@@ -113,7 +122,7 @@ func TestFaultPlanRejections(t *testing.T) {
 			case pl.fs.Phased() && pl.robust:
 				want = robustPhased
 			}
-			t.Run(kind+"/"+pl.name, func(t *testing.T) {
+			t.Run(job.ID+"/"+pl.name, func(t *testing.T) {
 				job := job
 				job.Spec.Faults, job.Spec.Retry, job.Query.Robust = pl.fs, Retry{Budget: 1}, pl.robust
 				if res := e.Submit(context.Background(), []Job{job})[0]; res.Error != want {

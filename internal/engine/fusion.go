@@ -12,6 +12,7 @@ import (
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
+	"sensoragg/internal/wire"
 )
 
 // This file is the fusion scheduler: concurrent jobs that target the same
@@ -295,8 +296,8 @@ func planUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*auditOnce)
 		}
 		// Robust jobs stay solo: the byz tier aggregates per sector with
 		// its own trimmed plane, which the shared probe schedule cannot
-		// represent.
-		if !fuse || kindOf(jobs[i].Query.Kind).member == nil || jobs[i].Query.Robust {
+		// represent. So do WHERE jobs: each filters its own multiset.
+		if !fuse || kindOf(jobs[i].Query.Kind).member == nil || jobs[i].Query.Robust || jobs[i].Query.Where != nil {
 			units = append(units, []int{i})
 			continue
 		}
@@ -339,7 +340,7 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map
 // than once, and share a slot.
 func sameQuery(a, b *Query) bool {
 	return a.Kind == b.Kind && a.K == b.K && a.Phi == b.Phi && a.Eps == b.Eps && a.Beta == b.Beta &&
-		a.SketchP == b.SketchP && a.Statement == b.Statement && a.ProbeWidth == b.ProbeWidth &&
+		a.SketchP == b.SketchP && a.Where == b.Where && a.ProbeWidth == b.ProbeWidth &&
 		a.Robust == b.Robust && slices.Equal(a.Phis, b.Phis) && slices.Equal(a.Aggs, b.Aggs) &&
 		slices.Equal(a.SeedWindows, b.SeedWindows)
 }
@@ -494,7 +495,8 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 }
 
 // groundTruth is the simulator-side truth over the original readings of the
-// nodes a run's view covers, derived from the run network on demand: size
+// nodes a run's view covers that match its WHERE predicate (nil: all),
+// derived from the run network on demand: size
 // and Fact 2.1 aggregates from one walk of view.Order (storage order on the
 // full view), order statistics and distinct count from one materialization
 // sorted in place. A fused batch pays for each at most once, a kind that
@@ -503,6 +505,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 type groundTruth struct {
 	nw     *netsim.Network
 	view   *spantree.TreeView
+	where  *wire.Pred
 	walked bool
 	fact21
 	pop []uint64 // the population, ascending; nil until first use
@@ -514,6 +517,9 @@ func (g *groundTruth) totals() *groundTruth {
 		g.walked, g.lo = true, ^uint64(0)
 		for _, u := range g.view.Order {
 			for _, it := range g.nw.Nodes[u].Items {
+				if g.where != nil && !g.where.Eval(it.Orig) {
+					continue
+				}
 				g.n++
 				g.sum += it.Orig
 				g.lo, g.hi = min(g.lo, it.Orig), max(g.hi, it.Orig)
@@ -532,7 +538,9 @@ func (g *groundTruth) sorted() []uint64 {
 		g.pop = make([]uint64, 0, g.nw.NumItems())
 		for _, u := range g.view.Order {
 			for _, it := range g.nw.Nodes[u].Items {
-				g.pop = append(g.pop, it.Orig)
+				if g.where == nil || g.where.Eval(it.Orig) {
+					g.pop = append(g.pop, it.Orig)
+				}
 			}
 		}
 		core.Sort(g.pop)
@@ -548,6 +556,18 @@ func (g *groundTruth) distinct() (d uint64) {
 		}
 	}
 	return d
+}
+
+// f2 is the population's second frequency moment Σ f².
+func (g *groundTruth) f2() (f2 float64) {
+	run := 0.0
+	for i, v := range g.sorted() {
+		if i > 0 && v != g.pop[i-1] {
+			f2, run = f2+run*run, 0
+		}
+		run++
+	}
+	return f2 + run*run
 }
 
 // aggregate is the truth of one Fact 2.1 aggregate (count|sum|min|max|avg).

@@ -176,7 +176,7 @@ func TestFusionCompatibilityGrouping(t *testing.T) {
 		{ID: "m1", Spec: gridSpec(144, 1), Query: Query{Kind: KindMedian}},
 		{ID: "m2", Spec: gridSpec(144, 2), Query: Query{Kind: KindMedian}}, // different seed: no fusion
 		{ID: "apx", Spec: gridSpec(144, 1), Query: Query{Kind: KindApxMedian}},
-		{ID: "stmt", Spec: gridSpec(144, 1), Query: Query{Kind: KindStatement, Statement: "SELECT count(value)"}},
+		{ID: "stmt", Spec: gridSpec(144, 1), Query: Query{Kind: KindCount, Where: lessThan(300)}},
 		{ID: "badphi", Spec: gridSpec(144, 1), Query: Query{Kind: KindQuantile, Phi: 1.5}},
 	}
 	session := NewSession()

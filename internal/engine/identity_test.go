@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sensoragg/internal/faults"
+	"sensoragg/internal/wire"
 )
 
 // identityFields compares everything a run reports that must be
@@ -45,12 +46,24 @@ func identityFields(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// queryFor builds a runnable query for each kind.
+// statementCase labels the case a kind-by-kind test adds beside the
+// kinds: a sensorql statement with a WHERE clause, as serve.QueryFor maps
+// it (queryFor and allKindQueries name the statement).
+const statementCase = "statement"
+
+// lessThan is the query predicate "value < c".
+func lessThan(c uint64) *wire.Pred {
+	p := wire.Less(c)
+	return &p
+}
+
+// queryFor builds a runnable query for each kind, and for statementCase
+// `SELECT count(value) WHERE value < 200`.
 func queryFor(kind string) Query {
 	q := Query{Kind: kind}
 	switch kind {
-	case KindStatement:
-		q.Statement = "SELECT count(value)"
+	case statementCase:
+		q = Query{Kind: KindCount, Where: lessThan(200)}
 	case KindQuantile:
 		q.Phi = 0.75
 	case KindQuantiles:
@@ -84,7 +97,7 @@ var schedules = []struct {
 // schedule, the production auto schedule and the forced-parallel schedule
 // must report byte-identical values, details, and meters.
 func TestFastEngineVariantsIdenticalAllKinds(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range append(Kinds(), statementCase) {
 		t.Run(kind, func(t *testing.T) {
 			spec := Spec{Topology: "grid", N: 64, Workload: "uniform", Seed: 5}
 			if kind == KindSingleHop {

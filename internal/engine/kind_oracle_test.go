@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sensoragg/internal/agg"
+	"sensoragg/internal/ams"
 	"sensoragg/internal/baseline"
 	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
@@ -20,7 +21,6 @@ import (
 	"sensoragg/internal/loglog"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/qdigest"
-	"sensoragg/internal/query"
 	"sensoragg/internal/sampling"
 	"sensoragg/internal/singlehop"
 	"sensoragg/internal/spantree"
@@ -141,11 +141,9 @@ func oracleKindQueries(rng *rand.Rand, n, maxX uint64) []Query {
 		}
 		return ws
 	}
-	qs := []Query{{Kind: KindStatement, Statement: "SELECT median(value)"}}
+	var qs []Query
 	for _, k := range Kinds() {
-		if k != KindStatement {
-			qs = append(qs, Query{Kind: k})
-		}
+		qs = append(qs, Query{Kind: k})
 	}
 	for _, w := range []int{1, 2, 8} {
 		qs = append(qs,
@@ -166,7 +164,6 @@ func oracleKindQueries(rng *rand.Rand, n, maxX uint64) []Query {
 		Query{Kind: KindQuantiles, Phis: []float64{0.5, 0}},
 		Query{Kind: KindFused, Aggs: aggs[:1+rng.IntN(len(aggs))]},
 		Query{Kind: KindFused, Aggs: []string{"count", "median"}},
-		Query{Kind: KindStatement, Statement: "SELECT count(value) WHERE value < 100"},
 	)
 	for i := range qs {
 		qs[i] = qs[i].WithDefaults()
@@ -747,16 +744,28 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 			truthKnown: true,
 		}, nil
 
-	case KindStatement:
-		an, ok := net.(*agg.Net)
-		if !ok {
-			return answer{}, fmt.Errorf("engine: statements do not support robust mode")
-		}
-		res, err := query.Exec(an, q.Statement)
+	// apxcount and f2 joined the table with the sensorql statement executor's
+	// arms, which drove the network directly.
+	case KindApxCount:
+		an := net.(*agg.Net)
+		est := an.ApxCount(core.Linear, wire.True())
+		return answer{value: est, detail: fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()),
+			truth: float64(truth.count()), truthKnown: true}, nil
+
+	case KindF2:
+		res, err := ams.F2Protocol(ops, 5, 64, nw.Seed())
 		if err != nil {
 			return answer{}, err
 		}
-		return answer{value: res.Value, detail: res.Detail, values: res.Values}, nil
+		freq := map[uint64]float64{}
+		for _, v := range sorted() {
+			freq[v]++
+		}
+		var f2 float64
+		for _, f := range freq {
+			f2 += f * f
+		}
+		return answer{value: res.Estimate, detail: "AMS sketch 5x64, rel. σ ≈ √(2/64)", truth: f2, truthKnown: true}, nil
 
 	default:
 		return answer{}, fmt.Errorf("engine: unknown query kind %q", q.Kind)
@@ -769,9 +778,9 @@ func oracleKinds() []string {
 		KindMedian, KindOrderStat, KindQuantile, KindQuantiles, KindFused,
 		KindApxMedian, KindApxMedian2,
 		KindMin, KindMax, KindCount, KindSum, KindAvg,
-		KindDistinct, KindApxDistinct, KindQDigest, KindGK, KindSampling,
+		KindDistinct, KindApxDistinct, KindApxCount, KindF2, KindQDigest, KindGK, KindSampling,
 		KindGossip, KindGossipDistinct, KindCollectAll, KindSingleHop,
-		KindBuildTree, KindStatement,
+		KindBuildTree,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"sensoragg/internal/agg"
+	"sensoragg/internal/ams"
 	"sensoragg/internal/baseline"
 	"sensoragg/internal/core"
 	"sensoragg/internal/distinct"
@@ -15,7 +16,6 @@ import (
 	"sensoragg/internal/loglog"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/qdigest"
-	"sensoragg/internal/query"
 	"sensoragg/internal/sampling"
 	"sensoragg/internal/singlehop"
 	"sensoragg/internal/spantree"
@@ -45,7 +45,12 @@ const (
 	KindCollectAll     = "collectall"
 	KindSingleHop      = "singlehop"
 	KindBuildTree      = "buildtree"
-	KindStatement      = "statement"
+	// KindApxCount is one α-counting instance (Fact 2.2): COUNT up to
+	// the sketch's relative error σ.
+	KindApxCount = "apxcount"
+	// KindF2 estimates the second frequency moment Σf² with the AMS sketch
+	// at 5 rows × 64 columns.
+	KindF2 = "f2"
 	// KindQuantiles answers every quantile in Query.Phis with one shared
 	// k-ary probe schedule (core.SelectRanksBatched).
 	KindQuantiles = "quantiles"
@@ -78,8 +83,8 @@ func (q Query) WithDefaults() Query {
 
 // String labels the query for reports.
 func (q Query) String() string {
-	if q.Kind == KindStatement {
-		return fmt.Sprintf("statement(%s)", q.Statement)
+	if q.Where != nil {
+		return fmt.Sprintf("%s where %s", q.Kind, q.Where)
 	}
 	return q.Kind
 }
@@ -96,9 +101,10 @@ type kind struct {
 	tree bool
 	// robust: the kind runs on the byz tier's trimmed sector-split plane
 	// (Query.Robust). Only the exact aggregates have trimmed primitives: the
-	// sketches are that tier's cross-check, and statements may zoom or filter.
+	// sketches are that tier's cross-check, and apxmedian2 zooms.
 	robust bool
 	plans  planSupport
+	where  whereSupport // how Query.Where is honoured
 	// vector: the answer is a vector (Values, Truths), one entry per rank
 	// or aggregate, even when there is only one.
 	vector bool
@@ -129,6 +135,44 @@ const (
 	plansNone // no plan at all: the construction assumes the full node set
 )
 
+// whereSupport is how a kind honours Query.Where.
+type whereSupport uint8
+
+const (
+	whereNone whereSupport = iota // a predicate is rejected
+	// whereInNetwork: the kind's protocol evaluates the predicate at every
+	// node (TAG-style in-network filtering, no extra broadcast).
+	whereInNetwork
+	// whereFilter: execute broadcasts the predicate to deactivate the
+	// items it does not match, runs the kind, and reactivates them.
+	whereFilter
+)
+
+// whereFor vets q's predicate for the kind and fits it to the domain
+// [0, maxX]: a bound past maxX is no bound at all, so every threshold the
+// network is sent fits its value width.
+func (k *kind) whereFor(q Query, maxX uint64) (wire.Pred, error) {
+	p := *q.Where
+	switch {
+	case k.where == whereNone:
+		return p, fmt.Errorf("engine: %s does not support WHERE", k.name)
+	case q.Robust:
+		return p, fmt.Errorf("engine: WHERE does not support robust mode (the byz tier's trimmed plane has no filter)")
+	case p.Kind < wire.PredTrue || p.Kind > wire.PredInRange:
+		return p, fmt.Errorf("engine: invalid WHERE predicate kind %d", p.Kind)
+	}
+	if p.Kind == wire.PredInRange && p.B > maxX {
+		p = wire.GreaterEq(min(p.A, p.B))
+	}
+	switch {
+	case p.Kind == wire.PredLess && p.A > maxX:
+		return wire.True(), nil
+	case p.Kind == wire.PredGreaterEq && p.A > maxX, p.Kind == wire.PredInRange && p.A >= p.B:
+		return wire.Less(0), nil // matches nothing
+	}
+	return p, nil
+}
+
 // faultSupport rejects, with an explanation instead of a downstream
 // protocol error, a fault plan the kind cannot execute honestly.
 func (k *kind) faultSupport(fs faults.Spec) error {
@@ -145,7 +189,7 @@ func (k *kind) faultSupport(fs faults.Spec) error {
 
 // kinds is the engine's kind table, in Kinds() order.
 var kinds = [...]kind{
-	{name: KindMedian, tree: true, robust: true, plans: plansRetry,
+	{name: KindMedian, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}), nil },
 		batchDetail: func(_ member, shared string) string { return shared },
 		solo: func(r *run) (answer, error) {
@@ -160,10 +204,10 @@ var kinds = [...]kind{
 			ans.detail = fmt.Sprintf("%d k-ary sweeps (width %d)", ans.sweeps, r.m.width)
 			return ans, err
 		}},
-	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry,
+	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n), nil },
 		batchDetail: rankDetail, solo: rankSolo},
-	{name: KindQuantile, tree: true, robust: true, plans: plansRetry,
+	{name: KindQuantile, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member: func(q Query, n uint64) (member, error) {
 			if q.Phi <= 0 || q.Phi > 1 {
 				return member{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
@@ -175,7 +219,7 @@ var kinds = [...]kind{
 	// (folded into the first sweep), so the kind degrades under message
 	// faults exactly like median does: a corrupted count skews the answer
 	// instead of tripping a rank-vs-population mismatch.
-	{name: KindQuantiles, tree: true, robust: true, plans: plansRetry, vector: true,
+	{name: KindQuantiles, tree: true, robust: true, plans: plansRetry, vector: true, where: whereFilter,
 		member: func(q Query, _ uint64) (member, error) {
 			if len(q.Phis) == 0 {
 				return member{}, fmt.Errorf("engine: quantiles requires at least one phi")
@@ -214,7 +258,7 @@ var kinds = [...]kind{
 			ans.detail, ans.sweeps = "fused vector sweep (count+sum+min+max)", 1
 			return ans, nil
 		}},
-	{name: KindApxMedian, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindApxMedian, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
 		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
 		if err != nil {
 			return answer{}, err
@@ -226,7 +270,7 @@ var kinds = [...]kind{
 			truthKnown: true,
 		}, nil
 	}},
-	{name: KindApxMedian2, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindApxMedian2, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
 		res, err := core.ApxMedian2(r.net, core.Apx2Params{Beta: r.q.Beta, Epsilon: r.q.Eps})
 		if err != nil {
 			return answer{}, err
@@ -238,31 +282,31 @@ var kinds = [...]kind{
 			truthKnown: true,
 		}, nil
 	}},
-	aggregateKind(KindMin, "exact", func(net aggregator) (float64, bool) {
+	aggregateKind(KindMin, "exact", whereFilter, func(net aggregator, _ wire.Pred) (float64, bool) {
 		v, ok := net.Min(core.Linear)
 		return float64(v), ok
 	}),
-	aggregateKind(KindMax, "exact", func(net aggregator) (float64, bool) {
+	aggregateKind(KindMax, "exact", whereFilter, func(net aggregator, _ wire.Pred) (float64, bool) {
 		v, ok := net.Max(core.Linear)
 		return float64(v), ok
 	}),
-	aggregateKind(KindCount, "exact", func(net aggregator) (float64, bool) {
-		return float64(net.Count(core.Linear, wire.True())), true
+	aggregateKind(KindCount, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
+		return float64(net.Count(core.Linear, pred)), true
 	}),
-	aggregateKind(KindSum, "exact", func(net aggregator) (float64, bool) {
-		return float64(net.Sum(core.Linear, wire.True())), true
+	aggregateKind(KindSum, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
+		return float64(net.Sum(core.Linear, pred)), true
 	}),
-	aggregateKind(KindAvg, "exact (SUM/COUNT)", func(net aggregator) (float64, bool) {
-		return net.Average(core.Linear, wire.True())
+	aggregateKind(KindAvg, "exact (SUM/COUNT)", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
+		return net.Average(core.Linear, pred)
 	}),
-	{name: KindDistinct, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindDistinct, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
 		res, err := distinct.Exact(r.fe)
 		if err != nil {
 			return answer{}, err
 		}
 		return exactUint(uint64(res.Distinct), "exact set union", r.truth.distinct()), nil
 	}},
-	{name: KindApxDistinct, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindApxDistinct, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
 		res, err := distinct.Approximate(r.fe, r.q.SketchP, loglog.EstHLL, r.nw.Seed())
 		if err != nil {
 			return answer{}, err
@@ -271,6 +315,29 @@ var kinds = [...]kind{
 			value:      res.Estimate,
 			detail:     fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<r.q.SketchP, res.Sigma),
 			truth:      float64(r.truth.distinct()),
+			truthKnown: true,
+		}, nil
+	}},
+	// The α-counting instance runs on the plane's own sketch precision
+	// (Query.SketchP); the AMS sketch has one fixed shape.
+	{name: KindApxCount, tree: true, where: whereInNetwork, solo: func(r *run) (answer, error) {
+		an := r.net.(*agg.Net) // apxcount never runs robust
+		return answer{
+			value:      an.ApxCount(core.Linear, r.pred()),
+			detail:     fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()),
+			truth:      float64(r.truth.count()),
+			truthKnown: true,
+		}, nil
+	}},
+	{name: KindF2, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+		res, err := ams.F2Protocol(r.fe, 5, 64, r.nw.Seed())
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{
+			value:      res.Estimate,
+			detail:     "AMS sketch 5x64, rel. σ ≈ √(2/64)",
+			truth:      r.truth.f2(),
 			truthKnown: true,
 		}, nil
 	}},
@@ -342,14 +409,6 @@ var kinds = [...]kind{
 			truthKnown: true,
 		}, nil
 	}},
-	// A statement never runs robust, so its plane is always a plain agg.Net.
-	{name: KindStatement, tree: true, solo: func(r *run) (answer, error) {
-		res, err := query.Exec(r.net.(*agg.Net), r.q.Statement)
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{value: res.Value, detail: res.Detail, values: res.Values}, nil
-	}},
 }
 
 // kindOf returns the entry of the named kind. An unknown name gets a tree
@@ -383,6 +442,15 @@ type run struct {
 	net   aggregator
 	truth groundTruth
 	m     member
+}
+
+// pred is the predicate an in-network kind evaluates: the query's WHERE,
+// or TRUE.
+func (r *run) pred() wire.Pred {
+	if r.q.Where != nil {
+		return *r.q.Where
+	}
+	return wire.True()
 }
 
 // runSolo answers r's query alone on its prepared plane, a fusable kind's
@@ -455,15 +523,16 @@ func rankDetail(m member, shared string) string {
 func riderDetail(_ member, shared string) string { return "aggregate rider, " + shared }
 
 // aggregateKind is the entry of a single-aggregate kind, named after the
-// one Fact 2.1 aggregate it reads; alone, it answers with protocol, whose
-// false is the network found empty.
-func aggregateKind(name, detail string, protocol func(aggregator) (float64, bool)) kind {
+// one Fact 2.1 aggregate it reads; alone, it answers with protocol over the
+// predicate it is handed (the query's in-network WHERE), whose false is the
+// network found empty.
+func aggregateKind(name, detail string, where whereSupport, protocol func(aggregator, wire.Pred) (float64, bool)) kind {
 	aggs := []string{name}
-	return kind{name: name, tree: true, robust: true, plans: plansRetry,
+	return kind{name: name, tree: true, robust: true, plans: plansRetry, where: where,
 		member:      func(Query, uint64) (member, error) { return member{aggs: aggs}, nil },
 		batchDetail: riderDetail,
 		solo: func(r *run) (answer, error) {
-			v, ok := protocol(r.net)
+			v, ok := protocol(r.net, r.pred())
 			if !ok {
 				return answer{}, errEmptyNetwork
 			}

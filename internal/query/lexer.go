@@ -2,19 +2,18 @@
 // TAG/Cougar systems ([9],[15]) — and the paper's introduction — envision:
 // "the goal of the system is to support aggregate queries formed in an
 // SQL-like language". A query names an aggregate over the network's item
-// values, optionally restricted by a WHERE clause (realized as a predicate
-// broadcast that deactivates non-matching items) and tuned by protocol
-// options:
+// values, optionally restricted by a WHERE clause (a value interval) and
+// tuned by protocol options:
 //
 //	SELECT median(value)
 //	SELECT quantile(value, 0.99) WHERE value >= 100
 //	SELECT count(value) WHERE value BETWEEN 10 AND 20
 //	SELECT apxmedian(value) USING eps=0.1
-//	SELECT distinct(value) USING mode=sketch, m=256
+//	SELECT distinct(value) USING sketch=1, m=256
 //
-// The executor maps each aggregate to the corresponding protocol and
-// reports the answer together with the paper's per-node communication
-// measure.
+// The package is the language only: Parse turns a statement into a Query,
+// serve.QueryFor maps that onto an engine query, and engine.Submit runs
+// it like any other job.
 package query
 
 import (

@@ -14,7 +14,7 @@
 //
 //   - Epoch scheduler. AdvanceEpoch (or the Options.EpochInterval ticker)
 //     evolves the deployment's sensed values through the epoch drift
-//     model (epoch.UpdateFunc), injects them into the engine via a shared
+//     model (UpdateFunc), injects them into the engine via a shared
 //     Job.Overlay, and re-executes every subscription as one fused batch:
 //     K subscribers per epoch cost ~one query's tree traffic.
 //
@@ -30,14 +30,15 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"sensoragg/internal/core"
 	"sensoragg/internal/engine"
-	"sensoragg/internal/epoch"
 	"sensoragg/internal/obs"
 	"sensoragg/internal/query"
 	"sensoragg/internal/topology"
@@ -62,6 +63,10 @@ const DefaultBreakerThreshold = 3
 // may be and still be served in place of a failed fresh one.
 const DefaultMaxStale = 8
 
+// UpdateFunc produces node u's fresh reading for an epoch, given its
+// previous reading — the sensor drift model.
+type UpdateFunc func(epoch int, node topology.NodeID, prev uint64) uint64
+
 // Options configures a Service.
 type Options struct {
 	// Spec is the deployment every subscription and ad-hoc query runs
@@ -76,7 +81,7 @@ type Options struct {
 	FuseWindow time.Duration
 	// Update is the sensor drift model applied at every epoch advance;
 	// nil keeps values static.
-	Update epoch.UpdateFunc
+	Update UpdateFunc
 	// EpochInterval, when positive, advances epochs on a background
 	// ticker; otherwise the caller drives AdvanceEpoch.
 	EpochInterval time.Duration
@@ -88,8 +93,8 @@ type Options struct {
 	// Robust, when set, executes every subscription and ad-hoc query in
 	// the engine's Byzantine-robust mode (engine.Query.Robust): answers
 	// carry integrity accounting and adversarial fault plans are
-	// localized and quarantined before answering. Statement-fallback
-	// queries (WHERE clauses) cannot run robust and keep the plain path.
+	// localized and quarantined before answering. Statements the robust
+	// tier cannot answer (engine.Query.RobustCapable) keep the plain path.
 	Robust bool
 	// BreakerThreshold is the number of consecutive failed epochs — no
 	// subscription produced a usable (non-failed, non-degraded) answer —
@@ -135,7 +140,7 @@ type Service struct {
 	spec   engine.Spec
 	eng    *engine.Engine
 	window time.Duration
-	update epoch.UpdateFunc
+	update UpdateFunc
 	buffer int
 	maxX   uint64
 	robust bool
@@ -347,45 +352,108 @@ func (s *Service) Subscribe(ctx context.Context, statement string) (*Subscriptio
 }
 
 // QueryFor maps a sensorql statement onto the engine query the serving
-// layer executes, plus the number of seeded ranks (0 = not seedable). The
-// exact selection and Fact 2.1 aggregate statements map to fusable engine
-// kinds; single quantiles map to KindQuantiles so φ resolves against the
-// protocol-counted N (the console's semantics). Anything else — WHERE
-// clauses, approximate aggregates — falls back to the statement executor,
-// which runs solo.
+// layer executes, plus the number of seeded ranks (0 = not seedable). Every
+// aggregate maps to the engine kind of its name, except that a single
+// quantile maps to KindQuantiles, so φ resolves against the
+// protocol-counted N, and distinct maps to KindApxDistinct under `USING
+// sketch=1`. A WHERE clause becomes Query.Where. USING keys map onto
+// Query fields, and each aggregate accepts only its own:
+//
+//	median, quantile, quantiles  probewidth=K   ProbeWidth, an integer in [1, core.MaxProbeWidth]
+//	apxmedian                    eps=E          Eps, in [0.01, 1)
+//	apxmedian2                   eps=E, beta=B  Eps; Beta, in [1/1024, 1)
+//	distinct                     sketch=0|1, m=M  the sketch, of 2^round(log2 M) registers (2^1..2^16)
+//
+// Any other key, or a value out of range, is an error naming the accepted keys.
 func QueryFor(statement string) (engine.Query, int, error) {
 	pq, err := query.Parse(statement)
 	if err != nil {
 		return engine.Query{}, 0, fmt.Errorf("serve: %w", err)
 	}
-	if pq.Where == nil {
-		switch pq.Agg {
-		case query.AggMedian:
-			return engine.Query{Kind: engine.KindMedian}, 1, nil
-		case query.AggQuantile:
-			return engine.Query{Kind: engine.KindQuantiles, Phis: []float64{pq.Phi}}, 1, nil
-		case query.AggQuantiles:
-			return engine.Query{Kind: engine.KindQuantiles, Phis: slices.Clone(pq.Phis)}, len(pq.Phis), nil
-		case query.AggCount:
-			return engine.Query{Kind: engine.KindCount}, 0, nil
-		case query.AggSum:
-			return engine.Query{Kind: engine.KindSum}, 0, nil
-		case query.AggMin:
-			return engine.Query{Kind: engine.KindMin}, 0, nil
-		case query.AggMax:
-			return engine.Query{Kind: engine.KindMax}, 0, nil
-		case query.AggAvg:
-			return engine.Query{Kind: engine.KindAvg}, 0, nil
+	q := engine.Query{Kind: string(pq.Agg), Where: pq.Where}
+	nranks := 0
+	var keys []string
+	switch pq.Agg {
+	case query.AggMedian:
+		nranks, keys = 1, []string{"probewidth"}
+	case query.AggQuantile:
+		q.Kind, q.Phis = engine.KindQuantiles, []float64{pq.Phi}
+		nranks, keys = 1, []string{"probewidth"}
+	case query.AggQuantiles:
+		q.Phis = slices.Clone(pq.Phis)
+		nranks, keys = len(pq.Phis), []string{"probewidth"}
+	case query.AggApxMedian:
+		keys = []string{"eps"}
+	case query.AggApxMedian2:
+		keys = []string{"eps", "beta"}
+	case query.AggDistinct:
+		keys = []string{"sketch", "m"}
+	}
+	given := make([]string, 0, len(pq.Options))
+	for key := range pq.Options {
+		given = append(given, key)
+	}
+	slices.Sort(given)
+	for _, key := range given {
+		if !slices.Contains(keys, key) {
+			accepted := "none"
+			if len(keys) > 0 {
+				accepted = strings.Join(keys, ", ")
+			}
+			return engine.Query{}, 0, fmt.Errorf("serve: %s takes no USING key %q (accepted: %s)", pq.Agg, key, accepted)
+		}
+		if err := using(&q, key, pq.Options); err != nil {
+			return engine.Query{}, 0, fmt.Errorf("serve: %s: %w (accepted: %s)", pq.Agg, err, strings.Join(keys, ", "))
 		}
 	}
-	return engine.Query{Kind: engine.KindStatement, Statement: statement}, 0, nil
+	return q, nranks, nil
 }
 
-// applyRobust stamps Options.Robust onto a query. Statement-fallback
-// queries stay plain: the statement executor has no robust path, and a
-// hard failure would punish a WHERE clause for a service-level default.
+// using range-checks USING key's value opts[key] and sets the Query field
+// it maps onto.
+func using(q *engine.Query, key string, opts map[string]float64) error {
+	v := opts[key]
+	switch key {
+	case "probewidth":
+		if v != math.Trunc(v) || v < 1 || v > core.MaxProbeWidth {
+			return fmt.Errorf("probewidth %g must be an integer in [1, %d]", v, core.MaxProbeWidth)
+		}
+		q.ProbeWidth = int(v)
+	case "eps":
+		if v < 0.01 || v >= 1 {
+			return fmt.Errorf("eps %g must be in [0.01, 1)", v)
+		}
+		q.Eps = v
+	case "beta":
+		if v < 1.0/1024 || v >= 1 {
+			return fmt.Errorf("beta %g must be in [1/1024, 1)", v)
+		}
+		q.Beta = v
+	case "sketch":
+		switch v {
+		case 0:
+		case 1:
+			q.Kind = engine.KindApxDistinct
+		default:
+			return fmt.Errorf("sketch %g must be 0 (exact) or 1", v)
+		}
+	case "m":
+		if opts["sketch"] != 1 {
+			return fmt.Errorf("m needs sketch=1")
+		}
+		p := math.Round(math.Log2(v))
+		if !(p >= 1 && p <= 16) {
+			return fmt.Errorf("sketch m=%g must round to 2^1..2^16 registers", v)
+		}
+		q.SketchP = int(p)
+	}
+	return nil
+}
+
+// applyRobust stamps Options.Robust onto a query the robust tier can
+// answer; the rest stay plain rather than fail for a service-level default.
 func (s *Service) applyRobust(q engine.Query) engine.Query {
-	if s.robust && q.Kind != engine.KindStatement {
+	if s.robust && q.RobustCapable() {
 		q.Robust = true
 	}
 	return q

@@ -267,9 +267,9 @@ func TestWindowDeadlineDetach(t *testing.T) {
 	}
 }
 
-// TestStatementFallbackAndAggregates: WHERE statements fall back to the
-// solo statement executor, aggregate statements ride the fused plane, and
-// both answer correctly.
+// TestStatementFallbackAndAggregates: WHERE statements run solo on the
+// engine, aggregate statements ride the fused plane, and all answer exactly
+// against ground truth — the WHERE one over the matching items.
 func TestStatementFallbackAndAggregates(t *testing.T) {
 	svc, err := New(Options{Spec: testSpec(19)})
 	if err != nil {
@@ -300,8 +300,10 @@ func TestStatementFallbackAndAggregates(t *testing.T) {
 	if out[2].Fused {
 		t.Error("WHERE statement must not join a fusion batch")
 	}
-	if out[2].Value < 0 || out[2].Value > 64 {
-		t.Errorf("filtered count %g out of range", out[2].Value)
+	for i, r := range out {
+		if !r.TruthKnown || !r.Exact {
+			t.Errorf("result %d: %g, truth %g (known %v)", i, r.Value, r.Truth, r.TruthKnown)
+		}
 	}
 	if _, err := svc.Subscribe(context.Background(), "SELECT nope(value)"); err == nil {
 		t.Error("bad statement subscribed")
@@ -415,8 +417,8 @@ func TestEpochIntervalTicker(t *testing.T) {
 // TestRobustService: with Options.Robust set, subscriptions and ad-hoc
 // queries run in the engine's Byzantine-robust mode. Under an
 // adversarial fault plan the liars are quarantined before the answer,
-// and statement-fallback queries stay on the plain path instead of
-// failing the whole service.
+// and statements the robust tier cannot answer (WHERE clauses) stay on
+// the plain path instead of failing the whole service.
 func TestRobustService(t *testing.T) {
 	spec := testSpec(5)
 	spec.N = 128
@@ -451,13 +453,13 @@ func TestRobustService(t *testing.T) {
 		t.Fatal("ad-hoc result not marked robust")
 	}
 
-	// WHERE clauses fall back to the statement executor, which has no
-	// robust path — the service keeps them plain rather than failing.
+	// WHERE clauses have no robust path — the service keeps them plain
+	// rather than failing.
 	r, err = svc.Query(context.Background(), "SELECT count(value) WHERE value < 100")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Robust {
-		t.Fatal("statement fallback unexpectedly ran robust")
+		t.Fatal("WHERE statement unexpectedly ran robust")
 	}
 }
