@@ -304,8 +304,8 @@ func BenchmarkMedianShootout(b *testing.B) {
 	})
 }
 
-// BenchmarkDuplication — E10 ([2],[10]): honest per-edge sketches under
-// link duplication.
+// BenchmarkDuplication — E10 ([2],[10]): the sketch fold under link
+// duplication, every duplicate delivery charged.
 func BenchmarkDuplication(b *testing.B) {
 	const n = 1024
 	g := topology.Grid(32, 32)
@@ -315,7 +315,7 @@ func BenchmarkDuplication(b *testing.B) {
 		b.Run(fmt.Sprintf("dup=%.1f", dup), func(b *testing.B) {
 			nw := netsim.New(g, values, maxX, netsim.WithSeed(10))
 			nw.Faults = faults.New(faults.Spec{Dup: dup}, nw.N(), nw.Root(), 10)
-			net := agg.NewNet(spantree.NewFast(nw), agg.WithHonestSketches())
+			net := agg.NewNet(spantree.NewFast(nw))
 			before := nw.Meter.Snapshot()
 			for i := 0; i < b.N; i++ {
 				net.ApxCount(core.Linear, wire.True())

@@ -153,12 +153,14 @@ type report struct {
 	// answer.
 	SeedHitRate float64 `json:"seed_hit_rate"`
 
-	// Robust marks a run served on the Byzantine-robust tier. The totals
+	// Robust marks a run served on the Byzantine-robust tier, and
+	// RobustDeliveries counts the deliveries answered on it. The totals
 	// aggregate over all deliveries: QuarantinedTotal counts convicted
 	// liars (each epoch re-runs localization on its forked fault plan),
 	// and MaxIntegrityBound is the worst per-answer bound — 0 means every
 	// delivered answer was certified exact over the honest survivors.
 	Robust            bool   `json:"robust,omitempty"`
+	RobustDeliveries  int    `json:"robust_deliveries,omitempty"`
 	QuarantinedTotal  int64  `json:"quarantined_total,omitempty"`
 	SuspectedTotal    int64  `json:"suspected_total,omitempty"`
 	MaxIntegrityBound uint64 `json:"max_integrity_bound,omitempty"`
@@ -233,8 +235,8 @@ func (r *report) print() {
 	fmt.Printf("delta-narrowing: %.0f%% of steady-state epochs answered inside the seeded window\n",
 		100*r.SeedHitRate)
 	if r.Robust {
-		fmt.Printf("robust tier: %d quarantined, %d suspected across deliveries, worst integrity bound ±%d items\n",
-			r.QuarantinedTotal, r.SuspectedTotal, r.MaxIntegrityBound)
+		fmt.Printf("robust tier: %d of %d deliveries, %d quarantined, %d suspected across them, worst integrity bound ±%d items\n",
+			r.RobustDeliveries, r.Deliveries, r.QuarantinedTotal, r.SuspectedTotal, r.MaxIntegrityBound)
 	}
 	if r.Obs != nil {
 		fmt.Printf("obs: %d sweeps, %d broadcasts, %d epochs recorded (commit %s)\n",
@@ -249,6 +251,7 @@ type delivery struct {
 	bits        int64
 	seedHit     bool
 	failed      bool
+	robust      bool
 	quarantined int
 	suspected   int
 	bound       uint64
@@ -328,6 +331,7 @@ func run(spec engine.Spec, subscribers, epochs int, window time.Duration, drift 
 					bits:        r.BitsPerNode,
 					seedHit:     r.SeedHit,
 					failed:      r.Failed(),
+					robust:      r.Robust,
 					quarantined: r.Quarantined,
 					suspected:   r.Suspected,
 					bound:       r.IntegrityBound,
@@ -375,6 +379,9 @@ func run(spec engine.Spec, subscribers, epochs int, window time.Duration, drift 
 		}
 		latencies = append(latencies, d.latencyNS)
 		epochBits[d.epoch] = d.bits // fused: every delivery prices the one shared plane
+		if d.robust {
+			rep.RobustDeliveries++
+		}
 		rep.QuarantinedTotal += int64(d.quarantined)
 		rep.SuspectedTotal += int64(d.suspected)
 		if d.bound > rep.MaxIntegrityBound {

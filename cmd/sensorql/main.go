@@ -664,108 +664,22 @@ func (c *console) use(spec engine.Spec) error {
 	return nil
 }
 
-// faultsCommand parses `faults [off | key=value ...]` and re-instantiates
-// the deployment under the new fault plan. Bare `faults` prints the
-// current one.
+// faultsCommand parses `faults [off | key=value ...]` (faults.ParseSpec)
+// and re-instantiates the deployment under the new fault plan. Bare
+// `faults` prints the current one.
 func (c *console) faultsCommand(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) == 1 {
 		fmt.Printf("faults: %s\n", c.spec.Faults)
 		return nil
 	}
-	spec := c.spec
-	if len(fields) == 2 && strings.EqualFold(fields[1], "off") {
-		spec.Faults = faults.Spec{}
-		return c.use(spec)
-	}
-	var fs faults.Spec
-	for _, f := range fields[1:] {
-		if strings.Contains(strings.ToLower(f), "@sweep=") {
-			if err := parseMidFault(&fs, f); err != nil {
-				return err
-			}
-			continue
-		}
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return fmt.Errorf("want key=value, got %q", f)
-		}
-		if strings.EqualFold(k, "seed") {
-			seed, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %w", v, err)
-			}
-			fs.Seed = seed
-			continue
-		}
-		if strings.EqualFold(k, "byzmode") {
-			fs.ByzMode = strings.ToLower(v)
-			continue // Validate vets the mode name below
-		}
-		rate, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad rate %q: %w", v, err)
-		}
-		switch strings.ToLower(k) {
-		case "crash":
-			fs.Crash = rate
-		case "linkfail", "link_fail":
-			fs.LinkFail = rate
-		case "drop":
-			fs.Drop = rate
-		case "dup":
-			fs.Dup = rate
-		case "byz":
-			fs.Byz = rate
-		default:
-			return fmt.Errorf("unknown fault %q (crash|linkfail|drop|dup|byz|byzmode|seed, or crash@sweep=K=RATE|linkfail@sweep=K=RATE|rootkill@sweep=K)", k)
-		}
-	}
-	if err := fs.Validate(); err != nil {
+	fs, err := faults.ParseSpec(strings.Join(fields[1:], " "))
+	if err != nil {
 		return err
 	}
+	spec := c.spec
 	spec.Faults = fs
 	return c.use(spec)
-}
-
-// parseMidFault parses the phased (mid-sweep) fault tokens —
-// crash@sweep=K=RATE, linkfail@sweep=K=RATE, rootkill@sweep=K — into the
-// spec's Mid fields. One plan fires at one boundary: every token must
-// name the same K.
-func parseMidFault(fs *faults.Spec, tok string) error {
-	kind, rest, _ := strings.Cut(strings.ToLower(tok), "@sweep=")
-	at, rate, hasRate := strings.Cut(rest, "=")
-	k, err := strconv.Atoi(at)
-	if err != nil || k < 1 {
-		return fmt.Errorf("bad sweep boundary %q in %q (want a positive sweep number)", at, tok)
-	}
-	if fs.MidAt != 0 && fs.MidAt != k {
-		return fmt.Errorf("conflicting sweep boundaries %d and %d — one plan fires at one boundary", fs.MidAt, k)
-	}
-	fs.MidAt = k
-	switch kind {
-	case "rootkill":
-		if hasRate {
-			return fmt.Errorf("rootkill@sweep=K takes no rate, got %q", tok)
-		}
-		fs.MidKillRoot = true
-	case "crash", "linkfail":
-		if !hasRate {
-			return fmt.Errorf("want %s@sweep=K=RATE, got %q", kind, tok)
-		}
-		r, err := strconv.ParseFloat(rate, 64)
-		if err != nil {
-			return fmt.Errorf("bad rate %q in %q", rate, tok)
-		}
-		if kind == "crash" {
-			fs.MidCrash = r
-		} else {
-			fs.MidLinkFail = r
-		}
-	default:
-		return fmt.Errorf("unknown mid-sweep fault %q (crash|linkfail|rootkill)", kind)
-	}
-	return nil
 }
 
 // netCommand parses `net [topology [n [workload [seed]]]]` and switches the

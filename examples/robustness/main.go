@@ -60,7 +60,7 @@ func duplicationAct() {
 	for _, dup := range []float64{0, 0.1, 0.3} {
 		nw := netsim.New(g, values, maxX, netsim.WithSeed(11))
 		nw.Faults = faults.New(faults.Spec{Dup: dup}, nw.N(), nw.Root(), 11)
-		net := agg.NewNet(spantree.NewFast(nw), agg.WithHonestSketches())
+		net := agg.NewNet(spantree.NewFast(nw))
 
 		count := net.Count(core.Linear, wire.True())
 		sum := net.Sum(core.Linear, wire.True())

@@ -6,8 +6,9 @@
 // COUNT, SUM, MIN/MAX, the batched probe plane (CountVec, CountVecSum) and
 // the fused tuple (MultiAggregate) are spantree.VecCombiners: each has one
 // codec, its vector one, and every protocol reads the root's slots
-// straight off ConvergecastVec. Only the APX COUNT sketch is a boxed
-// spantree.Combiner. The package also owns the broadcast framing —
+// straight off ConvergecastVec. The APX COUNT sketches are no combiner:
+// they run on spantree.FoldSketches, the one LogLog fold over the tree,
+// which sketch DISTINCT shares. The package also owns the broadcast framing —
 // DomainValue, Net.ValueWidth, NestedPreds and ProbeSetBits — which the
 // robust tier prices its relay hop with.
 package agg
@@ -18,7 +19,6 @@ import (
 	"sensoragg/internal/bitio"
 	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
-	"sensoragg/internal/loglog"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/wire"
@@ -234,46 +234,4 @@ func (c sumCombiner) LocalVec(n *netsim.Node, dst []uint64) { dst[0] = c.local(n
 
 func (c sumCombiner) FoldVec(n *netsim.Node, dst, kids []uint64) int {
 	return foldWord(c.local(n), dst, kids)
-}
-
-// keyedSketch runs one APX COUNT instance (Fact 2.2): every node folds its
-// matching items' hashed keys into a LogLog sketch; messages carry the m
-// fixed-width registers — O(m · log log N) bits.
-type keyedSketch struct {
-	net      *Net
-	domain   core.Domain
-	pred     wire.Pred
-	instance uint64
-}
-
-var _ spantree.Combiner = keyedSketch{}
-
-func (c keyedSketch) Local(n *netsim.Node) any {
-	sk := loglog.New(c.net.sketchP)
-	h := c.net.instanceHasher(c.instance)
-	base := c.net.keyBase[n.ID]
-	for idx, it := range n.Items {
-		if it.Active && c.pred.Eval(DomainValue(it, c.domain)) {
-			sk.AddKey(h, base+uint64(idx))
-		}
-	}
-	return sk
-}
-
-func (c keyedSketch) Merge(acc, child any) any {
-	a := acc.(*loglog.Sketch)
-	a.Merge(child.(*loglog.Sketch))
-	return a
-}
-
-func (c keyedSketch) AppendPartial(w *bitio.Writer, p any) {
-	p.(*loglog.Sketch).AppendTo(w)
-}
-
-func (c keyedSketch) Decode(pl wire.Payload) (any, error) {
-	sk, err := loglog.DecodeSketch(pl.Reader(), c.net.sketchP)
-	if err != nil {
-		return nil, fmt.Errorf("agg: sketch: %w", err)
-	}
-	return sk, nil
 }

@@ -38,23 +38,9 @@ type Net struct {
 	est     loglog.Estimator
 	sigma   float64
 	alphaC  float64
-	// honestSketches forces APX COUNT instances through real per-edge
-	// convergecasts. The default fast path computes the root sketch
-	// directly and charges the meter arithmetically — valid because sketch
-	// payloads are fixed-size (m·RegisterBits) regardless of content, and
-	// max-merge over a tree equals the flat fold over the engine's view
-	// (full, healed or sector); the equivalence is asserted by tests.
-	// Message-level faults (drop/dup) and a watched edge require honest
-	// mode.
-	honestSketches bool
-
+	// instance counts the α-counting instances issued so far; instance i
+	// hashes with instanceHasher(i).
 	instance uint64
-	// keyBase[u] is the global index of node u's first item: stable item
-	// identities shared with core.LocalNet so differential tests can match
-	// estimates exactly. Only the sketch protocol reads it, so ApxCountRep
-	// builds it on first use, before any convergecast starts — never
-	// keyedSketch.Local, which the goroutine engine runs concurrently.
-	keyBase  []uint64
 	logWidth int
 
 	// bw is the reusable broadcast writer: a broadcast payload lives only
@@ -112,13 +98,6 @@ func WithSketchP(p int) Option {
 // loglog.Estimator).
 func WithEstimator(e loglog.Estimator) Option {
 	return func(n *Net) { n.est = e }
-}
-
-// WithHonestSketches forces per-edge sketch convergecasts (slower,
-// identical results and meters over reliable links; required under
-// drop/dup faults or a watched edge).
-func WithHonestSketches() Option {
-	return func(n *Net) { n.honestSketches = true }
 }
 
 // NewNet wraps a tree engine as the paper's primitive-protocol provider.
@@ -229,17 +208,10 @@ func (n *Net) instanceHasher(i uint64) hashing.Hasher {
 
 // ApxCountRep implements core.Net: REP COUNTP's body — one broadcast of
 // (predicate, repetition count), then r independent APX COUNT sketch
-// convergecasts. Instance seeds advance a persistent counter known to root
-// and nodes alike from the protocol transcript, so they cost no wire bits.
+// convergecasts over the items' identities (spantree.FoldSketches).
+// Instance seeds advance a persistent counter known to root and nodes
+// alike from the protocol transcript, so they cost no wire bits.
 func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
-	if n.keyBase == nil {
-		n.keyBase = make([]uint64, n.nw.N())
-		var base uint64
-		for i, nd := range n.nw.Nodes {
-			n.keyBase[i] = base
-			base += uint64(len(nd.Items))
-		}
-	}
 	vw := n.ValueWidth(d)
 	w := n.bcast()
 	defer n.endProtocol()
@@ -249,60 +221,18 @@ func (n *Net) ApxCountRep(d core.Domain, pred wire.Pred, r int) []float64 {
 	n.ops.Broadcast(wire.Borrowed(w), nil)
 
 	out := make([]float64, r)
-	if n.honestSketches {
-		for i := 0; i < r; i++ {
-			n.instance++
-			comb := keyedSketch{net: n, domain: d, pred: pred, instance: n.instance}
-			res, err := n.ops.Convergecast(comb)
-			if err != nil {
-				panic(fmt.Sprintf("agg: sketch convergecast: %v", err))
+	first := n.instance + 1
+	n.instance += uint64(r)
+	spantree.FoldSketches(n.ops, n.sketchP, n.est, out,
+		func(i int) hashing.Hasher { return n.instanceHasher(first + uint64(i)) },
+		func(sk *loglog.Sketch, h hashing.Hasher, nd *netsim.Node) {
+			for idx, it := range nd.Items {
+				if it.Active && pred.Eval(DomainValue(it, d)) {
+					sk.AddKey(h, n.nw.ItemKey(nd.ID, idx))
+				}
 			}
-			out[i] = loglog.EstimateWith(res.(*loglog.Sketch), n.est)
-		}
-		return out
-	}
-	// Charge all r convergecasts in one pass over the edges of the view the
-	// engine sweeps: sketch payloads are content-independent
-	// (m·RegisterBits bits on every tree edge).
-	view := n.view()
-	bits := (1 << n.sketchP) * loglog.RegisterBits
-	for _, u := range view.Order {
-		if u != view.Root {
-			n.nw.Meter.ChargeN(u, view.Parent[u], bits, r)
-		}
-	}
-	sk := loglog.New(n.sketchP) // one register array, reset per instance
-	for i := 0; i < r; i++ {
-		n.instance++
-		out[i] = n.fastSketchInstance(sk, view, d, pred, n.instance)
-	}
+		})
 	return out
-}
-
-// view returns the tree view the Net's engine sweeps: a fast engine's own —
-// the full tree, a healed one or a sector — or else the network's tree.
-func (n *Net) view() *spantree.TreeView {
-	if e, ok := n.ops.(interface{ View() *spantree.TreeView }); ok {
-		return e.View()
-	}
-	return spantree.FullView(n.nw.Tree)
-}
-
-// fastSketchInstance computes one APX COUNT estimate in sk by folding the
-// matching items of every node in view directly — valid because max-merge
-// over a tree equals the flat fold. Communication is charged by the caller.
-func (n *Net) fastSketchInstance(sk *loglog.Sketch, view *spantree.TreeView, d core.Domain, pred wire.Pred, instance uint64) float64 {
-	sk.Reset()
-	h := n.instanceHasher(instance)
-	for _, u := range view.Order {
-		nd, base := n.nw.Nodes[u], n.keyBase[u]
-		for idx, it := range nd.Items {
-			if it.Active && pred.Eval(DomainValue(it, d)) {
-				sk.AddKey(h, base+uint64(idx))
-			}
-		}
-	}
-	return loglog.EstimateWith(sk, n.est)
 }
 
 // Zoom implements core.Net: Fig. 4 lines 3.2–3.3 — broadcast µ̂

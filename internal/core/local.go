@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"sensoragg/internal/hashing"
 	"sensoragg/internal/loglog"
@@ -11,9 +10,10 @@ import (
 
 // LocalNet implements Net directly over an in-memory slice, with no
 // communication. It mirrors the semantics of the simulated network exactly
-// — including the same LogLog sketch construction with the same hashing —
-// so algorithm behaviour (including randomized estimates) is identical
-// between LocalNet and agg.Net given the same seed and call sequence.
+// — including the same LogLog sketch construction with the same hashing,
+// estimated with agg.Net's default HLL estimator — so algorithm behaviour
+// (including randomized estimates) is identical between LocalNet and
+// agg.Net given the same seed and call sequence.
 // Core's unit tests run on it; the differential tests in agg assert the
 // equivalence.
 type LocalNet struct {
@@ -21,7 +21,6 @@ type LocalNet struct {
 	sigma  float64
 	alphaC float64
 	p      int // sketch register exponent
-	est    loglog.Estimator
 
 	items    []localItem
 	numNodes int
@@ -49,12 +48,6 @@ func WithLocalSketchP(p int) LocalOption {
 // WithLocalSeed sets the seed for the counting instances' hash functions.
 func WithLocalSeed(seed uint64) LocalOption {
 	return func(l *LocalNet) { l.seed = seed }
-}
-
-// WithLocalEstimator selects the α-counting estimator (default HLL; see
-// loglog.Estimator for why).
-func WithLocalEstimator(e loglog.Estimator) LocalOption {
-	return func(l *LocalNet) { l.est = e }
 }
 
 // DefaultSketchP is the default LogLog register exponent (m = 1024,
@@ -102,12 +95,12 @@ func NewLocalNetMulti(items [][]uint64, maxX uint64, opts ...LocalOption) *Local
 }
 
 func newLocalNet(maxX uint64, numNodes int, opts []LocalOption) *LocalNet {
-	l := &LocalNet{maxX: maxX, p: DefaultSketchP, seed: 1, est: loglog.EstHLL, numNodes: numNodes}
+	l := &LocalNet{maxX: maxX, p: DefaultSketchP, seed: 1, numNodes: numNodes}
 	for _, o := range opts {
 		o(l)
 	}
 	m := 1 << l.p
-	l.sigma = loglog.SigmaOf(l.est, m)
+	l.sigma = loglog.SigmaOf(loglog.EstHLL, m)
 	l.alphaC = 1e-6 // Fact 2.2: α < 10⁻⁶, and α_c < σ/2 holds for all m ≤ 2^16
 	return l
 }
@@ -185,7 +178,7 @@ func (l *LocalNet) ApxCountRep(d Domain, pred wire.Pred, r int) []float64 {
 				sk.AddKey(h, it.key)
 			}
 		}
-		out[i] = loglog.EstimateWith(sk, l.est)
+		out[i] = loglog.EstimateWith(sk, loglog.EstHLL)
 	}
 	return out
 }
@@ -235,10 +228,4 @@ func RescaleValue(x, lo, width, maxX uint64) uint64 {
 		return 1
 	}
 	return 1 + (x-lo)*(maxX-1)/width
-}
-
-// LocalRNG returns a deterministic RNG stream derived from the net's seed,
-// for callers that need auxiliary randomness tied to the same run.
-func (l *LocalNet) LocalRNG() *rand.Rand {
-	return rand.New(rand.NewPCG(l.seed, 0xda7a))
 }

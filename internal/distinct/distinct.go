@@ -137,60 +137,31 @@ type ApxResult struct {
 	Comm netsim.Delta
 }
 
-// valueSketch hashes item *values* (not item identities): equal values
-// collide in the sketch, which is precisely what turns a cardinality
-// sketch into a distinct counter ([1],[3] — "using the hash value of an
-// item as the source of random bits").
-type valueSketch struct {
-	p      int
-	hasher hashing.Hasher
-	est    loglog.Estimator
-}
-
-var _ spantree.Combiner = valueSketch{}
-
-func (c valueSketch) Local(n *netsim.Node) any {
-	sk := loglog.New(c.p)
-	for _, it := range n.Items {
-		if it.Active {
-			sk.AddKey(c.hasher, it.Cur)
-		}
-	}
-	return sk
-}
-
-func (c valueSketch) Merge(acc, child any) any {
-	a := acc.(*loglog.Sketch)
-	a.Merge(child.(*loglog.Sketch))
-	return a
-}
-
-func (c valueSketch) AppendPartial(w *bitio.Writer, p any) {
-	p.(*loglog.Sketch).AppendTo(w)
-}
-
-func (c valueSketch) Decode(pl wire.Payload) (any, error) {
-	sk, err := loglog.DecodeSketch(pl.Reader(), c.p)
-	if err != nil {
-		return nil, fmt.Errorf("distinct: sketch: %w", err)
-	}
-	return sk, nil
-}
-
 // Approximate runs the sketch-based COUNT DISTINCT with m = 2^p registers
 // using the given estimator; per-node cost is O(m log log n) bits — the
 // Section 5 remark's parameterization (k^2·log log n bits for relative
-// error 3.15/k with the geometric-mean estimator over k^2 buckets).
+// error 3.15/k with the geometric-mean estimator over k^2 buckets). The
+// sketch hashes item *values*, not item identities: equal values collide,
+// which is precisely what turns a cardinality sketch into a distinct
+// counter ([1],[3] — "using the hash value of an item as the source of
+// random bits"). It runs on spantree.FoldSketches, the fold APX COUNT
+// shares, and never fails; the error result is always nil.
 func Approximate(ops spantree.Ops, p int, est loglog.Estimator, seed uint64) (ApxResult, error) {
 	nw := ops.Network()
 	before := nw.Meter.Snapshot()
-	c := valueSketch{p: p, hasher: hashing.New(seed ^ 0xd151), est: est}
-	out, err := ops.Convergecast(c)
-	if err != nil {
-		return ApxResult{}, fmt.Errorf("distinct: convergecast: %w", err)
-	}
+	hasher := hashing.New(seed ^ 0xd151)
+	var out [1]float64
+	spantree.FoldSketches(ops, p, est, out[:],
+		func(int) hashing.Hasher { return hasher },
+		func(sk *loglog.Sketch, h hashing.Hasher, nd *netsim.Node) {
+			for _, it := range nd.Items {
+				if it.Active {
+					sk.AddKey(h, it.Cur)
+				}
+			}
+		})
 	return ApxResult{
-		Estimate: loglog.EstimateWith(out.(*loglog.Sketch), est),
+		Estimate: out[0],
 		Sigma:    loglog.SigmaOf(est, 1<<p),
 		Comm:     nw.Meter.Since(before),
 	}, nil

@@ -227,13 +227,15 @@ type auditOnce struct {
 // records the audit and the cross-check; every other caller waits for the
 // record and fast-forwards its fork to it, its meter paying for both in full.
 // A failed or panicking first caller fails the rest with its error. A job
-// without a group, or on a watched meter (a replay bypasses the watched
-// edge), runs both itself: a record would copy every node's counters.
+// without a group runs both itself, and so does one on a watched meter (a
+// replay bypasses the watched edge) or under drop/dup (the cross-check's
+// sketch fold draws the plan's per-sender message counters, which a replay
+// does not restore).
 func (a *auditOnce) localize(nw *netsim.Network, view *spantree.TreeView, p int) (*byz.Report, *byz.RobustNet, error) {
 	if nw.Faults == nil || !nw.Faults.Adversarial() {
 		return nil, byz.NewRobustNet(nw, view, byz.WithSketchP(p)), nil
 	}
-	if a == nil || nw.Meter.Watching() {
+	if a == nil || nw.Meter.Watching() || nw.Faults.Spec().MessageLevel() {
 		rep, view, err := byz.Localize(nw, view)
 		if err != nil {
 			return nil, nil, err

@@ -255,7 +255,9 @@ func TestCrashHealingAcceptance(t *testing.T) {
 // TestSketchesUnderDuplication: the §2.2 robustness claim through the full
 // engine stack — MAX and exact-distinct (idempotent merges) stay exact
 // under heavy duplication, the approximate sketch returns the identical
-// estimate, while COUNT inflates.
+// estimate, while COUNT inflates. Under loss the APX COUNT kinds lose the
+// dropped subtrees and pay for every duplicate, exactly as per-edge
+// sketch convergecasts do.
 func TestSketchesUnderDuplication(t *testing.T) {
 	e := New(Options{Workers: 4})
 	base := gridSpec(256, 3)
@@ -285,6 +287,20 @@ func TestSketchesUnderDuplication(t *testing.T) {
 		if r := run(fs, KindCount); r.Value <= r.Truth {
 			t.Errorf("dup %.1f: COUNT %g did not inflate past %g", dup, r.Value, r.Truth)
 		}
+	}
+
+	lossy := base
+	lossy.Faults = faults.Spec{Drop: 0.3, Dup: 0.3}
+	for _, kind := range []string{KindApxCount, KindApxMedian} {
+		requireHonestSketchRun(t, lossy, Query{Kind: kind})
+	}
+	// On 1,024 nodes at drop 0.3 the fast fold once answered 1,020.5 at
+	// 7,342,071 bits, as if every message arrived.
+	big := gridSpec(1024, 3)
+	big.Faults = faults.Spec{Drop: 0.3}
+	r, _ := requireHonestSketchRun(t, big, Query{Kind: KindApxCount})
+	if got := fmt.Sprintf("%.1f at %d bits", r.Value, r.TotalBits); got != "11.1 at 5191671 bits" {
+		t.Errorf("apxcount under drop 0.3 on 1,024 nodes: %s, want 11.1 at 5191671 bits", got)
 	}
 }
 

@@ -34,13 +34,20 @@ func sameResult(t *testing.T, label string, got, want Result) {
 // are shared — report exactly what each reports submitted alone, where it
 // audits for itself. The jobs on seed 3 mix two sketch precisions (the
 // default both implicit and explicit), which must not share a cross-check.
+// Under drop/dup every job audits alone, so together ≡ alone still holds.
 func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
-	for _, mode := range []string{faults.ByzCorrupt, faults.ByzEquivocate, faults.ByzCollude} {
+	for _, plan := range []faults.Spec{
+		{Byz: 0.05, ByzMode: faults.ByzCorrupt, Crash: 0.02},
+		{Byz: 0.05, ByzMode: faults.ByzEquivocate, Crash: 0.02},
+		{Byz: 0.05, ByzMode: faults.ByzCollude, Crash: 0.02},
+		{Byz: 0.05, Drop: 0.05, Dup: 0.05},
+	} {
+		mode := plan.String()
 		var jobs []Job
 		for i, q := range robustQueries() {
 			for _, seed := range []uint64{3, 4} {
 				spec := gridSpec(256, seed)
-				spec.Faults = faults.Spec{Byz: 0.05, ByzMode: mode, Crash: 0.02}
+				spec.Faults = plan
 				job := Job{ID: fmt.Sprintf("%s-%d-%d", q.Kind, i, seed), Spec: spec, Query: q}
 				if seed == 3 && i%2 == 1 {
 					job.Query.SketchP = 8
@@ -61,7 +68,9 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 			quarantined := 0
 			for i, job := range jobs {
 				alone := e.Submit(context.Background(), []Job{job})[0]
-				if alone.Failed() {
+				// Lost counts can leave a rank out of reach under drop/dup;
+				// the failure must then be the same together and alone.
+				if alone.Failed() && !plan.MessageLevel() {
 					t.Fatalf("%s %s: %s", mode, job.ID, alone.Error)
 				}
 				quarantined += alone.Quarantined

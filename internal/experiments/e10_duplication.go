@@ -44,13 +44,15 @@ func Duplication(cfg Config) (*stats.Table, error) {
 	// Reference sketch estimate on reliable links (the sketch is an
 	// estimator: the robustness claim is that duplication does not move it
 	// at all, so compare against the fault-free estimate, not the truth).
-	refNet := agg.NewNet(spantree.NewFast(netsim.New(g, values, maxX, netsim.WithSeed(cfg.Seed))), agg.WithHonestSketches())
+	// The sketch fold draws every edge's deliveries from the plan like the
+	// other convergecasts do, so a duplicate costs bits and changes nothing.
+	refNet := agg.NewNet(spantree.NewFast(netsim.New(g, values, maxX, netsim.WithSeed(cfg.Seed))))
 	refSketch := refNet.ApxCount(core.Linear, wire.True())
 
 	for _, dup := range []float64{0, 0.05, 0.2, 0.5} {
 		nw := netsim.New(g, values, maxX, netsim.WithSeed(cfg.Seed))
 		nw.Faults = faults.New(faults.Spec{Dup: dup}, nw.N(), nw.Root(), cfg.Seed)
-		net := agg.NewNet(spantree.NewFast(nw), agg.WithHonestSketches())
+		net := agg.NewNet(spantree.NewFast(nw))
 
 		_, gotMax, ok := net.MinMax(core.Linear)
 		if !ok {

@@ -42,6 +42,7 @@ package faults
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sensoragg/internal/topology"
@@ -131,7 +132,7 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{{"crash", s.Crash}, {"linkfail", s.LinkFail}, {"drop", s.Drop}, {"dup", s.Dup}, {"byz", s.Byz}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails too
 			return fmt.Errorf("faults: %s rate %g out of [0,1]", p.name, p.v)
 		}
 	}
@@ -150,7 +151,7 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{{"mid_crash", s.MidCrash}, {"mid_linkfail", s.MidLinkFail}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("faults: %s rate %g out of [0,1]", p.name, p.v)
 		}
 	}
@@ -201,6 +202,111 @@ func (s Spec) String() string {
 		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
 	}
 	return strings.Join(parts, " ")
+}
+
+// ParseSpec is the inverse of String: space-separated key=value tokens —
+// crash, linkfail, drop, dup and byz rates, byzmode and seed — plus the
+// phased tokens crash@sweep=K=RATE, linkfail@sweep=K=RATE and
+// rootkill@sweep=K, keys case-insensitive. "none" or "off" alone is the
+// zero spec. The result is validated and canonical, so its String parses
+// back to it: byzmode=corrupt is the default mode (empty), and a spec that
+// injects nothing, seed or not, is the zero spec.
+func ParseSpec(text string) (Spec, error) {
+	var s Spec
+	fields := strings.Fields(text)
+	if len(fields) == 1 && (strings.EqualFold(fields[0], "none") || strings.EqualFold(fields[0], "off")) {
+		return s, nil
+	}
+	for _, f := range fields {
+		if strings.Contains(strings.ToLower(f), "@sweep=") {
+			if err := s.parseMid(f); err != nil {
+				return Spec{}, err
+			}
+			continue
+		}
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			return Spec{}, fmt.Errorf("faults: want key=value, got %q", f)
+		}
+		switch k = strings.ToLower(k); k {
+		case "seed":
+			seed, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				return Spec{}, fmt.Errorf("faults: bad seed %q: %w", v, err)
+			}
+			s.Seed = seed
+			continue
+		case "byzmode":
+			s.ByzMode = strings.ToLower(v) // Validate vets the mode name
+			continue
+		}
+		rate, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return Spec{}, fmt.Errorf("faults: bad rate %q: %w", v, err)
+		}
+		switch k {
+		case "crash":
+			s.Crash = rate
+		case "linkfail", "link_fail":
+			s.LinkFail = rate
+		case "drop":
+			s.Drop = rate
+		case "dup":
+			s.Dup = rate
+		case "byz":
+			s.Byz = rate
+		default:
+			return Spec{}, fmt.Errorf("faults: unknown fault %q (crash|linkfail|drop|dup|byz|byzmode|seed, or crash@sweep=K=RATE|linkfail@sweep=K=RATE|rootkill@sweep=K)", k)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	if s.ByzMode == ByzCorrupt {
+		s.ByzMode = ""
+	}
+	if !s.Active() {
+		return Spec{}, nil
+	}
+	return s, nil
+}
+
+// parseMid parses one phased token into the Mid fields. One plan fires at
+// one boundary: every token must name the same K.
+func (s *Spec) parseMid(tok string) error {
+	kind, rest, _ := strings.Cut(strings.ToLower(tok), "@sweep=")
+	at, rate, hasRate := strings.Cut(rest, "=")
+	k, err := strconv.Atoi(at)
+	if err != nil || k < 1 {
+		return fmt.Errorf("faults: bad sweep boundary %q in %q (want a positive sweep number)", at, tok)
+	}
+	if s.MidAt != 0 && s.MidAt != k {
+		return fmt.Errorf("faults: conflicting sweep boundaries %d and %d — one plan fires at one boundary", s.MidAt, k)
+	}
+	s.MidAt = k
+	switch kind {
+	case "rootkill":
+		if hasRate {
+			return fmt.Errorf("faults: rootkill@sweep=K takes no rate, got %q", tok)
+		}
+		s.MidKillRoot = true
+	case "crash", "linkfail":
+		if !hasRate {
+			return fmt.Errorf("faults: want %s@sweep=K=RATE, got %q", kind, tok)
+		}
+		r, err := strconv.ParseFloat(rate, 64)
+		if err != nil {
+			return fmt.Errorf("faults: bad rate %q in %q", rate, tok)
+		}
+		if kind == "crash" {
+			s.MidCrash = r
+		} else {
+			s.MidLinkFail = r
+		}
+	default:
+		return fmt.Errorf("faults: unknown mid-sweep fault %q (crash|linkfail|rootkill)", kind)
+	}
+	return nil
 }
 
 // Plan is one run's instantiated fault schedule. A Plan belongs to exactly

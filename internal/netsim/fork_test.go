@@ -89,7 +89,7 @@ func TestMeterConcurrentReadDuringCharge(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				m.Charge(topology.NodeID(i%16), topology.NodeID((i+1)%16), 3)
-				m.ChargeN(topology.NodeID(i%16), topology.NodeID((i+2)%16), 2, 2)
+				m.Charge(topology.NodeID(i%16), topology.NodeID((i+2)%16), 4)
 				m.ChargeTx(topology.NodeID(i%16), 1)
 				m.ChargeRx(topology.NodeID((i+3)%16), 1)
 			}
@@ -105,7 +105,7 @@ func TestMeterConcurrentReadDuringCharge(t *testing.T) {
 		_ = m.Since(before)
 	}
 	wg.Wait()
-	if got, want := m.TotalBits(), int64(4*iters*(3+2*2+1)); got != want {
+	if got, want := m.TotalBits(), int64(4*iters*(3+4+1)); got != want {
 		t.Errorf("total bits = %d, want %d", got, want)
 	}
 }

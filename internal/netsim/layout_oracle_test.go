@@ -19,6 +19,7 @@ import (
 	"sensoragg/internal/agg"
 	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
+	"sensoragg/internal/distinct"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/spantree"
@@ -233,11 +234,11 @@ func layoutChain(k int) []wire.Pred {
 
 // layoutWorkload runs the combiner axis over one engine and returns every
 // root value in order: COUNT, SUM, MIN/MAX, CountVec at k = 1, 8, 64, the
-// fused COUNT+SUM+MIN+MAX tuple and an honest APX COUNT sketch (the generic
-// boxed path), with a WHERE filter and a Zoom — broadcast appliers that
-// rewrite items — between them, and the items restored at the end.
+// fused COUNT+SUM+MIN+MAX tuple and an exact DISTINCT (the generic boxed
+// path), with a WHERE filter and a Zoom — broadcast appliers that rewrite
+// items — between them, and the items restored at the end.
 func layoutWorkload(ops spantree.Ops) []any {
-	n := agg.NewNet(ops, agg.WithHonestSketches())
+	n := agg.NewNet(ops)
 	var out []any
 	sweep := func() {
 		out = append(out, n.Count(core.Linear, wire.Less(500)))
@@ -251,7 +252,8 @@ func layoutWorkload(ops spantree.Ops) []any {
 		out = append(out, [5]any{c, s, flo, fhi, fok})
 	}
 	sweep()
-	out = append(out, n.ApxCountRep(core.Linear, wire.Less(600), 2))
+	res, err := distinct.Exact(ops)
+	out = append(out, res.Distinct, err)
 	n.Filter(wire.Less(900))
 	n.Zoom(8)
 	sweep()

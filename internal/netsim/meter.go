@@ -37,7 +37,7 @@ type Meter struct {
 }
 
 // meterCell is one node's counters. The fields are plain int64s: the
-// concurrent charge paths (Charge, ChargeN, ChargeTx, ChargeRx — used by
+// concurrent charge paths (Charge, ChargeTx, ChargeRx — used by
 // the goroutine engine and the radio loop) update them with explicit
 // sync/atomic calls, while the fast tree engine's single-writer sweeps
 // (the *Seq methods) use plain loads and stores — an atomic.Int64 store
@@ -110,21 +110,6 @@ func (m *Meter) Charge(from, to topology.NodeID, bits int) {
 	atomic.AddInt64(&c.msgs, 1)
 	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
 		m.watchedBits.Add(int64(bits))
-	}
-}
-
-// ChargeN records `times` identical messages of the given bit length in one
-// update — used when a protocol phase repeats a fixed-size exchange (e.g.
-// REP COUNTP's r sketch convergecasts, whose payload size is
-// content-independent).
-func (m *Meter) ChargeN(from, to topology.NodeID, bits int, times int) {
-	total := int64(bits) * int64(times)
-	c := m.cell(from)
-	atomic.AddInt64(&c.sent, total)
-	atomic.AddInt64(&m.cell(to).recv, total)
-	atomic.AddInt64(&c.msgs, int64(times))
-	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
-		m.watchedBits.Add(total)
 	}
 }
 
@@ -210,8 +195,9 @@ func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeI
 
 // ChargeEdgeSeq records `msgs` messages totalling `bits` bits on the
 // directed edge from → to in one update: the flush path of protocols that
-// accumulate an edge's traffic over a whole phase (the byz audit rounds)
-// and the per-frame path of the sequential repair handshake. Cell updates
+// accumulate an edge's traffic over a whole phase (the byz audit rounds),
+// the per-frame path of the sequential repair handshake, and the sketch
+// fold's r same-size sketches per edge. Cell updates
 // follow the single-writer contract of ChargeSendOnlySeq; unlike the other
 // Seq variants it knows both endpoints, so it feeds the watched-edge
 // counter itself and stays exact while a watch is active.

@@ -130,9 +130,10 @@ type layout struct {
 	// slot[id] is node id's storage slot: its index in store and in the
 	// meter's cells.
 	slot []int32
-	// single reports that every node holds exactly one item, so node id's
-	// reading sits at index id of the ID-ordered item list.
-	single bool
+	// firstItem[id] is the index of node id's first item in the ID-ordered
+	// item list (AllItems). It is nil when every node holds exactly one
+	// item, so node id's reading sits at index id.
+	firstItem []uint64
 }
 
 // TreeScratch returns the opaque tree-engine scratch attached to this
@@ -237,18 +238,26 @@ func NewFromTree(g *topology.Graph, tree *topology.Tree, items [][]uint64, maxX 
 	if len(tree.Order) != n {
 		panic(fmt.Sprintf("netsim: tree Order lists %d of %d nodes", len(tree.Order), n))
 	}
-	lay := &layout{slot: make([]int32, n), single: true}
+	lay := &layout{slot: make([]int32, n)}
 	for id := range lay.slot {
 		lay.slot[id] = -1
 	}
-	total := 0
+	single := true
 	for p, id := range tree.Order {
 		if id < 0 || int(id) >= n || lay.slot[id] >= 0 {
 			panic(fmt.Sprintf("netsim: tree Order is not a permutation of the nodes: %d at position %d", id, p))
 		}
 		lay.slot[id] = int32(p)
-		total += len(items[id])
-		lay.single = lay.single && len(items[id]) == 1
+		single = single && len(items[id]) == 1
+	}
+	total := n
+	if !single {
+		lay.firstItem = make([]uint64, n)
+		total = 0
+		for id, list := range items {
+			lay.firstItem[id] = uint64(total)
+			total += len(list)
+		}
 	}
 	backing := make([]Item, 0, total)
 	for _, id := range tree.Order {
@@ -357,11 +366,21 @@ func (nw *Network) ResetItems() {
 	}
 }
 
+// ItemKey returns the identity of node u's i-th item: its index in the
+// ID-ordered item list (AllItems). Sketch protocols hash it, and
+// core.LocalNet numbers its items the same way.
+func (nw *Network) ItemKey(u topology.NodeID, i int) uint64 {
+	if nw.lay.firstItem == nil {
+		return uint64(u)
+	}
+	return nw.lay.firstItem[u] + uint64(i)
+}
+
 // AllItems returns a copy of the full input multiset X in node ID order —
 // simulator-side ground truth for validators; protocols never call this.
 func (nw *Network) AllItems() []uint64 {
 	out := make([]uint64, len(nw.items))
-	if nw.lay.single {
+	if nw.lay.firstItem == nil {
 		// Slot p's one item is node Tree.Order[p]'s: read storage linearly.
 		for p, id := range nw.Tree.Order {
 			out[id] = nw.items[p].Orig

@@ -125,7 +125,7 @@ func TestZeroMeterSnapshotIsFree(t *testing.T) {
 	}
 	snap := m.Snapshot()
 	m.Charge(7, 9, 12)
-	m.ChargeN(9, 7, 0, 3) // messages without bits
+	m.ChargeEdgeSeq(9, 7, 0, 3) // messages without bits
 	if d := m.Since(snap); d != (Delta{MaxPerNode: 12, TotalBits: 12, Messages: 4}) {
 		t.Errorf("Since a zero snapshot = %+v", d)
 	}
@@ -222,4 +222,33 @@ func TestRunRoundsRejectsForgedSender(t *testing.T) {
 		}
 	}()
 	RunRounds(nw, bad, 2)
+}
+
+// TestItemKeysFollowAllItems: an item's key is its index in AllItems, on
+// one-item and multi-item networks alike, and forks share the keys.
+func TestItemKeysFollowAllItems(t *testing.T) {
+	g := topology.Grid(4, 4)
+	multi := make([][]uint64, g.N())
+	for i := range multi {
+		multi[i] = make([]uint64, i%3) // nodes with 0, 1 and 2 items
+	}
+	for name, nw := range map[string]*Network{
+		"single": New(g, values(g.N()), 100, WithRoot(5)),
+		"multi":  NewMulti(g, multi, 100, WithRoot(5)),
+	} {
+		for _, x := range []*Network{nw, nw.Fork(7)} {
+			next := uint64(0)
+			for _, nd := range x.Nodes {
+				for i := range nd.Items {
+					if got := x.ItemKey(nd.ID, i); got != next {
+						t.Fatalf("%s: node %d item %d has key %d, want %d", name, nd.ID, i, got, next)
+					}
+					next++
+				}
+			}
+			if next != uint64(len(x.AllItems())) {
+				t.Fatalf("%s: %d keys for %d items", name, next, len(x.AllItems()))
+			}
+		}
+	}
 }

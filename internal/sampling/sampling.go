@@ -73,19 +73,20 @@ type combiner struct {
 	k          int
 	valueWidth int
 	hasher     hashing.Hasher
-	keyBase    []uint64
+	// nw supplies the item keys (netsim.Network.ItemKey) the priorities
+	// hash.
+	nw *netsim.Network
 }
 
 var _ spantree.Combiner = combiner{}
 
 func (c combiner) Local(n *netsim.Node) any {
 	syn := &synopsis{k: c.k}
-	base := c.keyBase[n.ID]
 	for idx, it := range n.Items {
 		if !it.Active {
 			continue
 		}
-		prio := uint32(c.hasher.Hash(base+uint64(idx)) >> 32)
+		prio := uint32(c.hasher.Hash(c.nw.ItemKey(n.ID, idx)) >> 32)
 		syn.add(prio, it.Cur)
 	}
 	return syn
@@ -143,18 +144,12 @@ func Quantile(ops spantree.Ops, k int, seed uint64, phi float64) (Result, error)
 		return Result{}, fmt.Errorf("sampling: phi %g out of [0,1]", phi)
 	}
 	nw := ops.Network()
-	keyBase := make([]uint64, nw.N())
-	var base uint64
-	for i, nd := range nw.Nodes {
-		keyBase[i] = base
-		base += uint64(len(nd.Items))
-	}
 	before := nw.Meter.Snapshot()
 	c := combiner{
 		k:          k,
 		valueWidth: nw.ValueWidth,
 		hasher:     hashing.New(seed ^ 0x5a3c),
-		keyBase:    keyBase,
+		nw:         nw,
 	}
 	out, err := ops.Convergecast(c)
 	if err != nil {
