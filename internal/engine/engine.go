@@ -222,31 +222,27 @@ func (e *Engine) Session() *Session { return e.session }
 // result is written at its job's index, and jobs that never started are
 // marked with the context error. With fuse set, fusable jobs against one
 // deployment become a fusion batch dispatched to a single worker (see
-// fusion.go); everything else runs solo.
+// fusion.go); everything else runs solo. A twin gets its job's result.
 func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
-	units, audits := planUnits(jobs, fuse)
+	p := planUnits(jobs, fuse)
 	if sk := obs.Active(); sk != nil {
-		e.obsSubmit(sk, jobs, units)
+		e.obsSubmit(sk, jobs, p)
 	}
 	uidx := make(chan int)
 	var wg sync.WaitGroup
-	workers := e.workers
-	if workers > len(units) {
-		workers = len(units)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.workers, len(p.units)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for u := range uidx {
-				e.runUnit(ctx, jobs, units[u], audits, results)
+				e.runUnit(ctx, jobs, p, p.units[u], results)
 			}
 		}()
 	}
-	dispatched := make([]bool, len(units))
+	dispatched := make([]bool, len(p.units))
 feed:
-	for u := range units {
+	for u := range p.units {
 		select {
 		case uidx <- u:
 			dispatched[u] = true
@@ -256,11 +252,17 @@ feed:
 	}
 	close(uidx)
 	wg.Wait()
-	for u, unit := range units {
+	for u, unit := range p.units {
 		if !dispatched[u] {
 			for _, i := range unit {
 				results[i] = failedResult(jobs[i], ctx.Err())
 			}
+		}
+	}
+	for i, j := range p.twin {
+		if i != j {
+			results[i] = results[j]
+			results[i].ID = jobs[i].ID
 		}
 	}
 	return results
@@ -319,15 +321,9 @@ func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce) Result {
 // unknown state.
 func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce) Result {
 	start := time.Now()
-	nw, err := e.session.Instantiate(spec, job.runSeed())
+	nw, err := e.fork(spec, &job)
 	if err != nil {
 		return failedResult(job, err)
-	}
-	if job.Overlay != nil {
-		if err := job.Overlay.apply(nw); err != nil {
-			nw.Release()
-			return failedResult(job, err)
-		}
 	}
 	before := nw.Meter.Snapshot()
 	ans, err := e.execute(nw, spec, job.Query, aud)
@@ -344,6 +340,18 @@ func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce) Result {
 	r.ID = job.ID
 	nw.Release()
 	return r
+}
+
+// fork instantiates job's run network on spec with its overlay applied.
+func (e *Engine) fork(spec Spec, job *Job) (*netsim.Network, error) {
+	nw, err := e.session.Instantiate(spec, job.runSeed())
+	if err == nil && job.Overlay != nil {
+		if err = job.Overlay.apply(nw); err != nil {
+			nw.Release()
+			nw = nil
+		}
+	}
+	return nw, err
 }
 
 // resultFrom assembles a Result from an executed answer and its meter

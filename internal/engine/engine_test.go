@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
+	"sensoragg/internal/topology"
 	"sensoragg/internal/wire"
 	"sensoragg/internal/workload"
 )
@@ -22,7 +24,7 @@ func gridSpec(n int, seed uint64) Spec {
 func serialReference(t *testing.T, job Job) Result {
 	t.Helper()
 	spec := job.Spec.Normalize()
-	g, err := BuildGraph(spec.Topology, spec.N, spec.Seed)
+	g, err := topology.Build(spec.Topology, spec.N, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +39,17 @@ func serialReference(t *testing.T, job Job) Result {
 }
 
 // executeSerial runs one query serially against an existing per-run
-// network: the engine's execution path without the pool or the fork.
+// network: the engine's execution path without the pool or the fork. Like
+// Session.Instantiate, it attaches an active fault plan the network lacks,
+// forked from the network's seed.
 func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
 	spec = spec.Normalize()
+	if spec.Faults.Active() && nw.Faults == nil {
+		if err := spec.Faults.Validate(); err != nil {
+			return Result{}, err
+		}
+		nw.Faults = faults.New(spec.Faults, nw.N(), nw.Root(), nw.Seed())
+	}
 	before := nw.Meter.Snapshot()
 	start := time.Now()
 	ans, err := new(Engine).execute(nw, spec, q, nil)
@@ -299,7 +309,8 @@ func TestReportJSON(t *testing.T) {
 		jobs = append(jobs, Job{Spec: gridSpec(100, seed), Query: Query{Kind: KindMedian}})
 		jobs = append(jobs, Job{Spec: gridSpec(100, seed), Query: Query{Kind: KindCount}})
 	}
-	rep := e.RunReport(context.Background(), jobs)
+	start := time.Now()
+	rep := Collect(e, e.Submit(context.Background(), jobs), time.Since(start))
 	if rep.Jobs != 6 || rep.Failed != 0 {
 		t.Fatalf("report jobs/failed = %d/%d, want 6/0", rep.Jobs, rep.Failed)
 	}

@@ -7,7 +7,6 @@ import (
 	"sensoragg/internal/agg"
 	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
-	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
@@ -109,9 +108,9 @@ type robustInfo struct {
 // private to this run: execute mutates node items (zoom/filter stages) and
 // charges the meter freely.
 //
-// A spec with an active fault plan reshapes the run: the plan is attached
-// to the network (forked from the run seed unless the session already
-// attached one), structural faults trigger a spantree.Heal repair whose
+// A spec with an active fault plan reshapes the run: the plan attached to
+// the network (Session.Instantiate forks it from the run seed) is checked
+// against the kind, structural faults trigger a spantree.Heal repair whose
 // traffic is charged to the meter before the query runs, and the
 // simulator-side ground truth shrinks to the surviving, reconnected nodes
 // — the population the healed tree can actually aggregate. aud is the byz
@@ -127,12 +126,6 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		q.Where = &where
 	}
 
-	if spec.Faults.Active() && nw.Faults == nil {
-		if err := spec.Faults.Validate(); err != nil {
-			return answer{}, err
-		}
-		nw.Faults = faults.New(spec.Faults, nw.N(), nw.Root(), nw.Seed())
-	}
 	if p := nw.Faults; p != nil && p.Active() {
 		if err := k.faultSupport(p.Spec()); err != nil {
 			return answer{}, err
@@ -212,9 +205,10 @@ func executeRobust(r *run, k *kind, heal *spantree.HealResult, aud *auditOnce) (
 }
 
 // auditOnce is the byz audit and cross-check the robust jobs of one Submit
-// share when they agree on auditKey: the same deployment, fault plan, run
-// seed and overlay make byz.Localize the same on each fork, and the sketch
-// precision fixes the cross-check. It lives for that call only.
+// share when they agree on fuseKey and sketch precision: the same
+// deployment, fault plan, run seed and overlay make byz.Localize the same on
+// each fork, and the sketch precision fixes the cross-check. It lives for
+// that call only.
 type auditOnce struct {
 	once sync.Once
 	out  *byz.Outcome
@@ -274,8 +268,3 @@ type aggregator interface {
 	Average(core.Domain, wire.Pred) (float64, bool)
 	MultiAggregate(core.Domain, wire.Pred) (count, sum, lo, hi uint64, ok bool)
 }
-
-var (
-	_ aggregator = (*agg.Net)(nil)
-	_ aggregator = (*byz.RobustNet)(nil)
-)

@@ -8,6 +8,7 @@ import (
 
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
+	"sensoragg/internal/topology"
 	"sensoragg/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func TestZeroFaultPlanIsByteIdentical(t *testing.T) {
 
 			// Instantiated inactive plan attached straight to the network.
 			spec := job.Spec.Normalize()
-			g, err := BuildGraph(spec.Topology, spec.N, spec.Seed)
+			g, err := topology.Build(spec.Topology, spec.N, spec.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}

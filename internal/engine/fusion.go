@@ -259,71 +259,107 @@ type fuseKey struct {
 	overlay *Overlay
 }
 
-// auditKey groups robust jobs that share a byz audit (a function of fuseKey)
-// and cross-check (also of the resolved sketch precision).
-type auditKey struct {
-	fuseKey
-	sketchP int
+// plan is how one Submit executes its jobs.
+type plan struct {
+	// units are the execution units, each one solo job or the fusion group
+	// of one fuseKey, dispatched to the worker pool as wholes. Results are
+	// written back by original job index, so fusion never reorders them.
+	units [][]int
+	// twin[i] is the job whose execution answers job i: i itself, or an
+	// earlier job equal to it — same fuseKey, same resolved query — which
+	// makes job i a twin that joins no unit. nil while no job has a twin.
+	twin []int
+	// audits are the byz audits robust jobs share, by job index.
+	audits map[int]*auditOnce
+	fuse   bool
 }
 
-// planUnits partitions jobs into execution units: a unit is either one
-// solo job or a fusion batch of ≥2 compatible jobs. Units are dispatched
-// to the worker pool as wholes; results are always written back by
-// original job index, so fusion never reorders a batch's results. Every
-// robust job under an adversary with a partner on its auditKey gets their
-// group's shared audit and cross-check, by job index; others audit alone.
-func planUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*auditOnce) {
-	units = make([][]int, 0, len(jobs))
-	groups := make(map[fuseKey]int)
-	// Audit groups are few (one per deployment and epoch), so they are
-	// found by scanning: per group, its key and its first job.
-	keys, first := make([]auditKey, 0, 8), make([]int, 0, 8)
+// planUnits plans jobs: twins first, then units over the distinct jobs.
+// Robust jobs under an adversary that agree on fuseKey and sketch precision
+// share one audit and cross-check; a job without such a partner audits alone.
+func planUnits(jobs []Job, fuse bool) plan {
+	p := plan{units: make([][]int, 0, len(jobs)), fuse: fuse}
 	for i := range jobs {
-		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
-		if jobs[i].Query.Robust && jobs[i].Spec.Faults.Byz > 0 {
-			ak := auditKey{key, jobs[i].Query.WithDefaults().SketchP}
-			if g := slices.Index(keys, ak); g < 0 {
-				keys, first = append(keys, ak), append(first, i)
-			} else {
-				if audits == nil {
-					audits = make(map[int]*auditOnce)
+		b := &jobs[i]
+		key := fuseKey{spec: b.Spec.Normalize(), seed: b.runSeed(), overlay: b.Overlay}
+		if _, j := p.planned(jobs, key, func(a *Job) bool { return sameQuery(a.Query, b.Query) }); j >= 0 {
+			if p.twin == nil {
+				p.twin = make([]int, len(jobs))
+				for k := range p.twin {
+					p.twin[k] = k
 				}
-				if audits[first[g]] == nil {
-					audits[first[g]] = new(auditOnce)
-				}
-				audits[i] = audits[first[g]]
 			}
-		}
-		// Robust jobs stay solo: the byz tier aggregates per sector with
-		// its own trimmed plane, which the shared probe schedule cannot
-		// represent. So do WHERE jobs: each filters its own multiset.
-		if !fuse || kindOf(jobs[i].Query.Kind).member == nil || jobs[i].Query.Robust || jobs[i].Query.Where != nil {
-			units = append(units, []int{i})
+			p.twin[i] = j
 			continue
 		}
-		if u, ok := groups[key]; ok {
-			units[u] = append(units[u], i)
+		if b.Query.Robust && b.Spec.Faults.Byz > 0 {
+			if _, j := p.planned(jobs, key, func(a *Job) bool {
+				return a.Query.Robust && a.Query.WithDefaults().SketchP == b.Query.WithDefaults().SketchP
+			}); j >= 0 {
+				if p.audits == nil {
+					p.audits = make(map[int]*auditOnce)
+				}
+				if p.audits[j] == nil {
+					p.audits[j] = new(auditOnce)
+				}
+				p.audits[i] = p.audits[j]
+			}
+		}
+		if u, _ := p.planned(jobs, key, p.fused); u >= 0 && p.fused(b) {
+			p.units[u] = append(p.units[u], i) // into key's fusion group
 		} else {
-			groups[key] = len(units)
-			units = append(units, []int{i})
+			p.units = append(p.units, []int{i})
 		}
 	}
-	return units, audits
+	return p
+}
+
+// planned returns the unit and the first planned job on key that same
+// accepts, or -1, -1.
+func (p *plan) planned(jobs []Job, key fuseKey, same func(*Job) bool) (int, int) {
+	for u, idxs := range p.units {
+		for _, j := range idxs {
+			if a := &jobs[j]; a.Overlay == key.overlay && same(a) && a.runSeed() == key.seed && a.Spec.Normalize() == key.spec {
+				return u, j
+			}
+		}
+	}
+	return -1, -1
+}
+
+// fused reports whether job joins its fuseKey's fusion group. Robust jobs
+// stay solo: the byz tier aggregates per sector with its own trimmed plane,
+// which the shared probe schedule cannot represent. So do WHERE jobs: each
+// filters its own multiset.
+func (p plan) fused(job *Job) bool {
+	return p.fuse && kindOf(job.Query.Kind).member != nil && !job.Query.Robust && job.Query.Where == nil
+}
+
+// answers is the number of jobs job j's execution answers: j and its twins.
+func (p plan) answers(j int) int {
+	n := 1
+	for _, of := range p.twin[min(j+1, len(p.twin)):] {
+		if of == j {
+			n++
+		}
+	}
+	return n
+}
+
+// batch reports whether unit u runs as a fusion batch: a fusion group that
+// answers two jobs or more, twins included — a statement asked twice is a
+// batch of one member.
+func (p plan) batch(jobs []Job, u []int) bool {
+	return len(u) > 1 || p.fused(&jobs[u[0]]) && p.answers(u[0]) > 1
 }
 
 // runUnit executes one unit, writing results by original job index.
-func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map[int]*auditOnce, results []Result) {
-	if len(idxs) == 1 {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], audits[idxs[0]])
+func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
+	if !p.batch(jobs, idxs) {
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.audits[idxs[0]])
 		return
 	}
-	if err := ctx.Err(); err != nil {
-		for _, i := range idxs {
-			results[i] = failedResult(jobs[i], err)
-		}
-		return
-	}
-	solo := e.runFusedGroup(ctx, jobs, idxs, results)
+	solo := e.runFusedGroup(ctx, jobs, p, idxs, results)
 	if sk := obs.Active(); sk != nil && len(solo) > 0 {
 		sk.FusionSolo.Add(int64(len(solo)))
 	}
@@ -335,43 +371,38 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, idxs []int, audits map
 	}
 }
 
-// sameQuery reports whether two resolved queries are field-for-field equal:
-// the members of one batch for which it holds are one statement asked more
-// than once, and share a slot.
-func sameQuery(a, b *Query) bool {
+// sameQuery reports whether two queries are field-for-field equal once
+// resolved: jobs on one fuseKey for which it holds are one statement asked
+// more than once, and run once. Only queries of one kind resolve (a fused
+// query's defaults allocate).
+func sameQuery(a, b Query) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	a, b = a.WithDefaults(), b.WithDefaults()
 	return a.Kind == b.Kind && a.K == b.K && a.Phi == b.Phi && a.Eps == b.Eps && a.Beta == b.Beta &&
 		a.SketchP == b.SketchP && a.Where == b.Where && a.ProbeWidth == b.ProbeWidth &&
 		a.Robust == b.Robust && slices.Equal(a.Phis, b.Phis) && slices.Equal(a.Aggs, b.Aggs) &&
 		slices.Equal(a.SeedWindows, b.SeedWindows)
 }
 
-// runFusedGroup executes a fusion batch on one forked network and writes
+// runFusedGroup executes a fusion group on one forked network and writes
 // member results by original index. It returns the indices that must
 // finish solo: members whose parameters need the solo error path, members
-// the deadline detached, and — on a batch-level panic — every member not
-// yet answered. A panicking batch skips the pool release, like a
-// panicking solo run.
-func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, results []Result) (solo []int) {
+// the deadline detached, and — on a panic before every member's answer is
+// assembled — the whole group. A panicking batch skips the pool release,
+// like a panicking solo run.
+func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) (solo []int) {
 	spec := jobs[idxs[0]].Spec.Normalize()
 	start := time.Now()
 	var deadline time.Time
 	if e.timeout > 0 {
 		deadline = start.Add(e.timeout)
 	}
-	// written is indexed like results; a small Submit keeps it on the stack.
-	var few [32]bool
-	written := few[:]
-	if len(results) > len(few) {
-		written = make([]bool, len(results))
-	}
+	settled := false // every member's result is assembled and final
 	defer func() {
-		if r := recover(); r != nil {
-			solo = solo[:0]
-			for _, i := range idxs {
-				if !written[i] {
-					solo = append(solo, i)
-				}
-			}
+		if r := recover(); r != nil && !settled {
+			solo = append(solo[:0], idxs...)
 		}
 	}()
 
@@ -379,19 +410,15 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	failAll := func(err error) []int {
 		for _, i := range idxs {
 			results[i] = failedResult(jobs[i], err)
-			written[i] = true
 		}
 		return nil
 	}
-	nw, err := e.session.Instantiate(spec, jobs[idxs[0]].runSeed())
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return failAll(err)
 	}
-	if ov := jobs[idxs[0]].Overlay; ov != nil {
-		if err := ov.apply(nw); err != nil {
-			nw.Release()
-			return failAll(err)
-		}
+	nw, err := e.fork(spec, &jobs[idxs[0]])
+	if err != nil {
+		return failAll(err)
 	}
 	before := nw.Meter.Snapshot()
 	fe, hr, err := spantree.NewFastHealed(nw)
@@ -402,35 +429,28 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 	fe.SetWorkers(e.treeWorkers)
 	truth := &groundTruth{nw: nw, view: fe.View()}
 
-	// Members whose resolved queries are equal (seed windows included) share
-	// one slot — one member, one stepper, one assembled answer: the mux
-	// dedups their thresholds anyway, so every bit and sweep is what a slot
-	// each would cost. slot[k] is job memberIdx[k]'s (one allocation for both).
-	queries := make([]Query, 0, 4)
-	members := make([]member, 0, 4)
-	ints := make([]int, 2*len(idxs))
-	memberIdx, slot := ints[:0:len(idxs)], ints[len(idxs):][:0]
-	for _, ji := range idxs {
+	// One member per job: the group holds no twins, so members[k] is job
+	// idxs[k] once the jobs whose slots fail move behind the members. The
+	// batch's size counts the twins its members answer.
+	queries := make([]Query, 0, len(idxs))
+	members := make([]member, 0, len(idxs))
+	batch := 0
+	for k, ji := range idxs {
 		q := jobs[ji].Query.WithDefaults()
-		s := 0
-		for s < len(queries) && !sameQuery(&queries[s], &q) {
-			s++
+		mb, err := kindOf(q.Kind).slot(q, truth.count())
+		if err != nil {
+			solo = append(solo, ji)
+			continue
 		}
-		if s == len(queries) {
-			mb, err := kindOf(q.Kind).slot(q, truth.count())
-			if err != nil {
-				solo = append(solo, ji)
-				continue
-			}
-			queries, members = append(queries, q), append(members, mb)
-		}
-		memberIdx, slot = append(memberIdx, ji), append(slot, s)
+		idxs[k], idxs[len(members)] = idxs[len(members)], ji
+		queries, members = append(queries, q), append(members, mb)
+		batch += p.answers(ji)
 	}
-	if len(memberIdx) < 2 {
+	if batch < 2 {
 		// A batch of one has nothing to share; its solo run is the same
 		// protocol without the fusion bookkeeping.
 		nw.Release()
-		return append(solo, memberIdx...)
+		return append(solo, idxs[:len(members)]...)
 	}
 
 	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth}, deadline)
@@ -440,25 +460,17 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		// Batch-impossible (empty active multiset): every member reports
 		// it through its own solo path.
 		nw.Release()
-		return append(solo, memberIdx...)
+		return append(solo, idxs[:len(members)]...)
 	}
 
-	// One answer per slot, over one ground truth per batch.
-	shared := fusedDetail(len(memberIdx), o.res.sweeps)
-	answers := make([]answer, len(members))
-	for mi := range o.res.members {
-		if mr := &o.res.members[mi]; !mr.detached && mr.err == nil {
-			answers[mi] = o.answer(&members[mi], mr, shared)
-		}
-	}
+	shared := fusedDetail(batch, o.res.sweeps)
 	sk := obs.Active()
 	var span uint64
 	if sk != nil {
 		span = sk.Tracer.NextSpan()
 	}
 	detached := 0
-	for k, ji := range memberIdx {
-		mi := slot[k]
+	for mi, ji := range idxs[:len(members)] {
 		mr := &o.res.members[mi]
 		if mr.detached {
 			detached++
@@ -473,22 +485,19 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, idxs []int, resu
 		}
 		if mr.err != nil {
 			results[ji] = failedResult(jobs[ji], mr.err)
-			written[ji] = true
 			continue
 		}
-		// The slot's query stands in for the job's own, equal field for
-		// field: duplicates share its slices like they share the answer's.
-		r := resultFrom(spec, queries[mi], answers[mi], d, wall)
+		r := resultFrom(spec, queries[mi], o.answer(&members[mi], mr, shared), d, wall)
 		r.ID = jobs[ji].ID
 		r.Fused = true
 		r.SharedSweeps = o.res.sweeps
 		r.SeededSweeps = mr.seededSweeps
 		r.SeedHit = mr.seedHit
 		results[ji] = r
-		written[ji] = true
 	}
+	settled = true
 	if sk != nil {
-		e.obsFusedBatch(sk, span, jobs[idxs[0]], len(memberIdx), detached, o.res.sweeps, o.res.probes, d, wall)
+		e.obsFusedBatch(sk, span, jobs[idxs[0]], batch, detached, o.res.sweeps, o.res.probes, d, wall)
 	}
 	nw.Release()
 	return solo

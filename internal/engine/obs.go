@@ -16,18 +16,21 @@ import (
 
 // obsSubmit records one grouping event per runAll: how many jobs were
 // planned into how many execution units (units smaller than the job
-// count mean fusion batched something).
-func (e *Engine) obsSubmit(sk *obs.Sink, jobs []Job, units [][]int) {
-	fused := 0
-	for _, u := range units {
-		if len(u) > 1 {
+// count mean fusion batched something), and how many jobs are twins,
+// answered by another job's execution.
+func (e *Engine) obsSubmit(sk *obs.Sink, jobs []Job, p plan) {
+	fused, twins := 0, len(jobs)
+	for _, u := range p.units {
+		twins -= len(u)
+		if p.batch(jobs, u) {
 			fused++
 		}
 	}
 	sk.Tracer.Emit("engine.submit", 0,
 		obs.KV{K: "jobs", V: int64(len(jobs))},
-		obs.KV{K: "units", V: int64(len(units))},
-		obs.KV{K: "fused_units", V: int64(fused)})
+		obs.KV{K: "units", V: int64(len(p.units))},
+		obs.KV{K: "fused_units", V: int64(fused)},
+		obs.KV{K: "twins", V: int64(twins)})
 }
 
 // obsSoloJob records one event per job executed outside a fused batch.

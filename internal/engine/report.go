@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,13 +102,6 @@ func Collect(e *Engine, results []Result, batchWall time.Duration) *Report {
 	}
 	sort.Slice(r.Summary, func(i, j int) bool { return r.Summary[i].Kind < r.Summary[j].Kind })
 	return r
-}
-
-// RunReport executes jobs and collects the batch into a report.
-func (e *Engine) RunReport(ctx context.Context, jobs []Job) *Report {
-	start := time.Now()
-	results := e.Submit(ctx, jobs)
-	return Collect(e, results, time.Since(start))
 }
 
 // FormatValue renders a query answer the way the CLIs print it: integers

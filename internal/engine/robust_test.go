@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sensoragg/internal/faults"
+	"sensoragg/internal/topology"
 	"sensoragg/internal/workload"
 )
 
@@ -143,7 +144,7 @@ func TestRobustLocalizesAndBounds(t *testing.T) {
 func rankWindowContains(t *testing.T, spec Spec, v float64, bound uint64) bool {
 	t.Helper()
 	ns := spec.Normalize()
-	g, err := BuildGraph(ns.Topology, ns.N, ns.Seed)
+	g, err := topology.Build(ns.Topology, ns.N, ns.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,8 @@ func (s *Session) Graph(spec Spec) (*topology.Graph, *topology.Tree, error) {
 				e.err = fmt.Errorf("engine: building graph for %s: %v", spec, r)
 			}
 		}()
-		g, err := BuildGraph(spec.Topology, spec.N, spec.Seed)
+		// Every generator topology.Build registers is a valid Spec.Topology.
+		g, err := topology.Build(spec.Topology, spec.N, spec.Seed)
 		if err != nil {
 			e.err = err
 			return

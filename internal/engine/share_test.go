@@ -16,8 +16,8 @@ import (
 )
 
 // These are the identity suites for what one Submit shares between its
-// jobs: the byz audit of a robust group and the slot of duplicate fused
-// members. Sharing is host-side only, so the oracle is always the same
+// jobs: the byz audit of a robust group and the execution of twins (equal
+// jobs). Sharing is host-side only, so the oracle is always the same
 // jobs run without a partner to share with. Run with -race.
 
 // sameResult asserts two results are equal in every field but WallNS.
@@ -29,10 +29,10 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestSharedAuditMatchesSoloSubmits: R robust jobs of mixed kinds submitted
-// together — three groups, interleaved, so three audits and cross-checks
-// are shared — report exactly what each reports submitted alone, where it
-// audits for itself. The jobs on seed 3 mix two sketch precisions (the
+// TestSharedAuditMatchesSoloSubmits: R robust jobs of mixed kinds and a
+// twin of the first submitted together — three groups, interleaved, so
+// three audits and cross-checks are shared — report exactly what each
+// reports submitted alone, where it audits for itself. The jobs on seed 3 mix two sketch precisions (the
 // default both implicit and explicit), which must not share a cross-check.
 // Under drop/dup every job audits alone, so together ≡ alone still holds.
 func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
@@ -57,8 +57,13 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 				jobs = append(jobs, job)
 			}
 		}
-		_, audits := planUnits(jobs, false)
-		if len(audits) != len(jobs) || audits[0] != audits[4] || audits[2] != audits[6] ||
+		// A twin of job 0 is answered by job 0's execution, and joins no
+		// audit group.
+		twin := jobs[0]
+		twin.ID += "-twin"
+		jobs = append(jobs, twin)
+		audits := planUnits(jobs, false).audits
+		if len(audits) != len(jobs)-1 || audits[0] != audits[4] || audits[2] != audits[6] ||
 			audits[0] == audits[1] || audits[0] == audits[2] || audits[1] == audits[2] {
 			t.Fatalf("%s: %d of %d jobs share an audit; want all of them, grouped by deployment and sketch precision", mode, len(audits), len(jobs))
 		}
@@ -102,7 +107,7 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 		{Spec: spec, Query: robust, Overlay: ov},                               // 6: alone on its overlay
 		{Spec: spec, Query: Query{Kind: KindMedian, Robust: true, SketchP: 8}}, // 7: alone on its precision
 	}
-	_, audits := planUnits(jobs, true)
+	audits := planUnits(jobs, true).audits
 	if audits[0] == nil || audits[0] != audits[1] {
 		t.Fatal("the two robust jobs of one deployment do not share an audit")
 	}
@@ -111,7 +116,7 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 			t.Errorf("job %d shares an audit; it has nobody to share with", i)
 		}
 	}
-	if _, none := planUnits(jobs[2:3], true); none != nil {
+	if none := planUnits(jobs[2:3], true).audits; none != nil {
 		t.Error("a Submit without robust jobs allocated audit state")
 	}
 }
@@ -297,8 +302,8 @@ func TestDuplicateMembersShareOneSlot(t *testing.T) {
 }
 
 // TestDetachedSlotDetachesEveryDuplicate: when the batch deadline detaches
-// a slot, every job that shared it finishes solo under its own ID — here
-// into its own deadline failure, never into a zero Result.
+// a member, it finishes solo and every twin of it gets that result under
+// its own ID — here a deadline failure, never a zero Result.
 func TestDetachedSlotDetachesEveryDuplicate(t *testing.T) {
 	spec := gridSpec(400, 5)
 	var jobs []Job

@@ -25,7 +25,6 @@ import (
 
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
-	"sensoragg/internal/topology"
 	"sensoragg/internal/workload"
 )
 
@@ -102,15 +101,6 @@ func (s Spec) Normalize() Spec {
 		s.MaxChildren = netsim.DefaultMaxChildren
 	}
 	return s
-}
-
-// BuildGraph constructs the topology named by kind with ~n nodes. The seed
-// only matters for random geometric graphs. It delegates to the
-// topology.Build registry, so every generator registered there (including
-// the scenario lab's pathological shapes — barbell, densegrid) is a valid
-// Spec.Topology.
-func BuildGraph(kind string, n int, seed uint64) (*topology.Graph, error) {
-	return topology.Build(kind, n, seed)
 }
 
 // graphKey identifies a cached (graph, tree) pair. Only random geometric

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"time"
 )
 
@@ -49,6 +50,12 @@ func WithProbeWidth(w int) SubmitOption {
 // protocol error, deadline) are reported in the corresponding Result,
 // never as an error for the whole submission.
 //
+// Equal jobs run once: a job equal to an earlier one (same normalized spec,
+// run seed, overlay pointer and resolved query) is its twin and gets that
+// job's Result under its own ID — what it would get alone, but for WallNS.
+// Twins share the Result's slices, so results are read-only. A fusion batch
+// counts its members' twins. queries_total counts executions, not answers.
+//
 // Options apply to this call only: WithFusion turns the submission's
 // fusable jobs into shared-sweep batches, WithDeadline bounds each query,
 // WithProbeWidth defaults the jobs' probe widths.
@@ -64,8 +71,7 @@ func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) [
 		run = &derived
 	}
 	if cfg.probeWidth != 0 {
-		widened := make([]Job, len(jobs))
-		copy(widened, jobs)
+		widened := slices.Clone(jobs)
 		for i := range widened {
 			if widened[i].Query.ProbeWidth == 0 {
 				widened[i].Query.ProbeWidth = cfg.probeWidth

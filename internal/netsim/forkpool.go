@@ -43,7 +43,7 @@ func (p *ForkPool) Get(seed uint64) *Network {
 		nw.pool = p
 		return nw
 	}
-	nw.resetForRun(seed)
+	nw.resetForRun(p.template, seed)
 	return nw
 }
 

@@ -8,14 +8,16 @@ import (
 	"sensoragg/internal/topology"
 )
 
-// drainRNG pulls a few values from every node's random stream and mutates
-// items/scratch/meter, simulating a run that dirtied the network.
+// dirty pulls a few values from every node's random stream and mutates
+// items (readings included), scratch and meter, simulating a run that
+// dirtied the network.
 func dirty(nw *Network) {
 	for _, nd := range nw.Nodes {
 		nd.RNG().Uint64()
 		nd.RNG().Uint64()
 		nd.Scratch = "stale"
 		for i := range nd.Items {
+			nd.Items[i].Orig++ // an injected reading (the engine's epoch overlay)
 			nd.Items[i].Cur = 0
 			nd.Items[i].Active = false
 		}

@@ -319,11 +319,12 @@ func (nw *Network) Fork(seed uint64) *Network {
 }
 
 // resetForRun turns an already-forked network back into exactly what
-// Fork(seed) would build: items restored to their original active state,
-// scratch cleared, RNG streams reseeded in place, meter zeroed, fault plan
-// detached. This is ForkPool's reset-into-place path; byte-identity with a
-// fresh fork is asserted by tests.
-func (nw *Network) resetForRun(seed uint64) {
+// template.Fork(seed) would build: items restored to the template's
+// readings (a run may have injected its own) and active, scratch cleared,
+// RNG streams reseeded in place, meter zeroed, fault plan detached. This is
+// ForkPool's reset-into-place path; byte-identity with a fresh fork is
+// asserted by tests.
+func (nw *Network) resetForRun(template *Network, seed uint64) {
 	nw.seed = seed
 	nw.Faults = nil
 	nw.Meter.Reset()
@@ -333,7 +334,9 @@ func (nw *Network) resetForRun(seed uint64) {
 		nd.Scratch = nil
 		nd.pcg.Seed(seed, nodeStream(int(nd.ID)))
 	}
-	nw.ResetItems()
+	for i, it := range template.items {
+		nw.items[i] = Item{Orig: it.Orig, Cur: it.Orig, Active: true}
+	}
 }
 
 // Release returns a pooled network to its ForkPool for reuse by a later

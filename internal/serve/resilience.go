@@ -101,7 +101,7 @@ func (s *Service) serveLKGLocked(e int, subs []*Subscription) ([]Result, int64) 
 		}
 		sub.seen = 0 // no fresh answer: restart the delta-narrowing history
 		out[i] = r
-		if !subStillAttached(s.subs, sub) {
+		if sub.detached {
 			continue
 		}
 		s.pushLocked(sub, r, &drops)
@@ -129,15 +129,4 @@ func (s *Service) pushLocked(sub *Subscription, r Result, drops *int64) {
 			*drops++
 		}
 	}
-}
-
-// subStillAttached reports whether sub is still subscribed (it may have
-// unsubscribed while a batch ran).
-func subStillAttached(subs []*Subscription, sub *Subscription) bool {
-	for _, have := range subs {
-		if have == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -278,6 +278,10 @@ type Subscription struct {
 	lkg      engine.Result
 	lkgEpoch int
 	hasLKG   bool
+
+	// detached, guarded by svc.mu, is set once Unsubscribe or Close has
+	// closed ch: an epoch already running delivers nothing more to it.
+	detached bool
 }
 
 // Results is the channel of per-epoch answers.
@@ -304,14 +308,13 @@ func (sub *Subscription) Unsubscribe() {
 }
 
 func (sub *Subscription) detachLocked() {
-	s := sub.svc
-	for i, have := range s.subs {
-		if have == sub {
-			s.subs = slices.Delete(s.subs, i, i+1)
-			close(sub.ch)
-			return
-		}
+	if sub.detached {
+		return
 	}
+	s := sub.svc
+	s.subs = slices.DeleteFunc(s.subs, func(have *Subscription) bool { return have == sub })
+	sub.detached = true
+	close(sub.ch)
 }
 
 // Subscribe registers a standing statement. Every subsequent epoch
@@ -639,7 +642,7 @@ func (s *Service) AdvanceEpoch(ctx context.Context) []Result {
 			}
 		}
 		out[i] = r
-		if !slices.Contains(s.subs, sub) {
+		if sub.detached {
 			continue // unsubscribed while the batch ran
 		}
 		s.pushLocked(sub, r, &drops)
@@ -753,6 +756,9 @@ func (s *Service) Close() {
 	pend := s.takePendingLocked()
 	subs := slices.Clone(s.subs)
 	s.subs = nil
+	for _, sub := range subs {
+		sub.detached = true
+	}
 	tickStop, tickDone := s.tickStop, s.tickDone
 	s.mu.Unlock()
 

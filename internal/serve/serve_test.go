@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"sensoragg/internal/engine"
+	"sensoragg/internal/faults"
 	"sensoragg/internal/topology"
 	"sensoragg/internal/workload"
 )
@@ -311,8 +315,9 @@ func TestStatementFallbackAndAggregates(t *testing.T) {
 }
 
 // TestUnsubscribeAndClose: unsubscribing closes the channel and stops
-// deliveries; Close fails pending window queries and closes every
-// remaining channel.
+// deliveries — also for a subscription detached while its epoch's batch is
+// in flight, while the others still receive it; Close fails pending window
+// queries and closes every remaining channel.
 func TestUnsubscribeAndClose(t *testing.T) {
 	svc, err := New(Options{Spec: testSpec(23), FuseWindow: time.Hour})
 	if err != nil {
@@ -328,6 +333,23 @@ func TestUnsubscribeAndClose(t *testing.T) {
 	out := svc.AdvanceEpoch(context.Background())
 	if len(out) != 1 || out[0].SubID != b.ID {
 		t.Fatalf("expected only sub %d to run, got %+v", b.ID, out)
+	}
+	if r := <-b.Results(); r.Epoch != 1 {
+		t.Fatalf("sub %d received epoch %d, want 1", b.ID, r.Epoch)
+	}
+
+	// c unsubscribes from inside the engine's Submit: its epoch runs it,
+	// but delivers it nothing.
+	c, _ := svc.Subscribe(context.Background(), "SELECT count(value)")
+	out = svc.AdvanceEpoch(&pollHook{Context: context.Background(), hook: c.Unsubscribe})
+	if len(out) != 2 || out[1].SubID != c.ID {
+		t.Fatalf("expected subs %d and %d to run, got %+v", b.ID, c.ID, out)
+	}
+	if r, ok := <-c.Results(); ok {
+		t.Errorf("sub %d, detached mid-batch, received epoch %d", c.ID, r.Epoch)
+	}
+	if r := <-b.Results(); r.Epoch != 2 || r.Failed() {
+		t.Fatalf("sub %d received epoch %d (%s), want 2", b.ID, r.Epoch, r.Error)
 	}
 
 	qdone := make(chan error, 1)
@@ -359,6 +381,63 @@ func TestUnsubscribeAndClose(t *testing.T) {
 	}
 	if out := svc.AdvanceEpoch(context.Background()); out != nil {
 		t.Error("AdvanceEpoch after Close ran")
+	}
+}
+
+// pollHook runs hook the first time it is polled for cancellation, which
+// the engine does from inside Submit, while the service holds no lock.
+type pollHook struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *pollHook) Err() error {
+	c.once.Do(c.hook)
+	return c.Context.Err()
+}
+
+// TestRobustTwinSubscriptions: two subscriptions to one robust statement
+// are one job asked twice, so they receive results identical in every byte
+// but SubID and ID, epoch after epoch. Unsubscribing one after epoch 2
+// leaves the other's stream what it is when nobody unsubscribes.
+func TestRobustTwinSubscriptions(t *testing.T) {
+	spec := engine.Spec{Topology: "grid", N: 256, Workload: string(workload.Uniform), Seed: 31,
+		Faults: faults.Spec{Byz: 0.05}}
+	stream := func(unsubscribe bool) (kept []Result) {
+		svc, err := New(Options{Spec: spec, Robust: true, Update: drift(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		a, _ := svc.Subscribe(context.Background(), "SELECT median(value)")
+		b, _ := svc.Subscribe(context.Background(), "SELECT median(value)")
+		for e := 1; e <= 5; e++ {
+			if e == 3 && unsubscribe {
+				a.Unsubscribe()
+			}
+			out := svc.AdvanceEpoch(context.Background())
+			rb := out[len(out)-1]
+			if rb.SubID != b.ID || rb.Failed() || !rb.Robust || !rb.Exact {
+				t.Fatalf("epoch %d: sub %d got %+v", e, b.ID, rb)
+			}
+			if e < 3 || !unsubscribe {
+				ra := out[0]
+				ra.SubID, ra.ID = rb.SubID, rb.ID
+				ja, _ := json.Marshal(ra)
+				jb, _ := json.Marshal(rb)
+				if !bytes.Equal(ja, jb) {
+					t.Errorf("epoch %d: twin subscriptions differ:\n%s\n%s", e, ja, jb)
+				}
+			}
+			rb.WallNS = 0
+			kept = append(kept, rb)
+		}
+		return kept
+	}
+	alone, both := stream(true), stream(false)
+	if !reflect.DeepEqual(alone, both) {
+		t.Errorf("unsubscribing the twin changed the other's stream:\n%+v\n%+v", alone, both)
 	}
 }
 
