@@ -433,10 +433,11 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMedianBatched — the k-ary probe plane against classic bisection
-// on one 4096-node grid: "bisect" is the Fig. 1 binary search, width=k
-// batches k COUNT probes per CountVec sweep. The sweeps/op metric is the
-// round count the batching compresses.
+// BenchmarkMedianBatched — the k-ary probe plane against bisection on one
+// 4096-node grid: "bisect" is width 1, the Fig. 1 binary search less the
+// probes whose count is already known (core.Median); width=k batches k
+// COUNT probes per CountVec sweep. The sweeps/op metric is the round count
+// the batching compresses.
 func BenchmarkMedianBatched(b *testing.B) {
 	net := gridNet(4096, workload.Uniform, 17)
 	nw := net.Network()
@@ -448,7 +449,7 @@ func BenchmarkMedianBatched(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sweeps += res.CountCalls
+			sweeps += res.Sweeps
 		}
 		reportBits(b, nw, before)
 		b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
@@ -458,7 +459,7 @@ func BenchmarkMedianBatched(b *testing.B) {
 			before := nw.Meter.Snapshot()
 			var sweeps int
 			for i := 0; i < b.N; i++ {
-				res, err := core.MedianBatched(net, width)
+				res, err := core.SelectRanksBatched(net, []core.BatchRank{{Median: true}}, width)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -99,7 +99,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.sketchP, "sketchp", core.DefaultSketchP, "LogLog register exponent p (m=2^p)")
 	fs.IntVar(&o.children, "maxchildren", netsim.DefaultMaxChildren, "spanning-tree degree bound (0=unbounded)")
 	fs.IntVar(&o.probeW, "probewidth", 0,
-		fmt.Sprintf("COUNT probes batched per selection sweep (0 = engine default %d, 1 = classic binary search)", core.DefaultProbeWidth))
+		fmt.Sprintf("COUNT probes batched per selection sweep (0 = engine default %d, 1 = the paper's Fig. 1 search; negative is rejected)", core.DefaultProbeWidth))
 	fs.Float64Var(&o.crash, "crash", 0, "fault plan: node crash probability (root exempt)")
 	fs.Float64Var(&o.drop, "drop", 0, "fault plan: per-message loss probability")
 	fs.Float64Var(&o.dup, "dup", 0, "fault plan: per-message duplication probability")

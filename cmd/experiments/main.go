@@ -3,7 +3,9 @@
 //
 // The suite runs concurrently on a worker pool (each experiment is
 // independent and internally deterministic); tables are always rendered in
-// report order regardless of completion order.
+// report order regardless of completion order. A table carrying a FAIL
+// note (an inexact answer, a theorem bound breached) makes the command
+// exit 1 once every table is rendered.
 //
 // Usage:
 //
@@ -64,10 +66,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	var failed []string
 	for i, table := range tables {
 		if err := table.Render(out); err != nil {
 			return fmt.Errorf("rendering %s: %w", ids[i], err)
 		}
+		for _, note := range table.Notes {
+			if strings.Contains(note, "FAIL") {
+				failed = append(failed, ids[i]+": "+note)
+			}
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d FAIL note(s):\n  %s", len(failed), strings.Join(failed, "\n  "))
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func main() {
 	}
 	dMed := nw.Meter.Since(before)
 	fmt.Printf("exact median:        %+.1f°C — %d bits/node ≈ %.1f µJ per query on the busiest sensor\n",
-		toC(float64(med.Value)), dMed.MaxPerNode, float64(dMed.MaxPerNode)*nJPerBit/1000)
+		toC(float64(med.Values[0])), dMed.MaxPerNode, float64(dMed.MaxPerNode)*nJPerBit/1000)
 
 	before = nw.Meter.Snapshot()
 	apx, err := core.ApxMedian(net, core.ApxParams{Epsilon: 0.25})

@@ -52,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("p%-5.0f %9dµs %13dµs %13dµs %11dµs\n",
-			pct*100, core.TrueOrderStatistic(sorted, int(k)), exact.Value, gkRes.Value, smp.Value)
+			pct*100, core.TrueOrderStatistic(sorted, int(k)), exact.Values[0], gkRes.Value, smp.Value)
 	}
 
 	fmt.Printf("\ncommunication for the whole dashboard: %d bits/node (max)\n", nw.Meter.MaxPerNode())

@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	d := nw.Meter.Since(before)
-	fmt.Printf("median=%d in %d iterations, %d bits/node\n", med.Value, med.Iterations, d.MaxPerNode)
+	fmt.Printf("median=%d in %d sweeps, %d bits/node\n", med.Values[0], med.Sweeps, d.MaxPerNode)
 
 	// The TAG-era alternative: ship every reading to the root.
 	nw2 := netsim.New(g, values, maxX, netsim.WithSeed(42))

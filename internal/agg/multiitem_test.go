@@ -80,7 +80,7 @@ func TestMultiItemMedianOnNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.TrueMedian(core.SortedCopy(nw.AllItems()))
-	if res.Value != want {
-		t.Errorf("median = %d, want %d", res.Value, want)
+	if res.Values[0] != want {
+		t.Errorf("median = %d, want %d", res.Values[0], want)
 	}
 }

@@ -188,8 +188,8 @@ func TestDifferentialLocalNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := core.TrueMedian(core.SortedCopy(values)); detSim.Value != want {
-		t.Errorf("simulated deterministic median = %d, want %d", detSim.Value, want)
+	if want := core.TrueMedian(core.SortedCopy(values)); detSim.Values[0] != want {
+		t.Errorf("simulated deterministic median = %d, want %d", detSim.Values[0], want)
 	}
 }
 
@@ -283,14 +283,15 @@ func TestFilteredMedian(t *testing.T) {
 			kept = append(kept, v)
 		}
 	}
-	if want := core.TrueMedian(core.SortedCopy(kept)); res.Value != want {
-		t.Errorf("filtered median = %d, want %d", res.Value, want)
+	if want := core.TrueMedian(core.SortedCopy(kept)); res.Values[0] != want {
+		t.Errorf("filtered median = %d, want %d", res.Values[0], want)
 	}
 }
 
 // TestPowerOfTwoMinusOneDomain is a regression test: with X = 2^k−1 the
-// binary search probes thresholds above X (its interval is [m−z, M+z]);
-// those must clamp to X+1 and still encode in the fixed predicate width.
+// Fig. 1 path crosses thresholds above X (its interval is [m−z, M+z]); the
+// exact search skips them and the approximate ones clamp them to X+1, so
+// every probe still encodes in the fixed predicate width.
 func TestPowerOfTwoMinusOneDomain(t *testing.T) {
 	const maxX = 1<<10 - 1
 	g := topology.Grid(8, 8)
@@ -304,8 +305,8 @@ func TestPowerOfTwoMinusOneDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := core.TrueMedian(core.SortedCopy(values)); res.Value != want {
-		t.Errorf("median = %d, want %d", res.Value, want)
+	if want := core.TrueMedian(core.SortedCopy(values)); res.Values[0] != want {
+		t.Errorf("median = %d, want %d", res.Values[0], want)
 	}
 	if _, err := core.ApxMedian(net, core.ApxParams{Epsilon: 0.5}); err != nil {
 		t.Fatalf("apx median on edge domain: %v", err)

@@ -170,8 +170,8 @@ func TestApxMedian2ResetsItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := TrueMedian(SortedCopy(values)); res.Value != want {
-		t.Errorf("after ApxMedian2, Median = %d, want %d (items not reset?)", res.Value, want)
+	if want := TrueMedian(SortedCopy(values)); res.Values[0] != want {
+		t.Errorf("after ApxMedian2, Median = %d, want %d (items not reset?)", res.Values[0], want)
 	}
 }
 

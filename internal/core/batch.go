@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -12,8 +11,9 @@ import (
 // DefaultProbeWidth is the default number of COUNT probes batched into one
 // CountVec sweep by the k-ary selection search. 8 probes per sweep cut the
 // Fig. 1 binary search's ~log₂X sequential sweeps to ~log₉X, a ≥3x sweep
-// reduction at the simulator's default domains; width 1 recovers classic
-// bisection probe-for-probe.
+// reduction at the simulator's default domains. Width 1 is Fig. 1 itself:
+// its midpoint path, less the probes whose count the search already knows
+// (see fig1Probe), so it never sends a COUNT Fig. 1 would not.
 const DefaultProbeWidth = 8
 
 // MaxProbeWidth caps the probe batch width. Beyond ~log₂X probes a sweep
@@ -51,7 +51,7 @@ func (r BatchRank) resolve(n uint64) (uint64, error) {
 		j = QuantileRank(r.Phi, n)
 	default:
 		if r.K == 0 {
-			return 0, errors.New("core: order statistic rank k must be >= 1")
+			return 0, errRankZero
 		}
 		j = r.K
 	}
@@ -95,13 +95,6 @@ type BatchResult struct {
 	SeedHit      bool
 }
 
-// MedianBatched computes the exact median with the k-ary probe plane: the
-// same statistic as Median (Fig. 1), found with ~log k fewer tree sweeps by
-// batching probeWidth COUNT probes into every CountVec broadcast.
-func MedianBatched(net Net, probeWidth int) (BatchResult, error) {
-	return SelectRanksBatched(net, []BatchRank{{Median: true}}, probeWidth)
-}
-
 // SelectRanksBatched answers every requested order statistic with a shared
 // schedule of k-ary CountVec sweeps (k = probeWidth; values < 1 mean
 // DefaultProbeWidth).
@@ -122,10 +115,14 @@ func MedianBatched(net Net, probeWidth int) (BatchResult, error) {
 // COUNT(TRUE) of Fig. 1 line 1 folded into the probe plane — so ranks
 // expressed as Median or Phi fractions resolve without a dedicated round.
 //
+// At width 1 the search is Fig. 1 (see fig1Probe) and is framed as Fig. 1
+// frames it: every sweep is one COUNTP (Net.Count), the first COUNT(TRUE).
+//
 // The search state lives in a SelectStepper; this function is the
-// single-query driver (one MinMax round, then one CountVec per Propose).
+// single-query driver (one MinMax round, then one sweep per Propose).
 // The engine's fusion scheduler drives many steppers through one merged
-// schedule instead — same narrowing logic, shared sweeps.
+// schedule instead — same narrowing logic, shared sweeps, CountVec
+// framing at every width.
 func SelectRanksBatched(net Net, ranks []BatchRank, probeWidth int) (BatchResult, error) {
 	return SelectRanksSeeded(net, ranks, probeWidth, nil)
 }
@@ -150,33 +147,46 @@ func SelectRanksSeeded(net Net, ranks []BatchRank, probeWidth int, seeds []SeedW
 	}
 	st.Bounds(lo, hi)
 
-	// One backing array for the probe thresholds and their counts (+1 slot
-	// for the sweep-1 top probe): the driver's whole state is a handful of
-	// allocations, keeping the engine's per-query allocation budget at the
-	// PR 3 level.
+	// A width-1 sweep's probe and count live on the stack. A wider search
+	// gets one backing array for its probe thresholds and their counts (+1
+	// slot for the sweep-1 top probe): the driver's whole state is a
+	// handful of allocations.
 	width := st.Width()
-	buf := make([]uint64, 2*(width+1))
-	probes := buf[: 0 : width+1]
-	counts := buf[width+1 : width+1]
-	preds := make([]wire.Pred, 0, width+1)
+	var one [2]uint64
+	probes, counts := one[:0:1], one[1:1]
+	var buf []uint64
+	var preds []wire.Pred
+	if width > 1 {
+		buf = make([]uint64, 2*(width+1))
+		probes = buf[: 0 : width+1]
+		preds = make([]wire.Pred, 0, width+1)
+	}
 
 	for !st.Done() {
 		probes = st.Propose(probes[:0])
-		sortDedupe(&probes)
+		probes = sortDedupe(probes)
 		top, trueTop := !st.Resolved(), st.WantTrueTop()
-		if top && !trueTop {
-			probes = append(probes, hi+1)
+		if width == 1 {
+			pred := wire.True() // the top probe: a width-1 stepper proposes none with it
+			if !top {
+				pred = wire.Less(probes[0])
+			}
+			counts = append(counts[:0], net.Count(Linear, pred))
+		} else {
+			if top && !trueTop {
+				probes = append(probes, hi+1)
+			}
+			preds = preds[:0]
+			for _, t := range probes {
+				preds = append(preds, wire.Less(t))
+			}
+			if trueTop {
+				preds = append(preds, wire.True())
+			}
+			counts = net.CountVec(Linear, preds, buf[width+1:width+1])
 		}
-		preds = preds[:0]
-		for _, t := range probes {
-			preds = append(preds, wire.Less(t))
-		}
-		if trueTop {
-			preds = append(preds, wire.True())
-		}
-		counts = net.CountVec(Linear, preds, counts)
 		res.Sweeps++
-		res.Probes += len(preds)
+		res.Probes += len(counts)
 		if top {
 			n := counts[len(counts)-1]
 			if n == 0 {
@@ -219,7 +229,7 @@ func probeAt(lo, w, i, q uint64) uint64 {
 // sortDedupe sorts the probe thresholds ascending and removes duplicates in
 // place — overlapping intervals of nearby ranks propose the same thresholds,
 // and the ⊆-chain encoding requires ascending order.
-func sortDedupe(probes *[]uint64) {
-	slices.Sort(*probes)
-	*probes = slices.Compact(*probes)
+func sortDedupe(probes []uint64) []uint64 {
+	slices.Sort(probes)
+	return slices.Compact(probes)
 }

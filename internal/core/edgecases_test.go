@@ -114,9 +114,9 @@ func TestMedianCountCallsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One initial COUNT plus one COUNTP per iteration.
-	if res.CountCalls != res.Iterations+1 {
-		t.Errorf("CountCalls = %d, Iterations = %d", res.CountCalls, res.Iterations)
+	// One COUNTP per sweep: the initial COUNT, then one probe per step.
+	if res.Probes != res.Sweeps {
+		t.Errorf("Probes = %d, Sweeps = %d", res.Probes, res.Sweeps)
 	}
 }
 

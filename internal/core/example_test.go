@@ -14,7 +14,7 @@ func ExampleMedian() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Value)
+	fmt.Println(res.Values[0])
 	// Output: 17
 }
 
@@ -26,7 +26,7 @@ func ExampleOrderStatistic() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Print(res.Value, " ")
+		fmt.Print(res.Values[0], " ")
 	}
 	// Output: 3 8 17 42 99
 }

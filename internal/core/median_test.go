@@ -43,12 +43,12 @@ func TestMedianSmallCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Median: %v", err)
 			}
-			if res.Value != tt.want {
-				t.Errorf("Median(%v) = %d, want %d", tt.values, res.Value, tt.want)
+			if res.Values[0] != tt.want {
+				t.Errorf("Median(%v) = %d, want %d", tt.values, res.Values[0], tt.want)
 			}
 			sorted := SortedCopy(tt.values)
-			if !IsMedian(sorted, res.Value) {
-				t.Errorf("Median(%v) = %d violates Definition 2.3", tt.values, res.Value)
+			if !IsMedian(sorted, res.Values[0]) {
+				t.Errorf("Median(%v) = %d violates Definition 2.3", tt.values, res.Values[0])
 			}
 		})
 	}
@@ -70,11 +70,11 @@ func TestOrderStatisticAllRanks(t *testing.T) {
 			t.Fatalf("OrderStatistic(k=%d): %v", k, err)
 		}
 		want := TrueOrderStatistic(sorted, k)
-		if res.Value != want {
-			t.Errorf("OrderStatistic(k=%d) = %d, want %d", k, res.Value, want)
+		if res.Values[0] != want {
+			t.Errorf("OrderStatistic(k=%d) = %d, want %d", k, res.Values[0], want)
 		}
-		if !IsOrderStatistic(sorted, int64(2*k), res.Value) {
-			t.Errorf("OrderStatistic(k=%d) = %d violates Definition 2.3", k, res.Value)
+		if !IsOrderStatistic(sorted, int64(2*k), res.Values[0]) {
+			t.Errorf("OrderStatistic(k=%d) = %d violates Definition 2.3", k, res.Values[0])
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestMedianMatchesDefinitionProperty(t *testing.T) {
 			return false
 		}
 		sorted := SortedCopy(values)
-		return res.Value == TrueMedian(sorted) && IsMedian(sorted, res.Value)
+		return res.Values[0] == TrueMedian(sorted) && IsMedian(sorted, res.Values[0])
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: quickRand(42)}
 	if err := quick.Check(check, cfg); err != nil {
@@ -132,7 +132,7 @@ func TestOrderStatisticProperty(t *testing.T) {
 			return false
 		}
 		sorted := SortedCopy(values)
-		return res.Value == TrueOrderStatistic(sorted, int(k))
+		return res.Values[0] == TrueOrderStatistic(sorted, int(k))
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: quickRand(43)}
 	if err := quick.Check(check, cfg); err != nil {
@@ -140,8 +140,9 @@ func TestOrderStatisticProperty(t *testing.T) {
 	}
 }
 
-// TestMedianIterationBound verifies Theorem 3.2's iteration count:
-// ⌈log(M−m)⌉ search iterations plus at most one tie-break probe.
+// TestMedianIterationBound verifies Theorem 3.2's iteration count: the
+// initial COUNT, then at most ⌈log(M−m)⌉ search iterations plus one
+// tie-break probe.
 func TestMedianIterationBound(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for trial := 0; trial < 50; trial++ {
@@ -160,9 +161,9 @@ func TestMedianIterationBound(t *testing.T) {
 		if lo == hi {
 			continue
 		}
-		bound := int(ceilLog2(hi-lo)) + 1
-		if res.Iterations > bound {
-			t.Errorf("iterations %d exceed ⌈log(M−m)⌉+1 = %d (range %d)", res.Iterations, bound, hi-lo)
+		bound := int(ceilLog2(hi-lo)) + 2
+		if res.Sweeps > bound {
+			t.Errorf("sweeps %d exceed ⌈log(M−m)⌉+2 = %d (range %d)", res.Sweeps, bound, hi-lo)
 		}
 	}
 }

@@ -43,8 +43,8 @@ func TestMultiItemMedian(t *testing.T) {
 			t.Fatal(err)
 		}
 		sorted := SortedCopy(all)
-		if res.Value != TrueMedian(sorted) {
-			t.Errorf("trial %d: median = %d, want %d", trial, res.Value, TrueMedian(sorted))
+		if res.Values[0] != TrueMedian(sorted) {
+			t.Errorf("trial %d: median = %d, want %d", trial, res.Values[0], TrueMedian(sorted))
 		}
 	}
 }
@@ -62,8 +62,8 @@ func TestMultiItemOrderStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if want := TrueOrderStatistic(sorted, k); res.Value != want {
-			t.Errorf("k=%d: got %d, want %d", k, res.Value, want)
+		if want := TrueOrderStatistic(sorted, k); res.Values[0] != want {
+			t.Errorf("k=%d: got %d, want %d", k, res.Values[0], want)
 		}
 	}
 }
@@ -90,8 +90,8 @@ func TestMultiItemEmptyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value != 7 {
-		t.Errorf("median = %d, want 7", res.Value)
+	if res.Values[0] != 7 {
+		t.Errorf("median = %d, want 7", res.Values[0])
 	}
 }
 

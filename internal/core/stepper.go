@@ -27,7 +27,9 @@ import "errors"
 // intervals too (probes outside an interval are no-ops by monotonicity of
 // the counting function). Driving a single stepper with exactly its own
 // proposals reproduces SelectRanksBatched's schedule probe-for-probe —
-// that function is now a thin driver over one stepper.
+// that function is a thin driver over one stepper. At width 1 the stepper
+// is the paper's Fig. 1 search (fig1Probe), so the exact selection has one
+// implementation at every width and on every path.
 type SelectStepper struct {
 	width int
 	ranks []BatchRank
@@ -36,15 +38,23 @@ type SelectStepper struct {
 	bounded  bool
 	resolved bool
 
-	js   []uint64
-	uniq []uint64
-	ivs  []interval
+	// ivs holds one candidate interval per requested rank, in input order,
+	// from ResolveN on.
+	ivs []rankInterval
 
-	// hints are the delta-narrowing seed windows, aligned with ranks;
-	// ivHints realigns them with the deduplicated intervals at ResolveN.
+	// hints are the delta-narrowing seed windows, aligned with ranks.
 	hints        []SeedWindow
-	ivHints      []SeedWindow
 	seededSweeps int
+}
+
+// rankInterval is one requested rank's search state: its rank j resolved
+// against N and its candidate interval. A rank equal to an earlier one is
+// a dup: its interval narrows exactly as the earlier one's, which proposes
+// for both, biased by the earlier rank's hint.
+type rankInterval struct {
+	interval
+	j   uint64
+	dup bool
 }
 
 // SeedWindow is a delta-narrowing hint: the caller's belief about where a
@@ -108,13 +118,13 @@ func (s *SelectStepper) SeedHit() bool {
 		return false
 	}
 	hinted := false
-	for i, j := range s.js {
+	for i, iv := range s.ivs {
 		w := s.hints[i]
 		if !w.valid() {
 			continue
 		}
 		hinted = true
-		if !w.Contains(s.ivs[s.rankIndex(j)].lo) {
+		if !w.Contains(iv.lo) {
 			return false
 		}
 	}
@@ -140,31 +150,23 @@ func (s *SelectStepper) Resolved() bool { return s.resolved }
 func (s *SelectStepper) WantTrueTop() bool { return !s.resolved && s.hi == ^uint64(0) }
 
 // ResolveN resolves the requested ranks against the protocol-counted
-// active total N: one candidate interval per distinct rank, in
-// first-appearance order. An unresolvable rank (zero, out of range) is the
-// query's error, reported here exactly as SelectRanksBatched reports it.
+// active total N: one candidate interval per requested rank, a rank equal
+// to an earlier one marked dup. An unresolvable rank (zero, out of range)
+// is the query's error, reported here exactly as SelectRanksBatched
+// reports it.
 func (s *SelectStepper) ResolveN(n uint64) error {
 	if n == 0 {
 		return ErrEmpty
 	}
-	rbuf := make([]uint64, 2*len(s.ranks))
-	s.js = rbuf[:len(s.ranks):len(s.ranks)]
-	s.uniq = rbuf[len(s.ranks):len(s.ranks)]
-	s.ivs = make([]interval, 0, len(s.ranks))
+	s.ivs = make([]rankInterval, len(s.ranks))
 	for i, r := range s.ranks {
 		j, err := r.resolve(n)
 		if err != nil {
 			return err
 		}
-		s.js[i] = j
-		if s.rankIndex(j) < 0 {
-			s.uniq = append(s.uniq, j)
-			s.ivs = append(s.ivs, interval{lo: s.lo, hi: s.hi})
-			// Duplicate ranks share one interval; the first requested
-			// rank's hint wins.
-			if len(s.hints) > 0 {
-				s.ivHints = append(s.ivHints, s.hints[i])
-			}
+		s.ivs[i] = rankInterval{interval: interval{lo: s.lo, hi: s.hi}, j: j}
+		for _, prev := range s.ivs[:i] {
+			s.ivs[i].dup = s.ivs[i].dup || prev.j == j
 		}
 	}
 	s.resolved = true
@@ -187,9 +189,12 @@ func (s *SelectStepper) Done() bool {
 // Propose appends the stepper's next probe thresholds to dst — up to Width
 // of them, never including the top probe (the driver appends that while
 // !Resolved()). Before N is known it proposes evenly spaced thresholds
-// over (lo, hi]; afterwards it budgets the width across the unresolved
-// ranks' intervals, leftovers to the earliest requested ranks — exactly
-// the schedule SelectRanksBatched probes. The driver must sort+dedupe the
+// over (lo, hi] (none at width 1: that sweep is Fig. 1's COUNT(TRUE));
+// afterwards it budgets the width across the unresolved ranks' intervals,
+// leftovers to the earliest requested ranks — exactly the schedule
+// SelectRanksBatched probes. An interval's share goes to its seed window
+// first, else to evenly spaced thresholds, or at width 1 to the next
+// probe on Fig. 1's path (fig1Probe). The driver must sort+dedupe the
 // (possibly merged) proposals before shipping: overlapping intervals of
 // nearby ranks propose duplicate thresholds, and the ⊆-chain encoding
 // requires ascending order.
@@ -216,7 +221,7 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	}
 	unresolved := 0
 	for _, iv := range s.ivs {
-		if iv.lo != iv.hi {
+		if iv.lo != iv.hi && !iv.dup {
 			unresolved++
 		}
 	}
@@ -227,9 +232,9 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	extra := s.width % unresolved
 	seen := 0
 	seededRound := false
-	for vi := range s.ivs {
-		iv := s.ivs[vi]
-		if iv.lo == iv.hi {
+	for vi, riv := range s.ivs {
+		iv := riv.interval
+		if iv.lo == iv.hi || riv.dup {
 			continue
 		}
 		q := uint64(base)
@@ -237,12 +242,18 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 			q++
 		}
 		seen++
-		if len(s.ivHints) > 0 {
-			if seeded := s.proposeHinted(dst, iv, s.ivHints[vi:vi+1], q); seeded != nil {
+		if len(s.hints) > 0 {
+			if seeded := s.proposeHinted(dst, iv, s.hints[vi:vi+1], q); seeded != nil {
 				dst = seeded
 				seededRound = true
 				continue
 			}
+		}
+		if s.width == 1 {
+			if q > 0 {
+				dst = append(dst, fig1Probe(s.lo, s.hi, iv))
+			}
+			continue
 		}
 		w := iv.hi - iv.lo
 		if q > w {
@@ -349,9 +360,9 @@ func (s *SelectStepper) Observe(thresholds, counts []uint64) {
 	}
 	for pi, t := range thresholds {
 		c := counts[pi]
-		for vi, j := range s.uniq {
+		for vi := range s.ivs {
 			iv := &s.ivs[vi]
-			if c < j {
+			if c < iv.j {
 				if t > iv.lo && t <= iv.hi {
 					iv.lo = t
 				}
@@ -368,8 +379,8 @@ func (s *SelectStepper) Values(dst []uint64) []uint64 {
 	if !s.Done() {
 		panic("core: SelectStepper.Values before Done")
 	}
-	for _, j := range s.js {
-		dst = append(dst, s.ivs[s.rankIndex(j)].lo)
+	for _, iv := range s.ivs {
+		dst = append(dst, iv.lo)
 	}
 	return dst
 }
@@ -388,22 +399,10 @@ func (s *SelectStepper) Checkpoint(dst []SeedWindow) []SeedWindow {
 	if !s.resolved {
 		return dst
 	}
-	for _, j := range s.js {
-		iv := s.ivs[s.rankIndex(j)]
+	for _, iv := range s.ivs {
 		dst = append(dst, SeedWindow{Lo: iv.lo, Hi: iv.hi})
 	}
 	return dst
-}
-
-// rankIndex locates rank j among the deduplicated ranks (−1 if absent); a
-// linear scan, since rank lists are short.
-func (s *SelectStepper) rankIndex(j uint64) int {
-	for i, u := range s.uniq {
-		if u == j {
-			return i
-		}
-	}
-	return -1
 }
 
 // ErrNoConverge guards the narrowing loop of every stepper driver: a

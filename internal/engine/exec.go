@@ -36,8 +36,9 @@ type Query struct {
 	Where *wire.Pred `json:"where,omitempty"`
 	// ProbeWidth is the number of COUNT probes batched per CountVec sweep
 	// in the selection queries (median/os/quantile/quantiles): 0 means the
-	// engine default (core.DefaultProbeWidth), 1 runs the classic
-	// one-probe-per-sweep binary search — the unbatched reference path.
+	// engine default (core.DefaultProbeWidth), 1 runs the paper's Fig. 1
+	// search less its already-answered probes, on every path. A negative
+	// width is rejected.
 	ProbeWidth int `json:"probe_width,omitempty"`
 	// Phis are the quantile fractions for KindQuantiles, each in (0,1].
 	Phis []float64 `json:"phis,omitempty"`

@@ -35,7 +35,7 @@ import (
 // Message-level drop/dup plans corrupt traffic as a function of the
 // delivery sequence, which fusion necessarily changes — fused answers
 // under drop/dup are deterministic but may differ from solo ones, exactly
-// as the batched probe plane may differ from classic bisection.
+// as the search at one probe width may differ from another.
 
 // memberResult is one member's outcome.
 type memberResult struct {

@@ -504,22 +504,15 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 
 	switch q.Kind {
 	case KindMedian:
-		if q.ProbeWidth > 1 {
-			res, err := core.SelectRanksSeeded(net, []core.BatchRank{{Median: true}}, q.ProbeWidth, q.SeedWindows)
-			if err != nil {
-				return answer{}, err
-			}
-			return seedAns(exactUint(res.Values[0],
-				fmt.Sprintf("%d k-ary sweeps (width %d)", res.Sweeps, q.ProbeWidth),
-				core.TrueMedian(sorted())), res), nil
-		}
-		res, err := core.Median(net)
+		// The width-1 arm (Fig. 1's bisection) is gone from the table:
+		// width 1 is the stepper's schedule, as every other width.
+		res, err := core.SelectRanksSeeded(net, []core.BatchRank{{Median: true}}, q.ProbeWidth, q.SeedWindows)
 		if err != nil {
 			return answer{}, err
 		}
-		ans := exactUint(res.Value, fmt.Sprintf("%d binary-search iterations", res.Iterations), core.TrueMedian(sorted()))
-		ans.sweeps = res.CountCalls
-		return ans, nil
+		return seedAns(exactUint(res.Values[0],
+			fmt.Sprintf("%d k-ary sweeps (width %d)", res.Sweeps, q.ProbeWidth),
+			core.TrueMedian(sorted())), res), nil
 
 	case KindOrderStat, KindQuantile:
 		k := q.K
@@ -532,22 +525,14 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		if k == 0 {
 			k = (truth.count() + 1) / 2
 		}
-		if q.ProbeWidth > 1 {
-			res, err := core.SelectRanksSeeded(net, []core.BatchRank{{K: k}}, q.ProbeWidth, q.SeedWindows)
-			if err != nil {
-				return answer{}, err
-			}
-			return seedAns(exactUint(res.Values[0],
-				fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", k, res.Sweeps, q.ProbeWidth),
-				core.TrueOrderStatistic(sorted(), int(k))), res), nil
-		}
-		res, err := core.OrderStatistic(net, k)
+		// As for the median, the width-1 arm is gone.
+		res, err := core.SelectRanksSeeded(net, []core.BatchRank{{K: k}}, q.ProbeWidth, q.SeedWindows)
 		if err != nil {
 			return answer{}, err
 		}
-		ans := exactUint(res.Value, fmt.Sprintf("rank %d", k), core.TrueOrderStatistic(sorted(), int(k)))
-		ans.sweeps = res.CountCalls
-		return ans, nil
+		return seedAns(exactUint(res.Values[0],
+			fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", k, res.Sweeps, q.ProbeWidth),
+			core.TrueOrderStatistic(sorted(), int(k))), res), nil
 
 	case KindQuantiles:
 		if len(q.Phis) == 0 {

@@ -190,29 +190,22 @@ func (k *kind) faultSupport(fs faults.Spec) error {
 // kinds is the engine's kind table, in Kinds() order.
 var kinds = [...]kind{
 	{name: KindMedian, tree: true, robust: true, plans: plansRetry, where: whereFilter,
-		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}), nil },
+		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}) },
 		batchDetail: func(_ member, shared string) string { return shared },
 		solo: func(r *run) (answer, error) {
-			if r.m.width <= 1 {
-				res, err := core.Median(r.net)
-				if err != nil {
-					return answer{}, err
-				}
-				return r.classic(res, fmt.Sprintf("%d binary-search iterations", res.Iterations)), nil
-			}
 			ans, err := r.kary()
 			ans.detail = fmt.Sprintf("%d k-ary sweeps (width %d)", ans.sweeps, r.m.width)
 			return ans, err
 		}},
 	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry, where: whereFilter,
-		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n), nil },
+		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n) },
 		batchDetail: rankDetail, solo: rankSolo},
 	{name: KindQuantile, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member: func(q Query, n uint64) (member, error) {
 			if q.Phi <= 0 || q.Phi > 1 {
 				return member{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
 			}
-			return rankMember(q, core.QuantileRank(q.Phi, n), n), nil
+			return rankMember(q, core.QuantileRank(q.Phi, n), n)
 		},
 		batchDetail: rankDetail, solo: rankSolo},
 	// Ranks are φ-resolved against the protocol-counted N inside the search
@@ -231,7 +224,7 @@ var kinds = [...]kind{
 				}
 				ranks[i] = core.BatchRank{Phi: phi}
 			}
-			return selection(q, ranks...), nil
+			return selection(q, ranks...)
 		},
 		batchDetail: func(m member, shared string) string { return fmt.Sprintf("%d quantiles, %s", len(m.ranks), shared) },
 		solo: func(r *run) (answer, error) {
@@ -486,33 +479,28 @@ func (k *kind) slot(q Query, n uint64) (member, error) {
 }
 
 // selection is a selection kind's slot: ranks narrowed at q's probe width,
-// seeded from q's windows.
-func selection(q Query, ranks ...core.BatchRank) member {
-	return member{ranks: ranks, width: q.ProbeWidth, seeds: q.SeedWindows}
+// seeded from q's windows. A negative width is an error, the same on every
+// path a slot is resolved on (solo, fused, retried).
+func selection(q Query, ranks ...core.BatchRank) (member, error) {
+	if q.ProbeWidth < 0 {
+		return member{}, fmt.Errorf("engine: probe width %d must be >= 0 (0 = the default %d)", q.ProbeWidth, core.DefaultProbeWidth)
+	}
+	return member{ranks: ranks, width: q.ProbeWidth, seeds: q.SeedWindows}, nil
 }
 
 // rankMember is an order-statistic kind's slot for rank k, its median rank
 // ⌈n/2⌉ when k is unset.
-func rankMember(q Query, k, n uint64) member {
+func rankMember(q Query, k, n uint64) (member, error) {
 	if k == 0 {
 		k = (n + 1) / 2
 	}
 	return selection(q, core.BatchRank{K: k})
 }
 
-// rankSolo answers an order-statistic kind alone: one seeded k-ary search,
-// or at width 1 the classic one-probe-per-sweep bisection.
+// rankSolo answers an order-statistic kind alone: one seeded k-ary search.
 func rankSolo(r *run) (answer, error) {
-	k := r.m.ranks[0].K
-	if r.m.width <= 1 {
-		res, err := core.OrderStatistic(r.net, k)
-		if err != nil {
-			return answer{}, err
-		}
-		return r.classic(res, fmt.Sprintf("rank %d", k)), nil
-	}
 	ans, err := r.kary()
-	ans.detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", k, ans.sweeps, r.m.width)
+	ans.detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", r.m.ranks[0].K, ans.sweeps, r.m.width)
 	return ans, err
 }
 
@@ -554,13 +542,6 @@ func (r *run) kary() (answer, error) {
 	ans := r.m.answer(res.Values, nil, &r.truth)
 	ans.sweeps, ans.seededSweeps, ans.seedHit = res.Sweeps, res.SeededSweeps, res.SeedHit
 	return ans, nil
-}
-
-// classic assembles r's single-rank answer from a one-probe-per-sweep search.
-func (r *run) classic(res core.DetResult, detail string) answer {
-	ans := r.m.answer([]uint64{res.Value}, nil, &r.truth)
-	ans.detail, ans.sweeps = detail, res.CountCalls
-	return ans
 }
 
 func exactUint(v uint64, detail string, truth uint64) answer {

@@ -106,16 +106,6 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 			}
 			return o, nil
 		}
-		if spec.Retry.Backoff > 0 {
-			t := time.NewTimer(spec.Retry.Backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return o, ctx.Err()
-			}
-		}
-
 		// Re-heal around the dead subtrees, re-rooting if the root died,
 		// and recompute the survivor ground truth the resumed sweeps count
 		// over. Repair traffic is charged to the run meter like any other

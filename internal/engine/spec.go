@@ -21,8 +21,6 @@
 package engine
 
 import (
-	"time"
-
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/workload"
@@ -70,10 +68,6 @@ type Retry struct {
 	// (or per fusion batch) after a mid-sweep failure. 0 degrades on the
 	// first failure.
 	Budget int `json:"budget,omitempty"`
-	// Backoff is an optional pause before each re-heal attempt — real
-	// deployments wait out a fault burst before re-probing. Simulated
-	// time; charged as wall time only.
-	Backoff time.Duration `json:"backoff,omitempty"`
 }
 
 // DefaultTopology and friends fill zero-valued Spec fields.

@@ -78,12 +78,10 @@ func whereOnOff(stmt string) (off, on string) {
 
 // TestStatementsMatchQueryRunOracle runs every oracle statement with WHERE
 // off and on, on a grid, a line and a star, under reliable delivery and
-// crashes, through the engine and through the oracle. Two exceptions are
-// named: a width-1 single quantile runs the batch driver at width 1 where
-// the oracle counted and bisected, so only its value must match (the
-// meter difference is logged); and apxmedian2 with WHERE answers over the
-// filtered multiset, where the oracle reset the filter and answered over
-// every item, so it is held to the filtered truth instead.
+// crashes, through the engine and through the oracle. One exception is
+// named: apxmedian2 with WHERE answers over the filtered multiset, where
+// the oracle reset the filter and answered over every item, so it is held
+// to the filtered truth instead.
 func TestStatementsMatchQueryRunOracle(t *testing.T) {
 	t.Parallel()
 	for _, topo := range []string{"grid", "line", "star"} {
@@ -146,12 +144,6 @@ func checkStatement(t *testing.T, e *engine.Engine, spec engine.Spec, stmt strin
 		if !got.TruthKnown || math.Abs(got.Value-got.Truth) > float64(nw.MaxX)/8 {
 			t.Errorf("%s: %g, filtered truth %g", stmt, got.Value, got.Truth)
 		}
-		return
-	case pq.Agg == query.AggQuantile && pq.Options["probewidth"] == 1:
-		if got.Value != want.Value {
-			t.Errorf("%s: %g, oracle %g", stmt, got.Value, want.Value)
-		}
-		t.Logf("%s on %s: %d bits/node through the engine, %d through the oracle", stmt, spec, got.BitsPerNode, want.Comm.MaxPerNode)
 		return
 	}
 	wantValues, gotValues := want.Values, got.Values
@@ -315,39 +307,24 @@ func oracleSelection(net *agg.Net, q *query.Query, before netsim.Snapshot) (orac
 	}
 	switch q.Agg {
 	case query.AggMedian:
-		if pw > 1 {
-			res, err := core.MedianBatched(net, pw)
-			if err != nil {
-				return oracleResult{}, err
-			}
-			return finish(float64(res.Values[0]),
-				fmt.Sprintf("exact, %d k-ary sweeps (width %d)", res.Sweeps, pw)), nil
-		}
-		res, err := core.Median(net)
+		// core.MedianBatched and the classic Median are gone: every width
+		// runs core.SelectRanksBatched, core.Median being its width 1.
+		res, err := core.SelectRanksBatched(net, []core.BatchRank{{Median: true}}, pw)
 		if err != nil {
 			return oracleResult{}, err
 		}
-		return finish(float64(res.Value), fmt.Sprintf("exact, %d search iterations", res.Iterations)), nil
+		return finish(float64(res.Values[0]),
+			fmt.Sprintf("exact, %d k-ary sweeps (width %d)", res.Sweeps, pw)), nil
 
 	case query.AggQuantile:
-		if pw > 1 {
-			res, err := core.SelectRanksBatched(net, []core.BatchRank{{Phi: q.Phi}}, pw)
-			if err != nil {
-				return oracleResult{}, err
-			}
-			return finish(float64(res.Values[0]),
-				fmt.Sprintf("exact φ=%g, %d k-ary sweeps (width %d)", q.Phi, res.Sweeps, pw)), nil
-		}
-		n := net.Count(core.Linear, wire.True())
-		if n == 0 {
-			return oracleResult{}, fmt.Errorf("query: no items match")
-		}
-		k := core.QuantileRank(q.Phi, n)
-		res, err := core.OrderStatistic(net, k)
+		// The width-1 arm (COUNT, then the classic OrderStatistic) is gone:
+		// width 1 is the same search as every other width.
+		res, err := core.SelectRanksBatched(net, []core.BatchRank{{Phi: q.Phi}}, pw)
 		if err != nil {
 			return oracleResult{}, err
 		}
-		return finish(float64(res.Value), fmt.Sprintf("exact rank %d of %d", k, n)), nil
+		return finish(float64(res.Values[0]),
+			fmt.Sprintf("exact φ=%g, %d k-ary sweeps (width %d)", q.Phi, res.Sweeps, pw)), nil
 
 	case query.AggQuantiles:
 		// Parse enforces this for statements; guard the exported Run path.

@@ -67,7 +67,7 @@ func MedianShootout(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("det median: %w", err)
 		}
-		addRow("median (Fig.1)", res.Value, nw.Meter.Since(before), "Thm 3.2")
+		addRow("median (Fig.1)", res.Values[0], nw.Meter.Since(before), "Thm 3.2")
 	}
 	// 3. GK summary aggregation.
 	{

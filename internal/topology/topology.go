@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // NodeID identifies a node; node 0 is the root by convention.
@@ -104,20 +105,10 @@ func (b *builder) graph(name string) *Graph {
 		for v := range set {
 			nbrs = append(nbrs, v)
 		}
-		sortNodeIDs(nbrs)
+		slices.Sort(nbrs) // map order: a hub's list is long and shuffled
 		g.Adj[u] = nbrs
 	}
 	return g
-}
-
-func sortNodeIDs(s []NodeID) {
-	// Insertion sort is fine: neighbour lists are short except in complete
-	// graphs, where construction cost is dominated by the O(n^2) edges anyway.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Line returns the path graph 0-1-2-...-(n-1). The Set Disjointness
