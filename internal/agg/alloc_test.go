@@ -3,6 +3,7 @@
 package agg
 
 import (
+	"runtime"
 	"testing"
 
 	"sensoragg/internal/core"
@@ -94,5 +95,50 @@ func TestWarmApxCountAllocs(t *testing.T) {
 	op()
 	if allocs := testing.AllocsPerRun(200, op); allocs != 3 {
 		t.Errorf("warm ApxCountRep(Linear, TRUE, 3): %.1f allocs/op, want 3 (estimates, sketch, registers)", allocs)
+	}
+}
+
+// TestWarmTeamOpsAllocs gates the production schedule, which
+// testing.AllocsPerRun cannot see: it pins GOMAXPROCS to 1, so no helper
+// ever runs a share. Here the process keeps its GOMAXPROCS (raised to 2
+// when lower) and the count is the runtime's malloc delta over the whole
+// process, averaged the way AllocsPerRun averages (integer division): a
+// warm broadcast and a warm CountVec on a team of 2 and of 4 — partition
+// in place, helpers resident — allocate nothing, on the caller or on a
+// helper. (A helper that parks may draw a sudog or a timer slot from the
+// runtime's caches, a few times per thousand operations.)
+func TestWarmTeamOpsAllocs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	g := topology.Grid(64, 64)
+	maxX := uint64(4 * g.N())
+	nw := netsim.New(g, workload.Generate(workload.Uniform, g.N(), maxX, 1), maxX, netsim.WithSeed(1))
+	ops := spantree.NewFast(nw)
+	net := NewNet(ops)
+	preds := []wire.Pred{wire.Less(13), wire.Less(600), wire.Less(1500), wire.True()}
+	var dst []uint64
+	pl := wire.Payload{}
+	for _, team := range []int{2, 4} {
+		ops.SetWorkers(team)
+		for name, op := range map[string]func(){
+			"broadcast": func() { ops.Broadcast(pl, nil) },
+			"CountVec":  func() { dst = net.CountVec(core.Linear, preds, dst) },
+		} {
+			for range 3 { // warm the slots, the partition and the helpers
+				op()
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+				t.Errorf("warm %s on a team of %d: %d allocs/op, want 0", name, team, allocs)
+			}
+		}
 	}
 }

@@ -92,7 +92,7 @@ func TestCountVecCheaperThanSeparateCounts(t *testing.T) {
 }
 
 // TestCountVecIdenticalAcrossEngines: the vector kernel, the boxed twin on
-// the generic codec path, the forced-parallel schedule, and the goroutine
+// the generic codec path, a team of 8, and the goroutine
 // reference engine must produce identical counts and identical meters for
 // the same probe chain.
 func TestCountVecIdenticalAcrossEngines(t *testing.T) {
@@ -121,7 +121,7 @@ func TestCountVecIdenticalAcrossEngines(t *testing.T) {
 	})
 	variants := map[string]func(nw *netsim.Network) spantree.Ops{
 		"fast": func(nw *netsim.Network) spantree.Ops { return spantree.NewFast(nw) },
-		"fast-parallel": func(nw *netsim.Network) spantree.Ops {
+		"fast-team": func(nw *netsim.Network) spantree.Ops {
 			fe := spantree.NewFast(nw)
 			fe.SetWorkers(8)
 			return fe

@@ -177,7 +177,9 @@ func (r Result) Failed() bool { return r.Error != "" }
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds concurrent query execution (0 → GOMAXPROCS).
+	// Workers bounds concurrent query execution (0 → GOMAXPROCS). The
+	// execution units of one Submit divide the workers among them: each
+	// unit's tree sweeps run on a team of max(1, Workers ÷ units).
 	Workers int
 	// Timeout is the per-query deadline (0 → none). A query that overruns
 	// is reported failed; its goroutine finishes in the background against
@@ -192,10 +194,11 @@ type Engine struct {
 	workers int
 	timeout time.Duration
 	session *Session
-	// treeWorkers pins every run's tree-kernel schedule
-	// (spantree.FastEngine.SetWorkers): 1 sequential, k > 1 forced
-	// parallel. Zero — the auto schedule — in production; engine tests set
-	// it to hold the schedules to each other.
+	// treeWorkers pins every run's tree-kernel team
+	// (spantree.FastEngine.SetWorkers): 1 sequential, k > 1 a team of k.
+	// Zero in production, where each unit of a Submit gets its share of the
+	// pool (teamSize); engine tests set it to hold the schedules to each
+	// other.
 	treeWorkers int
 }
 
@@ -218,6 +221,17 @@ func (e *Engine) Workers() int { return e.workers }
 // Session returns the engine's topology cache.
 func (e *Engine) Session() *Session { return e.session }
 
+// teamSize is the tree-kernel team every run of a Submit with the given
+// number of units executes on: the pool's workers divided among the
+// units, so a Submit of one unit sweeps on every core while one of many
+// keeps its parallelism across units and sweeps each sequentially.
+func (e *Engine) teamSize(units int) int {
+	if e.treeWorkers != 0 {
+		return e.treeWorkers
+	}
+	return max(1, e.workers/max(1, units))
+}
+
 // runAll is Submit's body, with its ordering and failure contract: every
 // result is written at its job's index, and jobs that never started are
 // marked with the context error. With fuse set, fusable jobs against one
@@ -225,7 +239,9 @@ func (e *Engine) Session() *Session { return e.session }
 // fusion.go); everything else runs solo. A twin gets its job's result.
 func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
-	p := planUnits(jobs, fuse)
+	planned := planUnits(jobs, fuse)
+	planned.team = e.teamSize(len(planned.units))
+	p := planned // never reassigned, so the workers capture it by value
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, p)
 	}
@@ -273,8 +289,9 @@ func failedResult(job Job, err error) Result {
 }
 
 // runOne forks a per-run network off the session cache and executes the
-// query, enforcing the per-query deadline; aud is its shared byz audit, if any.
-func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce) Result {
+// query on a tree-kernel team of the given size, enforcing the per-query
+// deadline; aud is its shared byz audit, if any.
+func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce, team int) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
 	}
@@ -288,7 +305,7 @@ func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce) Result {
 				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
 			}
 		}()
-		done <- e.executeJob(spec, job, aud)
+		done <- e.executeJob(spec, job, aud, team)
 	}()
 
 	var deadline <-chan time.Time
@@ -319,14 +336,14 @@ func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce) Result {
 // finished with it (an abandoned run releases late, never early). A
 // panicking query skips the release — the pool never sees a network in an
 // unknown state.
-func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce) Result {
+func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce, team int) Result {
 	start := time.Now()
 	nw, err := e.fork(spec, &job)
 	if err != nil {
 		return failedResult(job, err)
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, job.Query, aud)
+	ans, err := e.execute(nw, spec, job.Query, aud, team)
 	if err != nil {
 		nw.Release()
 		return failedResult(job, err)

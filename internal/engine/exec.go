@@ -115,8 +115,9 @@ type robustInfo struct {
 // traffic is charged to the meter before the query runs, and the
 // simulator-side ground truth shrinks to the surviving, reconnected nodes
 // — the population the healed tree can actually aggregate. aud is the byz
-// audit a robust job shares with others of its Submit (nil: none).
-func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce) (answer, error) {
+// audit a robust job shares with others of its Submit (nil: none); team
+// is the tree-kernel team size (spantree.FastEngine.SetWorkers).
+func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce, team int) (answer, error) {
 	q = q.WithDefaults()
 	k := kindOf(q.Kind)
 	if q.Where != nil {
@@ -139,7 +140,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		}
 	}
 
-	r := &run{nw: nw, spec: spec, q: q}
+	r := &run{nw: nw, spec: spec, q: q, team: team}
 	var heal *spantree.HealResult
 	if k.tree {
 		var err error
@@ -151,7 +152,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce)
 		// cost is purely the protocol's own traffic.
 		r.fe = spantree.NewFast(nw)
 	}
-	r.fe.SetWorkers(e.treeWorkers)
+	r.fe.SetWorkers(team)
 	r.truth = groundTruth{nw: nw, view: r.fe.View(), where: q.Where}
 	// A fusable query under a phased fault plan runs as a batch of one: the
 	// batch driver's detect → re-heal → resume loop (retry.go), with the

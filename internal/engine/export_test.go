@@ -12,7 +12,7 @@ func (e *Engine) RunOnFork(spec Spec, q Query) (*netsim.Network, Result, error) 
 		return nil, Result{}, err
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, q, nil)
+	ans, err := e.execute(nw, spec, q, nil, e.teamSize(1))
 	if err != nil {
 		return nw, Result{}, err
 	}

@@ -272,6 +272,8 @@ type plan struct {
 	// audits are the byz audits robust jobs share, by job index.
 	audits map[int]*auditOnce
 	fuse   bool
+	// team is the tree-kernel team size of every unit (Engine.teamSize).
+	team int
 }
 
 // planUnits plans jobs: twins first, then units over the distinct jobs.
@@ -356,7 +358,7 @@ func (p plan) batch(jobs []Job, u []int) bool {
 // runUnit executes one unit, writing results by original job index.
 func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
 	if !p.batch(jobs, idxs) {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.audits[idxs[0]])
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.audits[idxs[0]], p.team)
 		return
 	}
 	solo := e.runFusedGroup(ctx, jobs, p, idxs, results)
@@ -367,7 +369,7 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, re
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
 		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
-		results[i] = e.runOne(ctx, jobs[i], nil)
+		results[i] = e.runOne(ctx, jobs[i], nil, p.team)
 	}
 }
 
@@ -426,7 +428,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 		nw.Release()
 		return failAll(err)
 	}
-	fe.SetWorkers(e.treeWorkers)
+	fe.SetWorkers(p.team)
 	truth := &groundTruth{nw: nw, view: fe.View()}
 
 	// One member per job: the group holds no twins, so members[k] is job
@@ -453,7 +455,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 		return append(solo, idxs[:len(members)]...)
 	}
 
-	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth}, deadline)
+	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {

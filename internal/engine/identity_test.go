@@ -72,30 +72,34 @@ func queryFor(kind string) Query {
 	return q
 }
 
-// pinned returns a one-worker engine whose every run sweeps the tree on
-// the given kernel schedule: 1 sequential, k > 1 forced across k workers,
-// 0 the production auto schedule.
+// pinned returns an engine whose every run sweeps the tree on the given
+// kernel schedule: 1 sequential, k > 1 a team of k. 0 is the production
+// unit rule on a four-worker pool, which gives a one-job Submit a team of
+// four.
 func pinned(treeWorkers int) *Engine {
+	if treeWorkers == 0 {
+		return New(Options{Workers: 4})
+	}
 	e := New(Options{Workers: 1})
 	e.treeWorkers = treeWorkers
 	return e
 }
 
-// forcedWorkers forces every level with two or more nodes across workers,
-// whatever the host's core count.
-const forcedWorkers = 3
+// teamWorkers is the team size the identity gates pin, whatever the
+// host's core count: odd, so the partition's members are uneven.
+const teamWorkers = 3
 
 // schedules are the kernel schedules the identity gates compare against
 // the sequential reference.
 var schedules = []struct {
 	name    string
 	workers int
-}{{"auto", 0}, {"forced-parallel", forcedWorkers}}
+}{{"unit-rule", 0}, {"team", teamWorkers}}
 
 // TestFastEngineVariantsIdenticalAllKinds is the schedule identity gate at
 // the query-engine level: for every query kind, the sequential kernel
-// schedule, the production auto schedule and the forced-parallel schedule
-// must report byte-identical values, details, and meters.
+// schedule, the production unit rule and a pinned team must report
+// byte-identical values, details, and meters.
 func TestFastEngineVariantsIdenticalAllKinds(t *testing.T) {
 	for _, kind := range append(Kinds(), statementCase) {
 		t.Run(kind, func(t *testing.T) {
@@ -169,5 +173,22 @@ func TestPooledInstantiateIdenticalAcrossReuse(t *testing.T) {
 				identityFields(t, "recycled run", again, first)
 			}
 		})
+	}
+}
+
+// TestTeamSizeUnitRule pins how a Submit's units share the pool: each
+// unit's tree kernel runs on a team of max(1, Workers ÷ units), so a
+// one-unit Submit sweeps on every worker and a Submit of many keeps its
+// parallelism across units; treeWorkers overrides the rule.
+func TestTeamSizeUnitRule(t *testing.T) {
+	for _, c := range []struct{ workers, units, want int }{
+		{2, 1, 2}, {2, 2, 1}, {2, 6, 1}, {4, 1, 4}, {4, 2, 2}, {4, 3, 1}, {8, 3, 2}, {1, 1, 1},
+	} {
+		if got := New(Options{Workers: c.workers}).teamSize(c.units); got != c.want {
+			t.Errorf("%d workers, %d units: team of %d, want %d", c.workers, c.units, got, c.want)
+		}
+	}
+	if got := pinned(teamWorkers).teamSize(5); got != teamWorkers {
+		t.Errorf("treeWorkers %d: team of %d", teamWorkers, got)
 	}
 }

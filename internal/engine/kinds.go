@@ -435,6 +435,7 @@ type run struct {
 	net   aggregator
 	truth groundTruth
 	m     member
+	team  int // the tree-kernel team size
 }
 
 // pred is the predicate an in-network kind evaluates: the query's WHERE,

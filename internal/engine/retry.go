@@ -37,6 +37,8 @@ type outcome struct {
 	hr *spantree.HealResult
 	// truth is the ground truth over the final view's survivors.
 	truth *groundTruth
+	// team is the tree-kernel team size a re-healed view's engine runs on.
+	team int
 	// retries counts the re-heal/resume attempts consumed.
 	retries int
 	// degraded marks a budget-exhausted best-effort answer.
@@ -119,7 +121,7 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 		}
 		o.hr = hr
 		fe = spantree.NewFastView(nw, hr.View)
-		fe.SetWorkers(e.treeWorkers)
+		fe.SetWorkers(o.team)
 		o.truth = &groundTruth{nw: nw, view: hr.View}
 		if o.truth.count() == 0 {
 			return o, core.ErrEmpty
@@ -165,7 +167,7 @@ func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult) (answer, 
 		return answer{}, err
 	}
 	members := []member{mb}
-	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth}, time.Time{})
+	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
 	if err == nil {
 		err = o.res.members[0].err
 	}

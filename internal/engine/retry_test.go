@@ -146,7 +146,7 @@ func TestResilientSoloMatchesFused(t *testing.T) {
 }
 
 // TestResilientSerialVsParallelIdentical pins the schedule identity under
-// mid-flight faults: the sequential and forced-parallel kernel schedules
+// mid-flight faults: the sequential schedule and a team
 // must resume — on the re-healed engine too — to byte-identical results.
 // Run with -race.
 func TestResilientSerialVsParallelIdentical(t *testing.T) {
@@ -159,11 +159,11 @@ func TestResilientSerialVsParallelIdentical(t *testing.T) {
 			}
 			return r
 		}
-		ser, par := variant(1), variant(forcedWorkers)
+		ser, par := variant(1), variant(teamWorkers)
 		if ser.Value != par.Value || ser.Retries != par.Retries ||
 			ser.Degraded != par.Degraded || ser.SurvivorFrac != par.SurvivorFrac ||
 			ser.Truth != par.Truth {
-			t.Errorf("%s: sequential (%g, r%d, d%v, s%g) != forced-parallel (%g, r%d, d%v, s%g)",
+			t.Errorf("%s: sequential (%g, r%d, d%v, s%g) != team (%g, r%d, d%v, s%g)",
 				kind, ser.Value, ser.Retries, ser.Degraded, ser.SurvivorFrac,
 				par.Value, par.Retries, par.Degraded, par.SurvivorFrac)
 		}

@@ -119,7 +119,7 @@ func oraclePlanUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*audi
 // oracleRunUnit executes one unit, writing results by original job index.
 func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, audits map[int]*auditOnce, results []Result) {
 	if len(idxs) == 1 {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], audits[idxs[0]])
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], audits[idxs[0]], e.teamSize(1))
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -136,7 +136,7 @@ func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, audi
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
 		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
-		results[i] = e.runOne(ctx, jobs[i], nil)
+		results[i] = e.runOne(ctx, jobs[i], nil, e.teamSize(1))
 	}
 }
 

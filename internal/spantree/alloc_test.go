@@ -16,8 +16,10 @@ import (
 // TestHealedViewEngineAllocs is the exact gate on what a healed-view
 // engine costs once its run network is warm: the engine, what it derives
 // from its view (child prefix sums, level bounds) and the agg.Net around
-// it — nothing per node, and no root partial boxed. The rings, arenas
-// and writers are the network's and are reused. Before the shared scratch
+// it — nothing per node, and no root partial boxed — sequentially and on
+// a team of 2, whose partition of each new view is rebuilt in the
+// network's buffers. The slots, arenas, writers and partition are the
+// network's and are reused. Before the shared scratch
 // this sequence allocated ≈ 8,600 times (a stash writer per node, an
 // N·k-word arena, per-level slices). The warm full-view sweep's zero is
 // gated in internal/agg (TestWarmCountQueryAllocs and its neighbours).
@@ -39,15 +41,19 @@ func TestHealedViewEngineAllocs(t *testing.T) {
 	}
 	preds := chainPreds(16)
 	var dst []uint64
-	run := func() {
-		net := agg.NewNet(spantree.NewFastView(nw, hr.View))
-		net.MinMax(core.Linear)
-		dst = net.CountVec(core.Linear, preds, dst)
-	}
-	run() // warm the network's scratch
-	allocs := testing.AllocsPerRun(20, run)
-	t.Logf("%.0f allocs", allocs)
-	if allocs > 10 {
-		t.Errorf("healed-view engine + MinMax + CountVec(16) on a warm fork: %.0f allocs, want <= 10", allocs)
+	for _, team := range []int{1, 2} {
+		run := func() {
+			fe := spantree.NewFastView(nw, hr.View)
+			fe.SetWorkers(team)
+			net := agg.NewNet(fe)
+			net.MinMax(core.Linear)
+			dst = net.CountVec(core.Linear, preds, dst)
+		}
+		run() // warm the network's scratch
+		allocs := testing.AllocsPerRun(20, run)
+		t.Logf("team of %d: %.0f allocs", team, allocs)
+		if allocs > 10 {
+			t.Errorf("healed-view engine on a team of %d + MinMax + CountVec(16) on a warm fork: %.0f allocs, want <= 10", team, allocs)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package spantree
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"sensoragg/internal/bitio"
+	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/topology"
 )
@@ -129,20 +132,18 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 
 	// parent becomes the repaired view's parent array and outlives the
 	// call; a node is attached iff its parent is set. Everything else is
-	// scratch for this call only, never parked on the (pooled) network.
-	// The repair runs on the sequential protocol driver, so frames are
-	// charged through the meter's single-writer edge path.
-	type healNode struct {
-		depth int32 // hop distance from the acting root, once attached
-		frag  int32 // detached fragment index (ascending orphan-root ID), -1 = none
-		heard bool  // parent heartbeat arrived: the tree edge above survived
-		asked bool  // holds a HELP request from a detached neighbour
-	}
+	// scratch for this call only, drawn from healPool, never parked on the
+	// (pooled) network. The repair runs on the sequential protocol driver,
+	// so frames are charged through the meter's single-writer edge path.
+	hs := healPool.Get().(*healScratch)
+	defer healPool.Put(hs)
+	hs.links(g, plan)
 	parent := make([]topology.NodeID, n)
-	st := make([]healNode, n)
+	st := grow(hs.st, n)
+	hs.st = st
 	for i := range parent {
 		parent[i] = excludedParent
-		st[i].frag = -1
+		st[i] = healNode{frag: -1}
 	}
 
 	// Phase 1 — heartbeats parent → child over surviving tree links. The
@@ -150,7 +151,7 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 	// fragments: node u keeps the edge to tree.Parent[u] iff st[u].heard.
 	for c := range st {
 		cid := topology.NodeID(c)
-		if p := tree.Parent[c]; p >= 0 && alive(cid) && alive(p) && plan.LinkAlive(p, cid) {
+		if p := tree.Parent[c]; p >= 0 && alive(cid) && alive(p) && hs.treeLinkAlive(g, plan, p, cid) {
 			m.ChargeEdgeSeq(p, cid, 1, 1)
 			st[c].heard = true
 		}
@@ -185,8 +186,9 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 	// acting root is the tree root, no pointers flip (it is already the
 	// fragment's shallowest node); a re-rooted heal flips the fragment
 	// under the new querier like any other graft.
-	wave := attachFragment(make([]topology.NodeID, 0, n), root, -1, 0)
-	next := make([]topology.NodeID, 0, n-len(wave))
+	wave := attachFragment(grow(hs.wave, n)[:0], root, -1, 0)
+	next := grow(hs.next, n)[:0]
+	defer func() { hs.wave, hs.next = wave, next }()
 
 	// Phase 2 — each orphan root floods a detached marker down its
 	// fragment (1 bit per kept edge), so members know to call for help.
@@ -224,8 +226,8 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 			continue
 		}
 		uid := topology.NodeID(u)
-		for _, nbr := range g.Adj[u] {
-			if alive(nbr) && plan.LinkAlive(uid, nbr) {
+		for a, nbr := range g.Adj[u] {
+			if alive(nbr) && hs.linkAlive(u, a) {
 				m.ChargeEdgeSeq(uid, nbr, 1, 1)
 				st[nbr].asked = true
 			}
@@ -251,9 +253,9 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 				continue
 			}
 			du := st[u].depth
-			for _, x := range g.Adj[u] {
+			for a, x := range g.Adj[u] {
 				f := st[x].frag
-				if f < 0 || parent[x] != excludedParent || !plan.LinkAlive(u, x) {
+				if f < 0 || parent[x] != excludedParent || !hs.linkAlive(int(u), a) {
 					continue
 				}
 				m.ChargeEdgeSeq(u, x, int64(1+bitio.GammaWidth(uint64(du))), 1)
@@ -293,7 +295,7 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 		}
 	}
 	return &HealResult{
-		View:        viewFromParents(parent, root),
+		View:        viewFromParents(parent, root, hs),
 		Crashed:     plan.CrashedCount(),
 		OrphanRoots: orphanRoots,
 		Reattached:  reattached,
@@ -301,6 +303,90 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 		Waves:       waves,
 		Repair:      m.Since(before),
 	}, nil
+}
+
+// healNode is one node's state during a repair.
+type healNode struct {
+	depth int32 // hop distance from the acting root, once attached
+	frag  int32 // detached fragment index (ascending orphan-root ID), -1 = none
+	heard bool  // parent heartbeat arrived: the tree edge above survived
+	asked bool  // holds a HELP request from a detached neighbour
+}
+
+// healScratch is one repair's working memory, pooled across repairs: the
+// node states, both wave buffers, the view's fan-out count and the fate
+// of every link.
+type healScratch struct {
+	st         []healNode
+	wave, next []topology.NodeID
+	fanout     []int32
+	// dead has one bit per adjacency entry: bit off[u]+a is set when the
+	// link from u to g.Adj[u][a] is dead. It is derived only when the plan
+	// fails links at all (linkFaults).
+	linkFaults bool
+	off        []int32
+	dead       []uint64
+}
+
+var healPool = sync.Pool{New: func() any { return new(healScratch) }}
+
+// links derives the fate of every link of g under plan as it stands,
+// hashing each undirected link once: from its lower endpoint, with the
+// higher endpoint's entry found by binary search (Adj lists are sorted).
+// A plan with no run-long link failures and no mid-flight ones that have
+// struck keeps every link alive (Plan.LinkAlive's own condition), and
+// nothing is derived.
+func (hs *healScratch) links(g *topology.Graph, plan *faults.Plan) {
+	sp := plan.Spec()
+	hs.linkFaults = sp.LinkFail > 0 || plan.PhaseFired() && sp.MidLinkFail > 0
+	if !hs.linkFaults {
+		return
+	}
+	n := len(g.Adj)
+	hs.off = grow(hs.off, n+1)
+	total := 0
+	for u, nbrs := range g.Adj {
+		hs.off[u] = int32(total)
+		total += len(nbrs)
+	}
+	hs.off[n] = int32(total)
+	hs.dead = grow(hs.dead, (total+63)/64)
+	clear(hs.dead)
+	for u, nbrs := range g.Adj {
+		uid := topology.NodeID(u)
+		for a, v := range nbrs {
+			b, hashed := 0, false
+			if v < uid {
+				b, hashed = slices.BinarySearch(g.Adj[v], uid)
+			}
+			if hashed && !hs.linkAlive(int(v), b) || !hashed && !plan.LinkAlive(uid, v) {
+				bit := int(hs.off[u]) + a
+				hs.dead[bit/64] |= 1 << (bit % 64)
+			}
+		}
+	}
+}
+
+// linkAlive reports whether the link from u to g.Adj[u][a] is alive.
+func (hs *healScratch) linkAlive(u, a int) bool {
+	if !hs.linkFaults {
+		return true
+	}
+	bit := int(hs.off[u]) + a
+	return hs.dead[bit/64]&(1<<(bit%64)) == 0
+}
+
+// treeLinkAlive reports whether the tree edge (p, c) is alive: from the
+// derived fates when it is a graph edge, from the plan when it is not (a
+// hand-built tree may hang a node off a non-neighbour).
+func (hs *healScratch) treeLinkAlive(g *topology.Graph, plan *faults.Plan, p, c topology.NodeID) bool {
+	if !hs.linkFaults {
+		return true
+	}
+	if a, ok := slices.BinarySearch(g.Adj[c], p); ok {
+		return hs.linkAlive(int(c), a)
+	}
+	return plan.LinkAlive(p, c)
 }
 
 // NewFastHealed returns the fast engine a faulty run should execute over:
@@ -358,15 +444,18 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 // viewFromParents assembles a TreeView from a parent array in which
 // excluded nodes carry excludedParent. Children are listed in ID order,
 // carved from one backing array owned by the view (each list's capacity
-// ends where the next begins), and Order is BFS from the root.
-func viewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
+// ends where the next begins), and Order is BFS from the root. The
+// fan-out count is hs's scratch.
+func viewFromParents(parent []topology.NodeID, root topology.NodeID, hs *healScratch) *TreeView {
 	n := len(parent)
 	v := &TreeView{
 		Root:     root,
 		Parent:   parent,
 		Children: make([][]topology.NodeID, n),
 	}
-	fanout := make([]int32, n)
+	fanout := grow(hs.fanout, n)
+	hs.fanout = fanout
+	clear(fanout)
 	included := 0
 	for _, p := range parent {
 		if p == excludedParent {

@@ -4,8 +4,9 @@ package spantree_test
 // and levelSchedule exactly as they were before the position-indexed
 // rewrite (partials addressed by node ID — one k-word arena slot and one
 // vbits cell per node — and levels as appended per-depth slices), kept
-// verbatim apart from package qualifiers so the identity tests below can
-// hold the production kernel to them bit for bit. It speaks LocalVec,
+// verbatim apart from package qualifiers and its worker fan-out — it now
+// sweeps every level in one piece, which never changed its output — so the
+// identity tests below can hold the production kernel to them bit for bit. It speaks LocalVec,
 // MergeVec and VecBits, never FoldVec, so it checks the production fold
 // from outside — for the scalar combiners, which ride the kernel at width
 // 1 and 2, too. Their boxed twins are the oracle of internal/agg's
@@ -17,8 +18,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 
 	"sensoragg/internal/agg"
@@ -33,10 +32,9 @@ import (
 // oracleEngine is the reliable half of the old FastEngine: an Ops over a
 // view whose scratch is sized by N and indexed by node ID.
 type oracleEngine struct {
-	nw      *netsim.Network
-	view    *spantree.TreeView
-	workers int
-	sc      *oracleScratch
+	nw   *netsim.Network
+	view *spantree.TreeView
+	sc   *oracleScratch
 }
 
 type oracleScratch struct {
@@ -45,8 +43,8 @@ type oracleScratch struct {
 	vbits  []int32
 }
 
-func newOracle(nw *netsim.Network, view *spantree.TreeView, workers int) *oracleEngine {
-	return &oracleEngine{nw: nw, view: view, workers: workers, sc: &oracleScratch{}}
+func newOracle(nw *netsim.Network, view *spantree.TreeView) *oracleEngine {
+	return &oracleEngine{nw: nw, view: view, sc: &oracleScratch{}}
 }
 
 func (e *oracleEngine) Network() *netsim.Network { return e.nw }
@@ -92,20 +90,9 @@ func (e *oracleEngine) convergecastVec(vc spantree.VecCombiner) ([]uint64, error
 	vbits := e.sc.vbits[:n]
 	levels := e.levelSchedule()
 	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		w := e.workersFor(len(lv))
-		if w <= 1 {
-			for _, u := range lv {
-				e.gatherVecDirect(u, vc, k, vec, vbits)
-			}
-			continue
+		for _, u := range levels[li] {
+			e.gatherVecDirect(u, vc, k, vec, vbits)
 		}
-		vc := vc
-		parallelChunks(len(lv), w, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.gatherVecDirect(lv[i], vc, k, vec, vbits)
-			}
-		})
 	}
 	root := int(v.Root)
 	return vec[root*k : root*k+k], nil
@@ -161,51 +148,6 @@ func (e *oracleEngine) levelSchedule() [][]topology.NodeID {
 	}
 	e.sc.levels = levels
 	return levels
-}
-
-// minParallelLevel mirrors the engine's auto-schedule threshold.
-const minParallelLevel = 512
-
-// workersFor resolves the schedule for one sweep of the given width under
-// the engine's workers setting.
-func (e *oracleEngine) workersFor(width int) int {
-	switch {
-	case e.workers == 1 || width < 2:
-		return 1
-	case e.workers > 1:
-		if e.workers > width {
-			return width
-		}
-		return e.workers
-	default: // auto
-		if width < minParallelLevel {
-			return 1
-		}
-		w := runtime.GOMAXPROCS(0)
-		if w > width {
-			w = width
-		}
-		return w
-	}
-}
-
-// parallelChunks splits [0, n) into contiguous chunks across workers and
-// invokes fn(worker, lo, hi) on each, waiting for completion.
-func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // --- the generated matrix ---
@@ -289,7 +231,7 @@ func viewCases(t *testing.T, g *topology.Graph, base faults.Spec, workers int, s
 			fe = spantree.NewFastView(nw, view)
 		}
 		fe.SetWorkers(workers)
-		cases = append(cases, viewCase{name: name, nw: nw, ref: ref, fe: fe, or: newOracle(ref, refView, workers)})
+		cases = append(cases, viewCase{name: name, nw: nw, ref: ref, fe: fe, or: newOracle(ref, refView)})
 	}
 	heal := func(nw *netsim.Network) *spantree.TreeView {
 		hr, err := spantree.Heal(nw)

@@ -33,8 +33,8 @@ func fastVariants(tmpl *netsim.Network, faultSpec faults.Spec) map[string]*FastE
 	}
 	return map[string]*FastEngine{
 		"sequential": mk(1),
-		"parallel-2": mk(2),
-		"parallel-4": mk(4),
+		"team-2":     mk(2),
+		"team-4":     mk(4),
 	}
 }
 

@@ -11,20 +11,33 @@
 // (Convergecast): every edge is encoded with AppendPartial into a pooled
 // per-worker wire.Arena buffer and decoded.
 //
-// One engine executes every tree operation: FastEngine, a level-ordered
-// schedule — sequential on narrow levels, level-parallel (a worker pool
-// sweeps each level's nodes) on wide ones. GoroutineEngine — every node a
-// goroutine, every partial crossing its edge through the combiner's codec
-// — is the round-trip reference the fast engine is differentially tested
-// against: both produce identical results and identical bit meters,
-// because every charge is the exact encoded length of the partial that
-// crosses the edge.
+// One engine executes every tree operation: FastEngine, a bottom-up
+// schedule over the view's BFS positions. Sequentially, a convergecast
+// sweeps the view level by level. On a team of w (SetWorkers; the query
+// engine gives each execution unit of a Submit a team of its pool's
+// workers divided by the Submit's units), it sweeps the view's subtree
+// partition: the top part holds the nodes whose subtree exceeds ⌈N/4w⌉
+// nodes, every other child of a top node roots a frontier subtree, and the
+// frontier subtrees are cut into w runs of about equal size. Each member
+// sweeps its run bottom-up on a ring of its own and parks each frontier
+// root's partial in a frontier slot; after the join, the caller sweeps the
+// top part, copying the frontier partials in. Broadcasts split the view
+// into w contiguous chunks. Shares run on the calling goroutine and on a
+// process-wide pool of at most GOMAXPROCS-1 resident helpers, which
+// spin-yield about one sweep between shares, park after that and exit
+// once idle for long; the partition lives in the run network's scratch,
+// so a warm team operation allocates nothing. GoroutineEngine — every node
+// a goroutine, every partial crossing its edge through the combiner's
+// codec — is the round-trip reference the fast engine is differentially
+// tested against: both produce identical results and identical bit
+// meters, because every charge is the exact encoded length of the partial
+// that crosses the edge. The fast engine's results and meters are the
+// same on every schedule and at every team size.
 package spantree
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"sensoragg/internal/bitio"
 	"sensoragg/internal/faults"
@@ -79,9 +92,14 @@ type Ops interface {
 	ConvergecastVec(vc VecCombiner) ([]uint64, error)
 }
 
-// FastEngine executes tree operations on a level-ordered schedule over a
-// TreeView — by default the network's full spanning tree; after
-// self-healing (Heal), the repaired tree over the surviving nodes.
+// FastEngine executes tree operations over a TreeView — by default the
+// network's full spanning tree; after self-healing (Heal), the repaired
+// tree over the surviving nodes — on one of two schedules. Sequentially,
+// a convergecast sweeps the view level by level from the deepest up. On a
+// team of w (SetWorkers), it sweeps the view's subtree partition: each
+// member sweeps its frontier subtrees bottom-up, and after the join the
+// caller sweeps the top part (see partition). Answers and every node's
+// counters are identical on both schedules and at every team size.
 //
 // When the network carries a fault plan with message-level faults
 // (netsim.Network.Faults), every convergecast edge passes the plan's
@@ -94,10 +112,8 @@ type FastEngine struct {
 	nw   *netsim.Network
 	view *TreeView
 
-	// workers selects the execution schedule: 1 runs strictly sequential,
-	// 0 (the default) auto-parallelizes wide levels across GOMAXPROCS
-	// workers, and any k > 1 forces every level with ≥2 nodes across k
-	// workers (the deterministic forced-parallel mode tests pin down).
+	// workers is the team size: 0 or 1 runs every operation sequentially,
+	// k > 1 runs every sweep and broadcast as k shares on a team.
 	workers int
 
 	// sh is the operation scratch every engine on the run network shares;
@@ -107,7 +123,7 @@ type FastEngine struct {
 	// nothing, whichever view it sweeps.
 	sh *netScratch
 	vs *viewSched
-	// op is the state of the convergecast in flight.
+	// op is the state of the operation in flight.
 	op sweepOp
 
 	// watching caches Meter.Watching for the current operation: with no
@@ -127,11 +143,11 @@ type FastEngine struct {
 // network, parked on the network (netsim.Network.TreeScratch) so it rides
 // through pooled reuse. None of it holds state between operations, so the
 // full-view engine, a healed- or re-healed-view engine and every byz sector
-// engine on the network reuse the same buffers. A convergecast partial is
-// consumed exactly once, by the parent one level up, so only two adjacent
-// levels are ever live: each ring below is two level-wide halves, level l
-// in half l&1, a node's slot its position within its level. The rings grow
-// to the widest operation seen and are never N-sized.
+// engine on the network reuse the same buffers. Partials live in slots: a
+// convergecast partial is consumed exactly once, by the parent one level
+// up, so each lane's ring is two level-wide halves, level l in half l&1,
+// and a team sweep adds one frontier slot per frontier subtree. The rings
+// grow to the widest operation seen and are never N-sized.
 type netScratch struct {
 	// tree, view and full cache the one view every run on the network
 	// shares — its own spanning tree — and what is derived from it.
@@ -139,12 +155,19 @@ type netScratch struct {
 	view *TreeView
 	full *viewSched
 
-	vec   []uint64 // vector ring, k words per slot
-	vbits []int32  // encoded length of each vector-ring slot
-	boxed []any    // ring of the generic (boxed-partial) path
-	// arenas holds one arena of payload buffers per worker of the generic
-	// path.
+	vec   []uint64 // vector slots, k words each
+	vbits []int32  // encoded length of each vector slot
+	boxed []any    // slots of the generic (boxed-partial) path
+	// arenas holds one arena of payload buffers per team member of the
+	// generic path.
 	arenas []*wire.Arena
+
+	// part is the subtree partition of the view and team size the last
+	// team sweep ran on, rebuilt in place when either changes; errs holds
+	// each member's error; team runs the shares.
+	part partition
+	errs []error
+	team team
 }
 
 // viewSched is what a sweep derives from a view, built on first use. It
@@ -156,14 +179,16 @@ type viewSched struct {
 	cs []int32
 	// bounds[l] is the position level l starts at; bounds[levels] = N().
 	bounds []int32
-	// width is the widest level.
-	width int
+	// seq is the sequential schedule: one lane over the whole view.
+	seq lane
+	// stamp identifies the schedule to the partition built from it.
+	stamp uint64
 	// fanout[i] is Order[i]'s child count: the flat broadcast pass of the
 	// network's own tree, whose position i is storage slot i.
 	fanout []int32
 }
 
-// sweepOp is one convergecast's state, read by the level kernels.
+// sweepOp is one operation's state, read by every share of it.
 type sweepOp struct {
 	s    *viewSched
 	plan *faults.Plan
@@ -173,13 +198,20 @@ type sweepOp struct {
 	// perEdge prices every delivery on its own: a watched edge, or drop/dup
 	// decisions that reshape what each endpoint pays.
 	perEdge bool
+
+	// w is the operation's team size. A team sweep's members run
+	// lanes[:w]; a team broadcast (bcast) delivers p in w chunks.
+	w     int
+	lanes []lane
+	bcast bool
+	p     wire.Payload
+	apply Applier
 }
 
 var _ Ops = (*FastEngine)(nil)
 
-// minParallelLevel is the level width below which the auto schedule stays
-// sequential: narrower levels don't amortize the goroutine fan-out.
-const minParallelLevel = 512
+// maxTeam caps the team size SetWorkers can ask for.
+const maxTeam = 256
 
 // scratchOf returns the scratch parked on nw, parking a fresh one first
 // when there is none.
@@ -210,9 +242,10 @@ func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
 	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: &viewSched{}}
 }
 
-// SetWorkers pins the engine's schedule: 1 = strictly sequential, 0 = auto
-// (parallel sweeps over levels wider than minParallelLevel), k > 1 = force
-// k workers over every level. Results and meters are identical across all
+// SetWorkers sets the engine's team size: 1 (or 0, the default) runs
+// strictly sequential, k > 1 runs every sweep and broadcast as k shares —
+// the caller's and those of resident helper goroutines, at most
+// GOMAXPROCS-1 of them. Results and meters are identical across all
 // settings; only wall-clock changes.
 func (e *FastEngine) SetWorkers(k int) { e.workers = k }
 
@@ -222,72 +255,56 @@ func (e *FastEngine) Network() *netsim.Network { return e.nw }
 // View returns the tree view the engine executes over.
 func (e *FastEngine) View() *TreeView { return e.view }
 
+// teamSize resolves the engine's workers setting.
+func (e *FastEngine) teamSize() int { return min(max(e.workers, 1), maxTeam) }
+
 // Broadcast implements Ops. Per-node work is independent (each node only
-// touches its own state and the shared immutable payload), so wide
-// networks are swept by the worker pool; charges are atomic and identical
-// regardless of schedule.
+// touches its own state and meter cell and the shared immutable payload),
+// so a team delivers it in contiguous chunks of positions; the charges are
+// identical regardless of schedule.
 func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	e.watching = e.nw.Meter.Watching()
 	if sk := obs.Active(); sk != nil {
 		e.obsBroadcast(sk, p)
 	}
-	v := e.view
-	n := len(v.Order)
-	if e.vs == e.sh.full && !e.watching {
-		// Fast path over the network's own tree, whose position i is
-		// storage slot i (netsim stores node Tree.Order[i] there): the
-		// metering of a uniform broadcast is one flat pass over the cells,
-		// and the appliers (if any) walk the nodes in storage order.
-		if e.vs.fanout == nil {
-			e.vs.fanout = make([]int32, n)
-			for i, u := range v.Order {
-				e.vs.fanout[i] = int32(len(v.Children[u]))
-			}
+	if e.flat() && e.vs.fanout == nil {
+		e.vs.fanout = make([]int32, len(e.view.Order))
+		for i, u := range e.view.Order {
+			e.vs.fanout[i] = int32(len(e.view.Children[u]))
 		}
-		fanout := e.vs.fanout
-		m := e.nw.Meter
-		bits := p.Bits()
-		if w := e.workersFor(n); w > 1 {
-			p, apply := p, apply
-			parallelChunks(n, w, func(_, lo, hi int) {
-				m.ChargeBroadcastSeq(bits, fanout, v.Root, lo, hi)
-				e.applyRange(p, apply, lo, hi)
-			})
-			return
-		}
-		m.ChargeBroadcastSeq(bits, fanout, v.Root, 0, n)
-		e.applyRange(p, apply, 0, n)
+	}
+	w := e.teamSize()
+	if w == 1 {
+		e.broadcastRange(p, apply, 0, len(e.view.Order))
 		return
 	}
-	if w := e.workersFor(n); w > 1 {
-		// Shadowing keeps the escaping closure from moving the parameters
-		// to the heap on the sequential path (see Convergecast).
-		p, apply := p, apply
-		parallelChunks(n, w, func(_, lo, hi int) {
-			e.broadcastRange(p, apply, lo, hi)
-		})
-		return
-	}
-	e.broadcastRange(p, apply, 0, n)
+	e.op.w, e.op.bcast, e.op.p, e.op.apply = w, true, p, apply
+	e.sh.team.run(e, w)
+	e.op.bcast, e.op.p, e.op.apply = false, wire.Payload{}, nil
 }
 
-// applyRange runs apply, if any, at the view's positions [lo, hi).
-func (e *FastEngine) applyRange(p wire.Payload, apply Applier, lo, hi int) {
-	if apply == nil {
-		return
-	}
-	for _, u := range e.view.Order[lo:hi] {
-		apply(e.nw.Nodes[u], p)
-	}
-}
+// flat reports whether a broadcast takes the flat pass over the network's
+// own tree, whose position i is storage slot i (netsim stores node
+// Tree.Order[i] there): the metering of a uniform broadcast is then one
+// flat pass over the cells.
+func (e *FastEngine) flat() bool { return e.vs == e.sh.full && !e.watching }
 
 // broadcastRange delivers p to the view's positions [lo, hi). Each node
-// charges its own fan-out (send side) and its own receive, so chunked
-// parallel sweeps charge every edge exactly once.
+// charges its own fan-out (send side) and its own receive, so chunks of a
+// team broadcast charge every edge exactly once.
 func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 	v := e.view
 	m := e.nw.Meter
 	bits := p.Bits()
+	if e.flat() {
+		m.ChargeBroadcastSeq(bits, e.vs.fanout, v.Root, lo, hi)
+		if apply != nil {
+			for _, u := range v.Order[lo:hi] {
+				apply(e.nw.Nodes[u], p)
+			}
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		u := v.Order[i]
 		if e.watching {
@@ -308,14 +325,26 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 	}
 }
 
-// Convergecast implements Ops: a level-order sweep from the deepest level
-// up. Nodes within one level have disjoint subtrees, so each level may be
-// swept in parallel; partials land at distinct indices, meter charges are
-// atomic, and the fault plan's per-message decisions are sequenced per
-// sender (each child sends to its parent exactly once per convergecast),
-// so every schedule produces byte-identical results and meters.
+// share runs share m of the operation in flight: chunk m of a team
+// broadcast, or member m's lane of a team sweep.
+func (e *FastEngine) share(m int) {
+	if e.op.bcast {
+		n := len(e.view.Order)
+		e.broadcastRange(e.op.p, e.op.apply, m*n/e.op.w, (m+1)*n/e.op.w)
+		return
+	}
+	e.sh.errs[m] = e.pass(&e.op.lanes[m], m)
+}
+
+// Convergecast implements Ops: a bottom-up sweep in which each node's
+// partial merges its children's. Disjoint subtrees aggregate
+// independently, partials land in distinct slots, each node's meter cell
+// is charged by the node's own step, and the fault plan's per-message
+// decisions are sequenced per sender (each child sends to its parent
+// exactly once per convergecast), so every schedule produces
+// byte-identical results and meters.
 //
-// Each edge's payload borrows a pooled buffer from the sweeping worker's
+// Each edge's payload borrows a pooled buffer from the sweeping member's
 // arena and is released after decoding.
 func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 	if err := e.begin(nil); err != nil {
@@ -323,21 +352,21 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 	}
 	e.op.c = c
 	sh := e.sh
-	width := e.op.s.width
-	workers := e.workersFor(width)
-	for len(sh.arenas) < workers {
+	for len(sh.arenas) < e.op.w {
 		sh.arenas = append(sh.arenas, wire.NewArena())
 	}
-	sh.boxed = grow(sh.boxed, 2*width)
-	err := e.sweep((*FastEngine).levelBoxed)
+	sh.boxed = grow(sh.boxed, e.slots())
+	err := e.sweep()
 	out := sh.boxed[0]
 	sh.boxed[0] = nil
+	e.op.c = nil
 	return out, err
 }
 
 // begin is the prologue every convergecast shares: the phased fault
 // clock, the completeness check, the obs event (vc is nil for a boxed
-// combiner) and the schedule, which it leaves in e.op.
+// combiner), the schedule and — on a team — the partition, which it
+// leaves in e.op.
 func (e *FastEngine) begin(vc VecCombiner) error {
 	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
@@ -362,8 +391,21 @@ func (e *FastEngine) begin(vc VecCombiner) error {
 		return err
 	}
 	plan := e.nw.Faults
-	e.op = sweepOp{s: s, plan: plan, perEdge: e.watching || (plan != nil && plan.Spec().MessageLevel())}
+	e.op.s, e.op.plan, e.op.perEdge = s, plan, e.watching || (plan != nil && plan.Spec().MessageLevel())
+	e.op.w, e.op.lanes = e.teamSize(), nil
+	if e.op.w > 1 {
+		e.op.lanes = e.sh.part.of(s, e.op.w)
+		e.sh.errs = grow(e.sh.errs, e.op.w)
+	}
 	return nil
+}
+
+// slots is the number of partial slots the operation's schedule uses.
+func (e *FastEngine) slots() int {
+	if e.op.w > 1 {
+		return e.sh.part.slots
+	}
+	return 2 * e.op.s.seq.width
 }
 
 // grow returns buf resized to n slots, reallocating only when its capacity
@@ -375,6 +417,11 @@ func grow[T any](buf []T, n int) []T {
 	}
 	return buf[:n]
 }
+
+// viewStamps numbers the schedules a partition may be built from: the
+// partition keys on a number, not a pointer, so it keeps no view's
+// schedule alive and no later schedule can reuse a key.
+var viewStamps atomic.Uint64
 
 // schedule returns what the sweep derives from the engine's view, building
 // it on first use: the child-position prefix sums, and the level bounds
@@ -412,37 +459,40 @@ func (e *FastEngine) schedule() (*viewSched, error) {
 	for l, b := 0, 1; l < levels; l, b = l+1, int(cs[b]) {
 		bounds[l+1] = int32(b)
 	}
-	s.cs, s.bounds, s.width = cs, bounds, width
+	s.cs, s.bounds = cs, bounds
+	s.seq = lane{lv: bounds, width: width}
+	s.stamp = viewStamps.Add(1)
 	return s, nil
 }
 
-// sweep runs one convergecast: levels from the deepest up, each level's
-// positions handed to run in one piece or — on a wide level — in disjoint
-// chunks across workers. Level l's partials land in ring half l&1 while
-// its children's are read out of the other half.
-func (e *FastEngine) sweep(run func(e *FastEngine, worker, l, lo, hi int) error) error {
-	b := e.op.s.bounds
-	for l := len(b) - 2; l >= 0; l-- {
-		lo, hi := int(b[l]), int(b[l+1])
-		w := e.workersFor(hi - lo)
-		if w <= 1 {
-			if err := run(e, 0, l, lo, hi); err != nil {
-				return err
-			}
+// sweep runs one convergecast on the engine's schedule: sequentially, the
+// one lane over the whole view; on a team, every member's lane of frontier
+// subtrees, then — after the join — the top part's lane.
+func (e *FastEngine) sweep() error {
+	if e.op.w == 1 {
+		return e.pass(&e.op.s.seq, 0)
+	}
+	clear(e.sh.errs)
+	e.sh.team.run(e, e.op.w)
+	for _, err := range e.sh.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return e.pass(&e.op.lanes[e.op.w], 0)
+}
+
+// pass sweeps one lane from its deepest level up; member picks the
+// boxed path's arena.
+func (e *FastEngine) pass(ln *lane, member int) error {
+	for l := len(ln.lv) - 2; l >= 0; l-- {
+		if ln.lv[l] == ln.lv[l+1] {
 			continue
 		}
-		errs := make([]error, w)
-		// Shadow the captured variables inside this branch: the escaping
-		// closure would otherwise move them to the heap at declaration and
-		// charge the sequential path one allocation per level.
-		l, lo := l, lo
-		parallelChunks(hi-lo, w, func(worker, clo, chi int) {
-			errs[worker] = run(e, worker, l, lo+clo, lo+chi)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if e.op.vc != nil {
+			e.levelVec(ln, l)
+		} else if err := e.levelBoxed(ln, l, member); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -460,24 +510,33 @@ func (e *FastEngine) chargeDelivery(child, u topology.NodeID, bits int) int {
 	return bits
 }
 
-// levelBoxed sweeps positions [lo, hi) of level l on the generic path: the
-// local partial, then each child's encoded partial charged, decoded, and
-// merged in child order.
-func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
-	op, v, a := &e.op, e.view, e.sh.arenas[worker]
-	s, c, plan := op.s, op.c, op.plan
-	mine, kids := e.sh.boxed[s.half(l):], e.sh.boxed[s.half(l+1):]
-	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
-	for i := lo; i < hi; i++ {
+// levelBoxed sweeps level l of lane ln on the generic path: a frontier
+// root's parked partial moved into the top part's ring, or a node's local
+// partial with each child's encoded partial charged, decoded, and merged in
+// child order.
+func (e *FastEngine) levelBoxed(ln *lane, l, member int) error {
+	op, v, a, boxed := &e.op, e.view, e.sh.arenas[member], e.sh.boxed
+	cs, c, plan := op.s.cs, op.c, op.plan
+	lo, hi, mine, next, f, nr := ln.level(l)
+	for t := lo; t < hi; t++ {
+		i, dst := ln.entry(t, mine)
+		if i < 0 {
+			boxed[dst], boxed[ln.fb+f] = boxed[ln.fb+f], nil
+			f++
+			continue
+		}
+		if t-lo < nr {
+			dst = ln.fb + f + t - lo
+		}
 		u := v.Order[i]
 		acc := c.Local(e.nw.Nodes[u])
 		recvBits := 0
-		for j := int(s.cs[i]); j < int(s.cs[i+1]); j++ {
+		for j := int(cs[i]); j < int(cs[i+1]); j, next = j+1, next+1 {
 			child := v.Order[j]
 			w := a.Writer(64)
-			c.AppendPartial(w, kids[j-kbase])
+			c.AppendPartial(w, boxed[next])
 			pl := wire.Borrowed(w)
-			kids[j-kbase] = nil
+			boxed[next] = nil
 			deliveries := 1
 			if plan != nil {
 				deliveries = plan.Deliveries(child, u)
@@ -500,52 +559,7 @@ func (e *FastEngine) levelBoxed(worker, l, lo, hi int) error {
 		if recvBits > 0 {
 			e.nw.Meter.ChargeRxSeq(u, recvBits)
 		}
-		mine[i-base] = acc
+		boxed[dst] = acc
 	}
 	return nil
-}
-
-// half returns the ring slot level l's first position owns.
-func (s *viewSched) half(l int) int { return (l & 1) * s.width }
-
-// workersFor resolves the schedule for one sweep of the given width under
-// the engine's workers setting.
-func (e *FastEngine) workersFor(width int) int {
-	switch {
-	case e.workers == 1 || width < 2:
-		return 1
-	case e.workers > 1:
-		if e.workers > width {
-			return width
-		}
-		return e.workers
-	default: // auto
-		if width < minParallelLevel {
-			return 1
-		}
-		w := runtime.GOMAXPROCS(0)
-		if w > width {
-			w = width
-		}
-		return w
-	}
-}
-
-// parallelChunks splits [0, n) into contiguous chunks across workers and
-// invokes fn(worker, lo, hi) on each, waiting for completion.
-func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

@@ -70,10 +70,10 @@ type VecCombiner interface {
 	CorruptVec(p []uint64, lie uint64)
 }
 
-// ConvergecastVec implements Ops: the same prologue, level sweep, charges
-// and fault decisions as Convergecast, with partials on the vector ring —
-// k words per slot — instead of boxed `any` slots. The root's slot is
-// returned as it is, under the aliasing contract Ops documents.
+// ConvergecastVec implements Ops: the same prologue, schedule, charges
+// and fault decisions as Convergecast, with partials in vector slots — k
+// words each — instead of boxed `any` slots. The root's slot is returned
+// as it is, under the aliasing contract Ops documents.
 func (e *FastEngine) ConvergecastVec(vc VecCombiner) ([]uint64, error) {
 	if err := e.begin(vc); err != nil {
 		return nil, err
@@ -82,60 +82,75 @@ func (e *FastEngine) ConvergecastVec(vc VecCombiner) ([]uint64, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: vector combiner width %d", k)
 	}
-	sh, width := e.sh, e.op.s.width
+	sh, slots := e.sh, e.slots()
 	e.op.vc, e.op.k = vc, k
-	sh.vec = grow(sh.vec, 2*width*k)
-	sh.vbits = grow(sh.vbits, 2*width)
-	if err := e.sweep((*FastEngine).levelVec); err != nil {
+	sh.vec = grow(sh.vec, slots*k)
+	sh.vbits = grow(sh.vbits, slots)
+	err := e.sweep()
+	e.op.vc = nil
+	if err != nil {
 		return nil, err
 	}
 	return sh.vec[:k], nil
 }
 
-// levelVec sweeps positions [lo, hi) of level l. Every node's partial
-// travels to its parent in the ring itself — a node's children are one
-// contiguous run of the other half — with its exact encoded length (what
-// AppendVec would emit) kept beside the slot, so the parent's receive side
-// reads it instead of recomputing. On the reliable path a node's step is
-// one FoldVec and one meter-cell visit. Under per-edge charging (a watched
-// edge, or a plan whose drop/dup decisions reshape what each endpoint
-// pays) the parent prices and merges every delivery of each child's slot
-// on its own: a duplicated partial is merged and charged twice, a dropped
-// one neither. A Byzantine sender is the rare path on both: its partial is
-// corrupted after the honest step and priced again. Values and meters are
-// byte-identical to the codec paths (VecBits == len(AppendVec), merge
-// input == decoded payload), which the oracle tests assert.
-func (e *FastEngine) levelVec(_, l, lo, hi int) error {
+// levelVec sweeps level l of lane ln. Every node's partial travels to its
+// parent in its slot — a node's children are one contiguous run of the
+// other ring half — with its exact encoded length (what AppendVec would
+// emit) kept beside the slot, so the parent's receive side reads it
+// instead of recomputing; a frontier root's partial is parked in its
+// frontier slot and copied into the top part's ring. On the reliable path
+// a node's step is one FoldVec and one meter-cell visit. Under per-edge
+// charging (a watched edge, or a plan whose drop/dup decisions reshape
+// what each endpoint pays) the parent prices and merges every delivery of
+// each child's slot on its own: a duplicated partial is merged and charged
+// twice, a dropped one neither. A Byzantine sender is the rare path on
+// both: its partial is corrupted after the honest step and priced again.
+// Values and meters are byte-identical to the codec paths (VecBits ==
+// len(AppendVec), merge input == decoded payload), which the oracle tests
+// assert.
+func (e *FastEngine) levelVec(ln *lane, l int) {
 	op, sh := &e.op, e.sh
-	s, vc, k, plan, perEdge := op.s, op.vc, op.k, op.plan, op.perEdge
-	nodes, meter, order, cs := e.nw.Nodes, e.nw.Meter, e.view.Order, s.cs
-	mine, mbits := sh.vec[s.half(l)*k:], sh.vbits[s.half(l):]
-	kids, kbits := sh.vec[s.half(l+1)*k:], sh.vbits[s.half(l+1):]
-	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
-	for i := lo; i < hi; i++ {
+	vc, k, plan, perEdge := op.vc, op.k, op.plan, op.perEdge
+	nodes, meter, order, cs := e.nw.Nodes, e.nw.Meter, e.view.Order, op.s.cs
+	vec, vbits := sh.vec, sh.vbits
+	lo, hi, mine, next, f, nr := ln.level(l)
+	for t := lo; t < hi; t++ {
+		i, dst := ln.entry(t, mine)
+		if i < 0 {
+			src := ln.fb + f
+			copy(vec[dst*k:(dst+1)*k], vec[src*k:(src+1)*k])
+			vbits[dst] = vbits[src]
+			f++
+			continue
+		}
+		if t-lo < nr {
+			dst = ln.fb + f + t - lo
+		}
 		u := order[i]
-		j0, j1 := int(cs[i])-kbase, int(cs[i+1])-kbase
-		acc := mine[(i-base)*k : (i-base+1)*k]
+		j0, j1 := next, next+int(cs[i+1]-cs[i])
+		next = j1
+		acc := vec[dst*k : (dst+1)*k]
 		sentBits, recvBits := 0, 0
 		if perEdge {
 			vc.LocalVec(nodes[u], acc)
 			for j := j0; j < j1; j++ {
-				child := order[kbase+j]
+				child := order[int(cs[i])+j-j0]
 				deliveries := 1
 				if plan != nil {
 					deliveries = plan.Deliveries(child, u)
 				}
 				for range deliveries {
-					recvBits += e.chargeDelivery(child, u, int(kbits[j]))
-					vc.MergeVec(acc, kids[j*k:(j+1)*k])
+					recvBits += e.chargeDelivery(child, u, int(vbits[j]))
+					vc.MergeVec(acc, vec[j*k:(j+1)*k])
 				}
 			}
 			if i > 0 {
 				sentBits = vc.VecBits(acc)
 			}
 		} else {
-			sentBits = vc.FoldVec(nodes[u], acc, kids[j0*k:j1*k])
-			for _, b := range kbits[j0:j1] {
+			sentBits = vc.FoldVec(nodes[u], acc, vec[j0*k:j1*k])
+			for _, b := range vbits[j0:j1] {
 				recvBits += int(b)
 			}
 		}
@@ -146,12 +161,11 @@ func (e *FastEngine) levelVec(_, l, lo, hi int) error {
 				vc.CorruptVec(acc, plan.LieWord(u))
 				sentBits = vc.VecBits(acc)
 			}
-			mbits[i-base] = int32(sentBits)
+			vbits[dst] = int32(sentBits)
 		}
 		if perEdge {
 			sentBits = -1 // each delivery charged the sender at its parent
 		}
 		meter.ChargeNodeSeq(u, sentBits, recvBits)
 	}
-	return nil
 }

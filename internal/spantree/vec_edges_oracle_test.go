@@ -16,7 +16,7 @@ import (
 )
 
 // ConvergecastEdges is e.ConvergecastVec forced onto the oracle kernel:
-// the same phase clock, schedule and sweep, with the parent's encode →
+// the same phase clock and schedule, swept level by level, with the parent's encode →
 // price → decode → merge round trip on every delivery.
 func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 	e.watching = e.nw.Meter.Watching()
@@ -33,17 +33,16 @@ func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 		return nil, err
 	}
 	sh := e.sh
-	workers := e.workersFor(s.width)
-	for len(sh.arenas) < workers {
+	if len(sh.arenas) == 0 {
 		sh.arenas = append(sh.arenas, wire.NewArena())
 	}
 	k := vc.VecWidth()
 	e.op = sweepOp{s: s, plan: e.nw.Faults, vc: vc, k: k}
-	sh.vec = grow(sh.vec, 2*s.width*k)
-	vtmp := make([]uint64, workers*k)
-	err = e.sweep(func(e *FastEngine, worker, l, lo, hi int) error {
-		return levelVecEdges(e, vtmp, worker, l, lo, hi)
-	})
+	sh.vec = grow(sh.vec, 2*s.seq.width*k)
+	vtmp := make([]uint64, k)
+	for l := len(s.bounds) - 2; l >= 0 && err == nil; l-- {
+		err = levelVecEdges(e, vtmp, 0, l, int(s.bounds[l]), int(s.bounds[l+1]))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +56,8 @@ func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 func levelVecEdges(e *FastEngine, vtmp []uint64, worker, l, lo, hi int) error {
 	op, v, a := &e.op, e.view, e.sh.arenas[worker]
 	s, vc, k, plan := op.s, op.vc, op.k, op.plan
-	mine, kids := e.sh.vec[s.half(l)*k:], e.sh.vec[s.half(l+1)*k:]
+	half := func(l int) int { return (l & 1) * s.seq.width }
+	mine, kids := e.sh.vec[half(l)*k:], e.sh.vec[half(l+1)*k:]
 	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
 	tmp := vtmp[worker*k : (worker+1)*k]
 	for i := lo; i < hi; i++ {

@@ -15,8 +15,8 @@ import "sensoragg/internal/bitio"
 //   - A payload that must escape the checkout window (stored across
 //     rounds, returned to a caller) must be copied out with Payload.Clone.
 //
-// An Arena is NOT safe for concurrent use: the level-parallel convergecast
-// gives each worker its own arena, which is also what keeps the free list
+// An Arena is NOT safe for concurrent use: a team convergecast gives each
+// member its own arena, which is also what keeps the free list
 // contention-free.
 type Arena struct {
 	free []*bitio.Writer
