@@ -585,15 +585,21 @@ func BenchmarkEngineMedian8Fused(b *testing.B) {
 // trimmed aggregation answers over the survivors). audit-bits prices the
 // localization in the paper's measure next to the query's own bits/node,
 // and quarantined/op counts the convicted liars per batch — the measured
-// robustness overhead row in BENCH_BASELINE.json.
+// robustness overhead row in BENCH_BASELINE.json. The robust row repeats
+// one Submit on one engine, so after the first iteration every job replays
+// the audit its Session kept; robust-cold gives every iteration a fresh
+// Session, its templates built and fork pools primed while the timer is
+// stopped, so every job records its audit.
 func BenchmarkEngineMedian8Byz(b *testing.B) {
 	const runs = 8
 	for _, bc := range []struct {
 		name   string
 		robust bool
+		cold   bool
 	}{
-		{"plain", false},
-		{"robust", true},
+		{"plain", false, false},
+		{"robust", true, false},
+		{"robust-cold", true, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -605,15 +611,36 @@ func BenchmarkEngineMedian8Byz(b *testing.B) {
 					Query: engine.Query{Kind: engine.KindMedian, Robust: bc.robust},
 				}
 			}
-			eng := engine.New(engine.Options{Workers: 4})
-			for _, j := range jobs {
-				if _, err := eng.Session().Template(j.Spec); err != nil {
-					b.Fatal(err)
+			// warm returns an engine on a fresh Session with every job's
+			// template built; cold also pools one fork of each, as the
+			// robust row's Submits find them from the second iteration on,
+			// so robust-cold prices the audit rather than the forks.
+			warm := func() *engine.Engine {
+				eng := engine.New(engine.Options{Workers: 4})
+				for _, j := range jobs {
+					if !bc.cold {
+						if _, err := eng.Session().Template(j.Spec); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					nw, err := eng.Session().Instantiate(j.Spec, j.Spec.Seed)
+					if err != nil {
+						b.Fatal(err)
+					}
+					nw.Release()
 				}
+				return eng
 			}
+			eng := warm()
 			b.ResetTimer()
 			var bits, audit, quarantined int64
 			for i := 0; i < b.N; i++ {
+				if bc.cold {
+					b.StopTimer()
+					eng = warm()
+					b.StartTimer()
+				}
 				results := eng.Submit(context.Background(), jobs)
 				for _, r := range results {
 					if r.Failed() {

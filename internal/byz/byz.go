@@ -147,61 +147,110 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 }
 
 // Outcome is a finished Localize and RobustNet.CrossCheck — functions of
-// the view and the sketch precision, never of the query — together with
-// everything they changed on their network: a fork of the same deployment,
-// run seed and fault plan that has not audited yet is fast-forwarded to the
-// same state by Replay instead of running both again. Report and View are
-// shared, immutable.
+// the view, the fault plan, the run seed and the sketch precision, never of
+// the query or the sensed values — together with everything they changed on
+// their network: a fork of the same deployment, run seed and fault plan that
+// has not audited yet is fast-forwarded to the same state by Replay instead
+// of running both again. An Outcome is compact, a few bytes a node, so a
+// caller can keep one for as long as its deployment serves, and immutable,
+// so replays may run concurrently.
 type Outcome struct {
-	Report *Report
-	View   *spantree.TreeView
+	// report is the audit's report; parent is the parent array of its
+	// re-heal's view (nil when nothing was quarantined: the audited view is
+	// then the view the audit started from) and healed that re-heal without
+	// its view.
+	report Report
+	healed spantree.HealResult
+	parent []topology.NodeID
 	// charged is what the audit, its re-heals and the cross-check charged
-	// each node; lieSeq is where every liar's lie sequence stood afterwards;
-	// suspected (per sector), trims and crossDev are the plane's verdict.
-	charged   netsim.Ledger
-	lieSeq    []uint64
+	// each node; lies are the nonzero lie counters afterwards (a counter
+	// only grows, so a zero one was zero on the recorded network and is on
+	// a replaying one); suspected (per sector), trims and crossDev are the
+	// plane's verdict.
+	charged   netsim.Charges
+	lies      []lieSeq
 	suspected []bool
 	trims     int
 	crossDev  float64
 }
 
-// Record runs Localize on nw, which must carry an adversarial fault plan,
-// builds the RobustNet over the audited view and cross-checks it, and
-// records the outcome. It returns the cross-checked plane for nw itself.
-func Record(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Outcome, *RobustNet, error) {
+// lieSeq is one liar's position in its lie sequence.
+type lieSeq struct {
+	u   topology.NodeID
+	seq uint64
+}
+
+// Record runs Localize on nw, builds the RobustNet over the audited view
+// and cross-checks it, and records the outcome. It returns the outcome and
+// nw's own report and cross-checked plane. Without an adversary there is
+// nothing to audit or cross-check (both cost traffic): the outcome and the
+// report are nil, and so is what a nil Outcome replays.
+func Record(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Outcome, *Report, *RobustNet, error) {
+	if nw.Faults == nil || !nw.Faults.Adversarial() {
+		return nil, nil, NewRobustNet(nw, view, opts...), nil
+	}
 	before := nw.Meter.Ledger()
 	rep, view, err := Localize(nw, view)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	r := NewRobustNet(nw, view, opts...)
 	r.CrossCheck()
-	o := &Outcome{Report: rep, View: view, charged: nw.Meter.ChargedSince(before), lieSeq: nw.Faults.LieSeq(),
+	o := &Outcome{report: *rep, charged: nw.Meter.ChargedSince(before),
 		suspected: make([]bool, len(r.sectors)), trims: r.trims, crossDev: r.crossDev}
+	if rep.Healed != nil {
+		o.report.Healed, o.healed, o.parent = nil, *rep.Healed, view.Parent
+		o.healed.View = nil
+	}
+	seqs, n := nw.Faults.LieSeq(), 0
+	for _, seq := range seqs {
+		if seq != 0 {
+			n++
+		}
+	}
+	o.lies = make([]lieSeq, 0, n)
+	for u, seq := range seqs {
+		if seq != 0 {
+			o.lies = append(o.lies, lieSeq{topology.NodeID(u), seq})
+		}
+	}
 	for i, s := range r.sectors {
 		o.suspected[i] = s.suspected
 	}
-	return o, r, nil
+	return o, rep, r, nil
 }
 
 // Replay fast-forwards nw, which must be in the state the recorded network
-// was in when Record was called and must not have a watched edge: every
-// per-node counter, the quarantine set and every liar's next LieWord end up
-// exactly where the audit and the cross-check left them there. Given
-// Record's opts, it returns nw's plane cross-checked; its whole-view sketch
-// instances restart from the first (no robust kind draws one).
-func (o *Outcome) Replay(nw *netsim.Network, opts ...Option) *RobustNet {
+// was in when Record was called — view is its view then — and must not have
+// a watched edge: every per-node counter, the quarantine set and every
+// liar's next LieWord end up exactly where the audit and the cross-check
+// left them there. Given Record's opts, it returns nw's report, its re-heal's
+// view rebuilt, and nw's plane over the audited view, cross-checked; the
+// plane's whole-view sketch instances restart from the first (no robust
+// kind draws one).
+func (o *Outcome) Replay(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Report, *RobustNet) {
+	if o == nil {
+		return nil, NewRobustNet(nw, view, opts...)
+	}
 	nw.Meter.Replay(o.charged)
-	for _, u := range o.Report.Quarantined {
+	for _, u := range o.report.Quarantined {
 		nw.Faults.Quarantine(u)
 	}
-	nw.Faults.SetLieSeq(o.lieSeq)
-	r := NewRobustNet(nw, o.View, opts...)
+	for _, l := range o.lies {
+		nw.Faults.SetLieSeq(l.u, l.seq)
+	}
+	rep := o.report
+	if o.parent != nil {
+		healed := o.healed
+		healed.View = spantree.ViewFromParents(o.parent, view.Root)
+		rep.Healed, view = &healed, healed.View
+	}
+	r := NewRobustNet(nw, view, opts...)
 	for i, s := range r.sectors {
 		s.suspected = o.suspected[i]
 	}
 	r.trims, r.crossRan, r.crossDev = o.trims, true, o.crossDev
-	return r
+	return &rep, r
 }
 
 // auditor is one Localize call's audit state. The simulator does not walk

@@ -269,15 +269,14 @@ func TestReplayMatchesLocalize(t *testing.T) {
 	}
 	replayMatrix(func(g *topology.Graph, spec faults.Spec, seed uint64, p int) {
 		rec, fwd, ref := buildNet(t, g, spec, seed), buildNet(t, g, spec, seed), buildNet(t, g, spec, seed)
-		out, recNet, err := Record(rec, healedView(t, rec), WithSketchP(p))
+		out, recRep, recNet, err := Record(rec, healedView(t, rec), WithSketchP(p))
 		refRep, refView, refErr := Localize(ref, healedView(t, ref))
 		if err != nil || refErr != nil {
 			t.Fatalf("%s %v seed %d p=%d: err %v, reference err %v", g.Name, spec, seed, p, err, refErr)
 		}
 		refNet := NewRobustNet(ref, refView, WithSketchP(p))
 		refNet.CrossCheck()
-		healedView(t, fwd) // the state a fork is in when it reaches the audit
-		fwdNet := out.Replay(fwd, WithSketchP(p))
+		fwdRep, fwdNet := out.Replay(fwd, healedView(t, fwd), WithSketchP(p)) // the state a fork is in when it reaches the audit
 		for u := 0; u < g.N(); u++ {
 			id := topology.NodeID(u)
 			if fwd.Faults.Quarantined(id) != ref.Faults.Quarantined(id) || rec.Faults.Quarantined(id) != ref.Faults.Quarantined(id) {
@@ -317,9 +316,11 @@ func TestReplayMatchesLocalize(t *testing.T) {
 		// requireSameRun draws one lie word per liar from both sides, so the
 		// reference serves the first comparison from a copy of its counters.
 		seq := ref.Faults.LieSeq()
-		requireSameRun(t, rec, ref, out.Report, refRep, out.View, refView)
-		ref.Faults.SetLieSeq(seq)
-		requireSameRun(t, fwd, ref, out.Report, refRep, out.View, refView)
+		requireSameRun(t, rec, ref, recRep, refRep, recNet.view, refView)
+		for u, s := range seq {
+			ref.Faults.SetLieSeq(topology.NodeID(u), s)
+		}
+		requireSameRun(t, fwd, ref, fwdRep, refRep, fwdNet.view, refView)
 	})
 	if quarantined == 0 || flagged == 0 {
 		t.Fatalf("the matrix quarantined %d nodes and left %d cross-checked planes with a trim: the replay would prove little", quarantined, flagged)

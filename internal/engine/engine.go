@@ -242,6 +242,7 @@ func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	planned := planUnits(jobs, fuse)
 	planned.team = e.teamSize(len(planned.units))
 	p := planned // never reassigned, so the workers capture it by value
+	defer e.session.pinAudits(jobs)()
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, p)
 	}
@@ -289,9 +290,8 @@ func failedResult(job Job, err error) Result {
 }
 
 // runOne forks a per-run network off the session cache and executes the
-// query on a tree-kernel team of the given size, enforcing the per-query
-// deadline; aud is its shared byz audit, if any.
-func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce, team int) Result {
+// query on a tree-kernel team of the given size, enforcing its deadline.
+func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
 	}
@@ -305,7 +305,7 @@ func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce, team int) 
 				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
 			}
 		}()
-		done <- e.executeJob(spec, job, aud, team)
+		done <- e.executeJob(spec, job, team)
 	}()
 
 	var deadline <-chan time.Time
@@ -336,14 +336,14 @@ func (e *Engine) runOne(ctx context.Context, job Job, aud *auditOnce, team int) 
 // finished with it (an abandoned run releases late, never early). A
 // panicking query skips the release — the pool never sees a network in an
 // unknown state.
-func (e *Engine) executeJob(spec Spec, job Job, aud *auditOnce, team int) Result {
+func (e *Engine) executeJob(spec Spec, job Job, team int) Result {
 	start := time.Now()
 	nw, err := e.fork(spec, &job)
 	if err != nil {
 		return failedResult(job, err)
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, job.Query, aud, team)
+	ans, err := e.execute(nw, spec, job.Query, team)
 	if err != nil {
 		nw.Release()
 		return failedResult(job, err)
@@ -403,19 +403,19 @@ func resultFrom(spec Spec, q Query, ans answer, d netsim.Delta, wall time.Durati
 		r.Unreachable = ans.heal.Unreachable
 		r.RepairBits = ans.heal.Repair.TotalBits
 	}
-	if ri := ans.robust; ri != nil {
+	if ans.robust {
 		r.Robust = true
 		// Audit-phase suspects and trim-phase suspects are disjoint
 		// evidence: the former are historical (cleared or quarantined by
 		// the time the query ran), the latter are the live sectors the
 		// bound prices.
-		r.Suspected = len(ri.integrity.Suspected)
-		r.IntegrityBound = ri.integrity.BoundItems
-		if ri.rep != nil {
-			r.Suspected += len(ri.rep.Suspected)
-			r.Quarantined = len(ri.rep.Quarantined)
-			r.AuditRounds = ri.rep.Rounds
-			r.AuditBits = ri.rep.AuditBits
+		r.Suspected = len(ans.integrity.Suspected)
+		r.IntegrityBound = ans.integrity.BoundItems
+		if rep := ans.rep; rep != nil {
+			r.Suspected += len(rep.Suspected)
+			r.Quarantined = len(rep.Quarantined)
+			r.AuditRounds = rep.Rounds
+			r.AuditBits = rep.AuditBits
 		}
 	}
 	return r

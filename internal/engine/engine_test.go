@@ -52,7 +52,7 @@ func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
 	}
 	before := nw.Meter.Snapshot()
 	start := time.Now()
-	ans, err := new(Engine).execute(nw, spec, q, nil, 1)
+	ans, err := New(Options{Workers: 1}).execute(nw, spec, q, 1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/byz"
@@ -93,14 +92,10 @@ type answer struct {
 	retries      int
 	degraded     bool
 	survivorFrac float64
-	// robust carries the byz tier's outcome for a Query.Robust run: the
-	// localization report (nil when no adversary was planned) and the
-	// aggregation plane's integrity accounting.
-	robust *robustInfo
-}
-
-// robustInfo is the byz-tier outcome attached to a robust answer.
-type robustInfo struct {
+	// robust marks a Query.Robust run, whose byz-tier outcome is rep, the
+	// localization report (nil when no adversary was planned), and
+	// integrity, the aggregation plane's integrity accounting.
+	robust    bool
 	rep       *byz.Report
 	integrity byz.Integrity
 }
@@ -114,10 +109,9 @@ type robustInfo struct {
 // against the kind, structural faults trigger a spantree.Heal repair whose
 // traffic is charged to the meter before the query runs, and the
 // simulator-side ground truth shrinks to the surviving, reconnected nodes
-// — the population the healed tree can actually aggregate. aud is the byz
-// audit a robust job shares with others of its Submit (nil: none); team
-// is the tree-kernel team size (spantree.FastEngine.SetWorkers).
-func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce, team int) (answer, error) {
+// — the population the healed tree can actually aggregate. team is the
+// tree-kernel team size (spantree.FastEngine.SetWorkers).
+func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answer, error) {
 	q = q.WithDefaults()
 	k := kindOf(q.Kind)
 	if q.Where != nil {
@@ -161,7 +155,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce,
 		return e.retrySolo(r, k, heal)
 	}
 	if q.Robust {
-		return executeRobust(r, k, heal, aud)
+		return e.executeRobust(r, k, heal)
 	}
 	net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
 	if q.Where != nil && k.where == whereFilter {
@@ -180,12 +174,12 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, aud *auditOnce,
 // executeRobust runs a Query.Robust job on the byz tier: localize and
 // quarantine lying subtrees and cross-check the trimmed plane against the
 // duplicate-insensitive sketch, re-derive the execution view and ground
-// truth, and answer the kind over the RobustNet.
-func executeRobust(r *run, k *kind, heal *spantree.HealResult, aud *auditOnce) (answer, error) {
+// truth, and answer the kind over the RobustNet (Session.audit).
+func (e *Engine) executeRobust(r *run, k *kind, heal *spantree.HealResult) (answer, error) {
 	if !k.robust {
 		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
 	}
-	rep, rnet, err := aud.localize(r.nw, r.fe.View(), r.q.SketchP)
+	rep, rnet, err := e.session.audit(r.nw, r.spec, r.fe.View(), r.q.SketchP)
 	if err != nil {
 		return answer{}, err
 	}
@@ -199,64 +193,11 @@ func executeRobust(r *run, k *kind, heal *spantree.HealResult, aud *auditOnce) (
 		return answer{}, err
 	}
 	ans.heal = heal
-	ans.robust = &robustInfo{rep: rep, integrity: rnet.Integrity()}
+	ans.robust, ans.rep, ans.integrity = true, rep, rnet.Integrity()
 	if sk := obs.Active(); sk != nil {
-		obsRobust(sk, ans.robust)
+		obsRobust(sk, &ans)
 	}
 	return ans, nil
-}
-
-// auditOnce is the byz audit and cross-check the robust jobs of one Submit
-// share when they agree on fuseKey and sketch precision: the same
-// deployment, fault plan, run seed and overlay make byz.Localize the same on
-// each fork, and the sketch precision fixes the cross-check. It lives for
-// that call only.
-type auditOnce struct {
-	once sync.Once
-	out  *byz.Outcome
-	err  error
-}
-
-// localize returns the RobustNet at sketch precision p over a job's own fork
-// nw, audited and cross-checked under an adversarial plan (both cost traffic:
-// honest runs skip them, and the report is nil). The group's first caller
-// records the audit and the cross-check; every other caller waits for the
-// record and fast-forwards its fork to it, its meter paying for both in full.
-// A failed or panicking first caller fails the rest with its error. A job
-// without a group runs both itself, and so does one on a watched meter (a
-// replay bypasses the watched edge) or under drop/dup (the cross-check's
-// sketch fold draws the plan's per-sender message counters, which a replay
-// does not restore).
-func (a *auditOnce) localize(nw *netsim.Network, view *spantree.TreeView, p int) (*byz.Report, *byz.RobustNet, error) {
-	if nw.Faults == nil || !nw.Faults.Adversarial() {
-		return nil, byz.NewRobustNet(nw, view, byz.WithSketchP(p)), nil
-	}
-	if a == nil || nw.Meter.Watching() || nw.Faults.Spec().MessageLevel() {
-		rep, view, err := byz.Localize(nw, view)
-		if err != nil {
-			return nil, nil, err
-		}
-		rnet := byz.NewRobustNet(nw, view, byz.WithSketchP(p))
-		rnet.CrossCheck()
-		return rep, rnet, nil
-	}
-	var rnet *byz.RobustNet
-	a.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				a.err = fmt.Errorf("engine: query panicked: %v", r)
-				panic(r)
-			}
-		}()
-		a.out, rnet, a.err = byz.Record(nw, view, byz.WithSketchP(p))
-	})
-	if a.err != nil {
-		return nil, nil, a.err
-	}
-	if rnet == nil {
-		rnet = a.out.Replay(nw, byz.WithSketchP(p))
-	}
-	return a.out.Report, rnet, nil
 }
 
 // aggregator is the primitive-protocol surface a solo run's kind answers

@@ -12,9 +12,16 @@ func (e *Engine) RunOnFork(spec Spec, q Query) (*netsim.Network, Result, error) 
 		return nil, Result{}, err
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, q, nil, e.teamSize(1))
+	ans, err := e.execute(nw, spec, q, e.teamSize(1))
 	if err != nil {
 		return nw, Result{}, err
 	}
 	return nw, resultFrom(spec, q, ans, nw.Meter.Since(before), 0), nil
+}
+
+// AuditEntries is the number of audits the session's table holds.
+func (s *Session) AuditEntries() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.audits)
 }

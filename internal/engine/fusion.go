@@ -269,16 +269,12 @@ type plan struct {
 	// earlier job equal to it — same fuseKey, same resolved query — which
 	// makes job i a twin that joins no unit. nil while no job has a twin.
 	twin []int
-	// audits are the byz audits robust jobs share, by job index.
-	audits map[int]*auditOnce
-	fuse   bool
+	fuse bool
 	// team is the tree-kernel team size of every unit (Engine.teamSize).
 	team int
 }
 
 // planUnits plans jobs: twins first, then units over the distinct jobs.
-// Robust jobs under an adversary that agree on fuseKey and sketch precision
-// share one audit and cross-check; a job without such a partner audits alone.
 func planUnits(jobs []Job, fuse bool) plan {
 	p := plan{units: make([][]int, 0, len(jobs)), fuse: fuse}
 	for i := range jobs {
@@ -293,19 +289,6 @@ func planUnits(jobs []Job, fuse bool) plan {
 			}
 			p.twin[i] = j
 			continue
-		}
-		if b.Query.Robust && b.Spec.Faults.Byz > 0 {
-			if _, j := p.planned(jobs, key, func(a *Job) bool {
-				return a.Query.Robust && a.Query.WithDefaults().SketchP == b.Query.WithDefaults().SketchP
-			}); j >= 0 {
-				if p.audits == nil {
-					p.audits = make(map[int]*auditOnce)
-				}
-				if p.audits[j] == nil {
-					p.audits[j] = new(auditOnce)
-				}
-				p.audits[i] = p.audits[j]
-			}
 		}
 		if u, _ := p.planned(jobs, key, p.fused); u >= 0 && p.fused(b) {
 			p.units[u] = append(p.units[u], i) // into key's fusion group
@@ -358,7 +341,7 @@ func (p plan) batch(jobs []Job, u []int) bool {
 // runUnit executes one unit, writing results by original job index.
 func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
 	if !p.batch(jobs, idxs) {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.audits[idxs[0]], p.team)
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.team)
 		return
 	}
 	solo := e.runFusedGroup(ctx, jobs, p, idxs, results)
@@ -368,8 +351,8 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, re
 	for _, i := range solo {
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
-		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
-		results[i] = e.runOne(ctx, jobs[i], nil, p.team)
+		// succeeded alone.
+		results[i] = e.runOne(ctx, jobs[i], p.team)
 	}
 }
 

@@ -345,7 +345,7 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 	}
 	defer nwB.Release()
 
-	solo, serr := new(Engine).execute(nwA, spec, q, nil, 1)
+	solo, serr := New(Options{Workers: 1}).execute(nwA, spec, q, 1)
 
 	fe, hr, err := spantree.NewFastHealed(nwB)
 	if err != nil {

@@ -52,14 +52,14 @@ func (e *Engine) obsSoloJob(sk *obs.Sink, job Job, d netsim.Delta, wall time.Dur
 // obsRobust records the byz-tier outcome of one robust job: suspected and
 // quarantined totals, the residual integrity bound, and one trace event
 // carrying the localization shape.
-func obsRobust(sk *obs.Sink, ri *robustInfo) {
-	suspected := int64(len(ri.integrity.Suspected))
+func obsRobust(sk *obs.Sink, ans *answer) {
+	suspected := int64(len(ans.integrity.Suspected))
 	var quarantined, rounds, auditBits int64
-	if ri.rep != nil {
-		suspected += int64(len(ri.rep.Suspected))
-		quarantined = int64(len(ri.rep.Quarantined))
-		rounds = int64(ri.rep.Rounds)
-		auditBits = ri.rep.AuditBits
+	if rep := ans.rep; rep != nil {
+		suspected += int64(len(rep.Suspected))
+		quarantined = int64(len(rep.Quarantined))
+		rounds = int64(rep.Rounds)
+		auditBits = rep.AuditBits
 	}
 	if suspected > 0 {
 		sk.ByzSuspected.Add(suspected)
@@ -67,14 +67,14 @@ func obsRobust(sk *obs.Sink, ri *robustInfo) {
 	if quarantined > 0 {
 		sk.ByzQuarantined.Add(quarantined)
 	}
-	sk.IntegrityBound.Set(float64(ri.integrity.BoundItems))
+	sk.IntegrityBound.Set(float64(ans.integrity.BoundItems))
 	sk.Tracer.Emit("byz.robust", 0,
 		obs.KV{K: "suspected", V: suspected},
 		obs.KV{K: "quarantined", V: quarantined},
 		obs.KV{K: "rounds", V: rounds},
 		obs.KV{K: "audit_bits", V: auditBits},
-		obs.KV{K: "bound_items", V: int64(ri.integrity.BoundItems)},
-		obs.KV{K: "trims", V: int64(ri.integrity.Trims)})
+		obs.KV{K: "bound_items", V: int64(ans.integrity.BoundItems)},
+		obs.KV{K: "trims", V: int64(ans.integrity.Trims)})
 }
 
 // obsFusedBatch records the batch-completion event of one fusion group:

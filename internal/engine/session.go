@@ -2,24 +2,30 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"sensoragg/internal/byz"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
+	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
 	"sensoragg/internal/workload"
 )
 
-// Session caches the expensive, immutable parts of a deployment — the
-// graph, the bounded-degree spanning tree, and the generated workload — so
-// repeated queries against the same network skip the rebuild. A Session is
-// safe for concurrent use; concurrent requests for the same spec build the
-// template exactly once and everyone else blocks on that build.
+// Session caches the expensive parts of a deployment — the graph, the
+// bounded-degree spanning tree, the generated workload, and the byz audits
+// of the latest Submits (traffic whose audit keys alternate from one Submit
+// to the next re-audits each time) — so repeated queries skip rebuilding and
+// re-auditing them. It is safe for concurrent use: concurrent requests for
+// one spec build its template once, and everyone else blocks on that build.
 type Session struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
 	nets   map[Spec]*netEntry
+	audits map[auditKey]*auditEntry
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -39,12 +45,91 @@ type netEntry struct {
 	err      error
 }
 
+// auditKey fixes a robust job's byz audit and sketch cross-check. Neither
+// reads a sensed value, so no overlay is in it.
+type auditKey struct {
+	spec Spec
+	seed uint64
+	p    int
+}
+
+// auditEntry is one key's record. Session.mu guards refs and writes of err.
+type auditEntry struct {
+	once sync.Once
+	out  *byz.Outcome
+	err  error
+	refs int // pins by running Submits
+}
+
 // NewSession returns an empty session cache.
 func NewSession() *Session {
 	return &Session{
 		graphs: make(map[graphKey]*graphEntry),
 		nets:   make(map[Spec]*netEntry),
+		audits: make(map[auditKey]*auditEntry),
 	}
+}
+
+// pinAudits pins, until unpin, the audit of every robust job in jobs under
+// an adversarial plan without drop/dup, for them and later Submits to share;
+// unpin drops every entry that neither a running Submit pins nor jobs used.
+func (s *Session) pinAudits(jobs []Job) (unpin func()) {
+	var pinned []*auditEntry
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range jobs {
+		if j := &jobs[i]; j.Query.Robust && j.Spec.Faults.Byz > 0 && !j.Spec.Faults.MessageLevel() {
+			key := auditKey{j.Spec.Normalize(), j.runSeed(), j.Query.WithDefaults().SketchP}
+			if a := s.audits[key]; a == nil || a.err != nil {
+				s.audits[key] = new(auditEntry)
+			}
+			if a := s.audits[key]; !slices.Contains(pinned, a) {
+				a.refs++
+				pinned = append(pinned, a)
+			}
+		}
+	}
+	if pinned == nil {
+		return func() {}
+	}
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		maps.DeleteFunc(s.audits, func(_ auditKey, a *auditEntry) bool { return a.refs == 0 })
+		for _, a := range pinned {
+			a.refs--
+		}
+	}
+}
+
+// audit returns a robust job's report and RobustNet at sketch precision p
+// over its fork nw of spec: the first job on a pinned key records them
+// (byz.Record), the others replay the record and still pay it in full; a
+// failed record fails them all, and the next pin starts afresh. A job on no
+// pinned key or on a watched meter (a replay skips its edge) records alone.
+func (s *Session) audit(nw *netsim.Network, spec Spec, view *spantree.TreeView, p int) (rep *byz.Report, rnet *byz.RobustNet, err error) {
+	s.mu.Lock()
+	a := s.audits[auditKey{spec, nw.Seed(), p}]
+	s.mu.Unlock()
+	if a == nil || nw.Meter.Watching() {
+		a = new(auditEntry)
+	}
+	a.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("engine: query panicked: %v", r)
+				defer panic(r)
+			}
+			s.mu.Lock()
+			a.err = err
+			s.mu.Unlock()
+		}()
+		a.out, rep, rnet, err = byz.Record(nw, view, byz.WithSketchP(p))
+	})
+	if rnet == nil && a.err == nil { // recorded by another job
+		rep, rnet = a.out.Replay(nw, view, byz.WithSketchP(p))
+	}
+	return rep, rnet, a.err
 }
 
 // Graph returns the cached (graph, tree) pair for spec, building it on
@@ -60,13 +145,7 @@ func (s *Session) Graph(spec Spec) (*topology.Graph, *topology.Tree, error) {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		// A panic would poison the once (done, yet graph == nil and
-		// err == nil), so convert it to a cached error instead.
-		defer func() {
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("engine: building graph for %s: %v", spec, r)
-			}
-		}()
+		defer recovered(&e.err, "graph", spec)
 		// Every generator topology.Build registers is a valid Spec.Topology.
 		g, err := topology.Build(spec.Topology, spec.N, spec.Seed)
 		if err != nil {
@@ -83,6 +162,14 @@ func (s *Session) Graph(spec Spec) (*topology.Graph, *topology.Tree, error) {
 	return e.graph, e.tree, e.err
 }
 
+// recovered turns a panic in a cache entry's build into its error: a panic
+// would poison the once (done, yet nothing built and no error).
+func recovered(err *error, what string, spec Spec) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("engine: building %s for %s: %v", what, spec, r)
+	}
+}
+
 // Template returns the cached template network for spec: graph, tree, and
 // items in their original state, one reading per node. The template is
 // never run directly — every run forks it — so its meter stays empty and
@@ -90,6 +177,12 @@ func (s *Session) Graph(spec Spec) (*topology.Graph, *topology.Tree, error) {
 // (faults are injected on the forked run networks), so deployments
 // differing only in fault rates share one template.
 func (s *Session) Template(spec Spec) (*netsim.Network, error) {
+	e := s.template(spec)
+	return e.template, e.err
+}
+
+// template returns spec's template entry, building it on first use.
+func (s *Session) template(spec Spec) *netEntry {
 	spec = spec.Normalize().templateKey()
 	s.mu.Lock()
 	e, ok := s.nets[spec]
@@ -102,11 +195,7 @@ func (s *Session) Template(spec Spec) (*netsim.Network, error) {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("engine: building template for %s: %v", spec, r)
-			}
-		}()
+		defer recovered(&e.err, "template", spec)
 		if err := validWorkload(spec.Workload); err != nil {
 			e.err = err
 			return
@@ -124,20 +213,7 @@ func (s *Session) Template(spec Spec) (*netsim.Network, error) {
 		e.template = netsim.NewFromTree(g, tree, items, spec.MaxX, spec.Seed)
 		e.pool = netsim.NewForkPool(e.template)
 	})
-	return e.template, e.err
-}
-
-// forkPool returns the template's run-network pool, building the template
-// on first use.
-func (s *Session) forkPool(spec Spec) (*netsim.ForkPool, error) {
-	spec = spec.Normalize().templateKey()
-	if _, err := s.Template(spec); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	e := s.nets[spec]
-	s.mu.Unlock()
-	return e.pool, nil
+	return e
 }
 
 // Instantiate forks a fresh per-run network for spec: shared immutable
@@ -162,11 +238,11 @@ func (s *Session) Instantiate(spec Spec, runSeed uint64) (*netsim.Network, error
 			return nil, err
 		}
 	}
-	pool, err := s.forkPool(spec)
-	if err != nil {
-		return nil, fmt.Errorf("engine: building template for %s: %w", spec, err)
+	t := s.template(spec)
+	if t.err != nil {
+		return nil, fmt.Errorf("engine: building template for %s: %w", spec, t.err)
 	}
-	nw := pool.Get(runSeed)
+	nw := t.pool.Get(runSeed)
 	if spec.Faults.Active() {
 		nw.Faults = faults.New(spec.Faults, nw.N(), nw.Root(), runSeed)
 	}

@@ -15,10 +15,11 @@ import (
 	"sensoragg/internal/spantree"
 )
 
-// These are the identity suites for what one Submit shares between its
-// jobs: the byz audit of a robust group and the execution of twins (equal
-// jobs). Sharing is host-side only, so the oracle is always the same
-// jobs run without a partner to share with. Run with -race.
+// These are the identity suites for what jobs share: the byz audit of robust
+// jobs on one deployment and run seed (Session.audit, across Submits) and
+// the execution of twins (equal jobs of one Submit). Sharing is host-side
+// only, so the oracle is always the same jobs run without a partner to
+// share with: alone, on a fresh Session. Run with -race.
 
 // sameResult asserts two results are equal in every field but WallNS.
 func sameResult(t *testing.T, label string, got, want Result) {
@@ -29,12 +30,22 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
+// auditEntryOf returns the table entry job's audit is pinned on, or nil.
+func (s *Session) auditEntryOf(job Job) *auditEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.audits[auditKey{job.Spec.Normalize(), job.runSeed(), job.Query.WithDefaults().SketchP}]
+}
+
 // TestSharedAuditMatchesSoloSubmits: R robust jobs of mixed kinds and a
-// twin of the first submitted together — three groups, interleaved, so
+// twin of the first submitted together — three audit keys, interleaved, so
 // three audits and cross-checks are shared — report exactly what each
-// reports submitted alone, where it audits for itself. The jobs on seed 3 mix two sketch precisions (the
-// default both implicit and explicit), which must not share a cross-check.
-// Under drop/dup every job audits alone, so together ≡ alone still holds.
+// reports submitted alone on a fresh Session, where it audits for itself.
+// The jobs on seed 3 mix two sketch precisions (the default both implicit
+// and explicit), which must not share a cross-check. Submitted again on the
+// same engine, every job replays the first Submit's records and still
+// reports the same. Under drop/dup every job audits alone, so together ≡
+// alone still holds.
 func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 	for _, plan := range []faults.Spec{
 		{Byz: 0.05, ByzMode: faults.ByzCorrupt, Crash: 0.02},
@@ -57,22 +68,28 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 				jobs = append(jobs, job)
 			}
 		}
-		// A twin of job 0 is answered by job 0's execution, and joins no
-		// audit group.
+		// A twin of job 0 is answered by job 0's execution.
 		twin := jobs[0]
 		twin.ID += "-twin"
 		jobs = append(jobs, twin)
-		audits := planUnits(jobs, false).audits
-		if len(audits) != len(jobs)-1 || audits[0] != audits[4] || audits[2] != audits[6] ||
-			audits[0] == audits[1] || audits[0] == audits[2] || audits[1] == audits[2] {
-			t.Fatalf("%s: %d of %d jobs share an audit; want all of them, grouped by deployment and sketch precision", mode, len(audits), len(jobs))
-		}
 		for _, workers := range []int{1, 4} {
 			e := New(Options{Workers: workers})
 			together := e.Submit(context.Background(), jobs)
+			// Three keys — seed 4, and seed 3 at each precision — or none
+			// under drop/dup.
+			s := e.Session()
+			entry := func(i int) *auditEntry { return s.auditEntryOf(jobs[i]) }
+			if n, want := s.AuditEntries(), 3; plan.MessageLevel() && n != 0 || !plan.MessageLevel() && n != want {
+				t.Fatalf("%s: the table holds %d audits after the Submit", mode, n)
+			}
+			if !plan.MessageLevel() && (entry(0) != entry(4) || entry(2) != entry(6) ||
+				entry(0) == entry(1) || entry(0) == entry(2) || entry(1) == entry(2)) {
+				t.Fatalf("%s: the table does not group the jobs by deployment, run seed and sketch precision", mode)
+			}
+			again := e.Submit(context.Background(), jobs)
 			quarantined := 0
 			for i, job := range jobs {
-				alone := e.Submit(context.Background(), []Job{job})[0]
+				alone := New(Options{Workers: workers}).Submit(context.Background(), []Job{job})[0]
 				// Lost counts can leave a rank out of reach under drop/dup;
 				// the failure must then be the same together and alone.
 				if alone.Failed() && !plan.MessageLevel() {
@@ -80,6 +97,7 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 				}
 				quarantined += alone.Quarantined
 				sameResult(t, fmt.Sprintf("%s workers=%d %s", mode, workers, job.ID), together[i], alone)
+				sameResult(t, fmt.Sprintf("%s workers=%d %s, replayed", mode, workers, job.ID), again[i], alone)
 			}
 			if quarantined == 0 {
 				t.Fatalf("%s: no audit quarantined anything", mode)
@@ -88,46 +106,115 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 	}
 }
 
-// TestAuditSharingIsForPartneredRobustJobs pins who gets a shared audit:
-// robust jobs under an adversarial plan with a partner on the same
-// deployment, run seed, overlay and sketch precision — nobody else.
+// TestAuditSharingIsForPartneredRobustJobs pins who shares an audit: robust
+// jobs under an adversarial plan on the same deployment, run seed and
+// sketch precision, whatever their overlays — nobody else. Honest plans,
+// non-robust jobs and drop/dup plans pin no entry, and a watched meter
+// audits for itself even on a pinned key.
 func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 	spec := gridSpec(256, 3)
 	spec.Faults = faults.Spec{Byz: 0.05}
 	honest := gridSpec(256, 3)
+	lossy := gridSpec(256, 3)
+	lossy.Faults = faults.Spec{Byz: 0.05, Drop: 0.05}
 	ov := &Overlay{}
 	robust := Query{Kind: KindMedian, Robust: true}
 	jobs := []Job{
-		{Spec: spec, Query: robust},                                            // 0: partner of 1
+		{Spec: spec, Query: robust},                                            // 0: partner of 1 and 6
 		{Spec: spec, Query: Query{Kind: KindCount, Robust: true}},              // 1
 		{Spec: spec, Query: Query{Kind: KindMedian}},                           // 2: not robust
 		{Spec: honest, Query: robust},                                          // 3: no adversary
 		{Spec: honest, Query: robust},                                          // 4
 		{Spec: spec, Query: robust, RunSeed: 9},                                // 5: alone on its run seed
-		{Spec: spec, Query: robust, Overlay: ov},                               // 6: alone on its overlay
+		{Spec: spec, Query: robust, Overlay: ov},                               // 6: another overlay, the same audit
 		{Spec: spec, Query: Query{Kind: KindMedian, Robust: true, SketchP: 8}}, // 7: alone on its precision
+		{Spec: lossy, Query: robust},                                           // 8: drop/dup
 	}
-	audits := planUnits(jobs, true).audits
-	if audits[0] == nil || audits[0] != audits[1] {
-		t.Fatal("the two robust jobs of one deployment do not share an audit")
+	s := NewSession()
+	unpin := s.pinAudits(jobs)
+	a := s.auditEntryOf(jobs[0])
+	if a == nil || a != s.auditEntryOf(jobs[1]) || a != s.auditEntryOf(jobs[6]) {
+		t.Fatal("the robust jobs of one deployment and run seed do not share an audit")
 	}
-	for _, i := range []int{2, 3, 4, 5, 6, 7} {
-		if audits[i] != nil {
-			t.Errorf("job %d shares an audit; it has nobody to share with", i)
+	if a.refs != 1 {
+		t.Errorf("the shared audit has %d pins; want the Submit's one", a.refs)
+	}
+	for _, i := range []int{5, 7} {
+		if b := s.auditEntryOf(jobs[i]); b == nil || b == a || b.refs != 1 {
+			t.Errorf("job %d does not audit alone on its own key", i)
 		}
 	}
-	if none := planUnits(jobs[2:3], true).audits; none != nil {
-		t.Error("a Submit without robust jobs allocated audit state")
+	for _, i := range []int{3, 4, 8} {
+		if s.auditEntryOf(jobs[i]) != nil {
+			t.Errorf("job %d pinned an audit; it has nobody to share with", i)
+		}
+	}
+	if n := s.AuditEntries(); n != 3 {
+		t.Errorf("the table holds %d audits; want 3", n)
+	}
+
+	// A watched fork on the pinned key audits for itself and records nothing.
+	nw, err := s.Instantiate(spec, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, _, err := spantree.NewFastHealed(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := fe.View().Order[len(fe.View().Order)-1]
+	nw.Meter.WatchEdge(fe.View().Parent[deep], deep)
+	if _, _, err := s.audit(nw, spec.Normalize(), fe.View(), core.DefaultSketchP); err != nil {
+		t.Fatal(err)
+	}
+	if a.out != nil || nw.Meter.WatchedBits() == 0 {
+		t.Error("a watched fork's audit went through the table")
+	}
+	unpin()
+
+	// The plain median on job 0's key, the honest plans and drop/dup pin
+	// nothing on their own.
+	none := NewSession()
+	for _, i := range []int{2, 3, 8} {
+		none.pinAudits(jobs[i : i+1])()
+	}
+	if n := none.AuditEntries(); n != 0 {
+		t.Errorf("Submits without adversarial robust jobs entered %d audits", n)
 	}
 }
 
-// robustForks returns n forks of one adversarial deployment, each in the
-// state a robust job is in when it reaches the audit, with their views.
-func robustForks(t *testing.T, fs faults.Spec, n int) ([]*netsim.Network, []*spantree.TreeView) {
+// TestAuditTableIsBounded: Submits over 1,000 distinct run seeds leave the
+// table holding only the last Submit's audits, and a Submit without robust
+// jobs leaves it as it was.
+func TestAuditTableIsBounded(t *testing.T) {
+	spec := gridSpec(64, 3)
+	spec.Faults = faults.Spec{Byz: 0.1}
+	e := New(Options{Workers: 2})
+	for seed := uint64(1); seed <= 1000; seed++ {
+		jobs := []Job{
+			{Spec: spec, Query: Query{Kind: KindMedian, Robust: true}, RunSeed: seed},
+			{Spec: spec, Query: Query{Kind: KindCount, Robust: true}, RunSeed: seed},
+			{Spec: spec, Query: Query{Kind: KindMax, Robust: true, SketchP: 6}, RunSeed: seed},
+		}
+		for _, r := range e.Submit(context.Background(), jobs) {
+			if r.Failed() {
+				t.Fatalf("seed %d: %s", seed, r.Error)
+			}
+		}
+		if n := e.Session().AuditEntries(); n != 2 {
+			t.Fatalf("after the Submit on run seed %d the table holds %d audits; want 2", seed, n)
+		}
+	}
+	e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindMedian}}})
+	if n := e.Session().AuditEntries(); n != 2 {
+		t.Fatalf("a Submit without robust jobs left %d audits; want the 2 it did not touch", n)
+	}
+}
+
+// robustForks returns n forks of one adversarial deployment from s, each in
+// the state a robust job is in when it reaches the audit, with their views.
+func robustForks(t *testing.T, s *Session, spec Spec, n int) ([]*netsim.Network, []*spantree.TreeView) {
 	t.Helper()
-	spec := gridSpec(256, 3)
-	spec.Faults = fs
-	s := NewSession()
 	nws, views := make([]*netsim.Network, n), make([]*spantree.TreeView, n)
 	for i := range nws {
 		nw, err := s.Instantiate(spec, spec.Seed)
@@ -143,14 +230,38 @@ func robustForks(t *testing.T, fs faults.Spec, n int) ([]*netsim.Network, []*spa
 	return nws, views
 }
 
-// TestSharedAuditFailureReachesFollowers: when the group's first caller
-// fails — by error or by panic — every follower fails with that error. None
-// is handed a zero outcome, none has its meter touched, and the panic still
-// unwinds the first caller (whose fork must not go back to the pool).
+// pinnedForks returns a session with spec's audit pinned and n forks of spec
+// from it (see robustForks), and the unpin.
+func pinnedForks(t *testing.T, fs faults.Spec, n int) (*Session, Spec, []*netsim.Network, []*spantree.TreeView, func()) {
+	t.Helper()
+	spec := gridSpec(256, 3)
+	spec.Faults = fs
+	spec = spec.Normalize()
+	s := NewSession()
+	unpin := s.pinAudits([]Job{{Spec: spec, Query: Query{Kind: KindMedian, Robust: true}}})
+	nws, views := robustForks(t, s, spec, n)
+	return s, spec, nws, views, unpin
+}
+
+// TestSharedAuditFailureReachesFollowers: when the first job on a key fails
+// its record — by error or by panic — every follower fails with that error,
+// and the next Submit to pin the key gets a fresh entry, so none replays a
+// failure. None is handed a zero outcome, none has its meter touched, and
+// the panic still unwinds the first caller (whose fork must not go back to
+// the pool).
 func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 	const n = 4
-	run := func(t *testing.T, nws []*netsim.Network, views []*spantree.TreeView) (errs []error, panics int) {
-		aud := new(auditOnce)
+	// notCached asserts the next pin of spec's key replaces the failed entry.
+	notCached := func(t *testing.T, s *Session, spec Spec) {
+		t.Helper()
+		job := Job{Spec: spec, Query: Query{Kind: KindMedian, Robust: true}}
+		failed := s.auditEntryOf(job)
+		s.pinAudits([]Job{job})()
+		if a := s.auditEntryOf(job); failed == nil || a == failed || a == nil || a.err != nil {
+			t.Error("the next Submit on the key would replay the failed record")
+		}
+	}
+	run := func(t *testing.T, s *Session, spec Spec, nws []*netsim.Network, views []*spantree.TreeView) (errs []error, panics int) {
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for i := range nws {
@@ -164,7 +275,7 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 						mu.Unlock()
 					}
 				}()
-				rep, rnet, err := aud.localize(nws[i], views[i], core.DefaultSketchP)
+				rep, rnet, err := s.audit(nws[i], spec, views[i], core.DefaultSketchP)
 				mu.Lock()
 				defer mu.Unlock()
 				if err == nil || rep != nil || rnet != nil {
@@ -180,12 +291,13 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 	t.Run("error", func(t *testing.T) {
 		// A dead root cannot be healed toward: the re-heal after the first
 		// conviction fails.
-		nws, views := robustForks(t, faults.Spec{Byz: 0.2, MidAt: 1, MidKillRoot: true}, n)
+		s, spec, nws, views, unpin := pinnedForks(t, faults.Spec{Byz: 0.2, MidAt: 1, MidKillRoot: true}, n)
+		defer unpin()
 		for _, nw := range nws {
 			nw.Faults.Tick()
 		}
 		before := nws[0].Meter.TotalBits()
-		errs, panics := run(t, nws, views)
+		errs, panics := run(t, s, spec, nws, views)
 		if panics != 0 || len(errs) != n {
 			t.Fatalf("%d errors, %d panics; want %d errors", len(errs), panics, n)
 		}
@@ -203,11 +315,13 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 		if charged != 1 {
 			t.Errorf("%d forks were charged; only the first caller's may be", charged)
 		}
+		notCached(t, s, spec)
 	})
 
 	t.Run("panic", func(t *testing.T) {
-		nws, _ := robustForks(t, faults.Spec{Byz: 0.2}, n)
-		errs, panics := run(t, nws, make([]*spantree.TreeView, n)) // a nil view panics the audit
+		s, spec, nws, _, unpin := pinnedForks(t, faults.Spec{Byz: 0.2}, n)
+		defer unpin()
+		errs, panics := run(t, s, spec, nws, make([]*spantree.TreeView, n)) // a nil view panics the audit
 		if panics != 1 || len(errs) != n-1 {
 			t.Fatalf("%d errors, %d panics; want the first caller to panic and %d followers to fail", len(errs), panics, n-1)
 		}
@@ -216,18 +330,19 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 				t.Errorf("follower error %q does not report the first caller's panic", err)
 			}
 		}
+		notCached(t, s, spec)
 	})
 }
 
 // TestWatchedMeterAuditsForItself: a replayed ledger cannot feed the
-// watched edge, so a watched fork runs its own audit even inside a group.
+// watched edge, so a watched fork runs its own audit even on a pinned key.
 func TestWatchedMeterAuditsForItself(t *testing.T) {
-	nws, views := robustForks(t, faults.Spec{Byz: 0.1}, 2)
+	s, spec, nws, views, unpin := pinnedForks(t, faults.Spec{Byz: 0.1}, 2)
+	defer unpin()
 	deep := views[1].Order[len(views[1].Order)-1]
 	nws[1].Meter.WatchEdge(views[1].Parent[deep], deep)
-	aud := new(auditOnce)
 	for i := range nws {
-		if _, _, err := aud.localize(nws[i], views[i], core.DefaultSketchP); err != nil {
+		if _, _, err := s.audit(nws[i], spec, views[i], core.DefaultSketchP); err != nil {
 			t.Fatal(err)
 		}
 	}

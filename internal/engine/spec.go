@@ -6,10 +6,10 @@
 //
 // Three pieces make concurrent execution both fast and honest:
 //
-//   - Session caches constructed graphs, bounded-degree spanning trees, and
-//     generated workloads, so repeated queries against the same deployment
-//     skip the O(N) rebuild — the hot path when a console or a batch issues
-//     many queries at one network.
+//   - Session caches graphs, bounded-degree spanning trees, generated
+//     workloads and robust audits, so repeated queries against the same
+//     deployment skip the O(N) rebuild and re-audit — the hot path when a
+//     console, a batch or a service issues many queries at one network.
 //   - Every run executes on a netsim.Network forked from the cached
 //     template: the immutable graph/tree are shared, but nodes (items,
 //     scratch, RNG streams) and the bit meter are per-run, so concurrent

@@ -24,7 +24,7 @@ import (
 // fusion.go); everything else runs solo.
 func (e *Engine) oracleRunAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
-	units, audits := oraclePlanUnits(jobs, fuse)
+	units := oraclePlanUnits(jobs, fuse)
 	// (The obs.Active() grouping event is left out: the oracle is held to
 	// results, and the event's shape is the planner's.)
 	uidx := make(chan int)
@@ -38,7 +38,7 @@ func (e *Engine) oracleRunAll(ctx context.Context, jobs []Job, fuse bool) []Resu
 		go func() {
 			defer wg.Done()
 			for u := range uidx {
-				e.oracleRunUnit(ctx, jobs, units[u], audits, results)
+				e.oracleRunUnit(ctx, jobs, units[u], results)
 			}
 		}()
 	}
@@ -64,41 +64,17 @@ feed:
 	return results
 }
 
-// auditKey groups robust jobs that share a byz audit (a function of fuseKey)
-// and cross-check (also of the resolved sketch precision).
-type auditKey struct {
-	fuseKey
-	sketchP int
-}
-
 // oraclePlanUnits partitions jobs into execution units: a unit is either one
 // solo job or a fusion batch of ≥2 compatible jobs. Units are dispatched
 // to the worker pool as wholes; results are always written back by
-// original job index, so fusion never reorders a batch's results. Every
-// robust job under an adversary with a partner on its auditKey gets their
-// group's shared audit and cross-check, by job index; others audit alone.
-func oraclePlanUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*auditOnce) {
+// original job index, so fusion never reorders a batch's results. (The
+// per-Submit audit groups it also planned are left out: every robust job
+// audits for itself, the most independent oracle for the shared audit.)
+func oraclePlanUnits(jobs []Job, fuse bool) (units [][]int) {
 	units = make([][]int, 0, len(jobs))
 	groups := make(map[fuseKey]int)
-	// Audit groups are few (one per deployment and epoch), so they are
-	// found by scanning: per group, its key and its first job.
-	keys, first := make([]auditKey, 0, 8), make([]int, 0, 8)
 	for i := range jobs {
 		key := fuseKey{spec: jobs[i].Spec.Normalize(), seed: jobs[i].runSeed(), overlay: jobs[i].Overlay}
-		if jobs[i].Query.Robust && jobs[i].Spec.Faults.Byz > 0 {
-			ak := auditKey{key, jobs[i].Query.WithDefaults().SketchP}
-			if g := slices.Index(keys, ak); g < 0 {
-				keys, first = append(keys, ak), append(first, i)
-			} else {
-				if audits == nil {
-					audits = make(map[int]*auditOnce)
-				}
-				if audits[first[g]] == nil {
-					audits[first[g]] = new(auditOnce)
-				}
-				audits[i] = audits[first[g]]
-			}
-		}
 		// Robust jobs stay solo: the byz tier aggregates per sector with
 		// its own trimmed plane, which the shared probe schedule cannot
 		// represent. So do WHERE jobs: each filters its own multiset.
@@ -113,13 +89,13 @@ func oraclePlanUnits(jobs []Job, fuse bool) (units [][]int, audits map[int]*audi
 			units = append(units, []int{i})
 		}
 	}
-	return units, audits
+	return units
 }
 
 // oracleRunUnit executes one unit, writing results by original job index.
-func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, audits map[int]*auditOnce, results []Result) {
+func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, results []Result) {
 	if len(idxs) == 1 {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], audits[idxs[0]], e.teamSize(1))
+		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], e.teamSize(1))
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -135,8 +111,8 @@ func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, audi
 	for _, i := range solo {
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
-		// succeeded alone. (Robust jobs never fuse, so no audit to share.)
-		results[i] = e.runOne(ctx, jobs[i], nil, e.teamSize(1))
+		// succeeded alone.
+		results[i] = e.runOne(ctx, jobs[i], e.teamSize(1))
 	}
 }
 

@@ -152,7 +152,8 @@ func TestTwinsMatchOracle(t *testing.T) {
 						opts = append(opts, WithFusion())
 					}
 					got := e.Submit(context.Background(), jobs, opts...)
-					want := e.oracleRunAll(context.Background(), jobs, fuse)
+					// A fresh session: e's keeps the Submit's audits.
+					want := New(Options{Workers: workers}).oracleRunAll(context.Background(), jobs, fuse)
 					for i := range jobs {
 						sameResult(t, fmt.Sprintf("%s round %d fuse=%v workers=%d job %d (%s)",
 							pl.name, round, fuse, workers, i, jobs[i].Query), got[i], want[i])

@@ -498,13 +498,13 @@ func (p *Plan) LieWord(u topology.NodeID) uint64 {
 }
 
 // LieSeq copies the per-node equivocation counters (nil for an honest
-// plan) and SetLieSeq overwrites them: together they carry every liar's
+// plan) and SetLieSeq overwrites one: together they carry every liar's
 // position in its lie sequence to another run's plan built from the same
 // inputs, so that run's next LieWord is the one this plan would draw.
 func (p *Plan) LieSeq() []uint64 { return append([]uint64(nil), p.lieSeq...) }
 
-// SetLieSeq overwrites the equivocation counters with seq (see LieSeq).
-func (p *Plan) SetLieSeq(seq []uint64) { copy(p.lieSeq, seq) }
+// SetLieSeq overwrites node u's equivocation counter with seq (see LieSeq).
+func (p *Plan) SetLieSeq(u topology.NodeID, seq uint64) { p.lieSeq[u] = seq }
 
 // Quarantine excludes node u from the tree for the rest of the run — the
 // containment action the byz tier's localization takes once a subtree is

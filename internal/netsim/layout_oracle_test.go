@@ -352,11 +352,11 @@ func TestByzOutcomeReplaysAcrossForks(t *testing.T) {
 		return nw
 	}
 	rec, ref, fwd := fork(), fork(), fork()
-	out, _, err := byz.Record(rec, spantree.FullView(tree))
+	out, rep, _, err := byz.Record(rec, spantree.FullView(tree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Report.Quarantined) == 0 {
+	if len(rep.Quarantined) == 0 {
 		t.Fatal("the audit convicted nobody: the replay would prove nothing")
 	}
 	_, view, err := byz.Localize(ref, spantree.FullView(tree))
@@ -364,7 +364,7 @@ func TestByzOutcomeReplaysAcrossForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	byz.NewRobustNet(ref, view).CrossCheck()
-	out.Replay(fwd)
+	out.Replay(fwd, spantree.FullView(tree))
 	requireSameLayoutMeters(t, "replayed", fwd, ref)
 	for u := 0; u < g.N(); u++ {
 		if id := topology.NodeID(u); fwd.Faults.Quarantined(id) != ref.Faults.Quarantined(id) {

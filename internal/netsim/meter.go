@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 
 	"sensoragg/internal/topology"
@@ -212,35 +214,69 @@ func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 }
 
 // Ledger is a per-node copy of the three counters. Taken before a protocol
-// phase and handed to ChargedSince after it, it holds what the phase charged
+// phase and handed to ChargedSince after it, it yields what the phase charged
 // each node; Replay charges that to another run's meter, so forks of one
-// deployment can share a phase's outcome and still each pay for it. All three
-// follow the single-writer contract of ChargeSendOnlySeq and bypass the
-// watched edge: never replay onto a meter that is Watching. A ledger is
-// indexed by storage slot, not node ID, so replay it only onto a meter of
-// the same layout: a fork of the same template, or any network over the
-// same tree.
+// deployment can share a phase's outcome and still each pay for it.
 type Ledger []meterCell
 
-// Ledger copies the current counters.
-func (m *Meter) Ledger() Ledger { return append(Ledger(nil), m.cells...) }
-
-// ChargedSince turns l, copied from m earlier, into the charges accrued
-// since then.
-func (m *Meter) ChargedSince(l Ledger) Ledger {
-	for i, c := range m.cells {
-		l[i] = meterCell{sent: c.sent - l[i].sent, recv: c.recv - l[i].recv, msgs: c.msgs - l[i].msgs}
+// Ledger copies the current counters; it is nil while every counter is
+// zero, as on a freshly reset run meter, so that copy is free.
+func (m *Meter) Ledger() Ledger {
+	for i := range m.cells {
+		if m.cells[i] != (meterCell{}) {
+			return append(Ledger(nil), m.cells...)
+		}
 	}
-	return l
+	return nil
+}
+
+// Charges is what a protocol phase charged each node, packed for keeping:
+// per storage slot the sent bits, received bits and messages as
+// encoding/binary uvarints — a few bytes a node where a Ledger takes 24.
+// Replay bypasses the watched edge and follows the single-writer contract of
+// ChargeSendOnlySeq: never replay onto a meter that is Watching. Charges are
+// indexed by storage slot, not node ID, so replay them only onto a meter of
+// the same layout: a fork of the same template, or any network over the
+// same tree.
+type Charges []byte
+
+// ChargedSince packs the charges accrued since l was copied from m, in one
+// allocation of the packed size.
+func (m *Meter) ChargedSince(l Ledger) Charges {
+	delta := func(i int) [3]uint64 {
+		c := m.cells[i]
+		if l != nil {
+			c = meterCell{sent: c.sent - l[i].sent, recv: c.recv - l[i].recv, msgs: c.msgs - l[i].msgs}
+		}
+		return [3]uint64{uint64(c.sent), uint64(c.recv), uint64(c.msgs)}
+	}
+	size := 0
+	for i := range m.cells {
+		for _, v := range delta(i) {
+			size += (bits.Len64(v|1) + 6) / 7 // binary.AppendUvarint's length
+		}
+	}
+	b := make(Charges, 0, size)
+	for i := range m.cells {
+		for _, v := range delta(i) {
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	return b
 }
 
 // Replay adds the recorded charges to m.
-func (m *Meter) Replay(l Ledger) {
-	for i, d := range l {
+func (m *Meter) Replay(ch Charges) {
+	next := func() int64 {
+		v, n := binary.Uvarint(ch)
+		ch = ch[n:]
+		return int64(v)
+	}
+	for i := range m.cells {
 		c := &m.cells[i]
-		c.sent += d.sent
-		c.recv += d.recv
-		c.msgs += d.msgs
+		c.sent += next()
+		c.recv += next()
+		c.msgs += next()
 	}
 }
 

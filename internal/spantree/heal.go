@@ -441,6 +441,15 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 	return sub
 }
 
+// ViewFromParents rebuilds a view from its parent array (TreeView.Parent),
+// which the view shares: a view kept as its parent array costs 4 bytes a
+// node instead of the whole view.
+func ViewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
+	hs := healPool.Get().(*healScratch)
+	defer healPool.Put(hs)
+	return viewFromParents(parent, root, hs)
+}
+
 // viewFromParents assembles a TreeView from a parent array in which
 // excluded nodes carry excludedParent. Children are listed in ID order,
 // carved from one backing array owned by the view (each list's capacity
