@@ -53,7 +53,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	subscribers := flag.Int("subscribers", 64, "standing subscriptions")
 	epochs := flag.Int("epochs", 10, "epochs to advance")
-	window := flag.Duration("window", serve.DefaultFuseWindow, "group-commit fusion window")
 	drift := flag.Uint64("drift", 200, "per-node ±step random walk per epoch (0 = static values)")
 	byz := flag.Float64("byz", 0, "fault plan: Byzantine (lying) node probability (root exempt)")
 	byzMode := flag.String("byzmode", "", "Byzantine lie discipline: corrupt|equivocate|collude (default corrupt)")
@@ -85,7 +84,7 @@ func main() {
 	spec := engine.Spec{Topology: *topo, N: *n, Workload: *wl, Seed: *seed,
 		Faults: faults.Spec{Byz: *byz, ByzMode: *byzMode},
 		Retry:  engine.Retry{Budget: *retryBudget}}
-	rep, err := run(spec, *subscribers, *epochs, *window, *drift, *statement, *buffer, *robust)
+	rep, err := run(spec, *subscribers, *epochs, *drift, *statement, *buffer, *robust)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
@@ -257,7 +256,7 @@ type delivery struct {
 	bound       uint64
 }
 
-func run(spec engine.Spec, subscribers, epochs int, window time.Duration, drift uint64, statement string, buffer int, robust bool) (*report, error) {
+func run(spec engine.Spec, subscribers, epochs int, drift uint64, statement string, buffer int, robust bool) (*report, error) {
 	if subscribers < 1 || epochs < 1 {
 		return nil, fmt.Errorf("need at least 1 subscriber and 1 epoch")
 	}
@@ -284,9 +283,8 @@ func run(spec engine.Spec, subscribers, epochs int, window time.Duration, drift 
 	}
 	rng := rand.New(rand.NewSource(int64(spec.Seed)))
 	svc, err := serve.New(serve.Options{
-		Spec:       spec,
-		Engine:     eng,
-		FuseWindow: window,
+		Spec:   spec,
+		Engine: eng,
 		// Per-node ±drift random walk; AdvanceEpoch runs the closure from
 		// one goroutine, so the shared rng is safe.
 		Update: func(e int, node topology.NodeID, prev uint64) uint64 {

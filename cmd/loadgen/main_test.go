@@ -5,7 +5,6 @@ import (
 
 	"sensoragg/internal/engine"
 	"sensoragg/internal/faults"
-	"sensoragg/internal/serve"
 )
 
 // loadgenSpec is the tests' deployment: a 64-node grid.
@@ -16,7 +15,7 @@ func loadgenSpec(fs faults.Spec) engine.Spec {
 // TestRunPlainDeliversEverything: 8 subscribers over 3 epochs get every
 // delivery, none failed, missing or shed.
 func TestRunPlainDeliversEverything(t *testing.T) {
-	rep, err := run(loadgenSpec(faults.Spec{}), 8, 3, serve.DefaultFuseWindow, 200, "SELECT median(value)", 0, false)
+	rep, err := run(loadgenSpec(faults.Spec{}), 8, 3, 200, "SELECT median(value)", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestRunPlainDeliversEverything(t *testing.T) {
 // TestRunRobustStampsEveryDelivery: at byz 0.05 on the robust tier, every
 // delivery is a robust answer.
 func TestRunRobustStampsEveryDelivery(t *testing.T) {
-	rep, err := run(loadgenSpec(faults.Spec{Byz: 0.05}), 8, 3, serve.DefaultFuseWindow, 200, "SELECT median(value)", 0, true)
+	rep, err := run(loadgenSpec(faults.Spec{Byz: 0.05}), 8, 3, 200, "SELECT median(value)", 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +47,10 @@ func TestRunRobustStampsEveryDelivery(t *testing.T) {
 // TestRunRejectsBadInput: an unparsable statement and a run without
 // subscribers are errors.
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := run(loadgenSpec(faults.Spec{}), 8, 3, serve.DefaultFuseWindow, 200, "SELEC median(value)", 0, false); err == nil {
+	if _, err := run(loadgenSpec(faults.Spec{}), 8, 3, 200, "SELEC median(value)", 0, false); err == nil {
 		t.Error("an unparsable statement ran")
 	}
-	if _, err := run(loadgenSpec(faults.Spec{}), 0, 3, serve.DefaultFuseWindow, 200, "SELECT median(value)", 0, false); err == nil {
+	if _, err := run(loadgenSpec(faults.Spec{}), 0, 3, 200, "SELECT median(value)", 0, false); err == nil {
 		t.Error("a run without subscribers ran")
 	}
 }

@@ -216,7 +216,7 @@ func (c *console) exec(stmt string) (engine.Result, error) {
 	if err != nil {
 		return engine.Result{}, err
 	}
-	r := c.eng.Submit(context.Background(), jobs, engine.WithProbeWidth(c.probeWidth))[0]
+	r := c.eng.Submit(context.Background(), jobs)[0]
 	if r.Failed() {
 		return r, fmt.Errorf("%s", r.Error)
 	}
@@ -224,7 +224,8 @@ func (c *console) exec(stmt string) (engine.Result, error) {
 }
 
 // jobs maps statements onto engine jobs against the console's deployment
-// (serve.QueryFor), on the robust tier under SET ROBUST ON.
+// (serve.QueryFor), at the session probe width where the statement sets
+// none, on the robust tier under SET ROBUST ON.
 func (c *console) jobs(stmts []string) ([]engine.Job, error) {
 	jobs := make([]engine.Job, len(stmts))
 	for i, stmt := range stmts {
@@ -237,6 +238,9 @@ func (c *console) jobs(stmts []string) ([]engine.Job, error) {
 				return nil, fmt.Errorf("%q has no robust path (exact selection/aggregate without WHERE); SET ROBUST OFF to run it plain", stmt)
 			}
 			q.Robust = true
+		}
+		if q.ProbeWidth == 0 {
+			q.ProbeWidth = c.probeWidth
 		}
 		jobs[i] = engine.Job{ID: fmt.Sprintf("stmt-%d", i+1), Spec: c.spec, Query: q}
 	}
@@ -458,7 +462,7 @@ func (c *console) execFused(stmts []string, model energy.Model) error {
 	if err != nil {
 		return err
 	}
-	res := c.eng.Submit(context.Background(), jobs, engine.WithFusion(), engine.WithProbeWidth(c.probeWidth))
+	res := c.eng.Submit(context.Background(), jobs, engine.WithFusion())
 	var plane *engine.Result
 	fused := 0
 	for i, r := range res {

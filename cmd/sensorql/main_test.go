@@ -116,10 +116,10 @@ func TestSetFuse(t *testing.T) {
 // serve.QueryFor, and the fusable statements land on the engine queries the
 // console's own mapping produced before it went through serve.QueryFor
 // (oracleFusedQuery below, verbatim): fusable kinds — a single quantile as
-// KindQuantiles — at the USING or session probe width (the session width
-// reaches a job through engine.WithProbeWidth). Every other statement maps
-// to a query that never fuses (a WHERE clause or a private-schedule kind),
-// and a malformed probewidth is refused.
+// KindQuantiles — at the USING or session probe width (console.jobs fills
+// the session width into a statement that sets none). Every other statement
+// maps to a query that never fuses (a WHERE clause or a private-schedule
+// kind), and a malformed probewidth is refused.
 func TestFusedQueryMapping(t *testing.T) {
 	statements := []string{
 		"SELECT median(value)",
@@ -169,9 +169,6 @@ func TestFusedQueryMapping(t *testing.T) {
 				continue
 			}
 			got := jobs[0].Query
-			if got.ProbeWidth == 0 {
-				got.ProbeWidth = c.probeWidth
-			}
 			if !wantOK {
 				if got.Where == nil && slices.Contains(fusable, got.Kind) {
 					t.Errorf("width %d %q: %+v would fuse", width, s, got)

@@ -290,9 +290,9 @@ func sketchDeployments() map[string][][]uint64 {
 
 // TestSketchFoldMatchesOracle holds spantree.FoldSketches, through
 // ApxCountRep and distinct.Approximate, to the old honest path — estimates
-// and every node's sent, received and messages, plus the watched edge —
-// across views, fault plans and engines, and to the old fast path on every
-// plan without drop/dup. Run with -race.
+// and every node's sent, received and messages — across views, fault plans
+// and engines, and to the old fast path on every plan without drop/dup. Run
+// with -race.
 func TestSketchFoldMatchesOracle(t *testing.T) {
 	g := topology.Grid(16, 16)
 	views := []struct {
@@ -305,16 +305,14 @@ func TestSketchFoldMatchesOracle(t *testing.T) {
 		{"quarantined", faults.Spec{Crash: 0.05}, []topology.NodeID{17, 40, 130, 201}},
 	}
 	plans := []struct {
-		name  string
-		spec  faults.Spec
-		watch bool
+		name string
+		spec faults.Spec
 	}{
-		{"reliable", faults.Spec{}, false},
-		{"drop", faults.Spec{Drop: 0.2}, false},
-		{"dup", faults.Spec{Dup: 0.3}, false},
-		{"dropdup", faults.Spec{Drop: 0.15, Dup: 0.15}, false},
-		{"watched", faults.Spec{}, true},
-		{"byz", faults.Spec{Byz: 0.1}, false},
+		{"reliable", faults.Spec{}},
+		{"drop", faults.Spec{Drop: 0.2}},
+		{"dup", faults.Spec{Dup: 0.3}},
+		{"dropdup", faults.Spec{Drop: 0.15, Dup: 0.15}},
+		{"byz", faults.Spec{Byz: 0.1}},
 	}
 	engines := []string{"fast/1", "fast/3", "goroutine"}
 	for dname, items := range sketchDeployments() {
@@ -348,13 +346,6 @@ func TestSketchFoldMatchesOracle(t *testing.T) {
 							fe.SetWorkers(map[string]int{"fast/1": 1, "fast/3": 3}[engine])
 							ops = fe
 						}
-						if plan.watch {
-							v := spantree.FullView(nw.Tree)
-							if fe, ok := ops.(*spantree.FastEngine); ok {
-								v = fe.View()
-							}
-							nw.Meter.WatchEdge(v.Root, v.Children[v.Root][0])
-						}
 						return NewNet(ops, WithSketchP(6)) // small sketches keep the boxed oracle quick under -race
 					}
 					for _, proto := range sketchProtocols() {
@@ -377,7 +368,7 @@ func TestSketchFoldMatchesOracle(t *testing.T) {
 }
 
 // requireSameSketchRun asserts two runs answered alike and charged every
-// node, and the watched edge, alike.
+// node alike.
 func requireSameSketchRun(t *testing.T, ref string, n *Net, got []float64, refNet *Net, want []float64) {
 	t.Helper()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -391,8 +382,5 @@ func requireSameSketchRun(t *testing.T, ref string, n *Net, got []float64, refNe
 				m.SentBitsOf(id), m.RecvBitsOf(id), m.MessagesOf(id), ref,
 				rm.SentBitsOf(id), rm.RecvBitsOf(id), rm.MessagesOf(id))
 		}
-	}
-	if m.WatchedBits() != rm.WatchedBits() {
-		t.Fatalf("watched bits %d, %s %d", m.WatchedBits(), ref, rm.WatchedBits())
 	}
 }

@@ -221,13 +221,12 @@ func Record(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Outco
 }
 
 // Replay fast-forwards nw, which must be in the state the recorded network
-// was in when Record was called — view is its view then — and must not have
-// a watched edge: every per-node counter, the quarantine set and every
-// liar's next LieWord end up exactly where the audit and the cross-check
-// left them there. Given Record's opts, it returns nw's report, its re-heal's
-// view rebuilt, and nw's plane over the audited view, cross-checked; the
-// plane's whole-view sketch instances restart from the first (no robust
-// kind draws one).
+// was in when Record was called — view is its view then: every per-node
+// counter, the quarantine set and every liar's next LieWord end up exactly
+// where the audit and the cross-check left them there. Given Record's opts,
+// it returns nw's report, its re-heal's view rebuilt, and nw's plane over
+// the audited view, cross-checked; the plane's whole-view sketch instances
+// restart from the first (no robust kind draws one).
 func (o *Outcome) Replay(nw *netsim.Network, view *spantree.TreeView, opts ...Option) (*Report, *RobustNet) {
 	if o == nil {
 		return nil, NewRobustNet(nw, view, opts...)

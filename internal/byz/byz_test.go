@@ -291,8 +291,8 @@ func TestCrossCheckFlagsCapacityDrift(t *testing.T) {
 	}
 	// Integrity lists suspects in ascending ID order without sorting:
 	// sectors are built in view.Children[root] order, which is ascending.
-	if len(in.Suspected) != drifted.Sectors() {
-		t.Fatalf("%d of %d sectors suspected, want the whole roster", len(in.Suspected), drifted.Sectors())
+	if len(in.Suspected) != in.Sectors {
+		t.Fatalf("%d of %d sectors suspected, want the whole roster", len(in.Suspected), in.Sectors)
 	}
 	for i := 1; i < len(in.Suspected); i++ {
 		if in.Suspected[i-1] >= in.Suspected[i] {

@@ -138,9 +138,6 @@ func NewRobustNet(nw *netsim.Network, view *spantree.TreeView, opts ...Option) *
 	return r
 }
 
-// Sectors returns the number of sectors the plane runs over.
-func (r *RobustNet) Sectors() int { return len(r.sectors) }
-
 // Integrity snapshots the run's integrity accounting.
 func (r *RobustNet) Integrity() Integrity {
 	in := Integrity{

@@ -60,21 +60,22 @@ func (h DisjointnessHarness) Run(disjoint bool) (DisjointnessRun, error) {
 	maxX := uint64(2*n - 1)
 
 	var nw *netsim.Network
+	// The cut is the line's edge between nodes cut-1 and cut: by default
+	// the unique edge between A's simulation (nodes 0..n-1) and B's (nodes
+	// n..2n-1).
+	cut := n
 	if h.MultiItem {
 		// Player A is the root holding all of X_A; player B is one node
 		// holding all of X_B. The single edge is the cut.
 		g := topology.Line(2)
 		nw = netsim.NewMulti(g, [][]uint64{xa, xb}, maxX, netsim.WithSeed(h.Seed))
-		nw.Meter.WatchEdge(0, 1)
+		cut = 1
 	} else {
 		values := make([]uint64, 0, 2*n)
 		values = append(values, xa...)
 		values = append(values, xb...)
 		g := topology.Line(2 * n)
 		nw = netsim.New(g, values, maxX, netsim.WithSeed(h.Seed))
-		// The cut: the unique edge between A's simulation (nodes 0..n-1)
-		// and B's (nodes n..2n-1).
-		nw.Meter.WatchEdge(topology.NodeID(n-1), topology.NodeID(n))
 	}
 	ops := spantree.NewFast(nw)
 
@@ -95,9 +96,23 @@ func (h DisjointnessHarness) Run(disjoint bool) (DisjointnessRun, error) {
 	return DisjointnessRun{
 		Disjoint: disjoint,
 		Decision: decide2SD(distinct, n),
-		CutBits:  nw.Meter.WatchedBits(),
+		CutBits:  lineCut(nw.Meter, cut),
 		Distinct: distinct,
 	}, nil
+}
+
+// lineCut returns the bits that crossed the edge between nodes c-1 and c of
+// a line, both directions, read off the per-node counters. Every message
+// crosses one edge and charges its sender and its receiver the same bits,
+// so a node's sent+received bits are the traffic on its edges: walking in
+// from the far end, node k's total less the edge beyond it leaves the edge
+// before it.
+func lineCut(m *netsim.Meter, c int) int64 {
+	var edge int64 // the traffic on the edge beyond node k; none beyond the last
+	for k := m.N() - 1; k >= c; k-- {
+		edge = m.PerNode(topology.NodeID(k)) - edge
+	}
+	return edge
 }
 
 // decide2SD outputs YES iff the reported count equals |X_A|+|X_B| = 2n —

@@ -106,12 +106,12 @@ func (s *Session) pinAudits(jobs []Job) (unpin func()) {
 // over its fork nw of spec: the first job on a pinned key records them
 // (byz.Record), the others replay the record and still pay it in full; a
 // failed record fails them all, and the next pin starts afresh. A job on no
-// pinned key or on a watched meter (a replay skips its edge) records alone.
+// pinned key records alone.
 func (s *Session) audit(nw *netsim.Network, spec Spec, view *spantree.TreeView, p int) (rep *byz.Report, rnet *byz.RobustNet, err error) {
 	s.mu.Lock()
 	a := s.audits[auditKey{spec, nw.Seed(), p}]
 	s.mu.Unlock()
-	if a == nil || nw.Meter.Watching() {
+	if a == nil {
 		a = new(auditEntry)
 	}
 	a.once.Do(func() {

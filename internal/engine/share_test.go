@@ -109,8 +109,7 @@ func TestSharedAuditMatchesSoloSubmits(t *testing.T) {
 // TestAuditSharingIsForPartneredRobustJobs pins who shares an audit: robust
 // jobs under an adversarial plan on the same deployment, run seed and
 // sketch precision, whatever their overlays — nobody else. Honest plans,
-// non-robust jobs and drop/dup plans pin no entry, and a watched meter
-// audits for itself even on a pinned key.
+// non-robust jobs and drop/dup plans pin no entry.
 func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 	spec := gridSpec(256, 3)
 	spec.Faults = faults.Spec{Byz: 0.05}
@@ -153,23 +152,6 @@ func TestAuditSharingIsForPartneredRobustJobs(t *testing.T) {
 		t.Errorf("the table holds %d audits; want 3", n)
 	}
 
-	// A watched fork on the pinned key audits for itself and records nothing.
-	nw, err := s.Instantiate(spec, spec.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, _, err := spantree.NewFastHealed(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deep := fe.View().Order[len(fe.View().Order)-1]
-	nw.Meter.WatchEdge(fe.View().Parent[deep], deep)
-	if _, _, err := s.audit(nw, spec.Normalize(), fe.View(), core.DefaultSketchP); err != nil {
-		t.Fatal(err)
-	}
-	if a.out != nil || nw.Meter.WatchedBits() == 0 {
-		t.Error("a watched fork's audit went through the table")
-	}
 	unpin()
 
 	// The plain median on job 0's key, the honest plans and drop/dup pin
@@ -334,26 +316,6 @@ func TestSharedAuditFailureReachesFollowers(t *testing.T) {
 	})
 }
 
-// TestWatchedMeterAuditsForItself: a replayed ledger cannot feed the
-// watched edge, so a watched fork runs its own audit even on a pinned key.
-func TestWatchedMeterAuditsForItself(t *testing.T) {
-	s, spec, nws, views, unpin := pinnedForks(t, faults.Spec{Byz: 0.1}, 2)
-	defer unpin()
-	deep := views[1].Order[len(views[1].Order)-1]
-	nws[1].Meter.WatchEdge(views[1].Parent[deep], deep)
-	for i := range nws {
-		if _, _, err := s.audit(nws[i], spec, views[i], core.DefaultSketchP); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if nws[1].Meter.WatchedBits() == 0 {
-		t.Fatal("the watched fork saw no audit traffic on its edge")
-	}
-	if nws[0].Meter.TotalBits() != nws[1].Meter.TotalBits() {
-		t.Fatalf("total bits %d vs %d", nws[0].Meter.TotalBits(), nws[1].Meter.TotalBits())
-	}
-}
-
 // duplicateStatements is one statement per fusable kind, two medians that
 // differ only in their seed windows (one around the answer, one far from
 // it), a rank no population resolves and a phi no path accepts.
@@ -427,7 +389,7 @@ func TestDetachedSlotDetachesEveryDuplicate(t *testing.T) {
 			jobs = append(jobs, Job{ID: fmt.Sprintf("s%d-c%d", s, c), Spec: spec, Query: q})
 		}
 	}
-	res := New(Options{Workers: 2}).Submit(context.Background(), jobs, WithFusion(), WithDeadline(time.Nanosecond))
+	res := New(Options{Workers: 2, Timeout: time.Nanosecond}).Submit(context.Background(), jobs, WithFusion())
 	for i, r := range res {
 		if r.ID != jobs[i].ID || !strings.Contains(r.Error, "deadline") {
 			t.Errorf("job %s: result (ID %q, error %q), want its own deadline failure", jobs[i].ID, r.ID, r.Error)

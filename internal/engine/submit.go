@@ -1,20 +1,13 @@
 package engine
 
-import (
-	"context"
-	"slices"
-	"time"
-)
+import "context"
 
 // SubmitOption tunes one Submit call without reconfiguring the engine; the
 // zero set inherits the engine's Options.
 type SubmitOption func(*submitConfig)
 
 type submitConfig struct {
-	fuse       bool
-	timeout    time.Duration
-	timeoutSet bool
-	probeWidth int
+	fuse bool
 }
 
 // WithFusion enables shared-sweep query fusion for this submission:
@@ -25,21 +18,6 @@ type submitConfig struct {
 // which changes what Result meters mean, so callers opt in.
 func WithFusion() SubmitOption {
 	return func(c *submitConfig) { c.fuse = true }
-}
-
-// WithDeadline sets the per-query deadline for this submission (0 removes
-// an engine-level deadline). A query that overruns is reported failed; a
-// fused batch that overruns detaches its unresolved members to solo runs
-// with their own full deadline.
-func WithDeadline(d time.Duration) SubmitOption {
-	return func(c *submitConfig) { c.timeout = d; c.timeoutSet = true }
-}
-
-// WithProbeWidth sets the k-ary probe batch width for every job in the
-// submission whose query leaves ProbeWidth unset (explicit per-query
-// widths win).
-func WithProbeWidth(w int) SubmitOption {
-	return func(c *submitConfig) { c.probeWidth = w }
 }
 
 // Submit is the engine's single entrypoint: it executes jobs on the worker
@@ -57,27 +35,12 @@ func WithProbeWidth(w int) SubmitOption {
 // counts its members' twins. queries_total counts executions, not answers.
 //
 // Options apply to this call only: WithFusion turns the submission's
-// fusable jobs into shared-sweep batches, WithDeadline bounds each query,
-// WithProbeWidth defaults the jobs' probe widths.
+// fusable jobs into shared-sweep batches. Each query's deadline is the
+// engine's Options.Timeout, and its probe width its own Query.ProbeWidth.
 func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) []Result {
 	var cfg submitConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	run := e
-	if cfg.timeoutSet {
-		derived := *e
-		derived.timeout = cfg.timeout
-		run = &derived
-	}
-	if cfg.probeWidth != 0 {
-		widened := slices.Clone(jobs)
-		for i := range widened {
-			if widened[i].Query.ProbeWidth == 0 {
-				widened[i].Query.ProbeWidth = cfg.probeWidth
-			}
-		}
-		jobs = widened
-	}
-	return run.runAll(ctx, jobs, cfg.fuse)
+	return e.runAll(ctx, jobs, cfg.fuse)
 }

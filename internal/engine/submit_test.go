@@ -3,41 +3,30 @@ package engine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"sensoragg/internal/core"
 )
 
-// TestSubmitProbeWidthOption: WithProbeWidth defaults unset query widths
-// and leaves explicit widths alone.
-func TestSubmitProbeWidthOption(t *testing.T) {
+// TestSubmitProbeWidths: every job runs at its own probe width — an unset
+// width resolves to the engine default, an explicit one is kept — and
+// Submit leaves the caller's jobs alone.
+func TestSubmitProbeWidths(t *testing.T) {
 	jobs := []Job{
 		{Spec: gridSpec(100, 5), Query: Query{Kind: KindMedian}},
 		{Spec: gridSpec(100, 5), Query: Query{Kind: KindMedian, ProbeWidth: 2}},
+		{Spec: gridSpec(100, 5), Query: Query{Kind: KindMedian, ProbeWidth: 16}},
 	}
-	res := New(Options{}).Submit(context.Background(), jobs, WithProbeWidth(16))
-	if got := res[0].Query.ProbeWidth; got != 16 {
-		t.Errorf("unset width resolved to %d, want 16", got)
-	}
-	if got := res[1].Query.ProbeWidth; got != 2 {
-		t.Errorf("explicit width overridden to %d, want 2", got)
+	res := New(Options{}).Submit(context.Background(), jobs)
+	for i, want := range []int{core.DefaultProbeWidth, 2, 16} {
+		if res[i].Failed() {
+			t.Fatalf("job %d: %s", i, res[i].Error)
+		}
+		if got := res[i].Query.ProbeWidth; got != want {
+			t.Errorf("job %d ran at width %d, want %d", i, got, want)
+		}
 	}
 	if jobs[0].Query.ProbeWidth != 0 {
 		t.Error("Submit mutated the caller's job slice")
-	}
-}
-
-// TestSubmitDeadlineOption: a hopeless per-call deadline fails the query
-// without touching the engine's configured timeout.
-func TestSubmitDeadlineOption(t *testing.T) {
-	eng := New(Options{})
-	job := Job{Spec: gridSpec(256, 7), Query: Query{Kind: KindMedian}}
-	res := eng.Submit(context.Background(), []Job{job}, WithDeadline(time.Nanosecond))
-	if !res[0].Failed() {
-		t.Error("nanosecond deadline did not fail the query")
-	}
-	if res := eng.Submit(context.Background(), []Job{job}); res[0].Failed() {
-		t.Errorf("per-call deadline leaked into the engine: %s", res[0].Error)
 	}
 }
 

@@ -80,7 +80,6 @@ func TestForkIsolation(t *testing.T) {
 // scenario. Run with -race.
 func TestMeterConcurrentReadDuringCharge(t *testing.T) {
 	m := NewMeter(16)
-	m.WatchEdge(0, 1)
 	var wg sync.WaitGroup
 	const iters = 2000
 	for w := 0; w < 4; w++ {
@@ -100,7 +99,6 @@ func TestMeterConcurrentReadDuringCharge(t *testing.T) {
 		_ = m.MaxPerNode()
 		_ = m.TotalBits()
 		_ = m.TotalMessages()
-		_ = m.WatchedBits()
 		_ = m.PerNode(topology.NodeID(i % 16))
 		_ = m.Since(before)
 	}

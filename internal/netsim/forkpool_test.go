@@ -22,7 +22,6 @@ func dirty(nw *Network) {
 			nd.Items[i].Active = false
 		}
 	}
-	nw.Meter.WatchEdge(0, 1)
 	nw.Meter.Charge(0, 1, 99)
 }
 
@@ -55,9 +54,6 @@ func TestForkPoolResetMatchesFreshFork(t *testing.T) {
 		}
 		if recycled.Faults != nil {
 			t.Fatalf("%s: recycled network kept a fault plan", where)
-		}
-		if recycled.Meter.Watching() || recycled.Meter.WatchedBits() != 0 {
-			t.Fatalf("%s: recycled network kept a watched edge", where)
 		}
 		if recycled.lay != tmpl.lay || fresh.lay != tmpl.lay || &recycled.Meter.slot[0] != &tmpl.lay.slot[0] {
 			t.Fatalf("%s: a fork built its own layout", where)

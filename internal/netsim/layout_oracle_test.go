@@ -4,7 +4,7 @@ package netsim_test
 // cells are stored in its tree's BFS order (NewFromTree, recycled through a
 // ForkPool) must match the same sweep on the ID-order reference
 // (RefNewFromTree, reset by RefResetForRun) — root values, every node's
-// counters by ID, the watched edge, Since/MaxPerNode and AllItems — over
+// counters by ID, Since/MaxPerNode and AllItems — over
 // topology × root × view × combiner × fault plan × workers. The reference
 // always runs its engine over an explicit view (NewFastView): the flat
 // broadcast pass of NewFast assumes the tree-ordered storage, which the
@@ -90,7 +90,7 @@ func layoutItems(n int, multi bool) [][]uint64 {
 }
 
 // dirty leaves on nw what a finished run leaves: drawn RNG streams, scratch,
-// rescaled and deactivated items, charges and a watched edge.
+// rescaled and deactivated items and charges.
 func dirty(nw *netsim.Network) {
 	for _, nd := range nw.Nodes {
 		nd.RNG().Uint64()
@@ -101,7 +101,6 @@ func dirty(nw *netsim.Network) {
 			}
 		}
 	}
-	nw.Meter.WatchEdge(0, 1)
 	nw.Meter.Charge(0, 1, 99)
 }
 
@@ -124,20 +123,17 @@ func layoutTwins(g *topology.Graph, tree *topology.Tree, items [][]uint64, seed 
 }
 
 // layoutFault is one row of the fault axis. structural rows crash nodes and
-// fail links, so their sweeps run over healed views; watch puts a watched
-// edge on the tree.
+// fail links, so their sweeps run over healed views.
 type layoutFault struct {
 	name       string
 	spec       faults.Spec
 	structural bool
-	watch      bool
 }
 
 var layoutFaults = []layoutFault{
 	{name: "none"},
 	{name: "crash+linkfail", spec: faults.Spec{Crash: 0.05, LinkFail: 0.05}, structural: true},
 	{name: "drop/dup", spec: faults.Spec{Drop: 0.1, Dup: 0.1}},
-	{name: "watched", watch: true},
 	{name: "byz", spec: faults.Spec{Byz: 0.1}},
 }
 
@@ -274,9 +270,6 @@ func requireSameLayoutMeters(t *testing.T, where string, nw, ref *netsim.Network
 				ref.Meter.SentBitsOf(id), ref.Meter.RecvBitsOf(id), ref.Meter.MessagesOf(id))
 		}
 	}
-	if nw.Meter.WatchedBits() != ref.Meter.WatchedBits() {
-		t.Fatalf("%s: watched bits %d, reference %d", where, nw.Meter.WatchedBits(), ref.Meter.WatchedBits())
-	}
 	if nw.Meter.MaxPerNode() != ref.Meter.MaxPerNode() {
 		t.Fatalf("%s: MaxPerNode %d, reference %d", where, nw.Meter.MaxPerNode(), ref.Meter.MaxPerNode())
 	}
@@ -302,10 +295,6 @@ func TestLayoutMatchesReference(t *testing.T) {
 				for _, x := range []*netsim.Network{nw, ref} {
 					if f.spec.Active() {
 						x.Faults = faults.New(f.spec, x.N(), x.Root(), seed)
-					}
-					if f.watch {
-						u := tree.Order[len(tree.Order)/2]
-						x.Meter.WatchEdge(u, tree.Parent[u])
 					}
 				}
 				snap, refSnap := nw.Meter.Snapshot(), ref.Meter.Snapshot()

@@ -75,7 +75,6 @@ func (nw *Network) RefResetForRun(seed uint64) {
 	nw.seed = seed
 	nw.Faults = nil
 	nw.Meter.Reset()
-	nw.Meter.ClearWatch()
 	for i, nd := range nw.Nodes {
 		nd.Scratch = nil
 		nd.ResetItems()
@@ -96,9 +95,7 @@ func (nw *Network) RefAllItems() []uint64 {
 
 // refMeter is Meter with node u's counters in cells[u].
 type refMeter struct {
-	cells       []refCell
-	watch       atomic.Int64
-	watchedBits atomic.Int64
+	cells []refCell
 }
 
 type refCell struct {
@@ -108,30 +105,13 @@ type refCell struct {
 }
 
 func newRefMeter(n int) *refMeter {
-	m := &refMeter{cells: make([]refCell, n)}
-	m.watch.Store(watchDisabled)
-	return m
-}
-
-func (m *refMeter) WatchEdge(u, v topology.NodeID) {
-	m.watch.Store(packEdge(u, v))
-	m.watchedBits.Store(0)
-}
-
-func (m *refMeter) WatchedBits() int64 { return m.watchedBits.Load() }
-
-func (m *refMeter) ClearWatch() {
-	m.watch.Store(watchDisabled)
-	m.watchedBits.Store(0)
+	return &refMeter{cells: make([]refCell, n)}
 }
 
 func (m *refMeter) Charge(from, to topology.NodeID, bits int) {
 	atomic.AddInt64(&m.cells[from].sent, int64(bits))
 	atomic.AddInt64(&m.cells[to].recv, int64(bits))
 	atomic.AddInt64(&m.cells[from].msgs, 1)
-	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
-		m.watchedBits.Add(int64(bits))
-	}
 }
 
 func (m *refMeter) ChargeTx(from topology.NodeID, bits int) {
@@ -179,9 +159,6 @@ func (m *refMeter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 	c.sent += bits
 	c.msgs += msgs
 	m.cells[to].recv += bits
-	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
-		m.watchedBits.Add(bits)
-	}
 }
 
 type refLedger []refCell
@@ -210,7 +187,6 @@ func (m *refMeter) ChargeRx(to topology.NodeID, bits int) {
 
 func (m *refMeter) Reset() {
 	clear(m.cells)
-	m.watchedBits.Store(0)
 }
 
 func (m *refMeter) SentBitsOf(u topology.NodeID) int64 { return atomic.LoadInt64(&m.cells[u].sent) }
@@ -280,9 +256,9 @@ func (m *refMeter) Since(s refSnapshot) Delta {
 
 // TestMeterMatchesRef drives a meter laid out in a tree's order and the
 // ID-order reference through the same generated charge sequences — every
-// charge path, watched edges, resets, ledgers replayed onto a second meter
-// of the same layout, snapshots — and requires the same counters for every
-// node, the same watched-edge count and the same Since and MaxPerNode.
+// charge path, resets, ledgers replayed onto a second meter of the same
+// layout, snapshots — and requires the same counters for every node and the
+// same Since and MaxPerNode.
 func TestMeterMatchesRef(t *testing.T) {
 	trees := []*topology.Tree{
 		BuildTree(topology.Grid(9, 11), 50, DefaultMaxChildren), // centre root
@@ -307,7 +283,7 @@ func TestMeterMatchesRef(t *testing.T) {
 			}
 			for step := 0; step < 300; step++ {
 				u, v, bits := node(), node(), rng.IntN(200)
-				switch rng.IntN(14) {
+				switch rng.IntN(12) {
 				case 0:
 					m.Charge(u, v, bits)
 					ref.Charge(u, v, bits)
@@ -342,21 +318,15 @@ func TestMeterMatchesRef(t *testing.T) {
 					m.ChargeBroadcastSeq(bits, fanout, tree.Root, cut, n)
 					ref.ChargeBroadcastSeq(bits, refFanout, tree.Root, 0, n)
 				case 9:
-					m.WatchEdge(u, tree.Order[0])
-					ref.WatchEdge(u, tree.Order[0])
-				case 10:
-					m.ClearWatch()
-					ref.ClearWatch()
-				case 11:
 					if rng.IntN(8) == 0 {
 						m.Reset()
 						ref.Reset()
 						snap, refSnap = m.Snapshot(), ref.Snapshot()
 						led, refLed = m.Ledger(), ref.Ledger()
 					}
-				case 12:
+				case 10:
 					snap, refSnap = m.Snapshot(), ref.Snapshot()
-				case 13:
+				case 11:
 					m2.Replay(m.ChargedSince(led))
 					ref2.Replay(ref.ChargedSince(refLed))
 					led, refLed = m.Ledger(), ref.Ledger()
@@ -390,9 +360,6 @@ func requireMeterMatchesRef(t *testing.T, where string, m *Meter, ref *refMeter)
 				m.SentBitsOf(id), m.RecvBitsOf(id), m.MessagesOf(id),
 				ref.SentBitsOf(id), ref.RecvBitsOf(id), ref.MessagesOf(id))
 		}
-	}
-	if m.WatchedBits() != ref.WatchedBits() || m.Watching() != (ref.watch.Load() != watchDisabled) {
-		t.Fatalf("%s: watched bits %d, ref %d", where, m.WatchedBits(), ref.WatchedBits())
 	}
 	if m.MaxPerNode() != ref.MaxPerNode() || m.TotalBits() != ref.TotalBits() || m.TotalMessages() != ref.TotalMessages() {
 		t.Fatalf("%s: max/total/msgs %d/%d/%d, ref %d/%d/%d", where,

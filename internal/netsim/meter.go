@@ -30,12 +30,6 @@ type Meter struct {
 	// slot is the network's ID → slot map, shared with it and every meter
 	// of its forks; a standalone meter (NewMeter) maps each ID to itself.
 	slot []int32
-
-	// watch is the packed watched edge for cut-communication measurements
-	// (Theorem 5.1 harness); watchDisabled when off. Packing both endpoints
-	// into one word keeps the Charge-path check a single atomic load.
-	watch       atomic.Int64
-	watchedBits atomic.Int64
 }
 
 // meterCell is one node's counters. The fields are plain int64s: the
@@ -54,13 +48,6 @@ type meterCell struct {
 	msgs int64
 }
 
-// watchDisabled is packEdge(-1, -1): no watched edge.
-const watchDisabled int64 = -1
-
-func packEdge(u, v topology.NodeID) int64 {
-	return int64(uint32(u))<<32 | int64(uint32(v))
-}
-
 // NewMeter returns a meter for n nodes, node u's counters in cell u.
 func NewMeter(n int) *Meter {
 	slot := make([]int32, n)
@@ -72,9 +59,7 @@ func NewMeter(n int) *Meter {
 
 // newMeter returns a meter whose cell for node u is slot[u].
 func newMeter(slot []int32) *Meter {
-	m := &Meter{cells: make([]meterCell, len(slot)), slot: slot}
-	m.watch.Store(watchDisabled)
-	return m
+	return &Meter{cells: make([]meterCell, len(slot)), slot: slot}
 }
 
 // cell returns node u's counters.
@@ -82,25 +67,6 @@ func (m *Meter) cell(u topology.NodeID) *meterCell { return &m.cells[m.slot[u]] 
 
 // N returns the number of nodes the meter covers.
 func (m *Meter) N() int { return len(m.cells) }
-
-// WatchEdge starts accumulating the bits that traverse the undirected edge
-// (u, v) — the cut-communication counter used by the Set Disjointness
-// reduction harness. Watching resets the accumulated count. Call it before
-// the measured run starts, not concurrently with charging.
-func (m *Meter) WatchEdge(u, v topology.NodeID) {
-	m.watch.Store(packEdge(u, v))
-	m.watchedBits.Store(0)
-}
-
-// WatchedBits returns the bits accumulated on the watched edge.
-func (m *Meter) WatchedBits() int64 { return m.watchedBits.Load() }
-
-// ClearWatch disables the watched edge and zeroes its accumulator —
-// part of restoring a pooled meter to its freshly-built state.
-func (m *Meter) ClearWatch() {
-	m.watch.Store(watchDisabled)
-	m.watchedBits.Store(0)
-}
 
 // Charge records a message of the given bit length from -> to. It is safe
 // for concurrent use: the goroutine tree engine charges from many node
@@ -110,9 +76,6 @@ func (m *Meter) Charge(from, to topology.NodeID, bits int) {
 	atomic.AddInt64(&c.sent, int64(bits))
 	atomic.AddInt64(&m.cell(to).recv, int64(bits))
 	atomic.AddInt64(&c.msgs, 1)
-	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
-		m.watchedBits.Add(int64(bits))
-	}
 }
 
 // ChargeTx records a physical-layer transmission: the sender pays the
@@ -122,11 +85,6 @@ func (m *Meter) ChargeTx(from topology.NodeID, bits int) {
 	atomic.AddInt64(&c.sent, int64(bits))
 	atomic.AddInt64(&c.msgs, 1)
 }
-
-// Watching reports whether a watched edge is active. Charge-batching fast
-// paths (the fast tree engine) fall back to per-edge Charge while a watch
-// is active so the cut-communication counter stays exact.
-func (m *Meter) Watching() bool { return m.watch.Load() != watchDisabled }
 
 // ChargeSendOnlySeq records the send side of `copies` identical messages
 // of the given bit length from one sender to distinct receivers; the
@@ -141,9 +99,7 @@ func (m *Meter) Watching() bool { return m.watch.Load() != watchDisabled }
 // its own worker), sweeps are ordered by the level barrier, and meter
 // readers run only after the operation returns. Calling any reader
 // (Snapshot, MaxPerNode, ...) concurrently with a Seq sweep is a data
-// race. Seq charging must also not be used while a watch is active — the
-// watched-edge check needs the (from, to) pair, so watching paths fall
-// back to the atomic Charge.
+// race.
 func (m *Meter) ChargeSendOnlySeq(from topology.NodeID, bits, copies int) {
 	c := m.cell(from)
 	c.sent += int64(bits) * int64(copies)
@@ -199,18 +155,13 @@ func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeI
 // directed edge from → to in one update: the flush path of protocols that
 // accumulate an edge's traffic over a whole phase (the byz audit rounds),
 // the per-frame path of the sequential repair handshake, and the sketch
-// fold's r same-size sketches per edge. Cell updates
-// follow the single-writer contract of ChargeSendOnlySeq; unlike the other
-// Seq variants it knows both endpoints, so it feeds the watched-edge
-// counter itself and stays exact while a watch is active.
+// fold's r same-size sketches per edge. Cell updates follow the
+// single-writer contract of ChargeSendOnlySeq.
 func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 	c := m.cell(from)
 	c.sent += bits
 	c.msgs += msgs
 	m.cell(to).recv += bits
-	if w := m.watch.Load(); w != watchDisabled && (w == packEdge(from, to) || w == packEdge(to, from)) {
-		m.watchedBits.Add(bits)
-	}
 }
 
 // Ledger is a per-node copy of the three counters. Taken before a protocol
@@ -233,11 +184,10 @@ func (m *Meter) Ledger() Ledger {
 // Charges is what a protocol phase charged each node, packed for keeping:
 // per storage slot the sent bits, received bits and messages as
 // encoding/binary uvarints — a few bytes a node where a Ledger takes 24.
-// Replay bypasses the watched edge and follows the single-writer contract of
-// ChargeSendOnlySeq: never replay onto a meter that is Watching. Charges are
-// indexed by storage slot, not node ID, so replay them only onto a meter of
-// the same layout: a fork of the same template, or any network over the
-// same tree.
+// Replay follows the single-writer contract of ChargeSendOnlySeq. Charges
+// are indexed by storage slot, not node ID, so replay them only onto a
+// meter of the same layout: a fork of the same template, or any network
+// over the same tree.
 type Charges []byte
 
 // ChargedSince packs the charges accrued since l was copied from m, in one
@@ -292,7 +242,6 @@ func (m *Meter) ChargeRx(to topology.NodeID, bits int) {
 // the meter next (ForkPool resets under its lock, between runs).
 func (m *Meter) Reset() {
 	clear(m.cells)
-	m.watchedBits.Store(0)
 }
 
 // SentBitsOf returns the bits node u has sent.

@@ -328,7 +328,6 @@ func (nw *Network) resetForRun(template *Network, seed uint64) {
 	nw.seed = seed
 	nw.Faults = nil
 	nw.Meter.Reset()
-	nw.Meter.ClearWatch()
 	for p := range nw.store {
 		nd := &nw.store[p]
 		nd.Scratch = nil

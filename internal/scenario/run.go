@@ -189,6 +189,9 @@ func (r *Runner) Run(ctx context.Context, s *Scenario) (*RunResult, error) {
 			return nil, err
 		}
 		q.Robust = s.Robust
+		if q.ProbeWidth == 0 {
+			q.ProbeWidth = s.ProbeWidth
+		}
 		queries[i] = q
 	}
 
@@ -276,12 +279,8 @@ func (r *Runner) runRerun(ctx context.Context, eng *engine.Engine, sink *obs.Sin
 				RunSeed: deriveSeed(rseed, uint64(epoch)+1),
 			}
 		}
-		opts := []engine.SubmitOption{engine.WithFusion()}
-		if s.ProbeWidth > 0 {
-			opts = append(opts, engine.WithProbeWidth(s.ProbeWidth))
-		}
 		epochStart := time.Now()
-		results := eng.Submit(ctx, jobs, opts...)
+		results := eng.Submit(ctx, jobs, engine.WithFusion())
 		sink.Epochs.Add(1)
 		sink.EpochLatency.Observe(time.Since(epochStart).Seconds())
 

@@ -54,35 +54,19 @@ func edgeCombiners(n *agg.Net) []any {
 	return out
 }
 
-// watchDeepEdge watches the edge above the view's last position — a
-// deepest node — on both twins, so its per-edge bits can be compared.
-func watchDeepEdge(vc viewCase) bool {
-	v := vc.fe.View()
-	if v.N() < 2 {
-		return false
-	}
-	u := v.Order[v.N()-1]
-	vc.nw.Meter.WatchEdge(u, v.Parent[u])
-	vc.ref.Meter.WatchEdge(u, v.Parent[u])
-	return true
-}
-
 // TestEdgeKernelMatchesOracle holds levelVec's per-edge branch to the
-// codec kernel it replaced: under drop and dup plans, a watched edge, and
-// Byzantine senders on lossy links, the root value, every node's
-// sent/recv/msgs and the watched edge's bits must equal the oracle's, over
-// topology × N × view × combiner × workers.
+// codec kernel it replaced: under drop and dup plans and Byzantine senders
+// on lossy links, the root value and every node's sent/recv/msgs must equal
+// the oracle's, over topology × N × view × combiner × workers.
 func TestEdgeKernelMatchesOracle(t *testing.T) {
 	plans := []struct {
-		name  string
-		spec  faults.Spec
-		watch bool
+		name string
+		spec faults.Spec
 	}{
-		{"drop", faults.Spec{Drop: 0.15}, false},
-		{"dup", faults.Spec{Dup: 0.15}, false},
-		{"drop+dup", faults.Spec{Drop: 0.1, Dup: 0.1}, false},
-		{"watched", faults.Spec{}, true},
-		{"byz+drop+dup", faults.Spec{Byz: 0.1, Drop: 0.08, Dup: 0.08}, false},
+		{"drop", faults.Spec{Drop: 0.15}},
+		{"dup", faults.Spec{Dup: 0.15}},
+		{"drop+dup", faults.Spec{Drop: 0.1, Dup: 0.1}},
+		{"byz+drop+dup", faults.Spec{Byz: 0.1, Drop: 0.08, Dup: 0.08}},
 	}
 	ops := 0
 	for _, n := range matrixSizes {
@@ -92,7 +76,6 @@ func TestEdgeKernelMatchesOracle(t *testing.T) {
 					for _, vc := range viewCases(t, g, plan.spec, workers, uint64(7+gi)) {
 						where := fmt.Sprintf("%s/%s/%s/workers=%d", g.Name, vc.name, plan.name, workers)
 						requireSameMeters(t, where+" (setup)", vc.nw, vc.ref)
-						watched := plan.watch && watchDeepEdge(vc)
 						or := spantree.NewFastView(vc.ref, vc.or.view)
 						or.SetWorkers(workers)
 						got := edgeCombiners(agg.NewNet(vc.fe))
@@ -101,10 +84,6 @@ func TestEdgeKernelMatchesOracle(t *testing.T) {
 							t.Fatalf("%s: root values\n got %v\nwant %v", where, got, want)
 						}
 						requireSameMeters(t, where, vc.nw, vc.ref)
-						if watched && (vc.nw.Meter.WatchedBits() == 0 || vc.nw.Meter.WatchedBits() != vc.ref.Meter.WatchedBits()) {
-							t.Fatalf("%s: watched edge carried %d bits, oracle %d", where,
-								vc.nw.Meter.WatchedBits(), vc.ref.Meter.WatchedBits())
-						}
 						ops += len(got)
 					}
 				}

@@ -33,7 +33,7 @@ func (orderDigest) Decode(pl wire.Payload) (any, error)  { return pl.Reader().Re
 type scheduleCase struct {
 	graph *topology.Graph
 	view  string // full, healed or subtree
-	plan  string // none, dropdup, byz or watched
+	plan  string // none, dropdup or byz
 	team  int
 	order []int // the combiners, in the order they run
 }
@@ -67,7 +67,7 @@ func genScheduleCase(r *rand.Rand) scheduleCase {
 	c := scheduleCase{
 		graph: g,
 		view:  []string{"full", "healed", "subtree"}[r.IntN(3)],
-		plan:  []string{"none", "dropdup", "byz", "watched"}[r.IntN(4)],
+		plan:  []string{"none", "dropdup", "byz"}[r.IntN(3)],
 		team:  1 + r.IntN(4),
 		order: r.Perm(len(scheduleOps)),
 	}
@@ -122,10 +122,6 @@ func (c scheduleCase) build(t *testing.T, seed uint64) (*netsim.Network, *spantr
 	if kids := view.Children[view.Root]; c.view == "subtree" && len(kids) > 0 {
 		view = spantree.SubtreeView(view, kids[len(kids)/2])
 	}
-	if c.plan == "watched" && view.N() > 1 {
-		u := view.Order[view.N()/2]
-		nw.Meter.WatchEdge(view.Parent[u], u)
-	}
 	fe := spantree.NewFastView(nw, view)
 	fe.SetWorkers(c.team)
 	return nw, fe
@@ -134,8 +130,8 @@ func (c scheduleCase) build(t *testing.T, seed uint64) (*netsim.Network, *spantr
 // TestScheduleIdentity is the property the team schedule rests on: over
 // generated topology × N × view × fault plan × team size × combiner
 // order, the subtree-partition schedule returns the sequential schedule's
-// root values and charges every node's meter cell (sent, recv, msgs) — and
-// a watched edge — exactly as the sequential schedule does.
+// root values and charges every node's meter cell (sent, recv, msgs)
+// exactly as the sequential schedule does.
 func TestScheduleIdentity(t *testing.T) {
 	cases := 240
 	if testing.Short() {
@@ -156,8 +152,5 @@ func TestScheduleIdentity(t *testing.T) {
 			}
 		}
 		requireSameMeters(t, fmt.Sprintf("case %d %v", i, c), nw, ref)
-		if nw.Meter.WatchedBits() != ref.Meter.WatchedBits() {
-			t.Fatalf("case %d %v: watched edge %d bits, sequential %d", i, c, nw.Meter.WatchedBits(), ref.Meter.WatchedBits())
-		}
 	}
 }

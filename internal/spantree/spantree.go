@@ -126,11 +126,6 @@ type FastEngine struct {
 	// op is the state of the operation in flight.
 	op sweepOp
 
-	// watching caches Meter.Watching for the current operation: with no
-	// watched edge the engine batches each node's receive charges into one
-	// atomic update; with one it falls back to exact per-edge Charge.
-	watching bool
-
 	// verified is the fired plan the view last passed checkComplete under,
 	// and verifiedQuar that plan's QuarantinedCount then. Once fired, a plan
 	// changes only through Quarantine, so while both hold the view is still
@@ -195,8 +190,8 @@ type sweepOp struct {
 	c    Combiner
 	vc   VecCombiner
 	k    int
-	// perEdge prices every delivery on its own: a watched edge, or drop/dup
-	// decisions that reshape what each endpoint pays.
+	// perEdge prices every delivery on its own: a plan's drop/dup
+	// decisions reshape what each endpoint pays.
 	perEdge bool
 
 	// w is the operation's team size. A team sweep's members run
@@ -263,7 +258,6 @@ func (e *FastEngine) teamSize() int { return min(max(e.workers, 1), maxTeam) }
 // so a team delivers it in contiguous chunks of positions; the charges are
 // identical regardless of schedule.
 func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
-	e.watching = e.nw.Meter.Watching()
 	if sk := obs.Active(); sk != nil {
 		e.obsBroadcast(sk, p)
 	}
@@ -283,11 +277,10 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	e.op.bcast, e.op.p, e.op.apply = false, wire.Payload{}, nil
 }
 
-// flat reports whether a broadcast takes the flat pass over the network's
-// own tree, whose position i is storage slot i (netsim stores node
-// Tree.Order[i] there): the metering of a uniform broadcast is then one
-// flat pass over the cells.
-func (e *FastEngine) flat() bool { return e.vs == e.sh.full && !e.watching }
+// flat reports whether the engine's view is the network's own tree, whose
+// position i is storage slot i (netsim stores node Tree.Order[i] there):
+// the metering of a uniform broadcast is then one flat pass over the cells.
+func (e *FastEngine) flat() bool { return e.vs == e.sh.full }
 
 // broadcastRange delivers p to the view's positions [lo, hi). Each node
 // charges its own fan-out (send side) and its own receive, so chunks of a
@@ -307,17 +300,11 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		u := v.Order[i]
-		if e.watching {
-			if u != v.Root {
-				m.Charge(v.Parent[u], u, bits)
-			}
-		} else {
-			if k := len(v.Children[u]); k > 0 {
-				m.ChargeSendOnlySeq(u, bits, k)
-			}
-			if u != v.Root {
-				m.ChargeRxSeq(u, bits)
-			}
+		if k := len(v.Children[u]); k > 0 {
+			m.ChargeSendOnlySeq(u, bits, k)
+		}
+		if u != v.Root {
+			m.ChargeRxSeq(u, bits)
 		}
 		if apply != nil {
 			apply(e.nw.Nodes[u], p)
@@ -368,7 +355,6 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 // combiner), the schedule and — on a team — the partition, which it
 // leaves in e.op.
 func (e *FastEngine) begin(vc VecCombiner) error {
-	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		// Each convergecast is one boundary of the phased fault clock. Once
 		// the mid-flight faults strike, the view is checked for completeness
@@ -391,7 +377,7 @@ func (e *FastEngine) begin(vc VecCombiner) error {
 		return err
 	}
 	plan := e.nw.Faults
-	e.op.s, e.op.plan, e.op.perEdge = s, plan, e.watching || (plan != nil && plan.Spec().MessageLevel())
+	e.op.s, e.op.plan, e.op.perEdge = s, plan, plan != nil && plan.Spec().MessageLevel()
 	e.op.w, e.op.lanes = e.teamSize(), nil
 	if e.op.w > 1 {
 		e.op.lanes = e.sh.part.of(s, e.op.w)
@@ -498,18 +484,6 @@ func (e *FastEngine) pass(ln *lane, member int) error {
 	return nil
 }
 
-// chargeDelivery prices one delivery of bits from child to u under
-// per-edge charging and returns what u's batched receive charge grows by: the
-// child's send is charged now, u's receive now (watched) or once per step.
-func (e *FastEngine) chargeDelivery(child, u topology.NodeID, bits int) int {
-	if e.watching {
-		e.nw.Meter.Charge(child, u, bits)
-		return 0
-	}
-	e.nw.Meter.ChargeSendOnlySeq(child, bits, 1)
-	return bits
-}
-
 // levelBoxed sweeps level l of lane ln on the generic path: a frontier
 // root's parked partial moved into the top part's ring, or a node's local
 // partial with each child's encoded partial charged, decoded, and merged in
@@ -543,7 +517,8 @@ func (e *FastEngine) levelBoxed(ln *lane, l, member int) error {
 			}
 			var err error
 			for d := 0; d < deliveries; d++ {
-				recvBits += e.chargeDelivery(child, u, pl.Bits())
+				e.nw.Meter.ChargeSendOnlySeq(child, pl.Bits(), 1)
+				recvBits += pl.Bits()
 				var dec any
 				if dec, err = c.Decode(pl); err != nil {
 					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)

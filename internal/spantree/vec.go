@@ -49,10 +49,10 @@ type VecCombiner interface {
 	// and fails where AppendVec fails. The fast engine charges this length
 	// arithmetically and hands the partial to the parent in the shared
 	// ring instead of materializing the payload — on the reliable path and
-	// under drop/dup plans and a watched edge alike, with each delivery
-	// priced from it — so no fast-engine edge round-trips through the
-	// codec. Only the goroutine reference engine encodes and decodes every
-	// edge, and the cross-engine identity tests assert the equivalence.
+	// under drop/dup plans alike, with each delivery priced from it — so no
+	// fast-engine edge round-trips through the codec. Only the goroutine
+	// reference engine encodes and decodes every edge, and the cross-engine
+	// identity tests assert the equivalence.
 	VecBits(p []uint64) int
 	// DecodeVec parses a partial encoded by AppendVec into dst
 	// (len VecWidth), overwriting every slot.
@@ -101,14 +101,13 @@ func (e *FastEngine) ConvergecastVec(vc VecCombiner) ([]uint64, error) {
 // instead of recomputing; a frontier root's partial is parked in its
 // frontier slot and copied into the top part's ring. On the reliable path
 // a node's step is one FoldVec and one meter-cell visit. Under per-edge
-// charging (a watched edge, or a plan whose drop/dup decisions reshape
-// what each endpoint pays) the parent prices and merges every delivery of
-// each child's slot on its own: a duplicated partial is merged and charged
-// twice, a dropped one neither. A Byzantine sender is the rare path on
-// both: its partial is corrupted after the honest step and priced again.
-// Values and meters are byte-identical to the codec paths (VecBits ==
-// len(AppendVec), merge input == decoded payload), which the oracle tests
-// assert.
+// charging (a plan whose drop/dup decisions reshape what each endpoint
+// pays) the parent prices and merges every delivery of each child's slot
+// on its own: a duplicated partial is merged and charged twice, a dropped
+// one neither. A Byzantine sender is the rare path on both: its partial is
+// corrupted after the honest step and priced again. Values and meters are
+// byte-identical to the codec paths (VecBits == len(AppendVec), merge
+// input == decoded payload), which the oracle tests assert.
 func (e *FastEngine) levelVec(ln *lane, l int) {
 	op, sh := &e.op, e.sh
 	vc, k, plan, perEdge := op.vc, op.k, op.plan, op.perEdge
@@ -136,12 +135,9 @@ func (e *FastEngine) levelVec(ln *lane, l int) {
 			vc.LocalVec(nodes[u], acc)
 			for j := j0; j < j1; j++ {
 				child := order[int(cs[i])+j-j0]
-				deliveries := 1
-				if plan != nil {
-					deliveries = plan.Deliveries(child, u)
-				}
-				for range deliveries {
-					recvBits += e.chargeDelivery(child, u, int(vbits[j]))
+				for range plan.Deliveries(child, u) {
+					meter.ChargeSendOnlySeq(child, int(vbits[j]), 1)
+					recvBits += int(vbits[j])
 					vc.MergeVec(acc, vec[j*k:(j+1)*k])
 				}
 			}

@@ -5,7 +5,8 @@ package spantree
 // every delivery of a child's partial encoded with AppendVec, priced from
 // the payload, decoded with DecodeVec and merged — kept verbatim apart from
 // its per-worker decode scratch, which is now the oracle driver's and
-// arrives as a parameter. ConvergecastEdges drives it; edge_oracle_test.go
+// arrives as a parameter, and its send charge, inlined where it called the
+// engine's deleted per-delivery helper. ConvergecastEdges drives it; edge_oracle_test.go
 // holds levelVec to it from outside the package, where the real agg
 // combiners are in reach.
 
@@ -19,7 +20,6 @@ import (
 // the same phase clock and schedule, swept level by level, with the parent's encode →
 // price → decode → merge round trip on every delivery.
 func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
-	e.watching = e.nw.Meter.Watching()
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		plan.Tick()
 		if plan.PhaseFired() {
@@ -50,9 +50,8 @@ func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 }
 
 // levelVecEdges is levelVec with per-edge charging and per-delivery fault
-// decisions: the path for watched-edge runs and message-level fault plans,
-// where each delivery's fate (and its exact (from, to) pair) must be
-// priced individually.
+// decisions: the path for message-level fault plans, where each delivery's
+// fate must be priced individually.
 func levelVecEdges(e *FastEngine, vtmp []uint64, worker, l, lo, hi int) error {
 	op, v, a := &e.op, e.view, e.sh.arenas[worker]
 	s, vc, k, plan := op.s, op.vc, op.k, op.plan
@@ -76,7 +75,8 @@ func levelVecEdges(e *FastEngine, vtmp []uint64, worker, l, lo, hi int) error {
 			}
 			var err error
 			for d := 0; d < deliveries; d++ {
-				recvBits += e.chargeDelivery(child, u, pl.Bits())
+				e.nw.Meter.ChargeSendOnlySeq(child, pl.Bits(), 1)
+				recvBits += pl.Bits()
 				if err = vc.DecodeVec(pl, tmp); err != nil {
 					err = fmt.Errorf("spantree: decoding partial from node %d: %w", child, err)
 					break
