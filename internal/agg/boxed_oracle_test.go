@@ -391,10 +391,10 @@ func TestVectorKernelMatchesBoxedTwins(t *testing.T) {
 								}
 								v := hr.View
 								if view == "sector" {
-									if len(v.Children[v.Root]) == 0 {
+									if len(v.Children(v.Root)) == 0 {
 										return nil
 									}
-									v = spantree.SubtreeView(v, v.Children[v.Root][0])
+									v = spantree.SubtreeView(v, v.Children(v.Root)[0])
 								}
 								fe = spantree.NewFastView(nw, v)
 							}

@@ -309,7 +309,7 @@ func (a *auditor) round(view *spantree.TreeView, nonce uint64, rep *Report) []to
 	for i := len(view.Order) - 1; i >= 0; i-- {
 		u := view.Order[i]
 		e := auditNode{exp1: chi(nonce, u), exp2: chi(nonce^chiStream2, u), cnt: 1}
-		for _, c := range view.Children[u] {
+		for _, c := range view.Children(u) {
 			nc := &nodes[c]
 			e.exp1 += nc.exp1
 			e.exp2 += nc.exp2
@@ -329,7 +329,7 @@ func (a *auditor) round(view *spantree.TreeView, nonce uint64, rep *Report) []to
 		}
 		a.spine[nodes[u].pos] = u
 		next := nodes[u].pos + 1
-		for _, c := range view.Children[u] {
+		for _, c := range view.Children(u) {
 			nodes[c].pos = next
 			next += nodes[c].dirty
 		}
@@ -339,7 +339,7 @@ func (a *auditor) round(view *spantree.TreeView, nonce uint64, rep *Report) []to
 	stack := append(a.stack[:0], descentFrame{v: view.Root})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if ch := view.Children[f.v]; f.next < len(ch) {
+		if ch := view.Children(f.v); f.next < len(ch) {
 			c := ch[f.next]
 			f.next++
 			if !a.audit(view, c, rep) {

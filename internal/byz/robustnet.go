@@ -119,7 +119,7 @@ func NewRobustNet(nw *netsim.Network, view *spantree.TreeView, opts ...Option) *
 		plan: nw.Faults,
 		full: agg.NewNet(spantree.NewFastView(nw, view), aggOpts...),
 	}
-	for _, c := range view.Children[view.Root] {
+	for _, c := range view.Children(view.Root) {
 		sub := spantree.SubtreeView(view, c)
 		s := &sector{
 			root: c,
@@ -147,7 +147,7 @@ func (r *RobustNet) Integrity() Integrity {
 		CrossDeviation: r.crossDev,
 	}
 	for _, s := range r.sectors {
-		if s.suspected { // sectors follow view.Children[root]: ascending ID order
+		if s.suspected { // sectors follow view.Children(root): ascending ID order
 			in.Suspected = append(in.Suspected, s.root)
 			in.BoundItems += s.items
 		}

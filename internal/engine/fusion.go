@@ -491,9 +491,10 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 // groundTruth is the simulator-side truth over the original readings of the
 // nodes a run's view covers that match its WHERE predicate (nil: all),
 // derived from the run network on demand: size
-// and Fact 2.1 aggregates from one walk of view.Order (storage order on the
-// full view), order statistics and distinct count from one materialization
-// sorted in place. A fused batch pays for each at most once, a kind that
+// and Fact 2.1 aggregates from one walk of the view's nodes in storage
+// order (the network's Tree.Order, whatever view was healed out of it),
+// order statistics and distinct count from one materialization sorted in
+// place. A fused batch pays for each at most once, a kind that
 // reads neither pays nothing, and since no protocol changes a view or Orig,
 // it may be read after the query ran.
 type groundTruth struct {
@@ -509,7 +510,11 @@ type groundTruth struct {
 func (g *groundTruth) totals() *groundTruth {
 	if !g.walked {
 		g.walked, g.lo = true, ^uint64(0)
-		for _, u := range g.view.Order {
+		partial := g.partial()
+		for _, u := range g.nw.Tree.Order {
+			if partial && !g.view.Includes(u) {
+				continue
+			}
 			for _, it := range g.nw.Nodes[u].Items {
 				if g.where != nil && !g.where.Eval(it.Orig) {
 					continue
@@ -523,6 +528,10 @@ func (g *groundTruth) totals() *groundTruth {
 	return g
 }
 
+// partial reports whether the view leaves nodes out, so a walk must look
+// each node up.
+func (g *groundTruth) partial() bool { return len(g.view.Order) != len(g.nw.Tree.Order) }
+
 // count is the population size.
 func (g *groundTruth) count() uint64 { return g.totals().n }
 
@@ -530,7 +539,11 @@ func (g *groundTruth) count() uint64 { return g.totals().n }
 func (g *groundTruth) sorted() []uint64 {
 	if g.pop == nil {
 		g.pop = make([]uint64, 0, g.nw.NumItems())
-		for _, u := range g.view.Order {
+		partial := g.partial()
+		for _, u := range g.nw.Tree.Order {
+			if partial && !g.view.Includes(u) {
+				continue
+			}
 			for _, it := range g.nw.Nodes[u].Items {
 				if g.where == nil || g.where.Eval(it.Orig) {
 					g.pop = append(g.pop, it.Orig)

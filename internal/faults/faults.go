@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"sensoragg/internal/topology"
 )
@@ -318,6 +319,10 @@ func (s *Spec) parseMid(tok string) error {
 type Plan struct {
 	spec Spec
 	seed uint64
+	// stamp numbers the plan among every plan of the process (planStamps):
+	// what is derived from a plan (LinkFates) keys on it, not on a pointer,
+	// so a cache keeps no plan alive and no later plan reuses its key.
+	stamp uint64
 	// keys[s] is Mix64(seed ^ streamSalts[s]), the first round of every
 	// decision hash on stream s, computed once instead of per decision.
 	keys     [numStreams]uint64
@@ -363,6 +368,8 @@ var streamSalts = [numStreams]uint64{
 	streamMidLink:  0x589965cc75374cc3,
 }
 
+var planStamps atomic.Uint64
+
 // New instantiates the plan for an n-node network rooted at root. The
 // fault stream is seeded by spec.Seed when nonzero, else by runSeed, so a
 // plan is reproducible from (spec, n, root, runSeed) alone.
@@ -374,6 +381,7 @@ func New(spec Spec, n int, root topology.NodeID, runSeed uint64) *Plan {
 	p := &Plan{
 		spec:    spec,
 		seed:    seed,
+		stamp:   planStamps.Add(1),
 		root:    root,
 		crashed: make([]bool, n),
 		msgSeq:  make([]uint64, n),
@@ -435,10 +443,15 @@ func (p *Plan) LinkAlive(u, v topology.NodeID) bool {
 	if u > v {
 		u, v = v, u
 	}
-	if p.spec.LinkFail > 0 && p.uniform(streamLink, uint64(u), uint64(v)) < p.spec.LinkFail {
-		return false
-	}
-	return !midDead || p.uniform(streamMidLink, uint64(u), uint64(v)) >= p.spec.MidLinkFail
+	return !p.linkDead(u, v, midDead)
+}
+
+// linkDead decides the undirected link (u, v), u < v: dead for the whole
+// run (LinkFail), or — when midDead, the mid-flight failures having struck
+// — since the strike (MidLinkFail).
+func (p *Plan) linkDead(u, v topology.NodeID, midDead bool) bool {
+	return p.spec.LinkFail > 0 && p.uniform(streamLink, uint64(u), uint64(v)) < p.spec.LinkFail ||
+		midDead && p.uniform(streamMidLink, uint64(u), uint64(v)) < p.spec.MidLinkFail
 }
 
 // Deliveries decides the fate of the next message on the directed edge

@@ -151,7 +151,7 @@ func newLayoutView(t *testing.T, name string, nw, ref *netsim.Network, v, refVie
 	t.Helper()
 	fe := spantree.NewFast(nw)
 	if v != nil {
-		if !reflect.DeepEqual(v, refView) {
+		if !v.Equal(refView) {
 			t.Fatalf("%s: twin networks disagree on the view", name)
 		}
 		fe = spantree.NewFastView(nw, v)
@@ -184,7 +184,7 @@ func layoutViews(t *testing.T, where string, nw, ref *netsim.Network, structural
 	if v == nil {
 		v = spantree.FullView(nw.Tree)
 	}
-	kids := v.Children[v.Root]
+	kids := v.Children(v.Root)
 	for _, c := range kids[:min(2, len(kids))] {
 		sub := fmt.Sprintf("%s/sector(%d)", name, c)
 		views = append(views, newLayoutView(t, sub, nw, ref, spantree.SubtreeView(v, c), spantree.SubtreeView(refView, c), workers))

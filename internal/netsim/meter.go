@@ -164,6 +164,17 @@ func (m *Meter) ChargeEdgeSeq(from, to topology.NodeID, bits, msgs int64) {
 	m.cell(to).recv += bits
 }
 
+// ChargeCellSeq adds a whole phase's traffic to node u's counters in one
+// cell visit: sent and received bits and messages sent — the flush path of
+// the repair handshake, which tallies every node's frames first. Cell
+// updates follow the single-writer contract of ChargeSendOnlySeq.
+func (m *Meter) ChargeCellSeq(u topology.NodeID, sent, recv, msgs int64) {
+	c := m.cell(u)
+	c.sent += sent
+	c.recv += recv
+	c.msgs += msgs
+}
+
 // Ledger is a per-node copy of the three counters. Taken before a protocol
 // phase and handed to ChargedSince after it, it yields what the phase charged
 // each node; Replay charges that to another run's meter, so forks of one

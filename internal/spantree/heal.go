@@ -25,23 +25,49 @@ type TreeView struct {
 	// Parent is -1 for the root and excludedParent (-2) for nodes outside
 	// the view.
 	Parent []topology.NodeID
-	// Children lists each node's children in ascending ID order.
-	Children [][]topology.NodeID
 	// Order lists the included nodes in BFS order from the root, a node's
 	// children enqueued in Children order. So Order[0] is the root, every
 	// level is a contiguous range of positions, and the children of
 	// Order[i] are the contiguous positions after those of Order[0..i-1],
 	// in Children order — the invariant the convergecast sweep addresses
 	// partials by. Every constructor here and in topology emits it
-	// (TestOrderChildrenContiguous); the sweep rejects a hand-built view
-	// whose Children lists and Order disagree on the node count.
+	// (TestOrderChildrenContiguous); the sweep rejects a full view of a
+	// hand-built tree whose Children lists and Order disagree.
 	Order []topology.NodeID
+
+	// The child lists, in one of three layouts. A full view reads its
+	// tree's (tree); a subtree view reads its base view's (base); a view
+	// assembled from a parent array reads Order itself, through the sweep
+	// schedule it carries (sched, whose cs holds each position's first
+	// child; empty in the other layouts) and each node's position (pos, -1
+	// outside the view).
+	tree  *topology.Tree
+	base  *TreeView
+	pos   []int32
+	sched viewSched
 }
 
 // FullView wraps an intact spanning tree as a view without copying: the
 // tree is immutable, so the slices are shared.
 func FullView(t *topology.Tree) *TreeView {
-	return &TreeView{Root: t.Root, Parent: t.Parent, Children: t.Children, Order: t.Order}
+	return &TreeView{Root: t.Root, Parent: t.Parent, Order: t.Order, tree: t}
+}
+
+// Children lists node u's children in the view, in ascending ID order. The
+// slice is shared with the view and must not be modified.
+func (v *TreeView) Children(u topology.NodeID) []topology.NodeID {
+	switch {
+	case v.pos != nil:
+		i := v.pos[u]
+		if i < 0 {
+			return nil
+		}
+		return v.Order[v.sched.cs[i]:v.sched.cs[i+1]]
+	case v.base != nil:
+		return v.base.Children(u)
+	default:
+		return v.tree.Children[u]
+	}
 }
 
 // Includes reports whether node u participates in the view.
@@ -49,6 +75,20 @@ func (v *TreeView) Includes(u topology.NodeID) bool { return v.Parent[u] != excl
 
 // N returns the number of included nodes.
 func (v *TreeView) N() int { return len(v.Order) }
+
+// Equal reports whether v and w are the same tree: the same root, parents,
+// order and child lists, whatever layout each keeps its lists in.
+func (v *TreeView) Equal(w *TreeView) bool {
+	if v.Root != w.Root || !slices.Equal(v.Parent, w.Parent) || !slices.Equal(v.Order, w.Order) {
+		return false
+	}
+	for u := range v.Parent {
+		if !slices.Equal(v.Children(topology.NodeID(u)), w.Children(topology.NodeID(u))) {
+			return false
+		}
+	}
+	return true
+}
 
 // HealResult reports one self-healing run.
 type HealResult struct {
@@ -110,141 +150,132 @@ func Heal(nw *netsim.Network) (*HealResult, error) {
 	if plan.Crashed(root) {
 		return nil, fmt.Errorf("spantree: root %d crashed — no querier to heal toward", root)
 	}
-	return healToward(nw, root)
+	return healToward(nw, root), nil
 }
 
 // healToward is the healing protocol body, parameterized over the querier
 // to heal toward: Heal passes the spanning-tree root, HealRerooted may pass
-// any surviving node (root-kill recovery — the attachFragment re-rooting
-// already makes any fragment member a valid attachment point, so an
-// arbitrary acting root is just "attach its fragment first").
-func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
-	plan := nw.Faults
-	tree, g, m := nw.Tree, nw.Graph, nw.Meter
-	n := nw.N()
-	before := m.Snapshot()
-	// Quarantined nodes (the byz tier's containment of convicted liars)
-	// are treated exactly like crashed ones: their heartbeats go silent
-	// and the HELP/AVAIL/JOIN wave re-routes their honest descendants
-	// around them. With no quarantine, Excluded == Crashed and the repair
-	// is byte-identical to the honest-fault behavior.
-	alive := func(u topology.NodeID) bool { return !plan.Excluded(u) }
-
-	// parent becomes the repaired view's parent array and outlives the
-	// call; a node is attached iff its parent is set. Everything else is
-	// scratch for this call only, drawn from healPool, never parked on the
-	// (pooled) network. The repair runs on the sequential protocol driver,
-	// so frames are charged through the meter's single-writer edge path.
+// any surviving node (root-kill recovery — the attach re-rooting already
+// makes any fragment member a valid attachment point, so an arbitrary
+// acting root is just "attach its fragment first").
+func healToward(nw *netsim.Network, root topology.NodeID) *HealResult {
 	hs := healPool.Get().(*healScratch)
 	defer healPool.Put(hs)
-	hs.links(g, plan)
-	parent := make([]topology.NodeID, n)
-	st := grow(hs.st, n)
-	hs.st = st
-	for i := range parent {
-		parent[i] = excludedParent
-		st[i] = healNode{frag: -1}
-	}
+	return hs.heal(nw, root)
+}
 
-	// Phase 1 — heartbeats parent → child over surviving tree links. The
-	// surviving tree edges are the forest whose components are the
-	// fragments: node u keeps the edge to tree.Parent[u] iff st[u].heard.
-	for c := range st {
-		cid := topology.NodeID(c)
-		if p := tree.Parent[c]; p >= 0 && alive(cid) && alive(p) && hs.treeLinkAlive(g, plan, p, cid) {
-			m.ChargeEdgeSeq(p, cid, 1, 1)
-			st[c].heard = true
-		}
-	}
+// healNode is one node's state during a repair.
+type healNode struct {
+	depth int32 // hop distance from the acting root, once attached
+	// frag is the detached fragment index of a survivor that is not
+	// attached yet, else -1.
+	frag int32
+	// sent, recv and msgs are the node's repair traffic so far, charged to
+	// the meter in one pass when the repair ends.
+	sent, recv, msgs int32
+	// alive is false for crashed and quarantined nodes alike: the byz
+	// tier's quarantined liars fall silent like crashed nodes, and the
+	// HELP/AVAIL/JOIN waves route their honest descendants around them.
+	alive bool
+	heard bool // parent heartbeat arrived: the tree edge above survived
+	asked bool // holds a HELP request from a detached neighbour
+}
 
-	// attachFragment re-roots the fragment containing graft at graft,
-	// hanging it under par at the given depth: a BFS over kept edges flips
-	// the parent pointers between the graft point and the fragment's old
-	// root. The newly attached nodes are appended to wave in BFS order.
-	attachFragment := func(wave []topology.NodeID, graft, par topology.NodeID, d int32) []topology.NodeID {
-		parent[graft], st[graft].depth = par, d
-		qi := len(wave)
-		wave = append(wave, graft)
-		for ; qi < len(wave); qi++ {
-			u := wave[qi]
-			d := st[u].depth + 1
-			if p := tree.Parent[u]; st[u].heard && parent[p] == excludedParent {
-				parent[p], st[p].depth = u, d
-				wave = append(wave, p)
-			}
-			for _, c := range tree.Children[u] {
-				if st[c].heard && parent[c] == excludedParent {
-					parent[c], st[c].depth = u, d
-					wave = append(wave, c)
-				}
-			}
-		}
-		return wave
-	}
+// offer is a detached fragment's best AVAIL so far: graft hears from.
+type offer struct{ graft, from topology.NodeID }
 
-	// The initially attached region: the acting root's fragment. When the
-	// acting root is the tree root, no pointers flip (it is already the
-	// fragment's shallowest node); a re-rooted heal flips the fragment
-	// under the new querier like any other graft.
-	wave := attachFragment(grow(hs.wave, n)[:0], root, -1, 0)
-	next := grow(hs.next, n)[:0]
-	defer func() { hs.wave, hs.next = wave, next }()
+// healScratch is one repair's working memory, pooled across repairs: the
+// node states, the detached nodes, both wave buffers, the fragments'
+// offers and the view assembly's child lists. The fields from plan to
+// parent are the repair in flight; heal drops them before the scratch
+// returns to the pool.
+type healScratch struct {
+	st             []healNode
+	detached       []topology.NodeID
+	wave, next     []topology.NodeID
+	best           []offer
+	pending        []int32
+	kidStart, fill []int32
+	kids           []topology.NodeID
 
-	// Phase 2 — each orphan root floods a detached marker down its
-	// fragment (1 bit per kept edge), so members know to call for help.
-	// An orphan root is its fragment's shallowest tree node, so the flood
-	// only ever follows kept edges downward. Skipping attached nodes skips
-	// members of the acting root's fragment: under a re-rooted heal its
-	// old orphan root is already attached and must not flood a second time.
-	orphanRoots := 0
-	for u := range st {
-		uid := topology.NodeID(u)
-		if !alive(uid) || st[u].heard || parent[u] != excludedParent {
-			continue
-		}
-		f := int32(orphanRoots)
-		orphanRoots++
-		st[u].frag = f
-		frag := append(next[:0], uid)
-		for qi := 0; qi < len(frag); qi++ {
-			v := frag[qi]
-			for _, w := range tree.Children[v] {
-				if st[w].heard {
-					m.ChargeEdgeSeq(v, w, 1, 1)
-					st[w].frag = f
-					frag = append(frag, w)
-				}
-			}
-		}
+	plan   *faults.Plan
+	fates  *faults.LinkFates
+	tree   *topology.Tree
+	parent []topology.NodeID
+}
+
+var healPool = sync.Pool{New: func() any { return new(healScratch) }}
+
+// heal runs one repair toward root. Every survivor ends up attached (its
+// parent set; parent becomes the view's and outlives the call) or on the
+// detached list, which the HELP phase walks instead of every node. The
+// link fates come from the run network's scratch, derived once per plan
+// epoch. Each frame is charged to its endpoints' node states, and the
+// repair ends with one pass that charges every node's total to the meter
+// — sequentially, through the meter's single-writer path — and reads
+// HealResult.Repair off the same totals.
+func (hs *healScratch) heal(nw *netsim.Network, root topology.NodeID) *HealResult {
+	plan, g := nw.Faults, nw.Graph
+	n := nw.N()
+	hs.plan, hs.tree = plan, nw.Tree
+	hs.fates = scratchOf(nw).fates.Of(plan, g, nw.Tree)
+	hs.parent = make([]topology.NodeID, n)
+	hs.st = grow(hs.st, n)
+	hs.detached = grow(hs.detached, n)[:0]
+	defer func() { hs.plan, hs.fates, hs.tree, hs.parent = nil, nil, nil, nil }()
+	parent, st := hs.parent, hs.st
+
+	// Phases 1 and 2: heartbeats, the acting root's fragment and the
+	// detached flood.
+	var orphanRoots int
+	if root == nw.Tree.Root {
+		orphanRoots = hs.rootPass()
+	} else {
+		orphanRoots = hs.bfsPass(root)
 	}
 
 	// Phase 3 — every detached node sends HELP to its live neighbours.
 	// Links are symmetric, so a request is not stored: the neighbour finds
-	// it again by scanning its own adjacency when it comes to answer.
-	for u := range st {
-		if st[u].frag < 0 {
-			continue
-		}
-		uid := topology.NodeID(u)
-		for a, nbr := range g.Adj[u] {
-			if alive(nbr) && hs.linkAlive(u, a) {
-				m.ChargeEdgeSeq(uid, nbr, 1, 1)
-				st[nbr].asked = true
+	// it again by scanning its own adjacency when it comes to answer. The
+	// first AVAIL wave is the attached nodes that hold a request.
+	wave := grow(hs.wave, n)[:0]
+	for _, u := range hs.detached {
+		dead, sent := hs.fates.DeadNeighbors(u), int32(0)
+		for _, nbr := range g.Adj[u] {
+			if len(dead) > 0 && dead[0] == nbr {
+				dead = dead[1:]
+				continue
+			}
+			s := &st[nbr]
+			if !s.alive {
+				continue
+			}
+			s.recv++
+			sent++
+			if !s.asked {
+				s.asked = true
+				if s.frag < 0 {
+					wave = append(wave, nbr)
+				}
 			}
 		}
+		hs.send(u, 1, sent)
 	}
 
 	// Phase 4 — reattachment waves. pending lists the fragments still
-	// detached, in ascending order; a fragment's best offer is only ever
-	// set in the wave that grafts it, so the offers need no reset.
-	type offer struct{ graft, from topology.NodeID }
-	best := make([]offer, orphanRoots)
-	pending := make([]int32, orphanRoots)
+	// detached; a fragment's best offer is only ever set in the wave that
+	// grafts it, so the offers need no reset. Every choice below is a
+	// minimum over a total order and every charge a sum, so the order in
+	// which waves list their nodes and fragments changes nothing.
+	best, pending := grow(hs.best, orphanRoots), grow(hs.pending, orphanRoots)
+	hs.best, hs.pending = best, pending
 	for f := range pending {
 		pending[f] = int32(f)
 		best[f].from = -1
 	}
-	waves, reattached := 0, 0
+	next := grow(hs.next, n)[:0]
+	defer func() { hs.wave, hs.next = wave, next }()
+	waves, reattached, regained := 0, 0, 0
 	for len(pending) > 0 {
 		// AVAIL: nodes attached in the previous wave answer pending
 		// HELP requests from still-detached nodes.
@@ -253,18 +284,26 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 				continue
 			}
 			du := st[u].depth
-			for a, x := range g.Adj[u] {
-				f := st[x].frag
-				if f < 0 || parent[x] != excludedParent || !hs.linkAlive(int(u), a) {
+			bits := int32(1 + bitio.GammaWidth(uint64(du)))
+			dead, sent := hs.fates.DeadNeighbors(u), int32(0)
+			for _, x := range g.Adj[u] {
+				if len(dead) > 0 && dead[0] == x {
+					dead = dead[1:]
 					continue
 				}
-				m.ChargeEdgeSeq(u, x, int64(1+bitio.GammaWidth(uint64(du))), 1)
+				f := st[x].frag
+				if f < 0 {
+					continue
+				}
+				st[x].recv += bits
+				sent++
 				b := &best[f]
 				if b.from < 0 || du < st[b.from].depth ||
 					(du == st[b.from].depth && (u < b.from || (u == b.from && x < b.graft))) {
 					*b = offer{graft: x, from: u}
 				}
 			}
+			hs.send(u, bits, sent)
 		}
 		// JOIN: each offered fragment grafts once, at the member with
 		// the shallowest offerer, re-rooting the fragment there.
@@ -276,117 +315,175 @@ func healToward(nw *netsim.Network, root topology.NodeID) (*HealResult, error) {
 				unoffered = append(unoffered, f)
 				continue
 			}
-			m.ChargeEdgeSeq(b.graft, b.from, 1, 1)
+			hs.charge(b.graft, b.from, 1, 1)
 			reattached++
-			next = attachFragment(next, b.graft, b.from, st[b.from].depth+1)
+			next = hs.attach(next, b.graft, b.from, st[b.from].depth+1)
 		}
 		if len(next) == 0 {
 			break
 		}
 		waves++
+		regained += len(next)
 		pending = unoffered
 		wave, next = next, wave
 	}
 
-	unreachable := 0
-	for u := range parent {
-		if parent[u] == excludedParent && alive(topology.NodeID(u)) {
-			unreachable++
+	// In tree order, the meter's cells are visited in storage order.
+	var repair netsim.Delta
+	for _, u := range nw.Tree.Order {
+		s := &st[u]
+		if s.sent == 0 && s.recv == 0 {
+			continue
 		}
+		nw.Meter.ChargeCellSeq(u, int64(s.sent), int64(s.recv), int64(s.msgs))
+		repair.MaxPerNode = max(repair.MaxPerNode, int64(s.sent+s.recv))
+		repair.TotalBits += int64(s.sent)
+		repair.Messages += int64(s.msgs)
 	}
 	return &HealResult{
 		View:        viewFromParents(parent, root, hs),
 		Crashed:     plan.CrashedCount(),
 		OrphanRoots: orphanRoots,
 		Reattached:  reattached,
-		Unreachable: unreachable,
+		Unreachable: len(hs.detached) - regained,
 		Waves:       waves,
-		Repair:      m.Since(before),
-	}, nil
-}
-
-// healNode is one node's state during a repair.
-type healNode struct {
-	depth int32 // hop distance from the acting root, once attached
-	frag  int32 // detached fragment index (ascending orphan-root ID), -1 = none
-	heard bool  // parent heartbeat arrived: the tree edge above survived
-	asked bool  // holds a HELP request from a detached neighbour
-}
-
-// healScratch is one repair's working memory, pooled across repairs: the
-// node states, both wave buffers, the view's fan-out count and the fate
-// of every link.
-type healScratch struct {
-	st         []healNode
-	wave, next []topology.NodeID
-	fanout     []int32
-	// dead has one bit per adjacency entry: bit off[u]+a is set when the
-	// link from u to g.Adj[u][a] is dead. It is derived only when the plan
-	// fails links at all (linkFaults).
-	linkFaults bool
-	off        []int32
-	dead       []uint64
-}
-
-var healPool = sync.Pool{New: func() any { return new(healScratch) }}
-
-// links derives the fate of every link of g under plan as it stands,
-// hashing each undirected link once: from its lower endpoint, with the
-// higher endpoint's entry found by binary search (Adj lists are sorted).
-// A plan with no run-long link failures and no mid-flight ones that have
-// struck keeps every link alive (Plan.LinkAlive's own condition), and
-// nothing is derived.
-func (hs *healScratch) links(g *topology.Graph, plan *faults.Plan) {
-	sp := plan.Spec()
-	hs.linkFaults = sp.LinkFail > 0 || plan.PhaseFired() && sp.MidLinkFail > 0
-	if !hs.linkFaults {
-		return
+		Repair:      repair,
 	}
-	n := len(g.Adj)
-	hs.off = grow(hs.off, n+1)
-	total := 0
-	for u, nbrs := range g.Adj {
-		hs.off[u] = int32(total)
-		total += len(nbrs)
-	}
-	hs.off[n] = int32(total)
-	hs.dead = grow(hs.dead, (total+63)/64)
-	clear(hs.dead)
-	for u, nbrs := range g.Adj {
-		uid := topology.NodeID(u)
-		for a, v := range nbrs {
-			b, hashed := 0, false
-			if v < uid {
-				b, hashed = slices.BinarySearch(g.Adj[v], uid)
+}
+
+// rootPass runs phases 1 and 2 of a heal toward the tree root in one pass
+// over tree.Order, parents before children: a node is in the root's
+// fragment iff its parent heartbeat arrived and its parent is, and then
+// keeps its tree parent, one level below it. A survivor whose heartbeat
+// went missing is an orphan root and opens a fragment; one that heard a
+// detached parent joins the parent's fragment, its heartbeat and flood
+// marker on the same edge. Each node's state is written once. It returns
+// the number of orphan roots.
+func (hs *healScratch) rootPass() int {
+	tree, plan, parent, st := hs.tree, hs.plan, hs.parent, hs.st
+	root := tree.Root
+	parent[root], st[root] = -1, healNode{frag: -1, alive: true}
+	orphanRoots := 0
+	for _, u := range tree.Order[1:] {
+		s, par := healNode{frag: -1, alive: !plan.Excluded(u)}, excludedParent
+		if s.alive {
+			p := tree.Parent[u]
+			ps := &st[p] // attached iff alive outside every fragment
+			switch {
+			case !ps.alive || !hs.fates.UpAlive(u):
+				s.frag = int32(orphanRoots)
+				orphanRoots++
+				hs.detached = append(hs.detached, u)
+			case ps.frag < 0:
+				ps.sent++
+				ps.msgs++
+				s.recv, s.heard = 1, true
+				par, s.depth = p, ps.depth+1
+			default:
+				ps.sent += 2
+				ps.msgs += 2
+				s.recv, s.heard, s.frag = 2, true, ps.frag
+				hs.detached = append(hs.detached, u)
 			}
-			if hashed && !hs.linkAlive(int(v), b) || !hashed && !plan.LinkAlive(uid, v) {
-				bit := int(hs.off[u]) + a
-				hs.dead[bit/64] |= 1 << (bit % 64)
+		}
+		parent[u], st[u] = par, s
+	}
+	return orphanRoots
+}
+
+// bfsPass runs phases 1 and 2 of a re-rooted heal, whose acting root is not
+// the tree root:
+//
+//  1. Heartbeat: each node sends 1 bit to each tree child. A child that
+//     hears nothing (parent excluded, or the link died) is an orphan root.
+//     The surviving tree edges are the forest whose components are the
+//     fragments: node u keeps the edge to tree.Parent[u] iff it heard.
+//  2. The acting root's fragment attaches first, flipped under it; then
+//     each orphan root, in ascending ID order, floods a detached marker
+//     down its fragment (1 bit per kept edge), so members know to call
+//     for help. Attached nodes are skipped: the acting fragment's old
+//     orphan root must not flood.
+//
+// It returns the number of orphan roots.
+func (hs *healScratch) bfsPass(root topology.NodeID) int {
+	tree, plan, parent, st := hs.tree, hs.plan, hs.parent, hs.st
+	for u := range st {
+		parent[u], st[u] = excludedParent, healNode{frag: -1, alive: !plan.Excluded(topology.NodeID(u))}
+	}
+	for c := range st {
+		cid := topology.NodeID(c)
+		if p := tree.Parent[c]; p >= 0 && st[c].alive && st[p].alive && hs.fates.UpAlive(cid) {
+			hs.charge(p, cid, 1, 1)
+			st[c].heard = true
+		}
+	}
+	hs.wave = hs.attach(grow(hs.wave, len(st))[:0], root, -1, 0)
+	orphanRoots := 0
+	for u := range st {
+		uid := topology.NodeID(u)
+		if !st[u].alive || st[u].heard || parent[u] != excludedParent {
+			continue
+		}
+		f := int32(orphanRoots)
+		orphanRoots++
+		st[u].frag = f
+		qi := len(hs.detached)
+		hs.detached = append(hs.detached, uid)
+		for ; qi < len(hs.detached); qi++ {
+			v := hs.detached[qi]
+			for _, w := range tree.Children[v] {
+				if st[w].heard {
+					hs.charge(v, w, 1, 1)
+					st[w].frag = f
+					hs.detached = append(hs.detached, w)
+				}
 			}
 		}
 	}
+	return orphanRoots
 }
 
-// linkAlive reports whether the link from u to g.Adj[u][a] is alive.
-func (hs *healScratch) linkAlive(u, a int) bool {
-	if !hs.linkFaults {
-		return true
+// attach re-roots the fragment containing graft at graft, hanging it under
+// par at depth d: a BFS over kept edges flips the parent pointers between
+// the graft point and the fragment's old root. The newly attached nodes
+// leave their fragment and are appended to wave in BFS order.
+func (hs *healScratch) attach(wave []topology.NodeID, graft, par topology.NodeID, d int32) []topology.NodeID {
+	tree, parent, st := hs.tree, hs.parent, hs.st
+	parent[graft], st[graft].depth, st[graft].frag = par, d, -1
+	qi := len(wave)
+	wave = append(wave, graft)
+	for ; qi < len(wave); qi++ {
+		u := wave[qi]
+		d := st[u].depth + 1
+		if p := tree.Parent[u]; st[u].heard && parent[p] == excludedParent {
+			parent[p], st[p].depth, st[p].frag = u, d, -1
+			wave = append(wave, p)
+		}
+		for _, c := range tree.Children[u] {
+			if st[c].heard && parent[c] == excludedParent {
+				parent[c], st[c].depth, st[c].frag = u, d, -1
+				wave = append(wave, c)
+			}
+		}
 	}
-	bit := int(hs.off[u]) + a
-	return hs.dead[bit/64]&(1<<(bit%64)) == 0
+	return wave
 }
 
-// treeLinkAlive reports whether the tree edge (p, c) is alive: from the
-// derived fates when it is a graph edge, from the plan when it is not (a
-// hand-built tree may hang a node off a non-neighbour).
-func (hs *healScratch) treeLinkAlive(g *topology.Graph, plan *faults.Plan, p, c topology.NodeID) bool {
-	if !hs.linkFaults {
-		return true
-	}
-	if a, ok := slices.BinarySearch(g.Adj[c], p); ok {
-		return hs.linkAlive(int(c), a)
-	}
-	return plan.LinkAlive(p, c)
+// charge sends msgs repair frames totalling bits bits from one node to
+// another.
+func (hs *healScratch) charge(from, to topology.NodeID, bits, msgs int32) {
+	s := &hs.st[from]
+	s.sent += bits
+	s.msgs += msgs
+	hs.st[to].recv += bits
+}
+
+// send charges k frames of bits bits each to their sender, a node that
+// sends the same frame to k neighbours; each receiver is charged its own.
+func (hs *healScratch) send(u topology.NodeID, bits, k int32) {
+	s := &hs.st[u]
+	s.sent += bits * k
+	s.msgs += k
 }
 
 // NewFastHealed returns the fast engine a faulty run should execute over:
@@ -408,15 +505,19 @@ func NewFastHealed(nw *netsim.Network) (*FastEngine, *HealResult, error) {
 
 // SubtreeView carves the subtree rooted at r out of view v: r becomes the
 // root, its descendants keep their parents, and every other node is
-// excluded. Children and the underlying tree are shared with v (views are
-// immutable by convention), so the cost is one parent array and the
+// excluded. Child lists and the underlying tree are shared with v (views
+// are immutable by convention), so the cost is one parent array and the
 // subtree's BFS order. The byz tier runs per-sector aggregations and
 // audits over these views.
 func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
+	base := v
+	if v.base != nil {
+		base = v.base
+	}
 	sub := &TreeView{
-		Root:     r,
-		Parent:   make([]topology.NodeID, len(v.Parent)),
-		Children: v.Children,
+		Root:   r,
+		Parent: make([]topology.NodeID, len(v.Parent)),
+		base:   base,
 	}
 	for i := range sub.Parent {
 		sub.Parent[i] = excludedParent
@@ -451,47 +552,66 @@ func ViewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
 }
 
 // viewFromParents assembles a TreeView from a parent array in which
-// excluded nodes carry excludedParent. Children are listed in ID order,
-// carved from one backing array owned by the view (each list's capacity
-// ends where the next begins), and Order is BFS from the root. The
-// fan-out count is hs's scratch.
+// excluded nodes carry excludedParent, together with its sweep schedule.
+// The child lists by node, in ID order, are a counting sort in hs's
+// scratch; the BFS from the root over them writes Order, each node's
+// position and each position's first child (the schedule's cs) in one
+// pass. So the view owns three allocations — Parent, Order, and pos with
+// cs — besides its level bounds, and Order doubles as its child lists.
 func viewFromParents(parent []topology.NodeID, root topology.NodeID, hs *healScratch) *TreeView {
 	n := len(parent)
-	v := &TreeView{
-		Root:     root,
-		Parent:   parent,
-		Children: make([][]topology.NodeID, n),
-	}
-	fanout := grow(hs.fanout, n)
-	hs.fanout = fanout
-	clear(fanout)
-	included := 0
+	start := grow(hs.kidStart, n+1)
+	hs.kidStart = start
+	clear(start)
+	included, nk := 0, 0
 	for _, p := range parent {
 		if p == excludedParent {
 			continue
 		}
 		included++
 		if p >= 0 { // every included node but the root
-			fanout[p]++
+			start[p+1]++
+			nk++
 		}
 	}
-	backing := make([]topology.NodeID, included-1)
-	off := 0
-	for u, k := range fanout {
-		if k > 0 {
-			v.Children[u] = backing[off : off : off+int(k)]
-			off += int(k)
-		}
+	for u := 1; u <= n; u++ {
+		start[u] += start[u-1]
 	}
+	fill := grow(hs.fill, n)
+	hs.fill = fill
+	copy(fill, start[:n])
+	kids := grow(hs.kids, nk)
+	hs.kids = kids
 	for u, p := range parent {
 		if p >= 0 {
-			v.Children[p] = append(v.Children[p], topology.NodeID(u))
+			kids[fill[p]] = topology.NodeID(u)
+			fill[p]++
 		}
 	}
-	v.Order = make([]topology.NodeID, 0, included)
-	v.Order = append(v.Order, root)
-	for qi := 0; qi < len(v.Order); qi++ {
-		v.Order = append(v.Order, v.Children[v.Order[qi]]...)
+
+	v := &TreeView{
+		Root:   root,
+		Parent: parent,
+		Order:  make([]topology.NodeID, max(included, 1)),
 	}
+	posCS := make([]int32, n+len(v.Order)+1)
+	cs := posCS[n:]
+	v.pos = posCS[:n:n]
+	for u := range v.pos {
+		v.pos[u] = -1
+	}
+	v.Order[0] = root
+	reached := 1
+	for i := 0; i < reached; i++ {
+		u := v.Order[i]
+		v.pos[u], cs[i] = int32(i), int32(reached)
+		for _, c := range kids[start[u]:start[u+1]] {
+			v.Order[reached] = c
+			reached++
+		}
+	}
+	cs[reached] = int32(reached)
+	v.Order, cs = v.Order[:reached], cs[:reached+1]
+	v.sched.fill(cs)
 	return v
 }

@@ -8,6 +8,7 @@ package spantree
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -201,10 +202,10 @@ func oracleHealToward(nw *netsim.Network, root topology.NodeID) (*HealResult, er
 
 // oracleViewFromParents assembles a TreeView from a parent array in which
 // excluded nodes carry excludedParent. Children are listed in ID order and
-// Order is BFS from the root.
+// Order is BFS from the root; the view is the full view of that tree.
 func oracleViewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
 	n := len(parent)
-	v := &TreeView{
+	t := &topology.Tree{
 		Root:     root,
 		Parent:   parent,
 		Children: make([][]topology.NodeID, n),
@@ -216,27 +217,43 @@ func oracleViewFromParents(parent []topology.NodeID, root topology.NodeID) *Tree
 		}
 		included++
 		if topology.NodeID(u) != root {
-			v.Children[parent[u]] = append(v.Children[parent[u]], topology.NodeID(u))
+			t.Children[parent[u]] = append(t.Children[parent[u]], topology.NodeID(u))
 		}
 	}
-	v.Order = make([]topology.NodeID, 0, included)
-	v.Order = append(v.Order, root)
-	for qi := 0; qi < len(v.Order); qi++ {
-		v.Order = append(v.Order, v.Children[v.Order[qi]]...)
+	t.Order = make([]topology.NodeID, 0, included)
+	t.Order = append(t.Order, root)
+	for qi := 0; qi < len(t.Order); qi++ {
+		t.Order = append(t.Order, t.Children[t.Order[qi]]...)
 	}
-	return v
+	return FullView(t)
 }
 
 // requireSameHeal asserts a production heal on nw and an oracle heal on ref
-// are indistinguishable: every HealResult field (the view's Parent,
-// Children and Order included) and every per-node counter.
+// are indistinguishable: every HealResult field (the view's root, parents,
+// order and child lists included) and every per-node counter. The
+// schedule the healed view carries must be the one an engine derives from
+// the oracle's view.
 func requireSameHeal(t *testing.T, nw, ref *netsim.Network, res, refRes *HealResult) {
 	t.Helper()
-	if !reflect.DeepEqual(res.View, refRes.View) {
+	if !res.View.Equal(refRes.View) {
 		t.Fatalf("view differs from the oracle's:\n got %+v\nwant %+v", res.View, refRes.View)
 	}
-	if !reflect.DeepEqual(res, refRes) {
-		t.Fatalf("result %+v, oracle %+v", res, refRes)
+	got, want := *res, *refRes
+	got.View, want.View = nil, nil
+	if got != want {
+		t.Fatalf("result %+v, oracle %+v", got, want)
+	}
+	s := &res.View.sched
+	if s.bounds == nil {
+		t.Fatal("healed view carries no sweep schedule")
+	}
+	refSched, err := (&FastEngine{view: refRes.View, vs: &viewSched{}}).schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.cs, refSched.cs) || !slices.Equal(s.bounds, refSched.bounds) || s.seq.width != refSched.seq.width {
+		t.Fatalf("carried schedule cs=%v bounds=%v width=%d, derived cs=%v bounds=%v width=%d",
+			s.cs, s.bounds, s.seq.width, refSched.cs, refSched.bounds, refSched.seq.width)
 	}
 	for u := 0; u < nw.N(); u++ {
 		id := topology.NodeID(u)
@@ -330,5 +347,103 @@ func TestHealRerootedMatchesOracle(t *testing.T) {
 			}
 			requireSameHeal(t, nw, ref, res, refRes)
 		}
+	}
+}
+
+// oracleCheckComplete is the completeness check as it was before the link
+// fates were kept per plan epoch: every view edge hashed through
+// Plan.LinkAlive, the dead marks a fresh slice per check.
+func oracleCheckComplete(v *TreeView, plan *faults.Plan) error {
+	if plan.Excluded(v.Root) {
+		return &IncompleteSweepError{Root: v.Root, RootDead: true, Missing: v.N()}
+	}
+	dead := make([]bool, len(v.Parent))
+	var frontier []topology.NodeID
+	missing := 0
+	for _, u := range v.Order {
+		if u == v.Root {
+			continue
+		}
+		p := v.Parent[u]
+		switch {
+		case dead[p]:
+			dead[u] = true
+			missing++
+		case plan.Excluded(u) || !plan.LinkAlive(p, u):
+			dead[u] = true
+			frontier = append(frontier, u)
+			missing++
+		}
+	}
+	if missing == 0 {
+		return nil
+	}
+	return &IncompleteSweepError{Root: v.Root, Frontier: frontier, Missing: missing}
+}
+
+// TestHealStrikeRehealMatchesOracle runs the sequence a query pays under a
+// mid-sweep strike — Heal, the strike, the completeness check of the
+// healed view, HealRerooted toward the live root — against the oracle on a
+// twin network, over the generated topologies × seeds × strikes with and
+// without MidLinkFail, with and without quarantines between the heals. The
+// link fates the first heal derived are kept for the second only while no
+// mid-flight link failure has struck.
+func TestHealStrikeRehealMatchesOracle(t *testing.T) {
+	incomplete, regrafted := 0, 0
+	for _, g := range healIdentityTopologies() {
+		for _, midLink := range []float64{0, 0.05} {
+			for _, quarantine := range []bool{false, true} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					spec := faults.Spec{Crash: 0.03, LinkFail: 0.02, MidAt: 1, MidCrash: 0.05, MidLinkFail: midLink}
+					nw, ref := faultyNet(g, spec, seed), faultyNet(g, spec, seed)
+					res, err := Heal(nw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refRes, err := oracleHealToward(ref, ref.Tree.Root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameHeal(t, nw, ref, res, refRes)
+					if quarantine {
+						for i, u := range res.View.Order {
+							if i%11 == 5 {
+								nw.Faults.Quarantine(u)
+								ref.Faults.Quarantine(u)
+							}
+						}
+					}
+					if !nw.Faults.Tick() || !ref.Faults.Tick() {
+						t.Fatal("phased faults did not fire")
+					}
+					err = NewFastView(nw, res.View).checkComplete(nw.Faults)
+					if refErr := oracleCheckComplete(refRes.View, ref.Faults); !reflect.DeepEqual(err, refErr) {
+						t.Fatalf("%s seed %d: checkComplete %v, oracle %v", g.Name, seed, err, refErr)
+					}
+					if err != nil {
+						incomplete++
+					}
+					res, root, err := HealRerooted(nw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if root != nw.Tree.Root {
+						t.Fatalf("acting root %d, want the live tree root %d", root, nw.Tree.Root)
+					}
+					refRes, err = oracleHealToward(ref, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameHeal(t, nw, ref, res, refRes)
+					regrafted += res.Reattached
+					if err := NewFastView(nw, res.View).checkComplete(nw.Faults); err != nil {
+						t.Fatalf("%s seed %d: re-healed view incomplete: %v", g.Name, seed, err)
+					}
+				}
+			}
+		}
+	}
+	if incomplete == 0 || regrafted == 0 {
+		t.Fatalf("matrix too tame: %d incomplete views, %d fragments regrafted", incomplete, regrafted)
 	}
 }

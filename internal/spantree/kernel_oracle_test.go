@@ -108,7 +108,7 @@ func (e *oracleEngine) gatherVecDirect(u topology.NodeID, vc spantree.VecCombine
 	acc := vec[int(u)*k : int(u)*k+k]
 	vc.LocalVec(e.nw.Nodes[u], acc)
 	recvBits := 0
-	for _, child := range e.view.Children[u] {
+	for _, child := range e.view.Children(u) {
 		recvBits += int(vbits[child])
 		vc.MergeVec(acc, vec[int(child)*k:int(child)*k+k])
 	}
@@ -221,7 +221,7 @@ func viewCases(t *testing.T, g *topology.Graph, base faults.Spec, workers int, s
 	t.Helper()
 	var cases []viewCase
 	add := func(name string, nw, ref *netsim.Network, view, refView *spantree.TreeView) {
-		if !reflect.DeepEqual(view, refView) {
+		if view != nil && !view.Equal(refView) {
 			t.Fatalf("%s/%s: twin networks disagree on the view", g.Name, name)
 		}
 		var fe *spantree.FastEngine
@@ -249,7 +249,7 @@ func viewCases(t *testing.T, g *topology.Graph, base faults.Spec, workers int, s
 	nw, ref = netPair(g, structural, seed)
 	healed, refHealed := heal(nw), heal(ref)
 	add("healed", nw, ref, healed, refHealed)
-	for _, c := range healed.Children[healed.Root] {
+	for _, c := range healed.Children(healed.Root) {
 		add(fmt.Sprintf("sector(%d)", c), nw, ref, spantree.SubtreeView(healed, c), spantree.SubtreeView(refHealed, c))
 	}
 
@@ -366,12 +366,12 @@ func TestOrderChildrenContiguous(t *testing.T) {
 		}
 		next := 1
 		for i, u := range v.Order {
-			for j, c := range v.Children[u] {
+			for j, c := range v.Children(u) {
 				if next+j >= len(v.Order) || v.Order[next+j] != c {
 					t.Fatalf("%s: child %d of Order[%d]=%d is not at position %d", where, c, i, u, next+j)
 				}
 			}
-			next += len(v.Children[u])
+			next += len(v.Children(u))
 		}
 		if next != len(v.Order) {
 			t.Fatalf("%s: children cover %d positions, Order has %d", where, next, len(v.Order))

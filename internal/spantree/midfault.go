@@ -52,34 +52,51 @@ func (e *IncompleteSweepError) Is(target error) bool { return target == ErrSweep
 // reachable from the root over live links. It returns nil when the view is
 // whole and an *IncompleteSweepError otherwise. Called only on phased
 // plans after they fire — the zero-fault and run-long-fault paths never
-// reach it.
+// reach it. Link fates are the network's, derived once per plan epoch; a
+// view edge that is no tree edge (a graft) is hashed. The dead marks are a
+// bit per node in the network's scratch.
 func (e *FastEngine) checkComplete(plan *faults.Plan) error {
-	v := e.view
+	v, tree := e.view, e.nw.Tree
 	if plan.Excluded(v.Root) {
 		return &IncompleteSweepError{Root: v.Root, RootDead: true, Missing: v.N()}
 	}
-	dead := make([]bool, len(v.Parent))
+	fates := e.sh.fates.Of(plan, e.nw.Graph, tree)
+	dead := grow(e.sh.dead, (len(v.Parent)+63)/64)
+	e.sh.dead = dead
+	clear(dead)
 	var frontier []topology.NodeID
 	missing := 0
 	for _, u := range v.Order {
 		if u == v.Root {
 			continue
 		}
-		p := v.Parent[u]
-		switch {
-		case dead[p]:
-			dead[u] = true
-			missing++
-		case plan.Excluded(u) || !plan.LinkAlive(p, u):
-			dead[u] = true
+		switch p := v.Parent[u]; {
+		case dead[p/64]&(1<<(p%64)) != 0:
+		case plan.Excluded(u) || !viewLinkAlive(tree, fates, plan, p, u):
 			frontier = append(frontier, u)
-			missing++
+		default:
+			continue
 		}
+		dead[u/64] |= 1 << (u % 64)
+		missing++
 	}
 	if missing == 0 {
 		return nil
 	}
 	return &IncompleteSweepError{Root: v.Root, Frontier: frontier, Missing: missing}
+}
+
+// viewLinkAlive reports whether the view edge between p and its child u
+// is alive: a tree edge, either way round, from the kept fates; any other
+// edge (a graft) from the plan.
+func viewLinkAlive(tree *topology.Tree, fates *faults.LinkFates, plan *faults.Plan, p, u topology.NodeID) bool {
+	switch {
+	case tree.Parent[u] == p:
+		return fates.UpAlive(u)
+	case tree.Parent[p] == u:
+		return fates.UpAlive(p)
+	}
+	return plan.LinkAlive(p, u)
 }
 
 // HealRerooted repairs the tree after a mid-flight fault, choosing the
@@ -105,9 +122,5 @@ func HealRerooted(nw *netsim.Network) (*HealResult, topology.NodeID, error) {
 			return nil, -1, fmt.Errorf("spantree: every node excluded — no survivor to re-root at")
 		}
 	}
-	hr, err := healToward(nw, root)
-	if err != nil {
-		return nil, -1, err
-	}
-	return hr, root, nil
+	return healToward(nw, root), root, nil
 }

@@ -2,6 +2,7 @@ package spantree
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"sensoragg/internal/faults"
@@ -213,5 +214,54 @@ func TestHealRerootedLiveRootMatchesHeal(t *testing.T) {
 		if hra.View.Parent[u] != hrb.View.Parent[u] {
 			t.Fatalf("parent[%d]: %d != %d", u, hra.View.Parent[u], hrb.View.Parent[u])
 		}
+	}
+}
+
+// TestCheckCompleteMatchesOracle holds the completeness check, which reads
+// the link fates kept for the plan epoch, to the check that hashed every
+// view edge: on the full view and on a healed one, for strikes that crash
+// nodes, kill links or both, with and without quarantines after the
+// strike, the same error (frontier, missing count) or none.
+func TestCheckCompleteMatchesOracle(t *testing.T) {
+	incomplete := 0
+	for _, spec := range []faults.Spec{
+		{MidAt: 1, MidCrash: 0.08},
+		{MidAt: 1, MidLinkFail: 0.08},
+		{LinkFail: 0.03, MidAt: 1, MidCrash: 0.05, MidLinkFail: 0.05},
+		{Crash: 0.05, LinkFail: 0.03, MidAt: 1, MidCrash: 0.05, MidLinkFail: 0.05},
+	} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, quarantine := range []bool{false, true} {
+				nw := faultyNet(topology.Grid(20, 20), spec, seed)
+				views := []*TreeView{NewFast(nw).View()}
+				if spec.Structural() {
+					hr, err := Heal(nw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					views = append(views, hr.View)
+				}
+				nw.Faults.Tick()
+				if quarantine {
+					for i, u := range views[len(views)-1].Order {
+						if i%13 == 7 {
+							nw.Faults.Quarantine(u)
+						}
+					}
+				}
+				for _, v := range views {
+					err := NewFastView(nw, v).checkComplete(nw.Faults)
+					if want := oracleCheckComplete(v, nw.Faults); !reflect.DeepEqual(err, want) {
+						t.Fatalf("%+v seed %d: checkComplete %v, oracle %v", spec, seed, err, want)
+					}
+					if err != nil {
+						incomplete++
+					}
+				}
+			}
+		}
+	}
+	if incomplete == 0 {
+		t.Fatal("no strike left a view incomplete")
 	}
 }

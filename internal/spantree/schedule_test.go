@@ -119,7 +119,7 @@ func (c scheduleCase) build(t *testing.T, seed uint64) (*netsim.Network, *spantr
 		}
 		view = hr.View
 	}
-	if kids := view.Children[view.Root]; c.view == "subtree" && len(kids) > 0 {
+	if kids := view.Children(view.Root); c.view == "subtree" && len(kids) > 0 {
 		view = spantree.SubtreeView(view, kids[len(kids)/2])
 	}
 	fe := spantree.NewFastView(nw, view)

@@ -32,7 +32,7 @@ func TestInterleavedEnginesDoNotClobber(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sectors := hr.View.Children[hr.View.Root]
+		sectors := hr.View.Children(hr.View.Root)
 		if len(sectors) < 2 {
 			t.Fatalf("healed root has %d children, want 2", len(sectors))
 		}
@@ -118,11 +118,11 @@ func TestMalformedViewIsRejected(t *testing.T) {
 	}
 	// A forest: node counts agree, but nothing below the root's level is
 	// reachable from it.
-	leafless := *full
-	leafless.Children = make([][]topology.NodeID, len(full.Children))
+	leafless := *nw.Tree
+	leafless.Children = make([][]topology.NodeID, len(nw.Tree.Children))
 	deepest := full.Order[len(full.Order)-1]
 	leafless.Children[deepest] = full.Order[1:]
-	if out, err := spantree.NewFastView(nw, &leafless).Convergecast(nodeCount{}); err == nil || !strings.Contains(err.Error(), "not a BFS") {
+	if out, err := spantree.NewFastView(nw, spantree.FullView(&leafless)).Convergecast(nodeCount{}); err == nil || !strings.Contains(err.Error(), "not a BFS") {
 		t.Errorf("forest: Convergecast = %v, %v; want a not-a-BFS error", out, err)
 	}
 }

@@ -163,10 +163,18 @@ type netScratch struct {
 	part partition
 	errs []error
 	team team
+
+	// fates are the link fates of the network's graph and tree under the
+	// fault plan in force, derived once per plan epoch and read by every
+	// heal and completeness check on the network.
+	fates faults.LinkFates
+	// dead is checkComplete's bit per node.
+	dead []uint64
 }
 
-// viewSched is what a sweep derives from a view, built on first use. It
-// leans on the TreeView.Order invariant: a level is a contiguous range of
+// viewSched is what a sweep derives from a view: built on first use, or
+// by the heal that assembled the view, and read-only once built. It leans
+// on the TreeView.Order invariant: a level is a contiguous range of
 // positions, and so are the children of one position.
 type viewSched struct {
 	// cs[i] is the position of Order[i]'s first child; its children are
@@ -231,10 +239,15 @@ func NewFast(nw *netsim.Network) *FastEngine {
 }
 
 // NewFastView returns a fast engine executing over an explicit tree view —
-// typically the repaired tree a Heal run produced. What it derives from
-// the view is its own; its operation scratch is the network's.
+// typically the repaired tree a Heal run produced, which arrives with its
+// sweep schedule. Any other view's schedule the engine derives itself; its
+// operation scratch is the network's.
 func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
-	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: &viewSched{}}
+	vs := &view.sched
+	if vs.bounds == nil {
+		vs = &viewSched{}
+	}
+	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: vs}
 }
 
 // SetWorkers sets the engine's team size: 1 (or 0, the default) runs
@@ -264,7 +277,7 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	if e.flat() && e.vs.fanout == nil {
 		e.vs.fanout = make([]int32, len(e.view.Order))
 		for i, u := range e.view.Order {
-			e.vs.fanout[i] = int32(len(e.view.Children[u]))
+			e.vs.fanout[i] = int32(len(e.view.Children(u)))
 		}
 	}
 	w := e.teamSize()
@@ -298,9 +311,16 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 		}
 		return
 	}
+	cs := e.vs.cs // each position's first child, once the schedule is built
 	for i := lo; i < hi; i++ {
 		u := v.Order[i]
-		if k := len(v.Children[u]); k > 0 {
+		k := 0
+		if cs != nil {
+			k = int(cs[i+1] - cs[i])
+		} else {
+			k = len(v.Children(u))
+		}
+		if k > 0 {
 			m.ChargeSendOnlySeq(u, bits, k)
 		}
 		if u != v.Root {
@@ -410,10 +430,10 @@ func grow[T any](buf []T, n int) []T {
 var viewStamps atomic.Uint64
 
 // schedule returns what the sweep derives from the engine's view, building
-// it on first use: the child-position prefix sums, and the level bounds
-// that fall out of them (level l+2 starts at the first child of level
-// l+1's first node). It fails — instead of mis-merging — on a view whose
-// Order is not the BFS of its Children.
+// it on first use (a view assembled by a heal carries it from birth): the
+// child-position prefix sums, and the level bounds that fall out of them.
+// It fails — instead of mis-merging — on a view whose Order is not the BFS
+// of its child lists.
 func (e *FastEngine) schedule() (*viewSched, error) {
 	s, v := e.vs, e.view
 	if s.bounds != nil {
@@ -424,7 +444,7 @@ func (e *FastEngine) schedule() (*viewSched, error) {
 	next := 1
 	for i, u := range v.Order {
 		cs[i] = int32(next)
-		next += len(v.Children[u])
+		next += len(v.Children(u))
 	}
 	cs[n] = int32(next)
 	if n == 0 || v.Order[0] != v.Root {
@@ -433,10 +453,20 @@ func (e *FastEngine) schedule() (*viewSched, error) {
 	if next != n {
 		return nil, fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", n, next)
 	}
+	if err := s.fill(cs); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// fill completes the schedule from its child-position prefix sums: level
+// l+2 starts at the first child of level l+1's first node.
+func (s *viewSched) fill(cs []int32) error {
+	n := len(cs) - 1
 	levels, width := 0, 0
 	for lo, hi := 0, 1; lo < n; lo, hi = hi, int(cs[hi]) {
 		if hi <= lo {
-			return nil, fmt.Errorf("spantree: view Order is not a BFS of its Children: positions from %d on are unreachable", lo)
+			return fmt.Errorf("spantree: view Order is not a BFS of its Children: positions from %d on are unreachable", lo)
 		}
 		levels++
 		width = max(width, hi-lo)
@@ -448,7 +478,7 @@ func (e *FastEngine) schedule() (*viewSched, error) {
 	s.cs, s.bounds = cs, bounds
 	s.seq = lane{lv: bounds, width: width}
 	s.stamp = viewStamps.Add(1)
-	return s, nil
+	return nil
 }
 
 // sweep runs one convergecast on the engine's schedule: sequentially, the

@@ -10,7 +10,7 @@ func TestSubtreeView(t *testing.T) {
 	g := topology.Grid(5, 5)
 	tree := topology.BFSTree(g, 0)
 	view := FullView(tree)
-	for _, r := range view.Children[view.Root] {
+	for _, r := range view.Children(view.Root) {
 		sub := SubtreeView(view, r)
 		if sub.Root != r {
 			t.Fatalf("subview root %d, want %d", sub.Root, r)
@@ -42,7 +42,7 @@ func TestSubtreeView(t *testing.T) {
 			if !sub.Includes(u) {
 				t.Fatalf("descendant %d of %d missing from subview", u, r)
 			}
-			stack = append(stack, view.Children[u]...)
+			stack = append(stack, view.Children(u)...)
 		}
 		if sub.N() != want {
 			t.Fatalf("subview of %d has %d nodes, want %d", r, sub.N(), want)
