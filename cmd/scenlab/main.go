@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"sensoragg/internal/scenario"
 )
@@ -104,17 +105,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	pass := scenario.AllPass(findings)
-	failed := 0
+	var breached []string
 	for _, f := range findings {
 		if !f.Pass {
-			failed++
+			breached = append(breached, f.Scenario+"/"+f.Gate)
 		}
 	}
-	if pass {
+	if len(breached) == 0 {
 		fmt.Fprintf(stdout, "scenlab: PASS — %d scenario(s), %d gate finding(s)\n", len(results), len(findings))
 		return 0
 	}
-	fmt.Fprintf(stdout, "scenlab: FAIL — %d of %d gate finding(s) breached\n", failed, len(findings))
+	fmt.Fprintf(stdout, "scenlab: FAIL — %d of %d gate finding(s) breached: %s\n", len(breached), len(findings), strings.Join(breached, ", "))
 	return 1
 }

@@ -383,7 +383,7 @@ func TestRelayAnnounceMatchesSectorBroadcast(t *testing.T) {
 		q.run(robust)
 		q.run(plain)
 		relayAfter, bcastAfter := recv(relayNw), recv(bcastNw)
-		for _, s := range relayNw.Tree.Children[relayNw.Root()] {
+		for _, s := range relayNw.Tree.Children(relayNw.Root()) {
 			announce, bcast := relayAfter[s]-relayBefore[s], bcastAfter[s]-bcastBefore[s]
 			if announce == 0 || announce != bcast {
 				t.Errorf("%s: sector %d relay announce %d bits, in-sector broadcast %d", q.name, s, announce, bcast)

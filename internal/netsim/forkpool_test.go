@@ -55,7 +55,7 @@ func TestForkPoolResetMatchesFreshFork(t *testing.T) {
 		if recycled.Faults != nil {
 			t.Fatalf("%s: recycled network kept a fault plan", where)
 		}
-		if recycled.lay != tmpl.lay || fresh.lay != tmpl.lay || &recycled.Meter.slot[0] != &tmpl.lay.slot[0] {
+		if recycled.lay != tmpl.lay || fresh.lay != tmpl.lay || &recycled.Meter.slot[0] != &tmpl.Meter.slot[0] {
 			t.Fatalf("%s: a fork built its own layout", where)
 		}
 		if !reflect.DeepEqual(recycled.items, fresh.items) {

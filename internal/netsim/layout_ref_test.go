@@ -66,7 +66,7 @@ func RefNewFromTree(g *topology.Graph, tree *topology.Tree, items [][]uint64, ma
 	// The identity layout, so the network's own item passes (ResetItems,
 	// NumItems, ItemKey) work on it too. Its key table is set even when
 	// every node holds one item: AllItems then takes the walk by node.
-	nw.store, nw.items, nw.lay = nodes, backing, &layout{slot: nw.Meter.slot, firstItem: firstItem}
+	nw.store, nw.items, nw.lay = nodes, backing, &layout{firstItem: firstItem}
 	return nw
 }
 
@@ -275,11 +275,12 @@ func TestMeterMatchesRef(t *testing.T) {
 			node := func() topology.NodeID { return topology.NodeID(rng.IntN(n)) }
 			snap, refSnap := m.Snapshot(), ref.Snapshot()
 			led, refLed := m.Ledger(), ref.Ledger()
-			// The broadcast wave's fanout by slot for m, by ID for ref.
-			fanout, refFanout := make([]int32, n), make([]int32, n)
-			for p, u := range tree.Order {
-				fanout[p] = int32(len(tree.Children[u]))
-				refFanout[u] = fanout[p]
+			// The broadcast wave's child starts by slot for m, its fanout
+			// by ID for ref.
+			_, first, _ := tree.CSR()
+			refFanout := make([]int32, n)
+			for _, u := range tree.Order {
+				refFanout[u] = int32(len(tree.Children(u)))
 			}
 			for step := 0; step < 300; step++ {
 				u, v, bits := node(), node(), rng.IntN(200)
@@ -314,8 +315,8 @@ func TestMeterMatchesRef(t *testing.T) {
 				case 8:
 					// One wave, in two chunks on the slot-laid meter.
 					cut := rng.IntN(n + 1)
-					m.ChargeBroadcastSeq(bits, fanout, tree.Root, 0, cut)
-					m.ChargeBroadcastSeq(bits, fanout, tree.Root, cut, n)
+					m.ChargeBroadcastSeq(bits, first, tree.Root, 0, cut)
+					m.ChargeBroadcastSeq(bits, first, tree.Root, cut, n)
 					ref.ChargeBroadcastSeq(bits, refFanout, tree.Root, 0, n)
 				case 9:
 					if rng.IntN(8) == 0 {
@@ -342,12 +343,13 @@ func TestMeterMatchesRef(t *testing.T) {
 	}
 }
 
-// newTreeLayout returns the ID → slot map NewFromTree derives from tree.
+// newTreeLayout returns the ID → slot map of a network NewFromTree builds
+// over tree.
 func newTreeLayout(t *testing.T, tree *topology.Tree) []int32 {
 	t.Helper()
 	items := make([][]uint64, tree.N())
 	g := &topology.Graph{Adj: make([][]topology.NodeID, tree.N())}
-	return NewFromTree(g, tree, items, 1, 1).lay.slot
+	return NewFromTree(g, tree, items, 1, 1).Meter.slot
 }
 
 func requireMeterMatchesRef(t *testing.T, where string, m *Meter, ref *refMeter) {

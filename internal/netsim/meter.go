@@ -27,8 +27,9 @@ type Meter struct {
 	// node ID maps it through slot; only ChargeBroadcastSeq, Ledger and
 	// Replay speak slots.
 	cells []meterCell
-	// slot is the network's ID → slot map, shared with it and every meter
-	// of its forks; a standalone meter (NewMeter) maps each ID to itself.
+	// slot is the network's ID → slot map — its tree's position map
+	// (Tree.CSR), shared with every meter of its forks; a standalone meter
+	// (NewMeter) maps each ID to itself.
 	slot []int32
 }
 
@@ -128,20 +129,21 @@ func (m *Meter) ChargeNodeSeq(u topology.NodeID, sentBits, recvBits int) {
 }
 
 // ChargeBroadcastSeq charges storage slots [lo, hi) for one uniform
-// broadcast wave: the node in slot p sends `bits` to each of its fanout[p]
-// children and (except the root) receives `bits` from its parent. Both the
-// range and fanout are indexed by slot, not by node ID: on a network built
-// by NewFromTree slot p holds Tree.Order[p], so they are positions of the
-// network's own spanning tree. One flat loop over the cells replaces three
-// helper calls per node on the tree engine's hottest broadcast path.
+// broadcast wave: the node in slot p sends `bits` to each of its
+// first[p+1]-first[p] children and (except the root) receives `bits` from
+// its parent. Both the range and first are indexed by slot, not by node
+// ID: on a network built by NewFromTree slot p holds Tree.Order[p], so they
+// are positions of the network's own spanning tree, and first is its child
+// starts (Tree.CSR). One flat loop over the cells replaces three helper
+// calls per node on the tree engine's hottest broadcast path.
 // Single-writer contract as ChargeSendOnlySeq; callers covering any other
 // view must use per-node charging instead.
-func (m *Meter) ChargeBroadcastSeq(bits int, fanout []int32, root topology.NodeID, lo, hi int) {
+func (m *Meter) ChargeBroadcastSeq(bits int, first []int32, root topology.NodeID, lo, hi int) {
 	b := int64(bits)
 	rs := int(m.slot[root])
 	for i := lo; i < hi; i++ {
 		c := &m.cells[i]
-		if k := int64(fanout[i]); k > 0 {
+		if k := int64(first[i+1] - first[i]); k > 0 {
 			c.sent += b * k
 			c.msgs += k
 		}

@@ -117,19 +117,18 @@ type Network struct {
 	// allocated on first use and reused across rounds and runs.
 	scratch *runScratch
 	// treeScratch is the tree engines' reusable execution scratch
-	// (spantree stores the full view's level schedule, the two-level
+	// (spantree stores the full view of the tree, the two-level
 	// partial rings, and the payload arenas here), opaque to netsim. It
 	// rides along through pooled reuse so repeated queries against one
 	// run network skip the rebuild.
 	treeScratch any
 }
 
-// layout is the storage order of a template network, built once by
-// NewFromTree and shared, read-only, by every fork of it.
+// layout is the item index of a template network, built once by
+// NewFromTree and shared, read-only, by every fork of it. Its storage
+// order is the tree's: node id's slot — its index in store and in the
+// meter's cells — is its position in Tree.Order (Tree.CSR).
 type layout struct {
-	// slot[id] is node id's storage slot: its index in store and in the
-	// meter's cells.
-	slot []int32
 	// firstItem[id] is the index of node id's first item in the ID-ordered
 	// item list (AllItems). It is nil when every node holds exactly one
 	// item, so node id's reading sits at index id.
@@ -238,16 +237,13 @@ func NewFromTree(g *topology.Graph, tree *topology.Tree, items [][]uint64, maxX 
 	if len(tree.Order) != n {
 		panic(fmt.Sprintf("netsim: tree Order lists %d of %d nodes", len(tree.Order), n))
 	}
-	lay := &layout{slot: make([]int32, n)}
-	for id := range lay.slot {
-		lay.slot[id] = -1
-	}
+	pos, _, _ := tree.CSR()
+	lay := &layout{}
 	single := true
 	for p, id := range tree.Order {
-		if id < 0 || int(id) >= n || lay.slot[id] >= 0 {
+		if id < 0 || int(id) >= len(pos) || pos[id] != int32(p) {
 			panic(fmt.Sprintf("netsim: tree Order is not a permutation of the nodes: %d at position %d", id, p))
 		}
-		lay.slot[id] = int32(p)
 		single = single && len(items[id]) == 1
 	}
 	total := n
@@ -274,12 +270,13 @@ func NewFromTree(g *topology.Graph, tree *topology.Tree, items [][]uint64, maxX 
 // network assembles a network over l: slot p holds node tree.Order[p] with
 // the next count(p) items of backing, which is already in storage order.
 func (l *layout) network(g *topology.Graph, tree *topology.Tree, backing []Item, maxX, seed uint64, count func(p int) int) *Network {
-	n := len(l.slot)
+	n := len(tree.Order)
+	pos, _, _ := tree.CSR()
 	nw := &Network{
 		Graph: g,
 		Tree:  tree,
 		Nodes: make([]*Node, n),
-		Meter: newMeter(l.slot),
+		Meter: newMeter(pos),
 		MaxX:  maxX,
 		// Width covers maxX+1: predicate thresholds range over [0, X+1]
 		// ("< X+1" selects everything), one more value than the items.

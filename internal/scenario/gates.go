@@ -14,12 +14,15 @@ const MinRerunsForVariance = 3
 // gate is evaluated and reported independently; a scenario passes only
 // when all of them do.
 type GateFinding struct {
-	Scenario string  `json:"scenario"`
-	Gate     string  `json:"gate"`
-	Pass     bool    `json:"pass"`
-	Value    float64 `json:"value"`
-	Limit    float64 `json:"limit,omitempty"`
-	Detail   string  `json:"detail"`
+	Scenario string `json:"scenario"`
+	Gate     string `json:"gate"`
+	Pass     bool   `json:"pass"`
+	// Value is the measured quantity, nil where it is undefined (a
+	// variance over too few reruns, a CV over a mean of 0): JSON has no
+	// NaN or infinity, so an undefined value is omitted.
+	Value  *float64 `json:"value,omitempty"`
+	Limit  float64  `json:"limit,omitempty"`
+	Detail string   `json:"detail"`
 }
 
 // Evaluate runs every gate the scenario declared against its summary,
@@ -29,10 +32,11 @@ type GateFinding struct {
 func Evaluate(sum *Summary) []GateFinding {
 	var out []GateFinding
 	add := func(gate string, pass bool, value, limit float64, detail string) {
-		out = append(out, GateFinding{
-			Scenario: sum.Name, Gate: gate, Pass: pass,
-			Value: value, Limit: limit, Detail: detail,
-		})
+		f := GateFinding{Scenario: sum.Name, Gate: gate, Pass: pass, Limit: limit, Detail: detail}
+		if !math.IsNaN(value) && !math.IsInf(value, 0) {
+			f.Value = &value
+		}
+		out = append(out, f)
 	}
 
 	// min-samples: enough samples overall, and — missing-rerun check —
@@ -83,15 +87,16 @@ func Evaluate(sum *Summary) []GateFinding {
 
 	// max-repair-bits-cv: across-rerun coefficient of variation of the
 	// total repair traffic. Needs at least MinRerunsForVariance reruns to
-	// mean anything. All-zero repair (CV 0) passes any limit.
+	// mean anything. All-zero repair (CV 0) passes any limit; a mean of 0
+	// with spread leaves the CV undefined and fails.
 	if sum.Gates.MaxRepairBitsCV != nil {
 		limit := *sum.Gates.MaxRepairBitsCV
 		switch {
 		case len(sum.RerunStats) < MinRerunsForVariance:
 			add("max-repair-bits-cv", false, math.NaN(), limit,
 				fmt.Sprintf("variance gate needs >=%d reruns, have %d", MinRerunsForVariance, len(sum.RerunStats)))
-		case math.IsInf(sum.RepairBitsCV, 1):
-			add("max-repair-bits-cv", false, sum.RepairBitsCV, limit,
+		case sum.RepairBitsMean == 0 && sum.RepairBitsStd > 0:
+			add("max-repair-bits-cv", false, math.NaN(), limit,
 				"repair bits mean 0 with nonzero spread")
 		default:
 			pass := sum.RepairBitsCV <= limit

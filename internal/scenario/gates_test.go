@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -147,5 +149,56 @@ func TestFinalizeSummaryCV(t *testing.T) {
 	finalizeSummary(sum)
 	if sum.RepairBitsCV != 0 || sum.RepairBitsMean != 100 {
 		t.Fatalf("uniform repair: %+v", sum)
+	}
+}
+
+// TestUndefinedGateValueRoundTrips writes the findings of gates whose
+// value is undefined — a variance over one rerun, a CV over a mean of 0
+// with spread — through WriteArtifacts, and reads the same verdicts back
+// with LoadSuiteResult: an undefined value is omitted, not encoded as NaN
+// or infinity, which JSON cannot carry.
+func TestUndefinedGateValueRoundTrips(t *testing.T) {
+	oneRerun := passingSummary()
+	oneRerun.Name, oneRerun.Reruns = "one-rerun", 1
+	oneRerun.RerunStats = oneRerun.RerunStats[:1]
+	oneRerun.Samples = 3
+	oneRerun.Gates.MinSamples = 3
+	oneRerun.RepairBitsMean, oneRerun.RepairBitsStd, oneRerun.RepairBitsCV = 100, 0, 0
+
+	spread := passingSummary()
+	spread.Name = "mean0-spread"
+	spread.RepairBitsMean, spread.RepairBitsStd, spread.RepairBitsCV = 0, 5, 0
+
+	var results []*RunResult
+	var findings []GateFinding
+	for _, sum := range []*Summary{oneRerun, spread} {
+		results = append(results, &RunResult{Summary: *sum})
+		fs := Evaluate(sum)
+		if f := finding(t, fs, "max-repair-bits-cv"); f.Pass || f.Value != nil {
+			t.Fatalf("%s: variance finding %+v, want a failure with no value", sum.Name, f)
+		}
+		findings = append(findings, fs...)
+	}
+	dir := t.TempDir()
+	if err := WriteArtifacts(dir, results, findings, Provenance{Tool: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"samples.jsonl", "summary.json", "provenance.json", "report.md"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("artifact %s: %v", name, err)
+		}
+	}
+	sr, err := LoadSuiteResult(filepath.Join(dir, "summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Pass || len(sr.Findings) != len(findings) {
+		t.Fatalf("read back pass=%v with %d findings, wrote %d failing", sr.Pass, len(sr.Findings), len(findings))
+	}
+	for i, f := range sr.Findings {
+		w := findings[i]
+		if f.Scenario != w.Scenario || f.Gate != w.Gate || f.Pass != w.Pass || f.Detail != w.Detail || (f.Value == nil) != (w.Value == nil) {
+			t.Errorf("finding %d read back as %+v, wrote %+v", i, f, w)
+		}
 	}
 }

@@ -158,7 +158,11 @@ func WriteReport(w io.Writer, results []*RunResult, findings []GateFinding, prov
 			if !f.Pass {
 				verdict = "**FAIL**"
 			}
-			fmt.Fprintf(&b, "| %s | %s | %.6g | %.6g | %s |\n", f.Gate, verdict, f.Value, f.Limit, f.Detail)
+			value := "—"
+			if f.Value != nil {
+				value = fmt.Sprintf("%.6g", *f.Value)
+			}
+			fmt.Fprintf(&b, "| %s | %s | %s | %.6g | %s |\n", f.Gate, verdict, value, f.Limit, f.Detail)
 		}
 		b.WriteString("\n")
 	}

@@ -122,7 +122,8 @@ type Summary struct {
 	RepairBitsMean   float64 `json:"repair_bits_mean"`
 	RepairBitsStd    float64 `json:"repair_bits_std"`
 	// RepairBitsCV is the across-rerun coefficient of variation
-	// (stddev/mean; 0 when every rerun repaired 0 bits).
+	// (stddev/mean; 0 when the mean is 0, where it is undefined unless
+	// every rerun repaired 0 bits — the gate checks the spread).
 	RepairBitsCV float64 `json:"repair_bits_cv"`
 	Converged    bool    `json:"converged"`
 
@@ -453,8 +454,6 @@ func finalizeSummary(sum *Summary) {
 	sum.RepairBitsMean, sum.RepairBitsStd = meanStd(repair)
 	if sum.RepairBitsMean > 0 {
 		sum.RepairBitsCV = sum.RepairBitsStd / sum.RepairBitsMean
-	} else if sum.RepairBitsStd > 0 {
-		sum.RepairBitsCV = math.Inf(1)
 	}
 }
 

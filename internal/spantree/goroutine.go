@@ -76,7 +76,7 @@ func (e *GoroutineEngine) Broadcast(p wire.Payload, apply Applier) {
 			if apply != nil {
 				apply(e.nw.Nodes[u], pl)
 			}
-			for _, c := range tree.Children[u] {
+			for _, c := range tree.Children(u) {
 				e.nw.Meter.Charge(u, c, pl.Bits())
 				down[c] <- pl
 			}
@@ -158,8 +158,8 @@ func (e *GoroutineEngine) wave(step func(n *netsim.Node, kids []wire.Payload) (w
 	for i := 0; i < n; i++ {
 		go func(u topology.NodeID) {
 			defer wg.Done()
-			kids := make([]wire.Payload, len(tree.Children[u]))
-			for j, child := range tree.Children[u] {
+			kids := make([]wire.Payload, len(tree.Children(u)))
+			for j, child := range tree.Children(u) {
 				kids[j] = <-up[child]
 				e.nw.Meter.Charge(child, u, kids[j].Bits())
 			}
@@ -181,5 +181,5 @@ func (e *GoroutineEngine) wave(step func(n *netsim.Node, kids []wire.Payload) (w
 
 // decodeErr reports a child partial of node n that failed to decode.
 func (e *GoroutineEngine) decodeErr(n *netsim.Node, child int, err error) error {
-	return fmt.Errorf("spantree: decoding partial from node %d: %w", e.nw.Tree.Children[n.ID][child], err)
+	return fmt.Errorf("spantree: decoding partial from node %d: %w", e.nw.Tree.Children(n.ID)[child], err)
 }

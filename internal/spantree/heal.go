@@ -25,49 +25,44 @@ type TreeView struct {
 	// Parent is -1 for the root and excludedParent (-2) for nodes outside
 	// the view.
 	Parent []topology.NodeID
-	// Order lists the included nodes in BFS order from the root, a node's
-	// children enqueued in Children order. So Order[0] is the root, every
-	// level is a contiguous range of positions, and the children of
-	// Order[i] are the contiguous positions after those of Order[0..i-1],
-	// in Children order — the invariant the convergecast sweep addresses
-	// partials by. Every constructor here and in topology emits it
-	// (TestOrderChildrenContiguous); the sweep rejects a full view of a
-	// hand-built tree whose Children lists and Order disagree.
+	// Order lists the included nodes in BFS order from the root. Order[0]
+	// is the root, every level is a contiguous range of positions, and the
+	// children of Order[i] are the contiguous positions after those of
+	// Order[0..i-1] — the invariant the convergecast sweep addresses
+	// partials by. It is structural: every view's children are read as
+	// ranges of a BFS order, never kept as lists of their own.
 	Order []topology.NodeID
 
-	// The child lists, in one of three layouts. A full view reads its
-	// tree's (tree); a subtree view reads its base view's (base); a view
-	// assembled from a parent array reads Order itself, through the sweep
-	// schedule it carries (sched, whose cs holds each position's first
-	// child; empty in the other layouts) and each node's position (pos, -1
-	// outside the view).
-	tree  *topology.Tree
-	base  *TreeView
-	pos   []int32
+	// The child lists, one layout for every view: node u's children are
+	// kids[first[pos[u]]:first[pos[u]+1]]. A full view shares its tree's
+	// (Tree.CSR over Tree.Order); a healed view's are its own Order and
+	// schedule; a subtree view shares its base's.
+	pos, first []int32
+	kids       []topology.NodeID
+	// sched is the view's sweep schedule, built with the view: a full
+	// view's child starts and level bounds are its tree's.
 	sched viewSched
 }
 
 // FullView wraps an intact spanning tree as a view without copying: the
-// tree is immutable, so the slices are shared.
+// tree is immutable, so its slices — layout and schedule included — are
+// shared.
 func FullView(t *topology.Tree) *TreeView {
-	return &TreeView{Root: t.Root, Parent: t.Parent, Order: t.Order, tree: t}
+	pos, first, levels := t.CSR()
+	v := &TreeView{Root: t.Root, Parent: t.Parent, Order: t.Order, pos: pos, first: first, kids: t.Order}
+	v.sched.set(first, levels)
+	return v
 }
 
-// Children lists node u's children in the view, in ascending ID order. The
-// slice is shared with the view and must not be modified.
+// Children lists node u's children in the view, in Order; nil for a node
+// outside the view. The slice is shared with the view and must not be
+// modified.
 func (v *TreeView) Children(u topology.NodeID) []topology.NodeID {
-	switch {
-	case v.pos != nil:
-		i := v.pos[u]
-		if i < 0 {
-			return nil
-		}
-		return v.Order[v.sched.cs[i]:v.sched.cs[i+1]]
-	case v.base != nil:
-		return v.base.Children(u)
-	default:
-		return v.tree.Children[u]
+	if !v.Includes(u) {
+		return nil
 	}
+	i := v.pos[u]
+	return v.kids[v.first[i]:v.first[i+1]]
 }
 
 // Includes reports whether node u participates in the view.
@@ -76,18 +71,10 @@ func (v *TreeView) Includes(u topology.NodeID) bool { return v.Parent[u] != excl
 // N returns the number of included nodes.
 func (v *TreeView) N() int { return len(v.Order) }
 
-// Equal reports whether v and w are the same tree: the same root, parents,
-// order and child lists, whatever layout each keeps its lists in.
+// Equal reports whether v and w are the same tree: the same root, parents
+// and order, which under the Order invariant fix every child list.
 func (v *TreeView) Equal(w *TreeView) bool {
-	if v.Root != w.Root || !slices.Equal(v.Parent, w.Parent) || !slices.Equal(v.Order, w.Order) {
-		return false
-	}
-	for u := range v.Parent {
-		if !slices.Equal(v.Children(topology.NodeID(u)), w.Children(topology.NodeID(u))) {
-			return false
-		}
-	}
-	return true
+	return v.Root == w.Root && slices.Equal(v.Parent, w.Parent) && slices.Equal(v.Order, w.Order)
 }
 
 // HealResult reports one self-healing run.
@@ -431,7 +418,7 @@ func (hs *healScratch) bfsPass(root topology.NodeID) int {
 		hs.detached = append(hs.detached, uid)
 		for ; qi < len(hs.detached); qi++ {
 			v := hs.detached[qi]
-			for _, w := range tree.Children[v] {
+			for _, w := range tree.Children(v) {
 				if st[w].heard {
 					hs.charge(v, w, 1, 1)
 					st[w].frag = f
@@ -459,7 +446,7 @@ func (hs *healScratch) attach(wave []topology.NodeID, graft, par topology.NodeID
 			parent[p], st[p].depth, st[p].frag = u, d, -1
 			wave = append(wave, p)
 		}
-		for _, c := range tree.Children[u] {
+		for _, c := range tree.Children(u) {
 			if st[c].heard && parent[c] == excludedParent {
 				parent[c], st[c].depth, st[c].frag = u, d, -1
 				wave = append(wave, c)
@@ -505,19 +492,17 @@ func NewFastHealed(nw *netsim.Network) (*FastEngine, *HealResult, error) {
 
 // SubtreeView carves the subtree rooted at r out of view v: r becomes the
 // root, its descendants keep their parents, and every other node is
-// excluded. Child lists and the underlying tree are shared with v (views
-// are immutable by convention), so the cost is one parent array and the
-// subtree's BFS order. The byz tier runs per-sector aggregations and
+// excluded. The child layout is shared with v (views are immutable by
+// convention), so the cost is one parent array, the subtree's BFS order
+// and its sweep schedule. The byz tier runs per-sector aggregations and
 // audits over these views.
 func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
-	base := v
-	if v.base != nil {
-		base = v.base
-	}
 	sub := &TreeView{
 		Root:   r,
 		Parent: make([]topology.NodeID, len(v.Parent)),
-		base:   base,
+		pos:    v.pos,
+		first:  v.first,
+		kids:   v.kids,
 	}
 	for i := range sub.Parent {
 		sub.Parent[i] = excludedParent
@@ -525,7 +510,8 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 	sub.Parent[r] = -1
 	// v.Order lists every parent before its children, so one pass marks
 	// and counts the subtree, and the subtree's BFS order is v.Order
-	// restricted to it: Order is sized once instead of grown.
+	// restricted to it: a second pass writes it, each position's first
+	// child following the children of the positions before it.
 	size := 1
 	for _, u := range v.Order {
 		if p := v.Parent[u]; p >= 0 && sub.Parent[p] != excludedParent {
@@ -534,11 +520,17 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 		}
 	}
 	sub.Order = make([]topology.NodeID, 0, size)
+	// The subtree spans no more levels than v: its bounds fit after cs.
+	cs := make([]int32, 0, size+1+len(v.sched.bounds))
+	next := int32(1)
 	for _, u := range v.Order {
 		if sub.Parent[u] != excludedParent {
+			cs = append(cs, next)
+			next += int32(len(v.Children(u)))
 			sub.Order = append(sub.Order, u)
 		}
 	}
+	sub.sched.fill(append(cs, next))
 	return sub
 }
 
@@ -612,6 +604,7 @@ func viewFromParents(parent []topology.NodeID, root topology.NodeID, hs *healScr
 	}
 	cs[reached] = int32(reached)
 	v.Order, cs = v.Order[:reached], cs[:reached+1]
+	v.first, v.kids = cs, v.Order
 	v.sched.fill(cs)
 	return v
 }

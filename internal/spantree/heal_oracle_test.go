@@ -41,7 +41,7 @@ func oracleHealToward(nw *netsim.Network, root topology.NodeID) (*HealResult, er
 		if !alive(u) {
 			continue
 		}
-		for _, c := range tree.Children[u] {
+		for _, c := range tree.Children(u) {
 			if alive(c) && plan.LinkAlive(u, c) {
 				nw.Meter.Charge(u, c, 1)
 				heard[c] = true
@@ -202,30 +202,11 @@ func oracleHealToward(nw *netsim.Network, root topology.NodeID) (*HealResult, er
 
 // oracleViewFromParents assembles a TreeView from a parent array in which
 // excluded nodes carry excludedParent. Children are listed in ID order and
-// Order is BFS from the root; the view is the full view of that tree.
+// Order is BFS from the root; the view's schedule is the one the engine
+// derived from those lists.
 func oracleViewFromParents(parent []topology.NodeID, root topology.NodeID) *TreeView {
-	n := len(parent)
-	t := &topology.Tree{
-		Root:     root,
-		Parent:   parent,
-		Children: make([][]topology.NodeID, n),
-	}
-	included := 0
-	for u := 0; u < n; u++ {
-		if parent[u] == excludedParent {
-			continue
-		}
-		included++
-		if topology.NodeID(u) != root {
-			t.Children[parent[u]] = append(t.Children[parent[u]], topology.NodeID(u))
-		}
-	}
-	t.Order = make([]topology.NodeID, 0, included)
-	t.Order = append(t.Order, root)
-	for qi := 0; qi < len(t.Order); qi++ {
-		t.Order = append(t.Order, t.Children[t.Order[qi]]...)
-	}
-	return FullView(t)
+	children, order := OracleViewLists(parent, root)
+	return oracleView(root, parent, order, children)
 }
 
 // requireSameHeal asserts a production heal on nw and an oracle heal on ref
@@ -243,17 +224,10 @@ func requireSameHeal(t *testing.T, nw, ref *netsim.Network, res, refRes *HealRes
 	if got != want {
 		t.Fatalf("result %+v, oracle %+v", got, want)
 	}
-	s := &res.View.sched
-	if s.bounds == nil {
-		t.Fatal("healed view carries no sweep schedule")
-	}
-	refSched, err := (&FastEngine{view: refRes.View, vs: &viewSched{}}).schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(s.cs, refSched.cs) || !slices.Equal(s.bounds, refSched.bounds) || s.seq.width != refSched.seq.width {
+	s, refSched := &res.View.sched, &refRes.View.sched
+	if !slices.Equal(s.cs, refSched.cs) || !slices.Equal(s.bounds, refSched.bounds) || s.width != refSched.width {
 		t.Fatalf("carried schedule cs=%v bounds=%v width=%d, derived cs=%v bounds=%v width=%d",
-			s.cs, s.bounds, s.seq.width, refSched.cs, refSched.bounds, refSched.seq.width)
+			s.cs, s.bounds, s.width, refSched.cs, refSched.bounds, refSched.width)
 	}
 	for u := 0; u < nw.N(); u++ {
 		id := topology.NodeID(u)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sensoragg/internal/agg"
@@ -357,7 +358,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 // rebuildFromParents (BoundDegree's output, the tree every network runs
 // on), viewFromParents (heal and re-heal) and SubtreeView: Order[0] is the
 // root, and the children of Order[i] are the next unclaimed positions, in
-// Children order.
+// Children order. A node outside the view has no children in it.
 func TestOrderChildrenContiguous(t *testing.T) {
 	check := func(where string, v *spantree.TreeView) {
 		t.Helper()
@@ -376,6 +377,11 @@ func TestOrderChildrenContiguous(t *testing.T) {
 		if next != len(v.Order) {
 			t.Fatalf("%s: children cover %d positions, Order has %d", where, next, len(v.Order))
 		}
+		for u := range v.Parent {
+			if id := topology.NodeID(u); !v.Includes(id) && v.Children(id) != nil {
+				t.Fatalf("%s: node %d is outside the view but has children %v", where, u, v.Children(id))
+			}
+		}
 	}
 	for _, n := range matrixSizes {
 		for gi, g := range matrixGraphs(n) {
@@ -384,5 +390,105 @@ func TestOrderChildrenContiguous(t *testing.T) {
 				check(g.Name+"/"+vc.name, vc.fe.View())
 			}
 		}
+	}
+}
+
+// TestLayoutMatchesOracle holds the one child layout to what it replaced,
+// over topology × N × view: every tree's Children, Depth, Height,
+// MaxDegree and CSR to topology's old per-node child lists and depths
+// (BFSTree, and BoundDegree over it), and every view's Children — nil
+// outside the view — and carried schedule to the ID-ordered child lists
+// of its parent array and the schedule the engine used to derive from
+// them on first sweep.
+func TestLayoutMatchesOracle(t *testing.T) {
+	for _, n := range matrixSizes {
+		for gi, g := range matrixGraphs(n) {
+			bfs, ob := topology.BFSTree(g, 0), spantree.OracleBFSTree(g, 0)
+			checkTreeLayout(t, g.Name+"/bfs", bfs, ob)
+			for _, k := range []int{2, 3, 8} {
+				checkTreeLayout(t, fmt.Sprintf("%s/bound%d", g.Name, k), topology.BoundDegree(bfs, k), spantree.OracleBoundDegree(ob, k))
+			}
+			checkViewLayout(t, g.Name+"/bfs-view", spantree.FullView(bfs), ob.Children)
+			for _, vc := range viewCases(t, g, faults.Spec{}, 1, uint64(7+gi)) {
+				v := vc.fe.View()
+				children, order := spantree.OracleViewLists(v.Parent, v.Root)
+				if !slices.Equal(v.Order, order) {
+					t.Fatalf("%s/%s: Order %v, oracle %v", g.Name, vc.name, v.Order, order)
+				}
+				checkViewLayout(t, g.Name+"/"+vc.name, v, children)
+			}
+		}
+	}
+}
+
+// checkTreeLayout compares tree tr with the oracle's o node by node, and
+// its child starts and level bounds with the schedule derived from o.
+func checkTreeLayout(t *testing.T, where string, tr *topology.Tree, o *spantree.OracleTree) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if tr.Root != o.Root || !slices.Equal(tr.Parent, o.Parent) || !slices.Equal(tr.Order, o.Order) {
+		t.Fatalf("%s: root, parents or Order differ from the oracle's", where)
+	}
+	height, maxDeg := 0, 0
+	for u := range o.Children {
+		id := topology.NodeID(u)
+		if !slices.Equal(tr.Children(id), o.Children[u]) {
+			t.Fatalf("%s: node %d children %v, oracle %v", where, u, tr.Children(id), o.Children[u])
+		}
+		if tr.Depth(id) != o.Depth[u] {
+			t.Fatalf("%s: node %d depth %d, oracle %d", where, u, tr.Depth(id), o.Depth[u])
+		}
+		height = max(height, o.Depth[u])
+		d := len(o.Children[u])
+		if id != o.Root {
+			d++
+		}
+		maxDeg = max(maxDeg, d)
+	}
+	if tr.Height() != height || tr.MaxDegree() != maxDeg {
+		t.Fatalf("%s: height %d, max degree %d; oracle %d, %d", where, tr.Height(), tr.MaxDegree(), height, maxDeg)
+	}
+	cs, bounds, _, err := spantree.OracleSchedule(o.Root, o.Order, func(u topology.NodeID) []topology.NodeID { return o.Children[u] })
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	pos, first, levels := tr.CSR()
+	if !slices.Equal(first, cs) || !slices.Equal(levels, bounds) {
+		t.Fatalf("%s: child starts %v, levels %v; oracle %v, %v", where, first, levels, cs, bounds)
+	}
+	for i, u := range tr.Order {
+		if pos[u] != int32(i) {
+			t.Fatalf("%s: node %d at position %d, pos says %d", where, u, i, pos[u])
+		}
+	}
+}
+
+// checkViewLayout compares view v's child lists with the oracle's, nil
+// outside the view, and the schedule v carries with the one the engine
+// derived from the oracle's lists.
+func checkViewLayout(t *testing.T, where string, v *spantree.TreeView, children [][]topology.NodeID) {
+	t.Helper()
+	for u := range v.Parent {
+		id := topology.NodeID(u)
+		got := v.Children(id)
+		if !v.Includes(id) {
+			if got != nil {
+				t.Fatalf("%s: excluded node %d has children %v", where, u, got)
+			}
+			continue
+		}
+		if !slices.Equal(got, children[u]) {
+			t.Fatalf("%s: node %d children %v, oracle %v", where, u, got, children[u])
+		}
+	}
+	cs, bounds, width, err := spantree.OracleSchedule(v.Root, v.Order, func(u topology.NodeID) []topology.NodeID { return children[u] })
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	gcs, gbounds, gwidth := spantree.CarriedSchedule(v)
+	if !slices.Equal(gcs, cs) || !slices.Equal(gbounds, bounds) || gwidth != width {
+		t.Fatalf("%s: carried cs=%v bounds=%v width=%d, derived cs=%v bounds=%v width=%d", where, gcs, gbounds, gwidth, cs, bounds, width)
 	}
 }

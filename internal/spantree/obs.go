@@ -38,12 +38,5 @@ func (e *FastEngine) obsConvergecast(sk *obs.Sink, vc VecCombiner) {
 		obs.KV{K: "width", V: width})
 }
 
-// levels is the depth of the engine's view in levels, 0 for a view the
-// sweep rejects.
-func (e *FastEngine) levels() int64 {
-	s, err := e.schedule()
-	if err != nil {
-		return 0
-	}
-	return int64(len(s.bounds) - 1)
-}
+// levels is the depth of the engine's view in levels.
+func (e *FastEngine) levels() int64 { return int64(len(e.view.sched.bounds) - 1) }

@@ -12,8 +12,14 @@
 // per-worker wire.Arena buffer and decoded.
 //
 // One engine executes every tree operation: FastEngine, a bottom-up
-// schedule over the view's BFS positions. Sequentially, a convergecast
-// sweeps the view level by level. On a team of w (SetWorkers; the query
+// schedule over the view's BFS positions. There is one child layout:
+// topology.Tree lays its nodes out in BFS positions, each node's children
+// a contiguous range of Order, and every view (TreeView) reads children
+// the same way and carries its sweep schedule — each position's first
+// child and each level's first position — from birth. A full view's
+// schedule is its tree's own arrays; a healed view builds its own in the
+// BFS that assembles it, a subtree view in the pass that carves it.
+// Sequentially, a convergecast sweeps the view level by level. On a team of w (SetWorkers; the query
 // engine gives each execution unit of a Submit a team of its pool's
 // workers divided by the Submit's units), it sweeps the view's subtree
 // partition: the top part holds the nodes whose subtree exceeds ⌈N/4w⌉
@@ -116,13 +122,11 @@ type FastEngine struct {
 	// k > 1 runs every sweep and broadcast as k shares on a team.
 	workers int
 
-	// sh is the operation scratch every engine on the run network shares;
-	// vs is what this engine derives from its own view. An engine runs one
-	// operation at a time and engines on one network take turns — the
-	// network belongs to a single run — so a warm operation allocates
-	// nothing, whichever view it sweeps.
+	// sh is the operation scratch every engine on the run network shares.
+	// An engine runs one operation at a time and engines on one network
+	// take turns — the network belongs to a single run — so a warm
+	// operation allocates nothing, whichever view it sweeps.
 	sh *netScratch
-	vs *viewSched
 	// op is the state of the operation in flight.
 	op sweepOp
 
@@ -144,11 +148,10 @@ type FastEngine struct {
 // and a team sweep adds one frontier slot per frontier subtree. The rings
 // grow to the widest operation seen and are never N-sized.
 type netScratch struct {
-	// tree, view and full cache the one view every run on the network
-	// shares — its own spanning tree — and what is derived from it.
+	// tree and view cache the full view of the network's own spanning
+	// tree, which every run on the network shares.
 	tree *topology.Tree
 	view *TreeView
-	full *viewSched
 
 	vec   []uint64 // vector slots, k words each
 	vbits []int32  // encoded length of each vector slot
@@ -172,23 +175,20 @@ type netScratch struct {
 	dead []uint64
 }
 
-// viewSched is what a sweep derives from a view: built on first use, or
-// by the heal that assembled the view, and read-only once built. It leans
-// on the TreeView.Order invariant: a level is a contiguous range of
-// positions, and so are the children of one position.
+// viewSched is a view's sweep schedule, built with the view and read-only
+// after. It leans on the TreeView.Order invariant: a level is a contiguous
+// range of positions, and so are the children of one position.
 type viewSched struct {
 	// cs[i] is the position of Order[i]'s first child; its children are
 	// positions [cs[i], cs[i+1]).
 	cs []int32
 	// bounds[l] is the position level l starts at; bounds[levels] = N().
 	bounds []int32
-	// seq is the sequential schedule: one lane over the whole view.
-	seq lane
+	// width is the widest level's node count: each half of the sequential
+	// schedule's ring.
+	width int
 	// stamp identifies the schedule to the partition built from it.
 	stamp uint64
-	// fanout[i] is Order[i]'s child count: the flat broadcast pass of the
-	// network's own tree, whose position i is storage slot i.
-	fanout []int32
 }
 
 // sweepOp is one operation's state, read by every share of it.
@@ -227,27 +227,22 @@ func scratchOf(nw *netsim.Network) *netScratch {
 	return sh
 }
 
-// NewFast returns a fast engine over nw's full spanning tree. The view and
-// its schedule are cached beside the network's scratch, so repeated
-// queries against one (possibly pooled) run network build them once.
+// NewFast returns a fast engine over nw's full spanning tree. The view is
+// cached beside the network's scratch, so repeated queries against one
+// (possibly pooled) run network build it once.
 func NewFast(nw *netsim.Network) *FastEngine {
 	sh := scratchOf(nw)
 	if sh.tree != nw.Tree {
-		sh.tree, sh.view, sh.full = nw.Tree, FullView(nw.Tree), &viewSched{}
+		sh.tree, sh.view = nw.Tree, FullView(nw.Tree)
 	}
-	return &FastEngine{nw: nw, view: sh.view, sh: sh, vs: sh.full}
+	return &FastEngine{nw: nw, view: sh.view, sh: sh}
 }
 
 // NewFastView returns a fast engine executing over an explicit tree view —
-// typically the repaired tree a Heal run produced, which arrives with its
-// sweep schedule. Any other view's schedule the engine derives itself; its
-// operation scratch is the network's.
+// typically the repaired tree a Heal run produced. Every view arrives with
+// its sweep schedule; the operation scratch is the network's.
 func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
-	vs := &view.sched
-	if vs.bounds == nil {
-		vs = &viewSched{}
-	}
-	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw), vs: vs}
+	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw)}
 }
 
 // SetWorkers sets the engine's team size: 1 (or 0, the default) runs
@@ -274,12 +269,6 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 	if sk := obs.Active(); sk != nil {
 		e.obsBroadcast(sk, p)
 	}
-	if e.flat() && e.vs.fanout == nil {
-		e.vs.fanout = make([]int32, len(e.view.Order))
-		for i, u := range e.view.Order {
-			e.vs.fanout[i] = int32(len(e.view.Children(u)))
-		}
-	}
 	w := e.teamSize()
 	if w == 1 {
 		e.broadcastRange(p, apply, 0, len(e.view.Order))
@@ -293,7 +282,7 @@ func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
 // flat reports whether the engine's view is the network's own tree, whose
 // position i is storage slot i (netsim stores node Tree.Order[i] there):
 // the metering of a uniform broadcast is then one flat pass over the cells.
-func (e *FastEngine) flat() bool { return e.vs == e.sh.full }
+func (e *FastEngine) flat() bool { return e.view == e.sh.view }
 
 // broadcastRange delivers p to the view's positions [lo, hi). Each node
 // charges its own fan-out (send side) and its own receive, so chunks of a
@@ -302,8 +291,9 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 	v := e.view
 	m := e.nw.Meter
 	bits := p.Bits()
+	cs := v.sched.cs
 	if e.flat() {
-		m.ChargeBroadcastSeq(bits, e.vs.fanout, v.Root, lo, hi)
+		m.ChargeBroadcastSeq(bits, cs, v.Root, lo, hi)
 		if apply != nil {
 			for _, u := range v.Order[lo:hi] {
 				apply(e.nw.Nodes[u], p)
@@ -311,16 +301,9 @@ func (e *FastEngine) broadcastRange(p wire.Payload, apply Applier, lo, hi int) {
 		}
 		return
 	}
-	cs := e.vs.cs // each position's first child, once the schedule is built
 	for i := lo; i < hi; i++ {
 		u := v.Order[i]
-		k := 0
-		if cs != nil {
-			k = int(cs[i+1] - cs[i])
-		} else {
-			k = len(v.Children(u))
-		}
-		if k > 0 {
+		if k := int(cs[i+1] - cs[i]); k > 0 {
 			m.ChargeSendOnlySeq(u, bits, k)
 		}
 		if u != v.Root {
@@ -372,8 +355,8 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 
 // begin is the prologue every convergecast shares: the phased fault
 // clock, the completeness check, the obs event (vc is nil for a boxed
-// combiner), the schedule and — on a team — the partition, which it
-// leaves in e.op.
+// combiner), the view's schedule and — on a team — the partition, which
+// it leaves in e.op.
 func (e *FastEngine) begin(vc VecCombiner) error {
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		// Each convergecast is one boundary of the phased fault clock. Once
@@ -392,9 +375,12 @@ func (e *FastEngine) begin(vc VecCombiner) error {
 	if sk := obs.Active(); sk != nil {
 		e.obsConvergecast(sk, vc)
 	}
-	s, err := e.schedule()
-	if err != nil {
-		return err
+	v, s := e.view, &e.view.sched
+	if len(v.Order) == 0 || v.Order[0] != v.Root {
+		return fmt.Errorf("spantree: view Order does not start at its root %d", v.Root)
+	}
+	if len(s.cs) != len(v.Order)+1 {
+		return fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", len(v.Order), len(s.cs)-1)
 	}
 	plan := e.nw.Faults
 	e.op.s, e.op.plan, e.op.perEdge = s, plan, plan != nil && plan.Spec().MessageLevel()
@@ -411,7 +397,7 @@ func (e *FastEngine) slots() int {
 	if e.op.w > 1 {
 		return e.sh.part.slots
 	}
-	return 2 * e.op.s.seq.width
+	return 2 * e.op.s.width
 }
 
 // grow returns buf resized to n slots, reallocating only when its capacity
@@ -429,56 +415,31 @@ func grow[T any](buf []T, n int) []T {
 // schedule alive and no later schedule can reuse a key.
 var viewStamps atomic.Uint64
 
-// schedule returns what the sweep derives from the engine's view, building
-// it on first use (a view assembled by a heal carries it from birth): the
-// child-position prefix sums, and the level bounds that fall out of them.
-// It fails — instead of mis-merging — on a view whose Order is not the BFS
-// of its child lists.
-func (e *FastEngine) schedule() (*viewSched, error) {
-	s, v := e.vs, e.view
-	if s.bounds != nil {
-		return s, nil
+// fill completes a schedule from its child starts: level l+1 starts at the
+// first child of level l's first position. The level bounds go in cs's
+// spare capacity when it has room for them.
+func (s *viewSched) fill(cs []int32) {
+	n := int32(len(cs) - 1)
+	levels := 1
+	for b := cs[0]; b < n; b = cs[b] {
+		levels++
 	}
-	n := len(v.Order)
-	cs := make([]int32, n+1)
-	next := 1
-	for i, u := range v.Order {
-		cs[i] = int32(next)
-		next += len(v.Children(u))
+	bounds := grow(cs[len(cs):], levels+1)
+	bounds[0] = 0
+	for l := 1; l <= levels; l++ {
+		bounds[l] = cs[bounds[l-1]]
 	}
-	cs[n] = int32(next)
-	if n == 0 || v.Order[0] != v.Root {
-		return nil, fmt.Errorf("spantree: view Order does not start at its root %d", v.Root)
-	}
-	if next != n {
-		return nil, fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", n, next)
-	}
-	if err := s.fill(cs); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.set(cs, bounds)
 }
 
-// fill completes the schedule from its child-position prefix sums: level
-// l+2 starts at the first child of level l+1's first node.
-func (s *viewSched) fill(cs []int32) error {
-	n := len(cs) - 1
-	levels, width := 0, 0
-	for lo, hi := 0, 1; lo < n; lo, hi = hi, int(cs[hi]) {
-		if hi <= lo {
-			return fmt.Errorf("spantree: view Order is not a BFS of its Children: positions from %d on are unreachable", lo)
-		}
-		levels++
-		width = max(width, hi-lo)
+// set installs child starts cs and level bounds as the schedule, with its
+// widest level and a fresh stamp.
+func (s *viewSched) set(cs, bounds []int32) {
+	s.cs, s.bounds, s.width = cs, bounds, 0
+	for l := 1; l < len(bounds); l++ {
+		s.width = max(s.width, int(bounds[l]-bounds[l-1]))
 	}
-	bounds := make([]int32, levels+1)
-	for l, b := 0, 1; l < levels; l, b = l+1, int(cs[b]) {
-		bounds[l+1] = int32(b)
-	}
-	s.cs, s.bounds = cs, bounds
-	s.seq = lane{lv: bounds, width: width}
 	s.stamp = viewStamps.Add(1)
-	return nil
 }
 
 // sweep runs one convergecast on the engine's schedule: sequentially, the
@@ -486,7 +447,8 @@ func (s *viewSched) fill(cs []int32) error {
 // subtrees, then — after the join — the top part's lane.
 func (e *FastEngine) sweep() error {
 	if e.op.w == 1 {
-		return e.pass(&e.op.s.seq, 0)
+		seq := lane{lv: e.op.s.bounds, width: e.op.s.width} // one lane over the whole view
+		return e.pass(&seq, 0)
 	}
 	clear(e.sh.errs)
 	e.sh.team.run(e, e.op.w)

@@ -138,8 +138,8 @@ func TestBuildBFSMatchesCentralized(t *testing.T) {
 			}
 			want := topology.BFSTree(g, 0)
 			for u := 0; u < g.N(); u++ {
-				if res.Tree.Depth[u] != want.Depth[u] {
-					t.Errorf("node %d depth %d, want %d", u, res.Tree.Depth[u], want.Depth[u])
+				if id := topology.NodeID(u); res.Tree.Depth(id) != want.Depth(id) {
+					t.Errorf("node %d depth %d, want %d", u, res.Tree.Depth(id), want.Depth(id))
 				}
 			}
 			if res.Comm.TotalBits == 0 {

@@ -28,18 +28,15 @@ func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 			}
 		}
 	}
-	s, err := e.schedule()
-	if err != nil {
-		return nil, err
-	}
-	sh := e.sh
+	s, sh := &e.view.sched, e.sh
 	if len(sh.arenas) == 0 {
 		sh.arenas = append(sh.arenas, wire.NewArena())
 	}
 	k := vc.VecWidth()
 	e.op = sweepOp{s: s, plan: e.nw.Faults, vc: vc, k: k}
-	sh.vec = grow(sh.vec, 2*s.seq.width*k)
+	sh.vec = grow(sh.vec, 2*s.width*k)
 	vtmp := make([]uint64, k)
+	var err error
 	for l := len(s.bounds) - 2; l >= 0 && err == nil; l-- {
 		err = levelVecEdges(e, vtmp, 0, l, int(s.bounds[l]), int(s.bounds[l+1]))
 	}
@@ -55,7 +52,7 @@ func ConvergecastEdges(e *FastEngine, vc VecCombiner) ([]uint64, error) {
 func levelVecEdges(e *FastEngine, vtmp []uint64, worker, l, lo, hi int) error {
 	op, v, a := &e.op, e.view, e.sh.arenas[worker]
 	s, vc, k, plan := op.s, op.vc, op.k, op.plan
-	half := func(l int) int { return (l & 1) * s.seq.width }
+	half := func(l int) int { return (l & 1) * s.width }
 	mine, kids := e.sh.vec[half(l)*k:], e.sh.vec[half(l+1)*k:]
 	base, kbase := int(s.bounds[l]), int(s.bounds[l+1])
 	tmp := vtmp[worker*k : (worker+1)*k]

@@ -98,8 +98,8 @@ func TestBFSTreeDepthsAreDistances(t *testing.T) {
 	// On a line rooted at 0, depth of node i must be i.
 	tr := BFSTree(Line(15), 0)
 	for i := 0; i < 15; i++ {
-		if tr.Depth[i] != i {
-			t.Errorf("Depth[%d] = %d, want %d", i, tr.Depth[i], i)
+		if tr.Depth(NodeID(i)) != i {
+			t.Errorf("Depth(%d) = %d, want %d", i, tr.Depth(NodeID(i)), i)
 		}
 	}
 	if tr.Height() != 14 {
@@ -115,9 +115,9 @@ func TestBoundDegree(t *testing.T) {
 			if err := bounded.Validate(); err != nil {
 				t.Fatalf("maxKids=%d %s: Validate: %v", maxKids, g.Name, err)
 			}
-			for u := range bounded.Children {
-				if len(bounded.Children[u]) > maxKids {
-					t.Fatalf("maxKids=%d %s: node %d has %d children", maxKids, g.Name, u, len(bounded.Children[u]))
+			for u := range bounded.N() {
+				if kids := bounded.Children(NodeID(u)); len(kids) > maxKids {
+					t.Fatalf("maxKids=%d %s: node %d has %d children", maxKids, g.Name, u, len(kids))
 				}
 			}
 			if bounded.N() != tr.N() {
@@ -157,9 +157,24 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	tr.Depth[5]++
-	if err := tr.Validate(); err == nil {
-		t.Error("corrupted depth not detected")
+	corrupt := map[string]func(tr *Tree){
+		"depth": func(tr *Tree) { tr.levels[2]++ },
+		// A forest: the root keeps no children, so nothing below it is
+		// reachable, while the deepest node claims every other position.
+		"forest": func(tr *Tree) {
+			for i := 1; i < tr.N(); i++ {
+				tr.first[i] = 1
+			}
+		},
+		"parent": func(tr *Tree) { tr.Parent[tr.Order[5]] = tr.Order[1] },
+		"order":  func(tr *Tree) { tr.Order[3], tr.Order[4] = tr.Order[4], tr.Order[3] },
+	}
+	for name, f := range corrupt {
+		tr := BFSTree(Grid(4, 4), 0)
+		f(tr)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("corrupted %s not detected", name)
+		}
 	}
 }
 
