@@ -385,7 +385,7 @@ func TestVectorKernelMatchesBoxedTwins(t *testing.T) {
 						engine := func(nw *netsim.Network) *spantree.FastEngine {
 							fe := spantree.NewFast(nw)
 							if view != "full" {
-								hr, err := spantree.Heal(nw)
+								hr, _, err := spantree.HealRerooted(nw)
 								if err != nil {
 									t.Fatalf("%s: heal: %v", where, err)
 								}

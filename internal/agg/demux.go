@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -27,7 +26,8 @@ import (
 //	m.Add(stepperB.Propose(...))
 //	m.AddTop(hi)                   // first sweep: the all-active count
 //	m.Sweep(core.Linear)
-//	counts := m.Demux(memberThresholds, buf)  // or Thresholds()/Counts()
+//	c, ok := m.CountAt(t)          // one member threshold's count, or
+//	m.Thresholds(); m.Counts()     // the whole merged chain
 type SweepMux struct {
 	net *Net
 
@@ -148,20 +148,4 @@ func (m *SweepMux) CountAt(t uint64) (uint64, bool) {
 		return 0, false
 	}
 	return m.counts[i], true
-}
-
-// Demux hands a member back exactly the counts of its own thresholds,
-// appended into dst[:0] in the member's order. It errors when a threshold
-// was not part of the sweep — a scheduler bug, surfaced instead of
-// answered with a wrong count.
-func (m *SweepMux) Demux(thresholds []uint64, dst []uint64) ([]uint64, error) {
-	dst = dst[:0]
-	for _, t := range thresholds {
-		c, ok := m.CountAt(t)
-		if !ok {
-			return dst, fmt.Errorf("agg: threshold %d was not probed in this sweep", t)
-		}
-		dst = append(dst, c)
-	}
-	return dst, nil
 }

@@ -13,7 +13,7 @@
 //     mismatching subtree, and a subtree that mismatches while all its
 //     children pass pins the lie on its own root — which is quarantined
 //     (faults.Plan.Quarantine) and routed around by the existing
-//     HELP/AVAIL/JOIN healing wave (spantree.Heal treats quarantined
+//     HELP/AVAIL/JOIN healing wave (spantree.HealRerooted treats quarantined
 //     nodes exactly like crashed ones). Rounds repeat until an audit
 //     pass is clean, so chains of liars unwind bottom-up.
 //   - Trimmed subtree aggregation (RobustNet): queries run per-sector —
@@ -135,7 +135,13 @@ func Localize(nw *netsim.Network, view *spantree.TreeView) (*Report, *spantree.T
 			plan.Quarantine(u)
 		}
 		rep.Quarantined = append(rep.Quarantined, convicted...)
-		hr, err := spantree.Heal(nw)
+		// The robust tier audits toward the tree root and has no re-root
+		// story: a killed root fails the audit here, before the re-heal
+		// charges any repair traffic.
+		if root := nw.Tree.Root; plan.Excluded(root) {
+			return nil, nil, fmt.Errorf("byz: re-heal after quarantine: root %d crashed — the robust tier does not re-root", root)
+		}
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("byz: re-heal after quarantine: %w", err)
 		}

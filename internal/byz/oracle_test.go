@@ -43,7 +43,7 @@ func oracleLocalize(nw *netsim.Network, view *spantree.TreeView) (*Report, *span
 			plan.Quarantine(u)
 		}
 		rep.Quarantined = append(rep.Quarantined, convicted...)
-		hr, err := spantree.Heal(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("byz: re-heal after quarantine: %w", err)
 		}

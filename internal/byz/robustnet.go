@@ -16,7 +16,12 @@ import (
 // relayHeaderBits is the byz relay framing's per-frame header: the tier
 // speaks its own tiny protocol between the root and the sector roots
 // (opcode + domain). What follows the header — predicates, probe sets,
-// values — is framed the way agg frames it in-sector, at agg's widths.
+// values — is framed at agg's widths, and mostly the way agg frames it
+// in-sector. Two upward relays are priced otherwise: a nested CountVec
+// relay of k ≥ 2 counts costs γ(c₀)+Σγ(Δᵢ), where agg's chain codec sends
+// γ(c₀)+6+(k−1)·w (agg's countBits), and a MultiAggregate relay carries a
+// presence bit agg's fused codec lacks — 1 bit more for a non-empty
+// sector, 1 bit against γ(0)+γ(0) = 2 for an empty one.
 const relayHeaderBits = 4
 
 // crossCheckSigmas is the deviation, in estimator standard errors, beyond

@@ -106,11 +106,11 @@ type answer struct {
 //
 // A spec with an active fault plan reshapes the run: the plan attached to
 // the network (Session.Instantiate forks it from the run seed) is checked
-// against the kind, structural faults trigger a spantree.Heal repair whose
-// traffic is charged to the meter before the query runs, and the
-// simulator-side ground truth shrinks to the surviving, reconnected nodes
-// — the population the healed tree can actually aggregate. team is the
-// tree-kernel team size (spantree.FastEngine.SetWorkers).
+// against the kind, structural faults trigger a spantree.HealRerooted
+// repair whose traffic is charged to the meter before the query runs, and
+// the simulator-side ground truth shrinks to the surviving, reconnected
+// nodes — the population the healed tree can actually aggregate. team is
+// the tree-kernel team size (spantree.FastEngine.SetWorkers).
 func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answer, error) {
 	q = q.WithDefaults()
 	k := kindOf(q.Kind)

@@ -33,11 +33,12 @@
 // all share a single seed-derived lie stream, modeling a coordinated
 // subtree set. Detection and quarantine live in internal/byz; a
 // quarantined node is excluded from the tree exactly like a crashed one
-// (Excluded), so spantree.Heal re-routes its honest descendants around it.
+// (Excluded), so spantree.HealRerooted re-routes its honest descendants
+// around it.
 //
 // Injection happens at the netsim radio/round boundary (see
 // netsim.Network.Faults) and at the spantree fast engine's convergecast
-// edges; tree repair after structural faults is spantree.Heal.
+// edges; tree repair after structural faults is spantree.HealRerooted.
 package faults
 
 import (
@@ -120,8 +121,8 @@ func (s Spec) Phased() bool {
 func (s Spec) Adversarial() bool { return s.Byz > 0 }
 
 // Structural reports whether the spec breaks the network's shape (crashed
-// nodes or dead links) — the faults spantree.Heal repairs. Message-level
-// drop/dup leave the tree intact.
+// nodes or dead links) — the faults spantree.HealRerooted repairs.
+// Message-level drop/dup leave the tree intact.
 func (s Spec) Structural() bool { return s.Crash > 0 || s.LinkFail > 0 }
 
 // MessageLevel reports whether individual deliveries are faulty.
@@ -545,7 +546,7 @@ func (p *Plan) Quarantined(u topology.NodeID) bool {
 func (p *Plan) QuarantinedCount() int { return p.nQuar }
 
 // Excluded reports whether node u is out of the tree — crashed or
-// quarantined. Tree repair (spantree.Heal) routes around excluded nodes,
+// quarantined. Tree repair (spantree.HealRerooted) routes around excluded nodes,
 // so quarantining reuses the HELP/AVAIL/JOIN healing wave unchanged.
 func (p *Plan) Excluded(u topology.NodeID) bool {
 	return p.crashed[u] || (p.quarantined != nil && p.quarantined[u])

@@ -170,11 +170,11 @@ func layoutViews(t *testing.T, where string, nw, ref *netsim.Network, structural
 	v, refView, name := (*spantree.TreeView)(nil), spantree.FullView(ref.Tree), where+"/full"
 	if structural {
 		name = where + "/healed"
-		hr, err := spantree.Heal(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			t.Fatalf("%s: heal: %v", name, err)
 		}
-		refHr, err := spantree.Heal(ref)
+		refHr, _, err := spantree.HealRerooted(ref)
 		if err != nil {
 			t.Fatalf("%s: heal: %v", name, err)
 		}
@@ -201,7 +201,7 @@ func rerootedView(t *testing.T, where string, nw, ref *netsim.Network, spec faul
 	var views [2]*spantree.TreeView
 	for i, x := range []*netsim.Network{nw, ref} {
 		x.Faults = faults.New(spec, x.N(), x.Root(), seed)
-		if _, err := spantree.Heal(x); err != nil {
+		if _, _, err := spantree.HealRerooted(x); err != nil {
 			t.Fatalf("%s: heal: %v", where, err)
 		}
 		if !x.Faults.Tick() {

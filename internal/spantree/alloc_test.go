@@ -36,7 +36,7 @@ func TestHealedViewEngineAllocs(t *testing.T) {
 	pool := netsim.NewForkPool(netsim.New(g, values, 1023, netsim.WithSeed(1)))
 	nw := pool.Get(1)
 	nw.Faults = faults.New(faults.Spec{Crash: 0.03, LinkFail: 0.02}, nw.N(), nw.Root(), 1)
-	hr, err := spantree.Heal(nw)
+	hr, _, err := spantree.HealRerooted(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,17 @@ import (
 )
 
 // BenchmarkHeal is the repair protocol's layer benchmark on a 4096-node
-// grid with 3% crashed nodes and 2% dead links, in three shapes:
+// grid with 3% crashed nodes and 2% dead links, in four shapes:
 //
 //   - warm: one plan healed over and over — the repair alone, whatever a
 //     plan lets a heal keep;
 //   - cold: a fresh plan per heal, built outside the timer — what a
 //     deployment that draws a new fault plan per query pays;
 //   - reheal: a fresh phased plan per iteration and the sequence a query
-//     runs under a mid-sweep strike — Heal, the strike (Tick, 5% of the
-//     survivors crash), HealRerooted.
+//     runs under a mid-sweep strike — a heal, the strike (Tick, 5% of the
+//     survivors crash), a second heal;
+//   - rootkill: reheal's sequence with the strike also killing the root,
+//     so the second heal re-roots at the lowest-ID survivor.
 //
 // It uses only the package's exported API. Plans cycle through eight
 // seeds, and bits/node is the largest repair's max per-node traffic
@@ -33,18 +35,14 @@ func BenchmarkHeal(b *testing.B) {
 	base := faults.Spec{Crash: 0.03, LinkFail: 0.02}
 	phased := base
 	phased.MidAt, phased.MidCrash = 1, 0.05
+	rootKill := phased
+	rootKill.MidKillRoot = true
 	plan := func(spec faults.Spec, i int) *faults.Plan {
 		return faults.New(spec, nw.N(), nw.Root(), uint64(i%8+1))
 	}
 	var worst int64
-	heal := func(b *testing.B, rerooted bool) {
-		var hr *spantree.HealResult
-		var err error
-		if rerooted {
-			hr, _, err = spantree.HealRerooted(nw)
-		} else {
-			hr, err = spantree.Heal(nw)
-		}
+	heal := func(b *testing.B) {
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,20 +64,24 @@ func BenchmarkHeal(b *testing.B) {
 			nw.Faults = plan(base, 0)
 			b.StartTimer()
 		}
-		heal(b, false)
+		heal(b)
 	})
 	run("cold", func(b *testing.B, i int) {
 		b.StopTimer()
 		nw.Faults = plan(base, i)
 		b.StartTimer()
-		heal(b, false)
+		heal(b)
 	})
-	run("reheal", func(b *testing.B, i int) {
-		b.StopTimer()
-		nw.Faults = plan(phased, i)
-		b.StartTimer()
-		heal(b, false)
-		nw.Faults.Tick()
-		heal(b, true)
-	})
+	strike := func(spec faults.Spec) func(b *testing.B, i int) {
+		return func(b *testing.B, i int) {
+			b.StopTimer()
+			nw.Faults = plan(spec, i)
+			b.StartTimer()
+			heal(b)
+			nw.Faults.Tick()
+			heal(b)
+		}
+	}
+	run("reheal", strike(phased))
+	run("rootkill", strike(rootKill))
 }

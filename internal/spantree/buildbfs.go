@@ -25,11 +25,12 @@ const (
 	tagJoin     = 1 // "I chose you as my parent"
 )
 
+// buildState is one node's view of the construction. A JOIN needs no
+// state at its receiver: the tree comes from the parents.
 type buildState struct {
-	depth    int
-	parent   topology.NodeID
-	joined   bool
-	children []topology.NodeID
+	depth  int
+	parent topology.NodeID
+	joined bool
 }
 
 // BuildBFS constructs a BFS spanning tree of nw.Graph rooted at nw's root
@@ -46,15 +47,15 @@ type buildState struct {
 func BuildBFS(nw *netsim.Network) (*BuildResult, error) {
 	n := nw.N()
 	root := nw.Root()
-	states := make([]*buildState, n)
+	states := make([]buildState, n)
 	for i := range states {
-		states[i] = &buildState{depth: -1, parent: -1}
+		states[i] = buildState{depth: -1, parent: -1}
 	}
 	states[root].depth = 0
 
 	before := nw.Meter.Snapshot()
 	handler := netsim.RoundHandlerFunc(func(nd *netsim.Node, round int, inbox []netsim.GraphMsg) []netsim.GraphMsg {
-		st := states[nd.ID]
+		st := &states[nd.ID]
 		out := nd.OutboxScratch()
 
 		for _, msg := range inbox {
@@ -63,8 +64,7 @@ func BuildBFS(nw *netsim.Network) (*BuildResult, error) {
 			if err != nil {
 				panic(fmt.Sprintf("spantree: malformed build message: %v", err))
 			}
-			switch tag {
-			case tagAnnounce:
+			if tag == tagAnnounce {
 				d, err := r.ReadGamma()
 				if err != nil {
 					panic(fmt.Sprintf("spantree: malformed announce: %v", err))
@@ -73,8 +73,6 @@ func BuildBFS(nw *netsim.Network) (*BuildResult, error) {
 					st.depth = int(d) + 1
 					st.parent = msg.From
 				}
-			case tagJoin:
-				st.children = append(st.children, msg.From)
 			}
 		}
 

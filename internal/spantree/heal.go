@@ -98,23 +98,30 @@ type HealResult struct {
 	Repair netsim.Delta
 }
 
-// Heal repairs the network's spanning tree after structural faults: every
-// surviving node detects whether its tree parent is still reachable
-// (heartbeat), and orphaned subtrees reattach to live graph neighbours,
-// wave by wave, until every survivor connected to the root in the
-// surviving graph hangs off the repaired tree. The repair traffic is
-// charged to the network meter like any other protocol traffic, so the
-// cost of fault tolerance shows up in the paper's own complexity measure.
+// HealRerooted repairs the network's spanning tree after structural
+// faults, toward the querier: the tree root when it survived, else the
+// lowest-ID surviving node (the deterministic leader the survivors would
+// elect — root-kill recovery). Every surviving node detects whether its
+// tree parent is still reachable (heartbeat), and orphaned subtrees
+// reattach to live graph neighbours, wave by wave, until every survivor
+// connected to the acting root in the surviving graph hangs off the
+// repaired tree. The repair traffic is charged to the network meter like
+// any other protocol traffic, so the cost of fault tolerance shows up in
+// the paper's own complexity measure. It returns the acting root alongside
+// the repair result, and requires a fault plan on the network.
 //
 // The protocol, all over surviving nodes and live links. The surviving
 // tree edges (both endpoints alive, link alive) partition the survivors
-// into *fragments* — intact subtrees, each rooted either at the global
-// root or at an orphan root whose parent heartbeat went missing:
+// into *fragments* — intact subtrees, each rooted either at the tree root
+// or at an orphan root whose parent heartbeat went missing:
 //
 //  1. Heartbeat: each node sends 1 bit to each tree child. A child that
 //     hears nothing (parent crashed, or the link died) is an orphan root.
 //  2. Detached flood: each orphan root floods a 1-bit marker down its
-//     fragment, so every member knows it is cut off from the root.
+//     fragment, so every member knows it is cut off from the root. After
+//     a root kill, every survivor is in such a fragment; the acting
+//     root's attaches first, re-rooted under it like any graft below, and
+//     floods no marker.
 //  3. HELP: every detached node sends 1 bit to each live graph neighbour.
 //  4. Waves: every node newly connected to the root answers pending HELP
 //     requests with AVAIL carrying its depth (Elias-gamma coded). Each
@@ -128,27 +135,21 @@ type HealResult struct {
 // assumed for the tiny repair frames, and every retransmitted bit would be
 // charged the same way); the plan's message-level drop/dup faults apply to
 // protocol payload traffic, not to the repair handshake.
-func Heal(nw *netsim.Network) (*HealResult, error) {
+func HealRerooted(nw *netsim.Network) (*HealResult, topology.NodeID, error) {
 	plan := nw.Faults
 	if plan == nil {
-		return nil, fmt.Errorf("spantree: Heal requires a fault plan on the network")
+		return nil, -1, fmt.Errorf("spantree: HealRerooted requires a fault plan on the network")
 	}
 	root := nw.Tree.Root
-	if plan.Crashed(root) {
-		return nil, fmt.Errorf("spantree: root %d crashed — no querier to heal toward", root)
+	for u := 0; plan.Excluded(root); u++ { // a root kill: the lowest-ID survivor acts
+		if u == nw.N() {
+			return nil, -1, fmt.Errorf("spantree: every node excluded — no survivor to re-root at")
+		}
+		root = topology.NodeID(u)
 	}
-	return healToward(nw, root), nil
-}
-
-// healToward is the healing protocol body, parameterized over the querier
-// to heal toward: Heal passes the spanning-tree root, HealRerooted may pass
-// any surviving node (root-kill recovery — the attach re-rooting already
-// makes any fragment member a valid attachment point, so an arbitrary
-// acting root is just "attach its fragment first").
-func healToward(nw *netsim.Network, root topology.NodeID) *HealResult {
 	hs := healPool.Get().(*healScratch)
 	defer healPool.Put(hs)
-	return hs.heal(nw, root)
+	return hs.heal(nw, root), root, nil
 }
 
 // healNode is one node's state during a repair.
@@ -212,13 +213,12 @@ func (hs *healScratch) heal(nw *netsim.Network, root topology.NodeID) *HealResul
 	defer func() { hs.plan, hs.fates, hs.tree, hs.parent = nil, nil, nil, nil }()
 	parent, st := hs.parent, hs.st
 
-	// Phases 1 and 2: heartbeats, the acting root's fragment and the
-	// detached flood.
-	var orphanRoots int
-	if root == nw.Tree.Root {
-		orphanRoots = hs.rootPass()
-	} else {
-		orphanRoots = hs.bfsPass(root)
+	// Phases 1 and 2: heartbeats, the detached flood and, after a root
+	// kill, the acting root's fragment.
+	frags := hs.rootPass()
+	acting := int32(-1)
+	if root != nw.Tree.Root {
+		acting = hs.adopt(root)
 	}
 
 	// Phase 3 — every detached node sends HELP to its live neighbours.
@@ -254,12 +254,15 @@ func (hs *healScratch) heal(nw *netsim.Network, root topology.NodeID) *HealResul
 	// grafts it, so the offers need no reset. Every choice below is a
 	// minimum over a total order and every charge a sum, so the order in
 	// which waves list their nodes and fragments changes nothing.
-	best, pending := grow(hs.best, orphanRoots), grow(hs.pending, orphanRoots)
-	hs.best, hs.pending = best, pending
-	for f := range pending {
-		pending[f] = int32(f)
+	best, pending := grow(hs.best, frags), grow(hs.pending, frags)[:0]
+	for f := range best {
 		best[f].from = -1
+		if int32(f) != acting {
+			pending = append(pending, int32(f))
+		}
 	}
+	hs.best, hs.pending = best, pending
+	orphanRoots := len(pending)
 	next := grow(hs.next, n)[:0]
 	defer func() { hs.wave, hs.next = wave, next }()
 	waves, reattached, regained := 0, 0, 0
@@ -338,19 +341,23 @@ func (hs *healScratch) heal(nw *netsim.Network, root topology.NodeID) *HealResul
 	}
 }
 
-// rootPass runs phases 1 and 2 of a heal toward the tree root in one pass
-// over tree.Order, parents before children: a node is in the root's
+// rootPass runs phases 1 and 2 of every heal in one pass over tree.Order,
+// parents before children: a node is in the tree root's
 // fragment iff its parent heartbeat arrived and its parent is, and then
 // keeps its tree parent, one level below it. A survivor whose heartbeat
 // went missing is an orphan root and opens a fragment; one that heard a
 // detached parent joins the parent's fragment, its heartbeat and flood
-// marker on the same edge. Each node's state is written once. It returns
-// the number of orphan roots.
+// marker on the same edge. Each node's state is written once. An excluded
+// tree root (a root kill) leaves the root's fragment empty, so every
+// survivor lands in a fragment. It returns the number of fragments.
 func (hs *healScratch) rootPass() int {
 	tree, plan, parent, st := hs.tree, hs.plan, hs.parent, hs.st
 	root := tree.Root
 	parent[root], st[root] = -1, healNode{frag: -1, alive: true}
-	orphanRoots := 0
+	if plan.Excluded(root) {
+		parent[root], st[root].alive = excludedParent, false
+	}
+	frags := 0
 	for _, u := range tree.Order[1:] {
 		s, par := healNode{frag: -1, alive: !plan.Excluded(u)}, excludedParent
 		if s.alive {
@@ -358,8 +365,8 @@ func (hs *healScratch) rootPass() int {
 			ps := &st[p] // attached iff alive outside every fragment
 			switch {
 			case !ps.alive || !hs.fates.UpAlive(u):
-				s.frag = int32(orphanRoots)
-				orphanRoots++
+				s.frag = int32(frags)
+				frags++
 				hs.detached = append(hs.detached, u)
 			case ps.frag < 0:
 				ps.sent++
@@ -375,59 +382,24 @@ func (hs *healScratch) rootPass() int {
 		}
 		parent[u], st[u] = par, s
 	}
-	return orphanRoots
+	return frags
 }
 
-// bfsPass runs phases 1 and 2 of a re-rooted heal, whose acting root is not
-// the tree root:
-//
-//  1. Heartbeat: each node sends 1 bit to each tree child. A child that
-//     hears nothing (parent excluded, or the link died) is an orphan root.
-//     The surviving tree edges are the forest whose components are the
-//     fragments: node u keeps the edge to tree.Parent[u] iff it heard.
-//  2. The acting root's fragment attaches first, flipped under it; then
-//     each orphan root, in ascending ID order, floods a detached marker
-//     down its fragment (1 bit per kept edge), so members know to call
-//     for help. Attached nodes are skipped: the acting fragment's old
-//     orphan root must not flood.
-//
-// It returns the number of orphan roots.
-func (hs *healScratch) bfsPass(root topology.NodeID) int {
-	tree, plan, parent, st := hs.tree, hs.plan, hs.parent, hs.st
-	for u := range st {
-		parent[u], st[u] = excludedParent, healNode{frag: -1, alive: !plan.Excluded(topology.NodeID(u))}
-	}
-	for c := range st {
-		cid := topology.NodeID(c)
-		if p := tree.Parent[c]; p >= 0 && st[c].alive && st[p].alive && hs.fates.UpAlive(cid) {
-			hs.charge(p, cid, 1, 1)
-			st[c].heard = true
-		}
-	}
+// adopt attaches the acting root's fragment under it after a root kill,
+// re-rooted there, and returns the fragment's index. Its members heard a
+// heartbeat but no detached marker, so each kept edge's flood bit is taken
+// back, and they leave the detached list.
+func (hs *healScratch) adopt(root topology.NodeID) int32 {
+	st := hs.st
+	f := st[root].frag
 	hs.wave = hs.attach(grow(hs.wave, len(st))[:0], root, -1, 0)
-	orphanRoots := 0
-	for u := range st {
-		uid := topology.NodeID(u)
-		if !st[u].alive || st[u].heard || parent[u] != excludedParent {
-			continue
-		}
-		f := int32(orphanRoots)
-		orphanRoots++
-		st[u].frag = f
-		qi := len(hs.detached)
-		hs.detached = append(hs.detached, uid)
-		for ; qi < len(hs.detached); qi++ {
-			v := hs.detached[qi]
-			for _, w := range tree.Children(v) {
-				if st[w].heard {
-					hs.charge(v, w, 1, 1)
-					st[w].frag = f
-					hs.detached = append(hs.detached, w)
-				}
-			}
+	for _, u := range hs.wave {
+		if st[u].heard {
+			hs.charge(hs.tree.Parent[u], u, -1, -1)
 		}
 	}
-	return orphanRoots
+	hs.detached = slices.DeleteFunc(hs.detached, func(u topology.NodeID) bool { return st[u].frag < 0 })
+	return f
 }
 
 // attach re-roots the fragment containing graft at graft, hanging it under
@@ -475,13 +447,13 @@ func (hs *healScratch) send(u topology.NodeID, bits, k int32) {
 
 // NewFastHealed returns the fast engine a faulty run should execute over:
 // when the network's fault plan carries structural faults it first runs
-// Heal and returns an engine over the repaired view (with the repair
+// HealRerooted and returns an engine over the repaired view (with the repair
 // result), otherwise a plain full-tree engine and a nil result. It is the
 // single policy point for "repair before tree queries" shared by the
 // query engine and the console.
 func NewFastHealed(nw *netsim.Network) (*FastEngine, *HealResult, error) {
 	if p := nw.Faults; p != nil && (p.Spec().Structural() || p.QuarantinedCount() > 0) {
-		hr, err := Heal(nw)
+		hr, _, err := HealRerooted(nw)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -530,7 +502,8 @@ func SubtreeView(v *TreeView, r topology.NodeID) *TreeView {
 			sub.Order = append(sub.Order, u)
 		}
 	}
-	sub.sched.fill(append(cs, next))
+	cs = append(cs, next)
+	sub.sched.set(cs, topology.LevelBounds(cs, cs[len(cs):]))
 	return sub
 }
 
@@ -605,6 +578,6 @@ func viewFromParents(parent []topology.NodeID, root topology.NodeID, hs *healScr
 	cs[reached] = int32(reached)
 	v.Order, cs = v.Order[:reached], cs[:reached+1]
 	v.first, v.kids = cs, v.Order
-	v.sched.fill(cs)
+	v.sched.set(cs, topology.LevelBounds(cs, cs[len(cs):]))
 	return v
 }

@@ -263,7 +263,7 @@ func TestHealMatchesOracle(t *testing.T) {
 				for seed := uint64(1); seed <= 5; seed++ {
 					spec := faults.Spec{Crash: crash, LinkFail: linkFail}
 					nw, ref := faultyNet(g, spec, seed), faultyNet(g, spec, seed)
-					res, err := Heal(nw)
+					res, _, err := HealRerooted(nw)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -281,7 +281,7 @@ func TestHealMatchesOracle(t *testing.T) {
 							ref.Faults.Quarantine(u)
 						}
 					}
-					if res, err = Heal(nw); err != nil {
+					if res, _, err = HealRerooted(nw); err != nil {
 						t.Fatal(err)
 					}
 					if refRes, err = oracleHealToward(ref, ref.Tree.Root); err != nil {
@@ -299,28 +299,69 @@ func TestHealMatchesOracle(t *testing.T) {
 
 // TestHealRerootedMatchesOracle kills the root mid-flight and compares the
 // re-rooted repair, where the acting root's fragment flips under the new
-// querier before any wave runs.
+// querier before any wave runs, over TestHealMatchesOracle's crash ×
+// linkfail grid, with strikes that kill the root alone, crash survivors
+// too, or kill links as well, with and without quarantines before the
+// strike. A random geometric graph joins the topologies: its low node IDs
+// sit anywhere in the tree, so the acting root (the lowest-ID survivor)
+// can be interior to its fragment.
 func TestHealRerootedMatchesOracle(t *testing.T) {
-	for _, g := range healIdentityTopologies() {
-		for seed := uint64(1); seed <= 5; seed++ {
-			spec := faults.Spec{Crash: 0.03, LinkFail: 0.03, MidAt: 1, MidCrash: 0.05, MidLinkFail: 0.03, MidKillRoot: true}
-			nw, ref := faultyNet(g, spec, seed), faultyNet(g, spec, seed)
-			if !nw.Faults.Tick() || !ref.Faults.Tick() {
-				t.Fatal("phased faults did not fire")
+	interior, alone, only := 0, 0, 0
+	graphs := append(healIdentityTopologies(), topology.RandomGeometric(200, 0, 2))
+	strikes := []faults.Spec{{}, {MidCrash: 0.05}, {MidCrash: 0.05, MidLinkFail: 0.05}}
+	for _, g := range graphs {
+		for _, crash := range []float64{0, 0.03, 0.15} {
+			for _, linkFail := range []float64{0, 0.03, 0.2} {
+				for _, spec := range strikes {
+					spec.Crash, spec.LinkFail, spec.MidAt, spec.MidKillRoot = crash, linkFail, 1, true
+					for _, quarantine := range []bool{false, true} {
+						for seed := uint64(1); seed <= 5; seed++ {
+							nw, ref := faultyNet(g, spec, seed), faultyNet(g, spec, seed)
+							if quarantine {
+								for i, u := range nw.Tree.Order {
+									if i%7 == 3 {
+										nw.Faults.Quarantine(u)
+										ref.Faults.Quarantine(u)
+									}
+								}
+							}
+							if !nw.Faults.Tick() || !ref.Faults.Tick() {
+								t.Fatal("phased faults did not fire")
+							}
+							res, root, err := HealRerooted(nw)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if root == nw.Tree.Root {
+								t.Fatal("root survived the root kill")
+							}
+							refRes, err := oracleHealToward(ref, root)
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireSameHeal(t, nw, ref, res, refRes)
+
+							plan, tree := nw.Faults, nw.Tree
+							kept := func(p, c topology.NodeID) bool {
+								return !plan.Excluded(p) && !plan.Excluded(c) && plan.LinkAlive(p, c)
+							}
+							switch p := tree.Parent[root]; {
+							case p >= 0 && kept(p, root):
+								interior++
+							case !slices.ContainsFunc(tree.Children(root), func(c topology.NodeID) bool { return kept(root, c) }):
+								alone++
+							}
+							if res.OrphanRoots == 0 {
+								only++
+							}
+						}
+					}
+				}
 			}
-			res, root, err := HealRerooted(nw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if root == nw.Tree.Root {
-				t.Fatal("root survived the root kill")
-			}
-			refRes, err := oracleHealToward(ref, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameHeal(t, nw, ref, res, refRes)
 		}
+	}
+	if interior == 0 || alone == 0 || only == 0 {
+		t.Fatalf("matrix too tame: acting root interior to its fragment %d times, alone %d, the only fragment %d", interior, alone, only)
 	}
 }
 
@@ -370,7 +411,7 @@ func TestHealStrikeRehealMatchesOracle(t *testing.T) {
 				for seed := uint64(1); seed <= 4; seed++ {
 					spec := faults.Spec{Crash: 0.03, LinkFail: 0.02, MidAt: 1, MidCrash: 0.05, MidLinkFail: midLink}
 					nw, ref := faultyNet(g, spec, seed), faultyNet(g, spec, seed)
-					res, err := Heal(nw)
+					res, _, err := HealRerooted(nw)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -79,7 +79,7 @@ func faultyNet(g *topology.Graph, spec faults.Spec, seed uint64) *netsim.Network
 func healNetwork(t *testing.T, g *topology.Graph, spec faults.Spec, seed uint64) (*netsim.Network, *HealResult) {
 	t.Helper()
 	nw := faultyNet(g, spec, seed)
-	res, err := Heal(nw)
+	res, _, err := HealRerooted(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestHealLinkFailuresOnly(t *testing.T) {
 // TestHealWithoutPlanFails: healing a reliable network is a caller bug.
 func TestHealWithoutPlanFails(t *testing.T) {
 	nw := testNetwork(t, topology.Line(4))
-	if _, err := Heal(nw); err == nil {
+	if _, _, err := HealRerooted(nw); err == nil {
 		t.Error("expected an error without a fault plan")
 	}
 }

@@ -235,7 +235,7 @@ func viewCases(t *testing.T, g *topology.Graph, base faults.Spec, workers int, s
 		cases = append(cases, viewCase{name: name, nw: nw, ref: ref, fe: fe, or: newOracle(ref, refView)})
 	}
 	heal := func(nw *netsim.Network) *spantree.TreeView {
-		hr, err := spantree.Heal(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			t.Fatalf("%s: heal: %v", g.Name, err)
 		}

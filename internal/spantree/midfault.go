@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sensoragg/internal/faults"
-	"sensoragg/internal/netsim"
 	"sensoragg/internal/topology"
 )
 
@@ -97,30 +96,4 @@ func viewLinkAlive(tree *topology.Tree, fates *faults.LinkFates, plan *faults.Pl
 		return fates.UpAlive(p)
 	}
 	return plan.LinkAlive(p, u)
-}
-
-// HealRerooted repairs the tree after a mid-flight fault, choosing the
-// querier to heal toward: the original root when it survived, else the
-// lowest-ID surviving node (the deterministic leader the survivors would
-// elect — root-kill recovery). It returns the acting root alongside the
-// repair result. Like Heal, it requires a fault plan on the network.
-func HealRerooted(nw *netsim.Network) (*HealResult, topology.NodeID, error) {
-	plan := nw.Faults
-	if plan == nil {
-		return nil, -1, fmt.Errorf("spantree: HealRerooted requires a fault plan on the network")
-	}
-	root := nw.Tree.Root
-	if plan.Excluded(root) {
-		root = -1
-		for u := 0; u < nw.N(); u++ {
-			if !plan.Excluded(topology.NodeID(u)) {
-				root = topology.NodeID(u)
-				break
-			}
-		}
-		if root < 0 {
-			return nil, -1, fmt.Errorf("spantree: every node excluded — no survivor to re-root at")
-		}
-	}
-	return healToward(nw, root), root, nil
 }

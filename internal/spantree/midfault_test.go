@@ -190,7 +190,8 @@ func TestHealRerootedAfterRootKill(t *testing.T) {
 }
 
 // TestHealRerootedLiveRootMatchesHeal: with the root alive, HealRerooted
-// must behave exactly like Heal — same root, same view shape.
+// must heal toward it — the root heal, exactly as the reference repair
+// runs it.
 func TestHealRerootedLiveRootMatchesHeal(t *testing.T) {
 	spec := faults.Spec{MidAt: 1, MidCrash: 0.08}
 	a := midNetwork(t, 144, spec, 7)
@@ -199,22 +200,14 @@ func TestHealRerootedLiveRootMatchesHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hrb, err := Heal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if root != b.Tree.Root {
 		t.Errorf("live-root reheal moved the root to %d", root)
 	}
-	if hra.View.N() != hrb.View.N() || hra.Reattached != hrb.Reattached {
-		t.Errorf("re-rooted heal (%d nodes, %d reattached) != Heal (%d nodes, %d reattached)",
-			hra.View.N(), hra.Reattached, hrb.View.N(), hrb.Reattached)
+	hrb, err := oracleHealToward(b, b.Tree.Root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for u := range hra.View.Parent {
-		if hra.View.Parent[u] != hrb.View.Parent[u] {
-			t.Fatalf("parent[%d]: %d != %d", u, hra.View.Parent[u], hrb.View.Parent[u])
-		}
-	}
+	requireSameHeal(t, a, b, hra, hrb)
 }
 
 // TestCheckCompleteMatchesOracle holds the completeness check, which reads
@@ -235,7 +228,7 @@ func TestCheckCompleteMatchesOracle(t *testing.T) {
 				nw := faultyNet(topology.Grid(20, 20), spec, seed)
 				views := []*TreeView{NewFast(nw).View()}
 				if spec.Structural() {
-					hr, err := Heal(nw)
+					hr, _, err := HealRerooted(nw)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -113,7 +113,7 @@ func (c scheduleCase) build(t *testing.T, seed uint64) (*netsim.Network, *spantr
 	nw, _ := netPair(c.graph, spec, seed)
 	view := spantree.FullView(nw.Tree)
 	if c.view != "full" {
-		hr, err := spantree.Heal(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			t.Fatalf("%v: heal: %v", c, err)
 		}

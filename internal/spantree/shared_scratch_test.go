@@ -28,7 +28,7 @@ func TestInterleavedEnginesDoNotClobber(t *testing.T) {
 	spec := faults.Spec{Crash: 0.04, LinkFail: 0.04, Byz: 0.05}
 	// engines builds the four engines over one network, in a fixed order.
 	engines := func(nw *netsim.Network, workers int) []*agg.Net {
-		hr, err := spantree.Heal(nw)
+		hr, _, err := spantree.HealRerooted(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +94,10 @@ func (nodeCount) Decode(wire.Payload) (any, error) {
 // Order and carried schedule disagree. The position sweep leans on the
 // schedule's child starts covering Order from its root, so it must refuse
 // them with an error — never merge a partial into the wrong parent or drop
-// one silently. Child lists are Order ranges, so a view whose lists
-// disagree with its Order (a forest) cannot be built; corrupted child
-// starts are topology.Tree.Validate's to catch.
+// one silently — and a broadcast over them must neither deliver nor charge
+// (nor index past the schedule). Child lists are Order ranges, so a view
+// whose lists disagree with its Order (a forest) cannot be built;
+// corrupted child starts are topology.Tree.Validate's to catch.
 func TestMalformedViewIsRejected(t *testing.T) {
 	nw, _ := netPair(topology.Grid(4, 4), faults.Spec{}, 1)
 	full := spantree.FullView(nw.Tree)
@@ -114,7 +115,15 @@ func TestMalformedViewIsRejected(t *testing.T) {
 		"Order starts off-root":    {reorder(func(o []topology.NodeID) []topology.NodeID { o[0], o[1] = o[1], o[0]; return o }), "does not start at its root"},
 		"empty Order":              {reorder(func(o []topology.NodeID) []topology.NodeID { return nil }), "does not start at its root"},
 	} {
-		out, err := spantree.NewFastView(nw, tc.view).Convergecast(nodeCount{})
+		fe := spantree.NewFastView(nw, tc.view)
+		before, delivered := nw.Meter.Snapshot(), 0
+		var w bitio.Writer
+		w.WriteGamma(7)
+		fe.Broadcast(wire.FromWriter(&w), func(*netsim.Node, wire.Payload) { delivered++ })
+		if d := nw.Meter.Since(before); delivered != 0 || d != (netsim.Delta{}) {
+			t.Errorf("%s: Broadcast delivered %d times and charged %+v; want neither", name, delivered, d)
+		}
+		out, err := fe.Convergecast(nodeCount{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Convergecast = %v, %v; want an error mentioning %q", name, out, err, tc.want)
 		}

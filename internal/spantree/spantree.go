@@ -19,6 +19,7 @@
 // child and each level's first position — from birth. A full view's
 // schedule is its tree's own arrays; a healed view builds its own in the
 // BFS that assembles it, a subtree view in the pass that carves it.
+// Healed views come from the one repair, HealRerooted.
 // Sequentially, a convergecast sweeps the view level by level. On a team of w (SetWorkers; the query
 // engine gives each execution unit of a Submit a team of its pool's
 // workers divided by the Submit's units), it sweeps the view's subtree
@@ -99,7 +100,7 @@ type Ops interface {
 }
 
 // FastEngine executes tree operations over a TreeView — by default the
-// network's full spanning tree; after self-healing (Heal), the repaired
+// network's full spanning tree; after self-healing (HealRerooted), the repaired
 // tree over the surviving nodes — on one of two schedules. Sequentially,
 // a convergecast sweeps the view level by level from the deepest up. On a
 // team of w (SetWorkers), it sweeps the view's subtree partition: each
@@ -239,8 +240,8 @@ func NewFast(nw *netsim.Network) *FastEngine {
 }
 
 // NewFastView returns a fast engine executing over an explicit tree view —
-// typically the repaired tree a Heal run produced. Every view arrives with
-// its sweep schedule; the operation scratch is the network's.
+// typically the repaired tree a HealRerooted run produced. Every view
+// arrives with its sweep schedule; the operation scratch is the network's.
 func NewFastView(nw *netsim.Network, view *TreeView) *FastEngine {
 	return &FastEngine{nw: nw, view: view, sh: scratchOf(nw)}
 }
@@ -264,8 +265,12 @@ func (e *FastEngine) teamSize() int { return min(max(e.workers, 1), maxTeam) }
 // Broadcast implements Ops. Per-node work is independent (each node only
 // touches its own state and meter cell and the shared immutable payload),
 // so a team delivers it in contiguous chunks of positions; the charges are
-// identical regardless of schedule.
+// identical regardless of schedule. Over a malformed view it delivers and
+// charges nothing: the convergecast that follows reports the view's error.
 func (e *FastEngine) Broadcast(p wire.Payload, apply Applier) {
+	if e.view.check() != nil {
+		return
+	}
 	if sk := obs.Active(); sk != nil {
 		e.obsBroadcast(sk, p)
 	}
@@ -375,19 +380,27 @@ func (e *FastEngine) begin(vc VecCombiner) error {
 	if sk := obs.Active(); sk != nil {
 		e.obsConvergecast(sk, vc)
 	}
-	v, s := e.view, &e.view.sched
-	if len(v.Order) == 0 || v.Order[0] != v.Root {
-		return fmt.Errorf("spantree: view Order does not start at its root %d", v.Root)
+	if err := e.view.check(); err != nil {
+		return err
 	}
-	if len(s.cs) != len(v.Order)+1 {
-		return fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", len(v.Order), len(s.cs)-1)
-	}
-	plan := e.nw.Faults
+	s, plan := &e.view.sched, e.nw.Faults
 	e.op.s, e.op.plan, e.op.perEdge = s, plan, plan != nil && plan.Spec().MessageLevel()
 	e.op.w, e.op.lanes = e.teamSize(), nil
 	if e.op.w > 1 {
 		e.op.lanes = e.sh.part.of(s, e.op.w)
 		e.sh.errs = grow(e.sh.errs, e.op.w)
+	}
+	return nil
+}
+
+// check is the O(1) guard every operation runs before it walks the view:
+// Order starts at the root, and the schedule's child starts cover Order.
+func (v *TreeView) check() error {
+	if len(v.Order) == 0 || v.Order[0] != v.Root {
+		return fmt.Errorf("spantree: view Order does not start at its root %d", v.Root)
+	}
+	if len(v.sched.cs) != len(v.Order)+1 {
+		return fmt.Errorf("spantree: view Order lists %d nodes but their Children lists reach %d", len(v.Order), len(v.sched.cs)-1)
 	}
 	return nil
 }
@@ -414,23 +427,6 @@ func grow[T any](buf []T, n int) []T {
 // partition keys on a number, not a pointer, so it keeps no view's
 // schedule alive and no later schedule can reuse a key.
 var viewStamps atomic.Uint64
-
-// fill completes a schedule from its child starts: level l+1 starts at the
-// first child of level l's first position. The level bounds go in cs's
-// spare capacity when it has room for them.
-func (s *viewSched) fill(cs []int32) {
-	n := int32(len(cs) - 1)
-	levels := 1
-	for b := cs[0]; b < n; b = cs[b] {
-		levels++
-	}
-	bounds := grow(cs[len(cs):], levels+1)
-	bounds[0] = 0
-	for l := 1; l <= levels; l++ {
-		bounds[l] = cs[bounds[l-1]]
-	}
-	s.set(cs, bounds)
-}
 
 // set installs child starts cs and level bounds as the schedule, with its
 // widest level and a fresh stamp.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -104,6 +105,26 @@ func TestBFSTreeDepthsAreDistances(t *testing.T) {
 	}
 	if tr.Height() != 14 {
 		t.Errorf("Height = %d, want 14", tr.Height())
+	}
+}
+
+// TestLevelBoundsFillsDst: the bounds of a BFS layout start every level
+// at its first position, go into dst's spare capacity when it has room,
+// and into a fresh slice when it does not.
+func TestLevelBoundsFillsDst(t *testing.T) {
+	tr := BFSTree(Grid(4, 4), 0) // levels 0..6 of 1,2,3,4,3,2,1 nodes
+	_, first, levels := tr.CSR()
+	want := []int32{0, 1, 3, 6, 10, 13, 15, 16}
+	if got := LevelBounds(first, nil); !slices.Equal(got, want) || !slices.Equal(levels, want) {
+		t.Fatalf("LevelBounds = %v, tree's %v; want %v", got, levels, want)
+	}
+	buf := make([]int32, 3, 3+len(want))
+	got := LevelBounds(first, buf[3:])
+	if !slices.Equal(got, want) || &got[0] != &buf[:4][3] {
+		t.Errorf("LevelBounds = %v, not in dst's capacity", got)
+	}
+	if got := LevelBounds(first, make([]int32, 0, 2)); !slices.Equal(got, want) {
+		t.Errorf("LevelBounds over a short dst = %v, want %v", got, want)
 	}
 }
 

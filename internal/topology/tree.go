@@ -102,7 +102,7 @@ func (t *Tree) Validate() error {
 			}
 		}
 	}
-	if !slices.Equal(t.levels, levelsOf(t.first)) {
+	if !slices.Equal(t.levels, LevelBounds(t.first, nil)) {
 		return fmt.Errorf("topology: level bounds %v disagree with the child starts", t.levels)
 	}
 	return nil
@@ -131,16 +131,21 @@ func (t *Tree) visit(i int) NodeID {
 	return u
 }
 
-// levelsOf returns the level bounds of a BFS layout from its child starts:
-// level l+1 starts at the first child of level l's first position, so the
-// bounds are 0, first[0], first[first[0]], … up to N.
-func levelsOf(first []int32) []int32 {
+// LevelBounds returns the level bounds of a BFS layout from its child
+// starts: level l+1 starts at the first child of level l's first position,
+// so the bounds are 0, first[0], first[first[0]], … up to N. They fill
+// dst's capacity when it has room for them, else a fresh slice.
+func LevelBounds(first, dst []int32) []int32 {
 	n := int32(len(first) - 1)
 	levels := 1
 	for b := first[0]; b < n; b = first[b] {
 		levels++
 	}
-	bounds := make([]int32, levels+1)
+	if cap(dst) < levels+1 {
+		dst = make([]int32, levels+1)
+	}
+	bounds := dst[:levels+1]
+	bounds[0] = 0
 	for l := 1; l <= levels; l++ {
 		bounds[l] = first[bounds[l-1]]
 	}
@@ -172,7 +177,7 @@ func BFSTree(g *Graph, root NodeID) *Tree {
 		panic(fmt.Sprintf("topology: BFSTree on disconnected graph (%d of %d reached)", len(t.Order), n))
 	}
 	t.first[n] = int32(n)
-	t.levels = levelsOf(t.first)
+	t.levels = LevelBounds(t.first, nil)
 	return t
 }
 
@@ -269,6 +274,6 @@ func rebuildFromParents(parent []NodeID, root NodeID, name string) (*Tree, error
 		return nil, fmt.Errorf("topology: parent array does not form a tree (%d of %d reachable)", len(t.Order), n)
 	}
 	t.first[n] = int32(n)
-	t.levels = levelsOf(t.first)
+	t.levels = LevelBounds(t.first, nil)
 	return t, nil
 }
