@@ -294,6 +294,24 @@ func TestCompareScenariosMissingRerun(t *testing.T) {
 	}
 }
 
+func TestCompareScenariosScalesMinSamples(t *testing.T) {
+	// A suite run with -reruns 1 re-evaluates against a third of the
+	// floor its scenarios declare for 3 reruns, and still catches a
+	// shortfall below that share.
+	sum := gatedSummary("one-rerun")
+	sum.Gates.MinSamples, sum.DeclaredReruns, sum.Reruns = 9, 3, 1
+	sum.RerunStats, sum.Samples = sum.RerunStats[:1], 3
+	thin := sum
+	thin.Name, thin.Samples = "thin", 2
+	failed := map[string]bool{}
+	for _, f := range CompareScenarios(suiteWith(sum, thin), false) {
+		failed[f.Name] = f.Regression
+	}
+	if failed["scenario/one-rerun/min-samples"] || !failed["scenario/thin/min-samples"] {
+		t.Fatalf("scaled floor: one-rerun failed %v, thin failed %v", failed["scenario/one-rerun/min-samples"], failed["scenario/thin/min-samples"])
+	}
+}
+
 func TestCompareScenariosRequireAll(t *testing.T) {
 	// An ungated scenario is invisible to the gate step; -require-all
 	// turns that silence into a failure, like a vanished benchmark.

@@ -1,0 +1,75 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+
+	"sensoragg/internal/netsim"
+)
+
+// randomisedKinds are the kinds that draw coins: sketches, samples and
+// gossip partners all come from the run network's seeded node streams.
+var randomisedKinds = []string{KindApxMedian, KindApxMedian2, KindSampling, KindF2,
+	KindApxDistinct, KindApxCount, KindGossip, KindGossipDistinct}
+
+// TestRandomisedKindsAreDeterministic: a randomised kind's coins are a
+// function of the run seed alone, so the same job submitted twice, each
+// time to a fresh engine, returns the same Result but for WallNS and
+// charges every node the same — on two topologies at three run seeds. The
+// seeds must matter: some kind answers differently under another one.
+func TestRandomisedKindsAreDeterministic(t *testing.T) {
+	t.Parallel()
+	seedsMatter := false
+	for _, topo := range []string{"grid", "rgg"} {
+		spec := Spec{Topology: topo, N: 256, Workload: "zipf", Seed: 4}
+		for _, kind := range randomisedKinds {
+			var values []float64
+			for seed := uint64(1); seed <= 3; seed++ {
+				job := Job{ID: kind, Spec: spec, Query: Query{Kind: kind}, RunSeed: seed}
+				label := fmt.Sprintf("%s on %s, run seed %d", kind, topo, seed)
+				var results [2]Result
+				var ledgers [2]netsim.Ledger
+				for i := range results {
+					results[i] = New(Options{Workers: 2}).Submit(context.Background(), []Job{job})[0]
+					if results[i].Failed() {
+						t.Fatalf("%s: %s", label, results[i].Error)
+					}
+					var forked Result
+					forked, ledgers[i] = ledgerRun(t, New(Options{Workers: 1}), job)
+					sameResult(t, label+": the metered fork against Submit", forked, results[i])
+				}
+				sameResult(t, label+": two Submits", results[1], results[0])
+				if len(ledgers[0]) == 0 || !slices.Equal(ledgers[0], ledgers[1]) {
+					t.Fatalf("%s: per-node meters differ between two runs (or are empty)", label)
+				}
+				values = append(values, results[0].Value)
+			}
+			slices.Sort(values)
+			seedsMatter = seedsMatter || len(slices.Compact(values)) > 1
+		}
+	}
+	if !seedsMatter {
+		t.Fatal("no randomised kind answers differently under another run seed: the runs draw no coins")
+	}
+}
+
+// ledgerRun executes job on a fork of e's session as a solo Submit does and
+// returns its Result and every node's meter.
+func ledgerRun(t *testing.T, e *Engine, job Job) (Result, netsim.Ledger) {
+	t.Helper()
+	spec := job.Spec.Normalize()
+	nw, err := e.fork(spec, &job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Release()
+	before := nw.Meter.Snapshot()
+	r := Result{ID: job.ID}
+	if err := e.execute(nw, spec, job.Query, 1, &r); err != nil {
+		t.Fatal(err)
+	}
+	resultFrom(&r, spec, job.Query, nw.Meter.Since(before), 0)
+	return r, nw.Meter.Ledger()
+}

@@ -343,8 +343,8 @@ func (e *Engine) executeJob(spec Spec, job Job, team int) Result {
 		return failedResult(job, err)
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, job.Query, team)
-	if err != nil {
+	r := Result{ID: job.ID}
+	if err := e.execute(nw, spec, job.Query, team, &r); err != nil {
 		nw.Release()
 		return failedResult(job, err)
 	}
@@ -353,8 +353,7 @@ func (e *Engine) executeJob(spec Spec, job Job, team int) Result {
 	if sk := obs.Active(); sk != nil {
 		e.obsSoloJob(sk, job, d, wall)
 	}
-	r := resultFrom(spec, job.Query, ans, d, wall)
-	r.ID = job.ID
+	resultFrom(&r, spec, job.Query, d, wall)
 	nw.Release()
 	return r
 }
@@ -371,52 +370,16 @@ func (e *Engine) fork(spec Spec, job *Job) (*netsim.Network, error) {
 	return nw, err
 }
 
-// resultFrom assembles a Result from an executed answer and its meter
-// delta, including the fault-impact fields of a healed run.
-func resultFrom(spec Spec, q Query, ans answer, d netsim.Delta, wall time.Duration) Result {
-	r := Result{
-		Spec:         spec,
-		Query:        q.WithDefaults(),
-		Value:        ans.value,
-		Detail:       ans.detail,
-		Values:       ans.values,
-		Truth:        ans.truth,
-		Truths:       ans.truths,
-		TruthKnown:   ans.truthKnown,
-		Exact:        ans.truthKnown && ans.value == ans.truth,
-		BitsPerNode:  d.MaxPerNode,
-		TotalBits:    d.TotalBits,
-		Messages:     d.Messages,
-		SharedSweeps: ans.sweeps,
-		SeededSweeps: ans.seededSweeps,
-		SeedHit:      ans.seedHit,
-		Retries:      ans.retries,
-		Degraded:     ans.degraded,
-		SurvivorFrac: ans.survivorFrac,
-		WallNS:       wall.Nanoseconds(),
+// resultFrom completes r, whose answer the run wrote, with the job's
+// metering: its spec and resolved query, the run's meter delta and wall
+// time, and Exact — Value == Truth, elementwise over the vectors of a
+// multi-valued kind.
+func resultFrom(r *Result, spec Spec, q Query, d netsim.Delta, wall time.Duration) {
+	r.Spec, r.Query = spec, q.WithDefaults()
+	r.BitsPerNode, r.TotalBits, r.Messages = d.MaxPerNode, d.TotalBits, d.Messages
+	r.WallNS = wall.Nanoseconds()
+	r.Exact = r.TruthKnown && r.Value == r.Truth
+	if r.TruthKnown && len(r.Truths) == len(r.Values) && len(r.Values) > 0 {
+		r.Exact = slices.Equal(r.Values, r.Truths)
 	}
-	if ans.truthKnown && len(ans.truths) == len(ans.values) && len(ans.values) > 0 {
-		r.Exact = slices.Equal(ans.values, ans.truths)
-	}
-	if ans.heal != nil {
-		r.Crashed = ans.heal.Crashed
-		r.Unreachable = ans.heal.Unreachable
-		r.RepairBits = ans.heal.Repair.TotalBits
-	}
-	if ans.robust {
-		r.Robust = true
-		// Audit-phase suspects and trim-phase suspects are disjoint
-		// evidence: the former are historical (cleared or quarantined by
-		// the time the query ran), the latter are the live sectors the
-		// bound prices.
-		r.Suspected = len(ans.integrity.Suspected)
-		r.IntegrityBound = ans.integrity.BoundItems
-		if rep := ans.rep; rep != nil {
-			r.Suspected += len(rep.Suspected)
-			r.Quarantined = len(rep.Quarantined)
-			r.AuditRounds = rep.Rounds
-			r.AuditBits = rep.AuditBits
-		}
-	}
-	return r
 }

@@ -52,11 +52,12 @@ func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
 	}
 	before := nw.Meter.Snapshot()
 	start := time.Now()
-	ans, err := New(Options{Workers: 1}).execute(nw, spec, q, 1)
-	if err != nil {
+	var r Result
+	if err := New(Options{Workers: 1}).execute(nw, spec, q, 1, &r); err != nil {
 		return Result{}, err
 	}
-	return resultFrom(spec, q, ans, nw.Meter.Since(before), time.Since(start)), nil
+	resultFrom(&r, spec, q, nw.Meter.Since(before), time.Since(start))
+	return r, nil
 }
 
 // TestParallelMatchesSerial is the engine's concurrent-correctness

@@ -66,43 +66,9 @@ type Query struct {
 // queries robust by default stamps Robust only where this holds.
 func (q Query) RobustCapable() bool { return kindOf(q.Kind).robust && q.Where == nil }
 
-// answer is what one protocol run produced, before metering is attached.
-type answer struct {
-	value      float64
-	detail     string
-	truth      float64
-	truthKnown bool
-	// values/truths carry the full result vector of multi-valued kinds
-	// (quantiles, fused); value/truth then hold the first entry.
-	values []float64
-	truths []float64
-	// heal is the self-healing repair run that preceded the query, when
-	// the run's fault plan had structural faults.
-	heal *spantree.HealResult
-	// sweeps is the number of probe sweeps in the plane that answered the
-	// query (selection and fused-aggregate kinds); surfaces as
-	// Result.SharedSweeps.
-	sweeps int
-	// seededSweeps/seedHit report the delta-narrowing outcome of a seeded
-	// selection; surface as Result.SeededSweeps/SeedHit.
-	seededSweeps int
-	seedHit      bool
-	// retries/degraded/survivorFrac report a phased fault plan's mid-flight
-	// retry outcome; surface as Result.Retries/Degraded/SurvivorFrac.
-	retries      int
-	degraded     bool
-	survivorFrac float64
-	// robust marks a Query.Robust run, whose byz-tier outcome is rep, the
-	// localization report (nil when no adversary was planned), and
-	// integrity, the aggregation plane's integrity accounting.
-	robust    bool
-	rep       *byz.Report
-	integrity byz.Integrity
-}
-
-// execute runs q against the per-run network nw. The network must be
-// private to this run: execute mutates node items (zoom/filter stages) and
-// charges the meter freely.
+// execute runs q against the per-run network nw and writes its answer
+// into res. The network must be private to this run: execute mutates node
+// items (zoom/filter stages) and charges the meter freely.
 //
 // A spec with an active fault plan reshapes the run: the plan attached to
 // the network (Session.Instantiate forks it from the run seed) is checked
@@ -111,26 +77,26 @@ type answer struct {
 // the simulator-side ground truth shrinks to the surviving, reconnected
 // nodes — the population the healed tree can actually aggregate. team is
 // the tree-kernel team size (spantree.FastEngine.SetWorkers).
-func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answer, error) {
+func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int, res *Result) error {
 	q = q.WithDefaults()
 	k := kindOf(q.Kind)
 	if q.Where != nil {
 		where, err := k.whereFor(q, nw.MaxX)
 		if err != nil {
-			return answer{}, err
+			return err
 		}
 		q.Where = &where
 	}
 
 	if p := nw.Faults; p != nil && p.Active() {
 		if err := k.faultSupport(p.Spec()); err != nil {
-			return answer{}, err
+			return err
 		}
 		if p.Spec().Phased() && q.Robust {
-			return answer{}, fmt.Errorf("engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)")
+			return fmt.Errorf("engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)")
 		}
 		if p.Spec().Phased() && q.Where != nil {
-			return answer{}, fmt.Errorf("engine: WHERE does not support phased (mid-sweep) fault plans — the mid-sweep retry loop does not carry a predicate")
+			return fmt.Errorf("engine: WHERE does not support phased (mid-sweep) fault plans — the mid-sweep retry loop does not carry a predicate")
 		}
 	}
 
@@ -139,7 +105,7 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answ
 	if k.tree {
 		var err error
 		if r.fe, heal, err = spantree.NewFastHealed(nw); err != nil {
-			return answer{}, err
+			return err
 		}
 	} else {
 		// Gossip/radio kinds never touch the tree: no repair runs, so their
@@ -152,10 +118,10 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answ
 	// batch driver's detect → re-heal → resume loop (retry.go), with the
 	// same degradation contract as a fused batch.
 	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && k.member != nil {
-		return e.retrySolo(r, k, heal)
+		return e.retrySolo(r, k, heal, res)
 	}
 	if q.Robust {
-		return e.executeRobust(r, k, heal)
+		return e.executeRobust(r, k, heal, res)
 	}
 	net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
 	if q.Where != nil && k.where == whereFilter {
@@ -163,41 +129,61 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int) (answ
 		defer net.Reset()
 	}
 	r.net = net
-	ans, err := k.runSolo(r)
-	if err != nil {
-		return answer{}, err
-	}
-	ans.heal = heal
-	return ans, nil
+	return k.runSolo(r, heal, res)
 }
 
 // executeRobust runs a Query.Robust job on the byz tier: localize and
 // quarantine lying subtrees and cross-check the trimmed plane against the
 // duplicate-insensitive sketch, re-derive the execution view and ground
 // truth, and answer the kind over the RobustNet (Session.audit).
-func (e *Engine) executeRobust(r *run, k *kind, heal *spantree.HealResult) (answer, error) {
+func (e *Engine) executeRobust(r *run, k *kind, heal *spantree.HealResult, res *Result) error {
 	if !k.robust {
-		return answer{}, fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
+		return fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
 	}
 	rep, rnet, err := e.session.audit(r.nw, r.spec, r.fe.View(), r.q.SketchP)
 	if err != nil {
-		return answer{}, err
+		return err
 	}
 	if rep != nil && rep.Healed != nil {
 		heal = rep.Healed
 		r.truth = groundTruth{nw: r.nw, view: rep.Healed.View}
 	}
 	r.net = rnet
-	ans, err := k.runSolo(r)
-	if err != nil {
-		return answer{}, err
+	if err := k.runSolo(r, heal, res); err != nil {
+		return err
 	}
-	ans.heal = heal
-	ans.robust, ans.rep, ans.integrity = true, rep, rnet.Integrity()
+	integrity := rnet.Integrity()
+	audited(res, rep, integrity)
 	if sk := obs.Active(); sk != nil {
-		obsRobust(sk, &ans)
+		obsRobust(sk, res, integrity)
 	}
-	return ans, nil
+	return nil
+}
+
+// healed writes the fault impact of hr, the heal that shaped a run's final
+// view (nil: none ran), into res.
+func healed(res *Result, hr *spantree.HealResult) {
+	if hr != nil {
+		res.Crashed, res.Unreachable, res.RepairBits = hr.Crashed, hr.Unreachable, hr.Repair.TotalBits
+	}
+}
+
+// audited writes a robust run's byz-tier outcome into res: rep, the
+// localization report (nil when no adversary was planned), and integrity,
+// the aggregation plane's accounting. Audit-phase suspects and trim-phase
+// suspects are disjoint evidence: the former are historical (cleared or
+// quarantined by the time the query ran), the latter are the live sectors
+// the bound prices.
+func audited(res *Result, rep *byz.Report, integrity byz.Integrity) {
+	res.Robust = true
+	res.Suspected = len(integrity.Suspected)
+	res.IntegrityBound = integrity.BoundItems
+	if rep != nil {
+		res.Suspected += len(rep.Suspected)
+		res.Quarantined = len(rep.Quarantined)
+		res.AuditRounds = rep.Rounds
+		res.AuditBits = rep.AuditBits
+	}
 }
 
 // aggregator is the primitive-protocol surface a solo run's kind answers

@@ -12,11 +12,12 @@ func (e *Engine) RunOnFork(spec Spec, q Query) (*netsim.Network, Result, error) 
 		return nil, Result{}, err
 	}
 	before := nw.Meter.Snapshot()
-	ans, err := e.execute(nw, spec, q, e.teamSize(1))
-	if err != nil {
+	var r Result
+	if err := e.execute(nw, spec, q, e.teamSize(1), &r); err != nil {
 		return nw, Result{}, err
 	}
-	return nw, resultFrom(spec, q, ans, nw.Meter.Since(before), 0), nil
+	resultFrom(&r, spec, q, nw.Meter.Since(before), 0)
+	return nw, r, nil
 }
 
 // AuditEntries is the number of audits the session's table holds.

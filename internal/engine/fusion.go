@@ -366,9 +366,15 @@ func sameQuery(a, b Query) bool {
 	}
 	a, b = a.WithDefaults(), b.WithDefaults()
 	return a.Kind == b.Kind && a.K == b.K && a.Phi == b.Phi && a.Eps == b.Eps && a.Beta == b.Beta &&
-		a.SketchP == b.SketchP && a.Where == b.Where && a.ProbeWidth == b.ProbeWidth &&
+		a.SketchP == b.SketchP && samePred(a.Where, b.Where) && a.ProbeWidth == b.ProbeWidth &&
 		a.Robust == b.Robust && slices.Equal(a.Phis, b.Phis) && slices.Equal(a.Aggs, b.Aggs) &&
 		slices.Equal(a.SeedWindows, b.SeedWindows)
+}
+
+// samePred reports whether two WHERE predicates match the same items: both
+// absent, or equal by value however often the statement was parsed.
+func samePred(a, b *wire.Pred) bool {
+	return a == b || a != nil && b != nil && *a == *b
 }
 
 // runFusedGroup executes a fusion group on one forked network and writes
@@ -472,13 +478,10 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 			results[ji] = failedResult(jobs[ji], mr.err)
 			continue
 		}
-		r := resultFrom(spec, queries[mi], o.answer(&members[mi], mr, shared), d, wall)
-		r.ID = jobs[ji].ID
-		r.Fused = true
-		r.SharedSweeps = o.res.sweeps
-		r.SeededSweeps = mr.seededSweeps
-		r.SeedHit = mr.seedHit
-		results[ji] = r
+		r, m := &results[ji], &members[mi]
+		*r = Result{ID: jobs[ji].ID, Fused: true}
+		o.answer(r, m, mr, o.detail(m, shared))
+		resultFrom(r, spec, queries[mi], d, wall)
 	}
 	settled = true
 	if sk != nil {

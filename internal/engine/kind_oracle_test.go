@@ -39,10 +39,13 @@ import (
 // and degraded answer.
 
 // soloOn answers q alone on plane net over fe's view of nw: the solo path
-// once execute has prepared the run.
-func soloOn(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, net aggregator) (answer, error) {
+// once execute has prepared the run, metered with no delta.
+func soloOn(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, net aggregator) (Result, error) {
 	r := &run{nw: nw, spec: spec, q: q, fe: fe, net: net, truth: groundTruth{nw: nw, view: fe.View()}}
-	return kindOf(q.Kind).runSolo(r)
+	var res Result
+	err := kindOf(q.Kind).runSolo(r, nil, &res)
+	resultFrom(&res, spec, q, netsim.Delta{}, 0)
+	return res, err
 }
 
 // oracleFaultClasses are the fault plans the verdicts are compared under,
@@ -78,8 +81,11 @@ func TestKindTableFlagsMatchOracle(t *testing.T) {
 				name, k.tree, k.robust, k.member != nil, k.plans == plansRetry,
 				oracleUsesTree(name), oracleRobustKind(name), oracleFusableKind(name))
 		}
-		if (k.member != nil) != (k.batchDetail != nil) {
-			t.Errorf("%s: member and batch detail must come together", name)
+		if (k.member != nil) != (k.batchDetail != nil) || (k.member != nil) != (k.alone != nil) || (k.member != nil) == (k.solo != nil) {
+			t.Errorf("%s: a fusable kind has a slot, a batch detail and an alone arm; any other kind a solo arm", name)
+		}
+		if k.solo != nil && k.truth == nil && name != "nope" {
+			t.Errorf("%s: a solo arm names its truth", name)
 		}
 		for _, fc := range oracleFaultClasses {
 			if got, want := errText(k.faultSupport(fc.fs)), errText(oracleFaultSupport(name, fc.fs)); got != want {
@@ -232,11 +238,11 @@ func checkKindCase(t *testing.T, topo string, n int, view string, seed uint64, s
 				netB = byz.NewRobustNet(nwB, feB.View(), byz.WithSketchP(q.SketchP))
 			}
 			got, gerr := soloOn(nwA, spec, q, feA, netA)
-			want, werr := oracleExecuteKind(nwB, spec, q, feB, netB, &groundTruth{nw: nwB, view: feB.View()})
+			ans, werr := oracleExecuteKind(nwB, spec, q, feB, netB, &groundTruth{nw: nwB, view: feB.View()})
 			if errText(gerr) != errText(werr) {
 				t.Fatalf("%s: error %q, oracle %q", label, errText(gerr), errText(werr))
 			}
-			if gerr == nil && !reflect.DeepEqual(got, want) {
+			if want := oracleResultFrom(spec, q, ans, netsim.Delta{}, 0); gerr == nil && !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: answer\n%+v\noracle\n%+v", label, got, want)
 			}
 			if gerr == nil && !slices.Equal(nwA.Meter.Ledger(), nwB.Meter.Ledger()) {
@@ -278,23 +284,38 @@ func checkSlot(t *testing.T, q Query, nw *netsim.Network, view *spantree.TreeVie
 	omr := oracleFusedMemberResult{Values: mr.values, AggValues: mr.aggValues, SeededSweeps: mr.seededSweeps, SeedHit: mr.seedHit}
 	o := outcome{res: batchResult{sweeps: 1 + rng.IntN(9)}, truth: truth}
 	shared := fusedDetail(2+rng.IntN(9), o.res.sweeps)
-	if got, want := o.answer(&mb, &mr, shared), oracleFusedAnswer(q, omr, o.res.sweeps, shared, truth); !reflect.DeepEqual(got, want) {
+	// The fusion group's runner set the schedule and seeding over the
+	// oracle's answers.
+	fusedResult := func(ans oracleAnswer) Result {
+		r := oracleResultFrom(Spec{}, q, ans, netsim.Delta{}, 0)
+		r.SharedSweeps, r.SeededSweeps, r.SeedHit = o.res.sweeps, mr.seededSweeps, mr.seedHit
+		return r
+	}
+	assemble := func() (r Result) {
+		o.answer(&r, &mb, &mr, o.detail(&mb, shared))
+		resultFrom(&r, Spec{}, q, netsim.Delta{}, 0)
+		return r
+	}
+	if got, want := assemble(), fusedResult(oracleFusedAnswer(q, omr, o.res.sweeps, shared, truth)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: fused answer\n%+v\noracle\n%+v", q, got, want)
 	}
 	o.degraded, o.retries, o.survivorFrac = true, rng.IntN(3), rng.Float64()
-	want := oracleDegradedAnswer(q, omr, o.retries)
-	want.retries, want.degraded, want.survivorFrac = o.retries, true, o.survivorFrac
-	if got := o.answer(&mb, &mr, shared); !reflect.DeepEqual(got, want) {
+	ans := oracleDegradedAnswer(q, omr, o.retries)
+	ans.retries, ans.degraded, ans.survivorFrac = o.retries, true, o.survivorFrac
+	if got, want := assemble(), fusedResult(ans); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: degraded answer\n%+v\noracle\n%+v", q, got, want)
 	}
 }
 
 // TestSoloSelectionMatchesBatchOfOne pins that a solo selection query and
 // the same query run as a one-member batch through the batch driver are
-// the same computation: values, sweeps, every node's meter and the error
-// text agree for every selection kind at widths ≥ 2, seeded and not, under
-// no faults, message faults, structural faults and liars on the plain
-// tier.
+// the same computation: values, sweeps, seeding, every node's meter and the
+// error text agree for every selection kind at widths ≥ 2, seeded and not,
+// under no faults, message faults, structural faults and liars on the plain
+// tier. Width 1 is left out because the two frame its sweeps differently:
+// solo sends every width-1 sweep as a COUNTP (the first as COUNT(TRUE)),
+// the batch driver as a one-slot CountVec, so the values and sweeps agree
+// (TestWidthOnePathsAgree) but the per-node meters do not.
 func TestSoloSelectionMatchesBatchOfOne(t *testing.T) {
 	t.Parallel()
 	plans := []struct {
@@ -345,7 +366,8 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 	}
 	defer nwB.Release()
 
-	solo, serr := New(Options{Workers: 1}).execute(nwA, spec, q, 1)
+	var solo Result
+	serr := New(Options{Workers: 1}).execute(nwA, spec, q, 1, &solo)
 
 	fe, hr, err := spantree.NewFastHealed(nwB)
 	if err != nil {
@@ -370,10 +392,13 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 	if serr != nil {
 		return
 	}
-	batch := o.answer(&members[0], &o.res.members[0], "")
-	if solo.value != batch.value || !slices.Equal(solo.values, batch.values) || solo.sweeps != o.res.sweeps {
-		t.Fatalf("%s: solo %v %v in %d sweeps, batch of one %v %v in %d", label,
-			solo.value, solo.values, solo.sweeps, batch.value, batch.values, o.res.sweeps)
+	var batch Result
+	o.answer(&batch, &members[0], &o.res.members[0], "")
+	if solo.Value != batch.Value || !slices.Equal(solo.Values, batch.Values) || solo.SharedSweeps != batch.SharedSweeps ||
+		solo.SeededSweeps != batch.SeededSweeps || solo.SeedHit != batch.SeedHit {
+		t.Fatalf("%s: solo %v %v in %d sweeps (%d seeded, hit %v), batch of one %v %v in %d (%d, %v)", label,
+			solo.Value, solo.Values, solo.SharedSweeps, solo.SeededSweeps, solo.SeedHit,
+			batch.Value, batch.Values, batch.SharedSweeps, batch.SeededSweeps, batch.SeedHit)
 	}
 }
 
@@ -487,15 +512,15 @@ func oracleFusableKind(kind string) bool {
 
 // oracleExecuteKind dispatches the query kind over the prepared execution state;
 // only the order-statistic and distinct truths sort the population.
-func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net aggregator, truth *groundTruth) (answer, error) {
+func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops, net aggregator, truth *groundTruth) (oracleAnswer, error) {
 	sorted := truth.sorted
-	exactUint := func(v uint64, detail string, truth uint64) answer {
-		return answer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
+	exactUint := func(v uint64, detail string, truth uint64) oracleAnswer {
+		return oracleAnswer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
 	}
 
 	// seedAns transfers a seeded batch's delta-narrowing outcome onto the
 	// assembled answer.
-	seedAns := func(ans answer, res core.BatchResult) answer {
+	seedAns := func(ans oracleAnswer, res core.BatchResult) oracleAnswer {
 		ans.sweeps = res.Sweeps
 		ans.seededSweeps = res.SeededSweeps
 		ans.seedHit = res.SeedHit
@@ -508,7 +533,7 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		// width 1 is the stepper's schedule, as every other width.
 		res, err := core.SelectRanksSeeded(net, []core.BatchRank{{Median: true}}, q.ProbeWidth, q.SeedWindows)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return seedAns(exactUint(res.Values[0],
 			fmt.Sprintf("%d k-ary sweeps (width %d)", res.Sweeps, q.ProbeWidth),
@@ -518,7 +543,7 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		k := q.K
 		if q.Kind == KindQuantile {
 			if q.Phi <= 0 || q.Phi > 1 {
-				return answer{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
+				return oracleAnswer{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", q.Phi)
 			}
 			k = core.QuantileRank(q.Phi, truth.count())
 		}
@@ -528,7 +553,7 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		// As for the median, the width-1 arm is gone.
 		res, err := core.SelectRanksSeeded(net, []core.BatchRank{{K: k}}, q.ProbeWidth, q.SeedWindows)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return seedAns(exactUint(res.Values[0],
 			fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", k, res.Sweeps, q.ProbeWidth),
@@ -536,7 +561,7 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 
 	case KindQuantiles:
 		if len(q.Phis) == 0 {
-			return answer{}, fmt.Errorf("engine: quantiles requires at least one phi")
+			return oracleAnswer{}, fmt.Errorf("engine: quantiles requires at least one phi")
 		}
 		// Ranks are φ-resolved against the protocol-counted N inside the
 		// search (folded into the first sweep), so the kind degrades under
@@ -545,15 +570,15 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		ranks := make([]core.BatchRank, len(q.Phis))
 		for i, phi := range q.Phis {
 			if phi <= 0 || phi > 1 {
-				return answer{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", phi)
+				return oracleAnswer{}, fmt.Errorf("engine: quantile phi %g out of (0,1]", phi)
 			}
 			ranks[i] = core.BatchRank{Phi: phi}
 		}
 		res, err := core.SelectRanksSeeded(net, ranks, q.ProbeWidth, q.SeedWindows)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
-		ans := answer{
+		ans := oracleAnswer{
 			detail: fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)",
 				len(q.Phis), res.Sweeps, q.ProbeWidth),
 			truthKnown:   true,
@@ -572,18 +597,18 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindFused:
 		count, sum, lo, hi, ok := net.MultiAggregate(core.Linear, wire.True())
 		if !ok {
-			return answer{}, fmt.Errorf("engine: empty network")
+			return oracleAnswer{}, fmt.Errorf("engine: empty network")
 		}
 		got := map[string]float64{
 			"count": float64(count), "sum": float64(sum),
 			"min": float64(lo), "max": float64(hi),
 			"avg": float64(sum) / float64(count),
 		}
-		ans := answer{detail: "fused vector sweep (count+sum+min+max)", truthKnown: true, sweeps: 1}
+		ans := oracleAnswer{detail: "fused vector sweep (count+sum+min+max)", truthKnown: true, sweeps: 1}
 		for _, a := range q.Aggs {
 			v, known := got[a]
 			if !known {
-				return answer{}, fmt.Errorf("engine: unknown fused aggregate %q (count|sum|min|max|avg)", a)
+				return oracleAnswer{}, fmt.Errorf("engine: unknown fused aggregate %q (count|sum|min|max|avg)", a)
 			}
 			ans.values = append(ans.values, v)
 			ans.truths = append(ans.truths, truth.aggregate(a))
@@ -594,9 +619,9 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindApxMedian:
 		res, err := core.ApxMedian(net, core.ApxParams{Epsilon: q.Eps})
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
-		return answer{
+		return oracleAnswer{
 			value:      float64(res.Value),
 			detail:     fmt.Sprintf("%d α-counting instances, halted early: %v", res.Instances, res.HaltedEarly),
 			truth:      float64(core.TrueMedian(sorted())),
@@ -606,9 +631,9 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindApxMedian2:
 		res, err := core.ApxMedian2(net, core.Apx2Params{Beta: q.Beta, Epsilon: q.Eps})
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
-		return answer{
+		return oracleAnswer{
 			value:      float64(res.Value),
 			detail:     fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances),
 			truth:      float64(core.TrueMedian(sorted())),
@@ -618,14 +643,14 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindMin:
 		v, ok := net.Min(core.Linear)
 		if !ok {
-			return answer{}, fmt.Errorf("engine: empty network")
+			return oracleAnswer{}, fmt.Errorf("engine: empty network")
 		}
 		return exactUint(v, "exact", truth.totals().lo), nil
 
 	case KindMax:
 		v, ok := net.Max(core.Linear)
 		if !ok {
-			return answer{}, fmt.Errorf("engine: empty network")
+			return oracleAnswer{}, fmt.Errorf("engine: empty network")
 		}
 		return exactUint(v, "exact", truth.totals().hi), nil
 
@@ -633,28 +658,28 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		return exactUint(net.Count(core.Linear, wire.True()), "exact", truth.count()), nil
 
 	case KindSum:
-		return answer{value: float64(net.Sum(core.Linear, wire.True())), detail: "exact", truth: truth.aggregate("sum"), truthKnown: true}, nil
+		return oracleAnswer{value: float64(net.Sum(core.Linear, wire.True())), detail: "exact", truth: truth.aggregate("sum"), truthKnown: true}, nil
 
 	case KindAvg:
 		v, ok := net.Average(core.Linear, wire.True())
 		if !ok {
-			return answer{}, fmt.Errorf("engine: empty network")
+			return oracleAnswer{}, fmt.Errorf("engine: empty network")
 		}
-		return answer{value: v, detail: "exact (SUM/COUNT)", truth: truth.aggregate("avg"), truthKnown: true}, nil
+		return oracleAnswer{value: v, detail: "exact (SUM/COUNT)", truth: truth.aggregate("avg"), truthKnown: true}, nil
 
 	case KindDistinct:
 		res, err := distinct.Exact(ops)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(uint64(res.Distinct), "exact set union", truth.distinct()), nil
 
 	case KindApxDistinct:
 		res, err := distinct.Approximate(ops, q.SketchP, loglog.EstHLL, nw.Seed())
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
-		return answer{
+		return oracleAnswer{
 			value:      res.Estimate,
 			detail:     fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<q.SketchP, res.Sigma),
 			truth:      float64(truth.distinct()),
@@ -664,34 +689,34 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindQDigest:
 		res, err := qdigest.MedianProtocol(ops, 16)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value, fmt.Sprintf("rank error bound %d", res.RankErrorBound), core.TrueMedian(sorted())), nil
 
 	case KindGK:
 		res, err := gk.MedianProtocol(ops, 24)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value, fmt.Sprintf("rank gap ≤ %d", res.MaxGap), core.TrueMedian(sorted())), nil
 
 	case KindSampling:
 		res, err := sampling.Median(ops, 128, nw.Seed())
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value, fmt.Sprintf("from %d samples", res.SampleSize), core.TrueMedian(sorted())), nil
 
 	case KindGossip:
 		res, err := gossip.Median(nw, gossip.Params{})
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value, fmt.Sprintf("%d push-sum phases", res.Phases), core.TrueMedian(sorted())), nil
 
 	case KindGossipDistinct:
 		res := gossip.Distinct(nw, q.SketchP, loglog.EstHLL, nw.Seed(), gossip.Params{})
-		return answer{
+		return oracleAnswer{
 			value:      res.Estimate,
 			detail:     fmt.Sprintf("%d gossip rounds", res.Rounds),
 			truth:      float64(truth.distinct()),
@@ -701,17 +726,17 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindCollectAll:
 		res, err := baseline.CollectAllMedian(ops)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value, fmt.Sprintf("%d items shipped", res.Items), core.TrueMedian(sorted())), nil
 
 	case KindSingleHop:
 		if spec.Topology != "complete" {
-			return answer{}, fmt.Errorf("engine: singlehop requires topology=complete, got %q", spec.Topology)
+			return oracleAnswer{}, fmt.Errorf("engine: singlehop requires topology=complete, got %q", spec.Topology)
 		}
 		res, err := singlehop.Median(nw)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		return exactUint(res.Value,
 			fmt.Sprintf("max transmit %d bits/node, %d radio rounds", res.MaxTransmitBits, res.Rounds),
@@ -720,9 +745,9 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindBuildTree:
 		res, err := spantree.BuildBFS(nw)
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
-		return answer{
+		return oracleAnswer{
 			value:      float64(res.Tree.Height()),
 			detail:     fmt.Sprintf("distributed BFS in %d rounds", res.Rounds),
 			truth:      float64(topology.BFSTree(nw.Graph, 0).Height()),
@@ -734,13 +759,13 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 	case KindApxCount:
 		an := net.(*agg.Net)
 		est := an.ApxCount(core.Linear, wire.True())
-		return answer{value: est, detail: fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()),
+		return oracleAnswer{value: est, detail: fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()),
 			truth: float64(truth.count()), truthKnown: true}, nil
 
 	case KindF2:
 		res, err := ams.F2Protocol(ops, 5, 64, nw.Seed())
 		if err != nil {
-			return answer{}, err
+			return oracleAnswer{}, err
 		}
 		freq := map[uint64]float64{}
 		for _, v := range sorted() {
@@ -750,10 +775,10 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		for _, f := range freq {
 			f2 += f * f
 		}
-		return answer{value: res.Estimate, detail: "AMS sketch 5x64, rel. σ ≈ √(2/64)", truth: f2, truthKnown: true}, nil
+		return oracleAnswer{value: res.Estimate, detail: "AMS sketch 5x64, rel. σ ≈ √(2/64)", truth: f2, truthKnown: true}, nil
 
 	default:
-		return answer{}, fmt.Errorf("engine: unknown query kind %q", q.Kind)
+		return oracleAnswer{}, fmt.Errorf("engine: unknown query kind %q", q.Kind)
 	}
 }
 
@@ -819,9 +844,9 @@ func oracleFusedMemberFor(q Query, n uint64) (oracleFusedMember, bool) {
 // oracleFusedAnswer assembles a member's answer with exactly the value/truth
 // semantics of its solo execution in exec.go; only the detail string
 // differs (it names the shared schedule, see fusedDetail).
-func oracleFusedAnswer(q Query, mr oracleFusedMemberResult, sweeps int, detail string, truth *groundTruth) answer {
+func oracleFusedAnswer(q Query, mr oracleFusedMemberResult, sweeps int, detail string, truth *groundTruth) oracleAnswer {
 	n := truth.count()
-	ans := answer{detail: detail, truthKnown: true, sweeps: sweeps}
+	ans := oracleAnswer{detail: detail, truthKnown: true, sweeps: sweeps}
 	switch q.Kind {
 	case KindMedian:
 		ans.value, ans.truth = float64(mr.Values[0]), float64(core.TrueMedian(truth.sorted()))
@@ -862,24 +887,24 @@ func oracleFusedAnswer(q Query, mr oracleFusedMemberResult, sweeps int, detail s
 // budget ran out: the checkpointed bounds stand in for the exact values and
 // no truth claim is made (TruthKnown stays false — the population the
 // partial sweeps counted over no longer exists).
-func oracleDegradedAnswer(q Query, mr oracleFusedMemberResult, retries int) answer {
+func oracleDegradedAnswer(q Query, mr oracleFusedMemberResult, retries int) oracleAnswer {
 	detail := fmt.Sprintf("degraded: retry budget exhausted after %d attempt(s); best-known bounds", retries+1)
 	switch q.Kind {
 	case KindMedian, KindOrderStat, KindQuantile:
-		return answer{value: float64(mr.Values[0]), detail: detail}
+		return oracleAnswer{value: float64(mr.Values[0]), detail: detail}
 	case KindQuantiles:
-		ans := answer{detail: detail}
+		ans := oracleAnswer{detail: detail}
 		for _, v := range mr.Values {
 			ans.values = append(ans.values, float64(v))
 		}
 		ans.value = ans.values[0]
 		return ans
 	case KindFused:
-		ans := answer{detail: detail}
+		ans := oracleAnswer{detail: detail}
 		ans.values = append(ans.values, mr.AggValues...)
 		ans.value = ans.values[0]
 		return ans
 	default:
-		return answer{value: mr.AggValues[0], detail: detail}
+		return oracleAnswer{value: mr.AggValues[0], detail: detail}
 	}
 }

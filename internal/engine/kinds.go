@@ -115,9 +115,14 @@ type kind struct {
 	// batchDetail names a fusable kind's answer in a batch whose shared
 	// schedule the string shared describes.
 	batchDetail func(m member, shared string) string
-	// solo answers the kind alone on r's plane (a fusable kind's slot
-	// resolved in r.m).
-	solo func(r *run) (answer, error)
+	// alone answers a fusable kind alone on r's plane, its slot resolved in
+	// r.m: the slot's result and the answer's detail, with the sweeps its
+	// plane ran recorded in r.
+	alone func(r *run) (memberResult, string, error)
+	// solo answers any other kind alone on r's plane: its value and detail,
+	// held against truth, its ground truth over r's population.
+	solo  func(r *run) (float64, string, error)
+	truth func(r *run) float64
 }
 
 // planSupport is which fault plans a kind executes honestly, besides the
@@ -192,14 +197,13 @@ var kinds = [...]kind{
 	{name: KindMedian, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}) },
 		batchDetail: func(_ member, shared string) string { return shared },
-		solo: func(r *run) (answer, error) {
-			ans, err := r.kary()
-			ans.detail = fmt.Sprintf("%d k-ary sweeps (width %d)", ans.sweeps, r.m.width)
-			return ans, err
+		alone: func(r *run) (memberResult, string, error) {
+			mr, err := r.kary()
+			return mr, fmt.Sprintf("%d k-ary sweeps (width %d)", r.sweeps, r.m.width), err
 		}},
 	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n) },
-		batchDetail: rankDetail, solo: rankSolo},
+		batchDetail: rankDetail, alone: rankAlone},
 	{name: KindQuantile, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member: func(q Query, n uint64) (member, error) {
 			if q.Phi <= 0 || q.Phi > 1 {
@@ -207,7 +211,7 @@ var kinds = [...]kind{
 			}
 			return rankMember(q, core.QuantileRank(q.Phi, n), n)
 		},
-		batchDetail: rankDetail, solo: rankSolo},
+		batchDetail: rankDetail, alone: rankAlone},
 	// Ranks are φ-resolved against the protocol-counted N inside the search
 	// (folded into the first sweep), so the kind degrades under message
 	// faults exactly like median does: a corrupted count skews the answer
@@ -227,10 +231,9 @@ var kinds = [...]kind{
 			return selection(q, ranks...)
 		},
 		batchDetail: func(m member, shared string) string { return fmt.Sprintf("%d quantiles, %s", len(m.ranks), shared) },
-		solo: func(r *run) (answer, error) {
-			ans, err := r.kary()
-			ans.detail = fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(r.m.ranks), ans.sweeps, r.m.width)
-			return ans, err
+		alone: func(r *run) (memberResult, string, error) {
+			mr, err := r.kary()
+			return mr, fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(r.m.ranks), r.sweeps, r.m.width), err
 		}},
 	{name: KindFused, tree: true, robust: true, plans: plansRetry, vector: true,
 		member: func(q Query, _ uint64) (member, error) {
@@ -242,38 +245,21 @@ var kinds = [...]kind{
 			return member{aggs: q.Aggs}, nil
 		},
 		batchDetail: riderDetail,
-		solo: func(r *run) (answer, error) {
+		alone: func(r *run) (memberResult, string, error) {
 			count, sum, lo, hi, ok := r.net.MultiAggregate(core.Linear, wire.True())
 			if !ok {
-				return answer{}, errEmptyNetwork
+				return memberResult{}, "", errEmptyNetwork
 			}
-			ans := r.m.answer(nil, aggValues(r.m.aggs, &fact21{count, sum, lo, hi}), &r.truth)
-			ans.detail, ans.sweeps = "fused vector sweep (count+sum+min+max)", 1
-			return ans, nil
+			r.sweeps = 1
+			return memberResult{aggValues: aggValues(r.m.aggs, &fact21{count, sum, lo, hi})}, "fused vector sweep (count+sum+min+max)", nil
 		}},
-	{name: KindApxMedian, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+	{name: KindApxMedian, tree: true, where: whereFilter, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{
-			value:      float64(res.Value),
-			detail:     fmt.Sprintf("%d α-counting instances, halted early: %v", res.Instances, res.HaltedEarly),
-			truth:      float64(core.TrueMedian(r.truth.sorted())),
-			truthKnown: true,
-		}, nil
+		return float64(res.Value), fmt.Sprintf("%d α-counting instances, halted early: %v", res.Instances, res.HaltedEarly), err
 	}},
-	{name: KindApxMedian2, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+	{name: KindApxMedian2, tree: true, where: whereFilter, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := core.ApxMedian2(r.net, core.Apx2Params{Beta: r.q.Beta, Epsilon: r.q.Eps})
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{
-			value:      float64(res.Value),
-			detail:     fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances),
-			truth:      float64(core.TrueMedian(r.truth.sorted())),
-			truthKnown: true,
-		}, nil
+		return float64(res.Value), fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances), err
 	}},
 	aggregateKind(KindMin, "exact", whereFilter, func(net aggregator, _ wire.Pred) (float64, bool) {
 		v, ok := net.Min(core.Linear)
@@ -292,115 +278,61 @@ var kinds = [...]kind{
 	aggregateKind(KindAvg, "exact (SUM/COUNT)", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
 		return net.Average(core.Linear, pred)
 	}),
-	{name: KindDistinct, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+	{name: KindDistinct, tree: true, where: whereFilter, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
 		res, err := distinct.Exact(r.fe)
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(uint64(res.Distinct), "exact set union", r.truth.distinct()), nil
+		return float64(res.Distinct), "exact set union", err
 	}},
-	{name: KindApxDistinct, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+	{name: KindApxDistinct, tree: true, where: whereFilter, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
 		res, err := distinct.Approximate(r.fe, r.q.SketchP, loglog.EstHLL, r.nw.Seed())
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{
-			value:      res.Estimate,
-			detail:     fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<r.q.SketchP, res.Sigma),
-			truth:      float64(r.truth.distinct()),
-			truthKnown: true,
-		}, nil
+		return res.Estimate, fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<r.q.SketchP, res.Sigma), err
 	}},
 	// The α-counting instance runs on the plane's own sketch precision
 	// (Query.SketchP); the AMS sketch has one fixed shape.
-	{name: KindApxCount, tree: true, where: whereInNetwork, solo: func(r *run) (answer, error) {
+	{name: KindApxCount, tree: true, where: whereInNetwork, truth: (*run).count, solo: func(r *run) (float64, string, error) {
 		an := r.net.(*agg.Net) // apxcount never runs robust
-		return answer{
-			value:      an.ApxCount(core.Linear, r.pred()),
-			detail:     fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()),
-			truth:      float64(r.truth.count()),
-			truthKnown: true,
-		}, nil
+		return an.ApxCount(core.Linear, r.pred()), fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()), nil
 	}},
-	{name: KindF2, tree: true, where: whereFilter, solo: func(r *run) (answer, error) {
+	{name: KindF2, tree: true, where: whereFilter, truth: (*run).f2, solo: func(r *run) (float64, string, error) {
 		res, err := ams.F2Protocol(r.fe, 5, 64, r.nw.Seed())
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{
-			value:      res.Estimate,
-			detail:     "AMS sketch 5x64, rel. σ ≈ √(2/64)",
-			truth:      r.truth.f2(),
-			truthKnown: true,
-		}, nil
+		return res.Estimate, "AMS sketch 5x64, rel. σ ≈ √(2/64)", err
 	}},
-	{name: KindQDigest, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindQDigest, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := qdigest.MedianProtocol(r.fe, 16)
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value, fmt.Sprintf("rank error bound %d", res.RankErrorBound), core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("rank error bound %d", res.RankErrorBound), err
 	}},
-	{name: KindGK, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindGK, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := gk.MedianProtocol(r.fe, 24)
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value, fmt.Sprintf("rank gap ≤ %d", res.MaxGap), core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("rank gap ≤ %d", res.MaxGap), err
 	}},
-	{name: KindSampling, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindSampling, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := sampling.Median(r.fe, 128, r.nw.Seed())
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value, fmt.Sprintf("from %d samples", res.SampleSize), core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("from %d samples", res.SampleSize), err
 	}},
-	{name: KindGossip, plans: plansNative, solo: func(r *run) (answer, error) {
+	{name: KindGossip, plans: plansNative, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := gossip.Median(r.nw, gossip.Params{})
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value, fmt.Sprintf("%d push-sum phases", res.Phases), core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("%d push-sum phases", res.Phases), err
 	}},
-	{name: KindGossipDistinct, plans: plansNative, solo: func(r *run) (answer, error) {
+	{name: KindGossipDistinct, plans: plansNative, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
 		res := gossip.Distinct(r.nw, r.q.SketchP, loglog.EstHLL, r.nw.Seed(), gossip.Params{})
-		return answer{
-			value:      res.Estimate,
-			detail:     fmt.Sprintf("%d gossip rounds", res.Rounds),
-			truth:      float64(r.truth.distinct()),
-			truthKnown: true,
-		}, nil
+		return res.Estimate, fmt.Sprintf("%d gossip rounds", res.Rounds), nil
 	}},
-	{name: KindCollectAll, tree: true, solo: func(r *run) (answer, error) {
+	{name: KindCollectAll, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := baseline.CollectAllMedian(r.fe)
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value, fmt.Sprintf("%d items shipped", res.Items), core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("%d items shipped", res.Items), err
 	}},
-	{name: KindSingleHop, solo: func(r *run) (answer, error) {
+	{name: KindSingleHop, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		if r.spec.Topology != "complete" {
-			return answer{}, fmt.Errorf("engine: singlehop requires topology=complete, got %q", r.spec.Topology)
+			return 0, "", fmt.Errorf("engine: singlehop requires topology=complete, got %q", r.spec.Topology)
 		}
 		res, err := singlehop.Median(r.nw)
-		if err != nil {
-			return answer{}, err
-		}
-		return exactUint(res.Value,
-			fmt.Sprintf("max transmit %d bits/node, %d radio rounds", res.MaxTransmitBits, res.Rounds),
-			core.TrueMedian(r.truth.sorted())), nil
+		return float64(res.Value), fmt.Sprintf("max transmit %d bits/node, %d radio rounds", res.MaxTransmitBits, res.Rounds), err
 	}},
-	{name: KindBuildTree, plans: plansNone, solo: func(r *run) (answer, error) {
+	{name: KindBuildTree, plans: plansNone, truth: (*run).height, solo: func(r *run) (float64, string, error) {
 		res, err := spantree.BuildBFS(r.nw)
 		if err != nil {
-			return answer{}, err
+			return 0, "", err
 		}
-		return answer{
-			value:      float64(res.Tree.Height()),
-			detail:     fmt.Sprintf("distributed BFS in %d rounds", res.Rounds),
-			truth:      float64(topology.BFSTree(r.nw.Graph, 0).Height()),
-			truthKnown: true,
-		}, nil
+		return float64(res.Tree.Height()), fmt.Sprintf("distributed BFS in %d rounds", res.Rounds), nil
 	}},
 }
 
@@ -413,8 +345,8 @@ func kindOf(name string) *kind {
 			return &kinds[i]
 		}
 	}
-	return &kind{name: name, tree: true, solo: func(*run) (answer, error) {
-		return answer{}, fmt.Errorf("engine: unknown query kind %q", name)
+	return &kind{name: name, tree: true, solo: func(*run) (float64, string, error) {
+		return 0, "", fmt.Errorf("engine: unknown query kind %q", name)
 	}}
 }
 
@@ -426,16 +358,19 @@ func Kinds() (names []string) {
 	return names
 }
 
-// run is the prepared execution state a solo job dispatches over.
+// run is the prepared execution state a solo job dispatches over: a
+// fusable kind's slot m, once resolved, and the sweeps its plane ran.
 type run struct {
-	nw    *netsim.Network
-	spec  Spec
-	q     Query
-	fe    *spantree.FastEngine
-	net   aggregator
-	truth groundTruth
-	m     member
-	team  int // the tree-kernel team size
+	nw     *netsim.Network
+	spec   Spec
+	q      Query
+	fe     *spantree.FastEngine
+	net    aggregator
+	truth  groundTruth
+	m      member
+	team   int // the tree-kernel team size
+	sweeps int
+	one    [1]float64 // a single-aggregate kind's answer, as its slot's result
 }
 
 // pred is the predicate an in-network kind evaluates: the query's WHERE,
@@ -447,17 +382,42 @@ func (r *run) pred() wire.Pred {
 	return wire.True()
 }
 
-// runSolo answers r's query alone on its prepared plane, a fusable kind's
-// slot resolved first against the population r's truth covers.
-func (k *kind) runSolo(r *run) (answer, error) {
-	if k.member != nil {
-		m, err := k.slot(r.q, r.truth.count())
+// The truths a kind with a private schedule names: its population's
+// median, distinct count, size and second frequency moment, and the BFS
+// tree's height.
+func (r *run) median() float64   { return float64(core.TrueMedian(r.truth.sorted())) }
+func (r *run) distinct() float64 { return float64(r.truth.distinct()) }
+func (r *run) count() float64    { return float64(r.truth.count()) }
+func (r *run) f2() float64       { return r.truth.f2() }
+func (r *run) height() float64   { return float64(topology.BFSTree(r.nw.Graph, 0).Height()) }
+
+// runSolo answers r's query alone on its prepared plane into res, behind
+// heal, the repair that shaped r's view: a fusable kind through its slot,
+// resolved first against the population r's truth covers, and the member
+// assembly every batch answer shares; any other kind with its value,
+// detail and named truth.
+func (k *kind) runSolo(r *run, heal *spantree.HealResult, res *Result) error {
+	if k.member == nil {
+		v, detail, err := k.solo(r)
 		if err != nil {
-			return answer{}, err
+			return err
 		}
-		r.m = m
+		res.Value, res.Detail, res.Truth, res.TruthKnown = v, detail, k.truth(r), true
+		healed(res, heal)
+		return nil
 	}
-	return k.solo(r)
+	m, err := k.slot(r.q, r.truth.count())
+	if err != nil {
+		return err
+	}
+	r.m = m
+	mr, detail, err := k.alone(r)
+	if err != nil {
+		return err
+	}
+	o := outcome{res: batchResult{sweeps: r.sweeps}, hr: heal, truth: &r.truth}
+	o.answer(res, &r.m, &mr, detail)
+	return nil
 }
 
 // member is one query's slot in a fusion batch, as its kind resolved it:
@@ -498,11 +458,10 @@ func rankMember(q Query, k, n uint64) (member, error) {
 	return selection(q, core.BatchRank{K: k})
 }
 
-// rankSolo answers an order-statistic kind alone: one seeded k-ary search.
-func rankSolo(r *run) (answer, error) {
-	ans, err := r.kary()
-	ans.detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", r.m.ranks[0].K, ans.sweeps, r.m.width)
-	return ans, err
+// rankAlone answers an order-statistic kind alone: one seeded k-ary search.
+func rankAlone(r *run) (memberResult, string, error) {
+	mr, err := r.kary()
+	return mr, fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", r.m.ranks[0].K, r.sweeps, r.m.width), err
 }
 
 func rankDetail(m member, shared string) string {
@@ -520,65 +479,55 @@ func aggregateKind(name, detail string, where whereSupport, protocol func(aggreg
 	return kind{name: name, tree: true, robust: true, plans: plansRetry, where: where,
 		member:      func(Query, uint64) (member, error) { return member{aggs: aggs}, nil },
 		batchDetail: riderDetail,
-		solo: func(r *run) (answer, error) {
+		alone: func(r *run) (memberResult, string, error) {
 			v, ok := protocol(r.net, r.pred())
 			if !ok {
-				return answer{}, errEmptyNetwork
+				return memberResult{}, "", errEmptyNetwork
 			}
-			ans := r.m.answer(nil, []float64{v}, &r.truth)
-			ans.detail = detail
-			return ans, nil
+			r.one[0] = v
+			return memberResult{aggValues: r.one[:]}, detail, nil
 		}}
 }
 
 var errEmptyNetwork = errors.New("engine: empty network")
 
-// kary answers r's selection member with one seeded k-ary search over its
+// kary answers r's selection slot with one seeded k-ary search over its
 // ranks, core.SelectRanksSeeded on the job's own plane.
-func (r *run) kary() (answer, error) {
+func (r *run) kary() (memberResult, error) {
 	res, err := core.SelectRanksSeeded(r.net, r.m.ranks, r.m.width, r.m.seeds)
-	if err != nil {
-		return answer{}, err
-	}
-	ans := r.m.answer(res.Values, nil, &r.truth)
-	ans.sweeps, ans.seededSweeps, ans.seedHit = res.Sweeps, res.SeededSweeps, res.SeedHit
-	return ans, nil
+	r.sweeps = res.Sweeps
+	return memberResult{values: res.Values, seededSweeps: res.SeededSweeps, seedHit: res.SeedHit}, err
 }
 
-func exactUint(v uint64, detail string, truth uint64) answer {
-	return answer{value: float64(v), detail: detail, truth: float64(truth), truthKnown: true}
-}
-
-// answer assembles the member's value, values and truths from sel (a
-// selection member's order statistics) or aggs (an aggregate member's
-// answers), in member order, with each value's truth over g's population.
-// A nil g claims no truth — a degraded answer's population no longer
-// exists. Detail and schedule are the caller's.
-func (m *member) answer(sel []uint64, aggs []float64, g *groundTruth) (ans answer) {
+// answer writes the member's values and seeding from its result mr (a
+// selection member's order statistics or an aggregate member's answers, in
+// member order) into res, with each value's truth over g's population. A
+// nil g claims no truth — a degraded answer's population no longer exists.
+func (m *member) answer(res *Result, mr *memberResult, g *groundTruth) {
 	n := len(m.ranks) + len(m.aggs)
 	if m.kind.vector {
-		ans.values = make([]float64, n)
+		res.Values = make([]float64, n)
 		if g != nil {
-			ans.truths = make([]float64, n)
+			res.Truths = make([]float64, n)
 		}
 	}
-	for i := n - 1; i >= 0; i-- { // entry 0 last: value and truth hold it
+	for i := n - 1; i >= 0; i-- { // entry 0 last: Value and Truth hold it
 		if len(m.ranks) > 0 {
-			ans.value = float64(sel[i])
+			res.Value = float64(mr.values[i])
 		} else {
-			ans.value = aggs[i]
+			res.Value = mr.aggValues[i]
 		}
 		if g != nil {
-			ans.truth, ans.truthKnown = m.truth(i, g), true
+			res.Truth, res.TruthKnown = m.truth(i, g), true
 		}
-		if ans.values != nil {
-			ans.values[i] = ans.value
+		if res.Values != nil {
+			res.Values[i] = res.Value
 		}
-		if ans.truths != nil {
-			ans.truths[i] = ans.truth
+		if res.Truths != nil {
+			res.Truths[i] = res.Truth
 		}
 	}
-	return ans
+	res.SeededSweeps, res.SeedHit = mr.seededSweeps, mr.seedHit
 }
 
 // truth is the ground truth of the member's i-th value over g's population.

@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"sensoragg/internal/byz"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
 )
@@ -49,32 +50,24 @@ func (e *Engine) obsSoloJob(sk *obs.Sink, job Job, d netsim.Delta, wall time.Dur
 	sk.Tracer.Emit("job.solo", 0, ev[:]...)
 }
 
-// obsRobust records the byz-tier outcome of one robust job: suspected and
-// quarantined totals, the residual integrity bound, and one trace event
-// carrying the localization shape.
-func obsRobust(sk *obs.Sink, ans *answer) {
-	suspected := int64(len(ans.integrity.Suspected))
-	var quarantined, rounds, auditBits int64
-	if rep := ans.rep; rep != nil {
-		suspected += int64(len(rep.Suspected))
-		quarantined = int64(len(rep.Quarantined))
-		rounds = int64(rep.Rounds)
-		auditBits = rep.AuditBits
+// obsRobust records the byz-tier outcome of one robust job, res: suspected
+// and quarantined totals, the residual integrity bound, and one trace event
+// carrying the localization shape and integrity's trims.
+func obsRobust(sk *obs.Sink, res *Result, integrity byz.Integrity) {
+	if res.Suspected > 0 {
+		sk.ByzSuspected.Add(int64(res.Suspected))
 	}
-	if suspected > 0 {
-		sk.ByzSuspected.Add(suspected)
+	if res.Quarantined > 0 {
+		sk.ByzQuarantined.Add(int64(res.Quarantined))
 	}
-	if quarantined > 0 {
-		sk.ByzQuarantined.Add(quarantined)
-	}
-	sk.IntegrityBound.Set(float64(ans.integrity.BoundItems))
+	sk.IntegrityBound.Set(float64(integrity.BoundItems))
 	sk.Tracer.Emit("byz.robust", 0,
-		obs.KV{K: "suspected", V: suspected},
-		obs.KV{K: "quarantined", V: quarantined},
-		obs.KV{K: "rounds", V: rounds},
-		obs.KV{K: "audit_bits", V: auditBits},
-		obs.KV{K: "bound_items", V: int64(ans.integrity.BoundItems)},
-		obs.KV{K: "trims", V: int64(ans.integrity.Trims)})
+		obs.KV{K: "suspected", V: int64(res.Suspected)},
+		obs.KV{K: "quarantined", V: int64(res.Quarantined)},
+		obs.KV{K: "rounds", V: int64(res.AuditRounds)},
+		obs.KV{K: "audit_bits", V: res.AuditBits},
+		obs.KV{K: "bound_items", V: int64(integrity.BoundItems)},
+		obs.KV{K: "trims", V: int64(integrity.Trims)})
 }
 
 // obsFusedBatch records the batch-completion event of one fusion group:

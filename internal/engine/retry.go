@@ -141,30 +141,37 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 	}
 }
 
-// answer assembles slot m's answer from its result in the batch: exact
-// over the final survivors, its detail naming the shared schedule, or —
-// when the retry budget ran out — the best-known bounds with no truth
-// claim. shared is the batch's fusedDetail.
-func (o *outcome) answer(m *member, mr *memberResult, shared string) answer {
-	var ans answer
+// answer writes slot m's answer from its result mr on o's plane into res,
+// with detail: exact over the final survivors or — when the retry budget
+// ran out — the best-known bounds with no truth claim, with the plane's
+// sweeps, the heal that shaped the final view and the retry outcome. Solo,
+// fused, retried and degraded answers all take this one assembly.
+func (o *outcome) answer(res *Result, m *member, mr *memberResult, detail string) {
+	g := o.truth
 	if o.degraded {
-		ans = m.answer(mr.values, mr.aggValues, nil)
-		ans.detail = fmt.Sprintf("degraded: retry budget exhausted after %d attempt(s); best-known bounds", o.retries+1)
-	} else {
-		ans = m.answer(mr.values, mr.aggValues, o.truth)
-		ans.detail = m.kind.batchDetail(*m, shared)
-		ans.sweeps = o.res.sweeps
+		g = nil
 	}
-	ans.heal, ans.retries, ans.degraded, ans.survivorFrac = o.hr, o.retries, o.degraded, o.survivorFrac
-	return ans
+	m.answer(res, mr, g)
+	res.Detail, res.SharedSweeps = detail, o.res.sweeps
+	healed(res, o.hr)
+	res.Retries, res.Degraded, res.SurvivorFrac = o.retries, o.degraded, o.survivorFrac
+}
+
+// detail is slot m's detail in the batch whose shared schedule the string
+// shared describes, or the degraded notice when the retry budget ran out.
+func (o *outcome) detail(m *member, shared string) string {
+	if o.degraded {
+		return fmt.Sprintf("degraded: retry budget exhausted after %d attempt(s); best-known bounds", o.retries+1)
+	}
+	return m.kind.batchDetail(*m, shared)
 }
 
 // retrySolo runs a solo fusable query under a phased fault plan from r's
 // pre-query state as a batch of one: the batch driver and its assembly.
-func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult) (answer, error) {
+func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult, res *Result) error {
 	mb, err := k.slot(r.q, r.truth.count())
 	if err != nil {
-		return answer{}, err
+		return err
 	}
 	members := []member{mb}
 	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
@@ -172,11 +179,12 @@ func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult) (answer, 
 		err = o.res.members[0].err
 	}
 	if err != nil {
-		return answer{}, err
+		return err
 	}
-	ans := o.answer(&members[0], &o.res.members[0], fusedDetail(1, o.res.sweeps))
+	detail := o.detail(&members[0], fusedDetail(1, o.res.sweeps))
 	if o.retries > 0 && !o.degraded {
-		ans.detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, ans.detail)
+		detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, detail)
 	}
-	return ans, nil
+	o.answer(res, &members[0], &o.res.members[0], detail)
+	return nil
 }

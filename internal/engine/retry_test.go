@@ -294,3 +294,41 @@ func TestPhasedUnfiredIsExact(t *testing.T) {
 		t.Errorf("unfired plan reported survivor fraction %g", r.SurvivorFrac)
 	}
 }
+
+// TestPhasedSoloReportsSeeding pins a seeded solo selection's seeding
+// outcome under a phased plan: the batch of one runs the seeded search the
+// unphased solo run does and reports its seeded sweeps and seed hit alike,
+// whether or not the strike fires before the search ends.
+func TestPhasedSoloReportsSeeding(t *testing.T) {
+	q := Query{Kind: KindMedian, SeedWindows: []core.SeedWindow{{Lo: 1500, Hi: 2500}}}
+	plain := Spec{Topology: "grid", N: 1024, Seed: 1}
+	jobs := []Job{{Spec: plain, Query: q}}
+	for _, fs := range []string{"crash@sweep=50=0.1", "crash@sweep=2=0.05"} {
+		spec := plain
+		var err error
+		if spec.Faults, err = faults.ParseSpec(fs); err != nil {
+			t.Fatal(err)
+		}
+		spec.Retry.Budget = 2
+		jobs = append(jobs, Job{Spec: spec, Query: q})
+	}
+	res := New(Options{Workers: 1}).Submit(context.Background(), jobs)
+	for i, r := range res {
+		if r.Failed() || !r.Exact {
+			t.Fatalf("job %d: error %q, exact %v", i, r.Error, r.Exact)
+		}
+	}
+	want, unfired, fired := res[0], res[1], res[2]
+	if want.SeededSweeps == 0 || !want.SeedHit {
+		t.Fatalf("unphased seeded median: %d seeded sweeps, hit %v; the window holds the median %g", want.SeededSweeps, want.SeedHit, want.Value)
+	}
+	if unfired.Retries != 0 || unfired.Value != want.Value || unfired.SharedSweeps != want.SharedSweeps ||
+		unfired.SeededSweeps != want.SeededSweeps || unfired.SeedHit != want.SeedHit {
+		t.Errorf("unfired strike: %g in %d sweeps, %d seeded, hit %v (retries %d); unphased %g in %d, %d seeded, hit %v",
+			unfired.Value, unfired.SharedSweeps, unfired.SeededSweeps, unfired.SeedHit, unfired.Retries,
+			want.Value, want.SharedSweeps, want.SeededSweeps, want.SeedHit)
+	}
+	if fired.Retries == 0 || fired.SeededSweeps == 0 {
+		t.Errorf("fired strike: %d retries, %d seeded sweeps; the resumed search is seeded", fired.Retries, fired.SeededSweeps)
+	}
+}

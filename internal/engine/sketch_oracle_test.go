@@ -102,7 +102,7 @@ func requireHonestSketchRun(t *testing.T, spec Spec, q Query) (Result, *netsim.N
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = ans.value
+		want = ans.Value
 	}
 	where := fmt.Sprintf("%s under %v", q.Kind, spec.Faults)
 	if got.Value != want {

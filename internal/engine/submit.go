@@ -29,9 +29,10 @@ func WithFusion() SubmitOption {
 // never as an error for the whole submission.
 //
 // Equal jobs run once: a job equal to an earlier one (same normalized spec,
-// run seed, overlay pointer and resolved query) is its twin and gets that
-// job's Result under its own ID — what it would get alone, but for WallNS.
-// Twins share the Result's slices, so results are read-only. A fusion batch
+// run seed, overlay pointer and resolved query, its WHERE predicate compared
+// by value) is its twin and gets that job's Result under its own ID — what
+// it would get alone, but for WallNS. Twins share the Result's slices and
+// predicate, so results are read-only. A fusion batch
 // counts its members' twins. queries_total counts executions, not answers.
 //
 // Options apply to this call only: WithFusion turns the submission's

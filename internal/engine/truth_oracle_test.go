@@ -344,7 +344,9 @@ func checkTruth(t *testing.T, nw *netsim.Network, view *spantree.TreeView, pop [
 		}
 		mr := memberResult{values: make([]uint64, len(mb.ranks)), aggValues: make([]float64, len(mb.aggs))}
 		o := outcome{truth: truth}
-		r := resultFrom(Spec{}, q, o.answer(&mb, &mr, ""), netsim.Delta{}, 0)
+		var r Result
+		o.answer(&r, &mb, &mr, "")
+		resultFrom(&r, Spec{}, q, netsim.Delta{}, 0)
 		requireTruths(t, "fused "+q.String(), q, r.Value, r.Values, r.Truth, r.Truths, r.Exact, pop)
 	}
 
@@ -352,11 +354,10 @@ func checkTruth(t *testing.T, nw *netsim.Network, view *spantree.TreeView, pop [
 	nw.ResetItems()
 	fe := spantree.NewFastView(nw, view)
 	for _, q := range append(queries, Query{Kind: KindDistinct}.WithDefaults()) {
-		ans, err := soloOn(nw, Spec{}, q, fe, agg.NewNet(fe))
+		r, err := soloOn(nw, Spec{}, q, fe, agg.NewNet(fe))
 		if err != nil {
 			t.Fatalf("solo %s: %v", q, err)
 		}
-		r := resultFrom(Spec{}, q, ans, netsim.Delta{}, 0)
 		requireTruths(t, "solo "+q.String(), q, r.Value, r.Values, r.Truth, r.Truths, r.Exact, pop)
 		if !r.Exact {
 			t.Errorf("solo %s: answer %v %v is not exact over the view", q, r.Value, r.Values)

@@ -226,10 +226,10 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 
 	// One answer per slot, over one ground truth per batch.
 	shared := fusedDetail(len(memberIdx), o.res.sweeps)
-	answers := make([]answer, len(members))
+	answers := make([]Result, len(members))
 	for mi := range o.res.members {
 		if mr := &o.res.members[mi]; !mr.detached && mr.err == nil {
-			answers[mi] = o.answer(&members[mi], mr, shared)
+			o.answer(&answers[mi], &members[mi], mr, o.detail(&members[mi], shared))
 		}
 	}
 	sk := obs.Active()
@@ -259,12 +259,9 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 		}
 		// The slot's query stands in for the job's own, equal field for
 		// field: duplicates share its slices like they share the answer's.
-		r := resultFrom(spec, queries[mi], answers[mi], d, wall)
-		r.ID = jobs[ji].ID
-		r.Fused = true
-		r.SharedSweeps = o.res.sweeps
-		r.SeededSweeps = mr.seededSweeps
-		r.SeedHit = mr.seedHit
+		r := answers[mi]
+		r.ID, r.Fused = jobs[ji].ID, true
+		resultFrom(&r, spec, queries[mi], d, wall)
 		results[ji] = r
 		written[ji] = true
 	}

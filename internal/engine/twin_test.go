@@ -196,6 +196,33 @@ func TestTwinsPlan(t *testing.T) {
 	}
 }
 
+// TestTwinsComparePredicatesByValue: a WHERE statement parsed once per
+// job, as serve.QueryFor parses each, is one statement however many
+// predicate pointers carry it — equal predicates make twins, a different
+// bound or predicate kind does not.
+func TestTwinsComparePredicatesByValue(t *testing.T) {
+	spec := gridSpec(64, 3)
+	preds := []wire.Pred{wire.Less(500), wire.Less(500), wire.Less(501), wire.GreaterEq(500), wire.Less(500)}
+	jobs := make([]Job, len(preds))
+	for i := range preds {
+		jobs[i] = Job{ID: fmt.Sprint(i), Spec: spec, Query: Query{Kind: KindCount, Where: &preds[i]}}
+	}
+	jobs = append(jobs, Job{ID: "all", Spec: spec, Query: Query{Kind: KindCount}})
+	p := planUnits(jobs, true)
+	if want := []int{0, 0, 2, 3, 0, 5}; !slices.Equal(p.twin, want) || len(p.units) != 4 {
+		t.Fatalf("%d units, twins %v; want 4 units, twins %v", len(p.units), p.twin, want)
+	}
+	res := New(Options{Workers: 2}).Submit(context.Background(), jobs)
+	for i, r := range res {
+		if r.Failed() || !r.Exact || r.ID != jobs[i].ID {
+			t.Fatalf("job %d: id %q, error %q, exact %v", i, r.ID, r.Error, r.Exact)
+		}
+	}
+	if res[1].Value != res[0].Value || res[4].Value != res[0].Value {
+		t.Errorf("twins answer %g and %g, their job %g", res[1].Value, res[4].Value, res[0].Value)
+	}
+}
+
 // TestTwinsAreVisible: the engine.submit event counts the jobs answered by
 // another job's execution, and queries_total counts executions, not
 // answers. Eight robust jobs asking four statements are four twins and

@@ -17,7 +17,9 @@ import (
 // Θ(distinct · log X) per node near the root (linear in the worst case),
 // while the sketch protocol costs O(m · log log n) with relative error
 // ≈ 1.04/√m (the section's "(1 ± 3.15/k) with k² log log n bits" remark,
-// modulo estimator constants).
+// modulo estimator constants). Over at least three sizes, an exact cost
+// whose fitted exponent in N falls below e7MinExactExponent, or a sketch
+// cost whose exponent exceeds e7MaxSketchExponent, is a FAIL note.
 func CountDistinct(cfg Config) (*stats.Table, error) {
 	t := &stats.Table{
 		ID:     "E7",
@@ -57,8 +59,22 @@ func CountDistinct(cfg Config) (*stats.Table, error) {
 		sketchBits = append(sketchBits, float64(apRes.Comm.MaxPerNode))
 	}
 	if len(xs) >= 3 {
+		exact, sketch := stats.FitPowerLaw(xs, exactBits), stats.FitPowerLaw(xs, sketchBits)
 		t.AddNote("Exact cost power-law exponent in N ≈ %.2f (linear predicted: ≈ 1); sketch exponent ≈ %.2f (flat predicted: ≈ 0).",
-			stats.FitPowerLaw(xs, exactBits), stats.FitPowerLaw(xs, sketchBits))
+			exact, sketch)
+		if exact < e7MinExactExponent {
+			t.AddNote("FAIL: the exact cost's fitted exponent in N %.2f is below %.1f; §5 prices exact COUNT DISTINCT linear in the distinct count", exact, e7MinExactExponent)
+		}
+		if sketch > e7MaxSketchExponent {
+			t.AddNote("FAIL: the sketch cost's fitted exponent in N %.2f is above %.1f; the sketch costs O(m · log log n), flat in N", sketch, e7MaxSketchExponent)
+		}
 	}
 	return t, nil
 }
+
+// E7's §5 gate: full mode fits the exact cost's exponent in N at 0.99 and
+// the sketch's at 0.00.
+const (
+	e7MinExactExponent  = 0.9
+	e7MaxSketchExponent = 0.1
+)

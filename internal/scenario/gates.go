@@ -40,9 +40,14 @@ func Evaluate(sum *Summary) []GateFinding {
 	}
 
 	// min-samples: enough samples overall, and — missing-rerun check —
-	// stats present for every declared rerun. A crashed or truncated run
-	// can't sneak a thin sample set past the other gates.
+	// stats present for every rerun the run made. A crashed or truncated
+	// run can't sneak a thin sample set past the other gates. The declared
+	// floor covers the scenario's declared reruns, so a run with more or
+	// fewer scales it by their ratio, rounded up.
 	minSamples := sum.Gates.MinSamples
+	if d := sum.DeclaredReruns; d > 0 && d != sum.Reruns {
+		minSamples = (minSamples*sum.Reruns + d - 1) / d
+	}
 	if minSamples < 1 {
 		minSamples = 1
 	}

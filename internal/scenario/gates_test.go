@@ -83,6 +83,38 @@ func TestEvaluateMissingRerun(t *testing.T) {
 	}
 }
 
+// TestEvaluateMinSamplesScalesWithReruns: the declared min_samples floor
+// covers the scenario's declared reruns, so a run the runner cut to fewer
+// (or stretched to more) needs that share of it, rounded up. A missing
+// rerun still fails, and a summary without its declared count keeps the
+// absolute floor.
+func TestEvaluateMinSamplesScalesWithReruns(t *testing.T) {
+	sum := passingSummary()
+	sum.Gates.MinSamples = 71
+	sum.DeclaredReruns, sum.Reruns = 3, 1
+	sum.RerunStats = sum.RerunStats[:1]
+	for _, c := range []struct {
+		samples, declared, reruns, stats int
+		pass                             bool
+		limit                            float64
+	}{
+		{24, 3, 1, 1, true, 24},    // ⌈71 / 3⌉
+		{23, 3, 1, 1, false, 24},   // one short of the scaled floor
+		{24, 3, 1, 0, false, 1},    // the one rerun never reported
+		{24, 0, 1, 1, false, 71},   // an older summary: the absolute floor
+		{141, 3, 6, 6, false, 142}, // six reruns need twice the floor
+		{142, 3, 6, 6, true, 142},
+	} {
+		sum.Samples, sum.DeclaredReruns, sum.Reruns = c.samples, c.declared, c.reruns
+		sum.RerunStats = make([]RerunStats, c.stats)
+		f := finding(t, Evaluate(sum), "min-samples")
+		if f.Pass != c.pass || f.Limit != c.limit {
+			t.Errorf("%d samples, %d of %d declared reruns, %d reported: pass %v limit %g (%s), want pass %v limit %g",
+				c.samples, c.reruns, c.declared, c.stats, f.Pass, f.Limit, f.Detail, c.pass, c.limit)
+		}
+	}
+}
+
 func TestEvaluateVarianceNeedsReruns(t *testing.T) {
 	sum := passingSummary()
 	sum.Reruns = 2

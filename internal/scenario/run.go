@@ -114,6 +114,10 @@ type Summary struct {
 	Robust      bool        `json:"robust,omitempty"`
 	RetryBudget int         `json:"retry_budget,omitempty"`
 	Gates       Gates       `json:"gates"`
+	// DeclaredReruns is the scenario's own rerun count, which Reruns
+	// differs from when the runner overrode it; Evaluate scales the
+	// min_samples floor by their ratio. 0 (an older summary) scales nothing.
+	DeclaredReruns int `json:"declared_reruns,omitempty"`
 
 	Samples          int     `json:"samples"`
 	Errors           int     `json:"errors"`
@@ -221,6 +225,8 @@ func (r *Runner) Run(ctx context.Context, s *Scenario) (*RunResult, error) {
 		Robust:      s.Robust,
 		RetryBudget: s.RetryBudget,
 		Gates:       s.Gates,
+
+		DeclaredReruns: s.Reruns,
 	}}
 
 	var latencySum float64
