@@ -43,9 +43,11 @@ func New(rows, cols int, seed uint64) *Sketch {
 }
 
 // sign returns the ±1 hash ξ_{r,c}(v). SplitMix64 mixing gives far more
-// than the four-wise independence the analysis needs.
+// than the four-wise independence the analysis needs. The seed is mixed
+// before (r, c) joins it: seeds that differ only in their low bits would
+// otherwise merely permute a row's columns and repeat one estimate.
 func (s *Sketch) sign(r, c int, v uint64) int64 {
-	h := hashing.New(s.seed ^ uint64(r)<<32 ^ uint64(c))
+	h := hashing.New(hashing.Mix64(s.seed) ^ uint64(r)<<32 ^ uint64(c))
 	if h.Hash(v)&1 == 1 {
 		return 1
 	}

@@ -127,10 +127,16 @@ func ApxMedian2(net Net, params Apx2Params) (Apx2Result, error) {
 		}
 
 		// Line 3.4's count must run over X^(j), i.e. before the zoom
-		// deactivates items: REP COUNTP(⌈2 log(1/β)/ε⌉, "< 2^µ̂").
+		// deactivates items: REP COUNTP(⌈2 log(1/β)/ε⌉, "< 2^µ̂"). Every
+		// item is at most maxX, so a window starting past it has them all
+		// below — and its bound need not fit the value width: count TRUE.
 		var below float64
 		if winLo > 0 {
-			below = RepCount(net, Linear, wire.Less(winLo), rRep)
+			pred := wire.Less(winLo)
+			if winLo > maxX {
+				pred = wire.True()
+			}
+			below = RepCount(net, Linear, pred, rRep)
 			res.Instances += rRep
 		}
 

@@ -9,11 +9,14 @@ import (
 )
 
 // DefaultProbeWidth is the default number of COUNT probes batched into one
-// CountVec sweep by the k-ary selection search. 8 probes per sweep cut the
-// Fig. 1 binary search's ~log₂X sequential sweeps to ~log₉X, a ≥3x sweep
-// reduction at the simulator's default domains. Width 1 is Fig. 1 itself:
-// its midpoint path, less the probes whose count the search already knows
-// (see fig1Probe), so it never sends a COUNT Fig. 1 would not.
+// CountVec sweep by the k-ary selection search. Its probes are the first
+// unfixed nodes of Fig. 1's search tree, breadth first (see fig1Walk): 8
+// per sweep cover at least the three levels below the interval's first
+// unfixed node, so the Fig. 1 binary search's ~log₂X sequential sweeps
+// fall to ~log₈X or fewer, a ≥3x sweep reduction at the simulator's
+// default domains. Width 1 is Fig. 1 itself: its midpoint path, less the
+// probes whose count the search already knows, so it never sends a COUNT
+// Fig. 1 would not.
 const DefaultProbeWidth = 8
 
 // MaxProbeWidth caps the probe batch width. Beyond ~log₂X probes a sweep
@@ -102,20 +105,21 @@ type BatchResult struct {
 // Each rank j maintains an integer candidate interval [lo, hi] with the
 // invariant c(lo) < j ≤ c(hi+1), where c(t) = |{x : x < t}| over the active
 // multiset; the answer is max{t : c(t) < j} — the j-th smallest element,
-// exactly what the Fig. 1 binary search returns. Every sweep subdivides the
-// unresolved intervals with up to k probe thresholds, ships them as one
-// ascending ⊆-chain of strict-less predicates (riding CountVec's
-// delta-gamma vector encoding), and — because every count is a global fact
-// about the one shared multiset — updates every rank's interval against
-// every probed threshold, not just its own. Multi-quantile therefore costs
-// barely more sweeps than a single median: the ranks share one probe
-// schedule.
+// exactly what the Fig. 1 binary search returns. Every sweep probes up to k
+// thresholds inside the unresolved intervals: the first nodes of Fig. 1's
+// search tree, breadth first, whose count the interval does not already
+// fix. It ships them as one ascending ⊆-chain of strict-less predicates
+// (riding CountVec's delta-gamma vector encoding) and — because every
+// count is a global fact about the one shared multiset — updates every
+// rank's interval against every probed threshold, not just its own.
+// Multi-quantile therefore costs barely more sweeps than a single median:
+// the ranks share one probe schedule.
 //
 // The first sweep additionally probes max+1, whose count is N — the
 // COUNT(TRUE) of Fig. 1 line 1 folded into the probe plane — so ranks
 // expressed as Median or Phi fractions resolve without a dedicated round.
 //
-// At width 1 the search is Fig. 1 (see fig1Probe) and is framed as Fig. 1
+// At width 1 the search is Fig. 1 (see fig1Walk) and is framed as Fig. 1
 // frames it: every sweep is one COUNTP (Net.Count), the first COUNT(TRUE).
 //
 // The search state lives in a SelectStepper; this function is the
@@ -212,9 +216,9 @@ func SelectRanksSeeded(net Net, ranks []BatchRank, probeWidth int, seeds []SeedW
 type interval struct{ lo, hi uint64 }
 
 // probeAt interpolates the i-th of q evenly spaced thresholds in
-// (lo, lo+w]: lo + ⌈i·(w+1)/(q+1)⌉-ish via ⌊·⌋, computed in 128 bits so
-// wide domains (w approaching 2⁶⁴) neither wrap nor collapse the probe
-// spread. Requires 1 ≤ i ≤ q ≤ w.
+// (lo, lo+w] — the spread inside a seed window: lo + ⌈i·(w+1)/(q+1)⌉-ish
+// via ⌊·⌋, computed in 128 bits so wide domains (w approaching 2⁶⁴)
+// neither wrap nor collapse the probe spread. Requires 1 ≤ i ≤ q ≤ w.
 func probeAt(lo, w, i, q uint64) uint64 {
 	if w == ^uint64(0) {
 		// w+1 is unrepresentable; the spacing ⌊w/(q+1)⌋+1 keeps the probes

@@ -27,9 +27,10 @@ import "errors"
 // intervals too (probes outside an interval are no-ops by monotonicity of
 // the counting function). Driving a single stepper with exactly its own
 // proposals reproduces SelectRanksBatched's schedule probe-for-probe —
-// that function is a thin driver over one stepper. At width 1 the stepper
-// is the paper's Fig. 1 search (fig1Probe), so the exact selection has one
-// implementation at every width and on every path.
+// that function is a thin driver over one stepper. Every width places its
+// probes on Fig. 1's search tree (fig1Walk), and width 1 is the paper's
+// Fig. 1 search itself, so the exact selection has one implementation at
+// every width and on every path.
 type SelectStepper struct {
 	width int
 	ranks []BatchRank
@@ -188,36 +189,29 @@ func (s *SelectStepper) Done() bool {
 
 // Propose appends the stepper's next probe thresholds to dst — up to Width
 // of them, never including the top probe (the driver appends that while
-// !Resolved()). Before N is known it proposes evenly spaced thresholds
-// over (lo, hi] (none at width 1: that sweep is Fig. 1's COUNT(TRUE));
-// afterwards it budgets the width across the unresolved ranks' intervals,
-// leftovers to the earliest requested ranks — exactly the schedule
-// SelectRanksBatched probes. An interval's share goes to its seed window
-// first, else to evenly spaced thresholds, or at width 1 to the next
-// probe on Fig. 1's path (fig1Probe). The driver must sort+dedupe the
-// (possibly merged) proposals before shipping: overlapping intervals of
-// nearby ranks propose duplicate thresholds, and the ⊆-chain encoding
-// requires ascending order.
+// !Resolved()). Before N is known it proposes the first Width−1 nodes of
+// Fig. 1's search tree over [lo, hi] (none at width 1: that sweep is
+// Fig. 1's COUNT(TRUE)); afterwards it budgets the width across the
+// unresolved ranks' intervals, leftovers to the earliest requested ranks —
+// exactly the schedule SelectRanksBatched probes. An interval's share goes
+// to its seed window first, else to the first unfixed nodes of Fig. 1's
+// tree, breadth first (fig1Walk; at width 1, Fig. 1's next probe). The
+// driver must sort+dedupe the (possibly merged) proposals before shipping:
+// overlapping intervals of nearby ranks propose duplicate thresholds, and
+// the ⊆-chain encoding requires ascending order.
 func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	if !s.bounded {
 		panic("core: SelectStepper.Propose before Bounds")
 	}
 	if !s.resolved {
-		q := uint64(s.width - 1)
+		q, iv := uint64(s.width-1), interval{lo: s.lo, hi: s.hi}
 		if len(s.hints) > 0 {
-			if seeded := s.proposeHinted(dst, interval{lo: s.lo, hi: s.hi}, s.hints, q); seeded != nil {
+			if seeded := s.proposeHinted(dst, iv, s.hints, q); seeded != nil {
 				s.seededSweeps++
 				return seeded
 			}
 		}
-		w := s.hi - s.lo
-		if q > w {
-			q = w
-		}
-		for i := uint64(1); i <= q; i++ {
-			dst = append(dst, probeAt(s.lo, w, i, q))
-		}
-		return dst
+		return fig1Walk(dst, s.lo, s.hi, iv, q)
 	}
 	unresolved := 0
 	for _, iv := range s.ivs {
@@ -249,19 +243,7 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 				continue
 			}
 		}
-		if s.width == 1 {
-			if q > 0 {
-				dst = append(dst, fig1Probe(s.lo, s.hi, iv))
-			}
-			continue
-		}
-		w := iv.hi - iv.lo
-		if q > w {
-			q = w
-		}
-		for i := uint64(1); i <= q; i++ {
-			dst = append(dst, probeAt(iv.lo, w, i, q))
-		}
+		dst = fig1Walk(dst, s.lo, s.hi, iv, q)
 	}
 	if seededRound {
 		s.seededSweeps++
@@ -275,8 +257,8 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 // window — or pushes the interval past it), then the remaining budget
 // spread inside the windows. Returns nil when no window can still narrow
 // iv (hint exhausted, disproven, or the interval is already inside it) —
-// the caller then falls back to the even-spread schedule, which restores
-// the unseeded narrowing guarantee.
+// the caller then falls back to Fig. 1's tree, which restores the unseeded
+// narrowing guarantee.
 func (s *SelectStepper) proposeHinted(dst []uint64, iv interval, wins []SeedWindow, budget uint64) []uint64 {
 	narrowing := 0
 	for _, w := range wins {

@@ -73,3 +73,40 @@ func ledgerRun(t *testing.T, e *Engine, job Job) (Result, netsim.Ledger) {
 	resultFrom(&r, spec, job.Query, nw.Meter.Since(before), 0)
 	return r, nw.Meter.Ledger()
 }
+
+// TestApxMedian2WindowPastDomain: on the 144- and 169-node zipf grids the
+// approximate order statistic's binade can start past the value domain
+// (2^µ̂ > X); the stage's count then takes every item instead of framing a
+// threshold the value width cannot hold, and the query answers.
+func TestApxMedian2WindowPastDomain(t *testing.T) {
+	e := New(Options{Workers: 2})
+	for _, n := range []int{144, 169} {
+		spec := Spec{Topology: "grid", N: n, Workload: "zipf", Seed: 4}
+		for seed := uint64(1); seed <= 3; seed++ {
+			job := Job{Spec: spec, Query: Query{Kind: KindApxMedian2}, RunSeed: seed}
+			if r := e.Submit(context.Background(), []Job{job})[0]; r.Failed() {
+				t.Errorf("%d-node grid, run seed %d: %s", n, seed, r.Error)
+			}
+		}
+	}
+}
+
+// TestF2RunSeedsAreIndependent: another run seed draws other tug-of-war
+// signs, so the F2 estimate on one deployment moves with the seed (seeds
+// 1–63 used to permute a row's columns only, repeating one estimate).
+func TestF2RunSeedsAreIndependent(t *testing.T) {
+	e := New(Options{Workers: 2})
+	spec := Spec{Topology: "grid", N: 100, Workload: "zipf", Seed: 4}
+	var estimates []float64
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := e.Submit(context.Background(), []Job{{Spec: spec, Query: Query{Kind: KindF2}, RunSeed: seed}})[0]
+		if r.Failed() {
+			t.Fatalf("run seed %d: %s", seed, r.Error)
+		}
+		estimates = append(estimates, r.Value)
+	}
+	distinct := slices.Clone(estimates)
+	if slices.Sort(distinct); len(slices.Compact(distinct)) != 3 {
+		t.Errorf("f2 at run seeds 1, 2, 3: estimates %v, want three different ones", estimates)
+	}
+}
