@@ -108,10 +108,10 @@ type BatchResult struct {
 // exactly what the Fig. 1 binary search returns. Every sweep probes up to k
 // thresholds inside the unresolved intervals: the first nodes of Fig. 1's
 // search tree, breadth first, whose count the interval does not already
-// fix. It ships them as one ascending ⊆-chain of strict-less predicates
-// (riding CountVec's delta-gamma vector encoding) and — because every
-// count is a global fact about the one shared multiset — updates every
-// rank's interval against every probed threshold, not just its own.
+// fix, in whole levels per rank. It ships them as one ascending ⊆-chain of
+// strict-less predicates (riding CountVec's delta-gamma vector encoding)
+// and — because every count is a global fact about the one shared multiset
+// — updates every rank's interval against every probed threshold.
 // Multi-quantile therefore costs barely more sweeps than a single median:
 // the ranks share one probe schedule.
 //

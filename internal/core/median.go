@@ -41,18 +41,23 @@ func OrderStatistic(net Net, k uint64) (BatchResult, error) {
 // would not; wider sweeps spend their budget where Fig. 1 goes next.
 //
 // With S = ⌈log(M−m)⌉ and e = 2^S − (M−m), the inner node at offset p
-// (h levels above the leaves) probes m − ⌊e/2⌋ + p; the root is p = 2^(S−1)
+// (h levels above the leaves) probes m − g + p; the root is p = 2^(S−1)
 // at h = S, and a node's children lie 2^(h−2) either side. Every p is below
-// 2^S, so no span up to 2⁶⁴−1 overflows. A leaf repeats an ancestor's
-// threshold or lies at or below m, except M itself when M − m = 2^S: that
-// one is proposed last.
-func fig1Walk(dst []uint64, m, M uint64, iv interval, q uint64) []uint64 {
+// 2^S, so no span up to 2⁶⁴−1 overflows. centred is Fig. 1's g = ⌊e/2⌋,
+// which moves every node with M; otherwise the tree hangs at m, one value
+// below when e ≥ 2 so that m+1 is an inner node. A leaf repeats an
+// ancestor's threshold or lies at or below m, except M itself when
+// M − m = 2^S: that one is proposed last.
+func fig1Walk(dst []uint64, m, M uint64, iv interval, q uint64, centred bool) []uint64 {
 	if M <= m {
 		return dst
 	}
 	S := ceilLog2(M - m)
 	e := 1<<S - (M - m) // 1<<64 is 0: e is taken mod 2⁶⁴
-	g := e / 2
+	g := min(e, 2) / 2  // how far below m the tree hangs
+	if centred {
+		g = e / 2
+	}
 	// t in (iv.lo, iv.hi] ⟺ p in (pLo, pHi]; the sums saturate at 2⁶⁴−1.
 	pLo, pHi := min(iv.lo-m, ^g)+g, min(iv.hi-m, ^g)+g
 	type node struct{ p, h uint64 }

@@ -339,19 +339,22 @@ func TestTreePlacementMatchesEvenOracle(t *testing.T) {
 	t.Logf("%d cases: %d sweeps on the tree, %d evenly spaced", cases, treeSweeps, evenSweeps)
 }
 
-// FuzzFig1Walk checks the walk over any bounds and interval: every
-// threshold lies in (iv.lo, iv.hi], none repeats, at most q come back, at
-// least one when the interval is open and q ≥ 1, and q = 1 is Fig. 1's
-// next probe.
+// FuzzFig1Walk checks the walk over any bounds and interval, on Fig. 1's
+// centred tree and on the one wider sweeps hang below m: every threshold
+// lies in (iv.lo, iv.hi], none repeats, at most q come back, at least one
+// when the interval is open and q ≥ 1, all of (iv.lo, iv.hi] when q covers
+// it, and on the centred tree q = 1 is Fig. 1's next probe.
 func FuzzFig1Walk(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint16(1))
-	f.Add(uint64(7), uint64(7), uint64(7), uint64(7), uint16(8))
-	f.Add(uint64(0), uint64(math.MaxUint64), uint64(0), uint64(math.MaxUint64), uint16(8))
-	f.Add(uint64(1), uint64(math.MaxUint64), uint64(5), uint64(1<<63), uint16(1))
-	f.Add(uint64(math.MaxUint64-1), uint64(math.MaxUint64), uint64(0), uint64(1), uint16(1))
-	f.Add(uint64(100), uint64(356), uint64(255), uint64(256), uint16(1)) // M − m = 2^8: the leaf M
-	f.Add(uint64(3), uint64(1000), uint64(10), uint64(900), uint16(1024))
-	f.Fuzz(func(t *testing.T, m, M, a, b uint64, q16 uint16) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint16(1), true)
+	f.Add(uint64(7), uint64(7), uint64(7), uint64(7), uint16(8), true)
+	f.Add(uint64(0), uint64(math.MaxUint64), uint64(0), uint64(math.MaxUint64), uint16(8), true)
+	f.Add(uint64(1), uint64(math.MaxUint64), uint64(5), uint64(1<<63), uint16(1), true)
+	f.Add(uint64(math.MaxUint64-1), uint64(math.MaxUint64), uint64(0), uint64(1), uint16(1), true)
+	f.Add(uint64(100), uint64(356), uint64(255), uint64(256), uint16(1), true) // M − m = 2^8: the leaf M
+	f.Add(uint64(3), uint64(1000), uint64(10), uint64(900), uint16(1024), true)
+	f.Add(uint64(3), uint64(1000), uint64(10), uint64(40), uint16(64), false)
+	f.Add(uint64(100), uint64(356), uint64(255), uint64(356), uint16(2), false)
+	f.Fuzz(func(t *testing.T, m, M, a, b uint64, q16 uint16, centred bool) {
 		if m > M {
 			m, M = M, m
 		}
@@ -361,7 +364,7 @@ func FuzzFig1Walk(f *testing.F) {
 		}
 		iv := interval{lo: min(a, b), hi: max(a, b)}
 		q := uint64(q16 % (MaxProbeWidth + 1))
-		got := fig1Walk(nil, m, M, iv, q)
+		got := fig1Walk(nil, m, M, iv, q, centred)
 		if uint64(len(got)) > q {
 			t.Fatalf("walk [%d, %d] iv %+v q %d: %d thresholds", m, M, iv, q, len(got))
 		}
@@ -379,7 +382,10 @@ func FuzzFig1Walk(f *testing.F) {
 		if len(got) == 0 {
 			t.Fatalf("walk [%d, %d] iv %+v q %d: no threshold for an open interval", m, M, iv, q)
 		}
-		if want := fig1Probe(m, M, iv); q == 1 && got[0] != want {
+		if q >= iv.hi-iv.lo && uint64(len(got)) != iv.hi-iv.lo {
+			t.Fatalf("walk [%d, %d] iv %+v q %d: %d thresholds, the interval holds %d", m, M, iv, q, len(got), iv.hi-iv.lo)
+		}
+		if want := fig1Probe(m, M, iv); centred && q == 1 && got[0] != want {
 			t.Fatalf("walk [%d, %d] iv %+v: q = 1 gives %d, Fig. 1 probes %d", m, M, iv, got[0], want)
 		}
 	})

@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+	"slices"
+)
 
 // SelectStepper is the k-ary selection search of SelectRanksBatched with
 // its narrowing loop inverted into explicit propose-thresholds /
@@ -54,8 +58,10 @@ type SelectStepper struct {
 // for both, biased by the earlier rank's hint.
 type rankInterval struct {
 	interval
-	j   uint64
-	dup bool
+	j      uint64
+	dup    bool
+	walked bool   // walks Fig. 1's tree in the sweep being proposed
+	carry  uint16 // share banked for a later sweep (see spend); ≤ MaxProbeWidth
 }
 
 // SeedWindow is a delta-narrowing hint: the caller's belief about where a
@@ -193,16 +199,18 @@ func (s *SelectStepper) Done() bool {
 // Fig. 1's search tree over [lo, hi] (none at width 1: that sweep is
 // Fig. 1's COUNT(TRUE)); afterwards it budgets the width across the
 // unresolved ranks' intervals, leftovers to the earliest requested ranks —
-// exactly the schedule SelectRanksBatched probes. An interval's share goes
-// to its seed window first, else to the first unfixed nodes of Fig. 1's
-// tree, breadth first (fig1Walk; at width 1, Fig. 1's next probe). The
-// driver must sort+dedupe the (possibly merged) proposals before shipping:
-// overlapping intervals of nearby ranks propose duplicate thresholds, and
-// the ⊆-chain encoding requires ascending order.
+// exactly the schedule SelectRanksBatched probes. A rank's share goes to
+// its seed window first, else to Fig. 1's tree, breadth first, centred
+// only at width 1 (fig1Walk), in whole levels (see spend) — unless an
+// earlier rank walks the same interval this sweep. The driver must
+// sort+dedupe the (possibly merged) proposals before shipping: overlapping
+// intervals of nearby ranks propose duplicate thresholds, and the ⊆-chain
+// encoding requires ascending order.
 func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	if !s.bounded {
 		panic("core: SelectStepper.Propose before Bounds")
 	}
+	centred := s.width == 1
 	if !s.resolved {
 		q, iv := uint64(s.width-1), interval{lo: s.lo, hi: s.hi}
 		if len(s.hints) > 0 {
@@ -211,7 +219,7 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 				return seeded
 			}
 		}
-		return fig1Walk(dst, s.lo, s.hi, iv, q)
+		return fig1Walk(dst, s.lo, s.hi, iv, q, centred)
 	}
 	unresolved := 0
 	for _, iv := range s.ivs {
@@ -225,10 +233,12 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	base := s.width / unresolved
 	extra := s.width % unresolved
 	seen := 0
+	left := uint64(s.width) // of this sweep's budget, after the earlier ranks
 	seededRound := false
-	for vi, riv := range s.ivs {
-		iv := riv.interval
-		if iv.lo == iv.hi || riv.dup {
+	for vi := range s.ivs {
+		riv := &s.ivs[vi]
+		riv.walked = false
+		if riv.lo == riv.hi || riv.dup {
 			continue
 		}
 		q := uint64(base)
@@ -237,18 +247,42 @@ func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 		}
 		seen++
 		if len(s.hints) > 0 {
-			if seeded := s.proposeHinted(dst, iv, s.hints[vi:vi+1], q); seeded != nil {
+			if seeded := s.proposeHinted(dst, riv.interval, s.hints[vi:vi+1], min(q, left)); seeded != nil {
+				left -= uint64(len(seeded) - len(dst))
 				dst = seeded
 				seededRound = true
 				continue
 			}
 		}
-		dst = fig1Walk(dst, s.lo, s.hi, iv, q)
+		if slices.ContainsFunc(s.ivs[:vi], func(p rankInterval) bool { return p.walked && p.interval == riv.interval }) {
+			continue
+		}
+		riv.walked = true
+		n := riv.spend(q, left, uint64(s.width), riv.lo == s.lo)
+		left -= n
+		dst = fig1Walk(dst, s.lo, s.hi, riv.interval, n, centred)
 	}
 	if seededRound {
 		s.seededSweeps++
 	}
 	return dst
+}
+
+// spend returns how many of Fig. 1's nodes a rank proposes this sweep:
+// whole levels of its share q plus what it banked, at most left of them,
+// banking the rest (a share of 2 walks 1, 3, 1, 3 … nodes, 1.5 levels a
+// sweep on any data). An interval still starting at the minimum (all), or
+// a rank that no sweep could lift one more level, spends everything: its
+// odd nodes go to the next level's leftmost, toward m.
+func (r *rankInterval) spend(q, left, width uint64, all bool) uint64 {
+	banked := q + uint64(r.carry)
+	n := min(banked, left)
+	L := bits.Len64(n+1) - 1 // whole levels n affords
+	if !all && 1<<(L+1)-1 <= width {
+		n = 1<<L - 1
+	}
+	r.carry = uint16(min(banked-n, width))
+	return n
 }
 
 // proposeHinted appends hint-biased probe thresholds for the candidate
