@@ -8,18 +8,18 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// SweepMux is the shared-sweep multiplexer of the fusion plane: many
-// concurrent queries propose probe thresholds, the mux merges them into
-// one deduplicated ascending ⊆-chain, ships the chain as a single CountVec
+// SweepMux is the shared-sweep multiplexer the fusion plane ran on before
+// every selection moved onto one core.Plane: many concurrent queries
+// propose probe thresholds, the mux merges them into one deduplicated
+// ascending ⊆-chain, ships the chain as a single CountVec
 // broadcast–convergecast (optionally widened by the CountVecSum aggregate
 // rider), and demultiplexes the counts back so each query reads exactly
-// the counts it asked for. One mux round costs one tree sweep no matter
-// how many queries fed it — the "one communication round serves many
-// logical tasks" move of the congested-clique literature, applied to the
-// engine's concurrent query batches.
+// the counts it asked for — the "one round serves many tasks" move of the
+// congested-clique literature. It has no product caller left: only the
+// benchmark's replay rung runs on it, and it is deleted with that replay.
 //
-// A mux belongs to one driver (the fusion scheduler); it is not safe for
-// concurrent use. The per-sweep protocol:
+// A mux belongs to one driver; it is not safe for concurrent use. The
+// per-sweep protocol:
 //
 //	m.Begin()
 //	m.Add(stepperA.Propose(...))   // each member's proposals

@@ -122,11 +122,9 @@ type BatchResult struct {
 // At width 1 the search is Fig. 1 (see fig1Walk) and is framed as Fig. 1
 // frames it: every sweep is one COUNTP (Net.Count), the first COUNT(TRUE).
 //
-// The search state lives in a SelectStepper; this function is the
-// single-query driver (one MinMax round, then one sweep per Propose).
-// The engine's fusion scheduler drives many steppers through one merged
-// schedule instead — same narrowing logic, shared sweeps, CountVec
-// framing at every width.
+// The search state lives in a SelectStepper and the sweeps run on a Plane
+// of one: the same loop, framing and convergence guard the engine's fused,
+// twin and retried batches run their many steppers through.
 func SelectRanksBatched(net Net, ranks []BatchRank, probeWidth int) (BatchResult, error) {
 	return SelectRanksSeeded(net, ranks, probeWidth, nil)
 }
@@ -139,76 +137,159 @@ func SelectRanksBatched(net Net, ranks []BatchRank, probeWidth int) (BatchResult
 // sweeps, never correctness. nil (or length-mismatched) seeds reproduce
 // SelectRanksBatched exactly.
 func SelectRanksSeeded(net Net, ranks []BatchRank, probeWidth int, seeds []SeedWindow) (BatchResult, error) {
-	var res BatchResult
 	if len(ranks) == 0 {
-		return res, nil
+		return BatchResult{}, nil
 	}
 	st := NewSelectStepper(ranks, probeWidth)
 	st.SeedHints(seeds)
+	var p Plane
+	err := p.Drive(net, []*SelectStepper{st})
+	res := BatchResult{Sweeps: p.Sweeps, Probes: p.Probes}
+	if err != nil {
+		return res, err
+	}
+	res.Values = st.Values(make([]uint64, 0, len(ranks)))
+	res.SeededSweeps, res.SeedHit = st.SeededSweeps(), st.SeedHit()
+	return res, nil
+}
+
+// Plane is one shared probe schedule: Drive runs every selection search
+// handed to it, and the Fact 2.1 totals an aggregate reads, through one
+// MinMax round and then one sweep per round. A solo query is a plane of
+// one, a fusion batch a plane of its members. The hooks are optional; the
+// results hold what Drive learned, also when a sweep panicked.
+type Plane struct {
+	// Sum rides the active items' SUM on the first sweep (CountVecSum).
+	Sum bool
+	// Stop is asked before every sweep; an error ends the drive with it,
+	// leaving the open searches open.
+	Stop func() error
+	// Reject takes stepper i's ResolveN error, and stepper i leaves the
+	// plane. Without it Drive returns the error.
+	Reject func(i int, err error)
+
+	// The MinMax round's extrema, the first sweep's active count and SUM
+	// (with Sum set), and the sweeps run and predicates they shipped.
+	Lo, Hi, N, Total uint64
+	Sweeps, Probes   int
+}
+
+// Drive runs the plane over net for steppers, a nil entry being a member
+// with no search (an aggregate). Each round merges the open searches'
+// proposals into one ascending deduplicated chain, adds the top probe
+// x < hi+1 (TRUE when hi is 2⁶⁴−1) until N is known, and feeds every count
+// to every open search: counts are global facts about the one multiset,
+// so one search's probes narrow the others too. The framing is Fig. 1's:
+// when every search has width 1, a one-predicate sweep is a COUNTP (the
+// top probe COUNT(TRUE)); any other sweep is one CountVec. A round with an
+// open search but no probe, or sweep MaxSelectSweeps+1, is ErrNoConverge.
+func (p *Plane) Drive(net Net, steppers []*SelectStepper) error {
 	lo, hi, ok := net.MinMax(Linear)
 	if !ok {
-		return res, ErrEmpty
+		return ErrEmpty
 	}
-	st.Bounds(lo, hi)
+	p.Lo, p.Hi = lo, hi
+	width, countp := 0, true
+	for _, st := range steppers {
+		if st != nil {
+			st.Bounds(lo, hi)
+			width += st.Width()
+			countp = countp && st.Width() == 1
+		}
+	}
+	countp = countp && width > 0
 
-	// A width-1 sweep's probe and count live on the stack. A wider search
-	// gets one backing array for its probe thresholds and their counts (+1
-	// slot for the sweep-1 top probe): the driver's whole state is a
-	// handful of allocations.
-	width := st.Width()
+	// A lone width-1 search's chain and count live on the stack. Any other
+	// plane gets one backing array for its chain and its counts (+1 slot
+	// for the top probe) and one for its predicates.
 	var one [2]uint64
-	probes, counts := one[:0:1], one[1:1]
-	var buf []uint64
+	chain, counts := one[:0:1], one[1:1]
+	var vec []uint64
 	var preds []wire.Pred
-	if width > 1 {
-		buf = make([]uint64, 2*(width+1))
-		probes = buf[: 0 : width+1]
+	if width > 1 || p.Sum {
+		buf := make([]uint64, 2*(width+1))
+		chain, vec = buf[:0:width+1], buf[width+1:width+1]
 		preds = make([]wire.Pred, 0, width+1)
 	}
-
-	for !st.Done() {
-		probes = st.Propose(probes[:0])
-		probes = sortDedupe(probes)
-		top, trueTop := !st.Resolved(), st.WantTrueTop()
-		if width == 1 {
-			pred := wire.True() // the top probe: a width-1 stepper proposes none with it
-			if !top {
-				pred = wire.Less(probes[0])
+	known := false // N, from the first sweep's top probe
+	open := func(st *SelectStepper) bool { return st != nil && (!known || st.Resolved() && !st.Done()) }
+	for !known || slices.ContainsFunc(steppers, open) {
+		if p.Stop != nil {
+			if err := p.Stop(); err != nil {
+				return err
+			}
+		}
+		chain = chain[:0]
+		for _, st := range steppers {
+			if open(st) {
+				chain = st.Propose(chain)
+			}
+		}
+		chain = sortDedupe(chain)
+		trueTop := !known && hi == ^uint64(0)
+		if !known && !trueTop {
+			chain = append(chain, hi+1)
+		}
+		shipped := len(chain)
+		if trueTop {
+			shipped++
+		}
+		sum := p.Sum && !known
+		switch {
+		case shipped == 0:
+			return ErrNoConverge
+		case countp && shipped == 1 && !sum:
+			pred := wire.True() // the top probe, Fig. 1's COUNT(TRUE)
+			if known {
+				pred = wire.Less(chain[0])
 			}
 			counts = append(counts[:0], net.Count(Linear, pred))
-		} else {
-			if top && !trueTop {
-				probes = append(probes, hi+1)
-			}
+		default:
 			preds = preds[:0]
-			for _, t := range probes {
+			for _, t := range chain {
 				preds = append(preds, wire.Less(t))
 			}
 			if trueTop {
 				preds = append(preds, wire.True())
 			}
-			counts = net.CountVec(Linear, preds, buf[width+1:width+1])
-		}
-		res.Sweeps++
-		res.Probes += len(counts)
-		if top {
-			n := counts[len(counts)-1]
-			if n == 0 {
-				return res, ErrEmpty
+			if sum {
+				vec, p.Total = net.(interface {
+					CountVecSum(Domain, []wire.Pred, []uint64) ([]uint64, uint64)
+				}).CountVecSum(Linear, preds, vec)
+			} else {
+				vec = net.CountVec(Linear, preds, vec)
 			}
-			if err := st.ResolveN(n); err != nil {
-				return res, err
+			counts = vec
+		}
+		p.Sweeps++
+		p.Probes += shipped
+		if !known {
+			known, p.N = true, counts[shipped-1]
+			if p.N == 0 {
+				return ErrEmpty
+			}
+			for i, st := range steppers {
+				if st == nil {
+					continue
+				}
+				if err := st.ResolveN(p.N); err != nil {
+					if p.Reject == nil {
+						return err
+					}
+					p.Reject(i, err)
+				}
 			}
 		}
-		st.Observe(probes, counts[:len(probes)])
-		if res.Sweeps > MaxSelectSweeps {
-			return res, ErrNoConverge
+		for _, st := range steppers {
+			if open(st) {
+				st.Observe(chain, counts[:len(chain)])
+			}
+		}
+		if p.Sweeps > MaxSelectSweeps {
+			return ErrNoConverge
 		}
 	}
-	res.Values = st.Values(make([]uint64, 0, len(ranks)))
-	res.SeededSweeps = st.SeededSweeps()
-	res.SeedHit = st.SeedHit()
-	return res, nil
+	return nil
 }
 
 // interval is one rank's candidate range [lo, hi], maintained under the

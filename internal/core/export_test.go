@@ -8,3 +8,6 @@ var (
 	OracleMedian         = oracleMedian
 	OracleOrderStatistic = oracleOrderStatistic
 )
+
+// The solo selection loop before the Plane (loop_oracle_test.go).
+var OracleSelectRanksSeeded = oracleSelectRanksSeeded

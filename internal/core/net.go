@@ -63,8 +63,8 @@ type Net interface {
 	// answers every predicate in preds at once, appending the counts into
 	// dst[:0] (pass a reused buffer to keep hot search loops
 	// allocation-free). An empty probe set returns dst[:0] with no
-	// communication. The k-ary selection search (SelectRanksBatched) is
-	// built on it.
+	// communication. The k-ary selection search (Plane.Drive) is built on
+	// it.
 	CountVec(d Domain, preds []wire.Pred, dst []uint64) []uint64
 	// ApxCountRep runs r independent α-counting instances (Definition 2.1,
 	// Fact 2.2) over active items in domain d satisfying pred and returns

@@ -8,20 +8,18 @@ import (
 
 // SelectStepper is the k-ary selection search of SelectRanksBatched with
 // its narrowing loop inverted into explicit propose-thresholds /
-// consume-counts steps, so an external scheduler can drive several
+// consume-counts steps, so one driver, Plane.Drive, can run several
 // heterogeneous searches — a median, five quantiles, an order statistic —
 // through one shared probe schedule (the engine's shared-sweep query
-// fusion). One stepper is one query's search state; the driver owns the
+// fusion). One stepper is one query's search state; the plane owns the
 // communication:
 //
-//	st := NewSelectStepper(ranks, width)
-//	lo, hi, _ := net.MinMax(core.Linear)
-//	st.Bounds(lo, hi)
-//	for !st.Done() {
-//	    probes = st.Propose(probes[:0])   // merge many steppers' proposals here
-//	    counts := ...                     // one CountVec sweep over the union
-//	    if !st.Resolved() { st.ResolveN(n) } // n = the sweep's all-active count
-//	    st.Observe(probes, counts)
+//	st.Bounds(lo, hi)                     // the plane's MinMax round
+//	for open searches remain {
+//	    chain = st.Propose(chain)         // every open search's proposals, merged
+//	    counts := ...                     // one sweep over the chain (+ the top probe)
+//	    if !st.Resolved() { st.ResolveN(n) } // n = the top probe's count
+//	    st.Observe(chain, counts)
 //	}
 //	values := st.Values(nil)
 //
@@ -29,12 +27,11 @@ import (
 // Observe may be fed any superset of the stepper's own proposals: probes
 // contributed by other members of a fused batch narrow this stepper's
 // intervals too (probes outside an interval are no-ops by monotonicity of
-// the counting function). Driving a single stepper with exactly its own
-// proposals reproduces SelectRanksBatched's schedule probe-for-probe —
-// that function is a thin driver over one stepper. Every width places its
-// probes on Fig. 1's search tree (fig1Walk), and width 1 is the paper's
-// Fig. 1 search itself, so the exact selection has one implementation at
-// every width and on every path.
+// the counting function). A plane of one stepper probes exactly its own
+// proposals — SelectRanksBatched. Every width places its probes on Fig.
+// 1's search tree (fig1Walk), and width 1 is the paper's Fig. 1 search
+// itself, so the exact selection has one implementation at every width
+// and on every path.
 type SelectStepper struct {
 	width int
 	ranks []BatchRank
@@ -151,11 +148,6 @@ func (s *SelectStepper) Bounds(lo, hi uint64) {
 // driver feeds back through ResolveN.
 func (s *SelectStepper) Resolved() bool { return s.resolved }
 
-// WantTrueTop reports that the top probe cannot be expressed as a
-// strict-less threshold because the maximum sits at 2⁶⁴−1: the driver must
-// append the TRUE terminator instead of probing hi+1.
-func (s *SelectStepper) WantTrueTop() bool { return !s.resolved && s.hi == ^uint64(0) }
-
 // ResolveN resolves the requested ranks against the protocol-counted
 // active total N: one candidate interval per requested rank, a rank equal
 // to an earlier one marked dup. An unresolvable rank (zero, out of range)
@@ -202,10 +194,10 @@ func (s *SelectStepper) Done() bool {
 // exactly the schedule SelectRanksBatched probes. A rank's share goes to
 // its seed window first, else to Fig. 1's tree, breadth first, centred
 // only at width 1 (fig1Walk), in whole levels (see spend) — unless an
-// earlier rank walks the same interval this sweep. The driver must
-// sort+dedupe the (possibly merged) proposals before shipping: overlapping
-// intervals of nearby ranks propose duplicate thresholds, and the ⊆-chain
-// encoding requires ascending order.
+// earlier rank walks the same interval this sweep. The plane sorts and
+// dedupes the merged proposals before shipping: overlapping intervals of
+// nearby ranks propose duplicate thresholds, and the ⊆-chain encoding
+// requires ascending order.
 func (s *SelectStepper) Propose(dst []uint64) []uint64 {
 	if !s.bounded {
 		panic("core: SelectStepper.Propose before Bounds")
@@ -421,11 +413,11 @@ func (s *SelectStepper) Checkpoint(dst []SeedWindow) []SeedWindow {
 	return dst
 }
 
-// ErrNoConverge guards the narrowing loop of every stepper driver: a
-// miscounting network (which exact counting over a reliable or healed tree
-// rules out) must not spin forever.
+// ErrNoConverge guards the plane's narrowing loop: a miscounting network
+// (which exact counting over a reliable or healed tree rules out), or a
+// round whose open searches propose nothing, must not spin forever.
 var ErrNoConverge = errors.New("core: batched selection failed to converge")
 
-// MaxSelectSweeps is the driver-side convergence bound shared by
-// SelectRanksBatched and the engine's fusion scheduler.
+// MaxSelectSweeps is the sweep bound of Plane.Drive, the one selection
+// loop: solo, fused, twin and retried searches alike.
 const MaxSelectSweeps = 4096

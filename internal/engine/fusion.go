@@ -19,12 +19,13 @@ import (
 // deployment (equal normalized spec and run seed) and are
 // fusion-compatible — selection searches, multi-quantiles, and the
 // Fact 2.1 aggregates — execute as one *fusion batch* on a single forked
-// network instead of per-job forks. Every sweep round merges the members'
+// network instead of per-job forks. The batch is one core.Plane, the loop
+// a solo search runs on too: every sweep round merges the members'
 // outstanding probe thresholds into one deduplicated ascending chain and
-// ships it as a single CountVec broadcast–convergecast (agg.SweepMux);
-// aggregate members ride the same round via the widened CountVecSum
-// vector and the batch's shared MinMax round. The engine therefore pays
-// the tree traffic once per round for the whole batch.
+// ships it as one broadcast–convergecast, framed as a solo search would
+// frame it; aggregate members ride the first round via the widened
+// CountVecSum vector and the batch's shared MinMax round. The engine
+// therefore pays the tree traffic once per round for the whole batch.
 //
 // Fusion preserves answers exactly: selection is an exact search whose
 // result does not depend on the probe schedule, and the aggregate riders
@@ -91,151 +92,75 @@ func (f *fact21) aggregate(name string) float64 {
 	return float64(f.sum) / float64(f.n)
 }
 
-// driveFused runs one batch attempt's shared probe schedule to
-// completion: one MinMax round, then merged CountVec sweeps until every
-// member resolves, then per-member answer assembly into res. It returns
-// the selection members' steppers — after a failed attempt, their last
-// consistent intervals are the checkpoints the resumed attempt seeds from.
-// A sweep a mid-flight fault killed — the agg layer panics with it — comes
-// back as ise; any other panic propagates.
+// driveFused runs one batch attempt on one core.Plane: the members'
+// searches and aggregate riders share its MinMax round and sweeps, and
+// each member's answer is assembled into res. It returns the selection
+// members' steppers — after a failed attempt, their last consistent
+// intervals are the checkpoints the resumed attempt seeds from. A sweep a
+// mid-flight fault killed — the agg layer panics with it — comes back as
+// ise, with the extrema and the first sweep's totals the plane had
+// learned; any other panic propagates.
 func driveFused(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) (steppers []*core.SelectStepper, ise *spantree.IncompleteSweepError, err error) {
+	var plane core.Plane
+	totals := func() { res.fact21 = fact21{n: plane.N, sum: plane.Total, lo: plane.Lo, hi: plane.Hi} }
 	defer func() {
 		if r := recover(); r != nil {
 			var killed *spantree.IncompleteSweepError
 			if e, ok := r.(error); !ok || !errors.As(e, &killed) {
 				panic(r)
 			}
+			totals()
 			ise, err = killed, nil
 		}
 	}()
 	steppers = make([]*core.SelectStepper, len(members))
-	needSum := false
 	for i := range members {
 		if mb := &members[i]; len(mb.ranks) > 0 {
 			steppers[i] = core.NewSelectStepper(mb.ranks, mb.width)
 			steppers[i].SeedHints(mb.seeds)
 		} else {
-			needSum = needSum || slices.Contains(mb.aggs, "sum") || slices.Contains(mb.aggs, "avg")
+			plane.Sum = plane.Sum || slices.Contains(mb.aggs, "sum") || slices.Contains(mb.aggs, "avg")
 		}
 	}
-	lo, hi, ok := net.MinMax(core.Linear)
-	if !ok {
-		return steppers, nil, core.ErrEmpty
-	}
-	res.lo, res.hi = lo, hi
-	for _, st := range steppers {
-		if st != nil {
-			st.Bounds(lo, hi)
-		}
-	}
-
-	mux := agg.NewSweepMux(net)
-	var probeBuf []uint64
-	resolved := false // the shared top probe (N) has run
-	// finish marks every unresolved member the batch is abandoning.
-	// Members that already resolved keep their answers: control falls
-	// through to the assembly loop below, never out of the drive early —
-	// a member is always either answered, failed, or detached.
-	finish := func(mark func(r *memberResult)) {
-		for i := range members {
-			r := &res.members[i]
-			if r.err != nil {
-				continue
-			}
-			if st := steppers[i]; st != nil {
-				if !st.Resolved() || !st.Done() {
-					mark(r)
-				}
-			} else if !resolved {
-				mark(r)
-			}
-		}
-	}
-
-	for {
+	plane.Stop = func() error {
 		if err := ctx.Err(); err != nil {
-			finish(func(r *memberResult) { r.err = err })
-			break
+			return err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			finish(func(r *memberResult) { r.detached = true })
-			break
+			return errDetached
 		}
-		mux.Begin()
-		work := false
-		for i, st := range steppers {
-			if st == nil || res.members[i].err != nil {
-				continue
-			}
-			if st.Resolved() && st.Done() {
-				continue
-			}
-			probeBuf = st.Propose(probeBuf[:0])
-			mux.Add(probeBuf)
-			work = true
-		}
-		if !resolved {
-			mux.AddTop(hi)
-			if needSum {
-				mux.AddSum()
-			}
-			work = true
-		}
-		if !work {
-			break
-		}
-		mux.Sweep(core.Linear)
-		if !resolved {
-			resolved = true
-			res.n, _ = mux.Top()
-			if needSum {
-				res.sum, _ = mux.Sum()
-			}
-			if res.n == 0 {
-				res.sweeps, res.probes = mux.Sweeps, mux.ProbesShipped
-				return steppers, nil, core.ErrEmpty
-			}
-			for i, st := range steppers {
-				if st == nil || res.members[i].err != nil {
-					continue
-				}
-				if err := st.ResolveN(res.n); err != nil {
-					res.members[i].err = err
-					steppers[i] = nil
-				}
-			}
-		}
-		// Every count is a global fact about the one shared multiset, so
-		// the full merged chain feeds every member: probes contributed by
-		// one query narrow the others' intervals too.
-		ts, cs := mux.Thresholds(), mux.Counts()
-		for i, st := range steppers {
-			if st != nil && res.members[i].err == nil && !st.Done() {
-				st.Observe(ts, cs)
-			}
-		}
-		if mux.Sweeps > core.MaxSelectSweeps {
-			finish(func(r *memberResult) { r.err = core.ErrNoConverge })
-			break
-		}
+		return nil
 	}
-	res.sweeps, res.probes = mux.Sweeps, mux.ProbesShipped
-
+	plane.Reject = func(i int, err error) { res.members[i].err = err }
+	err = plane.Drive(net, steppers)
+	totals()
+	res.sweeps, res.probes = plane.Sweeps, plane.Probes
+	if errors.Is(err, core.ErrEmpty) {
+		return steppers, nil, err
+	}
 	for i := range members {
-		r := &res.members[i]
-		if r.err != nil || r.detached {
-			continue
-		}
-		if st := steppers[i]; st != nil {
+		r, st := &res.members[i], steppers[i]
+		switch {
+		case r.err != nil:
+		case err != nil && (st != nil && !st.Done() || st == nil && plane.Sweeps == 0):
+			// The batch abandons what it had not answered; members that
+			// resolved keep their answers.
+			if r.detached = errors.Is(err, errDetached); !r.detached {
+				r.err = err
+			}
+		case st != nil:
 			r.values = st.Values(make([]uint64, 0, st.NumRanks()))
-			r.seededSweeps = st.SeededSweeps()
-			r.seedHit = st.SeedHit()
-			continue
+			r.seededSweeps, r.seedHit = st.SeededSweeps(), st.SeedHit()
+		default:
+			r.aggValues = aggValues(members[i].aggs, &res.fact21)
 		}
-		r.aggValues = aggValues(members[i].aggs, &res.fact21)
 	}
 	return steppers, nil, nil
 }
+
+// errDetached is the stop a batch's expired deadline puts to its plane:
+// the members it leaves unanswered detach and re-run solo.
+var errDetached = errors.New("engine: batch deadline expired")
 
 // aggValues reads an aggregate member's answers, aligned with aggs, off
 // the totals.

@@ -310,12 +310,9 @@ func checkSlot(t *testing.T, q Query, nw *netsim.Network, view *spantree.TreeVie
 // TestSoloSelectionMatchesBatchOfOne pins that a solo selection query and
 // the same query run as a one-member batch through the batch driver are
 // the same computation: values, sweeps, seeding, every node's meter and the
-// error text agree for every selection kind at widths ≥ 2, seeded and not,
-// under no faults, message faults, structural faults and liars on the plain
-// tier. Width 1 is left out because the two frame its sweeps differently:
-// solo sends every width-1 sweep as a COUNTP (the first as COUNT(TRUE)),
-// the batch driver as a one-slot CountVec, so the values and sweeps agree
-// (TestWidthOnePathsAgree) but the per-node meters do not.
+// error text agree for every selection kind at widths 1–16, seeded and
+// not, under no faults, message faults, structural faults and liars on the
+// plain tier.
 func TestSoloSelectionMatchesBatchOfOne(t *testing.T) {
 	t.Parallel()
 	plans := []struct {
@@ -334,7 +331,7 @@ func TestSoloSelectionMatchesBatchOfOne(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewPCG(seed, 0xb1))
 				session := NewSession()
-				for _, w := range []int{2, 4, 8, 16} {
+				for _, w := range []int{2, 4, 8, 16, 1} {
 					for _, q := range []Query{
 						{Kind: KindMedian},
 						{Kind: KindOrderStat, K: 1 + rng.Uint64N(100)},

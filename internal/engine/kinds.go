@@ -52,7 +52,7 @@ const (
 	// at 5 rows × 64 columns.
 	KindF2 = "f2"
 	// KindQuantiles answers every quantile in Query.Phis with one shared
-	// k-ary probe schedule (core.SelectRanksBatched).
+	// k-ary probe schedule (one search on a core.Plane).
 	KindQuantiles = "quantiles"
 	// KindFused answers COUNT+SUM+MIN+MAX (Query.Aggs) with one fused
 	// vector sweep instead of one sweep per aggregate.

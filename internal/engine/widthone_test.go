@@ -28,38 +28,42 @@ func widthOnePaths(t *testing.T, job Job) (solo, twin, retried Result) {
 	return solo, twin, retried
 }
 
-// TestWidthOnePathsAgree: at probe width 1 every path runs one schedule,
-// Fig. 1 less its already-answered probes — the same values and the same
-// sweeps solo, as a twin batch and on the retry driver. Bits may differ: a
-// solo search frames each width-1 sweep as one COUNTP, the fused plane as
-// a one-slot CountVec (with its x < M+1 top probe for COUNT).
+// TestWidthOnePathsAgree: at every probe width, width 1 included, every
+// path runs one schedule on one plane with one framing — the same values,
+// sweeps and meters solo, as a twin batch and on the retry driver, on
+// uniform and Zipf data.
 func TestWidthOnePathsAgree(t *testing.T) {
-	spec := Spec{Topology: "grid", N: 1024, Workload: "uniform", Seed: 3}
-	for _, q := range []Query{
-		{Kind: KindMedian},
-		{Kind: KindOrderStat, K: 17},
-		{Kind: KindQuantiles, Phis: []float64{0.01, 0.5, 0.99}},
-	} {
-		q.ProbeWidth = 1
-		solo, twin, retried := widthOnePaths(t, Job{Spec: spec, Query: q})
-		for _, r := range []Result{solo, twin, retried} {
-			if r.Failed() {
-				t.Fatalf("%s: %s", q, r.Error)
+	for _, wl := range []string{"uniform", "zipf"} {
+		spec := Spec{Topology: "grid", N: 1024, Workload: wl, Seed: 3}
+		for _, width := range []int{1, 2, 3, 4, 8, 16} {
+			for _, q := range []Query{
+				{Kind: KindMedian},
+				{Kind: KindOrderStat, K: 17},
+				{Kind: KindQuantiles, Phis: []float64{0.01, 0.5, 0.99}},
+			} {
+				q.ProbeWidth = width
+				solo, twin, retried := widthOnePaths(t, Job{Spec: spec, Query: q})
+				for _, r := range []Result{solo, twin, retried} {
+					if r.Failed() {
+						t.Fatalf("%s %s width %d: %s", wl, q, width, r.Error)
+					}
+					if !r.Exact {
+						t.Errorf("%s %s width %d: %g, truth %g", wl, q, width, r.Value, r.Truth)
+					}
+				}
+				for path, r := range map[string]Result{"twin batch": twin, "retried": retried} {
+					if r.Value != solo.Value || !slices.Equal(r.Values, solo.Values) || r.SharedSweeps != solo.SharedSweeps ||
+						r.BitsPerNode != solo.BitsPerNode || r.TotalBits != solo.TotalBits || r.Messages != solo.Messages {
+						t.Errorf("%s %s width %d: solo %g %v in %d sweeps, %d bits/node, %d bits, %d messages; %s %g %v in %d, %d, %d, %d",
+							wl, q, width, solo.Value, solo.Values, solo.SharedSweeps, solo.BitsPerNode, solo.TotalBits, solo.Messages,
+							path, r.Value, r.Values, r.SharedSweeps, r.BitsPerNode, r.TotalBits, r.Messages)
+					}
+				}
+				if width == 1 {
+					t.Logf("%s %s width 1: %d sweeps, %d bits/node", wl, q, solo.SharedSweeps, solo.BitsPerNode)
+				}
 			}
-			if !r.Exact {
-				t.Errorf("%s: %g, truth %g", q, r.Value, r.Truth)
-			}
 		}
-		if twin.Value != solo.Value || !slices.Equal(twin.Values, solo.Values) ||
-			retried.Value != solo.Value || !slices.Equal(retried.Values, solo.Values) {
-			t.Errorf("%s: solo %g %v, twin batch %g %v, retried %g %v", q,
-				solo.Value, solo.Values, twin.Value, twin.Values, retried.Value, retried.Values)
-		}
-		if twin.SharedSweeps != solo.SharedSweeps || retried.SharedSweeps != solo.SharedSweeps {
-			t.Errorf("%s: %d sweeps solo, %d as a twin batch, %d retried", q, solo.SharedSweeps, twin.SharedSweeps, retried.SharedSweeps)
-		}
-		t.Logf("%s: %d sweeps; bits/node %d solo (COUNTP), %d twin batch, %d retried (CountVec)",
-			q, solo.SharedSweeps, solo.BitsPerNode, twin.BitsPerNode, retried.BitsPerNode)
 	}
 }
 
