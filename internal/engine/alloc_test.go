@@ -50,3 +50,31 @@ func TestJobBookkeepingIsNotPerNode(t *testing.T) {
 		}
 	}
 }
+
+// TestSoloSelectionAllocs gates the solo selection route: a solo median or
+// quantiles job runs as a batch of one through runBatch, and a warm Submit
+// of one on a 1,024-node Zipf grid must allocate no more than when solo
+// selection had a route of its own — 26 for the median and 28 for four
+// quantiles. The batch of one keeps its result and its plane's stepper
+// list on the stack.
+func TestSoloSelectionAllocs(t *testing.T) {
+	spec := Spec{Topology: "grid", N: 1024, Workload: "zipf", Seed: 1}
+	e := New(Options{Workers: 1})
+	for _, tc := range []struct {
+		q   Query
+		max float64
+	}{
+		{Query{Kind: KindMedian}, 26},
+		{Query{Kind: KindQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}, 28},
+	} {
+		jobs := []Job{{Spec: spec, Query: tc.q}}
+		if r := e.Submit(context.Background(), jobs)[0]; r.Failed() || !r.Exact {
+			t.Fatalf("%s: warm-up run failed=%q exact=%v", tc.q, r.Error, r.Exact)
+		}
+		if got := testing.AllocsPerRun(50, func() { e.Submit(context.Background(), jobs) }); got > tc.max {
+			t.Errorf("warm solo %s Submit allocates %g, want <= %g", tc.q, got, tc.max)
+		} else {
+			t.Logf("warm solo %s Submit: %g allocs", tc.q, got)
+		}
+	}
+}

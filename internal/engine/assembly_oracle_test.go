@@ -434,7 +434,7 @@ func (e *Engine) oracleRetrySolo(r *run, k *kind, heal *spantree.HealResult) (or
 		return oracleAnswer{}, err
 	}
 	members := []member{mb}
-	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
+	o, err := runBatch(context.Background(), r.nw, r.spec, agg.NewNet(r.fe), []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
 	if err == nil {
 		err = o.res.members[0].err
 	}
@@ -515,7 +515,7 @@ func (e *Engine) oracleFusedResults(ctx context.Context, jobs []Job, p plan, idx
 		return append(solo, idxs[:len(members)]...)
 	}
 
-	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {

@@ -295,8 +295,6 @@ func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
 	}
-	spec := job.Spec.Normalize()
-
 	start := time.Now()
 	done := make(chan Result, 1)
 	go func() {
@@ -305,7 +303,7 @@ func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
 			}
 		}()
-		done <- e.executeJob(spec, job, team)
+		done <- e.executeJob(job.Spec.Normalize(), job, team)
 	}()
 
 	var deadline <-chan time.Time

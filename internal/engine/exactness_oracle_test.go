@@ -105,16 +105,21 @@ func oracleSurvivors(t *testing.T, spec Spec, fired bool) []uint64 {
 	return survivingItems(nw, hr.View)
 }
 
+// robustEvery is the share of generated cases whose jobs also run robust,
+// on the byz tier's trimmed plane with no liars.
+const robustEvery = 4
+
 // TestExactnessOracle submits each generated batch solo and under
 // WithFusion and holds every answer to the sorted truth over the survivors
 // — the post-strike survivors when a phased strike forced a retry — and
-// the fused answers to the solo ones.
+// the fused answers to the solo ones. Every robustEvery-th case runs its
+// jobs robust too (checkRobustLeg).
 func TestExactnessOracle(t *testing.T) {
 	cases := 1000
 	if testing.Short() {
 		cases = 300
 	}
-	var answers, retried, rankErrs int
+	var answers, retried, rankErrs, robust int
 	e := New(Options{Workers: 2})
 	ctx := context.Background()
 	for c := uint64(0); c < uint64(cases); c++ {
@@ -170,6 +175,47 @@ func TestExactnessOracle(t *testing.T) {
 				t.Fatalf("case %d %s job %d: solo %g %v %q, fused %g %v %q", c, spec, i, s.Value, s.Values, s.Error, f.Value, f.Values, f.Error)
 			}
 		}
+		if c%robustEvery == 0 {
+			robust += checkRobustLeg(t, e, c, jobs, solo, pops[false])
+		}
 	}
-	t.Logf("%d cases: %d exact answers (%d after a retry), %d rank errors past a partition", cases, answers, retried, rankErrs)
+	t.Logf("%d cases: %d exact answers (%d after a retry, %d robust), %d rank errors past a partition", cases, answers, retried, robust, rankErrs)
+}
+
+// checkRobustLeg submits case c's jobs again with Query.Robust set. With no
+// liars the trimmed plane answers as the plain one: every robust answer
+// equals the plain solo one (or fails with its error) and the sorted truth
+// over survivors, the population pop. A phased plan fails every robust job
+// with the robust-phased error. It returns the exact answers it checked.
+func checkRobustLeg(t *testing.T, e *Engine, c uint64, jobs []Job, plain []Result, pop []uint64) (answers int) {
+	t.Helper()
+	robust := slices.Clone(jobs)
+	for i := range robust {
+		robust[i].Query.Robust = true
+	}
+	spec := jobs[0].Spec
+	for i, r := range e.Submit(context.Background(), robust) {
+		q := jobs[i].Query
+		where := fmt.Sprintf("case %d robust %s job %d (%s, width %d, windows %v)", c, spec, i, q, q.ProbeWidth, q.SeedWindows)
+		if spec.Faults.MidAt > 0 {
+			const want = "engine: robust mode does not support phased fault plans (the byz tier has no mid-flight retry story)"
+			if r.Error != want {
+				t.Fatalf("%s: error %q, want %q", where, r.Error, want)
+			}
+			continue
+		}
+		p := plain[i]
+		if r.Error != p.Error || r.Value != p.Value || !slices.Equal(r.Values, p.Values) {
+			t.Fatalf("%s: robust %g %v %q, plain %g %v %q", where, r.Value, r.Values, r.Error, p.Value, p.Values, p.Error)
+		}
+		if r.Failed() {
+			continue
+		}
+		want, wants := refTruths(q.WithDefaults(), pop)
+		if !r.Robust || !r.Exact || r.Value != want || (wants != nil && !slices.Equal(r.Values, wants)) {
+			t.Fatalf("%s: robust %v exact %v, answered %g %v, sorted truth over %d survivors %g %v", where, r.Robust, r.Exact, r.Value, r.Values, len(pop), want, wants)
+		}
+		answers++
+	}
+	return answers
 }

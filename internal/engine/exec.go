@@ -114,39 +114,28 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int, res *
 	}
 	r.fe.SetWorkers(team)
 	r.truth = groundTruth{nw: nw, view: r.fe.View(), where: q.Where}
-	// A fusable query under a phased fault plan runs as a batch of one: the
-	// batch driver's detect → re-heal → resume loop (retry.go), with the
-	// same degradation contract as a fused batch.
-	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && k.member != nil {
-		return e.retrySolo(r, k, heal, res)
+	if !q.Robust {
+		net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
+		if q.Where != nil && k.where == whereFilter {
+			net.Filter(*q.Where)
+			defer net.Reset()
+		}
+		r.net = net
+		return k.runSolo(r, heal, res)
 	}
-	if q.Robust {
-		return e.executeRobust(r, k, heal, res)
-	}
-	net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
-	if q.Where != nil && k.where == whereFilter {
-		net.Filter(*q.Where)
-		defer net.Reset()
-	}
-	r.net = net
-	return k.runSolo(r, heal, res)
-}
-
-// executeRobust runs a Query.Robust job on the byz tier: localize and
-// quarantine lying subtrees and cross-check the trimmed plane against the
-// duplicate-insensitive sketch, re-derive the execution view and ground
-// truth, and answer the kind over the RobustNet (Session.audit).
-func (e *Engine) executeRobust(r *run, k *kind, heal *spantree.HealResult, res *Result) error {
+	// A robust job runs on the byz tier (Session.audit): lying subtrees are
+	// quarantined and the trimmed plane cross-checked against the sketch,
+	// then the kind answers over the RobustNet on the re-derived view.
 	if !k.robust {
 		return fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
 	}
-	rep, rnet, err := e.session.audit(r.nw, r.spec, r.fe.View(), r.q.SketchP)
+	rep, rnet, err := e.session.audit(nw, spec, r.fe.View(), q.SketchP)
 	if err != nil {
 		return err
 	}
 	if rep != nil && rep.Healed != nil {
 		heal = rep.Healed
-		r.truth = groundTruth{nw: r.nw, view: rep.Healed.View}
+		r.truth = groundTruth{nw: nw, view: rep.Healed.View}
 	}
 	r.net = rnet
 	if err := k.runSolo(r, heal, res); err != nil {

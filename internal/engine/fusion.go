@@ -19,24 +19,21 @@ import (
 // deployment (equal normalized spec and run seed) and are
 // fusion-compatible — selection searches, multi-quantiles, and the
 // Fact 2.1 aggregates — execute as one *fusion batch* on a single forked
-// network instead of per-job forks. The batch is one core.Plane, the loop
-// a solo search runs on too: every sweep round merges the members'
-// outstanding probe thresholds into one deduplicated ascending chain and
-// ships it as one broadcast–convergecast, framed as a solo search would
-// frame it; aggregate members ride the first round via the widened
-// CountVecSum vector and the batch's shared MinMax round. The engine
-// therefore pays the tree traffic once per round for the whole batch.
+// network instead of per-job forks. Every selection reaches the one loop,
+// core.Plane, through driveFused: a solo one as a batch of one, and a batch
+// as a plane of its members, whose every sweep round merges their probe
+// thresholds into one deduplicated ascending chain shipped as one
+// broadcast–convergecast; aggregate members ride the MinMax round and the
+// first sweep (CountVecSum). The tree traffic is paid once per round.
 //
 // Fusion preserves answers exactly: selection is an exact search whose
 // result does not depend on the probe schedule, and the aggregate riders
 // compute the same exact totals the standalone protocols do, so a fused
-// member's values and truths are byte-identical to its solo run for
-// reliable networks and for structural fault plans (crash/linkfail heal
-// the tree once per batch, then counts are exact over the survivors).
-// Message-level drop/dup plans corrupt traffic as a function of the
-// delivery sequence, which fusion necessarily changes — fused answers
-// under drop/dup are deterministic but may differ from solo ones, exactly
-// as the search at one probe width may differ from another.
+// member's values and truths equal its solo run's for reliable networks
+// and structural fault plans (the tree heals once per batch). Drop/dup
+// plans corrupt traffic by delivery sequence, which fusion changes: fused
+// answers under them are deterministic but may differ from solo ones,
+// exactly as the search at one probe width may differ from another.
 
 // memberResult is one member's outcome.
 type memberResult struct {
@@ -55,6 +52,9 @@ type memberResult struct {
 	// delta-narrowing outcome (see core.SelectStepper).
 	seededSweeps int
 	seedHit      bool
+	// st is a selection member's search: after a killed attempt, its last
+	// consistent intervals are the resumed attempt's seed windows.
+	st *core.SelectStepper
 }
 
 // batchResult reports one batch attempt.
@@ -92,35 +92,38 @@ func (f *fact21) aggregate(name string) float64 {
 	return float64(f.sum) / float64(f.n)
 }
 
-// driveFused runs one batch attempt on one core.Plane: the members'
-// searches and aggregate riders share its MinMax round and sweeps, and
-// each member's answer is assembled into res. It returns the selection
-// members' steppers — after a failed attempt, their last consistent
-// intervals are the checkpoints the resumed attempt seeds from. A sweep a
-// mid-flight fault killed — the agg layer panics with it — comes back as
-// ise, with the extrema and the first sweep's totals the plane had
-// learned; any other panic propagates.
-func driveFused(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) (steppers []*core.SelectStepper, ise *spantree.IncompleteSweepError, err error) {
+// driveFused runs one batch attempt on one core.Plane over net, plain or
+// robust: the members' searches and aggregate riders share its MinMax
+// round and sweeps, and each member's search and answer go into its result
+// in res. A sweep a mid-flight fault killed — the tree layer panics with
+// it — comes back as ise, with the extrema, the first sweep's totals and
+// the sweeps the plane had run; any other panic propagates.
+func driveFused(ctx context.Context, net core.Net, members []member, deadline time.Time, res *batchResult) (ise *spantree.IncompleteSweepError, err error) {
 	var plane core.Plane
-	totals := func() { res.fact21 = fact21{n: plane.N, sum: plane.Total, lo: plane.Lo, hi: plane.Hi} }
+	record := func() {
+		res.fact21 = fact21{n: plane.N, sum: plane.Total, lo: plane.Lo, hi: plane.Hi}
+		res.sweeps, res.probes = plane.Sweeps, plane.Probes
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			var killed *spantree.IncompleteSweepError
 			if e, ok := r.(error); !ok || !errors.As(e, &killed) {
 				panic(r)
 			}
-			totals()
+			record()
 			ise, err = killed, nil
 		}
 	}()
-	steppers = make([]*core.SelectStepper, len(members))
+	// The plane's view of the searches; a small batch's stays on the stack.
+	steppers := make([]*core.SelectStepper, 0, 8)
 	for i := range members {
-		if mb := &members[i]; len(mb.ranks) > 0 {
-			steppers[i] = core.NewSelectStepper(mb.ranks, mb.width)
-			steppers[i].SeedHints(mb.seeds)
+		if mb, r := &members[i], &res.members[i]; len(mb.ranks) > 0 {
+			r.st = core.NewSelectStepper(mb.ranks, mb.width)
+			r.st.SeedHints(mb.seeds)
 		} else {
 			plane.Sum = plane.Sum || slices.Contains(mb.aggs, "sum") || slices.Contains(mb.aggs, "avg")
 		}
+		steppers = append(steppers, res.members[i].st)
 	}
 	plane.Stop = func() error {
 		if err := ctx.Err(); err != nil {
@@ -133,10 +136,9 @@ func driveFused(ctx context.Context, net *agg.Net, members []member, deadline ti
 	}
 	plane.Reject = func(i int, err error) { res.members[i].err = err }
 	err = plane.Drive(net, steppers)
-	totals()
-	res.sweeps, res.probes = plane.Sweeps, plane.Probes
+	record()
 	if errors.Is(err, core.ErrEmpty) {
-		return steppers, nil, err
+		return nil, err
 	}
 	for i := range members {
 		r, st := &res.members[i], steppers[i]
@@ -155,7 +157,7 @@ func driveFused(ctx context.Context, net *agg.Net, members []member, deadline ti
 			r.aggValues = aggValues(members[i].aggs, &res.fact21)
 		}
 	}
-	return steppers, nil, nil
+	return nil, nil
 }
 
 // errDetached is the stop a batch's expired deadline puts to its plane:
@@ -369,7 +371,7 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 		return append(solo, idxs[:len(members)]...)
 	}
 
-	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {

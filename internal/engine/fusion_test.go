@@ -224,7 +224,7 @@ func batchOn(t *testing.T, ctx context.Context, nw *netsim.Network, fe *spantree
 		}
 		members[i] = mb
 	}
-	return new(Engine).runBatch(ctx, nw, Spec{}, fe, queries, members, outcome{truth: truth}, deadline)
+	return runBatch(ctx, nw, Spec{}, agg.NewNet(fe), queries, members, outcome{truth: truth}, deadline)
 }
 
 // TestRunFusedDetachAndEmpty drives the batch driver directly: an expired

@@ -81,8 +81,9 @@ func TestKindTableFlagsMatchOracle(t *testing.T) {
 				name, k.tree, k.robust, k.member != nil, k.plans == plansRetry,
 				oracleUsesTree(name), oracleRobustKind(name), oracleFusableKind(name))
 		}
-		if (k.member != nil) != (k.batchDetail != nil) || (k.member != nil) != (k.alone != nil) || (k.member != nil) == (k.solo != nil) {
-			t.Errorf("%s: a fusable kind has a slot, a batch detail and an alone arm; any other kind a solo arm", name)
+		aggregate := k.member != nil && !slices.Contains(selectionKinds, name)
+		if (k.member != nil) != (k.batchDetail != nil) || aggregate != (k.alone != nil) || (k.member != nil) == (k.solo != nil) {
+			t.Errorf("%s: a fusable kind has a slot and a batch detail, an aggregate kind an alone arm (a selection runs alone as a batch of one); any other kind a solo arm", name)
 		}
 		if k.solo != nil && k.truth == nil && name != "nope" {
 			t.Errorf("%s: a solo arm names its truth", name)
@@ -376,7 +377,7 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 		t.Fatal(err)
 	}
 	members := []member{mb}
-	o, berr := new(Engine).runBatch(context.Background(), nwB, spec, fe, []Query{q}, members, outcome{hr: hr, truth: truth}, time.Time{})
+	o, berr := runBatch(context.Background(), nwB, spec, agg.NewNet(fe), []Query{q}, members, outcome{hr: hr, truth: truth}, time.Time{})
 	if berr == nil {
 		berr = o.res.members[0].err
 	}

@@ -115,9 +115,9 @@ type kind struct {
 	// batchDetail names a fusable kind's answer in a batch whose shared
 	// schedule the string shared describes.
 	batchDetail func(m member, shared string) string
-	// alone answers a fusable kind alone on r's plane, its slot resolved in
-	// r.m: the slot's result and the answer's detail, with the sweeps its
-	// plane ran recorded in r.
+	// alone answers an aggregate kind alone on r's plane with its one-sweep
+	// primitive: the slot's result and the answer's detail, with the sweeps
+	// its plane ran recorded in r. A selection alone is a batch of one.
 	alone func(r *run) (memberResult, string, error)
 	// solo answers any other kind alone on r's plane: its value and detail,
 	// held against truth, its ground truth over r's population.
@@ -195,15 +195,11 @@ func (k *kind) faultSupport(fs faults.Spec) error {
 // kinds is the engine's kind table, in Kinds() order.
 var kinds = [...]kind{
 	{name: KindMedian, tree: true, robust: true, plans: plansRetry, where: whereFilter,
-		member:      func(q Query, _ uint64) (member, error) { return selection(q, core.BatchRank{Median: true}) },
-		batchDetail: func(_ member, shared string) string { return shared },
-		alone: func(r *run) (memberResult, string, error) {
-			mr, err := r.kary()
-			return mr, fmt.Sprintf("%d k-ary sweeps (width %d)", r.sweeps, r.m.width), err
-		}},
+		member:      func(q Query, _ uint64) (member, error) { return selection(q, medianRank...) },
+		batchDetail: func(_ member, shared string) string { return shared }},
 	{name: KindOrderStat, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member:      func(q Query, n uint64) (member, error) { return rankMember(q, q.K, n) },
-		batchDetail: rankDetail, alone: rankAlone},
+		batchDetail: rankDetail},
 	{name: KindQuantile, tree: true, robust: true, plans: plansRetry, where: whereFilter,
 		member: func(q Query, n uint64) (member, error) {
 			if q.Phi <= 0 || q.Phi > 1 {
@@ -211,7 +207,7 @@ var kinds = [...]kind{
 			}
 			return rankMember(q, core.QuantileRank(q.Phi, n), n)
 		},
-		batchDetail: rankDetail, alone: rankAlone},
+		batchDetail: rankDetail},
 	// Ranks are φ-resolved against the protocol-counted N inside the search
 	// (folded into the first sweep), so the kind degrades under message
 	// faults exactly like median does: a corrupted count skews the answer
@@ -230,11 +226,7 @@ var kinds = [...]kind{
 			}
 			return selection(q, ranks...)
 		},
-		batchDetail: func(m member, shared string) string { return fmt.Sprintf("%d quantiles, %s", len(m.ranks), shared) },
-		alone: func(r *run) (memberResult, string, error) {
-			mr, err := r.kary()
-			return mr, fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(r.m.ranks), r.sweeps, r.m.width), err
-		}},
+		batchDetail: func(m member, shared string) string { return fmt.Sprintf("%d quantiles, %s", len(m.ranks), shared) }},
 	{name: KindFused, tree: true, robust: true, plans: plansRetry, vector: true,
 		member: func(q Query, _ uint64) (member, error) {
 			for _, a := range q.Aggs {
@@ -251,7 +243,7 @@ var kinds = [...]kind{
 				return memberResult{}, "", errEmptyNetwork
 			}
 			r.sweeps = 1
-			return memberResult{aggValues: aggValues(r.m.aggs, &fact21{count, sum, lo, hi})}, "fused vector sweep (count+sum+min+max)", nil
+			return memberResult{aggValues: aggValues(r.q.Aggs, &fact21{count, sum, lo, hi})}, "fused vector sweep (count+sum+min+max)", nil
 		}},
 	{name: KindApxMedian, tree: true, where: whereFilter, truth: (*run).median, solo: func(r *run) (float64, string, error) {
 		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
@@ -358,8 +350,8 @@ func Kinds() (names []string) {
 	return names
 }
 
-// run is the prepared execution state a solo job dispatches over: a
-// fusable kind's slot m, once resolved, and the sweeps its plane ran.
+// run is the prepared execution state a solo job dispatches over, and the
+// sweeps an aggregate kind's plane ran.
 type run struct {
 	nw     *netsim.Network
 	spec   Spec
@@ -367,7 +359,6 @@ type run struct {
 	fe     *spantree.FastEngine
 	net    aggregator
 	truth  groundTruth
-	m      member
 	team   int // the tree-kernel team size
 	sweeps int
 	one    [1]float64 // a single-aggregate kind's answer, as its slot's result
@@ -393,9 +384,10 @@ func (r *run) height() float64   { return float64(topology.BFSTree(r.nw.Graph, 0
 
 // runSolo answers r's query alone on its prepared plane into res, behind
 // heal, the repair that shaped r's view: a fusable kind through its slot,
-// resolved first against the population r's truth covers, and the member
-// assembly every batch answer shares; any other kind with its value,
-// detail and named truth.
+// resolved first against the population r's truth covers — as a batch of
+// one when it is a selection or a mid-sweep strike is still to come, else
+// with its alone arm — and the member assembly every batch answer shares;
+// any other kind with its value, detail and named truth.
 func (k *kind) runSolo(r *run, heal *spantree.HealResult, res *Result) error {
 	if k.member == nil {
 		v, detail, err := k.solo(r)
@@ -410,13 +402,16 @@ func (k *kind) runSolo(r *run, heal *spantree.HealResult, res *Result) error {
 	if err != nil {
 		return err
 	}
-	r.m = m
+	o := outcome{hr: heal, truth: &r.truth, team: r.team}
+	if strike := striking(r.nw); k.alone == nil || strike {
+		return r.batchOfOne(m, o, strike, res)
+	}
 	mr, detail, err := k.alone(r)
 	if err != nil {
 		return err
 	}
-	o := outcome{res: batchResult{sweeps: r.sweeps}, hr: heal, truth: &r.truth}
-	o.answer(res, &r.m, &mr, detail)
+	o.res.sweeps = r.sweeps
+	o.answer(res, &m, &mr, detail)
 	return nil
 }
 
@@ -449,6 +444,9 @@ func selection(q Query, ranks ...core.BatchRank) (member, error) {
 	return member{ranks: ranks, width: q.ProbeWidth, seeds: q.SeedWindows}, nil
 }
 
+// medianRank is a median slot's one rank, shared read-only by every slot.
+var medianRank = []core.BatchRank{{Median: true}}
+
 // rankMember is an order-statistic kind's slot for rank k, its median rank
 // ⌈n/2⌉ when k is unset.
 func rankMember(q Query, k, n uint64) (member, error) {
@@ -456,12 +454,6 @@ func rankMember(q Query, k, n uint64) (member, error) {
 		k = (n + 1) / 2
 	}
 	return selection(q, core.BatchRank{K: k})
-}
-
-// rankAlone answers an order-statistic kind alone: one seeded k-ary search.
-func rankAlone(r *run) (memberResult, string, error) {
-	mr, err := r.kary()
-	return mr, fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", r.m.ranks[0].K, r.sweeps, r.m.width), err
 }
 
 func rankDetail(m member, shared string) string {
@@ -490,14 +482,6 @@ func aggregateKind(name, detail string, where whereSupport, protocol func(aggreg
 }
 
 var errEmptyNetwork = errors.New("engine: empty network")
-
-// kary answers r's selection slot with one seeded k-ary search over its
-// ranks, core.SelectRanksSeeded on the job's own plane.
-func (r *run) kary() (memberResult, error) {
-	res, err := core.SelectRanksSeeded(r.net, r.m.ranks, r.m.width, r.m.seeds)
-	r.sweeps = res.Sweeps
-	return memberResult{values: res.Values, seededSweeps: res.SeededSweeps, seedHit: res.SeedHit}, err
-}
 
 // answer writes the member's values and seeding from its result mr (a
 // selection member's order statistics or an aggregate member's answers, in

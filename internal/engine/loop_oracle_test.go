@@ -170,9 +170,15 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 type driveFunc func(context.Context, *agg.Net, []member, time.Time, *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error)
 
 // loopRecord is what an attempt produced, as the loop oracle compares it.
+// A killed attempt's sweeps and probes are left out: the old loop dropped
+// them, and TestFusedLoopOracle holds the plane's to the phase clock.
 func loopRecord(res *batchResult, ise *spantree.IncompleteSweepError, err error) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d sweeps, %d probes, totals %+v, killed %v, error %v\n", res.sweeps, res.probes, res.fact21, ise != nil, err)
+	if ise != nil {
+		fmt.Fprintf(&b, "killed, totals %+v, error %v\n", res.fact21, err)
+	} else {
+		fmt.Fprintf(&b, "%d sweeps, %d probes, totals %+v, killed false, error %v\n", res.sweeps, res.probes, res.fact21, err)
+	}
 	for i, m := range res.members {
 		fmt.Fprintf(&b, "  member %d: %v %v error %v detached %v seeded %d hit %v\n", i, m.values, m.aggValues, m.err, m.detached, m.seededSweeps, m.seedHit)
 	}
@@ -237,7 +243,10 @@ func runAttempts(t *testing.T, spec Spec, queries []Query, drive driveFunc) ([]s
 // some batches, every attempt's answers, errors, sweeps, probes, totals
 // and mid-sweep kills agree. At widths 2–64 every node is charged the
 // same; when every search has width 1 the plane frames one-predicate
-// sweeps as COUNTPs, and no node is charged more.
+// sweeps as COUNTPs, and no node is charged more. A killed attempt keeps
+// the sweeps it ran, which the old loop dropped: the strike kills the
+// convergecast at tick MidAt of the phase clock, and the MinMax round is
+// tick 1, so it ran MidAt−2.
 func TestFusedLoopOracle(t *testing.T) {
 	t.Parallel()
 	cases := 1000
@@ -266,10 +275,24 @@ func TestFusedLoopOracle(t *testing.T) {
 			queries = append(queries, q.WithDefaults())
 		}
 		want, oracleNw := runAttempts(t, spec, queries, oracleDriveFused)
-		got, nw := runAttempts(t, spec, queries, driveFused)
+		killedAfter := -1
+		got, nw := runAttempts(t, spec, queries, func(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error) {
+			ise, err := driveFused(ctx, net, members, deadline, res)
+			if ise != nil {
+				killedAfter = res.sweeps
+			}
+			steppers := make([]*core.SelectStepper, len(members))
+			for i := range members {
+				steppers[i] = res.members[i].st
+			}
+			return steppers, ise, err
+		})
 		where := fmt.Sprintf("case %d %s width 1 %v %v", c, spec, widthOne, queries)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s:\nplane\n%s\noracle\n%s", where, strings.Join(got, ""), strings.Join(want, ""))
+		}
+		if killedAfter >= 0 && killedAfter != spec.Faults.MidAt-2 {
+			t.Fatalf("%s: the killed attempt recorded %d sweeps, want MidAt-2 = %d", where, killedAfter, spec.Faults.MidAt-2)
 		}
 		for u := range nw.N() {
 			paid, oraclePaid := nw.Meter.PerNode(topology.NodeID(u)), oracleNw.Meter.PerNode(topology.NodeID(u))

@@ -12,22 +12,21 @@ import (
 	"sensoragg/internal/spantree"
 )
 
-// This file is the mid-flight fault-tolerance loop: when a phased fault
-// plan (faults.Spec.MidAt) kills nodes or links while a sweep is in
-// flight, the tree engine's completeness check surfaces
+// This file is the batch driver and its mid-flight fault-tolerance loop:
+// when a phased fault plan (faults.Spec.MidAt) kills nodes or links while a
+// sweep is in flight, the tree engine's completeness check surfaces
 // spantree.ErrSweepIncomplete instead of a silently partial count. The
-// loop here catches it, re-heals the tree around the dead subtrees
-// (re-rooting if the root itself died), recomputes the survivor ground
-// truth, and resumes every selection search from its checkpointed
-// interval — up to Spec.Retry.Budget times, after which the answer is
-// assembled degraded from the best-known bounds instead of erroring.
+// loop catches it, re-heals the tree around the dead subtrees (re-rooting
+// if the root died), recomputes the survivor ground truth, and resumes
+// every selection search from its checkpointed interval — up to
+// Spec.Retry.Budget times, after which the answer is assembled degraded
+// from the best-known bounds instead of erroring.
 //
-// Resume soundness: checkpointed intervals come back as seed *windows* on
-// fresh steppers, never as hard bounds. The pre-crash probe counts were
-// taken over a population that no longer exists, so every absolute count
-// is recomputed against the survivors; the checkpoint only biases the new
-// schedule toward where the answer already was, which costs at most the
-// sweeps the hint saves and can never change the answer.
+// Resume soundness: checkpoints come back as seed *windows* on fresh
+// steppers, never as hard bounds. The pre-crash counts were taken over a
+// population that no longer exists, so every count is taken again over the
+// survivors; a window only biases the new schedule toward where the answer
+// already was, which can never change the answer.
 
 // outcome is what one batch run produced.
 type outcome struct {
@@ -49,23 +48,30 @@ type outcome struct {
 }
 
 // runBatch is the engine's one batch driver: it runs members — a fusion
-// batch, or a batch of one for a solo job under a phased plan — as one
-// shared probe schedule on fe's plane, starting from the pre-query state in
-// o (the heal that shaped fe's view and its ground truth). Attempt 0 runs
-// the members as built; with no fault striking mid-sweep it is the only
-// attempt, and the retry budget goes unused. queries are the members'
-// resolved queries: every retry rebuilds the members from them, because
-// the survivor population (and with it φ-resolved ranks) shrinks. members
-// holds the final attempt's slots on return.
-func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe *spantree.FastEngine, queries []Query, members []member, o outcome, deadline time.Time) (outcome, error) {
+// batch, or a solo job's batch of one — as one shared probe schedule on
+// net, plain or robust, from the pre-query state in o: the heal that shaped
+// net's view, its ground truth, and the results every attempt writes over
+// when the caller sized o.res.members to the batch (else runBatch makes
+// them). With no fault striking mid-sweep attempt 0 is the only one, and
+// the retry budget goes unused. Each retry rebuilds the members from their
+// resolved queries against the shrunken survivor population (which moves
+// φ-resolved ranks) on an agg.Net over the re-healed view; members holds
+// the final attempt's slots on return.
+func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, queries []Query, members []member, o outcome, deadline time.Time) (outcome, error) {
+	strike := striking(nw) // a strike before the batch is its view's, not its own
+	results := o.res.members
+	if len(results) != len(members) {
+		results = make([]memberResult, len(members))
+	}
 	for attempt := 0; ; attempt++ {
-		o.res = batchResult{members: make([]memberResult, len(members))}
-		steppers, ise, err := driveFused(ctx, agg.NewNet(fe), members, deadline, &o.res)
+		clear(results)
+		o.res = batchResult{members: results}
+		ise, err := driveFused(ctx, net, members, deadline, &o.res)
 		plan := nw.Faults
 		if ise == nil {
 			o.retries = attempt
-			if plan != nil && plan.PhaseFired() {
-				o.survivorFrac = float64(fe.View().N()) / float64(nw.N())
+			if strike && plan.PhaseFired() {
+				o.survivorFrac = float64(o.truth.view.N()) / float64(nw.N())
 			}
 			return o, err
 		}
@@ -93,8 +99,8 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 					sk.DegradedAnswers.Add(1)
 				}
 				r.detached = false
-				if st := steppers[i]; st != nil {
-					wins := st.Checkpoint(nil)
+				if r.st != nil {
+					wins := r.st.Checkpoint(nil)
 					r.values = make([]uint64, len(members[i].ranks))
 					for j := range r.values {
 						r.values[j] = o.res.lo
@@ -120,8 +126,9 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 			sk.Retries.Add(1)
 		}
 		o.hr = hr
-		fe = spantree.NewFastView(nw, hr.View)
+		fe := spantree.NewFastView(nw, hr.View)
 		fe.SetWorkers(o.team)
+		net = agg.NewNet(fe)
 		o.truth = &groundTruth{nw: nw, view: hr.View}
 		if o.truth.count() == 0 {
 			return o, core.ErrEmpty
@@ -131,7 +138,7 @@ func (e *Engine) runBatch(ctx context.Context, nw *netsim.Network, spec Spec, fe
 		// slots resolve.
 		for i := range members {
 			mb, _ := members[i].kind.slot(queries[i], o.truth.count())
-			if st := steppers[i]; st != nil {
+			if st := o.res.members[i].st; st != nil {
 				if wins := st.Checkpoint(nil); len(wins) > 0 {
 					mb.seeds = wins
 				}
@@ -166,25 +173,41 @@ func (o *outcome) detail(m *member, shared string) string {
 	return m.kind.batchDetail(*m, shared)
 }
 
-// retrySolo runs a solo fusable query under a phased fault plan from r's
-// pre-query state as a batch of one: the batch driver and its assembly.
-func (e *Engine) retrySolo(r *run, k *kind, heal *spantree.HealResult, res *Result) error {
-	mb, err := k.slot(r.q, r.truth.count())
-	if err != nil {
-		return err
-	}
-	members := []member{mb}
-	o, err := e.runBatch(context.Background(), r.nw, r.spec, r.fe, []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
+// striking reports whether nw's fault plan has a mid-sweep strike still to
+// come: a run on it takes the retry loop, with its budget.
+func striking(nw *netsim.Network) bool {
+	p := nw.Faults
+	return p != nil && p.PhaseArmed() && !p.PhaseFired()
+}
+
+// batchOfOne answers slot m alone into res as a batch of one: runBatch
+// from r's pre-query state in o on r's own plane, and the assembly every
+// batch answer shares. Its detail names its own schedule or, when strike
+// put the retry budget to work, a fused batch of one's and its re-heals.
+func (r *run) batchOfOne(m member, o outcome, strike bool, res *Result) error {
+	members, results := [1]member{m}, [1]memberResult{}
+	o.res.members = results[:]
+	o, err := runBatch(context.Background(), r.nw, r.spec, r.net, []Query{r.q}, members[:], o, time.Time{})
 	if err == nil {
 		err = o.res.members[0].err
 	}
 	if err != nil {
 		return err
 	}
-	detail := o.detail(&members[0], fusedDetail(1, o.res.sweeps))
-	if o.retries > 0 && !o.degraded {
-		detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, detail)
+	mb, sweeps := &members[0], o.res.sweeps
+	var detail string
+	switch {
+	case strike && o.retries > 0 && !o.degraded:
+		detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, o.detail(mb, fusedDetail(1, sweeps)))
+	case strike:
+		detail = o.detail(mb, fusedDetail(1, sweeps))
+	case mb.kind.vector:
+		detail = fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(mb.ranks), sweeps, mb.width)
+	case mb.ranks[0].Median:
+		detail = fmt.Sprintf("%d k-ary sweeps (width %d)", sweeps, mb.width)
+	default:
+		detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", mb.ranks[0].K, sweeps, mb.width)
 	}
-	o.answer(res, &members[0], &o.res.members[0], detail)
+	o.answer(res, mb, &o.res.members[0], detail)
 	return nil
 }

@@ -210,6 +210,26 @@ func TestDegradedBudgetZero(t *testing.T) {
 	}
 }
 
+// TestDegradedAnswerReportsItsSweeps: an answer the retry budget degraded
+// reports the sweeps its killed attempt ran and paid for, solo and fused.
+// The strike kills the convergecast at tick MidAt of the phase clock and
+// the MinMax round is tick 1, so MidAt 4 leaves two sweeps run.
+func TestDegradedAnswerReportsItsSweeps(t *testing.T) {
+	spec := midSpec(1024, 1, faults.Spec{MidAt: 4, MidCrash: 0.2}, 0)
+	median := Job{Spec: spec, Query: Query{Kind: KindMedian}}
+	e := New(Options{Workers: 1})
+	solo := e.Submit(context.Background(), []Job{median})
+	fused := e.Submit(context.Background(), []Job{median, {Spec: spec, Query: Query{Kind: KindQuantile, Phi: 0.9}}}, WithFusion())
+	for _, r := range append(solo, fused...) {
+		if r.Failed() || !r.Degraded {
+			t.Fatalf("%s fused=%v: error %q, degraded %v; want a degraded answer", r.Query, r.Fused, r.Error, r.Degraded)
+		}
+		if r.SharedSweeps != 2 {
+			t.Errorf("%s fused=%v: degraded answer reports %d sweeps, want the 2 its attempt ran (%d bits/node)", r.Query, r.Fused, r.SharedSweeps, r.BitsPerNode)
+		}
+	}
+}
+
 // TestRootKillRerootsAndConverges: killing the root mid-sweep re-roots the
 // heal at a survivor and the resumed run converges exactly — or, with no
 // budget, degrades cleanly rather than erroring.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"sensoragg/internal/agg"
 	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
 )
@@ -214,7 +215,7 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 		return append(solo, memberIdx...)
 	}
 
-	o, err := e.runBatch(ctx, nw, spec, fe, queries, members, outcome{hr: hr, truth: truth}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth}, deadline)
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {
