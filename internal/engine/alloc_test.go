@@ -52,11 +52,10 @@ func TestJobBookkeepingIsNotPerNode(t *testing.T) {
 }
 
 // TestSoloSelectionAllocs gates the solo selection route: a solo median or
-// quantiles job runs as a batch of one through runBatch, and a warm Submit
-// of one on a 1,024-node Zipf grid must allocate no more than when solo
-// selection had a route of its own — 26 for the median and 28 for four
-// quantiles. The batch of one keeps its result and its plane's stepper
-// list on the stack.
+// quantiles job is a unit of one whose batch of one runs through runBatch,
+// and a warm Submit of one on a 1,024-node Zipf grid must allocate no more
+// than 24 for the median and 27 for four quantiles. The unit keeps its run,
+// member, result and its plane's stepper list on the stack.
 func TestSoloSelectionAllocs(t *testing.T) {
 	spec := Spec{Topology: "grid", N: 1024, Workload: "zipf", Seed: 1}
 	e := New(Options{Workers: 1})
@@ -64,8 +63,8 @@ func TestSoloSelectionAllocs(t *testing.T) {
 		q   Query
 		max float64
 	}{
-		{Query{Kind: KindMedian}, 26},
-		{Query{Kind: KindQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}, 28},
+		{Query{Kind: KindMedian}, 24},
+		{Query{Kind: KindQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}, 27},
 	} {
 		jobs := []Job{{Spec: spec, Query: tc.q}}
 		if r := e.Submit(context.Background(), jobs)[0]; r.Failed() || !r.Exact {

@@ -305,7 +305,7 @@ func (e *Engine) oracleExecute(nw *netsim.Network, spec Spec, q Query, team int)
 		}
 	}
 
-	r := &run{nw: nw, spec: spec, q: q, team: team}
+	r := &run{nw: nw, spec: spec, q: q}
 	var heal *spantree.HealResult
 	if k.tree {
 		var err error
@@ -323,7 +323,7 @@ func (e *Engine) oracleExecute(nw *netsim.Network, spec Spec, q Query, team int)
 	// batch driver's detect → re-heal → resume loop (retry.go), with the
 	// same degradation contract as a fused batch.
 	if p := nw.Faults; p != nil && p.PhaseArmed() && !q.Robust && k.member != nil {
-		return e.oracleRetrySolo(r, k, heal)
+		return e.oracleRetrySolo(r, k, heal, team)
 	}
 	if q.Robust {
 		return e.oracleExecuteRobust(r, k, heal)
@@ -428,13 +428,13 @@ func oracleMemberAnswer(m *member, sel []uint64, aggs []float64, g *groundTruth)
 
 // oracleRetrySolo runs a solo fusable query under a phased fault plan from r's
 // pre-query state as a batch of one: the batch driver and its assembly.
-func (e *Engine) oracleRetrySolo(r *run, k *kind, heal *spantree.HealResult) (oracleAnswer, error) {
+func (e *Engine) oracleRetrySolo(r *run, k *kind, heal *spantree.HealResult, team int) (oracleAnswer, error) {
 	mb, err := k.slot(r.q, r.truth.count())
 	if err != nil {
 		return oracleAnswer{}, err
 	}
 	members := []member{mb}
-	o, err := runBatch(context.Background(), r.nw, r.spec, agg.NewNet(r.fe), []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: r.team}, time.Time{})
+	o, err := runBatch(context.Background(), r.nw, r.spec, agg.NewNet(r.fe), []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: team}, time.Time{})
 	if err == nil {
 		err = o.res.members[0].err
 	}

@@ -65,12 +65,11 @@ func ledgerRun(t *testing.T, e *Engine, job Job) (Result, netsim.Ledger) {
 		t.Fatal(err)
 	}
 	defer nw.Release()
-	before := nw.Meter.Snapshot()
-	r := Result{ID: job.ID}
-	if err := e.execute(nw, spec, job.Query, 1, &r); err != nil {
+	r, err := e.runAlone(nw, job, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resultFrom(&r, spec, job.Query, nw.Meter.Since(before), 0)
+	r.WallNS = 0
 	return r, nw.Meter.Ledger()
 }
 

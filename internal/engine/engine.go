@@ -181,9 +181,11 @@ type Options struct {
 	// execution units of one Submit divide the workers among them: each
 	// unit's tree sweeps run on a team of max(1, Workers ÷ units).
 	Workers int
-	// Timeout is the per-query deadline (0 → none). A query that overruns
-	// is reported failed; its goroutine finishes in the background against
-	// its private forked network, so no other run is disturbed.
+	// Timeout is the per-query deadline (0 → none). A unit of one that
+	// overruns it is reported failed while it finishes in the background on
+	// its private fork. A fusion group's plane stops at it between sweeps,
+	// and the members it left unanswered re-run as units of one, each with a
+	// full deadline of its own.
 	Timeout time.Duration
 	// Session supplies the topology cache (nil → a fresh one).
 	Session *Session
@@ -289,8 +291,10 @@ func failedResult(job Job, err error) Result {
 	return Result{ID: job.ID, Spec: job.Spec.Normalize(), Query: job.Query.WithDefaults(), Error: err.Error()}
 }
 
-// runOne forks a per-run network off the session cache and executes the
-// query on a tree-kernel team of the given size, enforcing its deadline.
+// runOne runs job as a unit of one on a tree-kernel team of the given
+// size, enforcing its deadline. The unit runs on its own goroutine and
+// fork, so a run runOne gave up on disturbs no other and releases its fork
+// late, never early.
 func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
@@ -303,7 +307,9 @@ func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
 			}
 		}()
-		done <- e.executeJob(job.Spec.Normalize(), job, team)
+		jobs, idxs, results := [1]Job{job}, [1]int{}, [1]Result{}
+		e.execute(context.Background(), jobs[:], plan{team: team}, idxs[:], results[:], time.Time{})
+		done <- results[0]
 	}()
 
 	var deadline <-chan time.Time
@@ -325,35 +331,6 @@ func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
 	case <-deadline:
 	}
 	return failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
-}
-
-// executeJob is the deadline-free body of a run: instantiate, execute,
-// meter. It runs against a private forked network, so even when runOne has
-// already given up on it, it cannot disturb any other run; the network
-// goes back to the session's fork pool only once the run has fully
-// finished with it (an abandoned run releases late, never early). A
-// panicking query skips the release — the pool never sees a network in an
-// unknown state.
-func (e *Engine) executeJob(spec Spec, job Job, team int) Result {
-	start := time.Now()
-	nw, err := e.fork(spec, &job)
-	if err != nil {
-		return failedResult(job, err)
-	}
-	before := nw.Meter.Snapshot()
-	r := Result{ID: job.ID}
-	if err := e.execute(nw, spec, job.Query, team, &r); err != nil {
-		nw.Release()
-		return failedResult(job, err)
-	}
-	d := nw.Meter.Since(before)
-	wall := time.Since(start)
-	if sk := obs.Active(); sk != nil {
-		e.obsSoloJob(sk, job, d, wall)
-	}
-	resultFrom(&r, spec, job.Query, d, wall)
-	nw.Release()
-	return r
 }
 
 // fork instantiates job's run network on spec with its overlay applied.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -50,14 +51,23 @@ func executeSerial(nw *netsim.Network, spec Spec, q Query) (Result, error) {
 		}
 		nw.Faults = faults.New(spec.Faults, nw.N(), nw.Root(), nw.Seed())
 	}
-	before := nw.Meter.Snapshot()
-	start := time.Now()
-	var r Result
-	if err := New(Options{Workers: 1}).execute(nw, spec, q, 1, &r); err != nil {
+	return New(Options{Workers: 1}).runAlone(nw, Job{Spec: spec, Query: q}, 1)
+}
+
+// runAlone runs job as a unit of one on nw, a network the caller owns and
+// releases, on a tree-kernel team of the given size: the unit runner
+// between its fork and its release, metered from here.
+func (e *Engine) runAlone(nw *netsim.Network, job Job, team int) (Result, error) {
+	r := run{nw: nw, spec: job.Spec.Normalize(), q: job.Query.WithDefaults(), before: nw.Meter.Snapshot(), start: time.Now()}
+	if err := e.prepare(&r, team); err != nil {
 		return Result{}, err
 	}
-	resultFrom(&r, spec, q, nw.Meter.Since(before), time.Since(start))
-	return r, nil
+	var res [1]Result
+	e.answer(context.Background(), &r, []Job{job}, plan{team: team}, []int{0}, res[:], time.Time{})
+	if res[0].Failed() {
+		return Result{}, errors.New(res[0].Error)
+	}
+	return res[0], nil
 }
 
 // TestParallelMatchesSerial is the engine's concurrent-correctness

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"sensoragg/internal/agg"
-	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
-	"sensoragg/internal/netsim"
-	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/wire"
 )
@@ -66,29 +63,24 @@ type Query struct {
 // queries robust by default stamps Robust only where this holds.
 func (q Query) RobustCapable() bool { return kindOf(q.Kind).robust && q.Where == nil }
 
-// execute runs q against the per-run network nw and writes its answer
-// into res. The network must be private to this run: execute mutates node
-// items (zoom/filter stages) and charges the meter freely.
-//
-// A spec with an active fault plan reshapes the run: the plan attached to
-// the network (Session.Instantiate forks it from the run seed) is checked
-// against the kind, structural faults trigger a spantree.HealRerooted
-// repair whose traffic is charged to the meter before the query runs, and
-// the simulator-side ground truth shrinks to the surviving, reconnected
-// nodes — the population the healed tree can actually aggregate. team is
-// the tree-kernel team size (spantree.FastEngine.SetWorkers).
-func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int, res *Result) error {
-	q = q.WithDefaults()
-	k := kindOf(q.Kind)
+// prepare readies r, a metered fork, for its unit: r's query's kind vets
+// its WHERE (fitted to the domain) and the fork's fault plan, a tree kind
+// heals around structural faults (the repair charged to the meter), and the
+// ground truth covers the surviving, reconnected nodes. The plane is an
+// agg.Net on a tree-kernel team of the given size, a filter-kind WHERE
+// broadcast first, or a robust query's RobustNet: lying subtrees
+// quarantined (Session.audit) and the view and truth re-derived.
+func (e *Engine) prepare(r *run, team int) error {
+	q, k := r.q, kindOf(r.q.Kind)
+	var where *wire.Pred
 	if q.Where != nil {
-		where, err := k.whereFor(q, nw.MaxX)
+		w, err := k.whereFor(q, r.nw.MaxX)
 		if err != nil {
 			return err
 		}
-		q.Where = &where
+		where = &w
 	}
-
-	if p := nw.Faults; p != nil && p.Active() {
+	if p := r.nw.Faults; p != nil && p.Active() {
 		if err := k.faultSupport(p.Spec()); err != nil {
 			return err
 		}
@@ -100,79 +92,39 @@ func (e *Engine) execute(nw *netsim.Network, spec Spec, q Query, team int, res *
 		}
 	}
 
-	r := &run{nw: nw, spec: spec, q: q, team: team}
-	var heal *spantree.HealResult
 	if k.tree {
 		var err error
-		if r.fe, heal, err = spantree.NewFastHealed(nw); err != nil {
+		if r.fe, r.heal, err = spantree.NewFastHealed(r.nw); err != nil {
 			return err
 		}
 	} else {
 		// Gossip/radio kinds never touch the tree: no repair runs, so their
 		// cost is purely the protocol's own traffic.
-		r.fe = spantree.NewFast(nw)
+		r.fe = spantree.NewFast(r.nw)
 	}
 	r.fe.SetWorkers(team)
-	r.truth = groundTruth{nw: nw, view: r.fe.View(), where: q.Where}
+	r.truth = groundTruth{nw: r.nw, view: r.fe.View(), where: where}
 	if !q.Robust {
 		net := agg.NewNet(r.fe, agg.WithSketchP(q.SketchP))
-		if q.Where != nil && k.where == whereFilter {
-			net.Filter(*q.Where)
-			defer net.Reset()
+		if where != nil && k.where == whereFilter {
+			net.Filter(*where)
 		}
 		r.net = net
-		return k.runSolo(r, heal, res)
+		return nil
 	}
-	// A robust job runs on the byz tier (Session.audit): lying subtrees are
-	// quarantined and the trimmed plane cross-checked against the sketch,
-	// then the kind answers over the RobustNet on the re-derived view.
 	if !k.robust {
 		return fmt.Errorf("engine: %s does not support robust mode (exact aggregate kinds only)", k.name)
 	}
-	rep, rnet, err := e.session.audit(nw, spec, r.fe.View(), q.SketchP)
+	rep, rnet, err := e.session.audit(r.nw, r.spec, r.fe.View(), q.SketchP)
 	if err != nil {
 		return err
 	}
 	if rep != nil && rep.Healed != nil {
-		heal = rep.Healed
-		r.truth = groundTruth{nw: nw, view: rep.Healed.View}
+		r.heal = rep.Healed
+		r.truth = groundTruth{nw: r.nw, view: rep.Healed.View}
 	}
-	r.net = rnet
-	if err := k.runSolo(r, heal, res); err != nil {
-		return err
-	}
-	integrity := rnet.Integrity()
-	audited(res, rep, integrity)
-	if sk := obs.Active(); sk != nil {
-		obsRobust(sk, res, integrity)
-	}
+	r.net, r.audit = rnet, rep
 	return nil
-}
-
-// healed writes the fault impact of hr, the heal that shaped a run's final
-// view (nil: none ran), into res.
-func healed(res *Result, hr *spantree.HealResult) {
-	if hr != nil {
-		res.Crashed, res.Unreachable, res.RepairBits = hr.Crashed, hr.Unreachable, hr.Repair.TotalBits
-	}
-}
-
-// audited writes a robust run's byz-tier outcome into res: rep, the
-// localization report (nil when no adversary was planned), and integrity,
-// the aggregation plane's accounting. Audit-phase suspects and trim-phase
-// suspects are disjoint evidence: the former are historical (cleared or
-// quarantined by the time the query ran), the latter are the live sectors
-// the bound prices.
-func audited(res *Result, rep *byz.Report, integrity byz.Integrity) {
-	res.Robust = true
-	res.Suspected = len(integrity.Suspected)
-	res.IntegrityBound = integrity.BoundItems
-	if rep != nil {
-		res.Suspected += len(rep.Suspected)
-		res.Quarantined = len(rep.Quarantined)
-		res.AuditRounds = rep.Rounds
-		res.AuditBits = rep.AuditBits
-	}
 }
 
 // aggregator is the primitive-protocol surface a solo run's kind answers

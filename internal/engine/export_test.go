@@ -11,13 +11,9 @@ func (e *Engine) RunOnFork(spec Spec, q Query) (*netsim.Network, Result, error) 
 	if err != nil {
 		return nil, Result{}, err
 	}
-	before := nw.Meter.Snapshot()
-	var r Result
-	if err := e.execute(nw, spec, q, e.teamSize(1), &r); err != nil {
-		return nw, Result{}, err
-	}
-	resultFrom(&r, spec, q, nw.Meter.Since(before), 0)
-	return nw, r, nil
+	r, err := e.runAlone(nw, Job{Spec: spec, Query: q}, e.teamSize(1))
+	r.WallNS = 0
+	return nw, r, err
 }
 
 // AuditEntries is the number of audits the session's table holds.

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"time"
 
-	"sensoragg/internal/agg"
+	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
 	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
@@ -15,16 +15,16 @@ import (
 	"sensoragg/internal/wire"
 )
 
-// This file is the fusion scheduler: concurrent jobs that target the same
-// deployment (equal normalized spec and run seed) and are
-// fusion-compatible — selection searches, multi-quantiles, and the
-// Fact 2.1 aggregates — execute as one *fusion batch* on a single forked
-// network instead of per-job forks. Every selection reaches the one loop,
-// core.Plane, through driveFused: a solo one as a batch of one, and a batch
-// as a plane of its members, whose every sweep round merges their probe
-// thresholds into one deduplicated ascending chain shipped as one
-// broadcast–convergecast; aggregate members ride the MinMax round and the
-// first sweep (CountVecSum). The tree traffic is paid once per round.
+// This file is the unit runner and the fusion scheduler. A Submit's jobs
+// are planned into units: a job alone, or — under WithFusion — the fusion
+// group of fusable jobs (selections, multi-quantiles, the Fact 2.1
+// aggregates) on one deployment, run seed and overlay. Every unit runs
+// through one body, execute: fork, heal, one ground truth and one plane,
+// every member's slot, one batch, one assembly, release. A unit of one is
+// that body with one member; a batch's members share one core.Plane
+// (driveFused), whose sweep rounds merge their probe thresholds into one
+// deduplicated chain per broadcast–convergecast, aggregate members riding
+// the MinMax round and the first sweep: tree traffic is paid once a round.
 //
 // Fusion preserves answers exactly: selection is an exact search whose
 // result does not depend on the probe schedule, and the aggregate riders
@@ -265,20 +265,32 @@ func (p plan) batch(jobs []Job, u []int) bool {
 	return len(u) > 1 || p.fused(&jobs[u[0]]) && p.answers(u[0]) > 1
 }
 
-// runUnit executes one unit, writing results by original job index.
+// runUnit executes one unit, writing results by original job index: a
+// unit of one under runOne's hard deadline, a fusion group under the
+// group's cooperative one. A group's detached members, and every member of
+// a panicked or empty batch, finish as units of one: fusion must never fail
+// a query that would have succeeded alone.
 func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
 	if !p.batch(jobs, idxs) {
 		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.team)
 		return
 	}
-	solo := e.runFusedGroup(ctx, jobs, p, idxs, results)
+	var deadline time.Time
+	if e.timeout > 0 {
+		deadline = time.Now().Add(e.timeout)
+	}
+	solo := func() (solo []int) {
+		defer func() {
+			if recover() != nil {
+				solo = idxs
+			}
+		}()
+		return e.execute(ctx, jobs, p, idxs, results, deadline)
+	}()
 	if sk := obs.Active(); sk != nil && len(solo) > 0 {
 		sk.FusionSolo.Add(int64(len(solo)))
 	}
 	for _, i := range solo {
-		// Detached or unfusable members finish solo with their own full
-		// deadline: fusion must never fail a query that would have
-		// succeeded alone.
 		results[i] = e.runOne(ctx, jobs[i], p.team)
 	}
 }
@@ -304,92 +316,114 @@ func samePred(a, b *wire.Pred) bool {
 	return a == b || a != nil && b != nil && *a == *b
 }
 
-// runFusedGroup executes a fusion group on one forked network and writes
-// member results by original index. It returns the indices that must
-// finish solo: members whose parameters need the solo error path, members
-// the deadline detached, and — on a panic before every member's answer is
-// assembled — the whole group. A panicking batch skips the pool release,
-// like a panicking solo run.
-func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) (solo []int) {
-	spec := jobs[idxs[0]].Spec.Normalize()
-	start := time.Now()
-	var deadline time.Time
-	if e.timeout > 0 {
-		deadline = start.Add(e.timeout)
+// execute is the unit runner: it forks for the unit idxs, takes the meter
+// snapshot, heals and builds the ground truth and plane (prepare), answers
+// every member (answer) and releases the fork. It returns the members that
+// must finish as units of one. A panicking unit skips the release: the pool
+// never sees a network in an unknown state.
+func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) []int {
+	job := &jobs[idxs[0]]
+	r := run{spec: job.Spec.Normalize(), q: job.Query.WithDefaults(), start: time.Now()}
+	err := ctx.Err()
+	if err == nil {
+		r.nw, err = e.fork(r.spec, job)
 	}
-	settled := false // every member's result is assembled and final
-	defer func() {
-		if r := recover(); r != nil && !settled {
-			solo = append(solo[:0], idxs...)
+	if err == nil {
+		r.before = r.nw.Meter.Snapshot()
+		if err = e.prepare(&r, p.team); err != nil {
+			r.nw.Release()
 		}
-	}()
-
-	// failAll fails every member before any was answered.
-	failAll := func(err error) []int {
+	}
+	if err != nil {
 		for _, i := range idxs {
 			results[i] = failedResult(jobs[i], err)
 		}
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return failAll(err)
-	}
-	nw, err := e.fork(spec, &jobs[idxs[0]])
-	if err != nil {
-		return failAll(err)
-	}
-	before := nw.Meter.Snapshot()
-	fe, hr, err := spantree.NewFastHealed(nw)
-	if err != nil {
-		nw.Release()
-		return failAll(err)
-	}
-	fe.SetWorkers(p.team)
-	truth := &groundTruth{nw: nw, view: fe.View()}
+	solo := e.answer(ctx, &r, jobs, p, idxs, results, deadline)
+	r.nw.Release()
+	return solo
+}
 
-	// One member per job: the group holds no twins, so members[k] is job
-	// idxs[k] once the jobs whose slots fail move behind the members. The
-	// batch's size counts the twins its members answer.
-	queries := make([]Query, 0, len(idxs))
-	members := make([]member, 0, len(idxs))
+// answer answers the unit idxs on r's prepared plane, metered with the
+// unit's delta. Each job resolves its slot (a failing slot fails its job)
+// and the members run as one batch under ctx and deadline, unless a kind's
+// own arm answers a unit of one: a private schedule's solo arm, or an
+// aggregate's alone arm with no mid-sweep strike to come. A batch that
+// answers two jobs or more, twins counted, is fused; it returns the members
+// it detached or found empty.
+func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) (solo []int) {
+	// One member per job: a unit holds no twins, so members[k] is job
+	// idxs[k] once the jobs whose slots fail move behind the members. A
+	// small unit keeps its members, queries and results on the stack.
+	var (
+		qbuf  [4]Query
+		mbuf  [4]member
+		mrbuf [4]memberResult
+	)
+	queries, members := qbuf[:0], mbuf[:0]
+	if len(idxs) > len(qbuf) {
+		queries, members = make([]Query, 0, len(idxs)), make([]member, 0, len(idxs))
+	}
 	batch := 0
-	for k, ji := range idxs {
-		q := jobs[ji].Query.WithDefaults()
-		mb, err := kindOf(q.Kind).slot(q, truth.count())
-		if err != nil {
-			solo = append(solo, ji)
-			continue
+	for i, ji := range idxs {
+		q := r.q
+		if i > 0 {
+			q = jobs[ji].Query.WithDefaults()
 		}
-		idxs[k], idxs[len(members)] = idxs[len(members)], ji
+		mb := member{kind: kindOf(q.Kind)}
+		if mb.kind.member != nil {
+			var err error
+			if mb, err = mb.kind.slot(q, r.truth.count()); err != nil {
+				results[ji] = failedResult(jobs[ji], err)
+				continue
+			}
+		}
+		idxs[i], idxs[len(members)] = idxs[len(members)], ji
 		queries, members = append(queries, q), append(members, mb)
 		batch += p.answers(ji)
 	}
-	if batch < 2 {
-		// A batch of one has nothing to share; its solo run is the same
-		// protocol without the fusion bookkeeping.
-		nw.Release()
-		return append(solo, idxs[:len(members)]...)
+	if len(members) == 0 {
+		return nil
 	}
 
-	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
-	d := nw.Meter.Since(before)
-	wall := time.Since(start)
+	o := outcome{res: batchResult{members: mrbuf[:min(len(members), len(mrbuf))]}, hr: r.heal, truth: &r.truth, team: p.team}
+	k, fused, strike := members[0].kind, batch > 1, striking(r.nw)
+	arm := k.solo != nil || !fused && k.alone != nil && !strike
+	v, detail, err := 0.0, "", error(nil)
+	switch {
+	case !arm:
+		o, err = runBatch(ctx, r.nw, r.spec, r.net, queries, members, o, deadline)
+	case k.solo != nil:
+		v, detail, err = k.solo(*r)
+	default:
+		r.q = queries[0]
+		mrbuf[0], o.res.sweeps, detail, err = k.alone(*r)
+	}
+	if r.truth.where != nil && kindOf(r.q.Kind).where == whereFilter {
+		r.net.Reset()
+	}
 	if err != nil {
-		// Batch-impossible (empty active multiset): every member reports
-		// it through its own solo path.
-		nw.Release()
-		return append(solo, idxs[:len(members)]...)
+		if fused {
+			// Batch-impossible (an empty active multiset): every member
+			// reports it through its own unit of one.
+			return idxs[:len(members)]
+		}
+		o.res.members[0].err = err
 	}
 
-	shared := fusedDetail(batch, o.res.sweeps)
+	d, wall := r.nw.Meter.Since(r.before), time.Since(r.start)
 	sk := obs.Active()
-	var span uint64
-	if sk != nil {
-		span = sk.Tracer.NextSpan()
+	shared, span := "", uint64(0)
+	if fused {
+		shared = fusedDetail(batch, o.res.sweeps)
+		if sk != nil {
+			span = sk.Tracer.NextSpan()
+		}
 	}
 	detached := 0
 	for mi, ji := range idxs[:len(members)] {
-		mr := &o.res.members[mi]
+		mr, m := &o.res.members[mi], &members[mi]
 		if mr.detached {
 			detached++
 			if sk != nil {
@@ -405,16 +439,39 @@ func (e *Engine) runFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []i
 			results[ji] = failedResult(jobs[ji], mr.err)
 			continue
 		}
-		r, m := &results[ji], &members[mi]
-		*r = Result{ID: jobs[ji].ID, Fused: true}
-		o.answer(r, m, mr, o.detail(m, shared))
-		resultFrom(r, spec, queries[mi], d, wall)
+		switch {
+		case fused:
+			detail = o.detail(m, shared)
+		case !arm:
+			detail = o.soloDetail(m, strike)
+		}
+		res := &results[ji]
+		*res = Result{ID: jobs[ji].ID, Fused: fused}
+		o.answer(res, m, mr, detail)
+		if k.solo != nil {
+			res.Value, res.Truth, res.TruthKnown = v, k.truth(*r), true
+		}
+		if r.q.Robust {
+			// Audit-phase suspects are historical (cleared or quarantined);
+			// trim-phase ones are the live sectors the bound prices.
+			integrity := r.net.(*byz.RobustNet).Integrity()
+			res.Robust, res.Suspected, res.IntegrityBound = true, len(integrity.Suspected), integrity.BoundItems
+			if rep := r.audit; rep != nil {
+				res.Suspected += len(rep.Suspected)
+				res.Quarantined, res.AuditRounds, res.AuditBits = len(rep.Quarantined), rep.Rounds, rep.AuditBits
+			}
+			if sk != nil {
+				obsRobust(sk, res, integrity)
+			}
+		}
+		if !fused && sk != nil {
+			e.obsSoloJob(sk, jobs[ji], d, wall)
+		}
+		resultFrom(res, r.spec, queries[mi], d, wall)
 	}
-	settled = true
-	if sk != nil {
+	if fused && sk != nil {
 		e.obsFusedBatch(sk, span, jobs[idxs[0]], batch, detached, o.res.sweeps, o.res.probes, d, wall)
 	}
-	nw.Release()
 	return solo
 }
 

@@ -10,6 +10,7 @@ import (
 	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
 	"sensoragg/internal/netsim"
+	"sensoragg/internal/obs"
 	"sensoragg/internal/spantree"
 	"sensoragg/internal/topology"
 	"sensoragg/internal/wire"
@@ -391,5 +392,38 @@ func TestRunKeepsInputOrderUnderCancellation(t *testing.T) {
 			}
 		}
 		_ = sawCancelled // timing-dependent; the order assertions above are the contract
+	}
+}
+
+// TestGroupForksOnce: a fusion group runs on one fork. In [median,
+// quantile φ=2] the quantile's slot fails, which fails its job on the
+// group's fork, and the median, the one member left, is answered there as
+// a unit of one. Each result equals its job's own Submit, the Submit takes
+// one fork for both jobs, and no member falls back to a solo run.
+func TestGroupForksOnce(t *testing.T) {
+	obs.Disable()
+	t.Cleanup(obs.Disable)
+	spec := gridSpec(256, 3)
+	jobs := []Job{
+		{ID: "median", Spec: spec, Query: Query{Kind: KindMedian}},
+		{ID: "bad-phi", Spec: spec, Query: Query{Kind: KindQuantile, Phi: 2}},
+	}
+	e := New(Options{Workers: 2})
+	sk := obs.Enable()
+	hits, misses := e.Session().Stats()
+	got := e.Submit(context.Background(), jobs, WithFusion())
+	h, m := e.Session().Stats()
+	if forks := h + m - hits - misses; forks != 1 {
+		t.Errorf("the group took %d forks, want 1", forks)
+	}
+	if n := sk.FusionSolo.Value(); n != 0 {
+		t.Errorf("fusion_solo_fallback_total = %d, want 0", n)
+	}
+	obs.Disable()
+	if got[0].Failed() || got[0].Fused || !got[0].Exact || !got[1].Failed() {
+		t.Fatalf("median %+v, bad phi %+v: want an exact unfused median and a failed quantile", got[0], got[1])
+	}
+	for i := range jobs {
+		sameResult(t, jobs[i].ID, got[i], New(Options{Workers: 2}).Submit(context.Background(), jobs[i:i+1])[0])
 	}
 }

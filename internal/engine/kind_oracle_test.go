@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -38,14 +39,19 @@ import (
 // field, error text and per-node meter, every batch slot, and every fused
 // and degraded answer.
 
-// soloOn answers q alone on plane net over fe's view of nw: the solo path
-// once execute has prepared the run, metered with no delta.
+// soloOn answers q alone on plane net over fe's view of nw: the unit
+// runner once prepare has readied the run, with no metering and no audit
+// record.
 func soloOn(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, net aggregator) (Result, error) {
-	r := &run{nw: nw, spec: spec, q: q, fe: fe, net: net, truth: groundTruth{nw: nw, view: fe.View()}}
-	var res Result
-	err := kindOf(q.Kind).runSolo(r, nil, &res)
-	resultFrom(&res, spec, q, netsim.Delta{}, 0)
-	return res, err
+	r := run{nw: nw, spec: spec, q: q, fe: fe, net: net, truth: groundTruth{nw: nw, view: fe.View()}, before: nw.Meter.Snapshot()}
+	var res [1]Result
+	New(Options{Workers: 1}).answer(context.Background(), &r, []Job{{Spec: spec, Query: q}}, plan{}, []int{0}, res[:], time.Time{})
+	if res[0].Failed() {
+		return Result{}, errors.New(res[0].Error)
+	}
+	resultFrom(&res[0], spec, q, netsim.Delta{}, 0)
+	res[0].Robust, res[0].Suspected, res[0].IntegrityBound = false, 0, 0
+	return res[0], nil
 }
 
 // oracleFaultClasses are the fault plans the verdicts are compared under,
@@ -364,8 +370,7 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 	}
 	defer nwB.Release()
 
-	var solo Result
-	serr := New(Options{Workers: 1}).execute(nwA, spec, q, 1, &solo)
+	solo, serr := New(Options{Workers: 1}).runAlone(nwA, Job{Spec: spec, Query: q}, 1)
 
 	fe, hr, err := spantree.NewFastHealed(nwB)
 	if err != nil {

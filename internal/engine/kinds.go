@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/ams"
 	"sensoragg/internal/baseline"
+	"sensoragg/internal/byz"
 	"sensoragg/internal/core"
 	"sensoragg/internal/distinct"
 	"sensoragg/internal/faults"
@@ -116,13 +118,15 @@ type kind struct {
 	// schedule the string shared describes.
 	batchDetail func(m member, shared string) string
 	// alone answers an aggregate kind alone on r's plane with its one-sweep
-	// primitive: the slot's result and the answer's detail, with the sweeps
-	// its plane ran recorded in r. A selection alone is a batch of one.
-	alone func(r *run) (memberResult, string, error)
+	// primitive: the slot's result, the sweeps it counts and the answer's
+	// detail. A selection alone is a batch of one.
+	alone func(r run) (memberResult, int, string, error)
 	// solo answers any other kind alone on r's plane: its value and detail,
-	// held against truth, its ground truth over r's population.
-	solo  func(r *run) (float64, string, error)
-	truth func(r *run) float64
+	// held against truth, its ground truth over r's population. Arms take r
+	// by value: one called through a function value moves a pointer's run
+	// to the heap.
+	solo  func(r run) (float64, string, error)
+	truth func(r run) float64
 }
 
 // planSupport is which fault plans a kind executes honestly, besides the
@@ -148,8 +152,8 @@ const (
 	// whereInNetwork: the kind's protocol evaluates the predicate at every
 	// node (TAG-style in-network filtering, no extra broadcast).
 	whereInNetwork
-	// whereFilter: execute broadcasts the predicate to deactivate the
-	// items it does not match, runs the kind, and reactivates them.
+	// whereFilter: the plane broadcasts the predicate to deactivate the
+	// items it does not match, the kind runs, and the unit reactivates them.
 	whereFilter
 )
 
@@ -237,19 +241,18 @@ var kinds = [...]kind{
 			return member{aggs: q.Aggs}, nil
 		},
 		batchDetail: riderDetail,
-		alone: func(r *run) (memberResult, string, error) {
+		alone: func(r run) (memberResult, int, string, error) {
 			count, sum, lo, hi, ok := r.net.MultiAggregate(core.Linear, wire.True())
 			if !ok {
-				return memberResult{}, "", errEmptyNetwork
+				return memberResult{}, 0, "", errEmptyNetwork
 			}
-			r.sweeps = 1
-			return memberResult{aggValues: aggValues(r.q.Aggs, &fact21{count, sum, lo, hi})}, "fused vector sweep (count+sum+min+max)", nil
+			return memberResult{aggValues: aggValues(r.q.Aggs, &fact21{count, sum, lo, hi})}, 1, "fused vector sweep (count+sum+min+max)", nil
 		}},
-	{name: KindApxMedian, tree: true, where: whereFilter, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindApxMedian, tree: true, where: whereFilter, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
 		return float64(res.Value), fmt.Sprintf("%d α-counting instances, halted early: %v", res.Instances, res.HaltedEarly), err
 	}},
-	{name: KindApxMedian2, tree: true, where: whereFilter, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindApxMedian2, tree: true, where: whereFilter, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := core.ApxMedian2(r.net, core.Apx2Params{Beta: r.q.Beta, Epsilon: r.q.Eps})
 		return float64(res.Value), fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances), err
 	}},
@@ -270,56 +273,56 @@ var kinds = [...]kind{
 	aggregateKind(KindAvg, "exact (SUM/COUNT)", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
 		return net.Average(core.Linear, pred)
 	}),
-	{name: KindDistinct, tree: true, where: whereFilter, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
+	{name: KindDistinct, tree: true, where: whereFilter, truth: run.distinct, solo: func(r run) (float64, string, error) {
 		res, err := distinct.Exact(r.fe)
 		return float64(res.Distinct), "exact set union", err
 	}},
-	{name: KindApxDistinct, tree: true, where: whereFilter, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
+	{name: KindApxDistinct, tree: true, where: whereFilter, truth: run.distinct, solo: func(r run) (float64, string, error) {
 		res, err := distinct.Approximate(r.fe, r.q.SketchP, loglog.EstHLL, r.nw.Seed())
 		return res.Estimate, fmt.Sprintf("sketch m=%d, σ=%.3f", 1<<r.q.SketchP, res.Sigma), err
 	}},
 	// The α-counting instance runs on the plane's own sketch precision
 	// (Query.SketchP); the AMS sketch has one fixed shape.
-	{name: KindApxCount, tree: true, where: whereInNetwork, truth: (*run).count, solo: func(r *run) (float64, string, error) {
+	{name: KindApxCount, tree: true, where: whereInNetwork, truth: run.count, solo: func(r run) (float64, string, error) {
 		an := r.net.(*agg.Net) // apxcount never runs robust
 		return an.ApxCount(core.Linear, r.pred()), fmt.Sprintf("α-counting instance, σ=%.3f", an.ApxSigma()), nil
 	}},
-	{name: KindF2, tree: true, where: whereFilter, truth: (*run).f2, solo: func(r *run) (float64, string, error) {
+	{name: KindF2, tree: true, where: whereFilter, truth: run.f2, solo: func(r run) (float64, string, error) {
 		res, err := ams.F2Protocol(r.fe, 5, 64, r.nw.Seed())
 		return res.Estimate, "AMS sketch 5x64, rel. σ ≈ √(2/64)", err
 	}},
-	{name: KindQDigest, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindQDigest, tree: true, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := qdigest.MedianProtocol(r.fe, 16)
 		return float64(res.Value), fmt.Sprintf("rank error bound %d", res.RankErrorBound), err
 	}},
-	{name: KindGK, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindGK, tree: true, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := gk.MedianProtocol(r.fe, 24)
 		return float64(res.Value), fmt.Sprintf("rank gap ≤ %d", res.MaxGap), err
 	}},
-	{name: KindSampling, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindSampling, tree: true, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := sampling.Median(r.fe, 128, r.nw.Seed())
 		return float64(res.Value), fmt.Sprintf("from %d samples", res.SampleSize), err
 	}},
-	{name: KindGossip, plans: plansNative, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindGossip, plans: plansNative, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := gossip.Median(r.nw, gossip.Params{})
 		return float64(res.Value), fmt.Sprintf("%d push-sum phases", res.Phases), err
 	}},
-	{name: KindGossipDistinct, plans: plansNative, truth: (*run).distinct, solo: func(r *run) (float64, string, error) {
+	{name: KindGossipDistinct, plans: plansNative, truth: run.distinct, solo: func(r run) (float64, string, error) {
 		res := gossip.Distinct(r.nw, r.q.SketchP, loglog.EstHLL, r.nw.Seed(), gossip.Params{})
 		return res.Estimate, fmt.Sprintf("%d gossip rounds", res.Rounds), nil
 	}},
-	{name: KindCollectAll, tree: true, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindCollectAll, tree: true, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := baseline.CollectAllMedian(r.fe)
 		return float64(res.Value), fmt.Sprintf("%d items shipped", res.Items), err
 	}},
-	{name: KindSingleHop, truth: (*run).median, solo: func(r *run) (float64, string, error) {
+	{name: KindSingleHop, truth: run.median, solo: func(r run) (float64, string, error) {
 		if r.spec.Topology != "complete" {
 			return 0, "", fmt.Errorf("engine: singlehop requires topology=complete, got %q", r.spec.Topology)
 		}
 		res, err := singlehop.Median(r.nw)
 		return float64(res.Value), fmt.Sprintf("max transmit %d bits/node, %d radio rounds", res.MaxTransmitBits, res.Rounds), err
 	}},
-	{name: KindBuildTree, plans: plansNone, truth: (*run).height, solo: func(r *run) (float64, string, error) {
+	{name: KindBuildTree, plans: plansNone, truth: run.height, solo: func(r run) (float64, string, error) {
 		res, err := spantree.BuildBFS(r.nw)
 		if err != nil {
 			return 0, "", err
@@ -337,7 +340,7 @@ func kindOf(name string) *kind {
 			return &kinds[i]
 		}
 	}
-	return &kind{name: name, tree: true, solo: func(*run) (float64, string, error) {
+	return &kind{name: name, tree: true, solo: func(run) (float64, string, error) {
 		return 0, "", fmt.Errorf("engine: unknown query kind %q", name)
 	}}
 }
@@ -350,8 +353,10 @@ func Kinds() (names []string) {
 	return names
 }
 
-// run is the prepared execution state a solo job dispatches over, and the
-// sweeps an aggregate kind's plane ran.
+// run is a unit's prepared state, which a kind's arms answer over: the
+// fork, the resolved query an arm answers, the view's engine, the plane and
+// the ground truth over its population, the heal that shaped the view, a
+// robust run's audit, and the unit's meter snapshot and start.
 type run struct {
 	nw     *netsim.Network
 	spec   Spec
@@ -359,16 +364,17 @@ type run struct {
 	fe     *spantree.FastEngine
 	net    aggregator
 	truth  groundTruth
-	team   int // the tree-kernel team size
-	sweeps int
-	one    [1]float64 // a single-aggregate kind's answer, as its slot's result
+	heal   *spantree.HealResult
+	audit  *byz.Report
+	before netsim.Snapshot
+	start  time.Time
 }
 
-// pred is the predicate an in-network kind evaluates: the query's WHERE,
-// or TRUE.
-func (r *run) pred() wire.Pred {
-	if r.q.Where != nil {
-		return *r.q.Where
+// pred is the predicate an in-network kind evaluates: the run's WHERE,
+// fitted to the domain, or TRUE.
+func (r run) pred() wire.Pred {
+	if r.truth.where != nil {
+		return *r.truth.where
 	}
 	return wire.True()
 }
@@ -376,44 +382,11 @@ func (r *run) pred() wire.Pred {
 // The truths a kind with a private schedule names: its population's
 // median, distinct count, size and second frequency moment, and the BFS
 // tree's height.
-func (r *run) median() float64   { return float64(core.TrueMedian(r.truth.sorted())) }
-func (r *run) distinct() float64 { return float64(r.truth.distinct()) }
-func (r *run) count() float64    { return float64(r.truth.count()) }
-func (r *run) f2() float64       { return r.truth.f2() }
-func (r *run) height() float64   { return float64(topology.BFSTree(r.nw.Graph, 0).Height()) }
-
-// runSolo answers r's query alone on its prepared plane into res, behind
-// heal, the repair that shaped r's view: a fusable kind through its slot,
-// resolved first against the population r's truth covers — as a batch of
-// one when it is a selection or a mid-sweep strike is still to come, else
-// with its alone arm — and the member assembly every batch answer shares;
-// any other kind with its value, detail and named truth.
-func (k *kind) runSolo(r *run, heal *spantree.HealResult, res *Result) error {
-	if k.member == nil {
-		v, detail, err := k.solo(r)
-		if err != nil {
-			return err
-		}
-		res.Value, res.Detail, res.Truth, res.TruthKnown = v, detail, k.truth(r), true
-		healed(res, heal)
-		return nil
-	}
-	m, err := k.slot(r.q, r.truth.count())
-	if err != nil {
-		return err
-	}
-	o := outcome{hr: heal, truth: &r.truth, team: r.team}
-	if strike := striking(r.nw); k.alone == nil || strike {
-		return r.batchOfOne(m, o, strike, res)
-	}
-	mr, detail, err := k.alone(r)
-	if err != nil {
-		return err
-	}
-	o.res.sweeps = r.sweeps
-	o.answer(res, &m, &mr, detail)
-	return nil
-}
+func (r run) median() float64   { return float64(core.TrueMedian(r.truth.sorted())) }
+func (r run) distinct() float64 { return float64(r.truth.distinct()) }
+func (r run) count() float64    { return float64(r.truth.count()) }
+func (r run) f2() float64       { return r.truth.f2() }
+func (r run) height() float64   { return float64(topology.BFSTree(r.nw.Graph, 0).Height()) }
 
 // member is one query's slot in a fusion batch, as its kind resolved it:
 // either the ranks its SelectStepper narrows (width probes per sweep,
@@ -471,13 +444,12 @@ func aggregateKind(name, detail string, where whereSupport, protocol func(aggreg
 	return kind{name: name, tree: true, robust: true, plans: plansRetry, where: where,
 		member:      func(Query, uint64) (member, error) { return member{aggs: aggs}, nil },
 		batchDetail: riderDetail,
-		alone: func(r *run) (memberResult, string, error) {
+		alone: func(r run) (memberResult, int, string, error) {
 			v, ok := protocol(r.net, r.pred())
 			if !ok {
-				return memberResult{}, "", errEmptyNetwork
+				return memberResult{}, 0, "", errEmptyNetwork
 			}
-			r.one[0] = v
-			return memberResult{aggValues: r.one[:]}, detail, nil
+			return memberResult{aggValues: []float64{v}}, 0, detail, nil
 		}}
 }
 

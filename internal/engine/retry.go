@@ -12,15 +12,16 @@ import (
 	"sensoragg/internal/spantree"
 )
 
-// This file is the batch driver and its mid-flight fault-tolerance loop:
-// when a phased fault plan (faults.Spec.MidAt) kills nodes or links while a
-// sweep is in flight, the tree engine's completeness check surfaces
-// spantree.ErrSweepIncomplete instead of a silently partial count. The
-// loop catches it, re-heals the tree around the dead subtrees (re-rooting
-// if the root died), recomputes the survivor ground truth, and resumes
-// every selection search from its checkpointed interval — up to
-// Spec.Retry.Budget times, after which the answer is assembled degraded
-// from the best-known bounds instead of erroring.
+// This file is the batch driver the unit runner (fusion.go) answers a
+// unit's members with — a group's batch or a unit of one's batch of one —
+// and its mid-flight fault-tolerance loop: when a phased fault plan
+// (faults.Spec.MidAt) kills nodes or links mid-sweep, the tree engine's
+// completeness check surfaces spantree.ErrSweepIncomplete instead of a
+// silently partial count. The loop re-heals around the dead subtrees
+// (re-rooting if the root died), recomputes the survivor ground truth and
+// resumes every search from its checkpointed interval — up to
+// Spec.Retry.Budget times, then assembles the answer degraded from the
+// best-known bounds. With no strike to come it runs once.
 //
 // Resume soundness: checkpoints come back as seed *windows* on fresh
 // steppers, never as hard bounds. The pre-crash counts were taken over a
@@ -160,7 +161,9 @@ func (o *outcome) answer(res *Result, m *member, mr *memberResult, detail string
 	}
 	m.answer(res, mr, g)
 	res.Detail, res.SharedSweeps = detail, o.res.sweeps
-	healed(res, o.hr)
+	if hr := o.hr; hr != nil {
+		res.Crashed, res.Unreachable, res.RepairBits = hr.Crashed, hr.Unreachable, hr.Repair.TotalBits
+	}
 	res.Retries, res.Degraded, res.SurvivorFrac = o.retries, o.degraded, o.survivorFrac
 }
 
@@ -180,34 +183,20 @@ func striking(nw *netsim.Network) bool {
 	return p != nil && p.PhaseArmed() && !p.PhaseFired()
 }
 
-// batchOfOne answers slot m alone into res as a batch of one: runBatch
-// from r's pre-query state in o on r's own plane, and the assembly every
-// batch answer shares. Its detail names its own schedule or, when strike
-// put the retry budget to work, a fused batch of one's and its re-heals.
-func (r *run) batchOfOne(m member, o outcome, strike bool, res *Result) error {
-	members, results := [1]member{m}, [1]memberResult{}
-	o.res.members = results[:]
-	o, err := runBatch(context.Background(), r.nw, r.spec, r.net, []Query{r.q}, members[:], o, time.Time{})
-	if err == nil {
-		err = o.res.members[0].err
-	}
-	if err != nil {
-		return err
-	}
-	mb, sweeps := &members[0], o.res.sweeps
-	var detail string
+// soloDetail is slot m's detail in a batch of one: its own schedule or,
+// when strike put the retry budget to work, a fused batch of one's and its
+// re-heals.
+func (o *outcome) soloDetail(m *member, strike bool) string {
+	sweeps := o.res.sweeps
 	switch {
 	case strike && o.retries > 0 && !o.degraded:
-		detail = fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, o.detail(mb, fusedDetail(1, sweeps)))
+		return fmt.Sprintf("resumed after %d mid-sweep re-heal(s); %s", o.retries, o.detail(m, fusedDetail(1, sweeps)))
 	case strike:
-		detail = o.detail(mb, fusedDetail(1, sweeps))
-	case mb.kind.vector:
-		detail = fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(mb.ranks), sweeps, mb.width)
-	case mb.ranks[0].Median:
-		detail = fmt.Sprintf("%d k-ary sweeps (width %d)", sweeps, mb.width)
-	default:
-		detail = fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", mb.ranks[0].K, sweeps, mb.width)
+		return o.detail(m, fusedDetail(1, sweeps))
+	case m.kind.vector:
+		return fmt.Sprintf("%d quantiles in %d shared k-ary sweeps (width %d)", len(m.ranks), sweeps, m.width)
+	case m.ranks[0].Median:
+		return fmt.Sprintf("%d k-ary sweeps (width %d)", sweeps, m.width)
 	}
-	o.answer(res, mb, &o.res.members[0], detail)
-	return nil
+	return fmt.Sprintf("rank %d, %d k-ary sweeps (width %d)", m.ranks[0].K, sweeps, m.width)
 }

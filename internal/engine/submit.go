@@ -11,11 +11,11 @@ type submitConfig struct {
 }
 
 // WithFusion enables shared-sweep query fusion for this submission:
-// concurrent fusable jobs against the same deployment, run seed, and
-// overlay execute as one batch on one forked network, their probe
-// thresholds merged into shared CountVec sweeps (see fusion.go). Off by
-// default — fused members report the batch's shared communication cost,
-// which changes what Result meters mean, so callers opt in.
+// fusable jobs on one deployment, run seed and overlay form one unit, a
+// fusion group, answered on one fork as one batch whose probe thresholds
+// share CountVec sweeps (see fusion.go). Off by default, every job is a
+// unit of one: a fused member reports the batch's shared communication
+// cost, which changes what Result meters mean, so callers opt in.
 func WithFusion() SubmitOption {
 	return func(c *submitConfig) { c.fuse = true }
 }

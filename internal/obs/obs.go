@@ -42,7 +42,7 @@ type Sink struct {
 	BitsPerNode     *Histogram // bits_per_node: max per-node bits per job/batch
 	FusionBatchSize *Histogram // fusion_batch_size: members per fused batch
 	FusionDetach    *Counter   // fusion_detach_total: members detached at deadline
-	FusionSolo      *Counter   // fusion_solo_fallback_total: members finished solo
+	FusionSolo      *Counter   // fusion_solo_fallback_total: batch members re-run alone
 
 	// Serving layer.
 	Epochs       *Counter   // epochs_total
@@ -86,7 +86,7 @@ func NewSink() *Sink {
 		FusionBatchSize: reg.Histogram("fusion_batch_size", "Members per fused batch.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		FusionDetach: reg.Counter("fusion_detach_total", "Fused members detached at their deadline."),
-		FusionSolo:   reg.Counter("fusion_solo_fallback_total", "Members that fell back to a solo run."),
+		FusionSolo:   reg.Counter("fusion_solo_fallback_total", "Fused-batch members re-run as units of one: detached by the deadline, in a panicked batch, or in a batch found empty."),
 
 		Epochs: reg.Counter("epochs_total", "Serving epochs advanced."),
 		EpochLatency: reg.Histogram("epoch_latency_seconds", "AdvanceEpoch wall time in seconds.",
