@@ -111,7 +111,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.parallel, "parallel", 1, "run the query on this many independently-seeded networks")
 	fs.BoolVar(&o.fuse, "fuse", false, "fuse the -parallel runs into one shared-sweep batch on a single deployment (all runs use -seed; selection/aggregate kinds only)")
 	fs.IntVar(&o.workers, "workers", 0, "worker-pool size (default GOMAXPROCS)")
-	fs.DurationVar(&o.timeout, "timeout", 0, "per-query deadline (0 = none)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-unit deadline (0 = none): a plane stops at it between sweeps; other arms finish, then fail")
 	fs.StringVar(&o.jsonOut, "json", "", "write the batch report as JSON to this file")
 }
 

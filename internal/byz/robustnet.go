@@ -73,7 +73,7 @@ type Integrity struct {
 }
 
 // RobustNet is the trimmed sector-split aggregation plane: a drop-in
-// core.Net (plus the Sum/Min/Max/Average/MultiAggregate extensions the
+// core.Net (plus the Sum/Min/Max/MultiAggregate extensions the
 // query engine dispatches over) that runs every primitive once per sector
 // and clamps each relayed partial against the sector's item capacity
 // before merging. On an honest network the sector partials sum to exactly
@@ -380,17 +380,6 @@ func (r *RobustNet) Min(d core.Domain) (uint64, bool) {
 func (r *RobustNet) Max(d core.Domain) (uint64, bool) {
 	_, hi, ok := r.MinMax(d)
 	return hi, ok
-}
-
-// Average mirrors agg.Net.Average: a trimmed SUM sweep over a trimmed
-// COUNT sweep.
-func (r *RobustNet) Average(d core.Domain, pred wire.Pred) (float64, bool) {
-	sum := r.Sum(d, pred)
-	count := r.Count(d, pred)
-	if count == 0 {
-		return 0, false
-	}
-	return float64(sum) / float64(count), true
 }
 
 // CountVec runs the batched probe sweep per sector and trims every slot:

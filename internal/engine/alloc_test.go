@@ -51,29 +51,48 @@ func TestJobBookkeepingIsNotPerNode(t *testing.T) {
 	}
 }
 
-// TestSoloSelectionAllocs gates the solo selection route: a solo median or
-// quantiles job is a unit of one whose batch of one runs through runBatch,
-// and a warm Submit of one on a 1,024-node Zipf grid must allocate no more
-// than 24 for the median and 27 for four quantiles. The unit keeps its run,
-// member, result and its plane's stepper list on the stack.
+// TestSoloSelectionAllocs gates the solo route on a warm 1,024-node Zipf
+// grid, where a Submit of one unit runs it inline on the caller. A median's
+// batch of one must allocate no more than 16 and four quantiles no more
+// than 19; six medians at distinct run seeds, six units on the caller and
+// three helpers, no more than 84 in all. A count rides along as the one
+// solo route that is not a batch of one, its alone arm: no more than 7. A
+// unit keeps its run, member, result and its plane's stepper list on the
+// stack, and an alone arm's answer too. Each reading is the minimum of
+// three: the session's fork pool grows whenever more units run at once
+// than ever before, which a loaded host's scheduling can bring about in
+// any one of them.
 func TestSoloSelectionAllocs(t *testing.T) {
 	spec := Spec{Topology: "grid", N: 1024, Workload: "zipf", Seed: 1}
-	e := New(Options{Workers: 1})
+	medians := make([]Job, 6)
+	for i := range medians {
+		medians[i] = Job{Spec: spec, Query: Query{Kind: KindMedian}, RunSeed: uint64(i + 1)}
+	}
 	for _, tc := range []struct {
-		q   Query
-		max float64
+		name    string
+		workers int
+		jobs    []Job
+		max     float64
 	}{
-		{Query{Kind: KindMedian}, 24},
-		{Query{Kind: KindQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}, 27},
+		{"median", 1, []Job{{Spec: spec, Query: Query{Kind: KindMedian}}}, 16},
+		{"four quantiles", 1, []Job{{Spec: spec, Query: Query{Kind: KindQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}}}, 19},
+		{"count", 1, []Job{{Spec: spec, Query: Query{Kind: KindCount}}}, 7},
+		{"six medians", 4, medians, 84},
 	} {
-		jobs := []Job{{Spec: spec, Query: tc.q}}
-		if r := e.Submit(context.Background(), jobs)[0]; r.Failed() || !r.Exact {
-			t.Fatalf("%s: warm-up run failed=%q exact=%v", tc.q, r.Error, r.Exact)
+		e := New(Options{Workers: tc.workers})
+		for i, r := range e.Submit(context.Background(), tc.jobs) {
+			if r.Failed() || !r.Exact {
+				t.Fatalf("%s: warm-up job %d failed=%q exact=%v", tc.name, i, r.Error, r.Exact)
+			}
 		}
-		if got := testing.AllocsPerRun(50, func() { e.Submit(context.Background(), jobs) }); got > tc.max {
-			t.Errorf("warm solo %s Submit allocates %g, want <= %g", tc.q, got, tc.max)
+		got := math.Inf(1)
+		for range 3 {
+			got = min(got, testing.AllocsPerRun(50, func() { e.Submit(context.Background(), tc.jobs) }))
+		}
+		if got > tc.max {
+			t.Errorf("warm solo %s Submit allocates %g, want <= %g", tc.name, got, tc.max)
 		} else {
-			t.Logf("warm solo %s Submit: %g allocs", tc.q, got)
+			t.Logf("warm solo %s Submit: %g allocs", tc.name, got)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sensoragg/internal/netsim"
@@ -181,11 +182,12 @@ type Options struct {
 	// execution units of one Submit divide the workers among them: each
 	// unit's tree sweeps run on a team of max(1, Workers ÷ units).
 	Workers int
-	// Timeout is the per-query deadline (0 → none). A unit of one that
-	// overruns it is reported failed while it finishes in the background on
-	// its private fork. A fusion group's plane stops at it between sweeps,
-	// and the members it left unanswered re-run as units of one, each with a
-	// full deadline of its own.
+	// Timeout is each unit's deadline (0 → none). A core.Plane stops at it
+	// between sweeps; a kind's own arm, the heal and the robust audit never
+	// read it and run to completion. A unit of one that ends at or past it
+	// fails with the deadline error; a fusion group's members the stop left
+	// unanswered run again as units of one, each with a deadline of its own.
+	// No run outlives Submit.
 	Timeout time.Duration
 	// Session supplies the topology cache (nil → a fresh one).
 	Session *Session
@@ -235,47 +237,38 @@ func (e *Engine) teamSize(units int) int {
 }
 
 // runAll is Submit's body, with its ordering and failure contract: every
-// result is written at its job's index, and jobs that never started are
-// marked with the context error. With fuse set, fusable jobs against one
-// deployment become a fusion batch dispatched to a single worker (see
-// fusion.go); everything else runs solo. A twin gets its job's result.
+// result is written at its job's index, and the jobs of a unit that finds
+// ctx done before it starts are marked with the context error. With fuse
+// set, fusable jobs against one deployment become a fusion group run as
+// one unit (see fusion.go); every other job is a unit of one. The calling
+// goroutine is worker 0, joined by min(Workers, units) − 1 helpers, each
+// worker running the next unit none has taken, so a Submit of one unit
+// starts no goroutine. A twin gets its job's result.
 func (e *Engine) runAll(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
 	planned := planUnits(jobs, fuse)
 	planned.team = e.teamSize(len(planned.units))
-	p := planned // never reassigned, so the workers capture it by value
+	p := planned // never reassigned, so the helpers capture it by value
 	defer e.session.pinAudits(jobs)()
 	if sk := obs.Active(); sk != nil {
 		e.obsSubmit(sk, jobs, p)
 	}
-	uidx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(e.workers, len(p.units)); w++ {
-		wg.Add(1)
-		go func() {
+	if helpers := min(e.workers, len(p.units)) - 1; helpers > 0 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(helpers)
+		help := func() {
 			defer wg.Done()
-			for u := range uidx {
-				e.runUnit(ctx, jobs, p, p.units[u], results)
-			}
-		}()
-	}
-	dispatched := make([]bool, len(p.units))
-feed:
-	for u := range p.units {
-		select {
-		case uidx <- u:
-			dispatched[u] = true
-		case <-ctx.Done():
-			break feed
+			e.work(ctx, jobs, p, results, &next)
 		}
-	}
-	close(uidx)
-	wg.Wait()
-	for u, unit := range p.units {
-		if !dispatched[u] {
-			for _, i := range unit {
-				results[i] = failedResult(jobs[i], ctx.Err())
-			}
+		for range helpers {
+			go help()
+		}
+		e.work(ctx, jobs, p, results, &next)
+		wg.Wait()
+	} else {
+		for _, u := range p.units {
+			e.runUnit(ctx, jobs, p, u, results)
 		}
 	}
 	for i, j := range p.twin {
@@ -287,50 +280,23 @@ feed:
 	return results
 }
 
+// work runs p's units on the calling goroutine, each the next one no
+// worker has taken (next counts the units taken), until none is left.
+func (e *Engine) work(ctx context.Context, jobs []Job, p plan, results []Result, next *atomic.Int64) {
+	for u := next.Add(1) - 1; u < int64(len(p.units)); u = next.Add(1) - 1 {
+		e.runUnit(ctx, jobs, p, p.units[u], results)
+	}
+}
+
 func failedResult(job Job, err error) Result {
 	return Result{ID: job.ID, Spec: job.Spec.Normalize(), Query: job.Query.WithDefaults(), Error: err.Error()}
 }
 
-// runOne runs job as a unit of one on a tree-kernel team of the given
-// size, enforcing its deadline. The unit runs on its own goroutine and
-// fork, so a run runOne gave up on disturbs no other and releases its fork
-// late, never early.
-func (e *Engine) runOne(ctx context.Context, job Job, team int) Result {
-	if err := ctx.Err(); err != nil {
-		return failedResult(job, err)
+// fail fails the jobs idxs with err.
+func fail(jobs []Job, idxs []int, results []Result, err error) {
+	for _, i := range idxs {
+		results[i] = failedResult(jobs[i], err)
 	}
-	start := time.Now()
-	done := make(chan Result, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- failedResult(job, fmt.Errorf("engine: query panicked: %v", r))
-			}
-		}()
-		jobs, idxs, results := [1]Job{job}, [1]int{}, [1]Result{}
-		e.execute(context.Background(), jobs[:], plan{team: team}, idxs[:], results[:], time.Time{})
-		done <- results[0]
-	}()
-
-	var deadline <-chan time.Time
-	if e.timeout > 0 {
-		t := time.NewTimer(e.timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case r := <-done:
-		// A result and an expired timer can both be ready; the clock, not
-		// select's coin, decides which one the caller sees.
-		if e.timeout > 0 && time.Since(start) >= e.timeout {
-			break
-		}
-		return r
-	case <-ctx.Done():
-		return failedResult(job, ctx.Err())
-	case <-deadline:
-	}
-	return failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
 }
 
 // fork instantiates job's run network on spec with its overlay applied.

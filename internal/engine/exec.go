@@ -135,6 +135,5 @@ type aggregator interface {
 	Sum(core.Domain, wire.Pred) uint64
 	Min(core.Domain) (uint64, bool)
 	Max(core.Domain) (uint64, bool)
-	Average(core.Domain, wire.Pred) (float64, bool)
 	MultiAggregate(core.Domain, wire.Pred) (count, sum, lo, hi uint64, ok bool)
 }

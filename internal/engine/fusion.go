@@ -19,7 +19,8 @@ import (
 // are planned into units: a job alone, or — under WithFusion — the fusion
 // group of fusable jobs (selections, multi-quantiles, the Fact 2.1
 // aggregates) on one deployment, run seed and overlay. Every unit runs
-// through one body, execute: fork, heal, one ground truth and one plane,
+// through one body, execute, run inline by one dispatcher, runUnit, under
+// one cooperative deadline: fork, heal, one ground truth and one plane,
 // every member's slot, one batch, one assembly, release. A unit of one is
 // that body with one member; a batch's members share one core.Plane
 // (driveFused), whose sweep rounds merge their probe thresholds into one
@@ -44,9 +45,10 @@ type memberResult struct {
 	// err reports a per-member failure (unresolvable rank, context
 	// cancellation) — the same error the member's solo run would report.
 	err error
-	// detached marks a member the batch's deadline expired on before its
-	// search resolved: it holds no answer and re-runs solo with its own full
-	// deadline, so fusing never fails a query that would succeed alone.
+	// detached marks a member the unit's deadline expired on before its
+	// search resolved: it holds no answer. A group's detached member runs
+	// again as a unit of one with a deadline of its own, so fusing never
+	// fails a query that would succeed alone; a unit of one's fails.
 	detached bool
 	// seededSweeps/seedHit report a seeded selection member's
 	// delta-narrowing outcome (see core.SelectStepper).
@@ -154,24 +156,24 @@ func driveFused(ctx context.Context, net core.Net, members []member, deadline ti
 			r.values = st.Values(make([]uint64, 0, st.NumRanks()))
 			r.seededSweeps, r.seedHit = st.SeededSweeps(), st.SeedHit()
 		default:
-			r.aggValues = aggValues(members[i].aggs, &res.fact21)
+			r.aggValues = aggValues(nil, members[i].aggs, &res.fact21)
 		}
 	}
 	return nil, nil
 }
 
-// errDetached is the stop a batch's expired deadline puts to its plane:
-// the members it leaves unanswered detach and re-run solo.
+// errDetached is the stop a unit's expired deadline puts to its plane:
+// the members it leaves unanswered detach.
 var errDetached = errors.New("engine: batch deadline expired")
 
-// aggValues reads an aggregate member's answers, aligned with aggs, off
-// the totals.
-func aggValues(aggs []string, f *fact21) []float64 {
-	out := make([]float64, len(aggs))
-	for i, a := range aggs {
-		out[i] = f.aggregate(a)
+// aggValues appends an aggregate member's answers, aligned with aggs,
+// read off the totals, to dst.
+func aggValues(dst []float64, aggs []string, f *fact21) []float64 {
+	dst = slices.Grow(dst, len(aggs))
+	for _, a := range aggs {
+		dst = append(dst, f.aggregate(a))
 	}
-	return out
+	return dst
 }
 
 // fuseKey groups fusable jobs: same normalized deployment, same run seed
@@ -265,33 +267,54 @@ func (p plan) batch(jobs []Job, u []int) bool {
 	return len(u) > 1 || p.fused(&jobs[u[0]]) && p.answers(u[0]) > 1
 }
 
-// runUnit executes one unit, writing results by original job index: a
-// unit of one under runOne's hard deadline, a fusion group under the
-// group's cooperative one. A group's detached members, and every member of
-// a panicked or empty batch, finish as units of one: fusion must never fail
-// a query that would have succeeded alone.
+// runUnit runs one unit inline, writing results by original job index,
+// under the one deadline every unit gets: Options.Timeout from its start,
+// at which its plane stops between sweeps. A unit that finds ctx done
+// before it starts fails its jobs with the context error. A unit of one
+// fails its job in place when it returns at or past its deadline (the
+// clock, not the arm, decides: an arm may not stop), when ctx is done by
+// then, or when it panicked. A group's detached, panicked or empty-batch
+// members run again as units of one, each with a deadline of its own:
+// fusion must never fail a query that would have succeeded alone.
 func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
-	if !p.batch(jobs, idxs) {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], p.team)
+	if err := ctx.Err(); err != nil {
+		fail(jobs, idxs, results, err)
 		return
 	}
+	group, one := p.batch(jobs, idxs), plan{team: p.team} // a unit of one counts no twins
+	if !group {
+		p = one
+	}
+	start := time.Now()
 	var deadline time.Time
 	if e.timeout > 0 {
-		deadline = time.Now().Add(e.timeout)
+		deadline = start.Add(e.timeout)
 	}
-	solo := func() (solo []int) {
+	var panicked any
+	again := func() (again []int) {
 		defer func() {
-			if recover() != nil {
-				solo = idxs
+			if panicked = recover(); panicked != nil {
+				again = idxs
 			}
 		}()
 		return e.execute(ctx, jobs, p, idxs, results, deadline)
 	}()
-	if sk := obs.Active(); sk != nil && len(solo) > 0 {
-		sk.FusionSolo.Add(int64(len(solo)))
+	if !group {
+		switch job := jobs[idxs[0]]; {
+		case e.timeout > 0 && time.Since(start) >= e.timeout:
+			results[idxs[0]] = failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
+		case ctx.Err() != nil:
+			results[idxs[0]] = failedResult(job, ctx.Err())
+		case panicked != nil:
+			results[idxs[0]] = failedResult(job, fmt.Errorf("engine: query panicked: %v", panicked))
+		}
+		return
 	}
-	for _, i := range solo {
-		results[i] = e.runOne(ctx, jobs[i], p.team)
+	if sk := obs.Active(); sk != nil && len(again) > 0 {
+		sk.FusionSolo.Add(int64(len(again)))
+	}
+	for k := range again {
+		e.runUnit(ctx, jobs, one, again[k:k+1], results)
 	}
 }
 
@@ -319,25 +342,20 @@ func samePred(a, b *wire.Pred) bool {
 // execute is the unit runner: it forks for the unit idxs, takes the meter
 // snapshot, heals and builds the ground truth and plane (prepare), answers
 // every member (answer) and releases the fork. It returns the members that
-// must finish as units of one. A panicking unit skips the release: the pool
-// never sees a network in an unknown state.
+// must run again as units of one. A panicking unit skips the release: the pool never
+// sees a network in an unknown state.
 func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) []int {
 	job := &jobs[idxs[0]]
 	r := run{spec: job.Spec.Normalize(), q: job.Query.WithDefaults(), start: time.Now()}
-	err := ctx.Err()
-	if err == nil {
-		r.nw, err = e.fork(r.spec, job)
-	}
-	if err == nil {
+	var err error
+	if r.nw, err = e.fork(r.spec, job); err == nil {
 		r.before = r.nw.Meter.Snapshot()
 		if err = e.prepare(&r, p.team); err != nil {
 			r.nw.Release()
 		}
 	}
 	if err != nil {
-		for _, i := range idxs {
-			results[i] = failedResult(jobs[i], err)
-		}
+		fail(jobs, idxs, results, err)
 		return nil
 	}
 	solo := e.answer(ctx, &r, jobs, p, idxs, results, deadline)
@@ -350,16 +368,20 @@ func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, re
 // and the members run as one batch under ctx and deadline, unless a kind's
 // own arm answers a unit of one: a private schedule's solo arm, or an
 // aggregate's alone arm with no mid-sweep strike to come. A batch that
-// answers two jobs or more, twins counted, is fused; it returns the members
+// answers two jobs or more, twins counted, is fused. It returns the members
 // it detached or found empty.
 func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) (solo []int) {
 	// One member per job: a unit holds no twins, so members[k] is job
 	// idxs[k] once the jobs whose slots fail move behind the members. A
-	// small unit keeps its members, queries and results on the stack.
+	// small unit keeps its members, queries and results on the stack, and
+	// an arm's answer (lone, its values in abuf) too: kept off the batch's
+	// results, whose errors leave the stack.
 	var (
 		qbuf  [4]Query
 		mbuf  [4]member
 		mrbuf [4]memberResult
+		lone  memberResult
+		abuf  [4]float64
 	)
 	queries, members := qbuf[:0], mbuf[:0]
 	if len(idxs) > len(qbuf) {
@@ -397,16 +419,17 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 	case k.solo != nil:
 		v, detail, err = k.solo(*r)
 	default:
-		r.q = queries[0]
-		mrbuf[0], o.res.sweeps, detail, err = k.alone(*r)
+		var f fact21
+		f, o.res.sweeps, detail, err = k.alone(*r)
+		lone.aggValues = aggValues(abuf[:0], members[0].aggs, &f)
 	}
 	if r.truth.where != nil && kindOf(r.q.Kind).where == whereFilter {
 		r.net.Reset()
 	}
 	if err != nil {
 		if fused {
-			// Batch-impossible (an empty active multiset): every member
-			// reports it through its own unit of one.
+			// Nothing to answer on (no survivor to re-heal): each member's
+			// own, shorter run may end before the strike.
 			return idxs[:len(members)]
 		}
 		o.res.members[0].err = err
@@ -426,7 +449,7 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 		mr, m := &o.res.members[mi], &members[mi]
 		if mr.detached {
 			detached++
-			if sk != nil {
+			if fused && sk != nil {
 				sk.FusionDetach.Add(1)
 				sk.Tracer.Emit("fusion.detach", span,
 					obs.KV{K: "job", V: int64(ji)},
@@ -445,9 +468,12 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 		case !arm:
 			detail = o.soloDetail(m, strike)
 		}
-		res := &results[ji]
+		res, answered := &results[ji], mr
+		if arm {
+			answered = &lone
+		}
 		*res = Result{ID: jobs[ji].ID, Fused: fused}
-		o.answer(res, m, mr, detail)
+		o.answer(res, m, answered, detail)
 		if k.solo != nil {
 			res.Value, res.Truth, res.TruthKnown = v, k.truth(*r), true
 		}

@@ -37,7 +37,9 @@ import (
 // them: its flags and fault-plan verdicts for every kind and fault class,
 // and over generated deployments, views and queries, every solo answer
 // field, error text and per-node meter, every batch slot, and every fused
-// and degraded answer.
+// and degraded answer. One adaptation: the avg case runs SUM then COUNT
+// itself, as the Average methods it called did, since the engine's
+// aggregator no longer lists Average and byz.RobustNet no longer has it.
 
 // soloOn answers q alone on plane net over fe's view of nw: the unit
 // runner once prepare has readied the run, with no metering and no audit
@@ -664,11 +666,12 @@ func oracleExecuteKind(nw *netsim.Network, spec Spec, q Query, ops spantree.Ops,
 		return oracleAnswer{value: float64(net.Sum(core.Linear, wire.True())), detail: "exact", truth: truth.aggregate("sum"), truthKnown: true}, nil
 
 	case KindAvg:
-		v, ok := net.Average(core.Linear, wire.True())
-		if !ok {
+		sum := net.Sum(core.Linear, wire.True())
+		count := net.Count(core.Linear, wire.True())
+		if count == 0 {
 			return oracleAnswer{}, fmt.Errorf("engine: empty network")
 		}
-		return oracleAnswer{value: v, detail: "exact (SUM/COUNT)", truth: truth.aggregate("avg"), truthKnown: true}, nil
+		return oracleAnswer{value: float64(sum) / float64(count), detail: "exact (SUM/COUNT)", truth: truth.aggregate("avg"), truthKnown: true}, nil
 
 	case KindDistinct:
 		res, err := distinct.Exact(ops)

@@ -118,9 +118,9 @@ type kind struct {
 	// schedule the string shared describes.
 	batchDetail func(m member, shared string) string
 	// alone answers an aggregate kind alone on r's plane with its one-sweep
-	// primitive: the slot's result, the sweeps it counts and the answer's
-	// detail. A selection alone is a batch of one.
-	alone func(r run) (memberResult, int, string, error)
+	// primitive: the totals its slot's aggregates read, the sweeps it counts
+	// and the answer's detail. A selection alone is a batch of one.
+	alone func(r run) (fact21, int, string, error)
 	// solo answers any other kind alone on r's plane: its value and detail,
 	// held against truth, its ground truth over r's population. Arms take r
 	// by value: one called through a function value moves a pointer's run
@@ -241,12 +241,12 @@ var kinds = [...]kind{
 			return member{aggs: q.Aggs}, nil
 		},
 		batchDetail: riderDetail,
-		alone: func(r run) (memberResult, int, string, error) {
+		alone: func(r run) (fact21, int, string, error) {
 			count, sum, lo, hi, ok := r.net.MultiAggregate(core.Linear, wire.True())
 			if !ok {
-				return memberResult{}, 0, "", errEmptyNetwork
+				return fact21{}, 0, "", errEmptyNetwork
 			}
-			return memberResult{aggValues: aggValues(r.q.Aggs, &fact21{count, sum, lo, hi})}, 1, "fused vector sweep (count+sum+min+max)", nil
+			return fact21{count, sum, lo, hi}, 1, "fused vector sweep (count+sum+min+max)", nil
 		}},
 	{name: KindApxMedian, tree: true, where: whereFilter, truth: run.median, solo: func(r run) (float64, string, error) {
 		res, err := core.ApxMedian(r.net, core.ApxParams{Epsilon: r.q.Eps})
@@ -256,22 +256,24 @@ var kinds = [...]kind{
 		res, err := core.ApxMedian2(r.net, core.Apx2Params{Beta: r.q.Beta, Epsilon: r.q.Eps})
 		return float64(res.Value), fmt.Sprintf("%d zoom stages, %d instances", res.Stages, res.Instances), err
 	}},
-	aggregateKind(KindMin, "exact", whereFilter, func(net aggregator, _ wire.Pred) (float64, bool) {
+	aggregateKind(KindMin, "exact", whereFilter, func(net aggregator, _ wire.Pred) (fact21, bool) {
 		v, ok := net.Min(core.Linear)
-		return float64(v), ok
+		return fact21{lo: v}, ok
 	}),
-	aggregateKind(KindMax, "exact", whereFilter, func(net aggregator, _ wire.Pred) (float64, bool) {
+	aggregateKind(KindMax, "exact", whereFilter, func(net aggregator, _ wire.Pred) (fact21, bool) {
 		v, ok := net.Max(core.Linear)
-		return float64(v), ok
+		return fact21{hi: v}, ok
 	}),
-	aggregateKind(KindCount, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
-		return float64(net.Count(core.Linear, pred)), true
+	aggregateKind(KindCount, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (fact21, bool) {
+		return fact21{n: net.Count(core.Linear, pred)}, true
 	}),
-	aggregateKind(KindSum, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
-		return float64(net.Sum(core.Linear, pred)), true
+	aggregateKind(KindSum, "exact", whereInNetwork, func(net aggregator, pred wire.Pred) (fact21, bool) {
+		return fact21{sum: net.Sum(core.Linear, pred)}, true
 	}),
-	aggregateKind(KindAvg, "exact (SUM/COUNT)", whereInNetwork, func(net aggregator, pred wire.Pred) (float64, bool) {
-		return net.Average(core.Linear, pred)
+	aggregateKind(KindAvg, "exact (SUM/COUNT)", whereInNetwork, func(net aggregator, pred wire.Pred) (fact21, bool) {
+		sum := net.Sum(core.Linear, pred)
+		n := net.Count(core.Linear, pred)
+		return fact21{n: n, sum: sum}, n > 0
 	}),
 	{name: KindDistinct, tree: true, where: whereFilter, truth: run.distinct, solo: func(r run) (float64, string, error) {
 		res, err := distinct.Exact(r.fe)
@@ -437,19 +439,19 @@ func riderDetail(_ member, shared string) string { return "aggregate rider, " + 
 
 // aggregateKind is the entry of a single-aggregate kind, named after the
 // one Fact 2.1 aggregate it reads; alone, it answers with protocol over the
-// predicate it is handed (the query's in-network WHERE), whose false is the
-// network found empty.
-func aggregateKind(name, detail string, where whereSupport, protocol func(aggregator, wire.Pred) (float64, bool)) kind {
+// predicate it is handed (the query's in-network WHERE): the totals that
+// aggregate reads, or false for the network found empty.
+func aggregateKind(name, detail string, where whereSupport, protocol func(aggregator, wire.Pred) (fact21, bool)) kind {
 	aggs := []string{name}
 	return kind{name: name, tree: true, robust: true, plans: plansRetry, where: where,
 		member:      func(Query, uint64) (member, error) { return member{aggs: aggs}, nil },
 		batchDetail: riderDetail,
-		alone: func(r run) (memberResult, int, string, error) {
-			v, ok := protocol(r.net, r.pred())
+		alone: func(r run) (fact21, int, string, error) {
+			f, ok := protocol(r.net, r.pred())
 			if !ok {
-				return memberResult{}, 0, "", errEmptyNetwork
+				return fact21{}, 0, "", errEmptyNetwork
 			}
-			return memberResult{aggValues: []float64{v}}, 0, detail, nil
+			return f, 0, detail, nil
 		}}
 }
 

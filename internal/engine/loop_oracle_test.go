@@ -159,7 +159,7 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 			r.seedHit = st.SeedHit()
 			continue
 		}
-		r.aggValues = aggValues(members[i].aggs, &res.fact21)
+		r.aggValues = aggValues(nil, members[i].aggs, &res.fact21)
 	}
 	return steppers, nil, nil
 }

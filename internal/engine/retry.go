@@ -110,7 +110,7 @@ func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, 
 						}
 					}
 				} else {
-					r.aggValues = aggValues(members[i].aggs, &o.res.fact21)
+					r.aggValues = aggValues(nil, members[i].aggs, &o.res.fact21)
 				}
 			}
 			return o, nil

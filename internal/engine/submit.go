@@ -21,12 +21,15 @@ func WithFusion() SubmitOption {
 }
 
 // Submit is the engine's single entrypoint: it executes jobs on the worker
-// pool and returns results strictly in job order — results[i] always
-// answers jobs[i], regardless of worker scheduling, fusion batching, or a
-// mid-batch cancellation (jobs that never started are marked with the
-// context error at their own indices). Individual failures (bad spec,
-// protocol error, deadline) are reported in the corresponding Result,
-// never as an error for the whole submission.
+// pool, the calling goroutine first among them, and returns results
+// strictly in job order — results[i] always answers jobs[i], regardless of
+// worker scheduling, fusion batching, or a mid-batch cancellation (jobs
+// that never started are marked with the context error at their own
+// indices; a running core.Plane stops at its next sweep, while a kind's own
+// arm, the heal and the robust audit run to completion and fail afterwards).
+// Individual failures (bad spec, protocol error, deadline) are reported in
+// the corresponding Result, never as an error for the whole submission. No
+// run outlives Submit.
 //
 // Equal jobs run once: a job equal to an earlier one (same normalized spec,
 // run seed, overlay pointer and resolved query, its WHERE predicate compared
@@ -36,8 +39,9 @@ func WithFusion() SubmitOption {
 // counts its members' twins. queries_total counts executions, not answers.
 //
 // Options apply to this call only: WithFusion turns the submission's
-// fusable jobs into shared-sweep batches. Each query's deadline is the
-// engine's Options.Timeout, and its probe width its own Query.ProbeWidth.
+// fusable jobs into shared-sweep batches. Each unit's deadline is the
+// engine's Options.Timeout, and each query's probe width its own
+// Query.ProbeWidth.
 func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) []Result {
 	var cfg submitConfig
 	for _, opt := range opts {

@@ -15,8 +15,10 @@ import (
 // fusion-group runner as they were before equal jobs ran once — every job
 // executed on its own, except duplicate members of one fusion batch, which
 // shared a slot of runFusedGroup's private table. The code below is that
-// version verbatim, renamed with an oracle prefix; twin_test.go holds
-// Submit's results to it.
+// version verbatim, renamed with an oracle prefix, but for its solo runs:
+// they take the old per-job dispatcher, unitOracleRunOne
+// (unit_oracle_test.go), which the engine no longer has. twin_test.go
+// holds Submit's results to it.
 
 // oracleRunAll is Submit's body, with its ordering and failure contract: every
 // result is written at its job's index, and jobs that never started are
@@ -96,7 +98,7 @@ func oraclePlanUnits(jobs []Job, fuse bool) (units [][]int) {
 // oracleRunUnit executes one unit, writing results by original job index.
 func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, results []Result) {
 	if len(idxs) == 1 {
-		results[idxs[0]] = e.runOne(ctx, jobs[idxs[0]], e.teamSize(1))
+		results[idxs[0]] = e.unitOracleRunOne(ctx, jobs[idxs[0]], e.teamSize(1))
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -113,7 +115,7 @@ func (e *Engine) oracleRunUnit(ctx context.Context, jobs []Job, idxs []int, resu
 		// Detached or unfusable members finish solo with their own full
 		// deadline: fusion must never fail a query that would have
 		// succeeded alone.
-		results[i] = e.runOne(ctx, jobs[i], e.teamSize(1))
+		results[i] = e.unitOracleRunOne(ctx, jobs[i], e.teamSize(1))
 	}
 }
 

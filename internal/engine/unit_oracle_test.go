@@ -25,14 +25,18 @@ import (
 // "unitOracle". Two adaptations only: runSolo is a function of its kind,
 // and the kind table's arms, which now take their run by value, are handed
 // the old run's fields (arm). TestUnitRunnerOracle holds Submit to them
-// over generated units: every Result equal but for WallNS.
+// over generated units, and TestDeadlineEveryRoute (dispatch_test.go) on
+// every route under deadlines and cancellation: every Result equal but for
+// WallNS. unitOracleRunOne is also the old dispatcher the one dispatcher,
+// runUnit, replaced: a goroutine, a result channel and a timer per job.
 
 // TestUnitRunnerOracle generates Submits of one to eight jobs on one
 // deployment — twins, bad-φ and negative-width members, robust and WHERE
 // jobs, kinds with a private schedule — under no plan, crashes and dead
 // links, and phased plans at retry budgets 0 and 2, and holds every Result,
-// fused and not, to the oracle's: equal but for WallNS. Each side runs on
-// an engine of its own, so each audits cold.
+// fused and not, to the oracle's: equal but for WallNS. Both sides run
+// under a 1-minute deadline, so the deadline code runs but never fires.
+// Each side runs on an engine of its own, so each audits cold.
 func TestUnitRunnerOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(48, 0x0e1))
 	plans := []struct {
@@ -74,8 +78,8 @@ func TestUnitRunnerOracle(t *testing.T) {
 			if fuse {
 				opts = append(opts, WithFusion())
 			}
-			got := New(Options{Workers: 2}).Submit(context.Background(), jobs, opts...)
-			want := New(Options{Workers: 2}).unitOracleSubmit(jobs, fuse)
+			got := New(Options{Workers: 2, Timeout: time.Minute}).Submit(context.Background(), jobs, opts...)
+			want := New(Options{Workers: 2, Timeout: time.Minute}).unitOracleSubmit(context.Background(), jobs, fuse)
 			for i := range jobs {
 				label := fmt.Sprintf("case %d (%s, %s, fuse %v) job %d %+v", c, spec.Topology, pl.name, fuse, i, jobs[i].Query)
 				g, w := got[i], want[i]
@@ -142,14 +146,14 @@ func unitOracleQuery(rng *rand.Rand) Query {
 }
 
 // unitOracleSubmit is Submit with the oracle's dispatcher: the same plan,
-// team and twin copies, its units run one after another.
-func (e *Engine) unitOracleSubmit(jobs []Job, fuse bool) []Result {
+// team and twin copies, its units run one after another under ctx.
+func (e *Engine) unitOracleSubmit(ctx context.Context, jobs []Job, fuse bool) []Result {
 	results := make([]Result, len(jobs))
 	p := planUnits(jobs, fuse)
 	p.team = e.teamSize(len(p.units))
 	defer e.session.pinAudits(jobs)()
 	for _, u := range p.units {
-		e.unitOracleRunUnit(context.Background(), jobs, p, u, results)
+		e.unitOracleRunUnit(ctx, jobs, p, u, results)
 	}
 	for i, j := range p.twin {
 		if i != j {
@@ -514,10 +518,11 @@ func unitOracleRunSolo(k *kind, r *unitOracleRun, heal *spantree.HealResult, res
 	if strike := striking(r.nw); k.alone == nil || strike {
 		return r.unitOracleBatchOfOne(m, o, strike, res)
 	}
-	mr, sweeps, detail, err := k.alone(r.arm())
+	f, sweeps, detail, err := k.alone(r.arm())
 	if err != nil {
 		return err
 	}
+	mr := memberResult{aggValues: aggValues(nil, m.aggs, &f)}
 	o.res.sweeps = sweeps
 	o.answer(res, &m, &mr, detail)
 	return nil
