@@ -111,7 +111,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.parallel, "parallel", 1, "run the query on this many independently-seeded networks")
 	fs.BoolVar(&o.fuse, "fuse", false, "fuse the -parallel runs into one shared-sweep batch on a single deployment (all runs use -seed; selection/aggregate kinds only)")
 	fs.IntVar(&o.workers, "workers", 0, "worker-pool size (default GOMAXPROCS)")
-	fs.DurationVar(&o.timeout, "timeout", 0, "per-unit deadline (0 = none): a plane stops at it between sweeps; other arms finish, then fail")
+	fs.DurationVar(&o.timeout, "timeout", 0, "deadline for the whole batch (0 = none): every run stops at its next sweep or round past it and fails")
 	fs.StringVar(&o.jsonOut, "json", "", "write the batch report as JSON to this file")
 }
 
@@ -204,7 +204,7 @@ func run(o options) error {
 		}
 	}
 
-	eng := engine.New(engine.Options{Workers: o.workers, Timeout: o.timeout})
+	eng := engine.New(engine.Options{Workers: o.workers})
 	var opts []engine.SubmitOption
 	if o.fuse {
 		opts = append(opts, engine.WithFusion())
@@ -219,8 +219,14 @@ func run(o options) error {
 		actualN = tmpl.N()
 	}
 
+	ctx := context.Background()
+	if o.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
+		defer cancel()
+	}
 	start := time.Now()
-	results := eng.Submit(context.Background(), jobs, opts...)
+	results := eng.Submit(ctx, jobs, opts...)
 	wall := time.Since(start)
 	report := engine.Collect(eng, results, wall)
 

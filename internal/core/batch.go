@@ -156,14 +156,11 @@ func SelectRanksSeeded(net Net, ranks []BatchRank, probeWidth int, seeds []SeedW
 // Plane is one shared probe schedule: Drive runs every selection search
 // handed to it, and the Fact 2.1 totals an aggregate reads, through one
 // MinMax round and then one sweep per round. A solo query is a plane of
-// one, a fusion batch a plane of its members. The hooks are optional; the
+// one, a fusion batch a plane of its members. The hook is optional; the
 // results hold what Drive learned, also when a sweep panicked.
 type Plane struct {
 	// Sum rides the active items' SUM on the first sweep (CountVecSum).
 	Sum bool
-	// Stop is asked before every sweep; an error ends the drive with it,
-	// leaving the open searches open.
-	Stop func() error
 	// Reject takes stepper i's ResolveN error, and stepper i leaves the
 	// plane. Without it Drive returns the error.
 	Reject func(i int, err error)
@@ -214,11 +211,6 @@ func (p *Plane) Drive(net Net, steppers []*SelectStepper) error {
 	known := false // N, from the first sweep's top probe
 	open := func(st *SelectStepper) bool { return st != nil && (!known || st.Resolved() && !st.Done()) }
 	for !known || slices.ContainsFunc(steppers, open) {
-		if p.Stop != nil {
-			if err := p.Stop(); err != nil {
-				return err
-			}
-		}
 		chain = chain[:0]
 		for _, st := range steppers {
 			if open(st) {

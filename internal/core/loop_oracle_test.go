@@ -93,21 +93,23 @@ func oracleSelectRanksSeeded(net Net, ranks []BatchRank, probeWidth int, seeds [
 
 // TestPlaneStopsOnSilentRound: a round in which every open search
 // proposes nothing is ErrNoConverge at once, not a spin to MaxSelectSweeps
-// or a read of an empty proposal — for a plane of one (width 1, where the
-// old solo loop read probes[0]) and a plane of two searches and an
-// aggregate. The stop hook, asked before every sweep, marks every open
-// rank dup from the second round on, and a dup rank proposes nothing.
+// or a read of an empty proposal — for a width-1 plane (where the old solo
+// loop read probes[0]) and a plane of two searches and an aggregate. Each
+// plane's last search asks for a rank past N, and the Reject hook, which
+// takes its error after the first sweep resolved the others, marks every
+// other rank dup; a dup rank proposes nothing.
 func TestPlaneStopsOnSilentRound(t *testing.T) {
 	values := make([]uint64, 500)
 	for i := range values {
 		values[i] = uint64(i*7919) % 1000
 	}
+	pastN := func(width int) *SelectStepper { return NewSelectStepper([]BatchRank{{K: 1 << 40}}, width) }
 	for _, steppers := range [][]*SelectStepper{
-		{NewSelectStepper([]BatchRank{{Median: true}}, 1)},
-		{NewSelectStepper([]BatchRank{{Median: true}}, 4), nil, NewSelectStepper([]BatchRank{{K: 3}, {Phi: 0.9}}, 8)},
+		{NewSelectStepper([]BatchRank{{Median: true}}, 1), pastN(1)},
+		{NewSelectStepper([]BatchRank{{Median: true}}, 4), nil, NewSelectStepper([]BatchRank{{K: 3}, {Phi: 0.9}}, 8), pastN(8)},
 	} {
 		var p Plane
-		p.Stop = func() error {
+		p.Reject = func(int, error) {
 			for _, st := range steppers {
 				if st == nil {
 					continue
@@ -116,7 +118,6 @@ func TestPlaneStopsOnSilentRound(t *testing.T) {
 					st.ivs[i].dup = true
 				}
 			}
-			return nil
 		}
 		start := time.Now()
 		err := p.Drive(NewLocalNet(values, 1000), steppers)

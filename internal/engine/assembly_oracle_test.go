@@ -434,7 +434,7 @@ func (e *Engine) oracleRetrySolo(r *run, k *kind, heal *spantree.HealResult, tea
 		return oracleAnswer{}, err
 	}
 	members := []member{mb}
-	o, err := runBatch(context.Background(), r.nw, r.spec, agg.NewNet(r.fe), []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: team}, time.Time{})
+	o, err := runBatch(context.Background(), r.nw, r.spec, agg.NewNet(r.fe), []Query{r.q}, members, outcome{hr: heal, truth: &r.truth, team: team})
 	if err == nil {
 		err = o.res.members[0].err
 	}
@@ -450,17 +450,12 @@ func (e *Engine) oracleRetrySolo(r *run, k *kind, heal *spantree.HealResult, tea
 
 // oracleFusedResults executes a fusion group on one forked network and writes
 // member results by original index. It returns the indices that must
-// finish solo: members whose parameters need the solo error path, members
-// the deadline detached, and — on a panic before every member's answer is
-// assembled — the whole group. A panicking batch skips the pool release,
-// like a panicking solo run.
+// finish solo: members whose parameters need the solo error path, and — on
+// a panic before every member's answer is assembled — the whole group. A
+// panicking batch skips the pool release, like a panicking solo run.
 func (e *Engine) oracleFusedResults(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) (solo []int) {
 	spec := jobs[idxs[0]].Spec.Normalize()
 	start := time.Now()
-	var deadline time.Time
-	if e.timeout > 0 {
-		deadline = start.Add(e.timeout)
-	}
 	settled := false // every member's result is assembled and final
 	defer func() {
 		if r := recover(); r != nil && !settled {
@@ -515,7 +510,7 @@ func (e *Engine) oracleFusedResults(ctx context.Context, jobs []Job, p plan, idx
 		return append(solo, idxs[:len(members)]...)
 	}
 
-	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team})
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {
@@ -528,10 +523,6 @@ func (e *Engine) oracleFusedResults(ctx context.Context, jobs []Job, p plan, idx
 	shared := fusedDetail(batch, o.res.sweeps)
 	for mi, ji := range idxs[:len(members)] {
 		mr := &o.res.members[mi]
-		if mr.detached {
-			solo = append(solo, ji)
-			continue
-		}
 		if mr.err != nil {
 			results[ji] = failedResult(jobs[ji], mr.err)
 			continue

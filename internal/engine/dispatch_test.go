@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"sensoragg/internal/faults"
+	"sensoragg/internal/netsim"
 	"sensoragg/internal/obs"
 )
 
@@ -52,121 +52,172 @@ func TestEmptyBatchRunsAlone(t *testing.T) {
 	}
 }
 
-// TestDeadlineEveryRoute holds the one deadline to the old dispatcher
-// (unit_oracle_test.go) on every route a unit takes: a median's batch of
-// one, a count's alone arm, qdigest's private schedule, a robust unit of
-// one, and a fusion group whose median has a twin. A deadline no query can
-// meet fails every job with the deadline error, a cancelled context fails
-// every job with the context error at its own index, and a 1-minute
-// deadline changes no Result but WallNS.
-func TestDeadlineEveryRoute(t *testing.T) {
-	awaitAbandoned(t)
-	spec := gridSpec(256, 7)
-	routes := []struct {
-		name    string
-		queries []Query
-	}{
-		{"batch of one", []Query{{Kind: KindMedian}}},
-		{"alone", []Query{{Kind: KindCount}}},
-		{"solo", []Query{{Kind: KindQDigest}}},
-		{"robust", []Query{{Kind: KindMedian, Robust: true}}},
-		{"group+twin", []Query{{Kind: KindMedian}, {Kind: KindQuantile, Phi: 0.9}, {Kind: KindMedian}}},
+// stopRoute is one route a unit takes: its jobs' deployment and queries,
+// the first of which names the kind a test plants a stop in.
+type stopRoute struct {
+	name    string
+	spec    Spec
+	queries []Query
+}
+
+// stopRoutes are the routes a stop must end: a median's batch of one, a
+// count's alone arm, qdigest's private schedule, gossip's rounds, the
+// distributed BFS's rounds and single-hop's radio rounds, a robust unit
+// (its audit kept), a median healed around structural faults, and a fusion
+// group whose median has a twin.
+func stopRoutes() []stopRoute {
+	grid := gridSpec(256, 7)
+	robust, healed := grid, grid
+	robust.Faults = faults.Spec{Seed: 5, Byz: 0.04}
+	healed.Faults = faults.Spec{Seed: 3, Crash: 0.05, LinkFail: 0.03}
+	return []stopRoute{
+		{"batch of one", grid, []Query{{Kind: KindMedian}}},
+		{"alone", grid, []Query{{Kind: KindCount}}},
+		{"solo", grid, []Query{{Kind: KindQDigest}}},
+		{"gossip", gridSpec(36, 7), []Query{{Kind: KindGossip}}},
+		{"buildtree", grid, []Query{{Kind: KindBuildTree}}},
+		{"singlehop", Spec{Topology: "complete", N: 32, Workload: "uniform", Seed: 7}, []Query{{Kind: KindSingleHop}}},
+		{"robust", robust, []Query{{Kind: KindMedian, Robust: true}}},
+		{"heal", healed, []Query{{Kind: KindMedian}}},
+		{"group+twin", grid, []Query{{Kind: KindMedian}, {Kind: KindQuantile, Phi: 0.9}, {Kind: KindMedian}}},
 	}
+}
+
+// jobs are the route's jobs, planned (fused) into one unit.
+func (rt stopRoute) jobs(t *testing.T) []Job {
+	t.Helper()
+	jobs := make([]Job, len(rt.queries))
+	for i, q := range rt.queries {
+		jobs[i] = Job{ID: fmt.Sprint(rt.name, i), Spec: rt.spec, Query: q}
+	}
+	if u := planUnits(jobs, true).units; len(u) != 1 {
+		t.Fatalf("%s: planned %d units, want one", rt.name, len(u))
+	}
+	return jobs
+}
+
+// plantStop makes the named kind call stop from inside its unit until t
+// ends: a fusable kind's member arm, which resolves its slot after the heal
+// and audit, or any other kind's solo arm, which hands stop its run.
+func plantStop(t *testing.T, name string, stop func(r *run)) {
+	k := kindOf(name)
+	if slot := k.member; slot != nil {
+		k.member = func(q Query, n uint64) (member, error) {
+			stop(nil)
+			return slot(q, n)
+		}
+		t.Cleanup(func() { k.member = slot })
+		return
+	}
+	solo := k.solo
+	k.solo = func(r run) (float64, string, error) {
+		stop(&r)
+		return solo(r)
+	}
+	t.Cleanup(func() { k.solo = solo })
+}
+
+// TestDeadlineEveryRoute holds a context done before Submit to the old
+// dispatcher (unit_oracle_test.go) on every route a unit takes: cancelled
+// or past its deadline, it forks nothing and fails every job with its error
+// at the job's own index, and a context that can be done but never is
+// changes no Result but WallNS.
+func TestDeadlineEveryRoute(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rt := range routes {
-		jobs := make([]Job, len(rt.queries))
-		for i, q := range rt.queries {
-			jobs[i] = Job{ID: fmt.Sprint(rt.name, i), Spec: spec, Query: q}
-		}
-		if u := planUnits(jobs, true).units; len(u) != 1 {
-			t.Fatalf("%s: planned %d units, want one", rt.name, len(u))
-		}
-		// submit runs jobs under ctx and timeout, fused, and holds every
-		// Result to the old dispatcher's, each side on an engine of its own.
-		submit := func(ctx context.Context, timeout time.Duration) []Result {
-			got := New(Options{Workers: 2, Timeout: timeout}).Submit(ctx, jobs, WithFusion())
-			want := New(Options{Workers: 2, Timeout: timeout}).unitOracleSubmit(ctx, jobs, true)
-			for i := range jobs {
-				sameResult(t, fmt.Sprintf("%s, timeout %v, job %d against the oracle", rt.name, timeout, i), got[i], want[i])
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now())
+	defer cancelExpired()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	for _, rt := range stopRoutes() {
+		jobs := rt.jobs(t)
+		for _, ctx := range []context.Context{cancelled, expired} {
+			e := New(Options{Workers: 2})
+			got := e.Submit(ctx, jobs, WithFusion())
+			if hits, misses := e.Session().Stats(); hits+misses != 0 {
+				t.Errorf("%s, %v: a context done before Submit forked %d units", rt.name, ctx.Err(), hits+misses)
 			}
-			return got
-		}
-		for i, r := range submit(context.Background(), time.Nanosecond) {
-			if r.Error != "engine: query exceeded 1ns deadline" || r.ID != jobs[i].ID {
-				t.Errorf("%s, job %d under 1ns: %+v, want the deadline error", rt.name, i, r)
-			}
-		}
-		for _, timeout := range []time.Duration{time.Nanosecond, time.Minute} {
-			for i, r := range submit(cancelled, timeout) {
-				if r.Error != context.Canceled.Error() || r.ID != jobs[i].ID {
-					t.Errorf("%s, job %d, context cancelled, timeout %v: %+v, want the context error", rt.name, i, timeout, r)
+			want := New(Options{Workers: 2}).unitOracleSubmit(ctx, jobs, true)
+			for i, r := range got {
+				sameResult(t, fmt.Sprintf("%s, job %d, %v, against the oracle", rt.name, i, ctx.Err()), r, want[i])
+				if r.Error != ctx.Err().Error() || r.ID != jobs[i].ID {
+					t.Errorf("%s, job %d, context done (%v): %+v, want its error", rt.name, i, ctx.Err(), r)
 				}
 			}
 		}
-		free, timed := submit(context.Background(), 0), submit(context.Background(), time.Minute)
+		free, stoppable := New(Options{Workers: 2}).Submit(context.Background(), jobs, WithFusion()), New(Options{Workers: 2}).Submit(live, jobs, WithFusion())
 		for i := range jobs {
 			if free[i].Failed() || free[i].Fused != (len(jobs) > 1) {
 				t.Errorf("%s, job %d: %+v, want an answer, fused only in the group", rt.name, i, free[i])
 			}
-			sameResult(t, fmt.Sprintf("%s, job %d, no deadline against 1 minute", rt.name, i), free[i], timed[i])
+			sameResult(t, fmt.Sprintf("%s, job %d, a context that is never done", rt.name, i), stoppable[i], free[i])
 		}
 	}
 }
 
-// TestUnitOfOneStopsInPlace: a deadline no query can meet stops a unit of
-// one's plane after its MinMax round, before its first probe sweep, as it
-// stops a group's and then its members' re-runs, so each plane ran one
-// sweep when Submit returns; and a context cancelled while a unit of one
-// runs fails its job with the context error, even when its arm, which
-// never looks at the context, answers.
+// TestUnitOfOneStopsInPlace: a context cancelled inside a unit, on every
+// route, stops it at its next sweep or round — one the tree layer or the
+// round engine would run next — and fails each job with exactly the
+// context's error. A unit of one and a group of two pay no sweep after the
+// cancel (the deadline this replaced let a unit of one pay 1 and a group of
+// two 3), a round kind sends no message after it, and the group's two fused
+// members count as fusion_detach_total, re-running nothing.
 func TestUnitOfOneStopsInPlace(t *testing.T) {
 	obs.Disable()
 	t.Cleanup(obs.Disable)
-	spec := gridSpec(256, 7)
-	for _, tc := range []struct {
-		queries          []Query
-		planes, detached int64
-	}{
-		{[]Query{{Kind: KindMedian}}, 1, 0},
-		{[]Query{{Kind: KindMedian}, {Kind: KindQuantile, Phi: 0.9}}, 3, 2},
-	} {
-		jobs := make([]Job, len(tc.queries))
-		for i, q := range tc.queries {
-			jobs[i] = Job{Spec: spec, Query: q}
-		}
-		sk := obs.Enable()
-		New(Options{Workers: 2, Timeout: time.Nanosecond}).Submit(context.Background(), jobs, WithFusion())
-		sweeps, detached := sk.Sweeps.Value(), sk.FusionDetach.Value()
-		obs.Disable()
-		if sweeps != tc.planes || detached != tc.detached {
-			t.Errorf("%d jobs under 1ns: %d sweeps, %d fused members detached; want %d and %d",
-				len(jobs), sweeps, detached, tc.planes, tc.detached)
-		}
-	}
-
-	qd := kindOf(KindQDigest)
-	solo := qd.solo
-	t.Cleanup(func() { qd.solo = solo })
-	ctx, cancel := context.WithCancel(context.Background())
-	qd.solo = func(r run) (float64, string, error) {
-		cancel()
-		return solo(r)
-	}
-	job := Job{ID: "qdigest", Spec: spec, Query: Query{Kind: KindQDigest}}
-	if r := New(Options{Workers: 2}).Submit(ctx, []Job{job})[0]; r.Error != context.Canceled.Error() || r.ID != job.ID {
-		t.Errorf("cancelled mid-run: %+v, want the context error", r)
+	for _, rt := range stopRoutes() {
+		t.Run(rt.name, func(t *testing.T) {
+			jobs := rt.jobs(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sk := obs.Enable()
+			defer obs.Disable()
+			sweeps := int64(-1) // sweeps_total at the cancel
+			var nw *netsim.Network
+			var at netsim.Snapshot
+			plantStop(t, rt.queries[0].Kind, func(r *run) {
+				if sweeps < 0 {
+					sweeps = sk.Sweeps.Value()
+				}
+				if r != nil {
+					nw, at = r.nw, r.nw.Meter.Snapshot()
+				}
+				cancel()
+			})
+			got := New(Options{Workers: 2}).Submit(ctx, jobs, WithFusion())
+			for i, r := range got {
+				if r.Error != ctx.Err().Error() || r.ID != jobs[i].ID {
+					t.Errorf("job %d: %+v, want the context error %q", i, r, ctx.Err())
+				}
+			}
+			if sweeps < 0 {
+				t.Fatal("the planted stop never ran")
+			}
+			if after := sk.Sweeps.Value() - sweeps; after != 0 {
+				t.Errorf("%d sweeps after the cancel, want 0", after)
+			}
+			if nw != nil {
+				if d := nw.Meter.Since(at); d.Messages != 0 {
+					t.Errorf("%d messages after the cancel, want 0", d.Messages)
+				}
+			}
+			wantDetach := int64(0)
+			if len(jobs) > 1 {
+				wantDetach = 2
+			}
+			if d, again := sk.FusionDetach.Value(), sk.FusionSolo.Value(); d != wantDetach || again != 0 {
+				t.Errorf("fusion_detach_total %d, fusion_solo_fallback_total %d; want %d and 0", d, again, wantDetach)
+			}
+		})
 	}
 }
 
 // TestPanicEveryRoute holds a panicking unit to the old dispatcher: a unit
-// of one fails in place with the panic, or with the deadline error when it
-// returns past its deadline (the clock decides), and a fusion group that
-// panics runs its members again as units of one, which answer as their own
+// of one fails in place with the panic, and a fusion group that panics
+// runs its members again as units of one, which answer as their own
 // Submits do. The panics are planted in the kind table: qdigest's solo arm,
 // and the quantile's batch detail, which only a fused batch reads.
 func TestPanicEveryRoute(t *testing.T) {
-	awaitAbandoned(t)
 	qd, qt := kindOf(KindQDigest), kindOf(KindQuantile)
 	solo, detail := qd.solo, qt.batchDetail
 	qd.solo = func(run) (float64, string, error) { panic("planted") }
@@ -180,19 +231,16 @@ func TestPanicEveryRoute(t *testing.T) {
 		{ID: "q90", Spec: spec, Query: Query{Kind: KindQuantile, Phi: 0.9}},
 	}
 	for _, tc := range []struct {
-		jobs    []Job
-		timeout time.Duration
-		want    string // every job's error; "" wants each job's own answer
+		jobs []Job
+		want string // every job's error; "" wants each job's own answer
 	}{
-		{alone, 0, "engine: query panicked: planted"},
-		{alone, time.Nanosecond, "engine: query exceeded 1ns deadline"},
-		{group, 0, ""},
-		{group, time.Minute, ""},
+		{alone, "engine: query panicked: planted"},
+		{group, ""},
 	} {
-		got := New(Options{Workers: 2, Timeout: tc.timeout}).Submit(context.Background(), tc.jobs, WithFusion())
-		want := New(Options{Workers: 2, Timeout: tc.timeout}).unitOracleSubmit(context.Background(), tc.jobs, true)
+		got := New(Options{Workers: 2}).Submit(context.Background(), tc.jobs, WithFusion())
+		want := New(Options{Workers: 2}).unitOracleSubmit(context.Background(), tc.jobs, true)
 		for i, job := range tc.jobs {
-			label := fmt.Sprintf("%s, timeout %v", job.ID, tc.timeout)
+			label := job.ID
 			sameResult(t, label+" against the oracle", got[i], want[i])
 			if tc.want != "" {
 				if got[i].Error != tc.want {
@@ -206,16 +254,4 @@ func TestPanicEveryRoute(t *testing.T) {
 			sameResult(t, label+" against its own Submit", got[i], New(Options{Workers: 2}).Submit(context.Background(), tc.jobs[i:i+1])[0])
 		}
 	}
-}
-
-// awaitAbandoned makes t, which runs the old dispatcher under deadlines
-// it cannot meet, wait at its end until the runs that dispatcher left in
-// the background have returned, so they meter no later test's sweeps.
-func awaitAbandoned(t *testing.T) {
-	n := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		for give := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > n && time.Now().Before(give); {
-			time.Sleep(time.Millisecond)
-		}
-	})
 }

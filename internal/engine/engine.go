@@ -173,7 +173,7 @@ type Result struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Failed reports whether the job errored (including deadline overruns).
+// Failed reports whether the job errored (including a context stop).
 func (r Result) Failed() bool { return r.Error != "" }
 
 // Options configures an Engine.
@@ -182,13 +182,6 @@ type Options struct {
 	// execution units of one Submit divide the workers among them: each
 	// unit's tree sweeps run on a team of max(1, Workers ÷ units).
 	Workers int
-	// Timeout is each unit's deadline (0 → none). A core.Plane stops at it
-	// between sweeps; a kind's own arm, the heal and the robust audit never
-	// read it and run to completion. A unit of one that ends at or past it
-	// fails with the deadline error; a fusion group's members the stop left
-	// unanswered run again as units of one, each with a deadline of its own.
-	// No run outlives Submit.
-	Timeout time.Duration
 	// Session supplies the topology cache (nil → a fresh one).
 	Session *Session
 }
@@ -196,7 +189,6 @@ type Options struct {
 // Engine executes query jobs on a bounded worker pool.
 type Engine struct {
 	workers int
-	timeout time.Duration
 	session *Session
 	// treeWorkers pins every run's tree-kernel team
 	// (spantree.FastEngine.SetWorkers): 1 sequential, k > 1 a team of k.
@@ -216,7 +208,7 @@ func New(opts Options) *Engine {
 	if s == nil {
 		s = NewSession()
 	}
-	return &Engine{workers: w, timeout: opts.Timeout, session: s}
+	return &Engine{workers: w, session: s}
 }
 
 // Workers returns the pool's concurrency bound.

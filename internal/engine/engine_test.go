@@ -63,7 +63,7 @@ func (e *Engine) runAlone(nw *netsim.Network, job Job, team int) (Result, error)
 		return Result{}, err
 	}
 	var res [1]Result
-	e.answer(context.Background(), &r, []Job{job}, plan{team: team}, []int{0}, res[:], time.Time{})
+	e.answer(context.Background(), &r, []Job{job}, plan{team: team}, []int{0}, res[:])
 	if res[0].Failed() {
 		return Result{}, errors.New(res[0].Error)
 	}
@@ -209,19 +209,20 @@ func TestSessionCache(t *testing.T) {
 	}
 }
 
-// TestDeadline: a query that cannot finish within the per-query deadline is
-// reported failed, and other jobs in the batch still complete.
+// TestDeadline: a query whose Submit context is past its deadline is
+// reported failed with the context's error, and the same job under a
+// deadline it can meet succeeds.
 func TestDeadline(t *testing.T) {
-	e := New(Options{Workers: 2, Timeout: time.Nanosecond})
-	r := e.Submit(context.Background(), []Job{{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}}})[0]
-	if !r.Failed() {
-		t.Fatal("expected deadline failure")
+	e := New(Options{Workers: 2})
+	job := []Job{{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}}}
+	past, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if r := e.Submit(past, job)[0]; r.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("past deadline: %+v, want the deadline error", r)
 	}
-
-	// Without a timeout the same job succeeds.
-	ok := New(Options{Workers: 2})
-	r = ok.Submit(context.Background(), []Job{{Spec: gridSpec(1024, 1), Query: Query{Kind: KindMedian}}})[0]
-	if r.Failed() {
+	ahead, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if r := e.Submit(ahead, job)[0]; r.Failed() {
 		t.Fatalf("unexpected failure: %s", r.Error)
 	}
 }

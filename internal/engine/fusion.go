@@ -19,13 +19,15 @@ import (
 // are planned into units: a job alone, or — under WithFusion — the fusion
 // group of fusable jobs (selections, multi-quantiles, the Fact 2.1
 // aggregates) on one deployment, run seed and overlay. Every unit runs
-// through one body, execute, run inline by one dispatcher, runUnit, under
-// one cooperative deadline: fork, heal, one ground truth and one plane,
-// every member's slot, one batch, one assembly, release. A unit of one is
-// that body with one member; a batch's members share one core.Plane
-// (driveFused), whose sweep rounds merge their probe thresholds into one
-// deduplicated chain per broadcast–convergecast, aggregate members riding
-// the MinMax round and the first sweep: tree traffic is paid once a round.
+// through one body, execute, run inline by one dispatcher, runUnit: fork,
+// heal, one ground truth and one plane, every member's slot, one batch, one
+// assembly, release. Submit's context stops a unit at its next sweep or
+// round (netsim.Network.Ctx), set after the heal and the robust audit. A
+// unit of one is that body with one member; a batch's members share one
+// core.Plane (driveFused), whose sweep rounds merge their probe thresholds
+// into one deduplicated chain per broadcast–convergecast, aggregate members
+// riding the MinMax round and the first sweep: tree traffic is paid once a
+// round.
 //
 // Fusion preserves answers exactly: selection is an exact search whose
 // result does not depend on the probe schedule, and the aggregate riders
@@ -42,14 +44,9 @@ type memberResult struct {
 	values []uint64
 	// aggValues are an aggregate member's answers, aligned with its aggs.
 	aggValues []float64
-	// err reports a per-member failure (unresolvable rank, context
-	// cancellation) — the same error the member's solo run would report.
+	// err reports a per-member failure (unresolvable rank, the context's
+	// stop) — the same error the member's solo run would report.
 	err error
-	// detached marks a member the unit's deadline expired on before its
-	// search resolved: it holds no answer. A group's detached member runs
-	// again as a unit of one with a deadline of its own, so fusing never
-	// fails a query that would succeed alone; a unit of one's fails.
-	detached bool
 	// seededSweeps/seedHit report a seeded selection member's
 	// delta-narrowing outcome (see core.SelectStepper).
 	seededSweeps int
@@ -99,23 +96,10 @@ func (f *fact21) aggregate(name string) float64 {
 // round and sweeps, and each member's search and answer go into its result
 // in res. A sweep a mid-flight fault killed — the tree layer panics with
 // it — comes back as ise, with the extrema, the first sweep's totals and
-// the sweeps the plane had run; any other panic propagates.
-func driveFused(ctx context.Context, net core.Net, members []member, deadline time.Time, res *batchResult) (ise *spantree.IncompleteSweepError, err error) {
+// the sweeps the plane had run; ctx's stop fails the members it left
+// unanswered with ctx's error, and any other panic propagates.
+func driveFused(ctx context.Context, net core.Net, members []member, res *batchResult) (ise *spantree.IncompleteSweepError, err error) {
 	var plane core.Plane
-	record := func() {
-		res.fact21 = fact21{n: plane.N, sum: plane.Total, lo: plane.Lo, hi: plane.Hi}
-		res.sweeps, res.probes = plane.Sweeps, plane.Probes
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			var killed *spantree.IncompleteSweepError
-			if e, ok := r.(error); !ok || !errors.As(e, &killed) {
-				panic(r)
-			}
-			record()
-			ise, err = killed, nil
-		}
-	}()
 	// The plane's view of the searches; a small batch's stays on the stack.
 	steppers := make([]*core.SelectStepper, 0, 8)
 	for i := range members {
@@ -127,18 +111,13 @@ func driveFused(ctx context.Context, net core.Net, members []member, deadline ti
 		}
 		steppers = append(steppers, res.members[i].st)
 	}
-	plane.Stop = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return errDetached
-		}
-		return nil
-	}
 	plane.Reject = func(i int, err error) { res.members[i].err = err }
-	err = plane.Drive(net, steppers)
-	record()
+	ise, err = drive(ctx, &plane, net, steppers)
+	res.fact21 = fact21{n: plane.N, sum: plane.Total, lo: plane.Lo, hi: plane.Hi}
+	res.sweeps, res.probes = plane.Sweeps, plane.Probes
+	if ise != nil {
+		return ise, nil
+	}
 	if errors.Is(err, core.ErrEmpty) {
 		return nil, err
 	}
@@ -149,9 +128,7 @@ func driveFused(ctx context.Context, net core.Net, members []member, deadline ti
 		case err != nil && (st != nil && !st.Done() || st == nil && plane.Sweeps == 0):
 			// The batch abandons what it had not answered; members that
 			// resolved keep their answers.
-			if r.detached = errors.Is(err, errDetached); !r.detached {
-				r.err = err
-			}
+			r.err = err
 		case st != nil:
 			r.values = st.Values(make([]uint64, 0, st.NumRanks()))
 			r.seededSweeps, r.seedHit = st.SeededSweeps(), st.SeedHit()
@@ -162,9 +139,32 @@ func driveFused(ctx context.Context, net core.Net, members []member, deadline ti
 	return nil, nil
 }
 
-// errDetached is the stop a unit's expired deadline puts to its plane:
-// the members it leaves unanswered detach.
-var errDetached = errors.New("engine: batch deadline expired")
+// drive runs plane over net for steppers. A sweep the tree layer panicked
+// with comes back: a dead sweep as ise, ctx's stop as ctx's error. Any
+// other panic propagates.
+func drive(ctx context.Context, plane *core.Plane, net core.Net, steppers []*core.SelectStepper) (ise *spantree.IncompleteSweepError, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var killed *spantree.IncompleteSweepError
+			switch e, ok := r.(error); {
+			case ok && errors.As(e, &killed):
+				ise = killed
+			case ok && isStop(ctx, e):
+				err = ctx.Err()
+			default:
+				panic(r)
+			}
+		}
+	}()
+	return nil, plane.Drive(net, steppers)
+}
+
+// isStop reports whether err is ctx's stop: ctx is done, and err is or
+// wraps its error.
+func isStop(ctx context.Context, err error) bool {
+	stop := ctx.Err()
+	return stop != nil && errors.Is(err, stop)
+}
 
 // aggValues appends an aggregate member's answers, aligned with aggs,
 // read off the totals, to dst.
@@ -267,15 +267,12 @@ func (p plan) batch(jobs []Job, u []int) bool {
 	return len(u) > 1 || p.fused(&jobs[u[0]]) && p.answers(u[0]) > 1
 }
 
-// runUnit runs one unit inline, writing results by original job index,
-// under the one deadline every unit gets: Options.Timeout from its start,
-// at which its plane stops between sweeps. A unit that finds ctx done
-// before it starts fails its jobs with the context error. A unit of one
-// fails its job in place when it returns at or past its deadline (the
-// clock, not the arm, decides: an arm may not stop), when ctx is done by
-// then, or when it panicked. A group's detached, panicked or empty-batch
-// members run again as units of one, each with a deadline of its own:
-// fusion must never fail a query that would have succeeded alone.
+// runUnit runs one unit inline, writing results by original job index. A
+// unit that finds ctx done before it starts fails its jobs with the
+// context error, as a stop mid-run fails each job it left unanswered. A
+// unit of one that panicked fails in place; a group's panicked or
+// empty-batch members run again as units of one: fusion must never fail a
+// query that would have succeeded alone.
 func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) {
 	if err := ctx.Err(); err != nil {
 		fail(jobs, idxs, results, err)
@@ -285,11 +282,6 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, re
 	if !group {
 		p = one
 	}
-	start := time.Now()
-	var deadline time.Time
-	if e.timeout > 0 {
-		deadline = start.Add(e.timeout)
-	}
 	var panicked any
 	again := func() (again []int) {
 		defer func() {
@@ -297,16 +289,14 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, p plan, idxs []int, re
 				again = idxs
 			}
 		}()
-		return e.execute(ctx, jobs, p, idxs, results, deadline)
+		return e.execute(ctx, jobs, p, idxs, results)
 	}()
 	if !group {
-		switch job := jobs[idxs[0]]; {
-		case e.timeout > 0 && time.Since(start) >= e.timeout:
-			results[idxs[0]] = failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
-		case ctx.Err() != nil:
-			results[idxs[0]] = failedResult(job, ctx.Err())
+		switch err, _ := panicked.(error); {
+		case isStop(ctx, err):
+			results[idxs[0]] = failedResult(jobs[idxs[0]], ctx.Err())
 		case panicked != nil:
-			results[idxs[0]] = failedResult(job, fmt.Errorf("engine: query panicked: %v", panicked))
+			results[idxs[0]] = failedResult(jobs[idxs[0]], fmt.Errorf("engine: query panicked: %v", panicked))
 		}
 		return
 	}
@@ -340,11 +330,12 @@ func samePred(a, b *wire.Pred) bool {
 }
 
 // execute is the unit runner: it forks for the unit idxs, takes the meter
-// snapshot, heals and builds the ground truth and plane (prepare), answers
-// every member (answer) and releases the fork. It returns the members that
-// must run again as units of one. A panicking unit skips the release: the pool never
-// sees a network in an unknown state.
-func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) []int {
+// snapshot, heals and builds the ground truth and plane (prepare), sets
+// ctx as the fork's stop when ctx can be done, answers every member
+// (answer) and releases the fork. It returns the members that must run
+// again as units of one. A panicking unit skips the release: the pool
+// never sees a network in an unknown state.
+func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) []int {
 	job := &jobs[idxs[0]]
 	r := run{spec: job.Spec.Normalize(), q: job.Query.WithDefaults(), start: time.Now()}
 	var err error
@@ -358,19 +349,21 @@ func (e *Engine) execute(ctx context.Context, jobs []Job, p plan, idxs []int, re
 		fail(jobs, idxs, results, err)
 		return nil
 	}
-	solo := e.answer(ctx, &r, jobs, p, idxs, results, deadline)
+	if ctx.Done() != nil {
+		r.nw.Ctx = ctx
+	}
+	solo := e.answer(ctx, &r, jobs, p, idxs, results)
 	r.nw.Release()
 	return solo
 }
 
 // answer answers the unit idxs on r's prepared plane, metered with the
 // unit's delta. Each job resolves its slot (a failing slot fails its job)
-// and the members run as one batch under ctx and deadline, unless a kind's
-// own arm answers a unit of one: a private schedule's solo arm, or an
-// aggregate's alone arm with no mid-sweep strike to come. A batch that
-// answers two jobs or more, twins counted, is fused. It returns the members
-// it detached or found empty.
-func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []int, results []Result, deadline time.Time) (solo []int) {
+// and the members run as one batch, unless a kind's own arm answers a unit
+// of one: a private schedule's solo arm, or an aggregate's alone arm with
+// no mid-sweep strike to come. A batch that answers two jobs or more, twins
+// counted, is fused. It returns the members of a batch it found empty.
+func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []int, results []Result) (solo []int) {
 	// One member per job: a unit holds no twins, so members[k] is job
 	// idxs[k] once the jobs whose slots fail move behind the members. A
 	// small unit keeps its members, queries and results on the stack, and
@@ -415,7 +408,7 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 	v, detail, err := 0.0, "", error(nil)
 	switch {
 	case !arm:
-		o, err = runBatch(ctx, r.nw, r.spec, r.net, queries, members, o, deadline)
+		o, err = runBatch(ctx, r.nw, r.spec, r.net, queries, members, o)
 	case k.solo != nil:
 		v, detail, err = k.solo(*r)
 	default:
@@ -432,33 +425,25 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 			// own, shorter run may end before the strike.
 			return idxs[:len(members)]
 		}
+		if isStop(ctx, err) {
+			err = ctx.Err()
+		}
 		o.res.members[0].err = err
 	}
 
 	d, wall := r.nw.Meter.Since(r.before), time.Since(r.start)
 	sk := obs.Active()
-	shared, span := "", uint64(0)
+	shared := ""
 	if fused {
 		shared = fusedDetail(batch, o.res.sweeps)
-		if sk != nil {
-			span = sk.Tracer.NextSpan()
-		}
 	}
 	detached := 0
 	for mi, ji := range idxs[:len(members)] {
 		mr, m := &o.res.members[mi], &members[mi]
-		if mr.detached {
-			detached++
-			if fused && sk != nil {
-				sk.FusionDetach.Add(1)
-				sk.Tracer.Emit("fusion.detach", span,
-					obs.KV{K: "job", V: int64(ji)},
-					obs.KV{K: "seeded_sweeps", V: int64(mr.seededSweeps)})
-			}
-			solo = append(solo, ji)
-			continue
-		}
 		if mr.err != nil {
+			if fused && isStop(ctx, mr.err) {
+				detached++
+			}
 			results[ji] = failedResult(jobs[ji], mr.err)
 			continue
 		}
@@ -496,7 +481,7 @@ func (e *Engine) answer(ctx context.Context, r *run, jobs []Job, p plan, idxs []
 		resultFrom(res, r.spec, queries[mi], d, wall)
 	}
 	if fused && sk != nil {
-		e.obsFusedBatch(sk, span, jobs[idxs[0]], batch, detached, o.res.sweeps, o.res.probes, d, wall)
+		e.obsFusedBatch(sk, jobs[idxs[0]], batch, detached, o.res.sweeps, o.res.probes, d, wall)
 	}
 	return solo
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -212,8 +213,9 @@ func TestFusionCompatibilityGrouping(t *testing.T) {
 }
 
 // batchOn resolves queries into batch slots over the population fe's view
-// covers and runs them through the batch driver on fe's plane.
-func batchOn(t *testing.T, ctx context.Context, nw *netsim.Network, fe *spantree.FastEngine, queries []Query, deadline time.Time) (outcome, error) {
+// covers and runs them through the batch driver on fe's plane, with ctx as
+// nw's stop when ctx can be done, as the unit runner sets it.
+func batchOn(t *testing.T, ctx context.Context, nw *netsim.Network, fe *spantree.FastEngine, queries []Query) (outcome, error) {
 	t.Helper()
 	truth := &groundTruth{nw: nw, view: fe.View()}
 	members := make([]member, len(queries))
@@ -225,12 +227,17 @@ func batchOn(t *testing.T, ctx context.Context, nw *netsim.Network, fe *spantree
 		}
 		members[i] = mb
 	}
-	return runBatch(ctx, nw, Spec{}, agg.NewNet(fe), queries, members, outcome{truth: truth}, deadline)
+	nw.Ctx = nil
+	if ctx.Done() != nil {
+		nw.Ctx = ctx
+	}
+	return runBatch(ctx, nw, Spec{}, agg.NewNet(fe), queries, members, outcome{truth: truth})
 }
 
-// TestRunFusedDetachAndEmpty drives the batch driver directly: an expired
-// deadline detaches every unresolved member before the first sweep, and an
-// empty active multiset is the batch-level error.
+// TestRunFusedDetachAndEmpty drives the batch driver directly: a context
+// done before the batch fails every member with the context's error at its
+// MinMax round's convergecast, after that round's broadcast, and an empty
+// active multiset is the batch-level error.
 func TestRunFusedDetachAndEmpty(t *testing.T) {
 	g := topology.Grid(8, 8)
 	maxX := uint64(256)
@@ -243,29 +250,25 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 			{Kind: KindFused, Aggs: []string{"count", "sum"}},
 		}
 	}
-	o, err := batchOn(t, context.Background(), nw, fe, queries(), time.Now().Add(-time.Second))
-	if err != nil {
-		t.Fatalf("runBatch: %v", err)
-	}
-	for i, m := range o.res.members {
-		if !m.detached || m.err != nil || m.values != nil || m.aggValues != nil {
-			t.Errorf("member %d: want detached with no answer, got %+v", i, m)
-		}
-	}
-	if o.res.sweeps != 0 {
-		t.Errorf("detached batch ran %d sweeps, want 0", o.res.sweeps)
-	}
-
-	// Cancelled context fails unresolved members with the context error.
-	cctx, cancel := context.WithCancel(context.Background())
+	past, cancelPast := context.WithDeadline(context.Background(), time.Now())
+	defer cancelPast()
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	o, err = batchOn(t, cctx, nw, fe, queries(), time.Time{})
-	if err != nil {
-		t.Fatalf("runBatch: %v", err)
-	}
-	for i, m := range o.res.members {
-		if m.err != context.Canceled || m.detached {
-			t.Errorf("member %d: want context.Canceled, got %+v", i, m)
+	for _, ctx := range []context.Context{past, cancelled} {
+		before := nw.Meter.Snapshot()
+		o, err := batchOn(t, ctx, nw, fe, queries())
+		if err != nil {
+			t.Fatalf("runBatch: %v", err)
+		}
+		for i, m := range o.res.members {
+			if m.err != ctx.Err() || m.values != nil || m.aggValues != nil {
+				t.Errorf("member %d: want %v with no answer, got %+v", i, ctx.Err(), m)
+			}
+		}
+		// The stop sits before the convergecast: the MinMax round's
+		// broadcast, one message per tree edge, is paid.
+		if d := nw.Meter.Since(before); o.res.sweeps != 0 || d.Messages != int64(nw.N()-1) {
+			t.Errorf("%v: the stopped batch ran %d sweeps and sent %d messages, want 0 and its broadcast's %d", ctx.Err(), o.res.sweeps, d.Messages, nw.N()-1)
 		}
 	}
 
@@ -273,17 +276,17 @@ func TestRunFusedDetachAndEmpty(t *testing.T) {
 	net := agg.NewNet(fe)
 	net.Filter(wire.Less(0))
 	defer net.Reset()
-	if _, err := batchOn(t, context.Background(), nw, fe, queries(), time.Time{}); err != core.ErrEmpty {
+	if _, err := batchOn(t, context.Background(), nw, fe, queries()); err != core.ErrEmpty {
 		t.Errorf("empty multiset: err %v, want core.ErrEmpty", err)
 	}
 }
 
 // TestRunFusedMidBatchDeadlineKeepsResolvedAnswers pins the batch driver's
-// member contract when the deadline fires *between* sweeps: every member is
-// answered, failed, or detached — never a "successful" empty result. An
-// aggregate member resolves on sweep 1, a width-1 median needs many more
-// sweeps; deadlines from instant to generous sweep the abandon point
-// across the schedule.
+// member contract when the context's deadline passes *between* sweeps:
+// every member is answered or failed with the deadline's error — never a
+// "successful" empty result. An aggregate member resolves on sweep 1, a
+// width-1 median needs many more sweeps; deadlines from instant to
+// generous sweep the stop across the schedule.
 func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 	g := topology.Grid(64, 64)
 	maxX := uint64(4 * g.N())
@@ -292,17 +295,19 @@ func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 	for _, budget := range []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, time.Minute} {
 		nw := netsim.New(g, values, maxX)
 		queries := []Query{{Kind: KindCount}, {Kind: KindMedian, ProbeWidth: 1}}
-		o, err := batchOn(t, context.Background(), nw, spantree.NewFast(nw), queries, time.Now().Add(budget))
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		o, err := batchOn(t, ctx, nw, spantree.NewFast(nw), queries)
+		cancel()
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
 		for i, m := range o.res.members {
 			answered := len(m.values) > 0 || len(m.aggValues) > 0
-			if m.err == nil && !m.detached && !answered {
+			if m.err == nil && !answered {
 				t.Fatalf("budget %v: member %d returned successful-but-empty: %+v", budget, i, m)
 			}
-			if answered && (m.err != nil || m.detached) {
-				t.Fatalf("budget %v: member %d both answered and abandoned: %+v", budget, i, m)
+			if answered && m.err != nil || m.err != nil && m.err != context.DeadlineExceeded {
+				t.Fatalf("budget %v: member %d: %+v, want an answer or the deadline error", budget, i, m)
 			}
 		}
 		// Whenever the aggregate member did resolve, its answer must be
@@ -312,7 +317,7 @@ func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 		}
 		if budget == time.Minute {
 			for i, m := range o.res.members {
-				if m.detached || m.err != nil {
+				if m.err != nil {
 					t.Fatalf("generous budget: member %d abandoned: %+v", i, m)
 				}
 			}
@@ -320,10 +325,10 @@ func TestRunFusedMidBatchDeadlineKeepsResolvedAnswers(t *testing.T) {
 	}
 }
 
-// TestFusedTimeoutMatchesSolo: with a deadline no query can meet, a fused
-// engine reports per-query deadline failures just like an unfused one (the
-// batch detaches, members retry solo, the solo deadline fires) — fusion
-// cannot turn one slow query into a batch-wide hang with no answers.
+// TestFusedTimeoutMatchesSolo: under a Submit deadline no query can meet, a
+// fused engine reports per-query deadline failures just like an unfused one
+// — fusion cannot turn one slow query into a batch-wide hang with no
+// answers — and under a workable deadline the same fused batch succeeds.
 func TestFusedTimeoutMatchesSolo(t *testing.T) {
 	spec := Spec{Topology: "grid", N: 1024, Workload: "uniform", Seed: 1}
 	jobs := make([]Job, 4)
@@ -334,17 +339,19 @@ func TestFusedTimeoutMatchesSolo(t *testing.T) {
 	if _, err := session.Template(spec); err != nil {
 		t.Fatal(err)
 	}
-	res := New(Options{Workers: 2, Timeout: time.Nanosecond, Session: session}).
-		Submit(context.Background(), jobs, WithFusion())
-	for i, r := range res {
-		if !r.Failed() || !strings.Contains(r.Error, "deadline") {
-			t.Errorf("job %d: error %q, want a deadline failure", i, r.Error)
+	e := New(Options{Workers: 2, Session: session})
+	past, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	fused, alone := e.Submit(past, jobs, WithFusion()), e.Submit(past, jobs)
+	for i, r := range fused {
+		if r.Error != context.DeadlineExceeded.Error() {
+			t.Errorf("job %d: error %q, want the deadline error", i, r.Error)
 		}
+		sameResult(t, fmt.Sprintf("job %d, fused against alone", i), r, alone[i])
 	}
-	// With a workable deadline the same fused batch succeeds.
-	ok := New(Options{Workers: 2, Timeout: time.Minute, Session: session}).
-		Submit(context.Background(), jobs, WithFusion())
-	for i, r := range ok {
+	ahead, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i, r := range e.Submit(ahead, jobs, WithFusion()) {
 		if r.Failed() {
 			t.Errorf("job %d: %s", i, r.Error)
 		}

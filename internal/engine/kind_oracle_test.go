@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/ams"
@@ -47,7 +46,7 @@ import (
 func soloOn(nw *netsim.Network, spec Spec, q Query, fe *spantree.FastEngine, net aggregator) (Result, error) {
 	r := run{nw: nw, spec: spec, q: q, fe: fe, net: net, truth: groundTruth{nw: nw, view: fe.View()}, before: nw.Meter.Snapshot()}
 	var res [1]Result
-	New(Options{Workers: 1}).answer(context.Background(), &r, []Job{{Spec: spec, Query: q}}, plan{}, []int{0}, res[:], time.Time{})
+	New(Options{Workers: 1}).answer(context.Background(), &r, []Job{{Spec: spec, Query: q}}, plan{}, []int{0}, res[:])
 	if res[0].Failed() {
 		return Result{}, errors.New(res[0].Error)
 	}
@@ -384,7 +383,7 @@ func compareSoloBatchOfOne(t *testing.T, session *Session, spec Spec, q Query) {
 		t.Fatal(err)
 	}
 	members := []member{mb}
-	o, berr := runBatch(context.Background(), nwB, spec, agg.NewNet(fe), []Query{q}, members, outcome{hr: hr, truth: truth}, time.Time{})
+	o, berr := runBatch(context.Background(), nwB, spec, agg.NewNet(fe), []Query{q}, members, outcome{hr: hr, truth: truth})
 	if berr == nil {
 		berr = o.res.members[0].err
 	}

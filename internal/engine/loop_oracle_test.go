@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/core"
@@ -21,11 +20,12 @@ import (
 // moved onto one core.Plane, verbatim below the marker (renamed
 // oracleDriveFused): one MinMax round, then merged sweeps on an
 // agg.SweepMux until every member resolves. TestFusedLoopOracle holds
-// driveFused to it.
+// driveFused to it. One adaptation: the per-unit deadline the engine no
+// longer has is gone (its parameter and the members it detached).
 
 // --- verbatim from fusion.go ---
 
-func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) (steppers []*core.SelectStepper, ise *spantree.IncompleteSweepError, err error) {
+func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, res *batchResult) (steppers []*core.SelectStepper, ise *spantree.IncompleteSweepError, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var killed *spantree.IncompleteSweepError
@@ -62,7 +62,7 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 	// finish marks every unresolved member the batch is abandoning.
 	// Members that already resolved keep their answers: control falls
 	// through to the assembly loop below, never out of the drive early —
-	// a member is always either answered, failed, or detached.
+	// a member is always either answered or failed.
 	finish := func(mark func(r *memberResult)) {
 		for i := range members {
 			r := &res.members[i]
@@ -82,10 +82,6 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 	for {
 		if err := ctx.Err(); err != nil {
 			finish(func(r *memberResult) { r.err = err })
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			finish(func(r *memberResult) { r.detached = true })
 			break
 		}
 		mux.Begin()
@@ -150,7 +146,7 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 
 	for i := range members {
 		r := &res.members[i]
-		if r.err != nil || r.detached {
+		if r.err != nil {
 			continue
 		}
 		if st := steppers[i]; st != nil {
@@ -167,7 +163,7 @@ func oracleDriveFused(ctx context.Context, net *agg.Net, members []member, deadl
 // --- end verbatim ---
 
 // driveFunc is one batch attempt's driver: driveFused or its oracle.
-type driveFunc func(context.Context, *agg.Net, []member, time.Time, *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error)
+type driveFunc func(context.Context, *agg.Net, []member, *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error)
 
 // loopRecord is what an attempt produced, as the loop oracle compares it.
 // A killed attempt's sweeps and probes are left out: the old loop dropped
@@ -180,7 +176,7 @@ func loopRecord(res *batchResult, ise *spantree.IncompleteSweepError, err error)
 		fmt.Fprintf(&b, "%d sweeps, %d probes, totals %+v, killed false, error %v\n", res.sweeps, res.probes, res.fact21, err)
 	}
 	for i, m := range res.members {
-		fmt.Fprintf(&b, "  member %d: %v %v error %v detached %v seeded %d hit %v\n", i, m.values, m.aggValues, m.err, m.detached, m.seededSweeps, m.seedHit)
+		fmt.Fprintf(&b, "  member %d: %v %v error %v seeded %d hit %v\n", i, m.values, m.aggValues, m.err, m.seededSweeps, m.seedHit)
 	}
 	return b.String()
 }
@@ -214,7 +210,7 @@ func runAttempts(t *testing.T, spec Spec, queries []Query, drive driveFunc) ([]s
 			members[i] = mb
 		}
 		res := batchResult{members: make([]memberResult, len(members))}
-		steppers, ise, err := drive(context.Background(), agg.NewNet(fe), members, time.Time{}, &res)
+		steppers, ise, err := drive(context.Background(), agg.NewNet(fe), members, &res)
 		records = append(records, loopRecord(&res, ise, err))
 		if ise == nil || attempt >= spec.Retry.Budget {
 			return records, nw
@@ -276,8 +272,8 @@ func TestFusedLoopOracle(t *testing.T) {
 		}
 		want, oracleNw := runAttempts(t, spec, queries, oracleDriveFused)
 		killedAfter := -1
-		got, nw := runAttempts(t, spec, queries, func(ctx context.Context, net *agg.Net, members []member, deadline time.Time, res *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error) {
-			ise, err := driveFused(ctx, net, members, deadline, res)
+		got, nw := runAttempts(t, spec, queries, func(ctx context.Context, net *agg.Net, members []member, res *batchResult) ([]*core.SelectStepper, *spantree.IncompleteSweepError, error) {
+			ise, err := driveFused(ctx, net, members, res)
 			if ise != nil {
 				killedAfter = res.sweeps
 			}

@@ -71,11 +71,11 @@ func obsRobust(sk *obs.Sink, res *Result, integrity byz.Integrity) {
 }
 
 // obsFusedBatch records the batch-completion event of one fusion group:
-// member count, sweeps and probes shipped on the shared plane, detach
-// count, and the batch's bits/node. The span ID groups it with the
-// per-member fusion.detach events emitted while resolving the batch.
-func (e *Engine) obsFusedBatch(sk *obs.Sink, span uint64, job Job, members, detached int, sweeps, probes int, d netsim.Delta, wall time.Duration) {
+// member count, sweeps and probes shipped on the shared plane, the members
+// a stop left unanswered (detached), and the batch's bits/node.
+func (e *Engine) obsFusedBatch(sk *obs.Sink, job Job, members, detached int, sweeps, probes int, d netsim.Delta, wall time.Duration) {
 	sk.FusionBatchSize.Observe(float64(members))
+	sk.FusionDetach.Add(int64(detached))
 	sk.BitsPerNode.Observe(float64(d.MaxPerNode))
 	ev := [8]obs.KV{
 		{K: "members", V: int64(members)},
@@ -90,5 +90,5 @@ func (e *Engine) obsFusedBatch(sk *obs.Sink, span uint64, job Job, members, deta
 	if job.Overlay != nil {
 		ev[7].V = int64(job.Overlay.Epoch)
 	}
-	sk.Tracer.Emit("fusion.batch", span, ev[:]...)
+	sk.Tracer.Emit("fusion.batch", 0, ev[:]...)
 }

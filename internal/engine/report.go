@@ -36,13 +36,12 @@ type KindSummary struct {
 // per-kind aggregates, JSON-serializable so batch runs feed dashboards and
 // the CI bench artifact.
 type Report struct {
-	Workers   int           `json:"workers"`
-	TimeoutNS int64         `json:"timeout_ns,omitempty"`
-	Jobs      int           `json:"jobs"`
-	Failed    int           `json:"failed"`
-	WallNS    int64         `json:"wall_ns"`
-	Summary   []KindSummary `json:"summary"`
-	Results   []Result      `json:"results"`
+	Workers int           `json:"workers"`
+	Jobs    int           `json:"jobs"`
+	Failed  int           `json:"failed"`
+	WallNS  int64         `json:"wall_ns"`
+	Summary []KindSummary `json:"summary"`
+	Results []Result      `json:"results"`
 }
 
 // Collect builds a report from a batch of results. batchWall is the
@@ -54,9 +53,6 @@ func Collect(e *Engine, results []Result, batchWall time.Duration) *Report {
 		Jobs:    len(results),
 		WallNS:  batchWall.Nanoseconds(),
 		Results: results,
-	}
-	if e.timeout > 0 {
-		r.TimeoutNS = e.timeout.Nanoseconds()
 	}
 	byKind := make(map[string]*KindSummary)
 	truthRuns := make(map[string]int)

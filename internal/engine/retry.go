@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"sensoragg/internal/agg"
 	"sensoragg/internal/core"
@@ -58,7 +57,7 @@ type outcome struct {
 // resolved queries against the shrunken survivor population (which moves
 // φ-resolved ranks) on an agg.Net over the re-healed view; members holds
 // the final attempt's slots on return.
-func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, queries []Query, members []member, o outcome, deadline time.Time) (outcome, error) {
+func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, queries []Query, members []member, o outcome) (outcome, error) {
 	strike := striking(nw) // a strike before the batch is its view's, not its own
 	results := o.res.members
 	if len(results) != len(members) {
@@ -67,7 +66,7 @@ func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, 
 	for attempt := 0; ; attempt++ {
 		clear(results)
 		o.res = batchResult{members: results}
-		ise, err := driveFused(ctx, net, members, deadline, &o.res)
+		ise, err := driveFused(ctx, net, members, &o.res)
 		plan := nw.Faults
 		if ise == nil {
 			o.retries = attempt
@@ -99,7 +98,6 @@ func runBatch(ctx context.Context, nw *netsim.Network, spec Spec, net core.Net, 
 				if sk != nil {
 					sk.DegradedAnswers.Add(1)
 				}
-				r.detached = false
 				if r.st != nil {
 					wins := r.st.Checkpoint(nil)
 					r.values = make([]uint64, len(members[i].ranks))

@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"sensoragg/internal/core"
 	"sensoragg/internal/faults"
@@ -378,21 +378,92 @@ func TestDuplicateMembersShareOneSlot(t *testing.T) {
 	}
 }
 
-// TestDetachedSlotDetachesEveryDuplicate: when the batch deadline detaches
-// a member, it finishes solo and every twin of it gets that result under
-// its own ID — here a deadline failure, never a zero Result.
+// TestDetachedSlotDetachesEveryDuplicate: when a stop leaves a fused
+// batch's slots unanswered, every twin of a slot gets that slot's result
+// under its own ID — the context's error, never a zero Result — and a slot
+// the batch rejected keeps the error its statement gets alone.
 func TestDetachedSlotDetachesEveryDuplicate(t *testing.T) {
 	spec := gridSpec(400, 5)
+	stmts := duplicateStatements(100)[:11]
 	var jobs []Job
 	for c := 0; c < 3; c++ {
-		for s, q := range duplicateStatements(100)[:11] {
+		for s, q := range stmts {
 			jobs = append(jobs, Job{ID: fmt.Sprintf("s%d-c%d", s, c), Spec: spec, Query: q})
 		}
 	}
-	res := New(Options{Workers: 2, Timeout: time.Nanosecond}).Submit(context.Background(), jobs, WithFusion())
+	alone := New(Options{Workers: 2}).Submit(context.Background(), jobs[:len(stmts)])
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plantStop(t, KindMedian, func(*run) { cancel() })
+	res := New(Options{Workers: 2}).Submit(ctx, jobs, WithFusion())
 	for i, r := range res {
-		if r.ID != jobs[i].ID || !strings.Contains(r.Error, "deadline") {
-			t.Errorf("job %s: result (ID %q, error %q), want its own deadline failure", jobs[i].ID, r.ID, r.Error)
+		want := context.Canceled.Error()
+		if own := alone[i%len(stmts)]; own.Failed() {
+			want = own.Error
+		}
+		if r.ID != jobs[i].ID || r.Error != want {
+			t.Errorf("job %s: result (ID %q, error %q), want its own error %q", jobs[i].ID, r.ID, r.Error, want)
 		}
 	}
+}
+
+// TestStopInPlaceKeepsAudit: a robust job stopped after its unit started —
+// cancelled in its member arm, after its audit, or by a context that turns
+// done right after Submit first looks at it, before the heal and audit —
+// fails with the context's error and leaves the audit it recorded
+// error-free in the Session's table: the heal and the audit run before the
+// stop is set. The next Submit on that Session replays the entry, and
+// reports what a cold Session reports, meters included.
+func TestStopInPlaceKeepsAudit(t *testing.T) {
+	spec := gridSpec(256, 3)
+	spec.Faults = faults.Spec{Seed: 5, Byz: 0.05, Crash: 0.02}
+	job := Job{ID: "robust", Spec: spec, Query: Query{Kind: KindMedian, Robust: true}}
+	cold := New(Options{Workers: 2}).Submit(context.Background(), []Job{job})[0]
+	if cold.Failed() || cold.AuditBits == 0 {
+		t.Fatalf("cold: %+v, want an audited answer", cold)
+	}
+
+	planted, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plantStop(t, KindMedian, func(*run) { cancel() })
+	for _, ctx := range []context.Context{planted, newStartedCtx()} {
+		e := New(Options{Workers: 2})
+		if r := e.Submit(ctx, []Job{job})[0]; r.Error != context.Canceled.Error() {
+			t.Fatalf("%T stopped mid-unit: %+v, want the context error", ctx, r)
+		}
+		s := e.Session()
+		kept := s.auditEntryOf(job)
+		if kept == nil || kept.out == nil || kept.err != nil {
+			t.Fatalf("%T: the stopped job left no error-free audit in the table: %+v", ctx, kept)
+		}
+		again := e.Submit(context.Background(), []Job{job})[0]
+		if s.auditEntryOf(job) != kept {
+			t.Errorf("%T: the next Submit did not replay the kept audit", ctx)
+		}
+		sameResult(t, fmt.Sprintf("%T: replayed against a cold Session", ctx), again, cold)
+	}
+}
+
+// startedCtx is a context that turns done right after the first look at
+// its error: Submit finds it live and starts the unit, and every later
+// look sees it cancelled.
+type startedCtx struct {
+	context.Context // never done
+	looks           atomic.Int32
+	done            chan struct{}
+	stop            sync.Once
+}
+
+func newStartedCtx() *startedCtx {
+	return &startedCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *startedCtx) Done() <-chan struct{} { return c.done }
+
+func (c *startedCtx) Err() error {
+	if c.looks.Add(1) == 1 {
+		return nil
+	}
+	c.stop.Do(func() { close(c.done) })
+	return context.Canceled
 }

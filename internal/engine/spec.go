@@ -1,8 +1,8 @@
 // Package engine is the concurrent query-execution subsystem: it runs many
 // aggregate queries (median, quantiles, distinct counts, sums, sketch
 // variants) across many independently-seeded simulated networks in
-// parallel, on a worker pool with bounded concurrency and per-query
-// deadlines.
+// parallel, on a worker pool with bounded concurrency, stopped by the
+// caller's context.
 //
 // Three pieces make concurrent execution both fast and honest:
 //

@@ -23,13 +23,20 @@ func WithFusion() SubmitOption {
 // Submit is the engine's single entrypoint: it executes jobs on the worker
 // pool, the calling goroutine first among them, and returns results
 // strictly in job order — results[i] always answers jobs[i], regardless of
-// worker scheduling, fusion batching, or a mid-batch cancellation (jobs
-// that never started are marked with the context error at their own
-// indices; a running core.Plane stops at its next sweep, while a kind's own
-// arm, the heal and the robust audit run to completion and fail afterwards).
-// Individual failures (bad spec, protocol error, deadline) are reported in
-// the corresponding Result, never as an error for the whole submission. No
-// run outlives Submit.
+// worker scheduling, fusion batching, or a mid-batch cancellation.
+//
+// ctx is the one stop, its deadline the one deadline. Once ctx is done,
+// jobs that never started fail with ctx.Err() at their own indices, and a
+// running unit stops at its next sweep or round — the tree's convergecast
+// prologue (after a protocol's broadcast) or a round engine's round — and
+// fails every job it left unanswered with exactly ctx.Err(); a fused
+// member that resolved first keeps its answer. The heal and a robust
+// unit's audit run before the stop is set and always complete, so a
+// stopped Submit leaves the audit it recorded for later Submits to replay.
+// A ctx that can never be done (Done() == nil) is never checked.
+// Individual failures (bad spec, protocol error, stop) are reported in the
+// corresponding Result, never as an error for the whole submission. No run
+// outlives Submit.
 //
 // Equal jobs run once: a job equal to an earlier one (same normalized spec,
 // run seed, overlay pointer and resolved query, its WHERE predicate compared
@@ -39,9 +46,8 @@ func WithFusion() SubmitOption {
 // counts its members' twins. queries_total counts executions, not answers.
 //
 // Options apply to this call only: WithFusion turns the submission's
-// fusable jobs into shared-sweep batches. Each unit's deadline is the
-// engine's Options.Timeout, and each query's probe width its own
-// Query.ProbeWidth.
+// fusable jobs into shared-sweep batches. Each query's probe width is its
+// own Query.ProbeWidth.
 func (e *Engine) Submit(ctx context.Context, jobs []Job, opts ...SubmitOption) []Result {
 	var cfg submitConfig
 	for _, opt := range opts {

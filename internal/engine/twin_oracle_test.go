@@ -131,17 +131,12 @@ func oracleSameQuery(a, b *Query) bool {
 
 // oracleRunFusedGroup executes a fusion batch on one forked network and writes
 // member results by original index. It returns the indices that must
-// finish solo: members whose parameters need the solo error path, members
-// the deadline detached, and — on a batch-level panic — every member not
-// yet answered. A panicking batch skips the pool release, like a
-// panicking solo run.
+// finish solo: members whose parameters need the solo error path, and —
+// on a batch-level panic — every member not yet answered. A panicking
+// batch skips the pool release, like a panicking solo run.
 func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int, results []Result) (solo []int) {
 	spec := jobs[idxs[0]].Spec.Normalize()
 	start := time.Now()
-	var deadline time.Time
-	if e.timeout > 0 {
-		deadline = start.Add(e.timeout)
-	}
 	// written is indexed like results; a small Submit keeps it on the stack.
 	var few [32]bool
 	written := few[:]
@@ -217,7 +212,7 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 		return append(solo, memberIdx...)
 	}
 
-	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth})
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {
@@ -231,30 +226,14 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 	shared := fusedDetail(len(memberIdx), o.res.sweeps)
 	answers := make([]Result, len(members))
 	for mi := range o.res.members {
-		if mr := &o.res.members[mi]; !mr.detached && mr.err == nil {
+		if mr := &o.res.members[mi]; mr.err == nil {
 			o.answer(&answers[mi], &members[mi], mr, o.detail(&members[mi], shared))
 		}
 	}
 	sk := obs.Active()
-	var span uint64
-	if sk != nil {
-		span = sk.Tracer.NextSpan()
-	}
-	detached := 0
 	for k, ji := range memberIdx {
 		mi := slot[k]
 		mr := &o.res.members[mi]
-		if mr.detached {
-			detached++
-			if sk != nil {
-				sk.FusionDetach.Add(1)
-				sk.Tracer.Emit("fusion.detach", span,
-					obs.KV{K: "job", V: int64(ji)},
-					obs.KV{K: "seeded_sweeps", V: int64(mr.seededSweeps)})
-			}
-			solo = append(solo, ji)
-			continue
-		}
 		if mr.err != nil {
 			results[ji] = failedResult(jobs[ji], mr.err)
 			written[ji] = true
@@ -269,7 +248,7 @@ func (e *Engine) oracleRunFusedGroup(ctx context.Context, jobs []Job, idxs []int
 		written[ji] = true
 	}
 	if sk != nil {
-		e.obsFusedBatch(sk, span, jobs[idxs[0]], len(memberIdx), detached, o.res.sweeps, o.res.probes, d, wall)
+		e.obsFusedBatch(sk, jobs[idxs[0]], len(memberIdx), 0, o.res.sweeps, o.res.probes, d, wall)
 	}
 	nw.Release()
 	return solo

@@ -22,22 +22,26 @@ import (
 // the fusion-group runner (runFusedGroup) and the solo chain runOne →
 // executeJob → execute → runSolo → batchOfOne, with the dispatcher, the
 // per-run state and the heal and audit writers they spoke — each prefixed
-// "unitOracle". Two adaptations only: runSolo is a function of its kind,
-// and the kind table's arms, which now take their run by value, are handed
-// the old run's fields (arm). TestUnitRunnerOracle holds Submit to them
-// over generated units, and TestDeadlineEveryRoute (dispatch_test.go) on
-// every route under deadlines and cancellation: every Result equal but for
-// WallNS. unitOracleRunOne is also the old dispatcher the one dispatcher,
-// runUnit, replaced: a goroutine, a result channel and a timer per job.
+// "unitOracle". Three adaptations only: runSolo is a function of its kind,
+// the kind table's arms, which now take their run by value, are handed
+// the old run's fields (arm), and the per-unit deadline the engine no
+// longer has is gone (its timer, and the detached members it re-ran).
+// TestUnitRunnerOracle holds Submit to them over generated units, and
+// TestStopEveryRoute (dispatch_test.go) on every route under a context
+// done before Submit: every Result equal but for WallNS.
+// unitOracleRunOne is also the old dispatcher the one dispatcher, runUnit,
+// replaced: a goroutine and a result channel per job.
 
 // TestUnitRunnerOracle generates Submits of one to eight jobs on one
 // deployment — twins, bad-φ and negative-width members, robust and WHERE
 // jobs, kinds with a private schedule — under no plan, crashes and dead
 // links, and phased plans at retry budgets 0 and 2, and holds every Result,
 // fused and not, to the oracle's: equal but for WallNS. Both sides run
-// under a 1-minute deadline, so the deadline code runs but never fires.
-// Each side runs on an engine of its own, so each audits cold.
+// under a context that can be done, so every fork carries a stop that
+// never fires. Each side runs on an engine of its own, so each audits cold.
 func TestUnitRunnerOracle(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	rng := rand.New(rand.NewPCG(48, 0x0e1))
 	plans := []struct {
 		name  string
@@ -78,8 +82,8 @@ func TestUnitRunnerOracle(t *testing.T) {
 			if fuse {
 				opts = append(opts, WithFusion())
 			}
-			got := New(Options{Workers: 2, Timeout: time.Minute}).Submit(context.Background(), jobs, opts...)
-			want := New(Options{Workers: 2, Timeout: time.Minute}).unitOracleSubmit(context.Background(), jobs, fuse)
+			got := New(Options{Workers: 2}).Submit(ctx, jobs, opts...)
+			want := New(Options{Workers: 2}).unitOracleSubmit(ctx, jobs, fuse)
 			for i := range jobs {
 				label := fmt.Sprintf("case %d (%s, %s, fuse %v) job %d %+v", c, spec.Topology, pl.name, fuse, i, jobs[i].Query)
 				g, w := got[i], want[i]
@@ -183,26 +187,20 @@ func (e *Engine) unitOracleRunUnit(ctx context.Context, jobs []Job, p plan, idxs
 		sk.FusionSolo.Add(int64(len(solo)))
 	}
 	for _, i := range solo {
-		// Detached or unfusable members finish solo with their own full
-		// deadline: fusion must never fail a query that would have
-		// succeeded alone.
+		// Unfusable members finish solo: fusion must never fail a query
+		// that would have succeeded alone.
 		results[i] = e.unitOracleRunOne(ctx, jobs[i], p.team)
 	}
 }
 
 // unitOracleRunFusedGroup executes a fusion group on one forked network and writes
 // member results by original index. It returns the indices that must
-// finish solo: members whose parameters need the solo error path, members
-// the deadline detached, and — on a panic before every member's answer is
-// assembled — the whole group. A panicking batch skips the pool release,
-// like a panicking solo run.
+// finish solo: members whose parameters need the solo error path, and — on
+// a panic before every member's answer is assembled — the whole group. A
+// panicking batch skips the pool release, like a panicking solo run.
 func (e *Engine) unitOracleRunFusedGroup(ctx context.Context, jobs []Job, p plan, idxs []int, results []Result) (solo []int) {
 	spec := jobs[idxs[0]].Spec.Normalize()
 	start := time.Now()
-	var deadline time.Time
-	if e.timeout > 0 {
-		deadline = start.Add(e.timeout)
-	}
 	settled := false // every member's result is assembled and final
 	defer func() {
 		if r := recover(); r != nil && !settled {
@@ -257,7 +255,7 @@ func (e *Engine) unitOracleRunFusedGroup(ctx context.Context, jobs []Job, p plan
 		return append(solo, idxs[:len(members)]...)
 	}
 
-	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team}, deadline)
+	o, err := runBatch(ctx, nw, spec, agg.NewNet(fe), queries, members, outcome{hr: hr, truth: truth, team: p.team})
 	d := nw.Meter.Since(before)
 	wall := time.Since(start)
 	if err != nil {
@@ -269,24 +267,8 @@ func (e *Engine) unitOracleRunFusedGroup(ctx context.Context, jobs []Job, p plan
 
 	shared := fusedDetail(batch, o.res.sweeps)
 	sk := obs.Active()
-	var span uint64
-	if sk != nil {
-		span = sk.Tracer.NextSpan()
-	}
-	detached := 0
 	for mi, ji := range idxs[:len(members)] {
 		mr := &o.res.members[mi]
-		if mr.detached {
-			detached++
-			if sk != nil {
-				sk.FusionDetach.Add(1)
-				sk.Tracer.Emit("fusion.detach", span,
-					obs.KV{K: "job", V: int64(ji)},
-					obs.KV{K: "seeded_sweeps", V: int64(mr.seededSweeps)})
-			}
-			solo = append(solo, ji)
-			continue
-		}
 		if mr.err != nil {
 			results[ji] = failedResult(jobs[ji], mr.err)
 			continue
@@ -298,19 +280,18 @@ func (e *Engine) unitOracleRunFusedGroup(ctx context.Context, jobs []Job, p plan
 	}
 	settled = true
 	if sk != nil {
-		e.obsFusedBatch(sk, span, jobs[idxs[0]], batch, detached, o.res.sweeps, o.res.probes, d, wall)
+		e.obsFusedBatch(sk, jobs[idxs[0]], batch, 0, o.res.sweeps, o.res.probes, d, wall)
 	}
 	nw.Release()
 	return solo
 }
 
 // unitOracleRunOne forks a per-run network off the session cache and executes the
-// query on a tree-kernel team of the given size, enforcing its deadline.
+// query on a tree-kernel team of the given size, abandoning it once ctx is done.
 func (e *Engine) unitOracleRunOne(ctx context.Context, job Job, team int) Result {
 	if err := ctx.Err(); err != nil {
 		return failedResult(job, err)
 	}
-	start := time.Now()
 	done := make(chan Result, 1)
 	go func() {
 		defer func() {
@@ -320,29 +301,15 @@ func (e *Engine) unitOracleRunOne(ctx context.Context, job Job, team int) Result
 		}()
 		done <- e.unitOracleExecuteJob(job.Spec.Normalize(), job, team)
 	}()
-
-	var deadline <-chan time.Time
-	if e.timeout > 0 {
-		t := time.NewTimer(e.timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
 	select {
 	case r := <-done:
-		// A result and an expired timer can both be ready; the clock, not
-		// select's coin, decides which one the caller sees.
-		if e.timeout > 0 && time.Since(start) >= e.timeout {
-			break
-		}
 		return r
 	case <-ctx.Done():
 		return failedResult(job, ctx.Err())
-	case <-deadline:
 	}
-	return failedResult(job, fmt.Errorf("engine: query exceeded %v deadline", e.timeout))
 }
 
-// unitOracleExecuteJob is the deadline-free body of a run: instantiate, execute,
+// unitOracleExecuteJob is the context-free body of a run: instantiate, execute,
 // meter. It runs against a private forked network, so even when unitOracleRunOne has
 // already given up on it, it cannot disturb any other run; the network
 // goes back to the session's fork pool only once the run has fully
@@ -535,7 +502,7 @@ func unitOracleRunSolo(k *kind, r *unitOracleRun, heal *spantree.HealResult, res
 func (r *unitOracleRun) unitOracleBatchOfOne(m member, o outcome, strike bool, res *Result) error {
 	members, results := [1]member{m}, [1]memberResult{}
 	o.res.members = results[:]
-	o, err := runBatch(context.Background(), r.nw, r.spec, r.net, []Query{r.q}, members[:], o, time.Time{})
+	o, err := runBatch(context.Background(), r.nw, r.spec, r.net, []Query{r.q}, members[:], o)
 	if err == nil {
 		err = o.res.members[0].err
 	}

@@ -54,7 +54,7 @@ func (p *ForkPool) Put(nw *Network) {
 	if nw.pool != p {
 		return
 	}
-	nw.Faults = nil
+	nw.Faults, nw.Ctx = nil, nil
 	p.mu.Lock()
 	for _, f := range p.free {
 		if f == nw {

@@ -14,9 +14,8 @@ import (
 // totals and message counts for the experiment reports.
 //
 // All counters are atomic: protocols charge from many node goroutines at
-// once (goroutine tree engine), and the concurrent query engine may read a
-// meter while a deadline-abandoned run is still charging it. Counters are
-// therefore unexported; use the accessor methods.
+// once (goroutine tree engine and the tree kernel's team sweeps). Counters
+// are therefore unexported; use the accessor methods.
 type Meter struct {
 	// cells packs each node's three counters side by side: charging a
 	// message touches the sender's sent+msgs (one cache line) and the

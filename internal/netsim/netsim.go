@@ -12,6 +12,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -92,6 +93,11 @@ type Network struct {
 	// attach a fresh plan to every forked network instead of sharing one;
 	// Fork deliberately leaves the fork's plan nil.
 	Faults *faults.Plan
+
+	// Ctx optionally stops the run: once it is done, the round engines
+	// panic with its error before their next round and the spantree fast
+	// engine's convergecast returns it. Like Faults, a pooled reset clears it.
+	Ctx context.Context
 
 	// MaxX is the known upper bound X on item values (§2.1 assumes X is
 	// known and log X = O(log N)).
@@ -318,12 +324,12 @@ func (nw *Network) Fork(seed uint64) *Network {
 // resetForRun turns an already-forked network back into exactly what
 // template.Fork(seed) would build: items restored to the template's
 // readings (a run may have injected its own) and active, scratch cleared,
-// RNG streams reseeded in place, meter zeroed, fault plan detached. This is
-// ForkPool's reset-into-place path; byte-identity with a fresh fork is
-// asserted by tests.
+// RNG streams reseeded in place, meter zeroed, fault plan and stop
+// detached. This is ForkPool's reset-into-place path; byte-identity with a
+// fresh fork is asserted by tests.
 func (nw *Network) resetForRun(template *Network, seed uint64) {
 	nw.seed = seed
-	nw.Faults = nil
+	nw.Faults, nw.Ctx = nil, nil
 	nw.Meter.Reset()
 	for p := range nw.store {
 		nd := &nw.store[p]

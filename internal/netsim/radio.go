@@ -45,7 +45,8 @@ func (f RadioHandlerFunc) Step(n *Node, round int, heard []RadioMsg) (wire.Paylo
 // nodes neither step, transmit, nor hear; a live transmitter still pays its
 // transmission once (the radio does not know who is listening), while each
 // hearer is subject to the plan's link failures and per-message drop/dup —
-// only copies actually heard are charged on the receive side.
+// only copies actually heard are charged on the receive side. A done
+// nw.Ctx stops the run before its next round.
 func RunRadioRounds(nw *Network, handler RadioHandler, rounds int) RoundsResult {
 	n := nw.N()
 	sc := nw.roundScratch()
@@ -66,6 +67,7 @@ func RunRadioRounds(nw *Network, handler RadioHandler, rounds int) RoundsResult 
 	faulty := plan != nil && plan.Active()
 
 	for round := 0; round < rounds; round++ {
+		nw.stop()
 		executed = round + 1
 		roundTx := int64(0)
 		runParallel(n, workersFor(n), func(i int) {

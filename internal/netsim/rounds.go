@@ -78,7 +78,8 @@ func (nw *Network) roundScratch() *runScratch {
 // plan's per-message drop/dup decision. Only delivered copies are charged
 // (a lost message never made it onto the air as far as the meter is
 // concerned; a duplicate is a retransmission both endpoints pay for
-// again) — the convention the spantree fault injection already used.
+// again) — the convention the spantree fault injection already used. A
+// done nw.Ctx stops the run before its next round (see Network.Ctx).
 func RunRounds(nw *Network, handler RoundHandler, rounds int) RoundsResult {
 	n := nw.N()
 	sc := nw.roundScratch()
@@ -106,6 +107,7 @@ func RunRounds(nw *Network, handler RoundHandler, rounds int) RoundsResult {
 	}
 
 	for round := 0; round < rounds; round++ {
+		nw.stop()
 		executed = round + 1
 		if faulty && plan.PhaseArmed() {
 			// Phased faults strike at this round boundary: nodes crashed
@@ -166,6 +168,13 @@ func RunRounds(nw *Network, handler RoundHandler, rounds int) RoundsResult {
 		}
 	}
 	return RoundsResult{Rounds: executed, Messages: sent}
+}
+
+// stop panics with the error of the run's Ctx once it is done.
+func (nw *Network) stop() {
+	if nw.Ctx != nil && nw.Ctx.Err() != nil {
+		panic(nw.Ctx.Err())
+	}
 }
 
 func adjacent(g *topology.Graph, u, v topology.NodeID) bool {

@@ -41,7 +41,7 @@ type Sink struct {
 	Queries         *Counter   // queries_total: jobs executed solo
 	BitsPerNode     *Histogram // bits_per_node: max per-node bits per job/batch
 	FusionBatchSize *Histogram // fusion_batch_size: members per fused batch
-	FusionDetach    *Counter   // fusion_detach_total: members detached at deadline
+	FusionDetach    *Counter   // fusion_detach_total: fused members a stop left unanswered
 	FusionSolo      *Counter   // fusion_solo_fallback_total: batch members re-run alone
 
 	// Serving layer.
@@ -85,8 +85,8 @@ func NewSink() *Sink {
 			[]float64{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536}),
 		FusionBatchSize: reg.Histogram("fusion_batch_size", "Members per fused batch.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		FusionDetach: reg.Counter("fusion_detach_total", "Fused members detached at their deadline."),
-		FusionSolo:   reg.Counter("fusion_solo_fallback_total", "Fused-batch members re-run as units of one: detached by the deadline, in a panicked batch, or in a batch found empty."),
+		FusionDetach: reg.Counter("fusion_detach_total", "Fused members a stop (Submit's context) left unanswered."),
+		FusionSolo:   reg.Counter("fusion_solo_fallback_total", "Fused-batch members re-run as units of one: in a panicked batch, or in a batch found empty."),
 
 		Epochs: reg.Counter("epochs_total", "Serving epochs advanced."),
 		EpochLatency: reg.Histogram("epoch_latency_seconds", "AdvanceEpoch wall time in seconds.",

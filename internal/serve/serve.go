@@ -9,8 +9,9 @@
 //     arrival: they are held for Options.FuseWindow (a few ms) so
 //     concurrent arrivals — and any epoch tick that lands inside the
 //     window — flush as ONE fusion batch on one shared probe plane
-//     (engine.WithFusion). The window bounds added latency; the fusion
-//     deadline-detach bounds the worst case for slow members.
+//     (engine.WithFusion). The window bounds added latency; the context
+//     AdvanceEpoch is given bounds a batch's: once it is done, the batch
+//     stops at its next sweep and its members fail with its error.
 //
 //   - Epoch scheduler. AdvanceEpoch (or the Options.EpochInterval ticker)
 //     evolves the deployment's sensed values through the epoch drift

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,14 +234,13 @@ func TestEpochMergesWindow(t *testing.T) {
 	}
 }
 
-// TestWindowDeadlineDetach: an engine deadline far too small for the
-// deployment fails the window's batch — detached members re-run solo and
-// report the deadline error — without wedging the service: the stream
-// keeps delivering, and seeding state resets so later healthy epochs
-// rebuild it.
+// TestWindowDeadlineDetach: epochs advanced under a context already done
+// fail the window's batch — every subscription, and an ad-hoc query held
+// in the window, report the context's error — without wedging the service:
+// the stream keeps delivering, seeding state resets, and the next epoch
+// under a live context answers again.
 func TestWindowDeadlineDetach(t *testing.T) {
-	slow := engine.New(engine.Options{Timeout: time.Nanosecond})
-	svc, err := New(Options{Spec: testSpec(17), Engine: slow, Update: drift(5)})
+	svc, err := New(Options{Spec: testSpec(17), FuseWindow: time.Hour, Update: drift(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +249,15 @@ func TestWindowDeadlineDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
 	for e := 1; e <= 2; e++ {
-		out := svc.AdvanceEpoch(context.Background())
+		out := svc.AdvanceEpoch(done)
 		if len(out) != 1 {
 			t.Fatalf("epoch %d: %d results", e, len(out))
 		}
-		if !out[0].Failed() {
-			t.Fatalf("epoch %d: nanosecond deadline did not fail the query", e)
+		if out[0].Error != context.Canceled.Error() {
+			t.Fatalf("epoch %d: %+v, want the context error", e, out[0])
 		}
 		select {
 		case r := <-sub.Results():
@@ -266,8 +268,35 @@ func TestWindowDeadlineDetach(t *testing.T) {
 			t.Errorf("epoch %d: failure was not delivered", e)
 		}
 	}
-	if _, err := svc.Query(context.Background(), "SELECT count(value)"); err == nil {
-		t.Error("ad-hoc under a nanosecond deadline should surface the failure")
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := svc.Query(context.Background(), "SELECT count(value)")
+		errc <- err
+	}()
+	// Wait for the query to enter the window (the hour-long timer ensures
+	// only the epoch advance can flush it).
+	for {
+		svc.mu.Lock()
+		n := len(svc.pending)
+		svc.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	svc.AdvanceEpoch(done)
+	<-sub.Results()
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Errorf("ad-hoc flushed by a done epoch: %v, want the context error", err)
+	}
+
+	out := svc.AdvanceEpoch(context.Background())
+	if len(out) != 1 || out[0].Failed() {
+		t.Fatalf("live epoch after the done ones: %+v, want an answer", out)
+	}
+	if r := <-sub.Results(); r.Failed() || r.Epoch != 4 {
+		t.Errorf("live epoch delivered %+v, want epoch 4's answer", r)
 	}
 }
 

@@ -358,11 +358,14 @@ func (e *FastEngine) Convergecast(c Combiner) (any, error) {
 	return out, err
 }
 
-// begin is the prologue every convergecast shares: the phased fault
-// clock, the completeness check, the obs event (vc is nil for a boxed
-// combiner), the view's schedule and — on a team — the partition, which
-// it leaves in e.op.
+// begin is the prologue every convergecast shares: the run's stop, the
+// phased fault clock, the completeness check, the obs event (vc is nil for
+// a boxed combiner), the view's schedule and — on a team — the partition,
+// which it leaves in e.op.
 func (e *FastEngine) begin(vc VecCombiner) error {
+	if ctx := e.nw.Ctx; ctx != nil && ctx.Err() != nil {
+		return ctx.Err() // before the convergecast: a broadcast first is paid
+	}
 	if plan := e.nw.Faults; plan != nil && plan.PhaseArmed() {
 		// Each convergecast is one boundary of the phased fault clock. Once
 		// the mid-flight faults strike, the view is checked for completeness
